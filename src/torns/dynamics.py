@@ -4,6 +4,7 @@ Three systems share one exponential-integrating-factor skeleton (the viscous
 Stokes part is diagonal in Fourier space and treated exactly):
 
 * deterministic:   du/dt + nu A u + B(u)             = f
+  run as the conjugated system with z identically 0
 * conjugated:      dv/dt + nu A v + B(v + h z(t))    = f - nu A h z(t) + h z(t)
   with z the scalar OU process, advanced pathwise with left-endpoint z_n
 * Ito (EM):        du + (nu A u + B(u)) dt           = f dt + h dW
@@ -15,6 +16,20 @@ Schemes: "etd1" is the exponential Euler update u+ = E u + dt phi1 F(u);
 F_{n-1}, bootstrapped by one etd1 step; "em" uses the etd1 drift (the
 stochastic solver's drift), so the h = 0 stochastic step reduces to the
 deterministic one bit for bit.
+
+The stepper runs in half-spectrum vorticity (spectral.HalfSpectrum): it
+carries w = curl u, takes the curls of f, h - nu A h and h once, and gets
+curl B from spectral.vorticity_advection (4 inverse and 1 forward real FFT
+per step, no Leray projection).  E, phi1 and phi2 are diagonal and commute
+with curl, so this is the velocity scheme up to roundoff.  Velocity
+SpectralFields stay the interface: every step returns a State whose u is
+rebuilt from w without an FFT.
+
+State space: w represents exactly the zero-mean, divergence-free velocity
+fields without Nyquist lines, and the two forms of B agree only inside the
+dealias mask.  So SimConfig requires f and h inside the mask (only their
+divergence-free parts act), and integrate rejects an initial field with a
+nonzero mean, a divergence or content outside the mask beyond 1e-13 relative.
 """
 
 from __future__ import annotations
@@ -109,10 +124,10 @@ def check_assumption(h: SpectralField, nu: float, grid: WaveGrid) -> AssumptionR
 class SimConfig:
     """Solver configuration: viscosity, grid, step, forcing f, noise intensity h.
 
-    h must be band-limited inside the dealias mask (stands in for h in H^3 and
-    keeps every A^p h exactly computable).  linear_only disables B (diagnostic
-    mode for closed-form linear oracles).  u0 optionally carries initial data
-    attached by a config preset.
+    f and h must be band-limited inside the dealias mask (for h this stands in
+    for h in H^3 and keeps every A^p h exactly computable).  linear_only
+    disables B (diagnostic mode for closed-form linear oracles).  u0 optionally
+    carries initial data attached by a config preset.
     """
 
     nu: float
@@ -140,10 +155,8 @@ class SimConfig:
         for name, u in (("f", self.f), ("h", self.h)):
             if u.grid != self.grid:
                 raise ValueError(f"{name} lives on {u.grid!r}, expected {self.grid!r}")
-        outside = np.abs(self.h.coeffs[:, ~self.grid.dealias_mask])
-        scale = float(np.abs(self.h.coeffs).max())
-        if scale > 0 and float(outside.max()) > 1e-13 * scale:
-            raise ValueError("h must be band-limited inside the dealias mask")
+            if _outside_mask(u):
+                raise ValueError(f"{name} must be band-limited inside the dealias mask")
         if self.assumption is None:
             self.assumption = check_assumption(self.h, self.nu, self.grid)
 
@@ -189,56 +202,66 @@ def conjugate(v: SpectralField, z: float, h: SpectralField) -> SpectralField:
 
 
 class _EtdStepper:
-    """Shared exponential-integrating-factor machinery.
+    """Exponential integrator of one trajectory, on the half-spectrum vorticity.
 
-    Precomputes E = exp(-nu k^2 dt) and the phi1/phi2 weights; subclasses
-    supply the explicit right side F.  etd2 keeps F_{n-1} between calls, so a
-    stepper instance drives one trajectory.
+    Precomputes E = exp(-nu k^2 dt) and the dt phi1/phi2 weights on the half
+    spectrum, and the curls of f, h - nu A h and h.  advance() takes one step
+    of the conjugated system; the deterministic system is the case z = 0.
+    etd2 keeps F_{n-1} between calls, so a stepper instance drives one
+    trajectory.  The vorticity of the last velocity it returned is cached, so
+    stepping on from that same SpectralField object skips the curl; a caller
+    must not modify such a field in place and then step on from it.
     """
 
     def __init__(self, cfg: SimConfig, scheme: str | None = None):
         self.cfg = cfg
-        g = cfg.grid
-        z = -cfg.nu * cfg.dt * g.k2
+        self.half = half = spectral.HalfSpectrum(cfg.grid)
+        dt = cfg.dt
+        z = -cfg.nu * dt * half.k2
+        phi1, phi2 = _phi1(z), _phi2(z)
         self.E = np.exp(z)
-        self.phi1 = _phi1(z)
-        self.phi2 = _phi2(z)
+        self.dt_phi1 = dt * phi1
+        self.dt_phi12 = dt * (phi1 + phi2)
+        self.dt_phi2 = dt * phi2
         scheme = cfg.scheme if scheme is None else scheme
         self.scheme = "etd1" if scheme == "em" else scheme
         self.prev_rhs: np.ndarray | None = None
-        self._hc = cfg.h.coeffs
-        # combined z-forcing profile h - nu A h of the conjugated right side
-        self._zforce = cfg.h.coeffs - cfg.nu * g.k2 * cfg.h.coeffs
-        self._fc = cfg.f.coeffs
+        self.hw = half.curl(cfg.h)
+        self._fw = half.curl(cfg.f)
+        # curl of the combined z-forcing profile h - nu A h of the conjugated right side
+        self._zw = self.hw - cfg.nu * half.k2 * self.hw
+        self._u_out: SpectralField | None = None
+        self._w_out: np.ndarray | None = None
 
-    def rhs(self, u: np.ndarray, z: float) -> np.ndarray:
-        raise NotImplementedError
+    def vorticity(self, u: SpectralField) -> np.ndarray:
+        """w = curl u, reused when u is the field this stepper returned last."""
+        if u is self._u_out:
+            return self._w_out
+        return self.half.curl(u)
 
-    def advance(self, coeffs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        dt = self.cfg.dt
+    def advance(self, w: np.ndarray, z: float) -> np.ndarray:
+        """One step of the conjugated system with left-endpoint z; returns the new w."""
+        rhs = self._fw + z * self._zw
+        if not self.cfg.linear_only:
+            rhs -= spectral.vorticity_advection(w + z * self.hw, self.half)
         if self.scheme == "etd2" and self.prev_rhs is not None:
-            out = self.E * coeffs + dt * ((self.phi1 + self.phi2) * rhs - self.phi2 * self.prev_rhs)
+            out = self.E * w + (self.dt_phi12 * rhs - self.dt_phi2 * self.prev_rhs)
         else:
-            out = self.E * coeffs + dt * (self.phi1 * rhs)
+            out = self.E * w + self.dt_phi1 * rhs
         if self.scheme == "etd2":
             self.prev_rhs = rhs
         return out
 
-    def _advection(self, w: SpectralField) -> np.ndarray | float:
-        if self.cfg.linear_only:
-            return 0.0
-        return spectral.nonlinear_term(w, w).coeffs
+    def emit(self, w: np.ndarray, t: float, z: float, last: State) -> State:
+        """The State of velocity curl^-1 w after a blowup check against `last`."""
+        _check_finite(w, t, last)
+        u = self.half.velocity(w)
+        self._u_out, self._w_out = u, w
+        return State(t=t, u=u, z=z)
 
 
-class _DeterministicStepper(_EtdStepper):
-    def rhs(self, u: np.ndarray, z: float) -> np.ndarray:
-        return self._fc - self._advection(SpectralField(self.cfg.grid, u))
-
-
-class _ConjugatedStepper(_EtdStepper):
-    def rhs(self, v: np.ndarray, z: float) -> np.ndarray:
-        w = SpectralField(self.cfg.grid, v + z * self._hc)
-        return self._fc + z * self._zforce - self._advection(w)
+# the deterministic system is the conjugated one with z = 0
+_DeterministicStepper = _EtdStepper
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -261,6 +284,12 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _outside_mask(u: SpectralField) -> bool:
+    """True when u has content outside the dealias mask beyond 1e-13 of its largest coefficient."""
+    scale = float(np.abs(u.coeffs).max())
+    return scale > 0 and float(np.abs(u.coeffs[:, ~u.grid.dealias_mask]).max()) > 1e-13 * scale
+
+
 def _check_finite(coeffs: np.ndarray, t: float, last: State) -> None:
     energy = float(np.vdot(coeffs, coeffs).real)
     if not math.isfinite(energy):
@@ -273,43 +302,34 @@ def step_deterministic(state: State, cfg: SimConfig, _stepper: _EtdStepper | Non
     Stand-alone calls use a fresh stepper (etd2 degrades to its etd1 bootstrap);
     integrate() reuses one stepper so the multistep history is kept.
     """
-    st = _stepper if _stepper is not None else _DeterministicStepper(cfg)
-    rhs = st.rhs(state.u.coeffs, 0.0)
-    new = st.advance(state.u.coeffs, rhs)
-    out = State(t=state.t + cfg.dt, u=SpectralField(cfg.grid, new), z=state.z)
-    _check_finite(new, out.t, state)
-    return out
+    st = _stepper if _stepper is not None else _EtdStepper(cfg)
+    w = st.advance(st.vorticity(state.u), 0.0)
+    return st.emit(w, state.t + cfg.dt, state.z, state)
 
 
 def step_random(state: State, z_n: float, z_next: float, cfg: SimConfig,
                 _stepper: _EtdStepper | None = None) -> State:
     """One pathwise step of the conjugated system, left-endpoint z_n in the forcing.
 
-    With z identically 0 this reproduces step_deterministic exactly (the z
-    terms enter as additions of zero arrays).
+    With z identically 0 this reproduces step_deterministic exactly (both run
+    the same arithmetic).
     """
-    st = _stepper if _stepper is not None else _ConjugatedStepper(cfg)
-    rhs = st.rhs(state.u.coeffs, z_n)
-    new = st.advance(state.u.coeffs, rhs)
-    out = State(t=state.t + cfg.dt, u=SpectralField(cfg.grid, new), z=z_next)
-    _check_finite(new, out.t, state)
-    return out
+    st = _stepper if _stepper is not None else _EtdStepper(cfg)
+    w = st.advance(st.vorticity(state.u), z_n)
+    return st.emit(w, state.t + cfg.dt, z_next, state)
 
 
 def step_em_stochastic(state: State, dW: float, cfg: SimConfig,
                        _stepper: _EtdStepper | None = None) -> State:
     """One Euler-Maruyama step of the Ito system with additive noise h dW.
 
-    Drift is the etd1 (exponential Euler) update; the noise increment is added
-    after the linear solve.  With h = 0 this is the "em"-scheme deterministic
-    step exactly.
+    Drift is the etd1 (exponential Euler) update; the noise increment dW curl h
+    is added after the linear solve.  With h = 0 this is the "em"-scheme
+    deterministic step exactly.
     """
-    st = _stepper if _stepper is not None else _DeterministicStepper(cfg, scheme="em")
-    rhs = st.rhs(state.u.coeffs, 0.0)
-    new = st.advance(state.u.coeffs, rhs) + dW * cfg.h.coeffs
-    out = State(t=state.t + cfg.dt, u=SpectralField(cfg.grid, new), z=state.z)
-    _check_finite(new, out.t, state)
-    return out
+    st = _stepper if _stepper is not None else _EtdStepper(cfg, scheme="em")
+    w = st.advance(st.vorticity(state.u), 0.0) + dW * st.hw
+    return st.emit(w, state.t + cfg.dt, state.z, state)
 
 
 @dataclass
@@ -339,13 +359,18 @@ def integrate(
     """
     if v0.grid != cfg.grid:
         raise ValueError("initial data grid does not match config grid")
+    problems = spectral.field_violations(v0, rtol=1e-13)
+    if _outside_mask(v0):
+        problems.append("content outside the dealias mask")
+    if problems:
+        raise ValueError("initial data outside the solver's state space: " + "; ".join(problems))
     stride = cfg.stride if stride is None else int(stride)
 
     if path is None:
         if steps is None:
             steps = round(cfg.t_end / cfg.dt)
         start = 0.0 if t0 is None else t0
-        stepper: _EtdStepper = _DeterministicStepper(cfg)
+        stepper = _EtdStepper(cfg)
         zs = None
         dWs = None
     else:
@@ -357,12 +382,12 @@ def integrate(
             raise ValueError(f"path covers {path.n} steps, requested {steps}")
         start = path.t0 if t0 is None else t0
         if isinstance(path, OUPath):
-            stepper = _ConjugatedStepper(cfg)
+            stepper = _EtdStepper(cfg)
             zs = path.z
             dWs = None
         else:
             # the Ito solver's drift is first order by construction
-            stepper = _DeterministicStepper(cfg, scheme="em")
+            stepper = _EtdStepper(cfg, scheme="em")
             zs = None
             dWs = path.increments
 

@@ -25,10 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (
+    BlowupError,
     SimConfig,
     State,
-    _ConjugatedStepper,
-    _DeterministicStepper,
+    _EtdStepper,
     conjugate,
     integrate,
     step_deterministic,
@@ -115,11 +115,15 @@ def pullback_path(cfg: SimConfig, horizon: float, seed: int, burn_in: float = OU
 
 
 def pullback_solve(spec: PullbackSpec) -> list[State]:
-    """States at time 0 of trajectories started at -horizon, one per family member."""
+    """States at time 0 of trajectories started at -horizon, one per family member.
+
+    Every state carries z_omega(0), the anchored OU value at time 0; at horizon
+    0 the initial data are returned unchanged with that z.
+    """
     cfg = spec.cfg
-    if spec.horizon == 0.0:
-        return [State(t=0.0, u=v0.copy(), z=0.0) for v0 in spec.initial_states]
     ou = pullback_path(cfg, spec.horizon, spec.seed)
+    if spec.horizon == 0.0:
+        return [State(t=0.0, u=v0.copy(), z=float(ou.z[-1])) for v0 in spec.initial_states]
     return [integrate(v0, cfg, path=ou).state for v0 in spec.initial_states]
 
 
@@ -155,7 +159,7 @@ def sample_attractor_deterministic(
     res = integrate(v0, cfg, steps=round(t_transient / cfg.dt), stride=10**9)
     state = res.state
     states = [state.u.copy()]
-    stepper = _DeterministicStepper(cfg)
+    stepper = _EtdStepper(cfg)
     while len(states) < count:
         for _ in range(stride):
             state = step_deterministic(state, cfg, _stepper=stepper)
@@ -190,44 +194,50 @@ class SmoothingReport:
 
 
 def _smoothing_pair_rows(cfg, v1, direction, label, deltas, horizons, seed):
-    """Joint stepping of the base and perturbed trajectories; one row per (delta, T)."""
+    """Joint stepping of the base and perturbed trajectories; one row per (delta, T).
+
+    A blowup gives error rows: for every (delta, T) when the base trajectory
+    blows up, and for the horizons not yet reached when a perturbed one does.
+    """
     t_max = max(horizons)
     steps = round(t_max / cfg.dt)
     w = sample_wiener(0.0, t_max, cfg.dt, seed=seed)
     ou = ou_from_wiener(w, init="stationary")
     checkpoints = {round(T / cfg.dt): T for T in horizons}
+    starts = [(delta, v1 + delta * direction) for delta in deltas]
+    dist0 = {delta: sobolev_norm(v2 - v1, 0.0) for delta, v2 in starts}
+
+    def row(delta, T, d2=float("nan"), ratio=float("nan"), error=""):
+        return {"seed": seed, "direction": label, "delta": delta, "T": T,
+                "dist0": dist0[delta], "distT_h2_sq": d2, "ratio": ratio, "error": error}
 
     base_states: dict[int, SpectralField] = {}
-    st = _ConjugatedStepper(cfg)
+    st = _EtdStepper(cfg)
     a = State(0.0, v1.copy(), ou.z[0])
-    for n in range(steps):
-        a = step_random(a, float(ou.z[n]), float(ou.z[n + 1]), cfg, _stepper=st)
-        if (n + 1) in checkpoints:
-            base_states[n + 1] = a.u.copy()
+    try:
+        for n in range(steps):
+            a = step_random(a, float(ou.z[n]), float(ou.z[n + 1]), cfg, _stepper=st)
+            if (n + 1) in checkpoints:
+                base_states[n + 1] = a.u.copy()
+    except BlowupError as exc:
+        return [row(delta, T, error=str(exc)) for delta in deltas for T in horizons]
 
     rows = []
-    for delta in deltas:
-        v2 = v1 + delta * direction
-        dist0 = sobolev_norm(v2 - v1, 0.0)
-        stp = _ConjugatedStepper(cfg)
+    for delta, v2 in starts:
+        stp = _EtdStepper(cfg)
         b = State(0.0, v2, ou.z[0])
+        done = []
         try:
             for n in range(steps):
                 b = step_random(b, float(ou.z[n]), float(ou.z[n + 1]), cfg, _stepper=stp)
                 if (n + 1) in checkpoints:
                     T = checkpoints[n + 1]
                     d2 = sobolev_norm(b.u - base_states[n + 1], 2.0) ** 2
-                    ratio = 0.0 if dist0 == 0.0 else d2 / dist0**2
-                    rows.append({
-                        "seed": seed, "direction": label, "delta": delta, "T": T,
-                        "dist0": dist0, "distT_h2_sq": d2, "ratio": ratio, "error": "",
-                    })
-        except Exception as exc:  # solver aborts are recorded per row, not fatal
-            rows.append({
-                "seed": seed, "direction": label, "delta": delta, "T": float("nan"),
-                "dist0": dist0, "distT_h2_sq": float("nan"), "ratio": float("nan"),
-                "error": str(exc),
-            })
+                    ratio = 0.0 if dist0[delta] == 0.0 else d2 / dist0[delta] ** 2
+                    rows.append(row(delta, T, d2, ratio))
+                    done.append(T)
+        except BlowupError as exc:
+            rows.extend(row(delta, T, error=str(exc)) for T in horizons if T not in done)
     return rows
 
 
@@ -321,7 +331,7 @@ def measure_absorbing(
                 "dist_h2": distance_to_set(st.u, sample, 2) if sample is not None else float("nan"),
                 "error": "",
             }
-        except Exception as exc:
+        except BlowupError as exc:
             row = {"radius": radius, "horizon": horizon, "norm_h": float("nan"),
                    "norm_h1": float("nan"), "norm_h2": float("nan"),
                    "dist_h2": float("nan"), "error": str(exc)}

@@ -113,8 +113,9 @@ def _field_from_modes(grid: WaveGrid, modes: list, path: str) -> SpectralField:
     """Sparse mode list -> Hermitian-symmetrized, Leray-projected field.
 
     Each entry: {"j": [jx, jy], "u": [re, im], "v": [re, im]} giving the
-    coefficients of both velocity components at lattice mode j.  The conjugate
-    is added at -j, so the physical field is real.
+    coefficients of both velocity components at lattice mode j, which must lie
+    inside the dealias mask (3|j| < N per direction, the solver's state space).
+    The conjugate is added at -j, so the physical field is real.
     """
     N = grid.N
     coeffs = np.zeros((2, N, N), dtype=np.complex128)
@@ -130,6 +131,8 @@ def _field_from_modes(grid: WaveGrid, modes: list, path: str) -> SpectralField:
         half = N // 2
         if not (-half < jx <= half and -half < jy <= half):
             raise ConfigError(f"{here}.j", f"mode {j} outside the lattice for N={N}")
+        if not grid.dealias_mask[jx % N, jy % N]:
+            raise ConfigError(f"{here}.j", f"mode {j} outside the dealias mask 3|j| < N for N={N}")
         for comp, key in ((0, "u"), (1, "v")):
             val = entry.get(key, [0.0, 0.0])
             if not isinstance(val, list) or len(val) != 2:

@@ -8,6 +8,14 @@ array c is L * sqrt(sum |c|^2).
 
 The first eigenvalue of the Stokes operator on this lattice is
 lambda_1 = 4*pi^2 / L^2.
+
+Velocity SpectralFields are the public representation.  The time stepper
+works instead on the scalar vorticity w = curl u = d_x u_2 - d_y u_1 stored on
+the rfft2 half spectrum (modes j2 = 0..N/2 of the last axis, see
+HalfSpectrum), where u = (d_y psi, -d_x psi) with psi = w / |k|^2 and
+curl B(u, u) = (u . grad) w (vorticity_advection).  That form represents
+exactly the zero-mean, divergence-free fields without Nyquist lines, and it
+agrees with nonlinear_term up to roundoff for fields inside the dealias mask.
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ __all__ = [
     "inner",
     "apply_stokes_power",
     "nonlinear_term",
+    "HalfSpectrum",
+    "vorticity_advection",
     "grad_linf",
     "to_physical",
     "to_spectral",
@@ -255,6 +265,63 @@ def nonlinear_term(u: SpectralField, v: SpectralField) -> SpectralField:
     ah = np.fft.fft2(adv, axes=(-2, -1), norm="forward")
     ah *= g.dealias_mask
     return SpectralField(g, _project_coeffs(ah, g))
+
+
+class HalfSpectrum:
+    """Tables for the scalar vorticity w = curl u on the rfft2 half spectrum.
+
+    The half spectrum holds the modes j2 = 0..N/2 of the last axis, shape
+    (N, N/2 + 1); the other half of a real field follows by Hermitian
+    symmetry.  ops[c] * w gives, for c = 0..3, the half-spectrum coefficients
+    of u_1 = d_y psi, u_2 = -d_x psi, d_x w and d_y w (psi = w / |k|^2).  The
+    curl and all four are zero on the Nyquist lines j1 = N/2 and j2 = N/2,
+    which lie outside the dealias mask.  The tables are read-only, so one
+    instance may serve several threads.
+    """
+
+    def __init__(self, grid: WaveGrid):
+        N = grid.N
+        M = N // 2 + 1
+        self.grid = grid
+        kx, ky = grid.kx, grid.ky[:, :M]
+        self.k2 = grid.k2[:, :M]
+        self.dealias_mask = grid.dealias_mask[:, :M]
+        keep = (2 * np.abs(grid.jx) < N) & (2 * np.abs(grid.jy[:, :M]) < N)
+        inv_k2 = grid.inv_k2[:, :M] * keep
+        self.ops = np.stack([1j * ky * inv_k2, -1j * kx * inv_k2, 1j * kx * keep, 1j * ky * keep])
+        self._curl = np.stack([-1j * ky * keep, 1j * kx * keep])
+
+    def curl(self, u: SpectralField) -> np.ndarray:
+        """Half-spectrum vorticity i k_x u_2 - i k_y u_1 of a velocity field."""
+        return (self._curl * u.coeffs[:, :, : self.k2.shape[1]]).sum(axis=0)
+
+    def velocity(self, w: np.ndarray) -> SpectralField:
+        """The full (2, N, N) velocity spectrum of w, mirrored without an FFT.
+
+        Columns j2 > N/2 are conj(u_hat(-j)); the Nyquist lines are zero.
+        """
+        g = self.grid
+        N, M = g.N, self.k2.shape[1]
+        out = np.empty((2, N, N), dtype=np.complex128)
+        half = np.multiply(self.ops[:2], w, out=out[:, :, :M])
+        # row -j1 of column -j2, as slices: row 0 maps to itself, rows 1..N-1 reverse
+        np.conjugate(half[:, 0, M - 2 : 0 : -1], out=out[:, 0, M:])
+        np.conjugate(half[:, :0:-1, M - 2 : 0 : -1], out=out[:, 1:, M:])
+        return SpectralField(g, out)
+
+
+def vorticity_advection(w: np.ndarray, half: HalfSpectrum) -> np.ndarray:
+    """Dealiased curl B(u, u) = (u . grad) w on the half spectrum, for w = curl u.
+
+    u and grad w come from one batched irfft2, the product goes back through
+    rfft2 and is masked by the 2/3 rule.  For w inside the dealias mask this
+    equals the half spectrum of curl nonlinear_term(u, u) up to roundoff.
+    """
+    N = half.grid.N
+    phys = np.fft.irfft2(half.ops * w, s=(N, N), axes=(-2, -1), norm="forward")
+    out = np.fft.rfft2(phys[0] * phys[2] + phys[1] * phys[3], norm="forward")
+    out *= half.dealias_mask
+    return out
 
 
 def _jacobian_samples(h: SpectralField, oversample: int) -> np.ndarray:

@@ -7,12 +7,15 @@ from torns.dynamics import (
     BlowupError,
     SimConfig,
     State,
+    _phi1,
+    _phi2,
     check_assumption,
     conjugate,
     integrate,
     manufactured_forcing,
     step_deterministic,
     step_em_stochastic,
+    step_random,
     taylor_green,
 )
 from torns.noise import WienerPath, ou_from_wiener, sample_wiener
@@ -20,6 +23,7 @@ from torns.spectral import (
     SpectralField,
     field_violations,
     make_grid,
+    nonlinear_term,
     random_divfree_field,
     sobolev_norm,
 )
@@ -67,6 +71,13 @@ class TestSimConfig:
         c[1, -7 % 16, 0] = 1.0
         with pytest.raises(ValueError):
             basic_cfg(grid16, h=SpectralField(grid16, c))
+
+    def test_rejects_f_outside_mask(self, grid16):
+        c = np.zeros((2, 16, 16), dtype=complex)
+        c[1, 6, 0] = 1.0  # |j| = 6 > 16/3
+        c[1, -6 % 16, 0] = 1.0
+        with pytest.raises(ValueError, match="f must be band-limited"):
+            basic_cfg(grid16, f=SpectralField(grid16, c))
 
     def test_attaches_assumption(self, grid16):
         cfg = basic_cfg(grid16)
@@ -253,6 +264,66 @@ class TestEMStep:
         assert np.mean(levels) == pytest.approx(expected, rel=0.35)
 
 
+def velocity_etd2_reference(cfg, v0, zs):
+    """The conjugated etd2 scheme written on the velocity with nonlinear_term."""
+    g, dt, nu = cfg.grid, cfg.dt, cfg.nu
+    zk = -nu * dt * g.k2
+    E, phi1, phi2 = np.exp(zk), _phi1(zk), _phi2(zk)
+    h, f = cfg.h.coeffs, cfg.f.coeffs
+    u, prev = v0.coeffs.copy(), None
+    for n in range(len(zs) - 1):
+        adv = SpectralField(g, u + zs[n] * h)
+        rhs = f + zs[n] * (h - nu * g.k2 * h) - nonlinear_term(adv, adv).coeffs
+        if prev is None:
+            u = E * u + dt * phi1 * rhs
+        else:
+            u = E * u + dt * ((phi1 + phi2) * rhs - phi2 * prev)
+        prev = rhs
+    return u
+
+
+class TestVorticityCore:
+    @pytest.mark.parametrize("N", [16, 24])
+    def test_etd2_matches_velocity_form(self, N):
+        g = make_grid(TWO_PI, N)
+        cfg = basic_cfg(g, nu=0.05, dt=2e-3,
+                        f=random_divfree_field(g, seed=2, norm=0.5),
+                        h=random_divfree_field(g, seed=3, norm=0.05))
+        v0 = random_divfree_field(g, seed=4, norm=1.0)
+        ou = ou_from_wiener(sample_wiener(0.0, 200 * cfg.dt, cfg.dt, seed=5), init="stationary")
+        res = integrate(v0, cfg, path=ou)
+        ref = velocity_etd2_reference(cfg, v0, ou.z)
+        assert ou.n == 200
+        assert np.abs(res.state.u.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_state_space_kept_at_n24(self):
+        g = make_grid(TWO_PI, 24)
+        cfg = basic_cfg(g, nu=0.05, dt=2e-3,
+                        f=random_divfree_field(g, seed=2, norm=0.5),
+                        h=random_divfree_field(g, seed=3, norm=0.05))
+        ou = ou_from_wiener(sample_wiener(0.0, 0.2, cfg.dt, seed=6), init="stationary")
+        res = integrate(random_divfree_field(g, seed=4, norm=1.0), cfg, path=ou)
+        assert field_violations(res.state.u, rtol=1e-13) == []
+        assert np.abs(res.state.u.coeffs[:, ~g.dealias_mask]).max() < 1e-13 * np.abs(res.state.u.coeffs).max()
+
+    def test_vorticity_cache_only_for_returned_field(self, grid16):
+        from torns.dynamics import _EtdStepper
+
+        cfg = basic_cfg(grid16, nu=0.05, f=random_divfree_field(grid16, seed=2, norm=0.5),
+                        h=random_divfree_field(grid16, seed=3, norm=0.05), scheme="etd1")
+        a = State(0.0, random_divfree_field(grid16, seed=4, norm=1.0))
+        st = _EtdStepper(cfg)
+        a = step_random(a, 0.3, 0.2, cfg, _stepper=st)
+        # stepping on from the returned field reuses its vorticity
+        cached = step_random(a, 0.2, 0.1, cfg, _stepper=st)
+        fresh = step_random(State(a.t, a.u.copy(), a.z), 0.2, 0.1, cfg)
+        assert np.abs(cached.u.coeffs - fresh.u.coeffs).max() <= 1e-14 * np.abs(fresh.u.coeffs).max()
+        # any other field is curled afresh
+        other = State(0.0, random_divfree_field(grid16, seed=5, norm=1.0))
+        assert np.array_equal(step_random(other, 0.2, 0.1, cfg, _stepper=st).u.coeffs,
+                              step_random(other, 0.2, 0.1, cfg).u.coeffs)
+
+
 class TestConjugate:
     def test_zero_z(self, grid16):
         v = random_divfree_field(grid16, seed=1)
@@ -310,6 +381,25 @@ class TestIntegrate:
         v0 = random_divfree_field(make_grid(TWO_PI, 8), seed=1)
         with pytest.raises(ValueError):
             integrate(v0, cfg, steps=1)
+
+
+    def test_rejects_initial_mean(self, grid16):
+        v0 = random_divfree_field(grid16, seed=1)
+        v0.coeffs[0, 0, 0] = 0.1
+        with pytest.raises(ValueError, match="mean"):
+            integrate(v0, basic_cfg(grid16), steps=1)
+
+    def test_rejects_initial_divergence(self, grid16):
+        v0 = random_divfree_field(grid16, seed=1)
+        v0.coeffs[0, 1, 0] += 0.1  # a gradient component at j = (1, 0)
+        v0.coeffs[0, -1 % 16, 0] += 0.1
+        with pytest.raises(ValueError, match="divergence"):
+            integrate(v0, basic_cfg(grid16), steps=1)
+
+    def test_rejects_initial_outside_mask(self, grid16):
+        v0 = random_divfree_field(grid16, seed=1, within_mask=False)
+        with pytest.raises(ValueError, match="dealias mask"):
+            integrate(v0, basic_cfg(grid16), steps=1)
 
 
 class TestTaylorGreen:

@@ -54,6 +54,7 @@ class TestPullback:
         v0 = random_divfree_field(grid16, seed=1)
         out = pullback_solve(PullbackSpec(horizon=0.0, seed=1, initial_states=[v0], cfg=cfg))
         assert np.array_equal(out[0].u.coeffs, v0.coeffs)
+        assert out[0].z == pullback_path(cfg, 0.0, seed=1).z[-1] != 0.0
 
     def test_empty_family_rejected(self, grid16):
         with pytest.raises(ValueError):
@@ -200,6 +201,29 @@ class TestSmoothing:
         assert a.rows == b.rows
 
 
+    def test_base_blowup_gives_error_rows(self, grid16):
+        # dt = 10 puts the explicit advection far outside its stability region
+        cfg = cfg_for(grid16, dt=10.0)
+        v0 = random_divfree_field(grid16, seed=1, norm=50.0)
+        rep = measure_smoothing(cfg, v0, deltas=[1e-2, 1e-3], horizons=[500.0, 1000.0],
+                                seeds=[1], directions=("random",))
+        assert [(r["delta"], r["T"]) for r in rep.rows] == [
+            (1e-2, 500.0), (1e-2, 1000.0), (1e-3, 500.0), (1e-3, 1000.0)]
+        assert all("non-finite" in r["error"] and math.isnan(r["ratio"]) for r in rep.rows)
+        assert math.isnan(rep.max_ratio)
+
+    def test_perturbed_blowup_gives_error_rows(self, grid16):
+        # the base stays at rest; only the large perturbation blows up
+        cfg = cfg_for(grid16, dt=10.0)
+        rep = measure_smoothing(cfg, SpectralField.zero(grid16), deltas=[1e-6, 50.0],
+                                horizons=[500.0, 1000.0], seeds=[1], directions=("random",))
+        good = [r for r in rep.rows if r["delta"] == 1e-6]
+        bad = [r for r in rep.rows if r["delta"] == 50.0]
+        assert [r["T"] for r in good] == [500.0, 1000.0] and all(r["error"] == "" for r in good)
+        assert [r["T"] for r in bad] == [500.0, 1000.0]
+        assert all("non-finite" in r["error"] for r in bad)
+
+
 class TestAbsorbing:
     def test_pure_decay_bound_per_cell(self, grid16):
         cfg = cfg_for(grid16, nu=1.0)
@@ -232,6 +256,14 @@ class TestAbsorbing:
         rep = measure_absorbing(cfg, initial_radii=[1.0], horizons=[1.0], seed=5, sample=sample)
         row = rep.rows[0]
         assert row["dist_h2"] == pytest.approx(row["norm_h2"], rel=1e-14)
+
+    def test_blowup_cell_gives_error_row(self, grid16):
+        cfg = cfg_for(grid16, dt=10.0)
+        rep = measure_absorbing(cfg, initial_radii=[0.0, 50.0], horizons=[1000.0], seed=5)
+        ok, bad = sorted(rep.rows, key=lambda r: r["radius"])
+        assert ok["error"] == "" and ok["norm_h"] == 0.0
+        assert "non-finite" in bad["error"] and math.isnan(bad["norm_h"])
+        assert rep.radius_estimates[(1000.0, "H")] == 0.0
 
     def test_rejects_empty_grids(self, grid16):
         with pytest.raises(ValueError):

@@ -97,6 +97,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(raw)
 
+    @pytest.mark.parametrize("field", ["forcing", "initial"])
+    def test_mode_outside_mask_reports_path(self, field):
+        # j = (6, 0) lies on the N = 16 lattice but outside the mask 3|j| < 16
+        raw = minimal_config(**{field: {"modes": [{"j": [1, 1], "u": [0.2, 0.0]},
+                                                  {"j": [6, 0], "v": [1.0, 0.0]}]}})
+        with pytest.raises(ConfigError) as exc:
+            load_config(raw)
+        assert exc.value.field == f"{field}.modes[1].j"
+
     def test_noise_outside_mask_rejected(self):
         raw = minimal_config(noise={"modes": [{"j": [6, 0], "v": [1.0, 0.0]}]})
         with pytest.raises(ConfigError):

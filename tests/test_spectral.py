@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from torns.spectral import (
+    HalfSpectrum,
     PhysicalField,
     SpectralField,
     apply_stokes_power,
@@ -16,6 +17,7 @@ from torns.spectral import (
     sobolev_norm,
     to_physical,
     to_spectral,
+    vorticity_advection,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -312,6 +314,44 @@ class TestNonlinearTerm:
             u = random_divfree_field(g, seed=seed, norm=1.0)
             lhs = abs(inner(nonlinear_term(u, u), apply_stokes_power(u, 1.0)))
             assert lhs <= 1e-10 * sobolev_norm(u, 1.0) ** 3
+
+
+class TestVorticityAdvection:
+    # N = 24 is divisible by 3, where the strict mask drops the modes |j| = N/3
+    @pytest.mark.parametrize("N", [16, 24, 32])
+    def test_equals_curl_of_nonlinear_term(self, N):
+        g = make_grid(TWO_PI, N)
+        half = HalfSpectrum(g)
+        for seed in range(3):
+            u = random_divfree_field(g, seed=seed, norm=1.0 + seed)
+            fast = vorticity_advection(half.curl(u), half)
+            ref = half.curl(nonlinear_term(u, u))
+            assert fast.shape == (N, N // 2 + 1)
+            assert np.abs(fast - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_output_dealiased(self):
+        g = make_grid(TWO_PI, 24)
+        half = HalfSpectrum(g)
+        out = vorticity_advection(half.curl(random_divfree_field(g, seed=4, norm=2.0)), half)
+        assert np.abs(out[~half.dealias_mask]).max() == 0.0
+
+    @pytest.mark.parametrize("N", [16, 24])
+    def test_velocity_rebuild_round_trip(self, N):
+        g = make_grid(TWO_PI, N)
+        half = HalfSpectrum(g)
+        u = random_divfree_field(g, seed=6, norm=1.5)
+        back = half.velocity(half.curl(u))
+        assert np.abs(back.coeffs - u.coeffs).max() <= 1e-14 * np.abs(u.coeffs).max()
+        assert field_violations(back, rtol=1e-13) == []
+
+    def test_velocity_has_no_nyquist_lines(self):
+        g = make_grid(TWO_PI, 16)
+        half = HalfSpectrum(g)
+        rng = np.random.default_rng(1)
+        w = rng.standard_normal((16, 9)) + 1j * rng.standard_normal((16, 9))
+        c = half.velocity(w).coeffs
+        assert np.abs(c[:, 8, :]).max() == 0.0
+        assert np.abs(c[:, :, 8]).max() == 0.0
 
 
 class TestGradLinf:
