@@ -20,10 +20,15 @@ deterministic one bit for bit.
 The stepper runs in half-spectrum vorticity (spectral.HalfSpectrum): it
 carries w = curl u, takes the curls of f, h - nu A h and h once, and gets
 curl B from spectral.vorticity_advection (4 inverse and 1 forward real FFT
-per step, no Leray projection).  E, phi1 and phi2 are diagonal and commute
-with curl, so this is the velocity scheme up to roundoff.  Velocity
-SpectralFields stay the interface: every step returns a State whose u is
-rebuilt from w without an FFT.
+per step, pruned to the columns that meet the dealias mask, no Leray
+projection).  E, phi1 and phi2 are diagonal and commute with curl, so this
+is the velocity scheme up to roundoff.  Each stepper owns the buffers of its
+step (the kernel workspace, the etd2 right-hand sides and the update
+temporaries), so a step allocates only the new w; steppers of concurrent
+trajectories share nothing but read-only tables.  Velocity SpectralFields
+stay the interface: every step returns a State holding w, whose u is rebuilt
+from w without an FFT on the first read, so a loop pays for velocity only
+where it records or checkpoints.
 
 State space: w represents exactly the zero-mean, divergence-free velocity
 fields without Nyquist lines, and the two forms of B agree only inside the
@@ -104,8 +109,7 @@ def check_assumption(h: SpectralField, nu: float, grid: WaveGrid) -> AssumptionR
     """
     if h.grid != grid:
         raise ValueError("h is not defined on the given grid")
-    g_op = spectral.grad_linf(h, norm="op")
-    g_ma = spectral.grad_linf(h, norm="maxabs")
+    g_op, g_ma = spectral._grad_linf_norms(h)
     lam1 = grid.lambda1
     lhs = g_op / math.sqrt(math.pi)
     rhs = nu * lam1
@@ -161,16 +165,42 @@ class SimConfig:
             self.assumption = check_assumption(self.h, self.nu, self.grid)
 
 
-@dataclass
 class State:
-    """Trajectory state: time, velocity field and the current OU value."""
+    """Trajectory state: time, velocity field and the current OU value.
 
-    t: float
-    u: SpectralField
-    z: float = 0.0
+    A State emitted by a stepper holds the half-spectrum vorticity w instead;
+    u = HalfSpectrum.velocity(w) is built on the first read and cached, and
+    stepping on from the state reuses w.  Both arrays belong to the state
+    alone, so emitted states may be kept; modify neither in place.
+    """
+
+    __slots__ = ("t", "z", "_u", "_w", "_half")
+
+    def __init__(self, t: float, u: SpectralField, z: float = 0.0):
+        self.t, self.z = t, z
+        self.u = u
+
+    @classmethod
+    def _of_vorticity(cls, t: float, w: np.ndarray, z: float, half: spectral.HalfSpectrum) -> "State":
+        state = cls(t, None, z)
+        state._w, state._half = w, half
+        return state
+
+    @property
+    def u(self) -> SpectralField:
+        if self._u is None:
+            self._u = self._half.velocity(self._w)
+        return self._u
+
+    @u.setter
+    def u(self, value: SpectralField) -> None:
+        self._u, self._w, self._half = value, None, None
 
     def copy(self) -> "State":
         return State(t=self.t, u=self.u.copy(), z=self.z)
+
+    def __repr__(self):
+        return f"State(t={self.t!r}, z={self.z!r})"
 
 
 @dataclass
@@ -208,9 +238,10 @@ class _EtdStepper:
     spectrum, and the curls of f, h - nu A h and h.  advance() takes one step
     of the conjugated system; the deterministic system is the case z = 0.
     etd2 keeps F_{n-1} between calls, so a stepper instance drives one
-    trajectory.  The vorticity of the last velocity it returned is cached, so
-    stepping on from that same SpectralField object skips the curl; a caller
-    must not modify such a field in place and then step on from it.
+    trajectory.  The stepper owns every buffer its step writes: the kernel
+    workspace, two right-hand-side buffers that alternate as F_n and F_{n-1},
+    and the update temporaries.  advance() returns the new w as a fresh array,
+    the only one it allocates, because emitted states are kept by callers.
     """
 
     def __init__(self, cfg: SimConfig, scheme: str | None = None):
@@ -230,34 +261,45 @@ class _EtdStepper:
         self._fw = half.curl(cfg.f)
         # curl of the combined z-forcing profile h - nu A h of the conjugated right side
         self._zw = self.hw - cfg.nu * half.k2 * self.hw
-        self._u_out: SpectralField | None = None
-        self._w_out: np.ndarray | None = None
+        self._work = spectral.AdvectionWorkspace(half)
+        self._rhs = (np.empty_like(self.hw), np.empty_like(self.hw))
+        self._arg = np.empty_like(self.hw)
+        self._tmp = (np.empty_like(self.hw), np.empty_like(self.hw))
 
-    def vorticity(self, u: SpectralField) -> np.ndarray:
-        """w = curl u, reused when u is the field this stepper returned last."""
-        if u is self._u_out:
-            return self._w_out
-        return self.half.curl(u)
+    def vorticity(self, state: State) -> np.ndarray:
+        """w = curl u of the state, reusing the w of a state a stepper emitted."""
+        return state._w if state._w is not None else self.half.curl(state.u)
 
     def advance(self, w: np.ndarray, z: float) -> np.ndarray:
         """One step of the conjugated system with left-endpoint z; returns the new w."""
-        rhs = self._fw + z * self._zw
+        # the arithmetic of E w + dt phi1 (f + z zw - curl B(w + z hw)) and its
+        # etd2 form, operation by operation, into the stepper's buffers
+        rhs = self._rhs[1] if self.prev_rhs is self._rhs[0] else self._rhs[0]
+        np.add(self._fw, np.multiply(z, self._zw, out=rhs), out=rhs)
         if not self.cfg.linear_only:
-            rhs -= spectral.vorticity_advection(w + z * self.hw, self.half)
+            arg = np.add(w, np.multiply(z, self.hw, out=self._arg), out=self._arg)
+            rhs -= spectral.vorticity_advection(arg, self.half, self._work)
+        t, t2 = self._tmp
         if self.scheme == "etd2" and self.prev_rhs is not None:
-            out = self.E * w + (self.dt_phi12 * rhs - self.dt_phi2 * self.prev_rhs)
+            np.multiply(self.dt_phi12, rhs, out=t)
+            t -= np.multiply(self.dt_phi2, self.prev_rhs, out=t2)
         else:
-            out = self.E * w + self.dt_phi1 * rhs
+            np.multiply(self.dt_phi1, rhs, out=t)
+        out = self.E * w
+        out += t
         if self.scheme == "etd2":
             self.prev_rhs = rhs
         return out
 
+    def add_noise(self, w: np.ndarray, dW: float) -> np.ndarray:
+        """w + dW curl h, in place in w."""
+        w += np.multiply(dW, self.hw, out=self._tmp[0])
+        return w
+
     def emit(self, w: np.ndarray, t: float, z: float, last: State) -> State:
-        """The State of velocity curl^-1 w after a blowup check against `last`."""
+        """The State holding w, after a blowup check against `last`."""
         _check_finite(w, t, last)
-        u = self.half.velocity(w)
-        self._u_out, self._w_out = u, w
-        return State(t=t, u=u, z=z)
+        return State._of_vorticity(t, w, z, self.half)
 
 
 # the deterministic system is the conjugated one with z = 0
@@ -290,6 +332,17 @@ def _outside_mask(u: SpectralField) -> bool:
     return scale > 0 and float(np.abs(u.coeffs[:, ~u.grid.dealias_mask]).max()) > 1e-13 * scale
 
 
+def _check_initial(v0: SpectralField, cfg: SimConfig) -> None:
+    """Reject initial data off cfg's grid or outside the solver's state space."""
+    if v0.grid != cfg.grid:
+        raise ValueError("initial data grid does not match config grid")
+    problems = spectral.field_violations(v0, rtol=1e-13)
+    if _outside_mask(v0):
+        problems.append("content outside the dealias mask")
+    if problems:
+        raise ValueError("initial data outside the solver's state space: " + "; ".join(problems))
+
+
 def _check_finite(coeffs: np.ndarray, t: float, last: State) -> None:
     energy = float(np.vdot(coeffs, coeffs).real)
     if not math.isfinite(energy):
@@ -303,7 +356,7 @@ def step_deterministic(state: State, cfg: SimConfig, _stepper: _EtdStepper | Non
     integrate() reuses one stepper so the multistep history is kept.
     """
     st = _stepper if _stepper is not None else _EtdStepper(cfg)
-    w = st.advance(st.vorticity(state.u), 0.0)
+    w = st.advance(st.vorticity(state), 0.0)
     return st.emit(w, state.t + cfg.dt, state.z, state)
 
 
@@ -315,7 +368,7 @@ def step_random(state: State, z_n: float, z_next: float, cfg: SimConfig,
     the same arithmetic).
     """
     st = _stepper if _stepper is not None else _EtdStepper(cfg)
-    w = st.advance(st.vorticity(state.u), z_n)
+    w = st.advance(st.vorticity(state), z_n)
     return st.emit(w, state.t + cfg.dt, z_next, state)
 
 
@@ -328,7 +381,7 @@ def step_em_stochastic(state: State, dW: float, cfg: SimConfig,
     deterministic step exactly.
     """
     st = _stepper if _stepper is not None else _EtdStepper(cfg, scheme="em")
-    w = st.advance(st.vorticity(state.u), 0.0) + dW * st.hw
+    w = st.add_noise(st.advance(st.vorticity(state), 0.0), dW)
     return st.emit(w, state.t + cfg.dt, state.z, state)
 
 
@@ -356,14 +409,10 @@ def integrate(
     equation (steps required), an OUPath the conjugated random equation, and a
     WienerPath the Ito equation by Euler-Maruyama.  Path dt must match cfg.dt;
     the series always contains floor(steps/stride) + 1 samples, starting at t0.
+    Velocity is built only at the recorded steps and when the returned
+    state's u is read.
     """
-    if v0.grid != cfg.grid:
-        raise ValueError("initial data grid does not match config grid")
-    problems = spectral.field_violations(v0, rtol=1e-13)
-    if _outside_mask(v0):
-        problems.append("content outside the dealias mask")
-    if problems:
-        raise ValueError("initial data outside the solver's state space: " + "; ".join(problems))
+    _check_initial(v0, cfg)
     stride = cfg.stride if stride is None else int(stride)
 
     if path is None:

@@ -29,6 +29,7 @@ from .dynamics import (
     SimConfig,
     State,
     _EtdStepper,
+    _check_initial,
     conjugate,
     integrate,
     step_deterministic,
@@ -124,7 +125,8 @@ def pullback_solve(spec: PullbackSpec) -> list[State]:
     ou = pullback_path(cfg, spec.horizon, spec.seed)
     if spec.horizon == 0.0:
         return [State(t=0.0, u=v0.copy(), z=float(ou.z[-1])) for v0 in spec.initial_states]
-    return [integrate(v0, cfg, path=ou).state for v0 in spec.initial_states]
+    # the series is not returned: record only its two ends
+    return [integrate(v0, cfg, path=ou, stride=max(ou.n, 1)).state for v0 in spec.initial_states]
 
 
 @dataclass
@@ -149,21 +151,26 @@ def sample_attractor_deterministic(
     stride: int,
     v0: SpectralField | None = None,
 ) -> AttractorSample:
-    """Collect `count` states every `stride` solver steps after t_transient."""
+    """Collect `count` states every `stride` solver steps after t_transient.
+
+    One stepper drives the whole run, so the states are those of one
+    uninterrupted integrate() trajectory.
+    """
     if not t_transient > 0:
         raise ValueError(f"t_transient must be positive, got {t_transient}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if v0 is None:
         v0 = random_divfree_field(cfg.grid, cfg.seed, norm=1.0, stream=17)
-    res = integrate(v0, cfg, steps=round(t_transient / cfg.dt), stride=10**9)
-    state = res.state
-    states = [state.u.copy()]
+    _check_initial(v0, cfg)
+    n0 = round(t_transient / cfg.dt)
     stepper = _EtdStepper(cfg)
-    while len(states) < count:
-        for _ in range(stride):
-            state = step_deterministic(state, cfg, _stepper=stepper)
-        states.append(state.u.copy())
+    state = State(0.0, v0.copy())
+    states = [state.u] if n0 == 0 else []
+    for n in range(1, n0 + stride * (count - 1) + 1):
+        state = step_deterministic(state, cfg, _stepper=stepper)
+        if n >= n0 and (n - n0) % stride == 0:
+            states.append(state.u)
     return AttractorSample(
         states=states,
         t_transient=t_transient,
@@ -211,14 +218,16 @@ def _smoothing_pair_rows(cfg, v1, direction, label, deltas, horizons, seed):
         return {"seed": seed, "direction": label, "delta": delta, "T": T,
                 "dist0": dist0[delta], "distT_h2_sq": d2, "ratio": ratio, "error": error}
 
-    base_states: dict[int, SpectralField] = {}
+    # emitted states are never written again, so the checkpoints keep them as
+    # they are; velocity is built only where a checkpoint compares it
+    base_states: dict[int, State] = {}
     st = _EtdStepper(cfg)
     a = State(0.0, v1.copy(), ou.z[0])
     try:
         for n in range(steps):
             a = step_random(a, float(ou.z[n]), float(ou.z[n + 1]), cfg, _stepper=st)
             if (n + 1) in checkpoints:
-                base_states[n + 1] = a.u.copy()
+                base_states[n + 1] = a
     except BlowupError as exc:
         return [row(delta, T, error=str(exc)) for delta in deltas for T in horizons]
 
@@ -232,7 +241,7 @@ def _smoothing_pair_rows(cfg, v1, direction, label, deltas, horizons, seed):
                 b = step_random(b, float(ou.z[n]), float(ou.z[n + 1]), cfg, _stepper=stp)
                 if (n + 1) in checkpoints:
                     T = checkpoints[n + 1]
-                    d2 = sobolev_norm(b.u - base_states[n + 1], 2.0) ** 2
+                    d2 = sobolev_norm(b.u - base_states[n + 1].u, 2.0) ** 2
                     ratio = 0.0 if dist0[delta] == 0.0 else d2 / dist0[delta] ** 2
                     rows.append(row(delta, T, d2, ratio))
                     done.append(T)
@@ -419,8 +428,9 @@ def conjugation_convergence(
                              scheme=cfg.scheme, seed=cfg.seed, stride=cfg.stride,
                              linear_only=cfg.linear_only, assumption=cfg.assumption)
             ou = ou_from_wiener(w, init="stationary")
-            rv = integrate(v0, lcfg, path=ou)
-            ru = integrate(conjugate(v0, float(ou.z[0]), cfg.h), lcfg, path=w)
+            ends = max(w.n, 1)  # only the final states are read: record only the series ends
+            rv = integrate(v0, lcfg, path=ou, stride=ends)
+            ru = integrate(conjugate(v0, float(ou.z[0]), cfg.h), lcfg, path=w, stride=ends)
             recon = conjugate(rv.state.u, float(ou.z[-1]), cfg.h)
             errs.append(sobolev_norm(ru.state.u - recon, 0.0))
             w = refine_wiener(w)

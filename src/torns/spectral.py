@@ -16,6 +16,9 @@ HalfSpectrum), where u = (d_y psi, -d_x psi) with psi = w / |k|^2 and
 curl B(u, u) = (u . grad) w (vorticity_advection).  That form represents
 exactly the zero-mean, divergence-free fields without Nyquist lines, and it
 agrees with nonlinear_term up to roundoff for fields inside the dealias mask.
+The kernel transforms only the K = (N-1)//3 + 1 half-spectrum columns that
+meet the mask, with 1-D FFTs into the buffers of an AdvectionWorkspace that
+its caller owns, so a step allocates no FFT intermediates.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "apply_stokes_power",
     "nonlinear_term",
     "HalfSpectrum",
+    "AdvectionWorkspace",
     "vorticity_advection",
     "grad_linf",
     "to_physical",
@@ -275,14 +279,17 @@ class HalfSpectrum:
     symmetry.  ops[c] * w gives, for c = 0..3, the half-spectrum coefficients
     of u_1 = d_y psi, u_2 = -d_x psi, d_x w and d_y w (psi = w / |k|^2).  The
     curl and all four are zero on the Nyquist lines j1 = N/2 and j2 = N/2,
-    which lie outside the dealias mask.  The tables are read-only, so one
-    instance may serve several threads.
+    which lie outside the dealias mask.  Only the first K = (N-1)//3 + 1
+    columns (j2 < K) meet the mask.  The tables are read-only, so one
+    instance may serve several threads; the buffers that change per call live
+    in an AdvectionWorkspace per trajectory.
     """
 
     def __init__(self, grid: WaveGrid):
         N = grid.N
         M = N // 2 + 1
         self.grid = grid
+        self.K = (N - 1) // 3 + 1
         kx, ky = grid.kx, grid.ky[:, :M]
         self.k2 = grid.k2[:, :M]
         self.dealias_mask = grid.dealias_mask[:, :M]
@@ -290,6 +297,8 @@ class HalfSpectrum:
         inv_k2 = grid.inv_k2[:, :M] * keep
         self.ops = np.stack([1j * ky * inv_k2, -1j * kx * inv_k2, 1j * kx * keep, 1j * ky * keep])
         self._curl = np.stack([-1j * ky * keep, 1j * kx * keep])
+        # the kernel's operand: a contiguous copy multiplies faster than the view
+        self._ops_k = np.ascontiguousarray(self.ops[:, :, : self.K])
 
     def curl(self, u: SpectralField) -> np.ndarray:
         """Half-spectrum vorticity i k_x u_2 - i k_y u_1 of a velocity field."""
@@ -299,6 +308,7 @@ class HalfSpectrum:
         """The full (2, N, N) velocity spectrum of w, mirrored without an FFT.
 
         Columns j2 > N/2 are conj(u_hat(-j)); the Nyquist lines are zero.
+        The stepper calls this only when a State's u is read.
         """
         g = self.grid
         N, M = g.N, self.k2.shape[1]
@@ -310,36 +320,83 @@ class HalfSpectrum:
         return SpectralField(g, out)
 
 
-def vorticity_advection(w: np.ndarray, half: HalfSpectrum) -> np.ndarray:
+class AdvectionWorkspace:
+    """The buffers vorticity_advection writes, for one trajectory at a time.
+
+    Every call overwrites them, including the array it returns, so threads
+    that step concurrently need one workspace each.  The columns j2 >= K of
+    the two spectral buffers lie outside the dealias mask and stay zero.
+    """
+
+    def __init__(self, half: HalfSpectrum):
+        N, M, K = half.grid.N, half.k2.shape[1], half.K
+        self.prod = np.empty((4, N, K), dtype=np.complex128)  # ops * w on the columns j2 < K
+        self.cols = np.zeros((4, N, M), dtype=np.complex128)  # after the inverse FFT along x
+        self.phys = np.empty((4, N, N))  # u_1, u_2, d_x w, d_y w on the grid
+        self.adv = np.empty((2, N, N))  # u . grad w, and one product term
+        self.rows = np.empty((N, M), dtype=np.complex128)  # after the forward FFT along y
+        self.out = np.zeros((N, M), dtype=np.complex128)
+
+
+def vorticity_advection(w: np.ndarray, half: HalfSpectrum,
+                        work: AdvectionWorkspace | None = None) -> np.ndarray:
     """Dealiased curl B(u, u) = (u . grad) w on the half spectrum, for w = curl u.
 
-    u and grad w come from one batched irfft2, the product goes back through
-    rfft2 and is masked by the 2/3 rule.  For w inside the dealias mask this
-    equals the half spectrum of curl nonlinear_term(u, u) up to roundoff.
+    The inverse transform is irfft2 split into its two 1-D stages, the first
+    run on the K columns that meet the mask; the forward one is rfft2 split
+    the same way, and the product is masked by the 2/3 rule.  For w that is
+    zero in the columns j2 >= K this is bit for bit irfft2/rfft2 (the same
+    1-D transforms in the same order) and equals the half spectrum of
+    curl nonlinear_term(u, u) up to roundoff.  The result is work.out, valid
+    until the next call with the same workspace; without a workspace a fresh
+    one is allocated.
     """
-    N = half.grid.N
-    phys = np.fft.irfft2(half.ops * w, s=(N, N), axes=(-2, -1), norm="forward")
-    out = np.fft.rfft2(phys[0] * phys[2] + phys[1] * phys[3], norm="forward")
-    out *= half.dealias_mask
+    if work is None:
+        work = AdvectionWorkspace(half)
+    N, K = half.grid.N, half.K
+    np.multiply(half._ops_k, w[:, :K], out=work.prod)
+    np.fft.ifft(work.prod, n=N, axis=-2, norm="forward", out=work.cols[:, :, :K])
+    phys = np.fft.irfft(work.cols, n=N, axis=-1, norm="forward", out=work.phys)
+    adv = np.multiply(phys[0], phys[2], out=work.adv[0])
+    adv += np.multiply(phys[1], phys[3], out=work.adv[1])
+    np.fft.rfft(adv, n=N, axis=-1, norm="forward", out=work.rows)
+    out = work.out
+    np.fft.fft(work.rows[:, :K], n=N, axis=-2, norm="forward", out=out[:, :K])
+    out[:, :K] *= half.dealias_mask[:, :K]
     return out
 
 
 def _jacobian_samples(h: SpectralField, oversample: int) -> np.ndarray:
-    """Entries (d_a h_b) of grad h sampled on an oversample*N grid; shape (2, 2, M, M)."""
+    """Entries (d_a h_b) of grad h sampled on an oversample*N grid; shape (2, 2, M, M).
+
+    h is taken as real: each entry is one irfft2 of the half spectrum j2 >= 0,
+    and the Nyquist lines j = -N/2 (outside the dealias mask) are dropped.
+    """
     g = h.grid
-    M = oversample * g.N
-    idx = np.ix_(g.jx[:, 0] % M, g.jy[0] % M)
+    N, M = g.N, oversample * g.N
+    inner = np.abs(g.jx[:, 0]) < N // 2
+    rows = g.jx[inner, 0] % M
+    big = np.zeros((M, M // 2 + 1), dtype=np.complex128)
     out = np.empty((2, 2, M, M))
     for b in range(2):
         for a, k in ((0, g.kx), (1, g.ky)):
-            d = 1j * k * h.coeffs[b]
-            if oversample == 1:
-                out[a, b] = np.fft.ifft2(d, norm="forward").real
-            else:
-                big = np.zeros((M, M), dtype=np.complex128)
-                big[idx] = d
-                out[a, b] = np.fft.ifft2(big, norm="forward").real
+            big[rows, : N // 2] = (1j * k * h.coeffs[b])[inner, : N // 2]
+            out[a, b] = np.fft.irfft2(big, s=(M, M), norm="forward")
     return out
+
+
+def _grad_linf_norms(h: SpectralField, oversample: int = 4) -> tuple[float, float]:
+    """The "op" and "maxabs" sup norms of grad h (see grad_linf) from one sampling."""
+    J = _jacobian_samples(h, max(1, int(oversample)))
+    maxabs = max(float(J.max()), -float(J.min()))
+    # largest singular value of [[a,b],[c,d]] via trace/det of J^T J
+    a, b = J[0, 0], J[0, 1]
+    c, d = J[1, 0], J[1, 1]
+    tr = a * a + b * b + c * c + d * d
+    det = a * d - b * c
+    disc = np.maximum(tr * tr - 4.0 * det * det, 0.0)
+    smax2 = 0.5 * (tr + np.sqrt(disc))
+    return float(np.sqrt(smax2.max())), maxabs
 
 
 def grad_linf(h: SpectralField, norm: str = "op", oversample: int = 4) -> float:
@@ -348,21 +405,13 @@ def grad_linf(h: SpectralField, norm: str = "op", oversample: int = 4) -> float:
     norm="op" uses the operator 2-norm of the 2x2 Jacobian (the norm that makes
     |integral |v|^2 |grad h|| <= ||grad h||_inf ||v||^2 valid); norm="maxabs"
     uses the largest absolute entry.  Band-limited h is evaluated on an
-    oversampled grid to control the sampling error of the sup.
+    oversampled grid to control the sampling error of the sup; h is taken as
+    real and its Nyquist lines are ignored.
     """
     if norm not in ("op", "maxabs"):
         raise ValueError(f"unknown norm {norm!r}")
-    J = _jacobian_samples(h, max(1, int(oversample)))
-    if norm == "maxabs":
-        return float(np.abs(J).max())
-    # largest singular value of [[a,b],[c,d]] via trace/det of J^T J
-    a, b = J[0, 0], J[0, 1]
-    c, d = J[1, 0], J[1, 1]
-    tr = a * a + b * b + c * c + d * d
-    det = a * d - b * c
-    disc = np.maximum(tr * tr - 4.0 * det * det, 0.0)
-    smax2 = 0.5 * (tr + np.sqrt(disc))
-    return float(np.sqrt(smax2.max()))
+    op, maxabs = _grad_linf_norms(h, oversample)
+    return op if norm == "op" else maxabs
 
 
 def random_divfree_field(

@@ -324,6 +324,81 @@ class TestVorticityCore:
                               step_random(other, 0.2, 0.1, cfg).u.coeffs)
 
 
+def noisy_cfg(grid, **kw):
+    return basic_cfg(grid, nu=0.05, dt=2e-3, f=random_divfree_field(grid, seed=2, norm=0.5),
+                     h=random_divfree_field(grid, seed=3, norm=0.05), **kw)
+
+
+class TestStepperBuffers:
+    @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
+    def test_alternating_steppers_share_no_buffers(self, grid16, scheme):
+        from torns.dynamics import _EtdStepper
+
+        cfg = noisy_cfg(grid16, scheme=scheme)
+        z = np.linspace(0.3, -0.2, 13)
+
+        def run(state, st, n):
+            return step_random(state, float(z[n]), float(z[n + 1]), cfg, _stepper=st)
+
+        starts = [State(0.0, random_divfree_field(grid16, seed=s, norm=1.0)) for s in (4, 5)]
+        alone = []
+        for start in starts:
+            st, state, kept = _EtdStepper(cfg), start, []
+            for n in range(12):
+                state = run(state, st, n)
+                kept.append(state.u.coeffs.copy())
+            alone.append(kept)
+        steppers = [_EtdStepper(cfg), _EtdStepper(cfg)]
+        states, kept = list(starts), [[], []]
+        for n in range(12):
+            for i in range(2):
+                states[i] = run(states[i], steppers[i], n)
+                kept[i].append(states[i])
+        # every emitted state still holds its own step, read only now
+        for i in range(2):
+            for n in range(12):
+                assert np.array_equal(kept[i][n].u.coeffs, alone[i][n])
+
+    def test_velocity_built_only_at_record_points(self, grid16, monkeypatch):
+        from torns import spectral
+
+        calls = []
+        velocity = spectral.HalfSpectrum.velocity
+        monkeypatch.setattr(spectral.HalfSpectrum, "velocity",
+                            lambda self, w: calls.append(1) or velocity(self, w))
+        cfg = noisy_cfg(grid16)
+        ou = ou_from_wiener(sample_wiener(0.0, 10 * cfg.dt, cfg.dt, seed=5), init="stationary")
+        res = integrate(random_divfree_field(grid16, seed=4, norm=1.0), cfg, path=ou, stride=3)
+        assert len(res.series) == 4 and len(calls) == 3  # steps 3, 6 and 9
+        u = res.state.u
+        assert len(calls) == 4 and res.state.u is u
+        twin = res.state.copy()
+        assert twin.u is not u and np.array_equal(twin.u.coeffs, u.coeffs)
+        twin.u.coeffs[:] = 0.0
+        assert np.abs(u.coeffs).max() > 0.0
+
+    def test_steady_state_step_allocates_little(self):
+        import tracemalloc
+
+        from torns.dynamics import _EtdStepper
+
+        g = make_grid(TWO_PI, 64)
+        cfg = noisy_cfg(g)
+        st = _EtdStepper(cfg)
+        state = State(0.0, random_divfree_field(g, seed=4, norm=1.0))
+        for _ in range(3):  # past the etd2 bootstrap and the first FFT plans
+            state = step_random(state, 0.1, 0.1, cfg, _stepper=st)
+        half_array = st.hw.nbytes
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                state = step_random(state, 0.1, 0.1, cfg, _stepper=st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * half_array
+
+
 class TestConjugate:
     def test_zero_z(self, grid16):
         v = random_divfree_field(grid16, seed=1)

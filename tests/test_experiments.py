@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from torns.dynamics import SimConfig, manufactured_forcing
+from torns.dynamics import SimConfig, integrate, manufactured_forcing
 from torns.experiments import (
     AttractorSample,
     PullbackSpec,
@@ -104,6 +104,17 @@ class TestAttractorSample:
         cfg = cfg_for(grid16, nu=2.0, f=manufactured_forcing(u0, 2.0), dt=1e-3)
         sample = sample_attractor_deterministic(cfg, t_transient=10.0, count=3, stride=10, v0=u0)
         assert all(sobolev_norm(u - u0, 0.0) < 1e-6 for u in sample.states)
+
+    def test_one_uninterrupted_trajectory(self, grid16):
+        # etd2 history kept across the transient: the states are integrate()'s
+        u0 = random_divfree_field(grid16, seed=6, norm=1.0)
+        cfg = cfg_for(grid16, nu=0.1, f=random_divfree_field(grid16, seed=7, norm=0.5))
+        n0, stride, count = 30, 4, 3
+        sample = sample_attractor_deterministic(cfg, t_transient=n0 * cfg.dt, count=count,
+                                                stride=stride, v0=u0)
+        ref = integrate(u0, cfg, steps=n0 + stride * (count - 1)).state.u
+        assert sample.count == count
+        assert np.array_equal(sample.states[-1].coeffs, ref.coeffs)
 
     def test_single_state(self, grid16):
         cfg = cfg_for(grid16)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from torns.spectral import (
+    AdvectionWorkspace,
     HalfSpectrum,
     PhysicalField,
     SpectralField,
@@ -328,6 +329,22 @@ class TestVorticityAdvection:
             ref = half.curl(nonlinear_term(u, u))
             assert fast.shape == (N, N // 2 + 1)
             assert np.abs(fast - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("N", [16, 24, 32])
+    def test_pruned_transforms_equal_irfft2_rfft2(self, N):
+        # the reference is the unpruned kernel: one batched irfft2, one rfft2
+        g = make_grid(TWO_PI, N)
+        half = HalfSpectrum(g)
+        work = AdvectionWorkspace(half)
+        for seed in range(3):
+            w = half.curl(random_divfree_field(g, seed=seed, norm=1.0 + seed))
+            phys = np.fft.irfft2(half.ops * w, s=(N, N), axes=(-2, -1), norm="forward")
+            ref = np.fft.rfft2(phys[0] * phys[2] + phys[1] * phys[3], norm="forward")
+            ref *= half.dealias_mask
+            out = vorticity_advection(w, half, work)
+            assert out is work.out
+            assert np.array_equal(out, ref)
+            assert np.array_equal(vorticity_advection(w, half), ref)
 
     def test_output_dealiased(self):
         g = make_grid(TWO_PI, 24)
