@@ -13,9 +13,15 @@ Stokes part is diagonal in Fourier space and treated exactly):
 
 Schemes: "etd1" is the exponential Euler update u+ = E u + dt phi1 F(u);
 "etd2" adds a second-order multistep correction dt (phi1+phi2) F_n - dt phi2
-F_{n-1}, bootstrapped by one etd1 step; "em" uses the etd1 drift (the
-stochastic solver's drift), so the h = 0 stochastic step reduces to the
-deterministic one bit for bit.
+F_{n-1}, bootstrapped by one etd1 step.  The Ito system always takes the
+etd1 drift; "em" gives the other two systems that drift as well, so the
+h = 0 Ito step reduces to the "em" deterministic step bit for bit.
+
+One trajectory is one stepper, built from (cfg, path): the path type selects
+the system (None deterministic, OUPath conjugated, WienerPath Ito), and
+step(state, stepper, n) takes step n of it.  trajectory() yields the initial
+state and then one state per step; it is the only time loop, and integrate()
+records every stride-th state it yields.
 
 The stepper runs in half-spectrum vorticity (spectral.HalfSpectrum): it
 carries w = curl u, takes the curls of f, h - nu A h and h once, and gets
@@ -33,13 +39,14 @@ where it records or checkpoints.
 State space: w represents exactly the zero-mean, divergence-free velocity
 fields without Nyquist lines, and the two forms of B agree only inside the
 dealias mask.  So SimConfig requires f and h inside the mask (only their
-divergence-free parts act), and integrate rejects an initial field with a
+divergence-free parts act), and trajectory rejects an initial field with a
 nonzero mean, a divergence or content outside the mask beyond 1e-13 relative.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -56,9 +63,8 @@ __all__ = [
     "BlowupError",
     "check_assumption",
     "conjugate",
-    "step_deterministic",
-    "step_random",
-    "step_em_stochastic",
+    "step",
+    "trajectory",
     "integrate",
     "taylor_green",
     "manufactured_forcing",
@@ -234,18 +240,23 @@ def conjugate(v: SpectralField, z: float, h: SpectralField) -> SpectralField:
 class _EtdStepper:
     """Exponential integrator of one trajectory, on the half-spectrum vorticity.
 
-    Precomputes E = exp(-nu k^2 dt) and the dt phi1/phi2 weights on the half
-    spectrum, and the curls of f, h - nu A h and h.  advance() takes one step
-    of the conjugated system; the deterministic system is the case z = 0.
-    etd2 keeps F_{n-1} between calls, so a stepper instance drives one
-    trajectory.  The stepper owns every buffer its step writes: the kernel
-    workspace, two right-hand-side buffers that alternate as F_n and F_{n-1},
-    and the update temporaries.  advance() returns the new w as a fresh array,
-    the only one it allocates, because emitted states are kept by callers.
+    Holds the system the path selects: z = path.z for an OUPath (conjugated),
+    dW = path.increments for a WienerPath (Ito, etd1 drift), neither for no
+    path (deterministic).  Precomputes E = exp(-nu k^2 dt) and the dt
+    phi1/phi2 weights on the half spectrum, and the curls of f, h - nu A h and
+    h.  advance() takes one drift step of the conjugated system; the
+    deterministic and Ito drifts are the case z = 0.  etd2 keeps F_{n-1}
+    between calls, so a stepper instance drives one trajectory.  The stepper
+    owns every buffer its step writes: the kernel workspace, two
+    right-hand-side buffers that alternate as F_n and F_{n-1}, and the update
+    temporaries.  advance() returns the new w as a fresh array, the only one
+    it allocates, because emitted states are kept by callers.
     """
 
-    def __init__(self, cfg: SimConfig, scheme: str | None = None):
+    def __init__(self, cfg: SimConfig, path: OUPath | WienerPath | None = None):
         self.cfg = cfg
+        self.z = path.z if isinstance(path, OUPath) else None
+        self.dW = path.increments if isinstance(path, WienerPath) else None
         self.half = half = spectral.HalfSpectrum(cfg.grid)
         dt = cfg.dt
         z = -cfg.nu * dt * half.k2
@@ -254,8 +265,8 @@ class _EtdStepper:
         self.dt_phi1 = dt * phi1
         self.dt_phi12 = dt * (phi1 + phi2)
         self.dt_phi2 = dt * phi2
-        scheme = cfg.scheme if scheme is None else scheme
-        self.scheme = "etd1" if scheme == "em" else scheme
+        # the Ito solver's drift is first order by construction
+        self.scheme = "etd1" if self.dW is not None or cfg.scheme == "em" else cfg.scheme
         self.prev_rhs: np.ndarray | None = None
         self.hw = half.curl(cfg.h)
         self._fw = half.curl(cfg.f)
@@ -302,10 +313,6 @@ class _EtdStepper:
         return State._of_vorticity(t, w, z, self.half)
 
 
-# the deterministic system is the conjugated one with z = 0
-_DeterministicStepper = _EtdStepper
-
-
 def _phi1(z: np.ndarray) -> np.ndarray:
     """(e^z - 1)/z with the z -> 0 limit handled to machine accuracy."""
     out = np.ones_like(z)
@@ -349,40 +356,62 @@ def _check_finite(coeffs: np.ndarray, t: float, last: State) -> None:
         raise BlowupError(f"non-finite coefficients at t={t:.6g}; last valid state at t={last.t:.6g}", last)
 
 
-def step_deterministic(state: State, cfg: SimConfig, _stepper: _EtdStepper | None = None) -> State:
-    """One step of du/dt + nu A u + B(u) = f.
+def step(state: State, stepper: _EtdStepper, n: int) -> State:
+    """Step n of the stepper's trajectory, from state at t_n to t_{n+1}.
 
-    Stand-alone calls use a fresh stepper (etd2 degrades to its etd1 bootstrap);
-    integrate() reuses one stepper so the multistep history is kept.
+    The conjugated system takes z_n into its forcing and carries z_{n+1}; the
+    Ito system adds dW_n curl h after the etd1 drift; the deterministic system
+    runs the conjugated arithmetic with z = 0.
     """
-    st = _stepper if _stepper is not None else _EtdStepper(cfg)
-    w = st.advance(st.vorticity(state), 0.0)
-    return st.emit(w, state.t + cfg.dt, state.z, state)
+    st = stepper
+    w = st.advance(st.vorticity(state), 0.0 if st.z is None else float(st.z[n]))
+    if st.dW is not None:
+        w = st.add_noise(w, float(st.dW[n]))
+    z = state.z if st.z is None else float(st.z[n + 1])
+    return st.emit(w, state.t + st.cfg.dt, z, state)
 
 
-def step_random(state: State, z_n: float, z_next: float, cfg: SimConfig,
-                _stepper: _EtdStepper | None = None) -> State:
-    """One pathwise step of the conjugated system, left-endpoint z_n in the forcing.
+def trajectory(
+    v0: SpectralField,
+    cfg: SimConfig,
+    path: OUPath | WienerPath | None = None,
+    steps: int | None = None,
+    t0: float | None = None,
+) -> Iterator[State]:
+    """The states of one trajectory: the initial state at t0, then one per step.
 
-    With z identically 0 this reproduces step_deterministic exactly (both run
-    the same arithmetic).
+    The system is selected by the path type: None integrates the deterministic
+    equation (steps default to t_end/dt, t0 to 0), an OUPath the conjugated
+    random equation, and a WienerPath the Ito equation by Euler-Maruyama (steps
+    default to the path's length, t0 to its start).  Path dt must match cfg.dt.
+    The arguments are checked on the call, before any state is drawn.  Emitted
+    states are never written again, so callers may keep any of them.
     """
-    st = _stepper if _stepper is not None else _EtdStepper(cfg)
-    w = st.advance(st.vorticity(state), z_n)
-    return st.emit(w, state.t + cfg.dt, z_next, state)
+    _check_initial(v0, cfg)
+    if path is None:
+        start = 0.0
+        if steps is None:
+            steps = round(cfg.t_end / cfg.dt)
+    else:
+        if abs(path.dt - cfg.dt) > 1e-12 * max(cfg.dt, path.dt):
+            raise ValueError(f"path dt {path.dt} does not match config dt {cfg.dt}")
+        start = path.t0
+        if steps is None:
+            steps = path.n
+        elif steps > path.n:
+            raise ValueError(f"path covers {path.n} steps, requested {steps}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    stepper = _EtdStepper(cfg, path)
+    z0 = 0.0 if stepper.z is None else float(stepper.z[0])
+    return _states(State(t=start if t0 is None else t0, u=v0.copy(), z=z0), stepper, steps)
 
 
-def step_em_stochastic(state: State, dW: float, cfg: SimConfig,
-                       _stepper: _EtdStepper | None = None) -> State:
-    """One Euler-Maruyama step of the Ito system with additive noise h dW.
-
-    Drift is the etd1 (exponential Euler) update; the noise increment dW curl h
-    is added after the linear solve.  With h = 0 this is the "em"-scheme
-    deterministic step exactly.
-    """
-    st = _stepper if _stepper is not None else _EtdStepper(cfg, scheme="em")
-    w = st.add_noise(st.advance(st.vorticity(state), 0.0), dW)
-    return st.emit(w, state.t + cfg.dt, state.z, state)
+def _states(state: State, stepper: _EtdStepper, steps: int) -> Iterator[State]:
+    yield state
+    for n in range(steps):
+        state = step(state, stepper, n)
+        yield state
 
 
 @dataclass
@@ -403,54 +432,18 @@ def integrate(
     stride: int | None = None,
     t0: float | None = None,
 ) -> IntegrationResult:
-    """Drive one trajectory and record a NormSeries every stride steps.
+    """Drive one trajectory (see trajectory) and record a NormSeries every stride steps.
 
-    The system is selected by the path type: None integrates the deterministic
-    equation (steps required), an OUPath the conjugated random equation, and a
-    WienerPath the Ito equation by Euler-Maruyama.  Path dt must match cfg.dt;
-    the series always contains floor(steps/stride) + 1 samples, starting at t0.
+    The series always contains floor(steps/stride) + 1 samples, starting at t0.
     Velocity is built only at the recorded steps and when the returned
     state's u is read.
     """
-    _check_initial(v0, cfg)
     stride = cfg.stride if stride is None else int(stride)
-
-    if path is None:
-        if steps is None:
-            steps = round(cfg.t_end / cfg.dt)
-        start = 0.0 if t0 is None else t0
-        stepper = _EtdStepper(cfg)
-        zs = None
-        dWs = None
-    else:
-        if abs(path.dt - cfg.dt) > 1e-12 * max(cfg.dt, path.dt):
-            raise ValueError(f"path dt {path.dt} does not match config dt {cfg.dt}")
-        if steps is None:
-            steps = path.n
-        elif steps > path.n:
-            raise ValueError(f"path covers {path.n} steps, requested {steps}")
-        start = path.t0 if t0 is None else t0
-        if isinstance(path, OUPath):
-            stepper = _EtdStepper(cfg)
-            zs = path.z
-            dWs = None
-        else:
-            # the Ito solver's drift is first order by construction
-            stepper = _EtdStepper(cfg, scheme="em")
-            zs = None
-            dWs = path.increments
-
-    state = State(t=start, u=v0.copy(), z=float(zs[0]) if zs is not None else 0.0)
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     rows: list = []
-    _record(rows, state.t, state.u, state.z)
-    for n in range(steps):
-        if zs is not None:
-            state = step_random(state, float(zs[n]), float(zs[n + 1]), cfg, _stepper=stepper)
-        elif dWs is not None:
-            state = step_em_stochastic(state, float(dWs[n]), cfg, _stepper=stepper)
-        else:
-            state = step_deterministic(state, cfg, _stepper=stepper)
-        if (n + 1) % stride == 0:
+    for n, state in enumerate(trajectory(v0, cfg, path, steps, t0)):
+        if n % stride == 0:
             _record(rows, state.t, state.u, state.z)
     arr = np.array(rows, dtype=np.float64).reshape(-1, 5)
     series = NormSeries(t=arr[:, 0], norm_h=arr[:, 1], norm_h1=arr[:, 2], norm_h2=arr[:, 3], z=arr[:, 4])

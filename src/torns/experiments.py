@@ -24,17 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (
-    BlowupError,
-    SimConfig,
-    State,
-    _EtdStepper,
-    _check_initial,
-    conjugate,
-    integrate,
-    step_deterministic,
-    step_random,
-)
+from .dynamics import BlowupError, SimConfig, State, conjugate, integrate, trajectory
 from .noise import (
     OUPath,
     WienerPath,
@@ -153,8 +143,7 @@ def sample_attractor_deterministic(
 ) -> AttractorSample:
     """Collect `count` states every `stride` solver steps after t_transient.
 
-    One stepper drives the whole run, so the states are those of one
-    uninterrupted integrate() trajectory.
+    The states are those of one uninterrupted trajectory().
     """
     if not t_transient > 0:
         raise ValueError(f"t_transient must be positive, got {t_transient}")
@@ -162,15 +151,9 @@ def sample_attractor_deterministic(
         raise ValueError(f"count must be >= 1, got {count}")
     if v0 is None:
         v0 = random_divfree_field(cfg.grid, cfg.seed, norm=1.0, stream=17)
-    _check_initial(v0, cfg)
     n0 = round(t_transient / cfg.dt)
-    stepper = _EtdStepper(cfg)
-    state = State(0.0, v0.copy())
-    states = [state.u] if n0 == 0 else []
-    for n in range(1, n0 + stride * (count - 1) + 1):
-        state = step_deterministic(state, cfg, _stepper=stepper)
-        if n >= n0 and (n - n0) % stride == 0:
-            states.append(state.u)
+    run = trajectory(v0, cfg, steps=n0 + stride * (count - 1))
+    states = [s.u for n, s in enumerate(run) if n >= n0 and (n - n0) % stride == 0]
     return AttractorSample(
         states=states,
         t_transient=t_transient,
@@ -220,28 +203,20 @@ def _smoothing_pair_rows(cfg, v1, direction, label, deltas, horizons, seed):
 
     # emitted states are never written again, so the checkpoints keep them as
     # they are; velocity is built only where a checkpoint compares it
-    base_states: dict[int, State] = {}
-    st = _EtdStepper(cfg)
-    a = State(0.0, v1.copy(), ou.z[0])
     try:
-        for n in range(steps):
-            a = step_random(a, float(ou.z[n]), float(ou.z[n + 1]), cfg, _stepper=st)
-            if (n + 1) in checkpoints:
-                base_states[n + 1] = a
+        base_states = {n: a for n, a in enumerate(trajectory(v1, cfg, path=ou, steps=steps))
+                       if n in checkpoints}
     except BlowupError as exc:
         return [row(delta, T, error=str(exc)) for delta in deltas for T in horizons]
 
     rows = []
     for delta, v2 in starts:
-        stp = _EtdStepper(cfg)
-        b = State(0.0, v2, ou.z[0])
         done = []
         try:
-            for n in range(steps):
-                b = step_random(b, float(ou.z[n]), float(ou.z[n + 1]), cfg, _stepper=stp)
-                if (n + 1) in checkpoints:
-                    T = checkpoints[n + 1]
-                    d2 = sobolev_norm(b.u - base_states[n + 1].u, 2.0) ** 2
+            for n, b in enumerate(trajectory(v2, cfg, path=ou, steps=steps)):
+                if n in checkpoints:
+                    T = checkpoints[n]
+                    d2 = sobolev_norm(b.u - base_states[n].u, 2.0) ** 2
                     ratio = 0.0 if dist0[delta] == 0.0 else d2 / dist0[delta] ** 2
                     rows.append(row(delta, T, d2, ratio))
                     done.append(T)

@@ -102,6 +102,14 @@ class TestTaylorGreenCommand:
         out = capsys.readouterr().out
         assert "max relative error" in out
 
+    def test_unstable_dt_aborts_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "preset": "taylor-green", "dt": 10.0, "t_end": 10000.0,
+            "forcing": {"preset": "random", "norm": 50.0, "seed": 1},
+        })
+        assert main(["taylor-green", "--config", cfg, "--out", str(tmp_path / "tg")]) == 2
+        assert "aborted: non-finite" in capsys.readouterr().err
+
 
 class TestExperimentCommands:
     def test_ergodic_writes_report(self, tmp_path, capsys):
@@ -120,6 +128,14 @@ class TestExperimentCommands:
         rows = (out / "pullback.csv").read_text().strip().splitlines()
         assert rows[0] == "horizon,norm_h,norm_h1,norm_h2"
         assert len(rows) == 4
+
+    def test_pullback_unstable_dt_aborts_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "nu": 1.0, "N": 16, "dt": 1.0,
+            "initial": {"preset": "random", "norm": 50.0, "seed": 1},
+        })
+        assert main(["pullback", "--config", cfg, "--out", str(tmp_path / "pb")]) == 2
+        assert "aborted: non-finite" in capsys.readouterr().err
 
     def test_smoothing_threads_bit_identical(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -3,22 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from torns import dynamics, experiments
 from torns.dynamics import (
     BlowupError,
     SimConfig,
     State,
+    _EtdStepper,
     _phi1,
     _phi2,
     check_assumption,
     conjugate,
     integrate,
     manufactured_forcing,
-    step_deterministic,
-    step_em_stochastic,
-    step_random,
+    step,
     taylor_green,
+    trajectory,
 )
-from torns.noise import WienerPath, ou_from_wiener, sample_wiener
+from torns.noise import OUPath, WienerPath, ou_from_wiener, sample_wiener
 from torns.spectral import (
     SpectralField,
     field_violations,
@@ -54,6 +55,11 @@ def basic_cfg(grid, **kw):
 
 def zero_increments(n, dt):
     return WienerPath(t0=0.0, t1=n * dt, dt=dt, increments=np.zeros(n), seed=0)
+
+
+def given_z(z, dt):
+    """An OUPath carrying the values z; the conjugated system reads only z."""
+    return OUPath(wiener=zero_increments(len(z) - 1, dt), z=np.asarray(z, dtype=float))
 
 
 class TestSimConfig:
@@ -147,13 +153,8 @@ class TestDeterministicStep:
 
     def test_energy_monotone_without_forcing(self, grid16):
         cfg = basic_cfg(grid16, nu=0.5)
-        state = State(0.0, random_divfree_field(grid16, seed=8, norm=1.0))
-        prev = sobolev_norm(state.u, 0.0)
-        from torns.dynamics import _DeterministicStepper
-
-        stepper = _DeterministicStepper(cfg)
-        for _ in range(200):
-            state = step_deterministic(state, cfg, _stepper=stepper)
+        prev = math.inf
+        for state in trajectory(random_divfree_field(grid16, seed=8, norm=1.0), cfg, steps=200):
             cur = sobolev_norm(state.u, 0.0)
             assert cur <= prev * (1 + 1e-9)
             prev = cur
@@ -246,7 +247,8 @@ class TestEMStep:
     def test_one_step_from_zero_is_noise_increment(self, grid16):
         h = random_divfree_field(grid16, seed=3, norm=0.4)
         cfg = basic_cfg(grid16, h=h, dt=1e-4, scheme="em")
-        st = step_em_stochastic(State(0.0, SpectralField.zero(grid16)), 0.37, cfg)
+        w = WienerPath(t0=0.0, t1=cfg.dt, dt=cfg.dt, increments=np.array([0.37]), seed=0)
+        _, st = trajectory(SpectralField.zero(grid16), cfg, path=w)
         assert np.abs(st.u.coeffs - 0.37 * h.coeffs).max() < 1e-12
 
     def test_single_mode_noise_floor(self, grid16):
@@ -307,21 +309,19 @@ class TestVorticityCore:
         assert np.abs(res.state.u.coeffs[:, ~g.dealias_mask]).max() < 1e-13 * np.abs(res.state.u.coeffs).max()
 
     def test_vorticity_cache_only_for_returned_field(self, grid16):
-        from torns.dynamics import _EtdStepper
-
         cfg = basic_cfg(grid16, nu=0.05, f=random_divfree_field(grid16, seed=2, norm=0.5),
                         h=random_divfree_field(grid16, seed=3, norm=0.05), scheme="etd1")
-        a = State(0.0, random_divfree_field(grid16, seed=4, norm=1.0))
-        st = _EtdStepper(cfg)
-        a = step_random(a, 0.3, 0.2, cfg, _stepper=st)
+        ou = given_z([0.3, 0.2, 0.1], cfg.dt)
+        st = _EtdStepper(cfg, ou)
+        a = step(State(0.0, random_divfree_field(grid16, seed=4, norm=1.0)), st, 0)
         # stepping on from the returned field reuses its vorticity
-        cached = step_random(a, 0.2, 0.1, cfg, _stepper=st)
-        fresh = step_random(State(a.t, a.u.copy(), a.z), 0.2, 0.1, cfg)
+        cached = step(a, st, 1)
+        fresh = step(State(a.t, a.u.copy(), a.z), _EtdStepper(cfg, ou), 1)
         assert np.abs(cached.u.coeffs - fresh.u.coeffs).max() <= 1e-14 * np.abs(fresh.u.coeffs).max()
         # any other field is curled afresh
         other = State(0.0, random_divfree_field(grid16, seed=5, norm=1.0))
-        assert np.array_equal(step_random(other, 0.2, 0.1, cfg, _stepper=st).u.coeffs,
-                              step_random(other, 0.2, 0.1, cfg).u.coeffs)
+        assert np.array_equal(step(other, st, 1).u.coeffs,
+                              step(other, _EtdStepper(cfg, ou), 1).u.coeffs)
 
 
 def noisy_cfg(grid, **kw):
@@ -332,27 +332,22 @@ def noisy_cfg(grid, **kw):
 class TestStepperBuffers:
     @pytest.mark.parametrize("scheme", ["etd1", "etd2"])
     def test_alternating_steppers_share_no_buffers(self, grid16, scheme):
-        from torns.dynamics import _EtdStepper
-
         cfg = noisy_cfg(grid16, scheme=scheme)
-        z = np.linspace(0.3, -0.2, 13)
-
-        def run(state, st, n):
-            return step_random(state, float(z[n]), float(z[n + 1]), cfg, _stepper=st)
+        ou = given_z(np.linspace(0.3, -0.2, 13), cfg.dt)
 
         starts = [State(0.0, random_divfree_field(grid16, seed=s, norm=1.0)) for s in (4, 5)]
         alone = []
         for start in starts:
-            st, state, kept = _EtdStepper(cfg), start, []
+            st, state, kept = _EtdStepper(cfg, ou), start, []
             for n in range(12):
-                state = run(state, st, n)
+                state = step(state, st, n)
                 kept.append(state.u.coeffs.copy())
             alone.append(kept)
-        steppers = [_EtdStepper(cfg), _EtdStepper(cfg)]
+        steppers = [_EtdStepper(cfg, ou), _EtdStepper(cfg, ou)]
         states, kept = list(starts), [[], []]
         for n in range(12):
             for i in range(2):
-                states[i] = run(states[i], steppers[i], n)
+                states[i] = step(states[i], steppers[i], n)
                 kept[i].append(states[i])
         # every emitted state still holds its own step, read only now
         for i in range(2):
@@ -380,19 +375,17 @@ class TestStepperBuffers:
     def test_steady_state_step_allocates_little(self):
         import tracemalloc
 
-        from torns.dynamics import _EtdStepper
-
         g = make_grid(TWO_PI, 64)
         cfg = noisy_cfg(g)
-        st = _EtdStepper(cfg)
+        st = _EtdStepper(cfg, given_z(np.full(24, 0.1), cfg.dt))
         state = State(0.0, random_divfree_field(g, seed=4, norm=1.0))
-        for _ in range(3):  # past the etd2 bootstrap and the first FFT plans
-            state = step_random(state, 0.1, 0.1, cfg, _stepper=st)
+        for n in range(3):  # past the etd2 bootstrap and the first FFT plans
+            state = step(state, st, n)
         half_array = st.hw.nbytes
         tracemalloc.start()
         try:
-            for _ in range(20):
-                state = step_random(state, 0.1, 0.1, cfg, _stepper=st)
+            for n in range(3, 23):
+                state = step(state, st, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -457,6 +450,19 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(v0, cfg, steps=1)
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"stride": 0}, "stride must be >= 1, got 0"),
+        ({"stride": -1}, "stride must be >= 1, got -1"),
+        ({"steps": -3}, "steps must be >= 0, got -3"),
+    ])
+    def test_rejects_bad_counts(self, grid16, kw, message):
+        cfg = basic_cfg(grid16)
+        v0 = random_divfree_field(grid16, seed=1)
+        with pytest.raises(ValueError, match=message):
+            integrate(v0, cfg, **{"steps": 5, **kw})
+        if "steps" in kw:  # checked on the call, before any state is drawn
+            with pytest.raises(ValueError, match=message):
+                trajectory(v0, cfg, **kw)
 
     def test_rejects_initial_mean(self, grid16):
         v0 = random_divfree_field(grid16, seed=1)
@@ -475,6 +481,47 @@ class TestIntegrate:
         v0 = random_divfree_field(grid16, seed=1, within_mask=False)
         with pytest.raises(ValueError, match="dealias mask"):
             integrate(v0, basic_cfg(grid16), steps=1)
+
+
+def path_of_type(kind, cfg, n):
+    if kind == "ou":
+        return ou_from_wiener(sample_wiener(0.0, n * cfg.dt, cfg.dt, seed=5), init="stationary")
+    if kind == "wiener":
+        return sample_wiener(0.0, n * cfg.dt, cfg.dt, seed=5)
+    return None
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("kind", ["deterministic", "ou", "wiener"])
+    def test_last_state_is_integrate_state(self, grid16, kind):
+        cfg = noisy_cfg(grid16)
+        v0 = random_divfree_field(grid16, seed=4, norm=1.0)
+        path = path_of_type(kind, cfg, 7)
+        states = list(trajectory(v0, cfg, path=path, steps=7))
+        res = integrate(v0, cfg, path=path, steps=7, stride=3)
+        assert len(states) == 7 + 1
+        assert np.array_equal(states[0].u.coeffs, v0.coeffs)
+        assert states[-1].t == res.state.t and states[-1].z == res.state.z
+        assert np.array_equal(states[-1].u.coeffs, res.state.u.coeffs)
+
+    def test_one_step_call_per_member_step(self, grid16, monkeypatch):
+        # the benchmark's traced gate counts dynamics.step calls as member-steps
+        calls = []
+        inner = dynamics.step
+        monkeypatch.setattr(dynamics, "step", lambda *a: calls.append(1) or inner(*a))
+        cfg = noisy_cfg(grid16)
+        v0 = random_divfree_field(grid16, seed=4, norm=1.0)
+        for kind, n in (("deterministic", 7), ("ou", 6), ("wiener", 5)):
+            calls.clear()
+            integrate(v0, cfg, path=path_of_type(kind, cfg, n), steps=n, stride=2)
+            assert len(calls) == n, kind
+        calls.clear()
+        experiments.measure_smoothing(cfg, v0, deltas=[1e-3, 1e-4], horizons=[4 * cfg.dt, 10 * cfg.dt],
+                                      seeds=[1], directions=("random",))
+        assert len(calls) == 3 * 10  # the base and two perturbed members
+        calls.clear()
+        experiments.sample_attractor_deterministic(cfg, t_transient=5 * cfg.dt, count=3, stride=2, v0=v0)
+        assert len(calls) == 5 + 2 * 2
 
 
 class TestTaylorGreen:

@@ -203,6 +203,15 @@ class TestSmoothing:
         zero_rows = [r for r in rep.rows if r["delta"] == 0.0]
         assert all(r["distT_h2_sq"] == 0.0 for r in zero_rows)
 
+    def test_every_horizon_has_a_row(self, grid16):
+        # a horizon below half a step compares the initial pair
+        cfg = cfg_for(grid16, h=random_divfree_field(grid16, seed=2, norm=0.3))
+        v0 = random_divfree_field(grid16, seed=1, norm=0.5)
+        rep = measure_smoothing(cfg, v0, deltas=[1e-3], horizons=[0.0, 0.1], seeds=[1],
+                                directions=("random",))
+        assert [r["T"] for r in rep.rows] == [0.0, 0.1]
+        assert all(r["error"] == "" and r["distT_h2_sq"] > 0.0 for r in rep.rows)
+
     def test_thread_count_invariance(self, grid16):
         cfg = cfg_for(grid16, h=random_divfree_field(grid16, seed=2, norm=0.3))
         v0 = random_divfree_field(grid16, seed=1, norm=0.5)
