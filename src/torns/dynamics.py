@@ -25,12 +25,13 @@ records every stride-th state it yields.
 
 The stepper runs in half-spectrum vorticity (spectral.HalfSpectrum): it
 carries w = curl u, takes the curls of f, h - nu A h and h once, and gets
-curl B from spectral.vorticity_advection (4 inverse and 1 forward real FFT
-per step, pruned to the columns that meet the dealias mask, no Leray
-projection).  E, phi1 and phi2 are diagonal and commute with curl, so this
-is the velocity scheme up to roundoff.  Each stepper owns the buffers of its
-step (the kernel workspace, the etd2 right-hand sides and the update
-temporaries), so a step allocates only the new w; steppers of concurrent
+curl B from spectral.vorticity_advection (4 inverse and 1 forward real 2-D
+transform per step, as FFTs or, on small grids, dense DFT products, pruned to
+the columns that meet the dealias mask, no Leray projection).  E, phi1 and
+phi2 are diagonal and commute with curl, so this is the velocity scheme up
+to roundoff.  Each stepper owns the buffers of its step (the kernel
+workspace, the etd2 right-hand sides and the update temporaries), so a
+step allocates only the new w; steppers of concurrent
 trajectories share nothing but read-only tables.  Velocity SpectralFields
 stay the interface: every step returns a State holding w, whose u is rebuilt
 from w without an FFT on the first read, so a loop pays for velocity only

@@ -149,6 +149,8 @@ def sample_attractor_deterministic(
         raise ValueError(f"t_transient must be positive, got {t_transient}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     if v0 is None:
         v0 = random_divfree_field(cfg.grid, cfg.seed, norm=1.0, stream=17)
     n0 = round(t_transient / cfg.dt)

@@ -17,8 +17,12 @@ curl B(u, u) = (u . grad) w (vorticity_advection).  That form represents
 exactly the zero-mean, divergence-free fields without Nyquist lines, and it
 agrees with nonlinear_term up to roundoff for fields inside the dealias mask.
 The kernel transforms only the K = (N-1)//3 + 1 half-spectrum columns that
-meet the mask, with 1-D FFTs into the buffers of an AdvectionWorkspace that
-its caller owns, so a step allocates no FFT intermediates.
+meet the mask, into the buffers of an AdvectionWorkspace that its caller
+owns, so a step allocates no transform intermediates.  Two kernels compute
+the same pruned transforms and agree to roundoff; the grid size alone picks
+one.  Up to N = _DFT_MAX_N each 1-D stage is one matrix product with a dense
+DFT table of the HalfSpectrum, because at that size a numpy FFT call costs
+mostly its Python wrapper; above it they are numpy's 1-D FFTs.
 """
 
 from __future__ import annotations
@@ -271,6 +275,35 @@ def nonlinear_term(u: SpectralField, v: SpectralField) -> SpectralField:
     return SpectralField(g, _project_coeffs(ah, g))
 
 
+# the largest grid on which the dense-DFT kernel beat the FFT kernel, timed
+# per N as the fastest of interleaved blocks; from N = 64 its O(N^3) products lose
+_DFT_MAX_N = 48
+
+
+def _dft_tables(N: int, K: int, keep_rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four pruned transforms of vorticity_advection as dense matrices.
+
+    inv_x (N, N) complex: inverse DFT along x, over all rows j1.
+    inv_y (2K, N) real: the irfft along y of K columns held as interleaved
+    (real, imaginary) pairs; columns j2 >= 1 count twice (their mirror
+    images), and the imaginary part of j2 = 0 drops out, as in irfft.
+    fwd_y (N, 2K) real: the rfft along y onto the K columns, with 1/N, giving
+    interleaved pairs.  fwd_x (N, N) complex: the forward DFT along x with
+    1/N, its rows outside the dealias mask (keep_rows False) zero.
+    """
+    n = np.arange(N)
+    angle = (2.0 * np.pi / N) * (np.outer(n, n) % N)  # exact phases j n mod N
+    inv_x = np.exp(1j * angle)
+    fwd_x = inv_x.conj() * (keep_rows[:, None] / N)
+    cos, sin = np.cos(angle[:K]), np.sin(angle[:K])
+    inv_y = np.empty((2 * K, N))
+    inv_y[0::2], inv_y[1::2] = cos, -sin
+    inv_y[2:] *= 2.0
+    fwd_y = np.empty((N, 2 * K))
+    fwd_y[:, 0::2], fwd_y[:, 1::2] = cos.T / N, -sin.T / N
+    return inv_x, inv_y, fwd_y, fwd_x
+
+
 class HalfSpectrum:
     """Tables for the scalar vorticity w = curl u on the rfft2 half spectrum.
 
@@ -280,9 +313,11 @@ class HalfSpectrum:
     of u_1 = d_y psi, u_2 = -d_x psi, d_x w and d_y w (psi = w / |k|^2).  The
     curl and all four are zero on the Nyquist lines j1 = N/2 and j2 = N/2,
     which lie outside the dealias mask.  Only the first K = (N-1)//3 + 1
-    columns (j2 < K) meet the mask.  The tables are read-only, so one
-    instance may serve several threads; the buffers that change per call live
-    in an AdvectionWorkspace per trajectory.
+    columns (j2 < K) meet the mask.  For N <= _DFT_MAX_N, dft holds the
+    dense DFT tables of vorticity_advection's four transform stages (see
+    _dft_tables); above it dft is None and the kernel runs FFTs.  The tables
+    are read-only, so one instance may serve several threads; the buffers
+    that change per call live in an AdvectionWorkspace per trajectory.
     """
 
     def __init__(self, grid: WaveGrid):
@@ -299,6 +334,7 @@ class HalfSpectrum:
         self._curl = np.stack([-1j * ky * keep, 1j * kx * keep])
         # the kernel's operand: a contiguous copy multiplies faster than the view
         self._ops_k = np.ascontiguousarray(self.ops[:, :, : self.K])
+        self.dft = _dft_tables(N, self.K, self.dealias_mask[:, 0]) if N <= _DFT_MAX_N else None
 
     def curl(self, u: SpectralField) -> np.ndarray:
         """Half-spectrum vorticity i k_x u_2 - i k_y u_1 of a velocity field."""
@@ -325,7 +361,10 @@ class AdvectionWorkspace:
 
     Every call overwrites them, including the array it returns, so threads
     that step concurrently need one workspace each.  The columns j2 >= K of
-    the two spectral buffers lie outside the dealias mask and stay zero.
+    the spectral buffers lie outside the dealias mask and stay zero.  Both
+    kernels share prod, phys, adv and out; cols and rows serve the FFT
+    kernel, and cols_k and rows_k the DFT kernel when the half spectrum has
+    its tables.
     """
 
     def __init__(self, half: HalfSpectrum):
@@ -336,6 +375,9 @@ class AdvectionWorkspace:
         self.adv = np.empty((2, N, N))  # u . grad w, and one product term
         self.rows = np.empty((N, M), dtype=np.complex128)  # after the forward FFT along y
         self.out = np.zeros((N, M), dtype=np.complex128)
+        if half.dft is not None:
+            self.cols_k = np.empty((4, N, K), dtype=np.complex128)  # after the inverse DFT along x
+            self.rows_k = np.empty((N, K), dtype=np.complex128)  # after the forward DFT along y
 
 
 def vorticity_advection(w: np.ndarray, half: HalfSpectrum,
@@ -344,15 +386,24 @@ def vorticity_advection(w: np.ndarray, half: HalfSpectrum,
 
     The inverse transform is irfft2 split into its two 1-D stages, the first
     run on the K columns that meet the mask; the forward one is rfft2 split
-    the same way, and the product is masked by the 2/3 rule.  For w that is
-    zero in the columns j2 >= K this is bit for bit irfft2/rfft2 (the same
-    1-D transforms in the same order) and equals the half spectrum of
+    the same way, and the product is masked by the 2/3 rule.  Grids with
+    N <= _DFT_MAX_N run each stage as one matrix product with the dense DFT
+    tables of the half spectrum (_advection_dft), larger ones as 1-D FFTs
+    (_advection_fft).  Both compute the same transforms and agree to
+    roundoff; the FFT kernel is bit for bit irfft2/rfft2 for w that is zero
+    in the columns j2 >= K.  Either equals the half spectrum of
     curl nonlinear_term(u, u) up to roundoff.  The result is work.out, valid
     until the next call with the same workspace; without a workspace a fresh
     one is allocated.
     """
     if work is None:
         work = AdvectionWorkspace(half)
+    kernel = _advection_fft if half.dft is None else _advection_dft
+    return kernel(w, half, work)
+
+
+def _advection_fft(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorkspace) -> np.ndarray:
+    """vorticity_advection with numpy's 1-D FFTs, out= into the workspace."""
     N, K = half.grid.N, half.K
     np.multiply(half._ops_k, w[:, :K], out=work.prod)
     np.fft.ifft(work.prod, n=N, axis=-2, norm="forward", out=work.cols[:, :, :K])
@@ -363,6 +414,21 @@ def vorticity_advection(w: np.ndarray, half: HalfSpectrum,
     out = work.out
     np.fft.fft(work.rows[:, :K], n=N, axis=-2, norm="forward", out=out[:, :K])
     out[:, :K] *= half.dealias_mask[:, :K]
+    return out
+
+
+def _advection_dft(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorkspace) -> np.ndarray:
+    """vorticity_advection as four matrix products with the tables of half.dft."""
+    inv_x, inv_y, fwd_y, fwd_x = half.dft
+    K = half.K
+    np.multiply(half._ops_k, w[:, :K], out=work.prod)
+    np.matmul(inv_x, work.prod, out=work.cols_k)
+    phys = np.matmul(work.cols_k.view(np.float64), inv_y, out=work.phys)
+    adv = np.multiply(phys[0], phys[2], out=work.adv[0])
+    adv += np.multiply(phys[1], phys[3], out=work.adv[1])
+    np.matmul(adv, fwd_y, out=work.rows_k.view(np.float64))
+    out = work.out
+    np.matmul(fwd_x, work.rows_k, out=out[:, :K])  # rows outside the mask are zero in fwd_x
     return out
 
 

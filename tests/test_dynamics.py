@@ -285,7 +285,8 @@ def velocity_etd2_reference(cfg, v0, zs):
 
 
 class TestVorticityCore:
-    @pytest.mark.parametrize("N", [16, 24])
+    # N = 64 is above spectral._DFT_MAX_N and runs the FFT kernel
+    @pytest.mark.parametrize("N", [16, 24, 64])
     def test_etd2_matches_velocity_form(self, N):
         g = make_grid(TWO_PI, N)
         cfg = basic_cfg(g, nu=0.05, dt=2e-3,
@@ -375,21 +376,23 @@ class TestStepperBuffers:
     def test_steady_state_step_allocates_little(self):
         import tracemalloc
 
-        g = make_grid(TWO_PI, 64)
-        cfg = noisy_cfg(g)
-        st = _EtdStepper(cfg, given_z(np.full(24, 0.1), cfg.dt))
-        state = State(0.0, random_divfree_field(g, seed=4, norm=1.0))
-        for n in range(3):  # past the etd2 bootstrap and the first FFT plans
-            state = step(state, st, n)
-        half_array = st.hw.nbytes
-        tracemalloc.start()
-        try:
-            for n in range(3, 23):
+        # one grid on each kernel: N = 48 runs the DFT tables, N = 64 the FFTs
+        for N in (48, 64):
+            g = make_grid(TWO_PI, N)
+            cfg = noisy_cfg(g)
+            st = _EtdStepper(cfg, given_z(np.full(24, 0.1), cfg.dt))
+            state = State(0.0, random_divfree_field(g, seed=4, norm=1.0))
+            for n in range(3):  # past the etd2 bootstrap and the first FFT plans
                 state = step(state, st, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 12 * half_array
+            half_array = st.hw.nbytes
+            tracemalloc.start()
+            try:
+                for n in range(3, 23):
+                    state = step(state, st, n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 12 * half_array, N
 
 
 class TestConjugate:

@@ -128,6 +128,12 @@ class TestAttractorSample:
         with pytest.raises(ValueError):
             sample_attractor_deterministic(cfg_for(grid16), t_transient=1.0, count=0, stride=1)
 
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_rejects_stride_below_one(self, grid16, stride):
+        # stride 0 used to divide by zero, stride -1 to return an empty sample
+        with pytest.raises(ValueError, match=f"stride must be >= 1, got {stride}"):
+            sample_attractor_deterministic(cfg_for(grid16), t_transient=1.0, count=3, stride=stride)
+
 
 class TestDistanceToSet:
     def test_member_has_zero_distance(self, grid16):

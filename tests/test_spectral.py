@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from torns import spectral
 from torns.spectral import (
     AdvectionWorkspace,
     HalfSpectrum,
@@ -318,8 +319,9 @@ class TestNonlinearTerm:
 
 
 class TestVorticityAdvection:
-    # N = 24 is divisible by 3, where the strict mask drops the modes |j| = N/3
-    @pytest.mark.parametrize("N", [16, 24, 32])
+    # N = 24 is divisible by 3, where the strict mask drops the modes |j| = N/3;
+    # N = 64 is above spectral._DFT_MAX_N and runs the FFT kernel
+    @pytest.mark.parametrize("N", [16, 24, 32, 64])
     def test_equals_curl_of_nonlinear_term(self, N):
         g = make_grid(TWO_PI, N)
         half = HalfSpectrum(g)
@@ -341,10 +343,38 @@ class TestVorticityAdvection:
             phys = np.fft.irfft2(half.ops * w, s=(N, N), axes=(-2, -1), norm="forward")
             ref = np.fft.rfft2(phys[0] * phys[2] + phys[1] * phys[3], norm="forward")
             ref *= half.dealias_mask
-            out = vorticity_advection(w, half, work)
+            out = spectral._advection_fft(w, half, work)
             assert out is work.out
             assert np.array_equal(out, ref)
-            assert np.array_equal(vorticity_advection(w, half), ref)
+            assert np.array_equal(spectral._advection_fft(w, half, AdvectionWorkspace(half)), ref)
+
+    @pytest.mark.parametrize("N", [16, 24, 32, 48, 64])
+    def test_dft_kernel_equals_fft_kernel(self, N, monkeypatch):
+        # the dense tables compute the same transforms, summed in another order
+        monkeypatch.setattr(spectral, "_DFT_MAX_N", 64)
+        g = make_grid(TWO_PI, N)
+        half = HalfSpectrum(g)
+        work = AdvectionWorkspace(half)
+        for seed in range(3):
+            w = half.curl(random_divfree_field(g, seed=seed, norm=1.0 + seed))
+            ref = spectral._advection_fft(w, half, AdvectionWorkspace(half))
+            out = spectral._advection_dft(w, half, work)
+            assert out is work.out
+            assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert np.abs(out[~half.dealias_mask]).max() == 0.0
+
+    @pytest.mark.parametrize("N", [16, 32, 48, 64, 96])
+    def test_kernel_chosen_by_grid_size(self, N):
+        g = make_grid(TWO_PI, N)
+        half = HalfSpectrum(g)
+        assert (half.dft is not None) == (N <= spectral._DFT_MAX_N)
+        kernel = spectral._advection_dft if half.dft is not None else spectral._advection_fft
+        w = half.curl(random_divfree_field(g, seed=7, norm=1.5))
+        ref = kernel(w, half, AdvectionWorkspace(half))
+        assert np.array_equal(vorticity_advection(w, half), ref)
+        work = AdvectionWorkspace(half)
+        assert vorticity_advection(w, half, work) is work.out
+        assert np.array_equal(work.out, ref)
 
     def test_output_dealiased(self):
         g = make_grid(TWO_PI, 24)
