@@ -31,7 +31,6 @@ from .noise import (  # noqa: F401
     sample_wiener,
     pullback_wiener,
     refine_wiener,
-    coarsen_wiener,
     ou_from_wiener,
     ou_stationary_moment,
     empirical_moment,

@@ -2,7 +2,9 @@
 
 Subcommands map 1:1 onto library operations: validate (admissibility check and
 field audit), simulate (one trajectory with artifacts), pullback, smoothing,
-absorbing, ergodic, taylor-green and convergence.
+absorbing, ergodic, taylor-green and convergence.  COMMANDS has one row per
+subcommand; the parser is built from it, and _run does once what every row
+shares: config loading, the --out directory, the manifest and --quiet.
 
 Exit codes: 0 success, 1 validation/usage failure, 2 runtime abort (NaN/Inf),
 with partial artifacts and the abort diagnostic on stderr.  All randomness
@@ -15,7 +17,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import zip_longest
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,238 +31,194 @@ from .spectral import field_violations, sobolev_norm
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_ABORT = 2
-
-
-class CliError(Exception):
-    pass
+# what a row's run(cfg, args, out) returns: the exit code, the files for the
+# manifest (None: no manifest) and the summary line (None: nothing to print)
+Outcome = tuple[int, list[str] | None, str | None]
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 by default; usage errors are validation
-    # failures here (exit 1), so raise instead
-    def error(self, message):
-        raise CliError(message)
+    def error(self, message):  # usage errors exit 1 (validation), not argparse's 2
+        raise argparse.ArgumentError(None, message)
+
+
+def _validate(cfg: SimConfig, args, out: Path) -> Outcome:
+    print(f"assumption: {cfg.assumption.summary()}")
+    if not cfg.assumption.satisfied:
+        print("warning: admissibility condition violated (experiments may still probe this regime)",
+              file=sys.stderr)
+    problems = [f"{name}: {v}" for name, u in (("f", cfg.f), ("h", cfg.h), ("u0", cfg.u0))
+                for v in field_violations(u)]
+    for pb in problems:
+        print(f"invalid field: {pb}", file=sys.stderr)
+    if not problems:
+        print("fields: ok")
+    return EXIT_VALIDATION if problems else EXIT_OK, None, None
+
+
+def _simulate(cfg: SimConfig, args, out: Path) -> Outcome:
+    steps = round(cfg.t_end / cfg.dt)
+    # h = 0 runs the deterministic system, with no noise path to write
+    ou = (ou_from_wiener(sample_wiener(0.0, steps * cfg.dt, cfg.dt, seed=cfg.seed), init="stationary")
+          if sobolev_norm(cfg.h, 0.0) > 0.0 else None)
+    try:
+        res = integrate(cfg.u0, cfg, path=ou)
+    except BlowupError as exc:
+        tio.write_checkpoint(exc.last_state, out / "abort_state.trns", nu=cfg.nu)
+        print(f"aborted: {exc}", file=sys.stderr)
+        return EXIT_ABORT, ["abort_state.trns"], None
+    files = ["series.csv", "final_state.trns", "plot.py"]
+    if ou is not None:
+        tio.write_path_csv(ou, out / "noise.csv")
+        files.append("noise.csv")
+    tio.write_series_csv(res.series, out / "series.csv")
+    tio.write_checkpoint(res.state, out / "final_state.trns", nu=cfg.nu)
+    tio.emit_plot_script(["series.csv"], out / "plot.py")
+    # the series records the conjugated v; the physical solution is u = v + h z
+    u = dynamics.conjugate(res.state.u, res.state.z, cfg.h)
+    return EXIT_OK, files, (
+        f"simulated {steps} steps to t={res.state.t:g}; final |v| = {res.series.norm_h[-1]:.6g}, "
+        f"|u| = |v + h z(T)| = {sobolev_norm(u, 0.0):.6g}")
+
+
+def _taylor_green(cfg: SimConfig, args, out: Path) -> Outcome:
+    res = integrate(dynamics.taylor_green(0.0, cfg.nu, cfg.grid), cfg)
+    exact = dynamics.taylor_green(res.state.t, cfg.nu, cfg.grid)
+    err = sobolev_norm(res.state.u - exact, 0.0) / sobolev_norm(exact, 0.0)
+    rate = float(np.polyfit(res.series.t, np.log(res.series.norm_h), 1)[0])
+    tio.write_series_csv(res.series, out / "taylor_green.csv")
+    return EXIT_OK if err < 1e-8 else EXIT_VALIDATION, ["taylor_green.csv"], (
+        f"taylor-green: max relative error {err:.3e}, fitted decay rate {rate:.8f} "
+        f"(expected {-2 * cfg.nu:.8f})")
+
+
+def _pullback(cfg: SimConfig, args, out: Path) -> Outcome:
+    horizons = [5.0, 10.0, 20.0]
+    states = [experiments.pullback_solve(experiments.PullbackSpec(
+        horizon=hor, seed=cfg.seed, initial_states=[cfg.u0], cfg=cfg))[0] for hor in horizons]
+    rows = [{"horizon": hor, "norm_h": sobolev_norm(st.u, 0.0), "norm_h1": sobolev_norm(st.u, 1.0),
+             "norm_h2": sobolev_norm(st.u, 2.0)} for hor, st in zip(horizons, states)]
+    tio.write_rows_csv(rows, ["horizon", "norm_h", "norm_h1", "norm_h2"], out / "pullback.csv")
+    tio.emit_plot_script(["pullback.csv"], out / "plot.py")
+    return EXIT_OK, ["pullback.csv", "plot.py"], f"pullback states at 0 for horizons {horizons} written"
+
+
+def _smoothing(cfg: SimConfig, args, out: Path) -> Outcome:
+    rep = experiments.measure_smoothing(
+        cfg, cfg.u0, deltas=[1e-2, 1e-3, 1e-4], horizons=[0.5, 1.0, 2.0],
+        seeds=[cfg.seed, cfg.seed + 1, cfg.seed + 2], threads=args.threads)
+    cols = ["seed", "direction", "delta", "T", "dist0", "distT_h2_sq", "ratio", "error"]
+    tio.write_rows_csv(rep.rows, cols, out / "smoothing.csv")
+    return EXIT_OK, ["smoothing.csv"], (
+        f"smoothing: max ratio {rep.max_ratio:.6g}, median {rep.median_ratio:.6g}")
+
+
+def _absorbing(cfg: SimConfig, args, out: Path) -> Outcome:
+    rep = experiments.measure_absorbing(
+        cfg, initial_radii=[1.0, 10.0], horizons=[2.0, 5.0],
+        seed=cfg.seed, threads=args.threads)
+    cols = ["radius", "horizon", "norm_h", "norm_h1", "norm_h2", "dist_h2", "error"]
+    tio.write_rows_csv(rep.rows, cols, out / "absorbing.csv")
+    failures = [r for r in rep.rows if r["error"]]
+    if failures:
+        print(f"aborted cells: {len(failures)}", file=sys.stderr)
+        return EXIT_ABORT, ["absorbing.csv"], None
+    return EXIT_OK, ["absorbing.csv"], "absorbing radii: " + ", ".join(
+        f"H(t={h})={rep.radius_estimates[(h, 'H')]:.4g}" for h in rep.horizons)
+
+
+def _ergodic(cfg: SimConfig, args, out: Path) -> Outcome:
+    rep = experiments.ergodic_check(T=1e4, dt=1e-2,
+                                    seeds=[cfg.seed, cfg.seed + 1, cfg.seed + 2])
+    tio.write_rows_csv(rep.rows, ["seed", "m", "empirical", "analytic", "rel_error"],
+                       out / "ergodic.csv")
+    return EXIT_OK, ["ergodic.csv"], (
+        f"ergodic: worst relative error {max(r['rel_error'] for r in rep.rows):.4%}")
+
+
+def _convergence(cfg: SimConfig, args, out: Path) -> Outcome:
+    rep = experiments.conjugation_convergence(
+        cfg, base_dt=2.0**-7, levels=4, T=1.0, seed=cfg.seed,
+        paths=8, threads=args.threads)
+    cols = ["level", "dt", "strong_error", "ratio", "order"]
+    rows = [dict(zip(cols, (i, *r))) for i, r in enumerate(
+        zip_longest(rep.dts, rep.errors, rep.ratios, rep.orders, fillvalue=""))]
+    tio.write_rows_csv(rows, cols, out / "convergence.csv")
+    return EXIT_OK, ["convergence.csv"], (
+        f"conjugation convergence: ratios {['%.3f' % r for r in rep.ratios]}")
+
+
+class Command(NamedTuple):
+    preset: str  # used when neither --config nor --preset is given
+    run: Callable[[SimConfig, argparse.Namespace, Path], Outcome]
+    writes: bool = True  # creates --out
+    two_pi: bool = False  # refuses L != 2 pi before creating --out
+
+
+COMMANDS = {
+    "validate": Command("decay-noise", _validate, writes=False),
+    "simulate": Command("decay-noise", _simulate),
+    "pullback": Command("decay-noise", _pullback),
+    "smoothing": Command("decay-noise", _smoothing),
+    "absorbing": Command("decay-noise", _absorbing),
+    "ergodic": Command("decay-noise", _ergodic),
+    "taylor-green": Command("taylor-green", _taylor_green, two_pi=True),
+    "convergence": Command("decay-noise", _convergence),
+}
 
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="torns", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version="%(prog)s 0.1.0")
     sub = p.add_subparsers(dest="command", required=True)
-    commands = ("validate", "simulate", "pullback", "smoothing", "absorbing",
-                "ergodic", "taylor-green", "convergence")
-    for name in commands:
+    for name in COMMANDS:
         sp = sub.add_parser(name)
-        sp.add_argument("--config", type=str, default=None, help="JSON config path")
+        sp.add_argument("--config", type=Path, help="JSON config path")
         sp.add_argument("--preset", type=str, default=None, help="named config preset")
-        sp.add_argument("--out", type=str, default="out", help="artifact directory")
+        sp.add_argument("--out", type=Path, default="out", help="artifact directory")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument("--threads", type=int, default=1, help="experiment cell workers")
+        sp.add_argument("--threads", type=int, default=1, help="experiment cell workers; on 2 "
+                        "cores, 2 were slower than 1 at N = 16 and 32, about even at N = 64")
         sp.add_argument("--quiet", action="store_true", help="suppress progress output")
     return p
 
 
-def _load(args) -> tuple[SimConfig, dict]:
+def _load(args, preset: str) -> tuple[SimConfig, dict]:
     """Config plus its normalized raw dict (the re-loadable manifest echo)."""
-    if args.config is not None:
-        raw = tio.normalize_config(Path(args.config).read_text())
+    if args.config is None:
+        raw = tio.normalize_config(tio.config_defaults(args.preset or preset))
     else:
-        preset = args.preset
-        if preset is None:
-            preset = "taylor-green" if args.command == "taylor-green" else "decay-noise"
-        raw = tio.normalize_config(tio.config_defaults(preset))
+        try:
+            text = args.config.read_text()
+        except OSError as exc:
+            raise tio.ConfigError("config", str(exc)) from exc
+        raw = tio.normalize_config(text)
     if args.seed is not None:
         raw["seed"] = args.seed
     return tio.load_config(raw), raw
 
 
-def _say(args, msg: str) -> None:
-    if not args.quiet:
-        print(msg)
-
-
-def _finish(args, cfg, echo: dict, files: list[str]) -> None:
-    tio.write_manifest(args.out, echo, [cfg.seed], files, command=args.command)
-
-
-def _cmd_validate(args) -> int:
-    cfg, echo = _load(args)
-    problems = []
-    for name, u in (("f", cfg.f), ("h", cfg.h)) + ((("u0", cfg.u0),) if cfg.u0 is not None else ()):
-        for v in field_violations(u):
-            problems.append(f"{name}: {v}")
-    rep = cfg.assumption
-    print(f"assumption: {rep.summary()}")
-    if not rep.satisfied:
-        print("warning: admissibility condition violated (experiments may still probe this regime)",
-              file=sys.stderr)
-    if problems:
-        for pb in problems:
-            print(f"invalid field: {pb}", file=sys.stderr)
+def _run(args) -> int:
+    command = COMMANDS[args.command]
+    cfg, echo = _load(args, command.preset)
+    if command.two_pi and abs(cfg.grid.L - 2.0 * math.pi) > 1e-12:
+        print(f"{args.command} validation requires L = 2*pi", file=sys.stderr)
         return EXIT_VALIDATION
-    print("fields: ok")
-    return EXIT_OK
-
-
-def _cmd_simulate(args) -> int:
-    cfg, echo = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    v0 = cfg.u0 if cfg.u0 is not None else dynamics.taylor_green(0.0, cfg.nu, cfg.grid)
-    steps = round(cfg.t_end / cfg.dt)
-    noisy = sobolev_norm(cfg.h, 0.0) > 0.0
-    files: list[str] = []
-    try:
-        if noisy:
-            w = sample_wiener(0.0, steps * cfg.dt, cfg.dt, seed=cfg.seed)
-            ou = ou_from_wiener(w, init="stationary")
-            res = integrate(v0, cfg, path=ou)
-            tio.write_path_csv(ou, out / "noise.csv")
-            files.append("noise.csv")
-        else:
-            res = integrate(v0, cfg, steps=steps)
-    except BlowupError as exc:
-        tio.write_checkpoint(exc.last_state, out / "abort_state.trns", nu=cfg.nu)
-        files.append("abort_state.trns")
-        _finish(args, cfg, echo, files)
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_ABORT
-    tio.write_series_csv(res.series, out / "series.csv")
-    files.append("series.csv")
-    tio.write_checkpoint(res.state, out / "final_state.trns", nu=cfg.nu)
-    files.append("final_state.trns")
-    tio.emit_plot_script(["series.csv"], out / "plot.py")
-    files.append("plot.py")
-    _finish(args, cfg, echo, files)
-    _say(args, f"simulated {steps} steps to t={res.state.t:g}; final |u| = {res.series.norm_h[-1]:.6g}")
-    return EXIT_OK
-
-
-def _cmd_taylor_green(args) -> int:
-    cfg, echo = _load(args)
-    if abs(cfg.grid.L - 2.0 * math.pi) > 1e-12:
-        print("taylor-green validation requires L = 2*pi", file=sys.stderr)
-        return EXIT_VALIDATION
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    v0 = dynamics.taylor_green(0.0, cfg.nu, cfg.grid)
-    steps = round(cfg.t_end / cfg.dt)
-    res = integrate(v0, cfg, steps=steps)
-    exact = dynamics.taylor_green(res.state.t, cfg.nu, cfg.grid)
-    err = sobolev_norm(res.state.u - exact, 0.0) / sobolev_norm(exact, 0.0)
-    rate = float(np.polyfit(res.series.t, np.log(res.series.norm_h), 1)[0])
-    tio.write_series_csv(res.series, out / "taylor_green.csv")
-    _finish(args, cfg, echo, ["taylor_green.csv"])
-    _say(args, f"taylor-green: max relative error {err:.3e}, fitted decay rate {rate:.8f} "
-               f"(expected {-2 * cfg.nu:.8f})")
-    return EXIT_OK if err < 1e-8 else EXIT_VALIDATION
-
-
-def _cmd_pullback(args) -> int:
-    cfg, echo = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    horizons = [5.0, 10.0, 20.0]
-    rows = []
-    v0 = cfg.u0 if cfg.u0 is not None else dynamics.taylor_green(0.0, cfg.nu, cfg.grid)
-    for hor in horizons:
-        st = experiments.pullback_solve(
-            experiments.PullbackSpec(horizon=hor, seed=cfg.seed, initial_states=[v0], cfg=cfg))[0]
-        rows.append({"horizon": hor, "norm_h": sobolev_norm(st.u, 0.0),
-                     "norm_h1": sobolev_norm(st.u, 1.0), "norm_h2": sobolev_norm(st.u, 2.0)})
-    tio.write_rows_csv(rows, ["horizon", "norm_h", "norm_h1", "norm_h2"], out / "pullback.csv")
-    tio.emit_plot_script(["pullback.csv"], out / "plot.py")
-    _finish(args, cfg, echo, ["pullback.csv", "plot.py"])
-    _say(args, f"pullback states at 0 for horizons {horizons} written")
-    return EXIT_OK
-
-
-def _cmd_smoothing(args) -> int:
-    cfg, echo = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    v0 = cfg.u0 if cfg.u0 is not None else dynamics.taylor_green(0.0, cfg.nu, cfg.grid)
-    rep = experiments.measure_smoothing(
-        cfg, v0, deltas=[1e-2, 1e-3, 1e-4], horizons=[0.5, 1.0, 2.0],
-        seeds=[cfg.seed, cfg.seed + 1, cfg.seed + 2], threads=args.threads)
-    cols = ["seed", "direction", "delta", "T", "dist0", "distT_h2_sq", "ratio", "error"]
-    tio.write_rows_csv(rep.rows, cols, out / "smoothing.csv")
-    _finish(args, cfg, echo, ["smoothing.csv"])
-    _say(args, f"smoothing: max ratio {rep.max_ratio:.6g}, median {rep.median_ratio:.6g}")
-    return EXIT_OK
-
-
-def _cmd_absorbing(args) -> int:
-    cfg, echo = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rep = experiments.measure_absorbing(
-        cfg, initial_radii=[1.0, 10.0], horizons=[2.0, 5.0],
-        seed=cfg.seed, threads=args.threads)
-    cols = ["radius", "horizon", "norm_h", "norm_h1", "norm_h2", "dist_h2", "error"]
-    tio.write_rows_csv(rep.rows, cols, out / "absorbing.csv")
-    _finish(args, cfg, echo, ["absorbing.csv"])
-    failures = [r for r in rep.rows if r["error"]]
-    if failures:
-        print(f"aborted cells: {len(failures)}", file=sys.stderr)
-        return EXIT_ABORT
-    _say(args, "absorbing radii: " + ", ".join(
-        f"H(t={h})={rep.radius_estimates[(h, 'H')]:.4g}" for h in rep.horizons))
-    return EXIT_OK
-
-
-def _cmd_ergodic(args) -> int:
-    cfg, echo = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rep = experiments.ergodic_check(T=1e4, dt=1e-2,
-                                    seeds=[cfg.seed, cfg.seed + 1, cfg.seed + 2])
-    tio.write_rows_csv(rep.rows, ["seed", "m", "empirical", "analytic", "rel_error"],
-                       out / "ergodic.csv")
-    _finish(args, cfg, echo, ["ergodic.csv"])
-    worst = max(r["rel_error"] for r in rep.rows)
-    _say(args, f"ergodic: worst relative error {worst:.4%}")
-    return EXIT_OK
-
-
-def _cmd_convergence(args) -> int:
-    cfg, echo = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rep = experiments.conjugation_convergence(
-        cfg, base_dt=2.0**-7, levels=4, T=1.0, seed=cfg.seed,
-        paths=8, threads=args.threads)
-    rows = [{"level": i, "dt": rep.dts[i], "strong_error": rep.errors[i],
-             "ratio": rep.ratios[i] if i < len(rep.ratios) else "",
-             "order": rep.orders[i] if i < len(rep.orders) else ""}
-            for i in range(len(rep.dts))]
-    tio.write_rows_csv(rows, ["level", "dt", "strong_error", "ratio", "order"],
-                       out / "convergence.csv")
-    _finish(args, cfg, echo, ["convergence.csv"])
-    _say(args, f"conjugation convergence: ratios {['%.3f' % r for r in rep.ratios]}")
-    return EXIT_OK
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "simulate": _cmd_simulate,
-    "pullback": _cmd_pullback,
-    "smoothing": _cmd_smoothing,
-    "absorbing": _cmd_absorbing,
-    "ergodic": _cmd_ergodic,
-    "taylor-green": _cmd_taylor_green,
-    "convergence": _cmd_convergence,
-}
+    if command.writes:
+        args.out.mkdir(parents=True, exist_ok=True)
+    code, files, summary = command.run(cfg, args, args.out)
+    if files is not None:
+        tio.write_manifest(args.out, echo, [cfg.seed], files, command=args.command)
+    if summary is not None and not args.quiet:
+        print(summary)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except CliError as exc:
+        return _run(_build_parser().parse_args(argv))
+    except argparse.ArgumentError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    try:
-        return _HANDLERS[args.command](args)
     except tio.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

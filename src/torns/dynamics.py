@@ -11,11 +11,11 @@ Stokes part is diagonal in Fourier space and treated exactly):
   exponential viscous part, explicit drift, additive noise applied after the
   linear solve
 
-Schemes: "etd1" is the exponential Euler update u+ = E u + dt phi1 F(u);
-"etd2" adds a second-order multistep correction dt (phi1+phi2) F_n - dt phi2
-F_{n-1}, bootstrapped by one etd1 step.  The Ito system always takes the
-etd1 drift; "em" gives the other two systems that drift as well, so the
-h = 0 Ito step reduces to the "em" deterministic step bit for bit.
+The scheme is chosen apart from the system.  "etd1" is the exponential Euler
+update u+ = E u + dt phi1 F(u); "etd2" adds a second-order multistep
+correction dt (phi1+phi2) F_n - dt phi2 F_{n-1}, bootstrapped by one etd1
+step.  The Ito system always takes the etd1 drift (Euler-Maruyama is first
+order), so with h = 0 it equals the deterministic etd1 step bit for bit.
 
 One trajectory is one stepper, built from (cfg, path): the path type selects
 the system (None deterministic, OUPath conjugated, WienerPath Ito), and
@@ -71,7 +71,7 @@ __all__ = [
     "manufactured_forcing",
 ]
 
-SCHEMES = ("etd1", "etd2", "em")
+SCHEMES = ("etd1", "etd2")
 
 
 @dataclass(frozen=True)
@@ -267,7 +267,7 @@ class _EtdStepper:
         self.dt_phi12 = dt * (phi1 + phi2)
         self.dt_phi2 = dt * phi2
         # the Ito solver's drift is first order by construction
-        self.scheme = "etd1" if self.dW is not None or cfg.scheme == "em" else cfg.scheme
+        self.scheme = "etd1" if self.dW is not None else cfg.scheme
         self.prev_rhs: np.ndarray | None = None
         self.hw = half.curl(cfg.h)
         self._fw = half.curl(cfg.f)

@@ -86,16 +86,16 @@ class PullbackSpec:
             raise ValueError("initial-state family is empty")
 
 
-def pullback_path(cfg: SimConfig, horizon: float, seed: int, burn_in: float = OU_BURN_IN) -> OUPath:
-    """OU path on [-horizon, 0], anchored at 0, with stationary init at -horizon - burn_in.
+def pullback_path(cfg: SimConfig, horizon: float, seed: int) -> OUPath:
+    """OU path on [-horizon, 0], anchored at 0, with stationary init at -horizon - OU_BURN_IN.
 
     The same (seed, dt) yields bit-identical increments on [-t, 0] for every
     horizon >= t; burn-in only extends the scalar OU integration further into
     the past.
     """
-    w = pullback_wiener(horizon, cfg.dt, seed, burn_in=burn_in)
+    w = pullback_wiener(horizon, cfg.dt, seed, burn_in=OU_BURN_IN)
     ou = ou_from_wiener(w, init="stationary")
-    b = round(burn_in / cfg.dt)
+    b = round(OU_BURN_IN / cfg.dt)
     if b == 0:
         return ou
     sliced = WienerPath(
@@ -291,7 +291,6 @@ def measure_absorbing(
     horizons: list[float],
     seed: int,
     sample: AttractorSample | None = None,
-    direction_seed: int = 99,
     threads: int = 1,
 ) -> AbsorbingReport:
     """Pullback the family {radius * e : radius in initial_radii} over each horizon.
@@ -302,7 +301,7 @@ def measure_absorbing(
     """
     if not initial_radii or not horizons:
         raise ValueError("radii and horizons must be nonempty")
-    e = random_divfree_field(cfg.grid, direction_seed, norm=1.0, stream=29)
+    e = random_divfree_field(cfg.grid, 99, norm=1.0, stream=29)  # one fixed unit direction
 
     def cell(radius: float, horizon: float):
         v0 = SpectralField(cfg.grid, radius * e.coeffs)

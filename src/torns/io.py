@@ -33,7 +33,6 @@ __all__ = [
     "ConfigError",
     "CheckpointHeader",
     "load_config",
-    "load_config_file",
     "normalize_config",
     "config_defaults",
     "write_checkpoint",
@@ -222,10 +221,6 @@ def load_config(raw: dict | str) -> SimConfig:
         raise ConfigError("<config>", str(exc)) from exc
 
 
-def load_config_file(path: str | Path) -> SimConfig:
-    return load_config(Path(path).read_text())
-
-
 class CheckpointHeader:
     """Decoded checkpoint header (see module docstring for the layout)."""
 
@@ -354,14 +349,14 @@ for name in CSVS:
 ax.set_xlabel("t")
 ax.legend(fontsize=6)
 fig.tight_layout()
-fig.savefig(HERE / "{out_png}")
-print("wrote", HERE / "{out_png}")
+fig.savefig(HERE / "plot.png")
+print("wrote", HERE / "plot.png")
 '''
 
 
-def emit_plot_script(csv_names: list[str], path: str | Path, out_png: str = "plot.png") -> None:
-    """Write a stand-alone matplotlib script referencing only the given CSVs."""
-    Path(path).write_text(_PLOT_TEMPLATE.format(csvs=list(csv_names), out_png=out_png))
+def emit_plot_script(csv_names: list[str], path: str | Path) -> None:
+    """Write a stand-alone matplotlib script that reads the given CSVs and saves plot.png."""
+    Path(path).write_text(_PLOT_TEMPLATE.format(csvs=list(csv_names)))
 
 
 def _sha256(path: Path) -> str:

@@ -28,7 +28,6 @@ __all__ = [
     "sample_wiener",
     "pullback_wiener",
     "refine_wiener",
-    "coarsen_wiener",
     "ou_from_wiener",
     "ou_stationary_moment",
     "empirical_moment",
@@ -157,18 +156,6 @@ def refine_wiener(path: WienerPath) -> WienerPath:
     return WienerPath(
         t0=path.t0, t1=path.t1, dt=0.5 * path.dt, increments=fine,
         seed=path.seed, level=path.level + 1, stream=path.stream, quantum=q,
-    )
-
-
-def coarsen_wiener(path: WienerPath, factor: int = 2) -> WienerPath:
-    """Block-sum increments into steps of factor * dt (exact path restriction)."""
-    if path.n % factor != 0:
-        raise ValueError(f"cannot coarsen {path.n} increments by factor {factor}")
-    inc = path.increments.reshape(-1, factor).sum(axis=1)
-    return WienerPath(
-        t0=path.t0, t1=path.t1, dt=path.dt * factor, increments=inc,
-        seed=path.seed, level=max(path.level - 1, 0), stream=path.stream,
-        quantum=path.quantum,
     )
 
 

@@ -1,6 +1,18 @@
+import hashlib
 import json
 
+import pytest
+
 from torns.cli import main
+from torns.dynamics import conjugate
+from torns.io import load_config, read_checkpoint
+from torns.spectral import sobolev_norm
+
+# criterion 10's config: small enough that every subcommand runs in seconds
+SMALL = {"nu": 1.0, "N": 16, "dt": 1e-2, "seed": 3, "t_end": 0.5,
+         "forcing": {"preset": "random", "norm": 0.3, "seed": 2},
+         "noise": {"preset": "random", "norm": 0.3, "seed": 4},
+         "initial": {"preset": "random", "norm": 1.0, "seed": 5}}
 
 
 def write_config(tmp_path, raw, name="config.json"):
@@ -19,6 +31,47 @@ class TestArgumentHandling:
 
     def test_missing_command_rejected(self):
         assert main([]) == 1
+
+    def test_missing_config_file_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(tmp_path / "nofile.json"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestArtifactContract:
+    @pytest.mark.parametrize("command", ["simulate", "taylor-green", "pullback", "smoothing",
+                                         "absorbing", "ergodic", "convergence"])
+    def test_manifest_lists_every_artifact(self, tmp_path, command):
+        out = tmp_path / "out"
+        args = [command, "--out", str(out), "--quiet"]
+        if command == "taylor-green":
+            args += ["--preset", "taylor-green"]
+        else:
+            args += ["--config", write_config(tmp_path, SMALL)]
+        assert main(args) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        written = {p.name for p in out.iterdir()} - {"manifest.json"}
+        assert written and set(manifest["files"]) == written
+        for name, entry in manifest["files"].items():
+            assert entry["sha256"] == hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+    def test_absorbing_blowup_keeps_report(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"nu": 1.0, "N": 16, "dt": 0.2,
+                                      "forcing": {"preset": "random", "norm": 50, "seed": 1}})
+        out = tmp_path / "ab"
+        assert main(["absorbing", "--config", cfg, "--out", str(out)]) == 2
+        assert "aborted cells: 2" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["absorbing.csv", "manifest.json"]
+
+    def test_taylor_green_wrong_box_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"nu": 0.1, "N": 16, "dt": 1e-3, "L": 3.0})
+        out = tmp_path / "tg"
+        assert main(["taylor-green", "--config", cfg, "--out", str(out)]) == 1
+        assert "requires L = 2*pi" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestValidate:
@@ -64,6 +117,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "non-finite" in err
         assert (out / "abort_state.trns").exists()  # last valid state checkpointed
+
+    def test_summary_reports_v_and_u(self, tmp_path, capsys):
+        # the series holds ||v||; the physical u = v + h z(T) is printed next to it
+        cfg_path = write_config(tmp_path, SMALL)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+        line = capsys.readouterr().out.strip()
+        state = read_checkpoint(out / "final_state.trns")
+        h = load_config(json.dumps(SMALL)).h
+        v_norm = sobolev_norm(state.u, 0.0)
+        u_norm = sobolev_norm(conjugate(state.u, state.z, h), 0.0)
+        assert abs(u_norm - v_norm) > 1e-3 * v_norm  # the two differ on this config
+        assert line.endswith(f"final |v| = {v_norm:.6g}, |u| = |v + h z(T)| = {u_norm:.6g}")
 
     def test_seed_override_recorded(self, tmp_path):
         cfg = write_config(tmp_path, {"preset": "decay-noise", "t_end": 0.02})

@@ -71,6 +71,11 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             basic_cfg(grid16, scheme="rk4")
 
+    def test_scheme_is_etd1_or_etd2(self, grid16):
+        # the system comes from the path type; "em" named no scheme of its own
+        with pytest.raises(ValueError, match="scheme must be one of"):
+            basic_cfg(grid16, scheme="em")
+
     def test_rejects_h_outside_mask(self, grid16):
         c = np.zeros((2, 16, 16), dtype=complex)
         c[1, 7, 0] = 1.0  # |j| = 7 > 16/3
@@ -237,7 +242,7 @@ class TestRandomStep:
 class TestEMStep:
     def test_h_zero_reduces_to_deterministic(self, grid16):
         f = random_divfree_field(grid16, seed=2, norm=0.5)
-        cfg = basic_cfg(grid16, f=f, scheme="em")
+        cfg = basic_cfg(grid16, f=f, scheme="etd1")
         u0 = random_divfree_field(grid16, seed=4, norm=1.0)
         w = sample_wiener(0.0, 0.1, cfg.dt, seed=5)
         a = integrate(u0, cfg, path=w)
@@ -246,7 +251,7 @@ class TestEMStep:
 
     def test_one_step_from_zero_is_noise_increment(self, grid16):
         h = random_divfree_field(grid16, seed=3, norm=0.4)
-        cfg = basic_cfg(grid16, h=h, dt=1e-4, scheme="em")
+        cfg = basic_cfg(grid16, h=h, dt=1e-4, scheme="etd1")
         w = WienerPath(t0=0.0, t1=cfg.dt, dt=cfg.dt, increments=np.array([0.37]), seed=0)
         _, st = trajectory(SpectralField.zero(grid16), cfg, path=w)
         assert np.abs(st.u.coeffs - 0.37 * h.coeffs).max() < 1e-12
@@ -255,7 +260,7 @@ class TestEMStep:
         # linearized single mode: stationary E||u||^2 = ||h||^2 / (2 nu k^2)
         h = sine_shear(grid16, c=0.5)
         nu = 2.0
-        cfg = basic_cfg(grid16, nu=nu, h=h, dt=1e-2, scheme="em", linear_only=True)
+        cfg = basic_cfg(grid16, nu=nu, h=h, dt=1e-2, scheme="etd1", linear_only=True)
         levels = []
         for seed in range(8):
             w = sample_wiener(0.0, 30.0, cfg.dt, seed=seed)

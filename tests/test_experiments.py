@@ -316,7 +316,7 @@ class TestErgodicCheck:
 
 class TestConjugationConvergence:
     def test_h_zero_errors_vanish(self, grid16):
-        cfg = cfg_for(grid16, dt=2.0**-7, scheme="em",
+        cfg = cfg_for(grid16, dt=2.0**-7, scheme="etd1",
                       f=random_divfree_field(grid16, seed=4, norm=0.3))
         rep = conjugation_convergence(cfg, base_dt=2.0**-7, levels=3, T=0.25, seed=3, paths=2)
         assert all(e <= 1e-10 for e in rep.errors)

@@ -6,7 +6,6 @@ import pytest
 from torns.noise import (
     OUPath,
     WienerPath,
-    coarsen_wiener,
     empirical_moment,
     ou_from_wiener,
     ou_stationary_moment,
@@ -80,15 +79,6 @@ class TestRefineWiener:
         mids = r.increments[0::2]
         assert mids.var() == pytest.approx(0.01 / 4, rel=0.05)
         assert np.abs(r.increments.reshape(-1, 2).sum(axis=1)).max() == 0.0
-
-    def test_coarsen_inverts_refine(self):
-        w = sample_wiener(0.0, 1.0, 0.05, seed=10)
-        assert np.array_equal(coarsen_wiener(refine_wiener(w)).increments, w.increments)
-
-    def test_coarsen_rejects_ragged(self):
-        w = sample_wiener(0.0, 0.15, 0.05, seed=1)
-        with pytest.raises(ValueError):
-            coarsen_wiener(w, factor=2)
 
 
 class TestPullbackWiener:
