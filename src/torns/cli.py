@@ -26,7 +26,7 @@ import numpy as np
 from . import dynamics, experiments, io as tio
 from .dynamics import BlowupError, SimConfig, integrate
 from .noise import ou_from_wiener, sample_wiener
-from .spectral import field_violations, sobolev_norm
+from .spectral import _DFT_MAX_N, field_violations, sobolev_norm
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -91,8 +91,14 @@ def _taylor_green(cfg: SimConfig, args, out: Path) -> Outcome:
         f"(expected {-2 * cfg.nu:.8f})")
 
 
+# the fixed horizons of the pullback, smoothing and absorbing rows
+_PULLBACK_HORIZONS = (5.0, 10.0, 20.0)
+_SMOOTHING_HORIZONS = (0.5, 1.0, 2.0)
+_ABSORBING_HORIZONS = (2.0, 5.0)
+
+
 def _pullback(cfg: SimConfig, args, out: Path) -> Outcome:
-    horizons = [5.0, 10.0, 20.0]
+    horizons = list(_PULLBACK_HORIZONS)
     states = [experiments.pullback_solve(experiments.PullbackSpec(
         horizon=hor, seed=cfg.seed, initial_states=[cfg.u0], cfg=cfg))[0] for hor in horizons]
     rows = [{"horizon": hor, "norm_h": sobolev_norm(st.u, 0.0), "norm_h1": sobolev_norm(st.u, 1.0),
@@ -104,7 +110,7 @@ def _pullback(cfg: SimConfig, args, out: Path) -> Outcome:
 
 def _smoothing(cfg: SimConfig, args, out: Path) -> Outcome:
     rep = experiments.measure_smoothing(
-        cfg, cfg.u0, deltas=[1e-2, 1e-3, 1e-4], horizons=[0.5, 1.0, 2.0],
+        cfg, cfg.u0, deltas=[1e-2, 1e-3, 1e-4], horizons=list(_SMOOTHING_HORIZONS),
         seeds=[cfg.seed, cfg.seed + 1, cfg.seed + 2], threads=args.threads)
     cols = ["seed", "direction", "delta", "T", "dist0", "distT_h2_sq", "ratio", "error"]
     tio.write_rows_csv(rep.rows, cols, out / "smoothing.csv")
@@ -114,7 +120,7 @@ def _smoothing(cfg: SimConfig, args, out: Path) -> Outcome:
 
 def _absorbing(cfg: SimConfig, args, out: Path) -> Outcome:
     rep = experiments.measure_absorbing(
-        cfg, initial_radii=[1.0, 10.0], horizons=[2.0, 5.0],
+        cfg, initial_radii=[1.0, 10.0], horizons=list(_ABSORBING_HORIZONS),
         seed=cfg.seed, threads=args.threads)
     cols = ["radius", "horizon", "norm_h", "norm_h1", "norm_h2", "dist_h2", "error"]
     tio.write_rows_csv(rep.rows, cols, out / "absorbing.csv")
@@ -152,14 +158,15 @@ class Command(NamedTuple):
     run: Callable[[SimConfig, argparse.Namespace, Path], Outcome]
     writes: bool = True  # creates --out
     two_pi: bool = False  # refuses L != 2 pi before creating --out
+    horizons: tuple[float, ...] = ()  # refused before creating --out unless dt divides each
 
 
 COMMANDS = {
     "validate": Command("decay-noise", _validate, writes=False),
     "simulate": Command("decay-noise", _simulate),
-    "pullback": Command("decay-noise", _pullback),
-    "smoothing": Command("decay-noise", _smoothing),
-    "absorbing": Command("decay-noise", _absorbing),
+    "pullback": Command("decay-noise", _pullback, horizons=_PULLBACK_HORIZONS),
+    "smoothing": Command("decay-noise", _smoothing, horizons=_SMOOTHING_HORIZONS),
+    "absorbing": Command("decay-noise", _absorbing, horizons=_ABSORBING_HORIZONS),
     "ergodic": Command("decay-noise", _ergodic),
     "taylor-green": Command("taylor-green", _taylor_green, two_pi=True),
     "convergence": Command("decay-noise", _convergence),
@@ -176,8 +183,10 @@ def _build_parser() -> _Parser:
         sp.add_argument("--preset", type=str, default=None, help="named config preset")
         sp.add_argument("--out", type=Path, default="out", help="artifact directory")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument("--threads", type=int, default=1, help="experiment cell workers; on 2 "
-                        "cores, 2 were slower than 1 at N = 16 and 32, about even at N = 64")
+        sp.add_argument("--threads", type=int, default=1, help="at most this many experiment "
+                        "cell workers; grids that run the dense-DFT kernel "
+                        f"(N <= {_DFT_MAX_N}) use 1, because on 2 cores 2 were slower "
+                        "there (N = 16: 3.65 s against 3.28 s)")
         sp.add_argument("--quiet", action="store_true", help="suppress progress output")
     return p
 
@@ -203,6 +212,11 @@ def _run(args) -> int:
     if command.two_pi and abs(cfg.grid.L - 2.0 * math.pi) > 1e-12:
         print(f"{args.command} validation requires L = 2*pi", file=sys.stderr)
         return EXIT_VALIDATION
+    for T in command.horizons:
+        try:
+            experiments.horizon_steps(T, cfg.dt)
+        except ValueError as exc:
+            raise tio.ConfigError("dt", str(exc)) from None
     if command.writes:
         args.out.mkdir(parents=True, exist_ok=True)
     code, files, summary = command.run(cfg, args, args.out)

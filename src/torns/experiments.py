@@ -12,8 +12,10 @@ Everything here is a finite-horizon, finite-ensemble measurement:
   ||v1(T) - v2(T)||_{H^2}^2 / ||v1(0) - v2(0)||^2 over pairs driven by the
   same noise path.
 
-Experiment cells are independent and run on a thread pool; aggregation is
-order-independent, so reports are bit-reproducible for any worker count.
+Experiment cells are independent; aggregation is order-independent, so
+reports are bit-reproducible for any worker count.  `threads` is an upper
+bound on the workers: cells run on a thread pool only on grids that take the
+FFT kernel (see _workers).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .noise import (
     refine_wiener,
     sample_wiener,
 )
+from . import spectral
 from .spectral import SpectralField, random_divfree_field, sobolev_norm
 
 __all__ = [
@@ -54,11 +57,36 @@ __all__ = [
     "ergodic_check",
     "conjugation_convergence",
     "run_cells",
+    "horizon_steps",
 ]
 
 # OU relaxation time is 1; ten units of burn-in before the pullback window
 # stands in for the process's infinite past (initialisation bias < e^-10).
 OU_BURN_IN = 10.0
+
+
+def horizon_steps(horizon: float, dt: float) -> int:
+    """The number of steps of size dt in horizon; ValueError unless it is whole.
+
+    The experiments call it on every horizon before they step, with the
+    tolerance the noise paths apply to their windows.
+    """
+    n = round(horizon / dt)
+    if abs(horizon - n * dt) > 1e-9 * max(1.0, abs(horizon)):
+        raise ValueError(f"the horizon {horizon} is not a whole number of steps of dt = {dt}")
+    return n
+
+
+def _workers(cfg: SimConfig, threads: int) -> int:
+    """The cell workers for a grid: 1 where vorticity_advection runs the dense DFT.
+
+    On those grids every numpy call of a step is short, so the step is bound
+    by Python overhead under the interpreter lock and a second thread adds
+    only contention (measured on 2 cores: the cells-n16-t2 smoothing and
+    convergence pair took 3.28 s on 1 thread and 3.65 s on 2).  FFT grids
+    keep the pool (N = 128: smoothing 4.27 s on 1 thread, 2.87 s on 2).
+    """
+    return 1 if spectral._runs_dft(cfg.grid.N) else threads
 
 
 def run_cells(cells: dict, threads: int = 1) -> dict:
@@ -84,6 +112,7 @@ class PullbackSpec:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
         if not self.initial_states:
             raise ValueError("initial-state family is empty")
+        horizon_steps(self.horizon, self.cfg.dt)
 
 
 def pullback_path(cfg: SimConfig, horizon: float, seed: int) -> OUPath:
@@ -192,10 +221,10 @@ def _smoothing_pair_rows(cfg, v1, direction, label, deltas, horizons, seed):
     blows up, and for the horizons not yet reached when a perturbed one does.
     """
     t_max = max(horizons)
-    steps = round(t_max / cfg.dt)
+    steps = horizon_steps(t_max, cfg.dt)
     w = sample_wiener(0.0, t_max, cfg.dt, seed=seed)
     ou = ou_from_wiener(w, init="stationary")
-    checkpoints = {round(T / cfg.dt): T for T in horizons}
+    checkpoints = {horizon_steps(T, cfg.dt): T for T in horizons}
     starts = [(delta, v1 + delta * direction) for delta in deltas]
     dist0 = {delta: sobolev_norm(v2 - v1, 0.0) for delta, v2 in starts}
 
@@ -242,6 +271,8 @@ def measure_smoothing(
     puts the perturbation on the lowest wavenumber shell (worst smoothing decay).
     """
     horizons = sorted(horizons)
+    for T in horizons:
+        horizon_steps(T, cfg.dt)
     cells = {}
     for seed in seeds:
         for label in directions:
@@ -256,7 +287,7 @@ def measure_smoothing(
                 lambda v=v0, dd=d, lb=label, sd=seed: _smoothing_pair_rows(
                     cfg, v, dd, lb, deltas, horizons, sd)
             )
-    results = run_cells(cells, threads)
+    results = run_cells(cells, _workers(cfg, threads))
     rows = []
     for key in sorted(results.keys(), key=lambda k: (k[0], k[1])):
         rows.extend(results[key])
@@ -301,6 +332,8 @@ def measure_absorbing(
     """
     if not initial_radii or not horizons:
         raise ValueError("radii and horizons must be nonempty")
+    for h in horizons:
+        horizon_steps(h, cfg.dt)
     e = random_divfree_field(cfg.grid, 99, norm=1.0, stream=29)  # one fixed unit direction
 
     def cell(radius: float, horizon: float):
@@ -323,7 +356,7 @@ def measure_absorbing(
         return row
 
     cells = {(r, h): (lambda rr=r, hh=h: cell(rr, hh)) for r in initial_radii for h in horizons}
-    results = run_cells(cells, threads)
+    results = run_cells(cells, _workers(cfg, threads))
     rows = [results[k] for k in sorted(results.keys())]
     estimates = {}
     for h in horizons:
@@ -413,7 +446,7 @@ def conjugation_convergence(
         return errs
 
     cells = {m: (lambda mm=m: one_path(mm)) for m in range(paths)}
-    results = run_cells(cells, threads)
+    results = run_cells(cells, _workers(cfg, threads))
     errs = np.array([results[m] for m in sorted(results.keys())])
     mean = errs.mean(axis=0)
     ratios = [float(mean[i] / mean[i + 1]) if mean[i + 1] > 0 else float("inf")

@@ -157,7 +157,10 @@ def _build_field(grid: WaveGrid, spec: dict, path: str, nu: float | None = None)
     if preset == "taylor-green":
         if nu is None:
             raise ConfigError(path, "taylor-green preset is only valid for initial data")
-        return taylor_green(0.0, nu, grid)
+        try:
+            return taylor_green(0.0, nu, grid)
+        except ValueError as exc:  # the vortex exists only on the 2 pi torus
+            raise ConfigError(f"{path}.preset", str(exc)) from exc
     if preset == "manufactured":
         if nu is None:
             raise ConfigError(path, "manufactured preset is only valid for forcing")

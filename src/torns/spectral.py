@@ -20,14 +20,17 @@ The kernel transforms only the K = (N-1)//3 + 1 half-spectrum columns that
 meet the mask, into the buffers of an AdvectionWorkspace that its caller
 owns, so a step allocates no transform intermediates.  Two kernels compute
 the same pruned transforms and agree to roundoff; the grid size alone picks
-one.  Up to N = _DFT_MAX_N each 1-D stage is one matrix product with a dense
-DFT table of the HalfSpectrum, because at that size a numpy FFT call costs
-mostly its Python wrapper; above it they are numpy's 1-D FFTs.
+one.  Up to N = _DFT_MAX_N each 1-D stage is one real matrix product with a
+dense table of the HalfSpectrum, on the masked columns held transposed,
+because at that size a numpy call costs mostly its Python wrapper and a
+complex product costs more to dispatch than a real one; above it the stages
+are numpy's 1-D FFTs.  The DFT kernel's calls are too short to gain from a
+second thread, so the experiments run their cells serially on those grids.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -275,33 +278,64 @@ def nonlinear_term(u: SpectralField, v: SpectralField) -> SpectralField:
     return SpectralField(g, _project_coeffs(ah, g))
 
 
-# the largest grid on which the dense-DFT kernel beat the FFT kernel, timed
-# per N as the fastest of interleaved blocks; from N = 64 its O(N^3) products lose
-_DFT_MAX_N = 48
+# the largest timed grid up to which the dense-DFT kernel beat the FFT kernel
+# on every grid, per N as the fastest of interleaved blocks; at N = 96 its
+# O(N^3) products won some runs and lost others, at N = 128 they lose
+_DFT_MAX_N = 64
 
 
-def _dft_tables(N: int, K: int, keep_rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The four pruned transforms of vorticity_advection as dense matrices.
+def _runs_dft(N: int) -> bool:
+    """Whether vorticity_advection runs the dense-DFT kernel on an N x N grid."""
+    return N <= _DFT_MAX_N
 
-    inv_x (N, N) complex: inverse DFT along x, over all rows j1.
-    inv_y (2K, N) real: the irfft along y of K columns held as interleaved
-    (real, imaginary) pairs; columns j2 >= 1 count twice (their mirror
-    images), and the imaginary part of j2 = 0 drops out, as in irfft.
-    fwd_y (N, 2K) real: the rfft along y onto the K columns, with 1/N, giving
-    interleaved pairs.  fwd_x (N, N) complex: the forward DFT along x with
-    1/N, its rows outside the dealias mask (keep_rows False) zero.
+
+class _DftTables(NamedTuple):
+    """Real matrices of vorticity_advection's four pruned transform stages.
+
+    The kernel holds the masked columns transposed, (K, N) with j1 last; a
+    complex array enters a product as its real view, with (re, im) pairs
+    interleaved over the last axis, and a "[Re | Im]" row of 2N holds the N
+    real parts, then the N imaginary parts.
     """
+
+    scale: np.ndarray  # (4, K, 2N): ops = i scale, transposed, each entry twice
+    R: np.ndarray  # (2N, 2N): interleaved j1 pairs -> [Re | Im] over x, of (i inv_x)^T
+    Ty: np.ndarray  # (N, 2K): irfft along y, from (j2, Re/Im) rows; j2 >= 1 weighted 2
+    F: np.ndarray  # (2K, 2N): [fwd_y^T | fwd_y^T], rfft along y with 1/N of both products
+    Rf: np.ndarray  # (2N, 2N): [Re | Im] over x -> interleaved j1 pairs, of fwd_x^T with 1/N
+
+
+def _dft_tables(ops: np.ndarray, K: int, keep_rows: np.ndarray) -> _DftTables:
+    """The tables of the small-grid kernel; keep_rows is the dealias mask on j1.
+
+    A call of _advection_dft runs (4K, 2N) @ R, giving the four fields after
+    the inverse DFT along x, then Ty @ (4, 2K, N), giving them on the grid as
+    (4, y, x); F sums the forward DFTs along y of the two product terms, and
+    Rf takes the result back along x.  The i of the four ops sits in R, and
+    the columns of Rf for the rows j1 outside the mask are zero, so the
+    kernel needs no mask multiply.
+    """
+    N = ops.shape[1]
     n = np.arange(N)
     angle = (2.0 * np.pi / N) * (np.outer(n, n) % N)  # exact phases j n mod N
-    inv_x = np.exp(1j * angle)
-    fwd_x = inv_x.conj() * (keep_rows[:, None] / N)
-    cos, sin = np.cos(angle[:K]), np.sin(angle[:K])
-    inv_y = np.empty((2 * K, N))
-    inv_y[0::2], inv_y[1::2] = cos, -sin
-    inv_y[2:] *= 2.0
-    fwd_y = np.empty((N, 2 * K))
-    fwd_y[:, 0::2], fwd_y[:, 1::2] = cos.T / N, -sin.T / N
-    return inv_x, inv_y, fwd_y, fwd_x
+    cos, sin = np.cos(angle), np.sin(angle)
+    scale = np.repeat(ops[:, :, :K].imag.transpose(0, 2, 1), 2, axis=-1)
+    # i e^{i theta} (a + i b) = (-a sin - b cos) + i (a cos - b sin), theta = 2 pi j1 x / N
+    R = np.empty((N, 2, 2, N))  # (j1, Re/Im in) x (Re/Im out, x)
+    R[:, 0, 0], R[:, 1, 0], R[:, 0, 1], R[:, 1, 1] = -sin, -cos, cos, -sin
+    Ty = np.empty((N, K, 2))
+    Ty[:, :, 0], Ty[:, :, 1] = cos[:, :K], -sin[:, :K]
+    Ty[:, 1:] *= 2.0
+    fwd_y = np.empty((K, 2, N))  # the rfft of one product, (j2, Re/Im) x y
+    fwd_y[:, 0], fwd_y[:, 1] = cos[:K] / N, -sin[:K] / N
+    # (a + i b) e^{-i theta} / N = (a cos + b sin + i (b cos - a sin)) / N; rows outside the mask 0
+    k = keep_rows / N
+    Rf = np.empty((2, N, N, 2))  # (Re/Im in, x) x (j1, Re/Im out)
+    Rf[0, :, :, 0], Rf[1, :, :, 0], Rf[0, :, :, 1], Rf[1, :, :, 1] = (
+        cos * k, sin * k, -sin * k, cos * k)
+    return _DftTables(
+        scale=scale, R=R.reshape(2 * N, 2 * N), Ty=Ty.reshape(N, 2 * K),
+        F=np.concatenate([fwd_y.reshape(2 * K, N)] * 2, axis=1), Rf=Rf.reshape(2 * N, 2 * N))
 
 
 class HalfSpectrum:
@@ -314,10 +348,11 @@ class HalfSpectrum:
     curl and all four are zero on the Nyquist lines j1 = N/2 and j2 = N/2,
     which lie outside the dealias mask.  Only the first K = (N-1)//3 + 1
     columns (j2 < K) meet the mask.  For N <= _DFT_MAX_N, dft holds the
-    dense DFT tables of vorticity_advection's four transform stages (see
-    _dft_tables); above it dft is None and the kernel runs FFTs.  The tables
-    are read-only, so one instance may serve several threads; the buffers
-    that change per call live in an AdvectionWorkspace per trajectory.
+    real tables of vorticity_advection's four transform stages (a
+    _DftTables, built once here); above it dft is None and the kernel runs
+    FFTs.  The tables are read-only, so one instance may serve several
+    threads; the buffers that change per call live in an AdvectionWorkspace
+    per trajectory.
     """
 
     def __init__(self, grid: WaveGrid):
@@ -332,9 +367,11 @@ class HalfSpectrum:
         inv_k2 = grid.inv_k2[:, :M] * keep
         self.ops = np.stack([1j * ky * inv_k2, -1j * kx * inv_k2, 1j * kx * keep, 1j * ky * keep])
         self._curl = np.stack([-1j * ky * keep, 1j * kx * keep])
-        # the kernel's operand: a contiguous copy multiplies faster than the view
+        # the FFT kernel's operands: a contiguous copy multiplies faster than the
+        # view; numpy allocates for a multiply with a strided or a bool operand
         self._ops_k = np.ascontiguousarray(self.ops[:, :, : self.K])
-        self.dft = _dft_tables(N, self.K, self.dealias_mask[:, 0]) if N <= _DFT_MAX_N else None
+        self._mask = self.dealias_mask.astype(np.complex128)
+        self.dft = _dft_tables(self.ops, self.K, self.dealias_mask[:, 0]) if _runs_dft(N) else None
 
     def curl(self, u: SpectralField) -> np.ndarray:
         """Half-spectrum vorticity i k_x u_2 - i k_y u_1 of a velocity field."""
@@ -361,10 +398,13 @@ class AdvectionWorkspace:
 
     Every call overwrites them, including the array it returns, so threads
     that step concurrently need one workspace each.  The columns j2 >= K of
-    the spectral buffers lie outside the dealias mask and stay zero.  Both
-    kernels share prod, phys, adv and out; cols and rows serve the FFT
-    kernel, and cols_k and rows_k the DFT kernel when the half spectrum has
-    its tables.
+    out and cols lie outside the dealias mask and stay zero.  Both kernels
+    write the four grid fields to phys and the two product terms to adv, x
+    first for the FFT kernel and y first for the DFT kernel.  prod, cols and
+    rows serve the FFT kernel.  When the half spectrum has its tables, the
+    buffers ending in _t serve the DFT kernel: the masked columns transposed,
+    (K, N) with j1 last, and each stage's real result, also held in the shape
+    of the product that reads it, so a call makes no views.
     """
 
     def __init__(self, half: HalfSpectrum):
@@ -372,12 +412,23 @@ class AdvectionWorkspace:
         self.prod = np.empty((4, N, K), dtype=np.complex128)  # ops * w on the columns j2 < K
         self.cols = np.zeros((4, N, M), dtype=np.complex128)  # after the inverse FFT along x
         self.phys = np.empty((4, N, N))  # u_1, u_2, d_x w, d_y w on the grid
-        self.adv = np.empty((2, N, N))  # u . grad w, and one product term
+        self.adv = np.empty((2, N, N))  # the two terms of u . grad w
         self.rows = np.empty((N, M), dtype=np.complex128)  # after the forward FFT along y
         self.out = np.zeros((N, M), dtype=np.complex128)
-        if half.dft is not None:
-            self.cols_k = np.empty((4, N, K), dtype=np.complex128)  # after the inverse DFT along x
-            self.rows_k = np.empty((N, K), dtype=np.complex128)  # after the forward DFT along y
+        if half.dft is None:
+            return
+        self.scaled_t = np.empty((4 * K, 2 * N))  # scale * w_t, (re, im) interleaved over j1
+        self.scaled_t_stack = self.scaled_t.reshape(4, K, 2 * N)
+        self.w_t = self.scaled_t_stack.view(np.complex128)  # (4, K, N): w_t in each field's rows
+        self.cols_t = np.empty((4 * K, 2 * N))  # after the inverse DFT along x: [Re | Im] over x
+        self.cols_t_stack = self.cols_t.reshape(4, 2 * K, N)
+        self.products = (self.phys[0:2], self.phys[2:4])
+        self.adv_rows = self.adv.reshape(2 * N, N)
+        self.rows_t = np.empty((2 * K, N))  # after the forward DFT along y: [Re | Im] over x
+        self.rows_t_pairs = self.rows_t.reshape(K, 2 * N)
+        self.spec_t = np.empty((K, 2 * N))  # after the forward DFT along x: interleaved over j1
+        self.spec_cols = self.spec_t.view(np.complex128).T  # (N, K), as out[:, :K]
+        self.out_k = self.out[:, :K]
 
 
 def vorticity_advection(w: np.ndarray, half: HalfSpectrum,
@@ -387,14 +438,15 @@ def vorticity_advection(w: np.ndarray, half: HalfSpectrum,
     The inverse transform is irfft2 split into its two 1-D stages, the first
     run on the K columns that meet the mask; the forward one is rfft2 split
     the same way, and the product is masked by the 2/3 rule.  Grids with
-    N <= _DFT_MAX_N run each stage as one matrix product with the dense DFT
-    tables of the half spectrum (_advection_dft), larger ones as 1-D FFTs
-    (_advection_fft).  Both compute the same transforms and agree to
-    roundoff; the FFT kernel is bit for bit irfft2/rfft2 for w that is zero
-    in the columns j2 >= K.  Either equals the half spectrum of
-    curl nonlinear_term(u, u) up to roundoff.  The result is work.out, valid
-    until the next call with the same workspace; without a workspace a fresh
-    one is allocated.
+    N <= _DFT_MAX_N run the stages as four real matrix products with the
+    tables of the half spectrum, on the masked columns transposed to (K, N)
+    and read as interleaved (re, im) pairs (_advection_dft); larger grids
+    run 1-D FFTs (_advection_fft).  Both compute the same transforms and
+    agree to roundoff; the FFT kernel is bit for bit irfft2/rfft2 for w that
+    is zero in the columns j2 >= K.  Either equals the half spectrum of
+    curl nonlinear_term(u, u) up to roundoff, and a call with a workspace
+    allocates no array.  The result is work.out, valid until the next call
+    with the same workspace; without a workspace a fresh one is allocated.
     """
     if work is None:
         work = AdvectionWorkspace(half)
@@ -405,7 +457,9 @@ def vorticity_advection(w: np.ndarray, half: HalfSpectrum,
 def _advection_fft(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorkspace) -> np.ndarray:
     """vorticity_advection with numpy's 1-D FFTs, out= into the workspace."""
     N, K = half.grid.N, half.K
-    np.multiply(half._ops_k, w[:, :K], out=work.prod)
+    # a broadcasting multiply with out= allocates a transient, a broadcast copy does not
+    np.copyto(work.prod, w[:, :K])
+    np.multiply(half._ops_k, work.prod, out=work.prod)
     np.fft.ifft(work.prod, n=N, axis=-2, norm="forward", out=work.cols[:, :, :K])
     phys = np.fft.irfft(work.cols, n=N, axis=-1, norm="forward", out=work.phys)
     adv = np.multiply(phys[0], phys[2], out=work.adv[0])
@@ -413,23 +467,22 @@ def _advection_fft(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorkspace) 
     np.fft.rfft(adv, n=N, axis=-1, norm="forward", out=work.rows)
     out = work.out
     np.fft.fft(work.rows[:, :K], n=N, axis=-2, norm="forward", out=out[:, :K])
-    out[:, :K] *= half.dealias_mask[:, :K]
+    out *= half._mask  # the whole contiguous array: its columns j2 >= K stay +0
     return out
 
 
 def _advection_dft(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorkspace) -> np.ndarray:
-    """vorticity_advection as four matrix products with the tables of half.dft."""
-    inv_x, inv_y, fwd_y, fwd_x = half.dft
-    K = half.K
-    np.multiply(half._ops_k, w[:, :K], out=work.prod)
-    np.matmul(inv_x, work.prod, out=work.cols_k)
-    phys = np.matmul(work.cols_k.view(np.float64), inv_y, out=work.phys)
-    adv = np.multiply(phys[0], phys[2], out=work.adv[0])
-    adv += np.multiply(phys[1], phys[3], out=work.adv[1])
-    np.matmul(adv, fwd_y, out=work.rows_k.view(np.float64))
-    out = work.out
-    np.matmul(fwd_x, work.rows_k, out=out[:, :K])  # rows outside the mask are zero in fwd_x
-    return out
+    """vorticity_advection as four real matrix products with the tables of half.dft."""
+    t = half.dft
+    np.copyto(work.w_t, w[:, : half.K].T)  # broadcast to the 4 fields
+    np.multiply(work.scaled_t_stack, t.scale, out=work.scaled_t_stack)
+    np.matmul(work.scaled_t, t.R, out=work.cols_t)
+    np.matmul(t.Ty, work.cols_t_stack, out=work.phys)  # (4, y, x)
+    np.multiply(*work.products, out=work.adv)
+    np.matmul(t.F, work.adv_rows, out=work.rows_t)  # sums the two terms
+    np.matmul(work.rows_t_pairs, t.Rf, out=work.spec_t)  # zero for the rows j1 outside the mask
+    np.copyto(work.out_k, work.spec_cols)
+    return work.out
 
 
 def _jacobian_samples(h: SpectralField, oversample: int) -> np.ndarray:

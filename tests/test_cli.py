@@ -74,6 +74,16 @@ class TestArtifactContract:
         assert not out.exists()
 
 
+    def test_taylor_green_initial_data_wrong_box_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"preset": "taylor-green", "L": 3.0})
+        out = tmp_path / "tg"
+        assert main(["taylor-green", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: initial.preset: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestValidate:
     def test_h_zero_preset_alpha_one(self, capsys):
         assert main(["validate", "--preset", "taylor-green"]) == 0
@@ -202,6 +212,19 @@ class TestExperimentCommands:
         })
         assert main(["pullback", "--config", cfg, "--out", str(tmp_path / "pb")]) == 2
         assert "aborted: non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["smoothing", "pullback", "absorbing"])
+    def test_dt_not_dividing_a_horizon_is_config_error(self, tmp_path, capsys, command):
+        # dt = 0.3 divides none of the fixed horizons of these rows
+        cfg = write_config(tmp_path, {"nu": 1.0, "N": 16, "dt": 0.3,
+                                      "noise": {"preset": "random", "norm": 0.3, "seed": 4}})
+        out = tmp_path / "run"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dt: the horizon ")
+        assert "dt = 0.3" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_smoothing_threads_bit_identical(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -290,8 +290,8 @@ def velocity_etd2_reference(cfg, v0, zs):
 
 
 class TestVorticityCore:
-    # N = 64 is above spectral._DFT_MAX_N and runs the FFT kernel
-    @pytest.mark.parametrize("N", [16, 24, 64])
+    # N = 96 is above spectral._DFT_MAX_N and runs the FFT kernel
+    @pytest.mark.parametrize("N", [16, 24, 64, 96])
     def test_etd2_matches_velocity_form(self, N):
         g = make_grid(TWO_PI, N)
         cfg = basic_cfg(g, nu=0.05, dt=2e-3,

@@ -1,8 +1,10 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from torns import experiments, spectral
 from torns.dynamics import SimConfig, integrate, manufactured_forcing
 from torns.experiments import (
     AttractorSample,
@@ -59,6 +61,23 @@ class TestPullback:
     def test_empty_family_rejected(self, grid16):
         with pytest.raises(ValueError):
             PullbackSpec(horizon=1.0, seed=1, initial_states=[], cfg=cfg_for(grid16))
+
+    @pytest.mark.parametrize("experiment", ["pullback", "smoothing", "absorbing"])
+    def test_horizon_not_a_whole_number_of_steps_rejected(self, grid16, experiment, monkeypatch):
+        # rejected before any cell steps: stepping would fail this test
+        monkeypatch.setattr(experiments, "trajectory", None)
+        monkeypatch.setattr(experiments, "integrate", None)
+        cfg = cfg_for(grid16, dt=0.3)
+        v0 = random_divfree_field(grid16, seed=1)
+        run = {
+            "pullback": lambda: PullbackSpec(horizon=5.0, seed=1, initial_states=[v0], cfg=cfg),
+            "smoothing": lambda: measure_smoothing(cfg, v0, deltas=[1e-3], horizons=[0.6, 1.0],
+                                                   seeds=[1], directions=("random",)),
+            "absorbing": lambda: measure_absorbing(cfg, initial_radii=[1.0], horizons=[0.6, 2.0],
+                                                   seed=1),
+        }[experiment]
+        with pytest.raises(ValueError, match=r"is not a whole number of steps of dt = 0\.3"):
+            run()
 
     def test_linear_decay_oracle(self, grid16):
         # f = h = 0, single shear mode: ||v(0)|| = exp(-nu lambda1 t) ||v0||
@@ -348,3 +367,48 @@ class TestRunCells:
         for threads in (1, 4):
             out = run_cells(cells, threads=threads)
             assert out == {k: k * k for k in range(20)}
+
+
+class TestPoolPolicy:
+    """Cells start a thread pool only on grids that run the FFT kernel."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        started = []
+
+        class Recorder(ThreadPoolExecutor):
+            def __init__(self, max_workers=None):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", Recorder)
+        return started
+
+    @staticmethod
+    def run_all(grid, threads):
+        dt = 2.0**-5
+        cfg = cfg_for(grid, dt=dt, h=random_divfree_field(grid, seed=2, norm=0.3))
+        v0 = random_divfree_field(grid, seed=1, norm=0.5)
+        return [
+            measure_smoothing(cfg, v0, deltas=[1e-3], horizons=[2 * dt], seeds=[1, 2],
+                              directions=("random",), threads=threads).rows,
+            measure_absorbing(cfg, initial_radii=[1.0, 2.0], horizons=[2 * dt], seed=5,
+                              threads=threads).rows,
+            conjugation_convergence(cfg, base_dt=dt, levels=3, T=2 * dt, seed=9, paths=2,
+                                    threads=threads).errors,
+        ]
+
+    def test_dft_grid_starts_no_pool(self, pools):
+        assert spectral._runs_dft(16)
+        self.run_all(make_grid(TWO_PI, 16), threads=4)
+        assert pools == []
+
+    def test_fft_grid_keeps_the_pool_and_its_rows(self, pools):
+        N = spectral._DFT_MAX_N + 2  # the first grid on the FFT kernel
+        assert not spectral._runs_dft(N)
+        grid = make_grid(TWO_PI, N)
+        serial = self.run_all(grid, threads=1)
+        assert pools == []
+        pooled = self.run_all(grid, threads=2)
+        assert pools == [2, 2, 2]
+        assert repr(pooled) == repr(serial)  # bit for bit, NaN entries included

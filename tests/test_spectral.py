@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -320,8 +322,8 @@ class TestNonlinearTerm:
 
 class TestVorticityAdvection:
     # N = 24 is divisible by 3, where the strict mask drops the modes |j| = N/3;
-    # N = 64 is above spectral._DFT_MAX_N and runs the FFT kernel
-    @pytest.mark.parametrize("N", [16, 24, 32, 64])
+    # N = 96 is above spectral._DFT_MAX_N and runs the FFT kernel
+    @pytest.mark.parametrize("N", [16, 24, 32, 64, 96])
     def test_equals_curl_of_nonlinear_term(self, N):
         g = make_grid(TWO_PI, N)
         half = HalfSpectrum(g)
@@ -375,6 +377,24 @@ class TestVorticityAdvection:
         work = AdvectionWorkspace(half)
         assert vorticity_advection(w, half, work) is work.out
         assert np.array_equal(work.out, ref)
+
+    # N = 96 runs the FFT kernel; _advection_fft is also timed on DFT grids
+    @pytest.mark.parametrize("N", [16, 64, 96])
+    @pytest.mark.parametrize("kernel", ["vorticity_advection", "_advection_fft"])
+    def test_call_allocates_less_than_a_half_spectrum(self, N, kernel):
+        g = make_grid(TWO_PI, N)
+        half = HalfSpectrum(g)
+        work = AdvectionWorkspace(half)
+        w = half.curl(random_divfree_field(g, seed=3, norm=1.0))
+        call = getattr(spectral, kernel)
+        call(w, half, work)  # the first call may fill numpy's FFT plan cache
+        tracemalloc.start()
+        try:
+            call(w, half, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < w.nbytes
 
     def test_output_dealiased(self):
         g = make_grid(TWO_PI, 24)
