@@ -24,24 +24,27 @@ state and then one state per step; it is the only time loop, and integrate()
 records every stride-th state it yields.
 
 The stepper runs in half-spectrum vorticity (spectral.HalfSpectrum): it
-carries w = curl u, takes the curls of f, h - nu A h and h once, and gets
-curl B from spectral.vorticity_advection (4 inverse and 1 forward real 2-D
-transform per step, as FFTs or, on small grids, dense DFT products, pruned to
-the columns that meet the dealias mask, no Leray projection).  E, phi1 and
-phi2 are diagonal and commute with curl, so this is the velocity scheme up
-to roundoff.  Each stepper owns the buffers of its step (the kernel
-workspace, the etd2 right-hand sides and the update temporaries), so a
-step allocates only the new w; steppers of concurrent
-trajectories share nothing but read-only tables.  Velocity SpectralFields
+carries w = curl u as the contiguous (N, K) block of the K = (N-1)//3 + 1
+rfft2 columns that meet the dealias mask, takes the curls of f, h - nu A h
+and h once, and gets curl B from spectral.vorticity_advection (on FFT grids
+2 inverse and 2 forward real 2-D transforms per step in the Basdevant form,
+on small grids dense DFT products; no Leray projection).  The other columns
+of a field inside the mask are zero, and so stay zero on every step, so the
+state never holds them.  E, phi1 and phi2 are diagonal and commute with
+curl, so this is the velocity scheme up to roundoff.  Each stepper owns the
+buffers of its step (the kernel workspace, the etd2 right-hand sides and the
+update temporaries), so a step allocates only the new w; steppers of
+concurrent trajectories share nothing but read-only tables.  Velocity SpectralFields
 stay the interface: every step returns a State holding w, whose u is rebuilt
 from w without an FFT on the first read, so a loop pays for velocity only
 where it records or checkpoints.
 
 State space: w represents exactly the zero-mean, divergence-free velocity
-fields without Nyquist lines, and the two forms of B agree only inside the
+fields with no modes |j2| >= K, and the two forms of B agree only inside the
 dealias mask.  So SimConfig requires f and h inside the mask (only their
 divergence-free parts act), and trajectory rejects an initial field with a
-nonzero mean, a divergence or content outside the mask beyond 1e-13 relative.
+nonzero mean, a divergence or content outside the mask beyond 1e-13 relative;
+what such a field holds in the columns |j2| >= K is dropped.
 """
 
 from __future__ import annotations
@@ -175,10 +178,11 @@ class SimConfig:
 class State:
     """Trajectory state: time, velocity field and the current OU value.
 
-    A State emitted by a stepper holds the half-spectrum vorticity w instead;
-    u = HalfSpectrum.velocity(w) is built on the first read and cached, and
-    stepping on from the state reuses w.  Both arrays belong to the state
-    alone, so emitted states may be kept; modify neither in place.
+    A State emitted by a stepper holds the vorticity w on the (N, K) masked
+    half-spectrum columns instead; u = HalfSpectrum.velocity(w) is built on
+    the first read and cached, and stepping on from the state reuses w.  Both
+    arrays belong to the state alone, so emitted states may be kept; modify
+    neither in place.
     """
 
     __slots__ = ("t", "z", "_u", "_w", "_half")
@@ -244,14 +248,15 @@ class _EtdStepper:
     Holds the system the path selects: z = path.z for an OUPath (conjugated),
     dW = path.increments for a WienerPath (Ito, etd1 drift), neither for no
     path (deterministic).  Precomputes E = exp(-nu k^2 dt) and the dt
-    phi1/phi2 weights on the half spectrum, and the curls of f, h - nu A h and
-    h.  advance() takes one drift step of the conjugated system; the
-    deterministic and Ito drifts are the case z = 0.  etd2 keeps F_{n-1}
-    between calls, so a stepper instance drives one trajectory.  The stepper
-    owns every buffer its step writes: the kernel workspace, two
-    right-hand-side buffers that alternate as F_n and F_{n-1}, and the update
-    temporaries.  advance() returns the new w as a fresh array, the only one
-    it allocates, because emitted states are kept by callers.
+    phi1/phi2 weights as complex128 on the (N, K) masked columns, and the
+    curls of f, h - nu A h and h there.  advance() takes one drift step of
+    the conjugated system; the deterministic and Ito drifts are the case
+    z = 0.  etd2 keeps F_{n-1} between calls, so a stepper instance drives
+    one trajectory.  The stepper owns every buffer its step writes: the
+    kernel workspace, two right-hand-side buffers that alternate as F_n and
+    F_{n-1}, and the update temporaries.  advance() returns the new w as a
+    fresh array, the only one it allocates, because emitted states are kept
+    by callers.
     """
 
     def __init__(self, cfg: SimConfig, path: OUPath | WienerPath | None = None):
@@ -262,10 +267,10 @@ class _EtdStepper:
         dt = cfg.dt
         z = -cfg.nu * dt * half.k2
         phi1, phi2 = _phi1(z), _phi2(z)
-        self.E = np.exp(z)
-        self.dt_phi1 = dt * phi1
-        self.dt_phi12 = dt * (phi1 + phi2)
-        self.dt_phi2 = dt * phi2
+        # complex tables: a real x complex multiply casts, and costs about twice
+        # a complex x complex one
+        self.E, self.dt_phi1, self.dt_phi12, self.dt_phi2 = (
+            a.astype(np.complex128) for a in (np.exp(z), dt * phi1, dt * (phi1 + phi2), dt * phi2))
         # the Ito solver's drift is first order by construction
         self.scheme = "etd1" if self.dW is not None else cfg.scheme
         self.prev_rhs: np.ndarray | None = None

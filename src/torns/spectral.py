@@ -10,22 +10,19 @@ The first eigenvalue of the Stokes operator on this lattice is
 lambda_1 = 4*pi^2 / L^2.
 
 Velocity SpectralFields are the public representation.  The time stepper
-works instead on the scalar vorticity w = curl u = d_x u_2 - d_y u_1 stored on
-the rfft2 half spectrum (modes j2 = 0..N/2 of the last axis, see
-HalfSpectrum), where u = (d_y psi, -d_x psi) with psi = w / |k|^2 and
-curl B(u, u) = (u . grad) w (vorticity_advection).  That form represents
-exactly the zero-mean, divergence-free fields without Nyquist lines, and it
-agrees with nonlinear_term up to roundoff for fields inside the dealias mask.
-The kernel transforms only the K = (N-1)//3 + 1 half-spectrum columns that
-meet the mask, into the buffers of an AdvectionWorkspace that its caller
-owns, so a step allocates no transform intermediates.  Two kernels compute
-the same pruned transforms and agree to roundoff; the grid size alone picks
-one.  Up to N = _DFT_MAX_N each 1-D stage is one real matrix product with a
-dense table of the HalfSpectrum, on the masked columns held transposed,
-because at that size a numpy call costs mostly its Python wrapper and a
-complex product costs more to dispatch than a real one; above it the stages
-are numpy's 1-D FFTs.  The DFT kernel's calls are too short to gain from a
-second thread, so the experiments run their cells serially on those grids.
+works instead on the scalar vorticity w = curl u = d_x u_2 - d_y u_1, held
+only on the K = (N-1)//3 + 1 columns of the rfft2 half spectrum that meet
+the dealias mask, as one contiguous (N, K) array (HalfSpectrum; the other
+columns of a field inside the mask are zero).  There u = (d_y psi, -d_x psi)
+with psi = w / |k|^2, and curl B(u, u) = (u . grad) w (vorticity_advection)
+agrees with nonlinear_term up to roundoff.  The kernel writes into the
+buffers of an AdvectionWorkspace that its caller owns, so a step allocates
+no transform intermediates.  Two kernels agree to roundoff, and the grid
+size alone picks one: up to N = _DFT_MAX_N, where a numpy call costs mostly
+its Python wrapper, real matrix products with dense DFT tables; above it the
+Basdevant form, with two inverse and two forward real transforms as numpy's
+1-D FFTs.  The DFT kernel's calls are too short to gain from a second
+thread, so the experiments run their cells serially on those grids.
 """
 
 from __future__ import annotations
@@ -279,9 +276,9 @@ def nonlinear_term(u: SpectralField, v: SpectralField) -> SpectralField:
 
 
 # the largest timed grid up to which the dense-DFT kernel beat the FFT kernel
-# on every grid, per N as the fastest of interleaved blocks; at N = 96 its
-# O(N^3) products won some runs and lost others, at N = 128 they lose
-_DFT_MAX_N = 64
+# on every grid, per N as the fastest of interleaved blocks; at N = 64 its
+# O(N^3) products lost most blocks to the 4-transform FFT kernel, from 96 all
+_DFT_MAX_N = 48
 
 
 def _runs_dft(N: int) -> bool:
@@ -339,82 +336,87 @@ def _dft_tables(ops: np.ndarray, K: int, keep_rows: np.ndarray) -> _DftTables:
 
 
 class HalfSpectrum:
-    """Tables for the scalar vorticity w = curl u on the rfft2 half spectrum.
+    """Tables for the scalar vorticity w = curl u on the masked half-spectrum columns.
 
-    The half spectrum holds the modes j2 = 0..N/2 of the last axis, shape
-    (N, N/2 + 1); the other half of a real field follows by Hermitian
-    symmetry.  ops[c] * w gives, for c = 0..3, the half-spectrum coefficients
-    of u_1 = d_y psi, u_2 = -d_x psi, d_x w and d_y w (psi = w / |k|^2).  The
-    curl and all four are zero on the Nyquist lines j1 = N/2 and j2 = N/2,
-    which lie outside the dealias mask.  Only the first K = (N-1)//3 + 1
-    columns (j2 < K) meet the mask.  For N <= _DFT_MAX_N, dft holds the
-    real tables of vorticity_advection's four transform stages (a
-    _DftTables, built once here); above it dft is None and the kernel runs
-    FFTs.  The tables are read-only, so one instance may serve several
-    threads; the buffers that change per call live in an AdvectionWorkspace
-    per trajectory.
+    The rfft2 half spectrum holds the modes j2 = 0..N/2 of the last axis; the
+    other half of a real field follows by Hermitian symmetry.  Only its first
+    K = (N-1)//3 + 1 columns (j2 < K) meet the dealias mask, so w and every
+    table here is the contiguous (N, K) block of those columns; the columns
+    j2 >= K of a field inside the mask are zero.  ops[c] * w gives, for
+    c = 0..3, the coefficients of u_1 = d_y psi, u_2 = -d_x psi, d_x w and
+    d_y w (psi = w / |k|^2).  The curl and all four are zero on the Nyquist
+    line j1 = N/2, which lies outside the dealias mask.  basdevant holds the
+    complex weights -(k_x^2 - k_y^2) and -k_x k_y, times the mask, that take
+    the transforms of u_1 u_2 and u_2^2 - u_1^2 to (u . grad) w.  For
+    N <= _DFT_MAX_N, dft holds the real tables of vorticity_advection's four
+    transform stages (a _DftTables, built once here); above it dft is None
+    and the kernel runs FFTs.  The tables are read-only, so one instance may
+    serve several threads; the buffers that change per call live in an
+    AdvectionWorkspace per trajectory.
     """
 
     def __init__(self, grid: WaveGrid):
         N = grid.N
-        M = N // 2 + 1
+        K = self.K = (N - 1) // 3 + 1
         self.grid = grid
-        self.K = (N - 1) // 3 + 1
-        kx, ky = grid.kx, grid.ky[:, :M]
-        self.k2 = grid.k2[:, :M]
-        self.dealias_mask = grid.dealias_mask[:, :M]
-        keep = (2 * np.abs(grid.jx) < N) & (2 * np.abs(grid.jy[:, :M]) < N)
-        inv_k2 = grid.inv_k2[:, :M] * keep
+        kx, ky = grid.kx, grid.ky[:, :K]
+        self.k2 = grid.k2[:, :K]
+        self.dealias_mask = grid.dealias_mask[:, :K]
+        # off the Nyquist row j1 = N/2; no column j2 < K is the Nyquist column
+        keep = np.broadcast_to(2 * np.abs(grid.jx) < N, (N, K))
+        inv_k2 = grid.inv_k2[:, :K] * keep
         self.ops = np.stack([1j * ky * inv_k2, -1j * kx * inv_k2, 1j * kx * keep, 1j * ky * keep])
         self._curl = np.stack([-1j * ky * keep, 1j * kx * keep])
-        # the FFT kernel's operands: a contiguous copy multiplies faster than the
-        # view; numpy allocates for a multiply with a strided or a bool operand
-        self._ops_k = np.ascontiguousarray(self.ops[:, :, : self.K])
-        self._mask = self.dealias_mask.astype(np.complex128)
-        self.dft = _dft_tables(self.ops, self.K, self.dealias_mask[:, 0]) if _runs_dft(N) else None
+        self.basdevant = np.stack([-(kx * kx - ky * ky), -kx * ky]) * self.dealias_mask.astype(
+            np.complex128)
+        self.dft = _dft_tables(self.ops, K, self.dealias_mask[:, 0]) if _runs_dft(N) else None
 
     def curl(self, u: SpectralField) -> np.ndarray:
-        """Half-spectrum vorticity i k_x u_2 - i k_y u_1 of a velocity field."""
-        return (self._curl * u.coeffs[:, :, : self.k2.shape[1]]).sum(axis=0)
+        """Vorticity i k_x u_2 - i k_y u_1 of a velocity field on the K masked columns."""
+        return (self._curl * u.coeffs[:, :, : self.K]).sum(axis=0)
 
     def velocity(self, w: np.ndarray) -> SpectralField:
         """The full (2, N, N) velocity spectrum of w, mirrored without an FFT.
 
-        Columns j2 > N/2 are conj(u_hat(-j)); the Nyquist lines are zero.
-        The stepper calls this only when a State's u is read.
+        Columns j2 > N/2 are conj(u_hat(-j)); the columns K..N-K, and with
+        them the Nyquist lines, are zero.  The stepper calls this only when a
+        State's u is read.
         """
         g = self.grid
-        N, M = g.N, self.k2.shape[1]
-        out = np.empty((2, N, N), dtype=np.complex128)
-        half = np.multiply(self.ops[:2], w, out=out[:, :, :M])
+        N, K = g.N, self.K
+        out = np.zeros((2, N, N), dtype=np.complex128)
+        half = np.multiply(self.ops[:2], w, out=out[:, :, :K])
         # row -j1 of column -j2, as slices: row 0 maps to itself, rows 1..N-1 reverse
-        np.conjugate(half[:, 0, M - 2 : 0 : -1], out=out[:, 0, M:])
-        np.conjugate(half[:, :0:-1, M - 2 : 0 : -1], out=out[:, 1:, M:])
+        np.conjugate(half[:, 0, K - 1 : 0 : -1], out=out[:, 0, N - K + 1 :])
+        np.conjugate(half[:, :0:-1, K - 1 : 0 : -1], out=out[:, 1:, N - K + 1 :])
         return SpectralField(g, out)
 
 
 class AdvectionWorkspace:
     """The buffers vorticity_advection writes, for one trajectory at a time.
 
-    Every call overwrites them, including the array it returns, so threads
-    that step concurrently need one workspace each.  The columns j2 >= K of
-    out and cols lie outside the dealias mask and stay zero.  Both kernels
-    write the four grid fields to phys and the two product terms to adv, x
-    first for the FFT kernel and y first for the DFT kernel.  prod, cols and
-    rows serve the FFT kernel.  When the half spectrum has its tables, the
-    buffers ending in _t serve the DFT kernel: the masked columns transposed,
-    (K, N) with j1 last, and each stage's real result, also held in the shape
-    of the product that reads it, so a call makes no views.
+    Every call overwrites them, including the (N, K) array it returns, so
+    threads that step concurrently need one workspace each.  vel, cols, uv,
+    adv, rows and spec serve the FFT kernel; the columns j2 >= K of cols stay
+    zero.  When the half spectrum has its tables, phys holds the DFT
+    kernel's four grid fields (its first two are uv) and the buffers ending
+    in _t serve that kernel: the masked columns transposed, (K, N) with j1
+    last, and each stage's real result, also held in the shape of the
+    product that reads it, so a call makes no views.
     """
 
     def __init__(self, half: HalfSpectrum):
-        N, M, K = half.grid.N, half.k2.shape[1], half.K
-        self.prod = np.empty((4, N, K), dtype=np.complex128)  # ops * w on the columns j2 < K
-        self.cols = np.zeros((4, N, M), dtype=np.complex128)  # after the inverse FFT along x
-        self.phys = np.empty((4, N, N))  # u_1, u_2, d_x w, d_y w on the grid
-        self.adv = np.empty((2, N, N))  # the two terms of u . grad w
-        self.rows = np.empty((N, M), dtype=np.complex128)  # after the forward FFT along y
-        self.out = np.zeros((N, M), dtype=np.complex128)
+        N, K = half.grid.N, half.K
+        M = N // 2 + 1
+        self.vel = np.empty((2, N, K), dtype=np.complex128)  # ops[:2] * w: u_1, u_2
+        self.cols = np.zeros((2, N, M), dtype=np.complex128)  # after the inverse FFT along x
+        self.phys = np.empty((2 if half.dft is None else 4, N, N))
+        self.uv = self.phys[:2]  # u_1, u_2 on the grid, x first; squared in place
+        # u_1 u_2 and u_2^2 - u_1^2 (FFT kernel), the two terms of u . grad w (DFT kernel)
+        self.adv = np.empty((2, N, N))
+        self.rows = np.empty((2, N, M), dtype=np.complex128)  # after the forward FFT along y
+        self.spec = np.empty((2, N, K), dtype=np.complex128)  # after the forward FFT along x
+        self.out = np.empty((N, K), dtype=np.complex128)
         if half.dft is None:
             return
         self.scaled_t = np.empty((4 * K, 2 * N))  # scale * w_t, (re, im) interleaved over j1
@@ -427,26 +429,28 @@ class AdvectionWorkspace:
         self.rows_t = np.empty((2 * K, N))  # after the forward DFT along y: [Re | Im] over x
         self.rows_t_pairs = self.rows_t.reshape(K, 2 * N)
         self.spec_t = np.empty((K, 2 * N))  # after the forward DFT along x: interleaved over j1
-        self.spec_cols = self.spec_t.view(np.complex128).T  # (N, K), as out[:, :K]
-        self.out_k = self.out[:, :K]
+        self.spec_cols = self.spec_t.view(np.complex128).T  # (N, K), as out
 
 
 def vorticity_advection(w: np.ndarray, half: HalfSpectrum,
                         work: AdvectionWorkspace | None = None) -> np.ndarray:
-    """Dealiased curl B(u, u) = (u . grad) w on the half spectrum, for w = curl u.
+    """Dealiased curl B(u, u) = (u . grad) w on the K masked columns, for w = curl u.
 
-    The inverse transform is irfft2 split into its two 1-D stages, the first
-    run on the K columns that meet the mask; the forward one is rfft2 split
-    the same way, and the product is masked by the 2/3 rule.  Grids with
-    N <= _DFT_MAX_N run the stages as four real matrix products with the
+    w and the result are (N, K) blocks of the half spectrum (HalfSpectrum).
+    Grids with N <= _DFT_MAX_N run irfft2 of the four fields u_1, u_2, d_x w
+    and d_y w and rfft2 of u . grad w as four real matrix products with the
     tables of the half spectrum, on the masked columns transposed to (K, N)
-    and read as interleaved (re, im) pairs (_advection_dft); larger grids
-    run 1-D FFTs (_advection_fft).  Both compute the same transforms and
-    agree to roundoff; the FFT kernel is bit for bit irfft2/rfft2 for w that
-    is zero in the columns j2 >= K.  Either equals the half spectrum of
-    curl nonlinear_term(u, u) up to roundoff, and a call with a workspace
-    allocates no array.  The result is work.out, valid until the next call
-    with the same workspace; without a workspace a fresh one is allocated.
+    and read as interleaved (re, im) pairs, and mask the result through the
+    last table (_advection_dft).  Larger grids run the Basdevant form
+    (u . grad) w = (d_x^2 - d_y^2)(u_1 u_2) + d_x d_y (u_2^2 - u_1^2) of
+    divergence-free flow (_advection_fft): two inverse and two forward real
+    transforms, each split into 1-D FFTs of which the ones along x run on
+    the K columns only; the mask sits in the weights of the last multiply.
+    Under the 2/3 rule both are exact on the retained modes, so they agree
+    with each other and with the half spectrum of curl nonlinear_term(u, u)
+    up to roundoff.  A call with a workspace allocates no array.  The result
+    is work.out, valid until the next call with the same workspace; without
+    a workspace a fresh one is allocated.
     """
     if work is None:
         work = AdvectionWorkspace(half)
@@ -455,33 +459,34 @@ def vorticity_advection(w: np.ndarray, half: HalfSpectrum,
 
 
 def _advection_fft(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorkspace) -> np.ndarray:
-    """vorticity_advection with numpy's 1-D FFTs, out= into the workspace."""
+    """vorticity_advection in the Basdevant form, numpy's 1-D FFTs out= into the workspace."""
     N, K = half.grid.N, half.K
     # a broadcasting multiply with out= allocates a transient, a broadcast copy does not
-    np.copyto(work.prod, w[:, :K])
-    np.multiply(half._ops_k, work.prod, out=work.prod)
-    np.fft.ifft(work.prod, n=N, axis=-2, norm="forward", out=work.cols[:, :, :K])
-    phys = np.fft.irfft(work.cols, n=N, axis=-1, norm="forward", out=work.phys)
-    adv = np.multiply(phys[0], phys[2], out=work.adv[0])
-    adv += np.multiply(phys[1], phys[3], out=work.adv[1])
+    np.copyto(work.vel, w)
+    np.multiply(half.ops[:2], work.vel, out=work.vel)
+    np.fft.ifft(work.vel, n=N, axis=-2, norm="forward", out=work.cols[:, :, :K])
+    u = np.fft.irfft(work.cols, n=N, axis=-1, norm="forward", out=work.uv)
+    adv = work.adv
+    np.multiply(u[0], u[1], out=adv[0])  # before u is squared in place
+    np.multiply(u, u, out=u)
+    np.subtract(u[1], u[0], out=adv[1])
     np.fft.rfft(adv, n=N, axis=-1, norm="forward", out=work.rows)
-    out = work.out
-    np.fft.fft(work.rows[:, :K], n=N, axis=-2, norm="forward", out=out[:, :K])
-    out *= half._mask  # the whole contiguous array: its columns j2 >= K stay +0
-    return out
+    spec = np.fft.fft(work.rows[:, :, :K], n=N, axis=-2, norm="forward", out=work.spec)
+    np.multiply(half.basdevant, spec, out=spec)
+    return np.add(spec[0], spec[1], out=work.out)
 
 
 def _advection_dft(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorkspace) -> np.ndarray:
     """vorticity_advection as four real matrix products with the tables of half.dft."""
     t = half.dft
-    np.copyto(work.w_t, w[:, : half.K].T)  # broadcast to the 4 fields
+    np.copyto(work.w_t, w.T)  # broadcast to the 4 fields
     np.multiply(work.scaled_t_stack, t.scale, out=work.scaled_t_stack)
     np.matmul(work.scaled_t, t.R, out=work.cols_t)
     np.matmul(t.Ty, work.cols_t_stack, out=work.phys)  # (4, y, x)
     np.multiply(*work.products, out=work.adv)
     np.matmul(t.F, work.adv_rows, out=work.rows_t)  # sums the two terms
     np.matmul(work.rows_t_pairs, t.Rf, out=work.spec_t)  # zero for the rows j1 outside the mask
-    np.copyto(work.out_k, work.spec_cols)
+    np.copyto(work.out, work.spec_cols)
     return work.out
 
 

@@ -141,6 +141,18 @@ class TestSimulate:
         assert abs(u_norm - v_norm) > 1e-3 * v_norm  # the two differ on this config
         assert line.endswith(f"final |v| = {v_norm:.6g}, |u| = |v + h z(T)| = {u_norm:.6g}")
 
+    def test_summary_reads_the_final_state_between_records(self, tmp_path, capsys):
+        # stride 10 does not divide the 5 steps: the last series row is t = 0
+        cfg = write_config(tmp_path, {"nu": 1.0, "N": 16, "dt": 0.1, "t_end": 0.5,
+                                      "initial": {"preset": "random", "norm": 1.0, "seed": 5}})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        line = capsys.readouterr().out.strip()
+        state = read_checkpoint(out / "final_state.trns")
+        assert state.t == pytest.approx(0.5)
+        assert f"final |v| = {sobolev_norm(state.u, 0.0):.6g}," in line
+        assert "final |v| = 1," not in line
+
     def test_seed_override_recorded(self, tmp_path):
         cfg = write_config(tmp_path, {"preset": "decay-noise", "t_end": 0.02})
         out = tmp_path / "seeded"
@@ -213,9 +225,10 @@ class TestExperimentCommands:
         assert main(["pullback", "--config", cfg, "--out", str(tmp_path / "pb")]) == 2
         assert "aborted: non-finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["smoothing", "pullback", "absorbing"])
+    @pytest.mark.parametrize("command", ["smoothing", "pullback", "absorbing", "simulate", "taylor-green"])
     def test_dt_not_dividing_a_horizon_is_config_error(self, tmp_path, capsys, command):
-        # dt = 0.3 divides none of the fixed horizons of these rows
+        # dt = 0.3 divides none of the fixed horizons of these rows, nor the
+        # default t_end = 1 that simulate and taylor-green step to
         cfg = write_config(tmp_path, {"nu": 1.0, "N": 16, "dt": 0.3,
                                       "noise": {"preset": "random", "norm": 0.3, "seed": 4}})
         out = tmp_path / "run"

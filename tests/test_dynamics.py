@@ -290,7 +290,7 @@ def velocity_etd2_reference(cfg, v0, zs):
 
 
 class TestVorticityCore:
-    # N = 96 is above spectral._DFT_MAX_N and runs the FFT kernel
+    # N = 64 and 96 are above spectral._DFT_MAX_N and run the FFT kernel
     @pytest.mark.parametrize("N", [16, 24, 64, 96])
     def test_etd2_matches_velocity_form(self, N):
         g = make_grid(TWO_PI, N)
@@ -313,6 +313,21 @@ class TestVorticityCore:
         res = integrate(random_divfree_field(g, seed=4, norm=1.0), cfg, path=ou)
         assert field_violations(res.state.u, rtol=1e-13) == []
         assert np.abs(res.state.u.coeffs[:, ~g.dealias_mask]).max() < 1e-13 * np.abs(res.state.u.coeffs).max()
+
+    # N = 16 runs the dense-DFT kernel, N = 66 the FFT kernel
+    @pytest.mark.parametrize("N", [16, 66])
+    def test_emitted_state_holds_the_masked_columns(self, N):
+        g = make_grid(TWO_PI, N)
+        cfg = basic_cfg(g, nu=0.05, dt=2e-3,
+                        f=random_divfree_field(g, seed=2, norm=0.5),
+                        h=random_divfree_field(g, seed=3, norm=0.05))
+        ou = ou_from_wiener(sample_wiener(0.0, 5 * cfg.dt, cfg.dt, seed=6), init="stationary")
+        *_, last = trajectory(random_divfree_field(g, seed=4, norm=1.0), cfg, ou)
+        K = (N - 1) // 3 + 1
+        assert last._w.shape == (N, K) and last._w.flags.c_contiguous
+        c = last.u.coeffs
+        assert np.abs(c).max() > 0.0
+        assert np.abs(c[:, ~g.dealias_mask]).max() == 0.0
 
     def test_vorticity_cache_only_for_returned_field(self, grid16):
         cfg = basic_cfg(grid16, nu=0.05, f=random_divfree_field(grid16, seed=2, norm=0.5),

@@ -322,7 +322,7 @@ class TestNonlinearTerm:
 
 class TestVorticityAdvection:
     # N = 24 is divisible by 3, where the strict mask drops the modes |j| = N/3;
-    # N = 96 is above spectral._DFT_MAX_N and runs the FFT kernel
+    # N = 64 and 96 are above spectral._DFT_MAX_N and run the FFT kernel
     @pytest.mark.parametrize("N", [16, 24, 32, 64, 96])
     def test_equals_curl_of_nonlinear_term(self, N):
         g = make_grid(TWO_PI, N)
@@ -331,24 +331,33 @@ class TestVorticityAdvection:
             u = random_divfree_field(g, seed=seed, norm=1.0 + seed)
             fast = vorticity_advection(half.curl(u), half)
             ref = half.curl(nonlinear_term(u, u))
-            assert fast.shape == (N, N // 2 + 1)
+            assert fast.shape == (N, half.K) == (N, (N - 1) // 3 + 1)
             assert np.abs(fast - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("N", [16, 24, 32])
     def test_pruned_transforms_equal_irfft2_rfft2(self, N):
-        # the reference is the unpruned kernel: one batched irfft2, one rfft2
+        # the reference is unpruned: one irfft2 of u_1 and u_2 on the whole half
+        # spectrum, one rfft2 of u_1 u_2 and u_2^2 - u_1^2, cut to the K columns
         g = make_grid(TWO_PI, N)
         half = HalfSpectrum(g)
+        K = half.K
         work = AdvectionWorkspace(half)
         for seed in range(3):
             w = half.curl(random_divfree_field(g, seed=seed, norm=1.0 + seed))
-            phys = np.fft.irfft2(half.ops * w, s=(N, N), axes=(-2, -1), norm="forward")
-            ref = np.fft.rfft2(phys[0] * phys[2] + phys[1] * phys[3], norm="forward")
-            ref *= half.dealias_mask
+            vel = np.zeros((2, N, N // 2 + 1), dtype=np.complex128)
+            vel[:, :, :K] = half.ops[:2] * w
+            u1, u2 = np.fft.irfft2(vel, s=(N, N), axes=(-2, -1), norm="forward")
+            P, Q = u1 * u2, u2 * u2 - u1 * u1
+            spec = np.fft.rfft2(np.stack([P, Q]), axes=(-2, -1), norm="forward")[:, :, :K]
             out = spectral._advection_fft(w, half, work)
             assert out is work.out
-            assert np.array_equal(out, ref)
-            assert np.array_equal(spectral._advection_fft(w, half, AdvectionWorkspace(half)), ref)
+            # the inverse planes: their product, then their squares in place
+            assert np.array_equal(work.adv, np.stack([P, Q]))
+            assert np.array_equal(work.uv, np.stack([u1 * u1, u2 * u2]))
+            # the forward stage, read after the kernel weighted it in place
+            assert np.array_equal(work.spec, half.basdevant * spec)
+            assert np.array_equal(out, work.spec[0] + work.spec[1])
+            assert np.array_equal(spectral._advection_fft(w, half, AdvectionWorkspace(half)), out)
 
     @pytest.mark.parametrize("N", [16, 24, 32, 48, 64])
     def test_dft_kernel_equals_fft_kernel(self, N, monkeypatch):
@@ -378,7 +387,7 @@ class TestVorticityAdvection:
         assert vorticity_advection(w, half, work) is work.out
         assert np.array_equal(work.out, ref)
 
-    # N = 96 runs the FFT kernel; _advection_fft is also timed on DFT grids
+    # N = 64 and 96 run the FFT kernel; _advection_fft is also timed on a DFT grid
     @pytest.mark.parametrize("N", [16, 64, 96])
     @pytest.mark.parametrize("kernel", ["vorticity_advection", "_advection_fft"])
     def test_call_allocates_less_than_a_half_spectrum(self, N, kernel):
@@ -394,7 +403,7 @@ class TestVorticityAdvection:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < w.nbytes
+        assert peak < 16 * N * (N // 2 + 1)  # one complex half spectrum
 
     def test_output_dealiased(self):
         g = make_grid(TWO_PI, 24)
@@ -415,7 +424,7 @@ class TestVorticityAdvection:
         g = make_grid(TWO_PI, 16)
         half = HalfSpectrum(g)
         rng = np.random.default_rng(1)
-        w = rng.standard_normal((16, 9)) + 1j * rng.standard_normal((16, 9))
+        w = rng.standard_normal((16, half.K)) + 1j * rng.standard_normal((16, half.K))
         c = half.velocity(w).coeffs
         assert np.abs(c[:, 8, :]).max() == 0.0
         assert np.abs(c[:, :, 8]).max() == 0.0
