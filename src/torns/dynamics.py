@@ -67,6 +67,7 @@ __all__ = [
     "BlowupError",
     "check_assumption",
     "conjugate",
+    "horizon_steps",
     "step",
     "trajectory",
     "integrate",
@@ -115,7 +116,9 @@ def check_assumption(h: SpectralField, nu: float, grid: WaveGrid) -> AssumptionR
     """Evaluate the noise-admissibility condition ||grad h||_Linf < sqrt(pi) nu lambda_1.
 
     A violated condition is a valid report (satisfied=False, constants absent),
-    not an error.
+    not an error.  ||grad h||_Linf is sampled on a 4N x 4N grid a block of rows
+    at a time (spectral.grad_linf), so the check holds 32 (4N) N bytes and one
+    block, not the 4 (4N)^2 samples: a peak of about 3.4 MB at N = 128.
     """
     if h.grid != grid:
         raise ValueError("h is not defined on the given grid")
@@ -362,6 +365,18 @@ def _check_finite(coeffs: np.ndarray, t: float, last: State) -> None:
         raise BlowupError(f"non-finite coefficients at t={t:.6g}; last valid state at t={last.t:.6g}", last)
 
 
+def horizon_steps(horizon: float, dt: float) -> int:
+    """The number of steps of size dt in horizon; ValueError unless it is whole.
+
+    Every fixed horizon is checked with it before any step is taken, with
+    the tolerance the noise paths apply to their windows.
+    """
+    n = round(horizon / dt)
+    if abs(horizon - n * dt) > 1e-9 * max(1.0, abs(horizon)):
+        raise ValueError(f"the horizon {horizon} is not a whole number of steps of dt = {dt}")
+    return n
+
+
 def step(state: State, stepper: _EtdStepper, n: int) -> State:
     """Step n of the stepper's trajectory, from state at t_n to t_{n+1}.
 
@@ -387,8 +402,9 @@ def trajectory(
     """The states of one trajectory: the initial state at t0, then one per step.
 
     The system is selected by the path type: None integrates the deterministic
-    equation (steps default to t_end/dt, t0 to 0), an OUPath the conjugated
-    random equation, and a WienerPath the Ito equation by Euler-Maruyama (steps
+    equation (steps default to t_end/dt, a ValueError unless that is a whole
+    number (horizon_steps), t0 to 0), an OUPath the conjugated random
+    equation, and a WienerPath the Ito equation by Euler-Maruyama (steps
     default to the path's length, t0 to its start).  Path dt must match cfg.dt.
     The arguments are checked on the call, before any state is drawn.  Emitted
     states are never written again, so callers may keep any of them.
@@ -397,7 +413,7 @@ def trajectory(
     if path is None:
         start = 0.0
         if steps is None:
-            steps = round(cfg.t_end / cfg.dt)
+            steps = horizon_steps(cfg.t_end, cfg.dt)
     else:
         if abs(path.dt - cfg.dt) > 1e-12 * max(cfg.dt, path.dt):
             raise ValueError(f"path dt {path.dt} does not match config dt {cfg.dt}")

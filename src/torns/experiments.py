@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import BlowupError, SimConfig, State, conjugate, integrate, trajectory
+from .dynamics import (
+    BlowupError, SimConfig, State, conjugate, horizon_steps, integrate, trajectory)
 from .noise import (
     OUPath,
     WienerPath,
@@ -57,24 +58,11 @@ __all__ = [
     "ergodic_check",
     "conjugation_convergence",
     "run_cells",
-    "horizon_steps",
 ]
 
 # OU relaxation time is 1; ten units of burn-in before the pullback window
 # stands in for the process's infinite past (initialisation bias < e^-10).
 OU_BURN_IN = 10.0
-
-
-def horizon_steps(horizon: float, dt: float) -> int:
-    """The number of steps of size dt in horizon; ValueError unless it is whole.
-
-    The experiments call it on every horizon before they step, with the
-    tolerance the noise paths apply to their windows.
-    """
-    n = round(horizon / dt)
-    if abs(horizon - n * dt) > 1e-9 * max(1.0, abs(horizon)):
-        raise ValueError(f"the horizon {horizon} is not a whole number of steps of dt = {dt}")
-    return n
 
 
 def _workers(cfg: SimConfig, threads: int) -> int:
@@ -172,7 +160,8 @@ def sample_attractor_deterministic(
 ) -> AttractorSample:
     """Collect `count` states every `stride` solver steps after t_transient.
 
-    The states are those of one uninterrupted trajectory().
+    The states are those of one uninterrupted trajectory(); t_transient must
+    be a whole number of steps (horizon_steps).
     """
     if not t_transient > 0:
         raise ValueError(f"t_transient must be positive, got {t_transient}")
@@ -182,7 +171,7 @@ def sample_attractor_deterministic(
         raise ValueError(f"stride must be >= 1, got {stride}")
     if v0 is None:
         v0 = random_divfree_field(cfg.grid, cfg.seed, norm=1.0, stream=17)
-    n0 = round(t_transient / cfg.dt)
+    n0 = horizon_steps(t_transient, cfg.dt)
     run = trajectory(v0, cfg, steps=n0 + stride * (count - 1))
     states = [s.u for n, s in enumerate(run) if n >= n0 and (n - n0) % stride == 0]
     return AttractorSample(

@@ -23,6 +23,12 @@ its Python wrapper, real matrix products with dense DFT tables; above it the
 Basdevant form, with two inverse and two forward real transforms as numpy's
 1-D FFTs.  The DFT kernel's calls are too short to gain from a second
 thread, so the experiments run their cells serially on those grids.
+
+grad_linf samples the 2x2 Jacobian of h on a 4N x 4N grid, but never holds
+that grid: one inverse transform along x on the N/2 columns that hold h,
+then the irfft along y a block of rows at a time, with running maxima.  At
+N = 128 a call peaks near 3.4 MB, where the 4 x 512 x 512 samples alone
+would take 8.4 MB.
 """
 
 from __future__ import annotations
@@ -490,37 +496,47 @@ def _advection_dft(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorkspace) 
     return work.out
 
 
-def _jacobian_samples(h: SpectralField, oversample: int) -> np.ndarray:
-    """Entries (d_a h_b) of grad h sampled on an oversample*N grid; shape (2, 2, M, M).
-
-    h is taken as real: each entry is one irfft2 of the half spectrum j2 >= 0,
-    and the Nyquist lines j = -N/2 (outside the dealias mask) are dropped.
-    """
-    g = h.grid
-    N, M = g.N, oversample * g.N
-    inner = np.abs(g.jx[:, 0]) < N // 2
-    rows = g.jx[inner, 0] % M
-    big = np.zeros((M, M // 2 + 1), dtype=np.complex128)
-    out = np.empty((2, 2, M, M))
-    for b in range(2):
-        for a, k in ((0, g.kx), (1, g.ky)):
-            big[rows, : N // 2] = (1j * k * h.coeffs[b])[inner, : N // 2]
-            out[a, b] = np.fft.irfft2(big, s=(M, M), norm="forward")
-    return out
+# x-rows of the oversampled grid per irfft along y in _grad_linf_norms: a block
+# of the four entries is 1024 M bytes (0.5 MB at N = 128).  Blocks of 8 and 32
+# rows took the same time at N = 128 and 512, blocks of N rows up to 1.5x longer
+_GRAD_BLOCK_ROWS = 32
 
 
 def _grad_linf_norms(h: SpectralField, oversample: int = 4) -> tuple[float, float]:
-    """The "op" and "maxabs" sup norms of grad h (see grad_linf) from one sampling."""
-    J = _jacobian_samples(h, max(1, int(oversample)))
-    maxabs = max(float(J.max()), -float(J.min()))
-    # largest singular value of [[a,b],[c,d]] via trace/det of J^T J
-    a, b = J[0, 0], J[0, 1]
-    c, d = J[1, 0], J[1, 1]
-    tr = a * a + b * b + c * c + d * d
-    det = a * d - b * c
-    disc = np.maximum(tr * tr - 4.0 * det * det, 0.0)
-    smax2 = 0.5 * (tr + np.sqrt(disc))
-    return float(np.sqrt(smax2.max())), maxabs
+    """The "op" and "maxabs" sup norms of grad h (see grad_linf) from one sampling.
+
+    The entries d_a h_b are sampled on the M x M grid, M = oversample*N, as
+    irfft2 of the half spectrum j2 >= 0 with h taken as real; the Nyquist
+    lines j = -N/2 (outside the dealias mask) are dropped.  The inverse
+    transform along x runs once, on the N/2 columns j2 < N/2 that hold h,
+    into a (2, 2, M, N/2) complex array; the irfft along y then runs on
+    _GRAD_BLOCK_ROWS x-rows at a time, and both maxima are carried from
+    block to block.  So the call holds 32 M N bytes plus one block, never
+    the (2, 2, M, M) samples, and each sample is the one irfft2 gives.
+    """
+    g = h.grid
+    N, M = g.N, max(1, int(oversample)) * g.N
+    inner = np.abs(g.jx[:, 0]) < N // 2
+    rows = g.jx[inner, 0] % M
+    cols = np.zeros((2, 2, M, N // 2), dtype=np.complex128)
+    for b in range(2):
+        for a, k in ((0, g.kx), (1, g.ky)):
+            cols[a, b, rows] = (1j * k * h.coeffs[b])[inner, : N // 2]
+    np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
+    block = np.empty((2, 2, min(_GRAD_BLOCK_ROWS, M), M))
+    peaks = np.empty((-(-M // _GRAD_BLOCK_ROWS), 3))  # per block: max J, -min J, max smax^2
+    for i, r in enumerate(range(0, M, _GRAD_BLOCK_ROWS)):
+        part = cols[:, :, r : r + _GRAD_BLOCK_ROWS]
+        J = np.fft.irfft(part, n=M, axis=-1, norm="forward", out=block[:, :, : part.shape[2]])
+        # largest singular value of [[a,b],[c,d]] via trace/det of J^T J
+        a, b = J[0, 0], J[0, 1]
+        c, d = J[1, 0], J[1, 1]
+        tr = a * a + b * b + c * c + d * d
+        det = a * d - b * c
+        disc = np.maximum(tr * tr - 4.0 * det * det, 0.0)
+        peaks[i] = J.max(), -J.min(), (0.5 * (tr + np.sqrt(disc))).max()
+    hi, neg_lo, smax2 = peaks.max(axis=0)
+    return float(np.sqrt(smax2)), max(float(hi), float(neg_lo))
 
 
 def grad_linf(h: SpectralField, norm: str = "op", oversample: int = 4) -> float:
@@ -530,7 +546,9 @@ def grad_linf(h: SpectralField, norm: str = "op", oversample: int = 4) -> float:
     |integral |v|^2 |grad h|| <= ||grad h||_inf ||v||^2 valid); norm="maxabs"
     uses the largest absolute entry.  Band-limited h is evaluated on an
     oversampled grid to control the sampling error of the sup; h is taken as
-    real and its Nyquist lines are ignored.
+    real and its Nyquist lines are ignored.  The samples are taken a block of
+    rows at a time (_grad_linf_norms), so the call holds 32 M N bytes for
+    M = oversample*N, not the 32 M^2 of the whole oversampled grid.
     """
     if norm not in ("op", "maxabs"):
         raise ValueError(f"unknown norm {norm!r}")

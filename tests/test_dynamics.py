@@ -129,6 +129,22 @@ class TestCheckAssumption:
             assert rep.lhs * (1 + rep.beta) == pytest.approx(rep.rhs * (1 - rep.alpha / 2), rel=1e-12)
             assert rep.lam == pytest.approx(0.25 * rep.alpha * rep.rhs, rel=1e-14)
 
+    def test_sampling_holds_a_fraction_of_the_oversampled_grid(self):
+        # N = 128 samples grad h on 512 x 512 points: the four entries alone are
+        # 8.4 MB, and sampling them in one shot peaks near 16 MB; by blocks, near 3.4 MB
+        import tracemalloc
+
+        g = make_grid(TWO_PI, 128)
+        h = random_divfree_field(g, seed=15, norm=1.0)
+        check_assumption(h, 1.0, g)  # the first call may fill numpy's FFT plan cache
+        tracemalloc.start()
+        try:
+            check_assumption(h, 1.0, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+
 
 class TestDeterministicStep:
     def test_linear_decay_exact(self, grid16):
@@ -486,6 +502,16 @@ class TestIntegrate:
         if "steps" in kw:  # checked on the call, before any state is drawn
             with pytest.raises(ValueError, match=message):
                 trajectory(v0, cfg, **kw)
+
+    def test_rejects_t_end_not_whole_number_of_steps(self, grid16):
+        # round(1.0 / 0.3) steps used to end the deterministic run at t = 0.9
+        cfg = basic_cfg(grid16, dt=0.3, t_end=1.0)
+        v0 = random_divfree_field(grid16, seed=1)
+        message = "the horizon 1.0 is not a whole number of steps of dt = 0.3"
+        with pytest.raises(ValueError, match=message):
+            integrate(v0, cfg)
+        with pytest.raises(ValueError, match=message):
+            trajectory(v0, cfg)
 
     def test_rejects_initial_mean(self, grid16):
         v0 = random_divfree_field(grid16, seed=1)

@@ -147,6 +147,11 @@ class TestAttractorSample:
         with pytest.raises(ValueError):
             sample_attractor_deterministic(cfg_for(grid16), t_transient=1.0, count=0, stride=1)
 
+    def test_rejects_transient_not_whole_number_of_steps(self, grid16):
+        # round(0.5 / 0.3) steps used to start the sample at t = 0.6
+        with pytest.raises(ValueError, match="the horizon 0.5 is not a whole number of steps"):
+            sample_attractor_deterministic(cfg_for(grid16, dt=0.3), t_transient=0.5, count=1, stride=1)
+
     @pytest.mark.parametrize("stride", [0, -1])
     def test_rejects_stride_below_one(self, grid16, stride):
         # stride 0 used to divide by zero, stride -1 to return an empty sample

@@ -1,11 +1,19 @@
-"""Property tests: identities checked over drawn grids and fields."""
+"""Property tests: identities and round trips checked over drawn grids, fields and configs."""
+
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
-from torns import spectral
+from torns import io as tio, spectral
+from torns.dynamics import SimConfig, trajectory
+from torns.noise import ou_from_wiener, sample_wiener
 from torns.spectral import (
     HalfSpectrum,
+    SpectralField,
     make_grid,
     nonlinear_term,
     random_divfree_field,
@@ -47,3 +55,128 @@ def test_fft_kernel_is_curl_of_nonlinear_term(N, seed, norm, decay):
     fast = vorticity_advection(half.curl(u), half)
     ref = half.curl(nonlinear_term(u, u))
     assert np.abs(fast - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def reference_grad_linf_norms(h: SpectralField, oversample: int) -> tuple[float, float]:
+    """The one-shot sampler: every entry d_a h_b as one irfft2 on the whole M x M grid.
+
+    h is taken as real (half spectrum j2 >= 0) and the Nyquist lines are
+    dropped, as in spectral._grad_linf_norms; this holds all 4 M^2 samples.
+    """
+    g = h.grid
+    N, M = g.N, oversample * g.N
+    inner = np.abs(g.jx[:, 0]) < N // 2
+    rows = g.jx[inner, 0] % M
+    big = np.zeros((M, M // 2 + 1), dtype=np.complex128)
+    J = np.empty((2, 2, M, M))
+    for b in range(2):
+        for a, k in ((0, g.kx), (1, g.ky)):
+            big[rows, : N // 2] = (1j * k * h.coeffs[b])[inner, : N // 2]
+            J[a, b] = np.fft.irfft2(big, s=(M, M), norm="forward")
+    maxabs = max(float(J.max()), -float(J.min()))
+    a, b = J[0, 0], J[0, 1]
+    c, d = J[1, 0], J[1, 1]
+    tr = a * a + b * b + c * c + d * d
+    det = a * d - b * c
+    disc = np.maximum(tr * tr - 4.0 * det * det, 0.0)
+    smax2 = 0.5 * (tr + np.sqrt(disc))
+    return float(np.sqrt(smax2.max())), maxabs
+
+
+@given(
+    N=st.integers(2, 64).map(lambda n: 2 * n),
+    oversample=st.integers(1, 4),
+    seed=st.integers(0, 2**31 - 1),
+    norm=st.floats(0.01, 10.0),
+    L=st.sampled_from([TWO_PI, 3.0]),
+)
+def test_blocked_grad_sampler_equals_one_shot_irfft2(N, oversample, seed, norm, L):
+    # M = oversample N is a multiple of the block size for some draws, not for others
+    h = random_divfree_field(make_grid(L, N), seed, norm=norm)
+    got = spectral._grad_linf_norms(h, oversample)
+    assert [x.hex() for x in got] == [x.hex() for x in reference_grad_linf_norms(h, oversample)]
+
+
+_FIELDS = st.one_of(
+    st.just({"preset": "zero"}),
+    st.builds(lambda norm, seed: {"preset": "random", "norm": norm, "seed": seed},
+              st.floats(0.01, 2.0), st.integers(0, 2**31 - 1)),
+    st.builds(lambda re, im: {"modes": [{"j": [1, -1], "u": [re, im], "v": [im, re]}]},
+              st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+)
+
+
+@st.composite
+def raw_configs(draw) -> dict:
+    """A config as a user writes it: a preset or none, some keys, some field specs."""
+    preset = draw(st.sampled_from([None, "decay-noise", "taylor-green"]))
+    raw = {} if preset is None else {"preset": preset}
+    raw.update(nu=draw(st.floats(0.05, 5.0)), N=draw(st.integers(2, 12)) * 2,
+               dt=draw(st.floats(1e-4, 0.1)))
+    if preset != "taylor-green":  # that preset's initial data need L = 2 pi
+        raw["L"] = draw(st.sampled_from([TWO_PI, 3.0]))
+    optional = {
+        "scheme": st.sampled_from(["etd1", "etd2"]),
+        "seed": st.integers(0, 2**31 - 1),
+        "stride": st.integers(1, 20),
+        "t_end": st.floats(0.01, 10.0),
+        "forcing": st.one_of(_FIELDS, st.builds(
+            lambda norm, seed: {"preset": "manufactured", "norm": norm, "seed": seed},
+            st.floats(0.01, 2.0), st.integers(0, 2**31 - 1))),
+        "noise": _FIELDS,
+        "initial": _FIELDS,
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            raw[key] = draw(values)
+    return raw
+
+
+@given(raw=raw_configs())
+def test_manifest_config_echo_reloads_the_same_config(raw):
+    echo = tio.normalize_config(raw)
+    assert tio.normalize_config(echo) == echo
+    with tempfile.TemporaryDirectory() as out:
+        tio.write_manifest(out, echo, [0], [], command="validate")
+        reloaded = json.loads((Path(out) / "manifest.json").read_text())["config"]
+    a, b = tio.load_config(raw), tio.load_config(reloaded)
+    assert (a.nu, a.grid, a.dt, a.scheme, a.seed, a.stride, a.t_end) == \
+           (b.nu, b.grid, b.dt, b.scheme, b.seed, b.stride, b.t_end)
+    for fa, fb in ((a.f, b.f), (a.h, b.h), (a.u0, b.u0)):
+        assert fa.coeffs.tobytes() == fb.coeffs.tobytes()
+    assert a.assumption == b.assumption
+
+
+def _emitted_state(N, seed, steps, noisy):
+    """The last State of a short conjugated (noisy) or deterministic trajectory."""
+    g = make_grid(TWO_PI, N)
+    cfg = SimConfig(nu=0.5, grid=g, dt=1e-2, f=random_divfree_field(g, seed, norm=0.5),
+                    h=random_divfree_field(g, seed + 1, norm=0.1))
+    path = ou_from_wiener(sample_wiener(0.0, steps * cfg.dt, cfg.dt, seed)) if noisy else None
+    *_, last = trajectory(random_divfree_field(g, seed + 2, norm=1.0), cfg, path, steps=steps)
+    return last
+
+
+@given(N=st.integers(2, 16).map(lambda n: 2 * n), seed=st.integers(0, 2**31 - 2),
+       steps=st.integers(1, 4), noisy=st.booleans(), nu=st.floats(0.01, 10.0))
+def test_checkpoint_round_trips_an_emitted_state_bit_for_bit(N, seed, steps, noisy, nu):
+    state = _emitted_state(N, seed, steps, noisy)
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "state.trns"
+        tio.write_checkpoint(state, path, nu=nu)
+        back, header = tio.read_checkpoint(path), tio.peek_checkpoint(path)
+    assert back.u.grid == state.u.grid
+    assert back.u.coeffs.tobytes() == state.u.coeffs.tobytes()
+    assert (back.t.hex(), back.z.hex(), header.nu.hex()) == (state.t.hex(), state.z.hex(), nu.hex())
+
+
+@given(N=st.integers(2, 16).map(lambda n: 2 * n), keep=st.floats(0.0, 1.0, exclude_max=True))
+def test_truncated_checkpoint_is_rejected(N, keep):
+    state = _emitted_state(N, seed=3, steps=1, noisy=False)
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "state.trns"
+        tio.write_checkpoint(state, path)
+        data = path.read_bytes()
+        path.write_bytes(data[: int(keep * len(data))])
+        with pytest.raises(ValueError, match="truncated"):
+            tio.read_checkpoint(path)
