@@ -26,7 +26,7 @@ import numpy as np
 from . import dynamics, experiments, io as tio
 from .dynamics import BlowupError, SimConfig, integrate
 from .noise import ou_from_wiener, sample_wiener
-from .spectral import _DFT_MAX_N, field_violations, sobolev_norm
+from .spectral import field_violations, sobolev_norm
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -101,8 +101,7 @@ _ABSORBING_HORIZONS = (2.0, 5.0)
 
 def _pullback(cfg: SimConfig, args, out: Path) -> Outcome:
     horizons = list(_PULLBACK_HORIZONS)
-    states = [experiments.pullback_solve(experiments.PullbackSpec(
-        horizon=hor, seed=cfg.seed, initial_states=[cfg.u0], cfg=cfg))[0] for hor in horizons]
+    states = [experiments.pullback_solve(cfg, hor, cfg.seed, [cfg.u0])[0] for hor in horizons]
     rows = [{"horizon": hor, "norm_h": sobolev_norm(st.u, 0.0), "norm_h1": sobolev_norm(st.u, 1.0),
              "norm_h2": sobolev_norm(st.u, 2.0)} for hor, st in zip(horizons, states)]
     tio.write_rows_csv(rows, ["horizon", "norm_h", "norm_h1", "norm_h2"], out / "pullback.csv")
@@ -116,6 +115,10 @@ def _smoothing(cfg: SimConfig, args, out: Path) -> Outcome:
         seeds=[cfg.seed, cfg.seed + 1, cfg.seed + 2], threads=args.threads)
     cols = ["seed", "direction", "delta", "T", "dist0", "distT_h2_sq", "ratio", "error"]
     tio.write_rows_csv(rep.rows, cols, out / "smoothing.csv")
+    failures = {(r["seed"], r["direction"]) for r in rep.rows if r["error"]}
+    if failures:
+        print(f"aborted cells: {len(failures)}", file=sys.stderr)
+        return EXIT_ABORT, ["smoothing.csv"], None
     return EXIT_OK, ["smoothing.csv"], (
         f"smoothing: max ratio {rep.max_ratio:.6g}, median {rep.median_ratio:.6g}")
 
@@ -187,9 +190,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--out", type=Path, default="out", help="artifact directory")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
         sp.add_argument("--threads", type=int, default=1, help="at most this many experiment "
-                        "cell workers; grids that run the dense-DFT kernel "
-                        f"(N <= {_DFT_MAX_N}) use 1, because on 2 cores 2 were slower "
-                        "there (N = 16: 3.65 s against 3.28 s)")
+                        "cell workers; small grids that run the dense-DFT kernel use 1")
         sp.add_argument("--quiet", action="store_true", help="suppress progress output")
     return p
 

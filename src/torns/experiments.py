@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from . import spectral
 from .spectral import SpectralField, random_divfree_field, sobolev_norm
 
 __all__ = [
-    "PullbackSpec",
     "AttractorSample",
     "SmoothingReport",
     "AbsorbingReport",
@@ -86,23 +85,6 @@ def run_cells(cells: dict, threads: int = 1) -> dict:
         return {k: f.result() for k, f in futures.items()}
 
 
-@dataclass
-class PullbackSpec:
-    """A pullback solve: noise seed, horizon and the initial-data family at -t."""
-
-    horizon: float
-    seed: int
-    initial_states: list
-    cfg: SimConfig
-
-    def __post_init__(self):
-        if not self.horizon >= 0:
-            raise ValueError(f"horizon must be >= 0, got {self.horizon}")
-        if not self.initial_states:
-            raise ValueError("initial-state family is empty")
-        horizon_steps(self.horizon, self.cfg.dt)
-
-
 def pullback_path(cfg: SimConfig, horizon: float, seed: int) -> OUPath:
     """OU path on [-horizon, 0], anchored at 0, with stationary init at -horizon - OU_BURN_IN.
 
@@ -119,21 +101,27 @@ def pullback_path(cfg: SimConfig, horizon: float, seed: int) -> OUPath:
         t0=-horizon, t1=0.0, dt=cfg.dt, increments=w.increments[b:],
         seed=seed, level=w.level, stream=w.stream, quantum=w.quantum,
     )
-    return OUPath(wiener=sliced, z=ou.z[b:], init_mode=ou.init_mode)
+    return OUPath(wiener=sliced, z=ou.z[b:])
 
 
-def pullback_solve(spec: PullbackSpec) -> list[State]:
+def pullback_solve(cfg: SimConfig, horizon: float, seed: int, initial_states: list) -> list[State]:
     """States at time 0 of trajectories started at -horizon, one per family member.
 
-    Every state carries z_omega(0), the anchored OU value at time 0; at horizon
-    0 the initial data are returned unchanged with that z.
+    The family shares the noise path of `seed`.  Every state carries z_omega(0),
+    the anchored OU value at time 0; at horizon 0 the initial data are returned
+    unchanged with that z.  A negative horizon, an empty family or a horizon
+    that is not a whole number of steps raises ValueError before any path is drawn.
     """
-    cfg = spec.cfg
-    ou = pullback_path(cfg, spec.horizon, spec.seed)
-    if spec.horizon == 0.0:
-        return [State(t=0.0, u=v0.copy(), z=float(ou.z[-1])) for v0 in spec.initial_states]
+    if not horizon >= 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    if not initial_states:
+        raise ValueError("initial-state family is empty")
+    horizon_steps(horizon, cfg.dt)
+    ou = pullback_path(cfg, horizon, seed)
+    if horizon == 0.0:
+        return [State(t=0.0, u=v0.copy(), z=float(ou.z[-1])) for v0 in initial_states]
     # the series is not returned: record only its two ends
-    return [integrate(v0, cfg, path=ou, stride=max(ou.n, 1)).state for v0 in spec.initial_states]
+    return [integrate(v0, cfg, path=ou, stride=max(ou.n, 1)).state for v0 in initial_states]
 
 
 @dataclass
@@ -141,10 +129,6 @@ class AttractorSample:
     """Post-transient states of one deterministic run, a finite attractor proxy."""
 
     states: list
-    t_transient: float
-    stride: int
-    h1_norms: list = field(default_factory=list)
-    h2_norms: list = field(default_factory=list)
 
     @property
     def count(self) -> int:
@@ -174,13 +158,7 @@ def sample_attractor_deterministic(
     n0 = horizon_steps(t_transient, cfg.dt)
     run = trajectory(v0, cfg, steps=n0 + stride * (count - 1))
     states = [s.u for n, s in enumerate(run) if n >= n0 and (n - n0) % stride == 0]
-    return AttractorSample(
-        states=states,
-        t_transient=t_transient,
-        stride=stride,
-        h1_norms=[sobolev_norm(u, 1.0) for u in states],
-        h2_norms=[sobolev_norm(u, 2.0) for u in states],
-    )
+    return AttractorSample(states)
 
 
 def distance_to_set(v: SpectralField, sample: AttractorSample, s: int = 2) -> float:
@@ -192,15 +170,12 @@ def distance_to_set(v: SpectralField, sample: AttractorSample, s: int = 2) -> fl
 
 @dataclass
 class SmoothingReport:
-    """Rows (seed, direction, delta, T, dist0, distT_h2_sq, ratio); ratio = distT^2/delta^2."""
+    """Rows (seed, direction, delta, T, dist0, distT_h2_sq, ratio, error), ratio = distT^2/delta^2;
+    max_ratio and median_ratio over the error-free rows with delta > 0 (NaN if none)."""
 
     rows: list
-    seeds: list
-    horizons: list
-    deltas: list
     max_ratio: float
     median_ratio: float
-    config: dict
 
 
 def _smoothing_pair_rows(cfg, v1, direction, label, deltas, horizons, seed):
@@ -282,10 +257,9 @@ def measure_smoothing(
         rows.extend(results[key])
     ratios = [r["ratio"] for r in rows if r["error"] == "" and r["delta"] > 0]
     return SmoothingReport(
-        rows=rows, seeds=list(seeds), horizons=list(horizons), deltas=list(deltas),
+        rows=rows,
         max_ratio=max(ratios) if ratios else float("nan"),
         median_ratio=float(np.median(ratios)) if ratios else float("nan"),
-        config=_fingerprint(cfg),
     )
 
 
@@ -295,14 +269,12 @@ def _kmin(cfg: SimConfig) -> float:
 
 @dataclass
 class AbsorbingReport:
-    """Per-(radius, horizon) final norms, optional H^2 distance to an attractor sample."""
+    """Per-(radius, horizon) final norms, optional H^2 distance to an attractor sample;
+    radius_estimates[(h, s)] is the sup over the radii of the H^s norm, s in H, H1, H2."""
 
     rows: list
-    radii: list
     horizons: list
-    seed: int
     radius_estimates: dict
-    config: dict
 
 
 def measure_absorbing(
@@ -328,8 +300,7 @@ def measure_absorbing(
     def cell(radius: float, horizon: float):
         v0 = SpectralField(cfg.grid, radius * e.coeffs)
         try:
-            st = pullback_solve(PullbackSpec(horizon=horizon, seed=seed,
-                                             initial_states=[v0], cfg=cfg))[0]
+            st = pullback_solve(cfg, horizon, seed, [v0])[0]
             row = {
                 "radius": radius, "horizon": horizon,
                 "norm_h": sobolev_norm(st.u, 0.0),
@@ -352,19 +323,14 @@ def measure_absorbing(
         for sname, col in (("H", "norm_h"), ("H1", "norm_h1"), ("H2", "norm_h2")):
             vals = [r[col] for r in rows if r["horizon"] == h and r["error"] == ""]
             estimates[(h, sname)] = max(vals) if vals else float("nan")
-    return AbsorbingReport(
-        rows=rows, radii=list(initial_radii), horizons=list(horizons), seed=seed,
-        radius_estimates=estimates, config=_fingerprint(cfg),
-    )
+    return AbsorbingReport(rows=rows, horizons=list(horizons), radius_estimates=estimates)
 
 
 @dataclass
 class ErgodicReport:
-    """Per-(seed, m) empirical vs analytic stationary OU moments."""
+    """Rows (seed, m, empirical, analytic, rel_error) of stationary OU moments."""
 
     rows: list
-    T: float
-    dt: float
 
 
 def ergodic_check(T: float, dt: float, seeds: list[int], moments: tuple[int, ...] = (1, 2, 4)) -> ErgodicReport:
@@ -382,20 +348,17 @@ def ergodic_check(T: float, dt: float, seeds: list[int], moments: tuple[int, ...
                 "seed": seed, "m": m, "empirical": emp, "analytic": ana,
                 "rel_error": abs(emp - ana) / ana,
             })
-    return ErgodicReport(rows=rows, T=T, dt=dt)
+    return ErgodicReport(rows=rows)
 
 
 @dataclass
 class ConvergenceReport:
-    """Strong conjugation errors per refinement level and consecutive ratios."""
+    """Strong conjugation errors per refinement level, consecutive ratios and log2 orders."""
 
     dts: list
     errors: list
     ratios: list
     orders: list
-    paths: int
-    seed: int
-    config: dict
 
 
 def conjugation_convergence(
@@ -422,9 +385,7 @@ def conjugation_convergence(
         errs = []
         w = sample_wiener(0.0, T, base_dt, seed=seed + m)
         for _ in range(levels):
-            lcfg = SimConfig(nu=cfg.nu, grid=cfg.grid, dt=w.dt, f=cfg.f, h=cfg.h,
-                             scheme=cfg.scheme, seed=cfg.seed, stride=cfg.stride,
-                             linear_only=cfg.linear_only, assumption=cfg.assumption)
+            lcfg = replace(cfg, dt=w.dt)
             ou = ou_from_wiener(w, init="stationary")
             ends = max(w.n, 1)  # only the final states are read: record only the series ends
             rv = integrate(v0, lcfg, path=ou, stride=ends)
@@ -444,15 +405,5 @@ def conjugation_convergence(
     return ConvergenceReport(
         dts=[base_dt / 2**i for i in range(levels)],
         errors=[float(x) for x in mean],
-        ratios=ratios, orders=orders, paths=paths, seed=seed,
-        config=_fingerprint(cfg),
+        ratios=ratios, orders=orders,
     )
-
-
-def _fingerprint(cfg: SimConfig) -> dict:
-    """Compact provenance echo carried inside reports."""
-    return {
-        "nu": cfg.nu, "L": cfg.grid.L, "N": cfg.grid.N, "dt": cfg.dt,
-        "scheme": cfg.scheme, "seed": cfg.seed,
-        "norm_f": sobolev_norm(cfg.f, 0.0), "norm_h": sobolev_norm(cfg.h, 0.0),
-    }

@@ -22,6 +22,7 @@ import math
 import struct
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -224,19 +225,17 @@ def load_config(raw: dict | str) -> SimConfig:
         raise ConfigError("<config>", str(exc)) from exc
 
 
-class CheckpointHeader:
+class CheckpointHeader(NamedTuple):
     """Decoded checkpoint header (see module docstring for the layout)."""
 
-    def __init__(self, magic: bytes, version: int, N: int, L: float, nu: float,
-                 t: float, z: float, payload_len: int):
-        self.magic = magic
-        self.version = version
-        self.N = N
-        self.L = L
-        self.nu = nu
-        self.t = t
-        self.z = z
-        self.payload_len = payload_len
+    magic: bytes
+    version: int
+    N: int
+    L: float
+    nu: float
+    t: float
+    z: float
+    payload_len: int
 
 
 def write_checkpoint(state: State, path: str | Path, nu: float = 0.0) -> None:
@@ -249,22 +248,25 @@ def write_checkpoint(state: State, path: str | Path, nu: float = 0.0) -> None:
     Path(path).write_bytes(header + payload)
 
 
-def peek_checkpoint(path: str | Path) -> CheckpointHeader:
-    data = Path(path).read_bytes()
+def _parse_header(data: bytes, path: str | Path) -> CheckpointHeader:
     if len(data) < _HEADER.size:
         raise ValueError(f"{path}: truncated checkpoint header")
-    magic, version, N, L, nu, t, z, plen = _HEADER.unpack_from(data)
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: version mismatch: file has {version}, expected {CHECKPOINT_VERSION}")
-    return CheckpointHeader(magic, version, N, L, nu, t, z, plen)
+    hdr = CheckpointHeader(*_HEADER.unpack_from(data))
+    if hdr.magic != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: bad magic {hdr.magic!r}")
+    if hdr.version != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: version mismatch: file has {hdr.version}, expected {CHECKPOINT_VERSION}")
+    return hdr
+
+
+def peek_checkpoint(path: str | Path) -> CheckpointHeader:
+    return _parse_header(Path(path).read_bytes(), path)
 
 
 def read_checkpoint(path: str | Path) -> State:
     """Inverse of write_checkpoint (viscosity is retrievable via peek_checkpoint)."""
-    hdr = peek_checkpoint(path)
     data = Path(path).read_bytes()
+    hdr = _parse_header(data, path)
     payload = data[_HEADER.size:]
     expected = 2 * hdr.N * hdr.N * 16
     if hdr.payload_len != expected or len(payload) != hdr.payload_len:

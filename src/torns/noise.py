@@ -77,7 +77,6 @@ class OUPath:
 
     wiener: WienerPath
     z: np.ndarray
-    init_mode: str = "stationary"
 
     @property
     def dt(self) -> float:
@@ -193,15 +192,14 @@ def ou_from_wiener(path: WienerPath, init: str | float = "stationary") -> OUPath
     if isinstance(init, str):
         if init == "stationary":
             z0 = float(rng_for(path.seed, "ou-init", path.stream).standard_normal() * math.sqrt(0.5))
-            mode = "stationary"
         elif init == "zero":
-            z0, mode = 0.0, "zero"
+            z0 = 0.0
         else:
             raise ValueError(f"unknown init mode {init!r}")
     else:
-        z0, mode = float(init), "given"
+        z0 = float(init)
     z = _ou_scan(path.increments, z0, path.dt)
-    return OUPath(wiener=path, z=z, init_mode=mode)
+    return OUPath(wiener=path, z=z)
 
 
 def ou_stationary_moment(m: int) -> float:

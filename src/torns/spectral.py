@@ -500,12 +500,13 @@ def _advection_dft(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorkspace) 
 # of the four entries is 1024 M bytes (0.5 MB at N = 128).  Blocks of 8 and 32
 # rows took the same time at N = 128 and 512, blocks of N rows up to 1.5x longer
 _GRAD_BLOCK_ROWS = 32
+_GRAD_OVERSAMPLE = 4  # grad_linf takes the sup on the M x M grid, M = 4 N
 
 
-def _grad_linf_norms(h: SpectralField, oversample: int = 4) -> tuple[float, float]:
+def _grad_linf_norms(h: SpectralField) -> tuple[float, float]:
     """The "op" and "maxabs" sup norms of grad h (see grad_linf) from one sampling.
 
-    The entries d_a h_b are sampled on the M x M grid, M = oversample*N, as
+    The entries d_a h_b are sampled on the M x M grid, M = _GRAD_OVERSAMPLE*N, as
     irfft2 of the half spectrum j2 >= 0 with h taken as real; the Nyquist
     lines j = -N/2 (outside the dealias mask) are dropped.  The inverse
     transform along x runs once, on the N/2 columns j2 < N/2 that hold h,
@@ -515,7 +516,7 @@ def _grad_linf_norms(h: SpectralField, oversample: int = 4) -> tuple[float, floa
     the (2, 2, M, M) samples, and each sample is the one irfft2 gives.
     """
     g = h.grid
-    N, M = g.N, max(1, int(oversample)) * g.N
+    N, M = g.N, _GRAD_OVERSAMPLE * g.N
     inner = np.abs(g.jx[:, 0]) < N // 2
     rows = g.jx[inner, 0] % M
     cols = np.zeros((2, 2, M, N // 2), dtype=np.complex128)
@@ -539,7 +540,7 @@ def _grad_linf_norms(h: SpectralField, oversample: int = 4) -> tuple[float, floa
     return float(np.sqrt(smax2)), max(float(hi), float(neg_lo))
 
 
-def grad_linf(h: SpectralField, norm: str = "op", oversample: int = 4) -> float:
+def grad_linf(h: SpectralField, norm: str = "op") -> float:
     """Max over collocation points of a pointwise matrix norm of grad h.
 
     norm="op" uses the operator 2-norm of the 2x2 Jacobian (the norm that makes
@@ -548,11 +549,11 @@ def grad_linf(h: SpectralField, norm: str = "op", oversample: int = 4) -> float:
     oversampled grid to control the sampling error of the sup; h is taken as
     real and its Nyquist lines are ignored.  The samples are taken a block of
     rows at a time (_grad_linf_norms), so the call holds 32 M N bytes for
-    M = oversample*N, not the 32 M^2 of the whole oversampled grid.
+    M = _GRAD_OVERSAMPLE*N, not the 32 M^2 of the whole oversampled grid.
     """
     if norm not in ("op", "maxabs"):
         raise ValueError(f"unknown norm {norm!r}")
-    op, maxabs = _grad_linf_norms(h, oversample)
+    op, maxabs = _grad_linf_norms(h)
     return op if norm == "op" else maxabs
 
 

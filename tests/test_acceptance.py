@@ -19,7 +19,6 @@ from torns.dynamics import (
     taylor_green,
 )
 from torns.experiments import (
-    PullbackSpec,
     conjugation_convergence,
     distance_to_set,
     ergodic_check,
@@ -263,8 +262,7 @@ def test_criterion_9_h2_neighborhood():
             cfg = SimConfig(nu=nu, grid=g, dt=dt, f=f, h=h, scheme="etd2")
             assert cfg.assumption.satisfied
             for horizon in (20.0, 40.0):
-                st = pullback_solve(PullbackSpec(horizon=horizon, seed=777,
-                                                 initial_states=[v0], cfg=cfg))[0]
+                st = pullback_solve(cfg, horizon, 777, [v0])[0]
                 dists[(scale, horizon)] = distance_to_set(st.u, sample, 2)
         for scale in (1.0, 0.5, 0.25):
             a, b = dists[(scale, 20.0)], dists[(scale, 40.0)]

@@ -66,6 +66,21 @@ class TestArtifactContract:
         assert "aborted cells: 2" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["absorbing.csv", "manifest.json"]
 
+    def test_smoothing_blowup_keeps_report(self, tmp_path, capsys):
+        # every trajectory blows up: 3 seeds x 2 directions, each cell with error rows
+        cfg = write_config(tmp_path, {
+            "nu": 0.001, "N": 16, "dt": 0.01,
+            "forcing": {"preset": "random", "norm": 50.0, "seed": 1},
+            "noise": {"preset": "random", "norm": 0.001, "seed": 2},
+            "initial": {"preset": "random", "norm": 1e5, "seed": 3}})
+        out = tmp_path / "sm"
+        assert main(["smoothing", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "aborted cells: 6\n" and captured.out == ""
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "smoothing.csv"]
+        rows = (out / "smoothing.csv").read_text().strip().splitlines()[1:]
+        assert len(rows) == 54 and all("non-finite" in r for r in rows)
+
     def test_taylor_green_wrong_box_writes_nothing(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"nu": 0.1, "N": 16, "dt": 1e-3, "L": 3.0})
         out = tmp_path / "tg"

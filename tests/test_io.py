@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +180,15 @@ class TestCheckpoint:
         p.write_bytes(p.read_bytes()[:-16])
         with pytest.raises(ValueError, match="truncated"):
             read_checkpoint(p)
+
+    def test_read_checkpoint_reads_the_file_once(self, tmp_path, monkeypatch):
+        p = tmp_path / "once.trns"
+        write_checkpoint(State(0.0, random_divfree_field(make_grid(TWO_PI, 8), seed=1)), p)
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
+        read_checkpoint(p)
+        assert reads == [p]
 
 
 class TestSeriesCsv:

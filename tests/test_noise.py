@@ -156,7 +156,7 @@ class TestMoments:
 
     def test_degenerate_constant_path(self):
         w = zero_path(200, 0.01)
-        ou = OUPath(wiener=w, z=np.full(201, -1.3), init_mode="given")
+        ou = OUPath(wiener=w, z=np.full(201, -1.3))
         for m in (1, 2, 3):
             assert empirical_moment(ou, m) == pytest.approx(1.3**m, rel=1e-14)
 

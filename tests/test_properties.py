@@ -57,14 +57,14 @@ def test_fft_kernel_is_curl_of_nonlinear_term(N, seed, norm, decay):
     assert np.abs(fast - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def reference_grad_linf_norms(h: SpectralField, oversample: int) -> tuple[float, float]:
+def reference_grad_linf_norms(h: SpectralField) -> tuple[float, float]:
     """The one-shot sampler: every entry d_a h_b as one irfft2 on the whole M x M grid.
 
     h is taken as real (half spectrum j2 >= 0) and the Nyquist lines are
     dropped, as in spectral._grad_linf_norms; this holds all 4 M^2 samples.
     """
     g = h.grid
-    N, M = g.N, oversample * g.N
+    N, M = g.N, spectral._GRAD_OVERSAMPLE * g.N
     inner = np.abs(g.jx[:, 0]) < N // 2
     rows = g.jx[inner, 0] % M
     big = np.zeros((M, M // 2 + 1), dtype=np.complex128)
@@ -85,16 +85,15 @@ def reference_grad_linf_norms(h: SpectralField, oversample: int) -> tuple[float,
 
 @given(
     N=st.integers(2, 64).map(lambda n: 2 * n),
-    oversample=st.integers(1, 4),
     seed=st.integers(0, 2**31 - 1),
     norm=st.floats(0.01, 10.0),
     L=st.sampled_from([TWO_PI, 3.0]),
 )
-def test_blocked_grad_sampler_equals_one_shot_irfft2(N, oversample, seed, norm, L):
-    # M = oversample N is a multiple of the block size for some draws, not for others
+def test_blocked_grad_sampler_equals_one_shot_irfft2(N, seed, norm, L):
+    # M = 4 N is a multiple of the block size for some draws (N = 8), not for others (N = 10)
     h = random_divfree_field(make_grid(L, N), seed, norm=norm)
-    got = spectral._grad_linf_norms(h, oversample)
-    assert [x.hex() for x in got] == [x.hex() for x in reference_grad_linf_norms(h, oversample)]
+    got = spectral._grad_linf_norms(h)
+    assert [x.hex() for x in got] == [x.hex() for x in reference_grad_linf_norms(h)]
 
 
 _FIELDS = st.one_of(
