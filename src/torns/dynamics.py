@@ -17,11 +17,18 @@ correction dt (phi1+phi2) F_n - dt phi2 F_{n-1}, bootstrapped by one etd1
 step.  The Ito system always takes the etd1 drift (Euler-Maruyama is first
 order), so with h = 0 it equals the deterministic etd1 step bit for bit.
 
-One trajectory is one stepper, built from (cfg, path): the path type selects
-the system (None deterministic, OUPath conjugated, WienerPath Ito), and
-step(state, stepper, n) takes step n of it.  trajectory() yields the initial
-state and then one state per step; it is the only time loop, and integrate()
-records every stride-th state it yields.
+A stepper is built from (cfg, paths): the path type selects the system (None
+deterministic, OUPath conjugated, WienerPath Ito), and one path per member
+gives it B members that share cfg.  Their vorticity is one (B, N, K) block
+(one member runs as the plain (N, K) array), so the kernel and the ETD
+update run once per level for all of them, each member with its own z_n or
+dW_n.  step(state, stepper, n) is still one call per member-step: the first
+call of a level advances the block, and each call checks and emits its own
+member's row as a State.  ensemble() yields the initial states and then one
+list per step, with a member that blew up frozen on its BlowupError while
+the others go on; it is the only time loop.  trajectory() is its one-member
+case, and integrate() records every stride-th state that yields.  Stacking
+changes no bit: each member's row equals its own one-member trajectory.
 
 The stepper runs in half-spectrum vorticity (spectral.HalfSpectrum): it
 carries w = curl u as the contiguous (N, K) block of the K = (N-1)//3 + 1
@@ -33,7 +40,7 @@ of a field inside the mask are zero, and so stay zero on every step, so the
 state never holds them.  E, phi1 and phi2 are diagonal and commute with
 curl, so this is the velocity scheme up to roundoff.  Each stepper owns the
 buffers of its step (the kernel workspace, the etd2 right-hand sides and the
-update temporaries), so a step allocates only the new w; steppers of
+update temporaries), so a level allocates only the new block; steppers of
 concurrent trajectories share nothing but read-only tables.  Velocity SpectralFields
 stay the interface: every step returns a State holding w, whose u is rebuilt
 from w without an FFT on the first read, so a loop pays for velocity only
@@ -42,7 +49,7 @@ where it records or checkpoints.
 State space: w represents exactly the zero-mean, divergence-free velocity
 fields with no modes |j2| >= K, and the two forms of B agree only inside the
 dealias mask.  So SimConfig requires f and h inside the mask (only their
-divergence-free parts act), and trajectory rejects an initial field with a
+divergence-free parts act), and ensemble rejects an initial field with a
 nonzero mean, a divergence or content outside the mask beyond 1e-13 relative;
 what such a field holds in the columns |j2| >= K is dropped.
 """
@@ -69,6 +76,7 @@ __all__ = [
     "conjugate",
     "horizon_steps",
     "step",
+    "ensemble",
     "trajectory",
     "integrate",
     "taylor_green",
@@ -184,8 +192,9 @@ class State:
     A State emitted by a stepper holds the vorticity w on the (N, K) masked
     half-spectrum columns instead; u = HalfSpectrum.velocity(w) is built on
     the first read and cached, and stepping on from the state reuses w.  Both
-    arrays belong to the state alone, so emitted states may be kept; modify
-    neither in place.
+    arrays belong to the state alone (an ensemble member's w is its own row
+    of the level's block), so emitted states may be kept; modify neither in
+    place.
     """
 
     __slots__ = ("t", "z", "_u", "_w", "_half")
@@ -246,26 +255,52 @@ def conjugate(v: SpectralField, z: float, h: SpectralField) -> SpectralField:
 
 
 class _EtdStepper:
-    """Exponential integrator of one trajectory, on the half-spectrum vorticity.
+    """Exponential integrator of B trajectories that share a config, on the half-spectrum vorticity.
 
-    Holds the system the path selects: z = path.z for an OUPath (conjugated),
-    dW = path.increments for a WienerPath (Ito, etd1 drift), neither for no
-    path (deterministic).  Precomputes E = exp(-nu k^2 dt) and the dt
-    phi1/phi2 weights as complex128 on the (N, K) masked columns, and the
-    curls of f, h - nu A h and h there.  advance() takes one drift step of
-    the conjugated system; the deterministic and Ito drifts are the case
-    z = 0.  etd2 keeps F_{n-1} between calls, so a stepper instance drives
-    one trajectory.  The stepper owns every buffer its step writes: the
-    kernel workspace, two right-hand-side buffers that alternate as F_n and
-    F_{n-1}, and the update temporaries.  advance() returns the new w as a
-    fresh array, the only one it allocates, because emitted states are kept
-    by callers.
+    paths holds one path per member (a single path, or None, is one member),
+    all of one kind, which selects the system: z of shape (B, n+1) from
+    OUPaths (conjugated), dW of shape (B, n) from WienerPaths (Ito, etd1
+    drift), neither for None (deterministic).  Precomputes E =
+    exp(-nu k^2 dt) and the dt phi1/phi2 weights as complex128 on the
+    (N, K) masked columns, and the curls of f, h - nu A h and h there.
+    _advance() takes one drift step of the conjugated system for the whole
+    block, each member with its own z_n; the deterministic and Ito drifts
+    are the case z = 0.  etd2 keeps F_{n-1} between levels, so a
+    stepper instance drives one set of trajectories.  The stepper owns every
+    buffer its step writes: the kernel workspace, two right-hand-side
+    buffers that alternate as F_n and F_{n-1}, and the update temporaries.
+    _advance() returns the new block as a fresh array, the only one it
+    allocates, because the emitted states hold its rows and are kept by
+    callers.
+
+    A single member has no member axis: its block is the (N, K) array, and
+    it advances from whatever state each step call hands it, at any n.  An
+    ensemble (B > 1) holds its (B, N, K) block and advances in lockstep:
+    level by level, each live member once per level in member order, with
+    the state it was started from or last emitted; the first call of a
+    level advances the block, and every call emits its own member's row.  A
+    member whose row is not finite raises its BlowupError and is frozen:
+    its rows are zeroed so that later levels stay finite, and it takes no
+    further calls.
     """
 
-    def __init__(self, cfg: SimConfig, path: OUPath | WienerPath | None = None):
+    def __init__(self, cfg: SimConfig, paths=None):
+        paths = list(paths) if isinstance(paths, (list, tuple)) else [paths]
+        kind = type(paths[0])
+        if any(type(p) is not kind for p in paths):
+            raise ValueError("the members of an ensemble must share one system: "
+                             "all OUPath, all WienerPath or all None")
         self.cfg = cfg
-        self.z = path.z if isinstance(path, OUPath) else None
-        self.dW = path.increments if isinstance(path, WienerPath) else None
+        self.B = B = len(paths)
+        n = 0 if paths[0] is None else min(p.n for p in paths)
+        self.z = np.stack([p.z[: n + 1] for p in paths]) if kind is OUPath else None
+        self.dW = np.stack([p.increments[:n] for p in paths]) if kind is WienerPath else None
+        # one member runs without the member axis: its block is (N, K), and
+        # per level a scalar scales it where an ensemble's (B, 1, 1) column does
+        lead = (B,) if B > 1 else ()
+        self._z_cols = None if self.z is None else _per_level(self.z, B)
+        self._dW_cols = None if self.dW is None else _per_level(self.dW, B)
+        self._zero = np.zeros((B, 1, 1)) if B > 1 else 0.0
         self.half = half = spectral.HalfSpectrum(cfg.grid)
         dt = cfg.dt
         z = -cfg.nu * dt * half.k2
@@ -281,19 +316,49 @@ class _EtdStepper:
         self._fw = half.curl(cfg.f)
         # curl of the combined z-forcing profile h - nu A h of the conjugated right side
         self._zw = self.hw - cfg.nu * half.k2 * self.hw
-        self._work = spectral.AdvectionWorkspace(half)
-        self._rhs = (np.empty_like(self.hw), np.empty_like(self.hw))
-        self._arg = np.empty_like(self.hw)
-        self._tmp = (np.empty_like(self.hw), np.empty_like(self.hw))
+        self._work = spectral.AdvectionWorkspace(half, B if B > 1 else None)
+        block = (*lead, *self.hw.shape)
+        self._rhs = (np.empty(block, np.complex128), np.empty(block, np.complex128))
+        self._arg = np.empty(block, np.complex128)
+        self._tmp = (np.empty(block, np.complex128), np.empty(block, np.complex128))
+        # the lockstep of an ensemble: the block w at `level`, or at level + 1
+        # once the level's first call advanced it; each member's state at
+        # `level`; the live members in call order, and how many of them this
+        # level emitted
+        self.w: np.ndarray | None = None
+        self.level = 0
+        self._advanced = False
+        self._at: list | None = None
+        self._live = list(range(B))
+        self._emitted = 0
 
     def vorticity(self, state: State) -> np.ndarray:
         """w = curl u of the state, reusing the w of a state a stepper emitted."""
         return state._w if state._w is not None else self.half.curl(state.u)
 
-    def advance(self, w: np.ndarray, z: float) -> np.ndarray:
-        """One step of the conjugated system with left-endpoint z; returns the new w."""
+    def start(self, states: list) -> None:
+        """Take an ensemble's initial states as its block; one member needs none."""
+        if self.B > 1:
+            self._at = list(states)
+            self.w = np.stack([self.vorticity(s) for s in states])
+
+    def member(self, state: State, n: int) -> int:
+        """The member that `state` steps at level n; a level's first call advances the block."""
+        if self.B == 1:
+            self.w = self._advance(self.vorticity(state), n)
+            return 0
+        if n != self.level or not self._live or state is not self._at[self._live[self._emitted]]:
+            raise ValueError(f"an ensemble steps in lockstep: step {n} was called with a state that "
+                             f"is not the next member's at level {self.level}")
+        if not self._advanced:
+            self.w, self._advanced = self._advance(self.w, n), True
+        return self._live[self._emitted]
+
+    def _advance(self, w: np.ndarray, n: int) -> np.ndarray:
+        """Step n of every member of the block w, each from its left-endpoint z_n; the new block."""
         # the arithmetic of E w + dt phi1 (f + z zw - curl B(w + z hw)) and its
         # etd2 form, operation by operation, into the stepper's buffers
+        z = self._zero if self._z_cols is None else self._z_cols[n]
         rhs = self._rhs[1] if self.prev_rhs is self._rhs[0] else self._rhs[0]
         np.add(self._fw, np.multiply(z, self._zw, out=rhs), out=rhs)
         if not self.cfg.linear_only:
@@ -309,17 +374,35 @@ class _EtdStepper:
         out += t
         if self.scheme == "etd2":
             self.prev_rhs = rhs
+        if self._dW_cols is not None:  # the Ito system: + dW_n curl h after the drift
+            out += np.multiply(self._dW_cols[n], self.hw, out=t)
         return out
 
-    def add_noise(self, w: np.ndarray, dW: float) -> np.ndarray:
-        """w + dW curl h, in place in w."""
-        w += np.multiply(dW, self.hw, out=self._tmp[0])
-        return w
+    def emit(self, m: int, t: float, z: float, last: State) -> State:
+        """The State holding member m's row, after a blowup check against `last`."""
+        if self.B == 1:
+            _check_finite(self.w, t, last)
+            return State._of_vorticity(t, self.w, z, self.half)
+        w = self.w[m]
+        try:
+            _check_finite(w, t, last)
+            state = self._at[m] = State._of_vorticity(t, w, z, self.half)
+            self._emitted += 1
+        except BlowupError:
+            self.w[m] = 0.0
+            if self.prev_rhs is not None:
+                self.prev_rhs[m] = 0.0
+            del self._live[self._emitted]
+            raise
+        finally:
+            if self._emitted == len(self._live):
+                self._emitted, self._advanced, self.level = 0, False, self.level + 1
+        return state
 
-    def emit(self, w: np.ndarray, t: float, z: float, last: State) -> State:
-        """The State holding w, after a blowup check against `last`."""
-        _check_finite(w, t, last)
-        return State._of_vorticity(t, w, z, self.half)
+
+def _per_level(a: np.ndarray, B: int) -> np.ndarray:
+    """Indexed by level n: the (B, 1, 1) column a[:, n], or the scalar a[0, n] for one member."""
+    return a.T[:, :, None, None] if B > 1 else a[0]
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -378,18 +461,78 @@ def horizon_steps(horizon: float, dt: float) -> int:
 
 
 def step(state: State, stepper: _EtdStepper, n: int) -> State:
-    """Step n of the stepper's trajectory, from state at t_n to t_{n+1}.
+    """Step n of one member of the stepper's trajectories, from state at t_n to t_{n+1}.
 
     The conjugated system takes z_n into its forcing and carries z_{n+1}; the
     Ito system adds dW_n curl h after the etd1 drift; the deterministic system
-    runs the conjugated arithmetic with z = 0.
+    runs the conjugated arithmetic with z = 0.  Each member-step is one call;
+    an ensemble's calls keep its lockstep (_EtdStepper) or raise ValueError.
     """
     st = stepper
-    w = st.advance(st.vorticity(state), 0.0 if st.z is None else float(st.z[n]))
-    if st.dW is not None:
-        w = st.add_noise(w, float(st.dW[n]))
-    z = state.z if st.z is None else float(st.z[n + 1])
-    return st.emit(w, state.t + st.cfg.dt, z, state)
+    m = st.member(state, n)
+    z = state.z if st.z is None else float(st.z[m, n + 1])
+    return st.emit(m, state.t + st.cfg.dt, z, state)
+
+
+def ensemble(
+    v0s: list,
+    cfg: SimConfig,
+    paths: list | None = None,
+    steps: int | None = None,
+    t0: float | None = None,
+) -> Iterator[list]:
+    """B trajectories that share cfg, stepped as one block: the initial states, then one list per step.
+
+    paths holds one path per member, all of one kind, which selects the
+    system as in trajectory; None runs B deterministic members.  steps and
+    t0 default as in trajectory, steps to the shortest path.  Entry m of
+    each list is member m's State, or, from the step at which that member
+    blew up on, its BlowupError: the member is frozen and the others go on
+    with the same bits as alone.  Each member-step is one step() call.  The
+    arguments are checked on the call, before any state is drawn.
+    """
+    paths = [None] * len(v0s) if paths is None else list(paths)
+    if not v0s or len(paths) != len(v0s):
+        raise ValueError(f"an ensemble takes one path per member: {len(v0s)} fields, {len(paths)} paths")
+    for v0 in v0s:
+        _check_initial(v0, cfg)
+    stepper = _EtdStepper(cfg, paths)
+    if paths[0] is None:
+        starts = [0.0] * len(paths)
+        if steps is None:
+            steps = horizon_steps(cfg.t_end, cfg.dt)
+    else:
+        for path in paths:
+            if abs(path.dt - cfg.dt) > 1e-12 * max(cfg.dt, path.dt):
+                raise ValueError(f"path dt {path.dt} does not match config dt {cfg.dt}")
+        starts = [path.t0 for path in paths]
+        n = min(path.n for path in paths)
+        if steps is None:
+            steps = n
+        elif steps > n:
+            raise ValueError(f"path covers {n} steps, requested {steps}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
+    z0 = [0.0] * len(paths) if stepper.z is None else stepper.z[:, 0].tolist()
+    states = [State(t=s if t0 is None else t0, u=v0.copy(), z=z) for v0, s, z in zip(v0s, starts, z0)]
+    stepper.start(states)
+    return _levels(states, stepper, steps)
+
+
+def _levels(states: list, stepper: _EtdStepper, steps: int) -> Iterator[list]:
+    yield states
+    for n in range(steps):
+        states = [_step_member(s, stepper, n) for s in states]
+        yield states
+
+
+def _step_member(state, stepper: _EtdStepper, n: int):
+    if isinstance(state, BlowupError):
+        return state
+    try:
+        return step(state, stepper, n)
+    except BlowupError as exc:
+        return exc
 
 
 def trajectory(
@@ -407,32 +550,16 @@ def trajectory(
     equation, and a WienerPath the Ito equation by Euler-Maruyama (steps
     default to the path's length, t0 to its start).  Path dt must match cfg.dt.
     The arguments are checked on the call, before any state is drawn.  Emitted
-    states are never written again, so callers may keep any of them.
+    states are never written again, so callers may keep any of them.  This
+    is the one-member ensemble; a blowup raises its BlowupError.
     """
-    _check_initial(v0, cfg)
-    if path is None:
-        start = 0.0
-        if steps is None:
-            steps = horizon_steps(cfg.t_end, cfg.dt)
-    else:
-        if abs(path.dt - cfg.dt) > 1e-12 * max(cfg.dt, path.dt):
-            raise ValueError(f"path dt {path.dt} does not match config dt {cfg.dt}")
-        start = path.t0
-        if steps is None:
-            steps = path.n
-        elif steps > path.n:
-            raise ValueError(f"path covers {path.n} steps, requested {steps}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    stepper = _EtdStepper(cfg, path)
-    z0 = 0.0 if stepper.z is None else float(stepper.z[0])
-    return _states(State(t=start if t0 is None else t0, u=v0.copy(), z=z0), stepper, steps)
+    return _alone(ensemble([v0], cfg, [path], steps, t0))
 
 
-def _states(state: State, stepper: _EtdStepper, steps: int) -> Iterator[State]:
-    yield state
-    for n in range(steps):
-        state = step(state, stepper, n)
+def _alone(levels: Iterator[list]) -> Iterator[State]:
+    for (state,) in levels:
+        if isinstance(state, BlowupError):
+            raise state
         yield state
 
 

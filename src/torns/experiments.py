@@ -15,7 +15,10 @@ Everything here is a finite-horizon, finite-ensemble measurement:
 Experiment cells are independent; aggregation is order-independent, so
 reports are bit-reproducible for any worker count.  `threads` is an upper
 bound on the workers: cells run on a thread pool only on grids that take the
-FFT kernel (see _workers).
+FFT kernel (see _workers).  A cell whose trajectories share a config steps
+them as one ensemble (dynamics.ensemble), with the bits of stepping them one
+by one: a smoothing cell is the base and perturbed members of one (seed,
+direction), a convergence cell one (level, system) over the paths.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
-    BlowupError, SimConfig, State, conjugate, horizon_steps, integrate, trajectory)
+    BlowupError, SimConfig, State, conjugate, ensemble, horizon_steps, integrate, trajectory)
 from .noise import (
     OUPath,
     WienerPath,
@@ -179,7 +182,7 @@ class SmoothingReport:
 
 
 def _smoothing_pair_rows(cfg, v1, direction, label, deltas, horizons, seed):
-    """Joint stepping of the base and perturbed trajectories; one row per (delta, T).
+    """The base and perturbed trajectories as one ensemble; one row per (delta, T).
 
     A blowup gives error rows: for every (delta, T) when the base trajectory
     blows up, and for the horizons not yet reached when a perturbed one does.
@@ -189,35 +192,27 @@ def _smoothing_pair_rows(cfg, v1, direction, label, deltas, horizons, seed):
     w = sample_wiener(0.0, t_max, cfg.dt, seed=seed)
     ou = ou_from_wiener(w, init="stationary")
     checkpoints = {horizon_steps(T, cfg.dt): T for T in horizons}
-    starts = [(delta, v1 + delta * direction) for delta in deltas]
-    dist0 = {delta: sobolev_norm(v2 - v1, 0.0) for delta, v2 in starts}
+    starts = [v1 + delta * direction for delta in deltas]
+    dist0 = [sobolev_norm(v2 - v1, 0.0) for v2 in starts]
 
-    def row(delta, T, d2=float("nan"), ratio=float("nan"), error=""):
-        return {"seed": seed, "direction": label, "delta": delta, "T": T,
-                "dist0": dist0[delta], "distT_h2_sq": d2, "ratio": ratio, "error": error}
+    def row(i, T, d2=float("nan"), ratio=float("nan"), error=""):
+        return {"seed": seed, "direction": label, "delta": deltas[i], "T": T,
+                "dist0": dist0[i], "distT_h2_sq": d2, "ratio": ratio, "error": error}
 
-    # emitted states are never written again, so the checkpoints keep them as
-    # they are; velocity is built only where a checkpoint compares it
-    try:
-        base_states = {n: a for n, a in enumerate(trajectory(v1, cfg, path=ou, steps=steps))
-                       if n in checkpoints}
-    except BlowupError as exc:
-        return [row(delta, T, error=str(exc)) for delta in deltas for T in horizons]
-
-    rows = []
-    for delta, v2 in starts:
-        done = []
-        try:
-            for n, b in enumerate(trajectory(v2, cfg, path=ou, steps=steps)):
-                if n in checkpoints:
-                    T = checkpoints[n]
-                    d2 = sobolev_norm(b.u - base_states[n].u, 2.0) ** 2
-                    ratio = 0.0 if dist0[delta] == 0.0 else d2 / dist0[delta] ** 2
-                    rows.append(row(delta, T, d2, ratio))
-                    done.append(T)
-        except BlowupError as exc:
-            rows.extend(row(delta, T, error=str(exc)) for T in horizons if T not in done)
-    return rows
+    rows = {}  # (member, T) -> row; velocity is built only where a checkpoint compares it
+    for n, (base, *members) in enumerate(ensemble([v1, *starts], cfg, [ou] * (1 + len(deltas)), steps)):
+        if isinstance(base, BlowupError):
+            return [row(i, T, error=str(base)) for i in range(len(deltas)) for T in horizons]
+        for i, b in enumerate(members):
+            if isinstance(b, BlowupError):
+                for T in horizons:
+                    if (i, T) not in rows:
+                        rows[i, T] = row(i, T, error=str(b))
+            elif n in checkpoints:
+                T = checkpoints[n]
+                d2 = sobolev_norm(b.u - base.u, 2.0) ** 2
+                rows[i, T] = row(i, T, d2, 0.0 if dist0[i] == 0.0 else d2 / dist0[i] ** 2)
+    return [rows[i, T] for i in range(len(deltas)) for T in horizons]
 
 
 def measure_smoothing(
@@ -256,10 +251,11 @@ def measure_smoothing(
     for key in sorted(results.keys(), key=lambda k: (k[0], k[1])):
         rows.extend(results[key])
     ratios = [r["ratio"] for r in rows if r["error"] == "" and r["delta"] > 0]
+    import statistics  # here, not at module level: it adds 0.5 MB to every CLI process
     return SmoothingReport(
         rows=rows,
         max_ratio=max(ratios) if ratios else float("nan"),
-        median_ratio=float(np.median(ratios)) if ratios else float("nan"),
+        median_ratio=statistics.median(ratios) if ratios else float("nan"),
     )
 
 
@@ -380,24 +376,38 @@ def conjugation_convergence(
     if levels < 3:
         raise ValueError(f"need at least 3 levels, got {levels}")
     v0 = random_divfree_field(cfg.grid, cfg.seed, norm=1.0, stream=31)
+    # per level, the paths' Wiener increments and their OU processes
+    wieners = [[sample_wiener(0.0, T, base_dt, seed=seed + m) for m in range(paths)]]
+    for _ in range(levels - 1):
+        wieners.append([refine_wiener(w) for w in wieners[-1]])
+    ous = [[ou_from_wiener(w, init="stationary") for w in level] for level in wieners]
 
-    def one_path(m: int) -> list[float]:
-        errs = []
-        w = sample_wiener(0.0, T, base_dt, seed=seed + m)
-        for _ in range(levels):
-            lcfg = replace(cfg, dt=w.dt)
-            ou = ou_from_wiener(w, init="stationary")
-            ends = max(w.n, 1)  # only the final states are read: record only the series ends
-            rv = integrate(v0, lcfg, path=ou, stride=ends)
-            ru = integrate(conjugate(v0, float(ou.z[0]), cfg.h), lcfg, path=w, stride=ends)
-            recon = conjugate(rv.state.u, float(ou.z[-1]), cfg.h)
-            errs.append(sobolev_norm(ru.state.u - recon, 0.0))
-            w = refine_wiener(w)
-        return errs
+    def final_states(level: int, system: str) -> list:
+        """One ensemble over the paths: each member's final State, or its BlowupError."""
+        lcfg = replace(cfg, dt=wieners[level][0].dt)
+        if system == "ou":
+            v0s, members = [v0] * paths, ous[level]
+        else:
+            v0s = [conjugate(v0, float(ou.z[0]), cfg.h) for ou in ous[level]]
+            members = wieners[level]
+        for last in ensemble(v0s, lcfg, members):
+            pass
+        return last
 
-    cells = {m: (lambda mm=m: one_path(mm)) for m in range(paths)}
+    cells = {(lv, system): (lambda lv=lv, system=system: final_states(lv, system))
+             for lv in range(levels) for system in ("ou", "wiener")}
     results = run_cells(cells, _workers(cfg, threads))
-    errs = np.array([results[m] for m in sorted(results.keys())])
+    # a blowup raises as if the paths ran one by one, each level OU first
+    for m in range(paths):
+        for lv in range(levels):
+            for system in ("ou", "wiener"):
+                if isinstance(results[lv, system][m], BlowupError):
+                    raise results[lv, system][m]
+    errs = np.empty((paths, levels))
+    for lv in range(levels):  # a level's velocities are dropped before the next one's are built
+        finals = zip(results.pop((lv, "ou")), results.pop((lv, "wiener")), ous[lv])
+        for m, (v, u, ou) in enumerate(finals):
+            errs[m, lv] = sobolev_norm(u.u - conjugate(v.u, float(ou.z[-1]), cfg.h), 0.0)
     mean = errs.mean(axis=0)
     ratios = [float(mean[i] / mean[i + 1]) if mean[i + 1] > 0 else float("inf")
               for i in range(levels - 1)]

@@ -143,7 +143,26 @@ def _field_from_modes(grid: WaveGrid, modes: list, path: str) -> SpectralField:
     return leray_project(SpectralField(grid, coeffs))
 
 
-def _build_field(grid: WaveGrid, spec: dict, path: str, nu: float | None = None) -> SpectralField:
+def _finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _preset_params(spec: dict, path: str) -> tuple[float, int]:
+    """The norm (a finite real, default 1) and seed (an int, default 0) of a random field."""
+    norm = spec.get("norm", 1.0)
+    if isinstance(norm, bool) or not isinstance(norm, (int, float)) or not _finite(norm):
+        raise ConfigError(f"{path}.norm", f"expected a finite number, got {norm!r}")
+    seed = spec.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"{path}.seed", f"expected an integer, got {seed!r}")
+    return float(norm), seed
+
+
+def _build_field(grid: WaveGrid, spec: dict, path: str, nu: float) -> SpectralField:
+    """The field of one role, `path`: "forcing", "noise" or "initial"."""
     if not isinstance(spec, dict):
         raise ConfigError(path, "expected an object")
     if "modes" in spec:
@@ -152,21 +171,20 @@ def _build_field(grid: WaveGrid, spec: dict, path: str, nu: float | None = None)
     if preset == "zero":
         return SpectralField.zero(grid)
     if preset == "random":
-        norm = float(spec.get("norm", 1.0))
-        seed = int(spec.get("seed", 0))
+        norm, seed = _preset_params(spec, path)
         return random_divfree_field(grid, seed, norm=norm)
     if preset == "taylor-green":
-        if nu is None:
-            raise ConfigError(path, "taylor-green preset is only valid for initial data")
+        if path != "initial":
+            raise ConfigError(f"{path}.preset", "taylor-green preset is only valid for initial data")
         try:
             return taylor_green(0.0, nu, grid)
         except ValueError as exc:  # the vortex exists only on the 2 pi torus
             raise ConfigError(f"{path}.preset", str(exc)) from exc
     if preset == "manufactured":
-        if nu is None:
-            raise ConfigError(path, "manufactured preset is only valid for forcing")
-        u0 = random_divfree_field(grid, int(spec.get("seed", 0)), norm=float(spec.get("norm", 1.0)))
-        return manufactured_forcing(u0, nu)
+        if path != "forcing":
+            raise ConfigError(f"{path}.preset", "manufactured preset is only valid for forcing")
+        norm, seed = _preset_params(spec, path)
+        return manufactured_forcing(random_divfree_field(grid, seed, norm=norm), nu)
     raise ConfigError(f"{path}.preset", f"unknown preset {preset!r}")
 
 
@@ -215,9 +233,8 @@ def load_config(raw: dict | str) -> SimConfig:
     t_end = _require(merged, "t_end", (int, float), lambda v: v > 0, "must be positive")
 
     grid = make_grid(float(L), N)
-    f = _build_field(grid, merged["forcing"], "forcing", nu=float(nu))
-    h = _build_field(grid, merged["noise"], "noise")
-    u0 = _build_field(grid, merged["initial"], "initial", nu=float(nu))
+    f, h, u0 = (_build_field(grid, merged[role], role, float(nu))
+                for role in ("forcing", "noise", "initial"))
     try:
         return SimConfig(nu=float(nu), grid=grid, dt=float(dt), f=f, h=h,
                          scheme=scheme, seed=seed, stride=stride, t_end=float(t_end), u0=u0)
@@ -260,7 +277,9 @@ def _parse_header(data: bytes, path: str | Path) -> CheckpointHeader:
 
 
 def peek_checkpoint(path: str | Path) -> CheckpointHeader:
-    return _parse_header(Path(path).read_bytes(), path)
+    """The header of a checkpoint, read without its payload."""
+    with open(path, "rb") as fh:
+        return _parse_header(fh.read(_HEADER.size), path)
 
 
 def read_checkpoint(path: str | Path) -> State:

@@ -22,7 +22,9 @@ size alone picks one: up to N = _DFT_MAX_N, where a numpy call costs mostly
 its Python wrapper, real matrix products with dense DFT tables; above it the
 Basdevant form, with two inverse and two forward real transforms as numpy's
 1-D FFTs.  The DFT kernel's calls are too short to gain from a second
-thread, so the experiments run their cells serially on those grids.
+thread, so the experiments run their cells serially on those grids.  Both
+kernels take a leading member axis, (B, N, K), on which each member gets
+the bits of its own (N, K) call.
 
 grad_linf samples the 2x2 Jacobian of h on a 4N x 4N grid, but never holds
 that grid: one inverse transform along x on the N/2 columns that hold h,
@@ -399,50 +401,61 @@ class HalfSpectrum:
 
 
 class AdvectionWorkspace:
-    """The buffers vorticity_advection writes, for one trajectory at a time.
+    """The buffers vorticity_advection writes, for one block of w at a time.
 
-    Every call overwrites them, including the (N, K) array it returns, so
-    threads that step concurrently need one workspace each.  vel, cols, uv,
-    adv, rows and spec serve the FFT kernel; the columns j2 >= K of cols stay
-    zero.  When the half spectrum has its tables, phys holds the DFT
-    kernel's four grid fields (its first two are uv) and the buffers ending
-    in _t serve that kernel: the masked columns transposed, (K, N) with j1
-    last, and each stage's real result, also held in the shape of the
-    product that reads it, so a call makes no views.
+    Every call overwrites them, including the array it returns, so threads
+    that step concurrently need one workspace each.  members=None serves
+    one (N, K) array; members=B serves a (B, N, K) block, the leading axis
+    of B trajectories that share the grid, and adds that axis to every
+    buffer.  vel, cols, uv, adv, rows and spec serve the FFT kernel, with
+    the two fields first (u_1, u_2, then the two products), so ops2 and
+    basdevant are the tables with a unit member axis; the columns j2 >= K
+    of cols stay zero.  When the half spectrum has its tables, the buffers
+    ending in _t serve the DFT kernel with the member axis first: the
+    masked columns transposed, (K, N) with j1 last, and each stage's real
+    result, also held in the shape of the product that reads it, so a call
+    makes no views but the transpose of its input.
     """
 
-    def __init__(self, half: HalfSpectrum):
+    def __init__(self, half: HalfSpectrum, members: int | None = None):
         N, K = half.grid.N, half.K
         M = N // 2 + 1
-        self.vel = np.empty((2, N, K), dtype=np.complex128)  # ops[:2] * w: u_1, u_2
-        self.cols = np.zeros((2, N, M), dtype=np.complex128)  # after the inverse FFT along x
-        self.phys = np.empty((2 if half.dft is None else 4, N, N))
-        self.uv = self.phys[:2]  # u_1, u_2 on the grid, x first; squared in place
-        # u_1 u_2 and u_2^2 - u_1^2 (FFT kernel), the two terms of u . grad w (DFT kernel)
-        self.adv = np.empty((2, N, N))
-        self.rows = np.empty((2, N, M), dtype=np.complex128)  # after the forward FFT along y
-        self.spec = np.empty((2, N, K), dtype=np.complex128)  # after the forward FFT along x
-        self.out = np.empty((N, K), dtype=np.complex128)
+        lead = () if members is None else (members,)
+        unit = (2, *(1,) * len(lead), N, K)
+        self.ops2, self.basdevant = half.ops[:2].reshape(unit), half.basdevant.reshape(unit)
+        self.vel = np.empty((2, *lead, N, K), dtype=np.complex128)  # ops2 * w: u_1, u_2
+        self.cols = np.zeros((2, *lead, N, M), dtype=np.complex128)  # after the inverse FFT along x
+        self.cols_k = self.cols[..., :K]
+        self.uv = np.empty((2, *lead, N, N))  # u_1, u_2 on the grid, x first; squared in place
+        self.adv = np.empty((2, *lead, N, N))  # u_1 u_2 and u_2^2 - u_1^2
+        self.rows = np.empty((2, *lead, N, M), dtype=np.complex128)  # after the forward FFT along y
+        self.rows_k = self.rows[..., :K]
+        self.spec = np.empty((2, *lead, N, K), dtype=np.complex128)  # after the forward FFT along x
+        self.out = np.empty((*lead, N, K), dtype=np.complex128)
         if half.dft is None:
             return
-        self.scaled_t = np.empty((4 * K, 2 * N))  # scale * w_t, (re, im) interleaved over j1
-        self.scaled_t_stack = self.scaled_t.reshape(4, K, 2 * N)
-        self.w_t = self.scaled_t_stack.view(np.complex128)  # (4, K, N): w_t in each field's rows
-        self.cols_t = np.empty((4 * K, 2 * N))  # after the inverse DFT along x: [Re | Im] over x
-        self.cols_t_stack = self.cols_t.reshape(4, 2 * K, N)
-        self.products = (self.phys[0:2], self.phys[2:4])
-        self.adv_rows = self.adv.reshape(2 * N, N)
-        self.rows_t = np.empty((2 * K, N))  # after the forward DFT along y: [Re | Im] over x
-        self.rows_t_pairs = self.rows_t.reshape(K, 2 * N)
-        self.spec_t = np.empty((K, 2 * N))  # after the forward DFT along x: interleaved over j1
-        self.spec_cols = self.spec_t.view(np.complex128).T  # (N, K), as out
+        self.scaled_t = np.empty((*lead, 4 * K, 2 * N))  # scale * w_t, (re, im) interleaved over j1
+        self.scaled_t_stack = self.scaled_t.reshape(*lead, 4, K, 2 * N)
+        self.w_t = self.scaled_t_stack.view(np.complex128)  # (..., 4, K, N): w_t in each field's rows
+        self.cols_t = np.empty((*lead, 4 * K, 2 * N))  # after the inverse DFT along x: [Re | Im] over x
+        self.cols_t_stack = self.cols_t.reshape(*lead, 4, 2 * K, N)
+        self.phys_t = np.empty((*lead, 4, N, N))  # u_1, u_2, d_x w, d_y w on the grid, (y, x)
+        self.products = (self.phys_t[..., 0:2, :, :], self.phys_t[..., 2:4, :, :])
+        self.adv_t = np.empty((*lead, 2, N, N))  # the two terms of u . grad w
+        self.adv_rows = self.adv_t.reshape(*lead, 2 * N, N)
+        self.rows_t = np.empty((*lead, 2 * K, N))  # after the forward DFT along y: [Re | Im] over x
+        self.rows_t_pairs = self.rows_t.reshape(*lead, K, 2 * N)
+        self.spec_t = np.empty((*lead, K, 2 * N))  # after the forward DFT along x: interleaved over j1
+        self.spec_cols = self.spec_t.view(np.complex128).mT  # (..., N, K), as out
 
 
 def vorticity_advection(w: np.ndarray, half: HalfSpectrum,
                         work: AdvectionWorkspace | None = None) -> np.ndarray:
     """Dealiased curl B(u, u) = (u . grad) w on the K masked columns, for w = curl u.
 
-    w and the result are (N, K) blocks of the half spectrum (HalfSpectrum).
+    w and the result are (N, K) blocks of the half spectrum (HalfSpectrum),
+    or (B, N, K) blocks of B fields with a workspace for B members; each
+    member's result has the bits of its own (N, K) call.
     Grids with N <= _DFT_MAX_N run irfft2 of the four fields u_1, u_2, d_x w
     and d_y w and rfft2 of u . grad w as four real matrix products with the
     tables of the half spectrum, on the masked columns transposed to (K, N)
@@ -466,30 +479,34 @@ def vorticity_advection(w: np.ndarray, half: HalfSpectrum,
 
 def _advection_fft(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorkspace) -> np.ndarray:
     """vorticity_advection in the Basdevant form, numpy's 1-D FFTs out= into the workspace."""
-    N, K = half.grid.N, half.K
+    N = half.grid.N
     # a broadcasting multiply with out= allocates a transient, a broadcast copy does not
     np.copyto(work.vel, w)
-    np.multiply(half.ops[:2], work.vel, out=work.vel)
-    np.fft.ifft(work.vel, n=N, axis=-2, norm="forward", out=work.cols[:, :, :K])
+    np.multiply(work.ops2, work.vel, out=work.vel)
+    np.fft.ifft(work.vel, n=N, axis=-2, norm="forward", out=work.cols_k)
     u = np.fft.irfft(work.cols, n=N, axis=-1, norm="forward", out=work.uv)
     adv = work.adv
     np.multiply(u[0], u[1], out=adv[0])  # before u is squared in place
     np.multiply(u, u, out=u)
     np.subtract(u[1], u[0], out=adv[1])
     np.fft.rfft(adv, n=N, axis=-1, norm="forward", out=work.rows)
-    spec = np.fft.fft(work.rows[:, :, :K], n=N, axis=-2, norm="forward", out=work.spec)
-    np.multiply(half.basdevant, spec, out=spec)
+    spec = np.fft.fft(work.rows_k, n=N, axis=-2, norm="forward", out=work.spec)
+    np.multiply(work.basdevant, spec, out=spec)
     return np.add(spec[0], spec[1], out=work.out)
 
 
 def _advection_dft(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorkspace) -> np.ndarray:
-    """vorticity_advection as four real matrix products with the tables of half.dft."""
+    """vorticity_advection as four real matrix products with the tables of half.dft.
+
+    A member axis stacks the products; each member's products have the
+    shapes of an (N, K) call, so its result has the same bits.
+    """
     t = half.dft
-    np.copyto(work.w_t, w.T)  # broadcast to the 4 fields
+    np.copyto(work.w_t, w[..., None, :, :].mT)  # broadcast to the 4 fields
     np.multiply(work.scaled_t_stack, t.scale, out=work.scaled_t_stack)
     np.matmul(work.scaled_t, t.R, out=work.cols_t)
-    np.matmul(t.Ty, work.cols_t_stack, out=work.phys)  # (4, y, x)
-    np.multiply(*work.products, out=work.adv)
+    np.matmul(t.Ty, work.cols_t_stack, out=work.phys_t)  # (4, y, x) per member
+    np.multiply(*work.products, out=work.adv_t)
     np.matmul(t.F, work.adv_rows, out=work.rows_t)  # sums the two terms
     np.matmul(work.rows_t_pairs, t.Rf, out=work.spec_t)  # zero for the rows j1 outside the mask
     np.copyto(work.out, work.spec_cols)

@@ -99,6 +99,35 @@ class TestArtifactContract:
         assert not out.exists()
 
 
+class TestFieldConfig:
+    @pytest.mark.parametrize("role, spec, where", [
+        # a preset outside its role
+        ("forcing", {"preset": "taylor-green"}, "forcing.preset"),
+        ("initial", {"preset": "manufactured"}, "initial.preset"),
+        ("noise", {"preset": "manufactured"}, "noise.preset"),
+        # malformed random-field parameters
+        ("forcing", {"preset": "random", "norm": "abc"}, "forcing.norm"),
+        ("noise", {"preset": "random", "norm": None}, "noise.norm"),
+        ("initial", {"preset": "random", "norm": True}, "initial.norm"),
+        ("initial", {"preset": "random", "norm": float("inf")}, "initial.norm"),
+        ("noise", {"preset": "random", "seed": 1.5}, "noise.seed"),
+        ("forcing", {"preset": "manufactured", "seed": True}, "forcing.seed"),
+    ])
+    def test_rejected_with_one_config_error_line(self, tmp_path, capsys, role, spec, where):
+        cfg = write_config(tmp_path, {"nu": 1.0, "N": 16, "dt": 1e-2, role: spec})
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {where}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", [{"preset": "random", "norm": 2, "seed": 7},
+                                      {"preset": "manufactured", "norm": 0.5}])
+    def test_well_formed_parameters_load(self, spec):
+        assert load_config({"nu": 1.0, "N": 16, "dt": 1e-2, "forcing": spec}).f.coeffs.any()
+
+
 class TestValidate:
     def test_h_zero_preset_alpha_one(self, capsys):
         assert main(["validate", "--preset", "taylor-green"]) == 0
@@ -253,6 +282,23 @@ class TestExperimentCommands:
         assert "dt = 0.3" in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+    def test_smoothing_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.median imports numpy.ma on its first call; a fresh process shows it
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import torns
+
+        cfg = write_config(tmp_path, SMALL)
+        argv = ["smoothing", "--config", cfg, "--out", str(tmp_path / "sm"), "--quiet"]
+        code = (f"import sys; from torns.cli import main; code = main({argv!r}); "
+                "print(code, 'numpy.ma' in sys.modules)")
+        env = {"PYTHONPATH": str(Path(torns.__file__).resolve().parents[1]), "PATH": ""}
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True)
+        assert res.stdout.split() == ["0", "False"]
 
     def test_smoothing_threads_bit_identical(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -573,6 +573,85 @@ class TestTrajectory:
         assert len(calls) == 5 + 2 * 2
 
 
+def member_paths(kind, cfg, n, B):
+    """B paths of one kind with distinct seeds (None for the deterministic system)."""
+    if kind == "deterministic":
+        return None
+    ws = [sample_wiener(0.0, n * cfg.dt, cfg.dt, seed=20 + m) for m in range(B)]
+    return [ou_from_wiener(w, init="stationary") for w in ws] if kind == "ou" else ws
+
+
+def row_bits(state):
+    return state._w if state._w is not None else state.u.coeffs
+
+
+class TestEnsemble:
+    # N = 16 runs the dense-DFT kernel, N = 50 the FFT kernel; a BLAS that
+    # blocked a product by its row count could change the bits with B
+    @pytest.mark.parametrize("N", [16, 50])
+    @pytest.mark.parametrize("kind", ["deterministic", "ou", "wiener"])
+    @pytest.mark.parametrize("B", [1, 3, 8, 24])
+    def test_members_have_the_bits_of_single_trajectories(self, N, kind, B):
+        g = make_grid(TWO_PI, N)
+        cfg = noisy_cfg(g)
+        steps = 5
+        v0s = [random_divfree_field(g, seed=30 + m, norm=1.0) for m in range(B)]
+        paths = member_paths(kind, cfg, steps, B)
+        levels = list(dynamics.ensemble(v0s, cfg, paths, steps=steps))
+        assert len(levels) == steps + 1
+        for m in range(B):
+            alone = trajectory(v0s[m], cfg, None if paths is None else paths[m], steps=steps)
+            for level, a in zip(levels, alone):
+                b = level[m]
+                assert (b.t, b.z) == (a.t, a.z)
+                assert np.array_equal(row_bits(b), row_bits(a))
+
+    def test_lockstep_is_enforced(self, grid16):
+        cfg = noisy_cfg(grid16)
+        ou = path_of_type("ou", cfg, 4)
+        starts = [State(0.0, random_divfree_field(grid16, seed=s, norm=1.0)) for s in (4, 5, 6)]
+        st = _EtdStepper(cfg, [ou] * 3)
+        st.start(starts)
+        with pytest.raises(ValueError, match="lockstep"):
+            step(starts[0], st, 1)  # skips level 0
+        with pytest.raises(ValueError, match="lockstep"):
+            step(starts[1], st, 0)  # member 1 before member 0
+        with pytest.raises(ValueError, match="lockstep"):
+            step(State(0.0, starts[0].u.copy()), st, 0)  # a state the stepper did not emit
+        first = [step(s, st, 0) for s in starts]
+        with pytest.raises(ValueError, match="lockstep"):
+            step(starts[0], st, 1)  # a state of the level before
+        assert [step(s, st, 1).t for s in first] == [2 * cfg.dt] * 3
+
+    def test_members_share_one_system(self, grid16):
+        cfg = noisy_cfg(grid16)
+        v0s = [random_divfree_field(grid16, seed=s, norm=1.0) for s in (4, 5)]
+        with pytest.raises(ValueError, match="share one system"):
+            dynamics.ensemble(v0s, cfg, [path_of_type("ou", cfg, 3), None])
+        with pytest.raises(ValueError, match="one path per member"):
+            dynamics.ensemble(v0s, cfg, [path_of_type("ou", cfg, 3)])
+
+    @pytest.mark.parametrize("big", [0, 1, 2])
+    def test_blowup_freezes_only_its_member(self, grid16, big):
+        # dt = 10 puts the explicit advection far outside its stability region:
+        # the norm-50 member blows up, the small ones decay; warnings are errors
+        cfg = basic_cfg(grid16, dt=10.0)
+        v0s = [random_divfree_field(grid16, seed=s, norm=0.05) for s in (1, 2)]
+        v0s.insert(big, random_divfree_field(grid16, seed=1, norm=50.0))
+        levels = list(dynamics.ensemble(v0s, cfg, steps=14))
+        err = levels[-1][big]
+        assert isinstance(err, BlowupError)
+        with pytest.raises(BlowupError) as alone:
+            integrate(v0s[big], cfg, steps=14)
+        assert str(err) == str(alone.value)
+        assert np.array_equal(err.last_state.u.coeffs, alone.value.last_state.u.coeffs)
+        blown = next(n for n, level in enumerate(levels) if level[big] is err)
+        assert all(level[big] is err for level in levels[blown:])
+        for m in {0, 1, 2} - {big}:
+            for level, a in zip(levels, trajectory(v0s[m], cfg, steps=14)):
+                assert np.array_equal(row_bits(level[m]), row_bits(a))
+
+
 class TestTaylorGreen:
     def test_requires_2pi_box(self):
         with pytest.raises(ValueError):

@@ -190,6 +190,35 @@ class TestCheckpoint:
         read_checkpoint(p)
         assert reads == [p]
 
+    def test_peek_reads_only_the_header(self, tmp_path, monkeypatch):
+        import builtins
+
+        from torns import io as tio
+
+        p = tmp_path / "peek.trns"
+        write_checkpoint(State(0.0, random_divfree_field(make_grid(TWO_PI, 16), seed=1)), p, nu=0.3)
+        read = []
+
+        class Counted:
+            def __init__(self, *args):
+                self.fh = builtins.open(*args)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def read(self, n=-1):
+                data = self.fh.read(n)
+                read.append(len(data))
+                return data
+
+        monkeypatch.setattr(tio, "open", Counted, raising=False)
+        hdr = peek_checkpoint(p)
+        assert (hdr.N, hdr.nu, hdr.payload_len) == (16, 0.3, 2 * 16 * 16 * 16)
+        assert sum(read) == tio._HEADER.size < p.stat().st_size
+
 
 class TestSeriesCsv:
     def test_round_trip(self, tmp_path):
