@@ -127,7 +127,7 @@ def _absorbing(cfg: SimConfig, args, out: Path) -> Outcome:
     rep = experiments.measure_absorbing(
         cfg, initial_radii=[1.0, 10.0], horizons=list(_ABSORBING_HORIZONS),
         seed=cfg.seed, threads=args.threads)
-    cols = ["radius", "horizon", "norm_h", "norm_h1", "norm_h2", "dist_h2", "error"]
+    cols = ["radius", "horizon", "norm_h", "norm_h1", "norm_h2", "error"]
     tio.write_rows_csv(rep.rows, cols, out / "absorbing.csv")
     failures = [r for r in rep.rows if r["error"]]
     if failures:

@@ -3,11 +3,11 @@
 Everything here is a finite-horizon, finite-ensemble measurement:
 
 * pullback solves fix the noise on [-t, 0] (anchored at 0, so larger horizons
-  extend the same path into the past) and integrate the conjugated system
-  forward from -t;
+  extend the same path into the past) and step the conjugated system of an
+  initial-data family forward from -t;
 * the deterministic global attractor is stood in for by finitely many
   post-transient states of one long run (distances to it are over-estimates);
-* absorbing behaviour is reported as sup norms over an initial-data family;
+* absorbing behaviour is reported as sup norms over a pulled-back family;
 * the (H, H^2)-smoothing constant is reported as the measured ratio
   ||v1(T) - v2(T)||_{H^2}^2 / ||v1(0) - v2(0)||^2 over pairs driven by the
   same noise path.
@@ -15,10 +15,11 @@ Everything here is a finite-horizon, finite-ensemble measurement:
 Experiment cells are independent; aggregation is order-independent, so
 reports are bit-reproducible for any worker count.  `threads` is an upper
 bound on the workers: cells run on a thread pool only on grids that take the
-FFT kernel (see _workers).  A cell whose trajectories share a config steps
-them as one ensemble (dynamics.ensemble), with the bits of stepping them one
-by one: a smoothing cell is the base and perturbed members of one (seed,
-direction), a convergence cell one (level, system) over the paths.
+FFT kernel (see _workers).  Trajectories that share a config step as one
+ensemble (dynamics.ensemble), with the bits of stepping them one by one: a
+pullback family, an absorbing cell's radii at one horizon, a smoothing cell's
+base and perturbed members of one (seed, direction), a convergence cell's
+(level, system) over the paths.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
-    BlowupError, SimConfig, State, conjugate, ensemble, horizon_steps, integrate, trajectory)
+    BlowupError, SimConfig, State, conjugate, ensemble, horizon_steps, trajectory)
 from .noise import (
     OUPath,
-    WienerPath,
     ou_from_wiener,
     ou_stationary_moment,
     empirical_moment,
@@ -72,8 +72,9 @@ def _workers(cfg: SimConfig, threads: int) -> int:
 
     On those grids every numpy call of a step is short, so the step is bound
     by Python overhead under the interpreter lock and a second thread adds
-    only contention (measured on 2 cores: the cells-n16-t2 smoothing and
-    convergence pair took 3.28 s on 1 thread and 3.65 s on 2).  FFT grids
+    only contention (2 cores, the cells-n16-t2 seed-0 pair with --threads 2:
+    serial 1.32-1.89 s, pool 1.84-2.13 s, serial faster in 8 of 8 alternating
+    pairs; a re-run 1.36-1.68 s against 1.56-1.99 s, 7 of 8).  FFT grids
     keep the pool (N = 128: smoothing 4.27 s on 1 thread, 2.87 s on 2).
     """
     return 1 if spectral._runs_dft(cfg.grid.N) else threads
@@ -93,38 +94,41 @@ def pullback_path(cfg: SimConfig, horizon: float, seed: int) -> OUPath:
 
     The same (seed, dt) yields bit-identical increments on [-t, 0] for every
     horizon >= t; burn-in only extends the scalar OU integration further into
-    the past.
+    the past.  A negative horizon raises ValueError.
     """
+    if not horizon >= 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
     w = pullback_wiener(horizon, cfg.dt, seed, burn_in=OU_BURN_IN)
     ou = ou_from_wiener(w, init="stationary")
     b = round(OU_BURN_IN / cfg.dt)
-    if b == 0:
-        return ou
-    sliced = WienerPath(
-        t0=-horizon, t1=0.0, dt=cfg.dt, increments=w.increments[b:],
-        seed=seed, level=w.level, stream=w.stream, quantum=w.quantum,
-    )
-    return OUPath(wiener=sliced, z=ou.z[b:])
+    # 0.0 - horizon, not -horizon: the window of horizon 0 starts at t = +0.0
+    return OUPath(wiener=replace(w, t0=0.0 - horizon, increments=w.increments[b:]), z=ou.z[b:])
+
+
+def _pullback_family(cfg: SimConfig, horizon: float, seed: int, initial_states: list) -> list:
+    """The family as one ensemble on the path of `seed`: each member's State at 0, or its BlowupError."""
+    ou = pullback_path(cfg, horizon, seed)
+    for last in ensemble(initial_states, cfg, [ou] * len(initial_states)):
+        pass
+    return last
 
 
 def pullback_solve(cfg: SimConfig, horizon: float, seed: int, initial_states: list) -> list[State]:
     """States at time 0 of trajectories started at -horizon, one per family member.
 
-    The family shares the noise path of `seed`.  Every state carries z_omega(0),
-    the anchored OU value at time 0; at horizon 0 the initial data are returned
-    unchanged with that z.  A negative horizon, an empty family or a horizon
+    The family steps as one ensemble on the noise path of `seed`; the first
+    member to blow up, in family order, raises its BlowupError.  Every state
+    carries z_omega(0), the anchored OU value at time 0 (at horizon 0, with the
+    initial data unchanged).  A negative horizon, an empty family or a horizon
     that is not a whole number of steps raises ValueError before any path is drawn.
     """
-    if not horizon >= 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
     if not initial_states:
         raise ValueError("initial-state family is empty")
     horizon_steps(horizon, cfg.dt)
-    ou = pullback_path(cfg, horizon, seed)
-    if horizon == 0.0:
-        return [State(t=0.0, u=v0.copy(), z=float(ou.z[-1])) for v0 in initial_states]
-    # the series is not returned: record only its two ends
-    return [integrate(v0, cfg, path=ou, stride=max(ou.n, 1)).state for v0 in initial_states]
+    states = _pullback_family(cfg, horizon, seed, initial_states)
+    for error in (s for s in states if isinstance(s, BlowupError)):
+        raise error
+    return states
 
 
 @dataclass
@@ -265,8 +269,8 @@ def _kmin(cfg: SimConfig) -> float:
 
 @dataclass
 class AbsorbingReport:
-    """Per-(radius, horizon) final norms, optional H^2 distance to an attractor sample;
-    radius_estimates[(h, s)] is the sup over the radii of the H^s norm, s in H, H1, H2."""
+    """Rows (radius, horizon, norm_h, norm_h1, norm_h2, error) of the pulled-back states at 0;
+    radius_estimates[(h, s)] is the sup over the error-free radii of the H^s norm, s in H, H1, H2."""
 
     rows: list
     horizons: list
@@ -278,42 +282,34 @@ def measure_absorbing(
     initial_radii: list[float],
     horizons: list[float],
     seed: int,
-    sample: AttractorSample | None = None,
     threads: int = 1,
 ) -> AbsorbingReport:
     """Pullback the family {radius * e : radius in initial_radii} over each horizon.
 
-    All cells share one anchored noise path (the window only grows with the
-    horizon).  radius_estimates[(h, s)] is the sup over the family of the
-    final H^s norm at horizon h.
+    A cell is one horizon and its family one ensemble, on one anchored noise
+    path (the window only grows with the horizon).  One row per distinct
+    (radius, horizon) in increasing order; a member that blows up gets NaN
+    norms and its error.
     """
     if not initial_radii or not horizons:
         raise ValueError("radii and horizons must be nonempty")
     for h in horizons:
         horizon_steps(h, cfg.dt)
     e = random_divfree_field(cfg.grid, 99, norm=1.0, stream=29)  # one fixed unit direction
+    radii = sorted(set(initial_radii))
+    family = [SpectralField(cfg.grid, r * e.coeffs) for r in radii]
 
-    def cell(radius: float, horizon: float):
-        v0 = SpectralField(cfg.grid, radius * e.coeffs)
-        try:
-            st = pullback_solve(cfg, horizon, seed, [v0])[0]
-            row = {
-                "radius": radius, "horizon": horizon,
-                "norm_h": sobolev_norm(st.u, 0.0),
-                "norm_h1": sobolev_norm(st.u, 1.0),
-                "norm_h2": sobolev_norm(st.u, 2.0),
-                "dist_h2": distance_to_set(st.u, sample, 2) if sample is not None else float("nan"),
-                "error": "",
-            }
-        except BlowupError as exc:
-            row = {"radius": radius, "horizon": horizon, "norm_h": float("nan"),
-                   "norm_h1": float("nan"), "norm_h2": float("nan"),
-                   "dist_h2": float("nan"), "error": str(exc)}
-        return row
+    def cell(horizon: float) -> list:
+        rows = []
+        for radius, st in zip(radii, _pullback_family(cfg, horizon, seed, family)):
+            error = str(st) if isinstance(st, BlowupError) else ""
+            norms = [float("nan") if error else sobolev_norm(st.u, s) for s in (0.0, 1.0, 2.0)]
+            rows.append(dict(zip(("radius", "horizon", "norm_h", "norm_h1", "norm_h2", "error"),
+                                 (radius, horizon, *norms, error))))
+        return rows
 
-    cells = {(r, h): (lambda rr=r, hh=h: cell(rr, hh)) for r in initial_radii for h in horizons}
-    results = run_cells(cells, _workers(cfg, threads))
-    rows = [results[k] for k in sorted(results.keys())]
+    results = run_cells({h: (lambda hh=h: cell(hh)) for h in horizons}, _workers(cfg, threads))
+    rows = [results[h][i] for i in range(len(radii)) for h in sorted(results)]
     estimates = {}
     for h in horizons:
         for sname, col in (("H", "norm_h"), ("H1", "norm_h1"), ("H2", "norm_h2")):

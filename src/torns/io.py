@@ -150,6 +150,10 @@ def _finite(v) -> bool:
         return False
 
 
+def _positive(v) -> bool:
+    return v > 0 and _finite(v)
+
+
 def _preset_params(spec: dict, path: str) -> tuple[float, int]:
     """The norm (a finite real, default 1) and seed (an int, default 0) of a random field."""
     norm = spec.get("norm", 1.0)
@@ -214,23 +218,23 @@ def normalize_config(raw: dict | str) -> dict:
 def load_config(raw: dict | str) -> SimConfig:
     """Validated SimConfig from a JSON string or dict.
 
-    Schema (top-level): nu > 0, L > 0, N even >= 4, dt > 0, and optionally
-    scheme, seed, stride, t_end, preset, forcing, noise, initial.  A top-level
-    "preset" fills unset keys ("taylor-green", "decay-noise").  forcing/noise/
-    initial are {"preset": ...} or {"modes": [...]} objects (see
-    _field_from_modes).  The admissibility report is evaluated and attached;
-    violation is a warning carried in the report, not a rejection.
+    Schema (top-level): nu, L, dt finite and > 0, N even >= 4, and optionally
+    scheme, seed, stride, t_end (finite, > 0), preset, forcing, noise, initial.
+    A top-level "preset" fills unset keys ("taylor-green", "decay-noise").
+    forcing/noise/initial are {"preset": ...} or {"modes": [...]} objects
+    (see _field_from_modes).  The admissibility report is evaluated and
+    attached; violation is a warning carried in the report, not a rejection.
     """
     merged = normalize_config(raw)
 
-    nu = _require(merged, "nu", (int, float), lambda v: v > 0, "must be positive")
-    L = _require(merged, "L", (int, float), lambda v: v > 0, "must be positive")
+    nu = _require(merged, "nu", (int, float), _positive, "must be positive and finite")
+    L = _require(merged, "L", (int, float), _positive, "must be positive and finite")
     N = _require(merged, "N", int, lambda v: v >= 4 and v % 2 == 0, "must be even and >= 4")
-    dt = _require(merged, "dt", (int, float), lambda v: v > 0, "must be positive")
+    dt = _require(merged, "dt", (int, float), _positive, "must be positive and finite")
     scheme = _require(merged, "scheme", str)
     seed = _require(merged, "seed", int)
     stride = _require(merged, "stride", int, lambda v: v >= 1, "must be >= 1")
-    t_end = _require(merged, "t_end", (int, float), lambda v: v > 0, "must be positive")
+    t_end = _require(merged, "t_end", (int, float), _positive, "must be positive and finite")
 
     grid = make_grid(float(L), N)
     f, h, u0 = (_build_field(grid, merged[role], role, float(nu))

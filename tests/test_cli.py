@@ -128,6 +128,23 @@ class TestFieldConfig:
         assert load_config({"nu": 1.0, "N": 16, "dt": 1e-2, "forcing": spec}).f.coeffs.any()
 
 
+class TestTopLevelNumbers:
+    # 1e400 parses as an infinite float, 1 followed by 400 zeros as an int beyond the float range
+    @pytest.mark.parametrize("value", ["1e400", "1" + "0" * 400], ids=["float", "int"])
+    @pytest.mark.parametrize("field", ["nu", "L", "dt", "t_end"])
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_infinite_value_is_config_error(self, tmp_path, capsys, command, field, value):
+        raw = {k: v for k, v in {"nu": 1.0, "N": 16, "dt": 0.01}.items() if k != field}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw)[:-1] + f', "{field}": {value}}}')
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {field}: must be positive and finite")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists()
+
+
 class TestValidate:
     def test_h_zero_preset_alpha_one(self, capsys):
         assert main(["validate", "--preset", "taylor-green"]) == 0

@@ -571,6 +571,19 @@ class TestTrajectory:
         calls.clear()
         experiments.sample_attractor_deterministic(cfg, t_transient=5 * cfg.dt, count=3, stride=2, v0=v0)
         assert len(calls) == 5 + 2 * 2
+        # absorbing: one stepper per horizon, its radii one ensemble
+        steppers = []
+
+        class Counted(_EtdStepper):
+            def __init__(self, *a):
+                steppers.append(1)
+                super().__init__(*a)
+
+        monkeypatch.setattr(dynamics, "_EtdStepper", Counted)
+        calls.clear()
+        experiments.measure_absorbing(cfg, initial_radii=[1.0, 2.0, 4.0], horizons=[3 * cfg.dt, 8 * cfg.dt],
+                                      seed=5)
+        assert len(calls) == 3 * (3 + 8) and len(steppers) == 2
 
 
 def member_paths(kind, cfg, n, B):

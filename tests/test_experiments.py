@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from torns import experiments, spectral
-from torns.dynamics import SimConfig, integrate, manufactured_forcing
+from torns.dynamics import BlowupError, SimConfig, integrate, manufactured_forcing
 from torns.experiments import (
     AttractorSample,
     conjugation_convergence,
@@ -65,7 +65,7 @@ class TestPullback:
     def test_horizon_not_a_whole_number_of_steps_rejected(self, grid16, experiment, monkeypatch):
         # rejected before any cell steps: stepping would fail this test
         monkeypatch.setattr(experiments, "trajectory", None)
-        monkeypatch.setattr(experiments, "integrate", None)
+        monkeypatch.setattr(experiments, "ensemble", None)
         cfg = cfg_for(grid16, dt=0.3)
         v0 = random_divfree_field(grid16, seed=1)
         run = {
@@ -77,6 +77,33 @@ class TestPullback:
         }[experiment]
         with pytest.raises(ValueError, match=r"is not a whole number of steps of dt = 0\.3"):
             run()
+
+    # N = 16 runs the dense-DFT kernel, N = 50 the FFT kernel
+    @pytest.mark.parametrize("N", [16, 50])
+    def test_family_members_have_the_bits_of_single_solves(self, N):
+        g = make_grid(TWO_PI, N)
+        cfg = cfg_for(g, nu=0.05, dt=2e-3, f=random_divfree_field(g, seed=4, norm=0.5),
+                      h=random_divfree_field(g, seed=2, norm=0.05))
+        family = [random_divfree_field(g, seed=s, norm=1.0) for s in (5, 6, 7)]
+        for horizon in (0.0, 0.05):
+            together = pullback_solve(cfg, horizon, 3, family)
+            for v0, a in zip(family, together):
+                (b,) = pullback_solve(cfg, horizon, 3, [v0])
+                assert (a.t, a.z) == (b.t, b.z)
+                assert np.array_equal(a.u.coeffs, b.u.coeffs)
+        assert all(math.copysign(1.0, a.t) == 1.0 for a in pullback_solve(cfg, 0.0, 3, family))
+
+    def test_family_blowup_is_its_members_and_raised(self, grid16):
+        # dt = 10 puts the explicit advection far outside its stability region
+        cfg = cfg_for(grid16, dt=10.0)
+        e = random_divfree_field(grid16, seed=1, norm=1.0)
+        family = [0.05 * e, 50.0 * e, 0.05 * e]
+        entries = experiments._pullback_family(cfg, 1000.0, 5, family)
+        assert [isinstance(s, BlowupError) for s in entries] == [False, True, False]
+        with pytest.raises(BlowupError) as raised:
+            pullback_solve(cfg, 1000.0, 5, family)
+        assert str(raised.value) == str(entries[1])
+        assert np.array_equal(raised.value.last_state.u.coeffs, entries[1].last_state.u.coeffs)
 
     def test_linear_decay_oracle(self, grid16):
         # f = h = 0, single shear mode: ||v(0)|| = exp(-nu lambda1 t) ||v0||
@@ -297,13 +324,6 @@ class TestAbsorbing:
         norms = [r["norm_h"] for r in sorted(rep.rows, key=lambda r: r["radius"])]
         assert norms[0] <= norms[1] <= norms[2]
 
-    def test_h2_distance_column(self, grid16):
-        cfg = cfg_for(grid16, nu=1.0)
-        sample = AttractorSample(states=[SpectralField.zero(grid16)])
-        rep = measure_absorbing(cfg, initial_radii=[1.0], horizons=[1.0], seed=5, sample=sample)
-        row = rep.rows[0]
-        assert row["dist_h2"] == pytest.approx(row["norm_h2"], rel=1e-14)
-
     def test_blowup_cell_gives_error_row(self, grid16):
         cfg = cfg_for(grid16, dt=10.0)
         rep = measure_absorbing(cfg, initial_radii=[0.0, 50.0], horizons=[1000.0], seed=5)
@@ -394,7 +414,7 @@ class TestPoolPolicy:
         return [
             measure_smoothing(cfg, v0, deltas=[1e-3], horizons=[2 * dt], seeds=[1, 2],
                               directions=("random",), threads=threads).rows,
-            measure_absorbing(cfg, initial_radii=[1.0, 2.0], horizons=[2 * dt], seed=5,
+            measure_absorbing(cfg, initial_radii=[1.0, 2.0], horizons=[dt, 2 * dt], seed=5,
                               threads=threads).rows,
             conjugation_convergence(cfg, base_dt=dt, levels=3, T=2 * dt, seed=9, paths=2,
                                     threads=threads).errors,
