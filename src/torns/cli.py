@@ -179,6 +179,16 @@ COMMANDS = {
 }
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="torns", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version="%(prog)s 0.1.0")
@@ -189,7 +199,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--preset", type=str, default=None, help="named config preset")
         sp.add_argument("--out", type=Path, default="out", help="artifact directory")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument("--threads", type=int, default=1, help="at most this many experiment "
+        sp.add_argument("--threads", type=_at_least_one, default=1, help="at most this many experiment "
                         "cell workers; small grids that run the dense-DFT kernel use 1")
         sp.add_argument("--quiet", action="store_true", help="suppress progress output")
     return p

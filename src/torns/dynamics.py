@@ -17,18 +17,19 @@ correction dt (phi1+phi2) F_n - dt phi2 F_{n-1}, bootstrapped by one etd1
 step.  The Ito system always takes the etd1 drift (Euler-Maruyama is first
 order), so with h = 0 it equals the deterministic etd1 step bit for bit.
 
-A stepper is built from (cfg, paths): the path type selects the system (None
-deterministic, OUPath conjugated, WienerPath Ito), and one path per member
-gives it B members that share cfg.  Their vorticity is one (B, N, K) block
-(one member runs as the plain (N, K) array), so the kernel and the ETD
-update run once per level for all of them, each member with its own z_n or
-dW_n.  step(state, stepper, n) is still one call per member-step: the first
-call of a level advances the block, and each call checks and emits its own
-member's row as a State.  ensemble() yields the initial states and then one
-list per step, with a member that blew up frozen on its BlowupError while
-the others go on; it is the only time loop.  trajectory() is its one-member
-case, and integrate() records every stride-th state that yields.  Stacking
-changes no bit: each member's row equals its own one-member trajectory.
+A stepper is built from (cfg, paths, states): the path type selects the
+system (None deterministic, OUPath conjugated, WienerPath Ito), and one path
+and one initial state per member give it B members that share cfg.  Their
+vorticity is one (B, N, K) block (one member runs as the plain (N, K)
+array), the stepper's only state, so the kernel and the ETD update run once
+per level for all of them, each member with its own z_n or dW_n.
+step(state, stepper, n, m) is one call per member-step: the first call of
+step n advances the block, and each call checks and emits member m's row
+as a State.  ensemble() yields the initial states and then one list per
+step, with a member that blew up frozen on its BlowupError while the others
+go on; it is the only time loop.  trajectory() is its one-member case, and
+integrate() records every stride-th state that yields.  Stacking changes no
+bit: each member's row equals its own one-member trajectory.
 
 The stepper runs in half-spectrum vorticity (spectral.HalfSpectrum): it
 carries w = curl u as the contiguous (N, K) block of the K = (N-1)//3 + 1
@@ -191,10 +192,9 @@ class State:
 
     A State emitted by a stepper holds the vorticity w on the (N, K) masked
     half-spectrum columns instead; u = HalfSpectrum.velocity(w) is built on
-    the first read and cached, and stepping on from the state reuses w.  Both
-    arrays belong to the state alone (an ensemble member's w is its own row
-    of the level's block), so emitted states may be kept; modify neither in
-    place.
+    the first read and cached.  Both arrays belong to the state alone (an
+    ensemble member's w is its own row of the level's block), so emitted
+    states may be kept; modify neither in place.
     """
 
     __slots__ = ("t", "z", "_u", "_w", "_half")
@@ -257,41 +257,31 @@ def conjugate(v: SpectralField, z: float, h: SpectralField) -> SpectralField:
 class _EtdStepper:
     """Exponential integrator of B trajectories that share a config, on the half-spectrum vorticity.
 
-    paths holds one path per member (a single path, or None, is one member),
-    all of one kind, which selects the system: z of shape (B, n+1) from
-    OUPaths (conjugated), dW of shape (B, n) from WienerPaths (Ito, etd1
-    drift), neither for None (deterministic).  Precomputes E =
-    exp(-nu k^2 dt) and the dt phi1/phi2 weights as complex128 on the
-    (N, K) masked columns, and the curls of f, h - nu A h and h there.
-    _advance() takes one drift step of the conjugated system for the whole
-    block, each member with its own z_n; the deterministic and Ito drifts
-    are the case z = 0.  etd2 keeps F_{n-1} between levels, so a
-    stepper instance drives one set of trajectories.  The stepper owns every
-    buffer its step writes: the kernel workspace, two right-hand-side
-    buffers that alternate as F_n and F_{n-1}, and the update temporaries.
-    _advance() returns the new block as a fresh array, the only one it
-    allocates, because the emitted states hold its rows and are kept by
-    callers.
+    paths holds one path per member, all of one kind, which selects the
+    system: z of shape (B, n+1) from OUPaths (conjugated), dW of shape (B, n)
+    from WienerPaths (Ito, etd1 drift), neither for None (deterministic).
+    The curls of the members' initial states make the block w, the only
+    state the stepper advances; level counts the steps it has taken.
+    Precomputes E = exp(-nu k^2 dt) and the dt phi1/phi2 weights as
+    complex128 on the (N, K) masked columns, and the curls of f, h - nu A h
+    and h there.  _advance() takes one drift step of the conjugated system
+    for the whole block, each member with its own z_n; the deterministic and
+    Ito drifts are the case z = 0.  etd2 keeps F_{n-1} between levels.  The
+    stepper owns every buffer its step writes: the kernel workspace, two
+    right-hand-side buffers that alternate as F_n and F_{n-1}, and the
+    update temporaries.  _advance() returns the new block as a fresh array,
+    the only one it allocates, because the emitted states hold its rows and
+    are kept by callers.
 
-    A single member has no member axis: its block is the (N, K) array, and
-    it advances from whatever state each step call hands it, at any n.  The
-    fork pays: one member on the block path stepped 8% slower at N = 16
-    (fork faster in 19 of 20 in-process rounds; a re-run on 2 cores: 33.7
-    against 44.1 us, 20 of 20).  An ensemble (B > 1) holds its (B, N, K)
-    block and advances in lockstep: level by level, each live member once
-    per level in member order, with the state it was started from or last
-    emitted; the first call of a level advances the block, and every call
-    emits its own member's row.  A member whose row is not finite raises
-    its BlowupError and is frozen: its rows are zeroed so that later levels
-    stay finite, and it takes no further calls.
+    A single member has no member axis: its block is the (N, K) array and
+    its z a scalar.  The fork pays: through the block path one member
+    stepped 33.8 against 28.6 us at N = 16 and 51.3 against 45.9 us at
+    N = 32 (fork faster in 19 and 18 of 20 in-process rounds on 2 cores),
+    from the (1, 1, 1) z column and the (1, N, K) kernel.
     """
 
-    def __init__(self, cfg: SimConfig, paths=None):
-        paths = list(paths) if isinstance(paths, (list, tuple)) else [paths]
+    def __init__(self, cfg: SimConfig, paths: list, states: list):
         kind = type(paths[0])
-        if any(type(p) is not kind for p in paths):
-            raise ValueError("the members of an ensemble must share one system: "
-                             "all OUPath, all WienerPath or all None")
         self.cfg = cfg
         self.B = B = len(paths)
         n = 0 if paths[0] is None else min(p.n for p in paths)
@@ -323,38 +313,9 @@ class _EtdStepper:
         self._rhs = (np.empty(block, np.complex128), np.empty(block, np.complex128))
         self._arg = np.empty(block, np.complex128)
         self._tmp = (np.empty(block, np.complex128), np.empty(block, np.complex128))
-        # the lockstep of an ensemble: the block w at `level`, or at level + 1
-        # once the level's first call advanced it; each member's state at
-        # `level`; the live members in call order, and how many of them this
-        # level emitted
-        self.w: np.ndarray | None = None
+        curls = [half.curl(s.u) for s in states]
+        self.w = np.stack(curls) if B > 1 else curls[0]
         self.level = 0
-        self._advanced = False
-        self._at: list | None = None
-        self._live = list(range(B))
-        self._emitted = 0
-
-    def vorticity(self, state: State) -> np.ndarray:
-        """w = curl u of the state, reusing the w of a state a stepper emitted."""
-        return state._w if state._w is not None else self.half.curl(state.u)
-
-    def start(self, states: list) -> None:
-        """Take an ensemble's initial states as its block; one member needs none."""
-        if self.B > 1:
-            self._at = list(states)
-            self.w = np.stack([self.vorticity(s) for s in states])
-
-    def member(self, state: State, n: int) -> int:
-        """The member that `state` steps at level n; a level's first call advances the block."""
-        if self.B == 1:
-            self.w = self._advance(self.vorticity(state), n)
-            return 0
-        if n != self.level or not self._live or state is not self._at[self._live[self._emitted]]:
-            raise ValueError(f"an ensemble steps in lockstep: step {n} was called with a state that "
-                             f"is not the next member's at level {self.level}")
-        if not self._advanced:
-            self.w, self._advanced = self._advance(self.w, n), True
-        return self._live[self._emitted]
 
     def _advance(self, w: np.ndarray, n: int) -> np.ndarray:
         """Step n of every member of the block w, each from its left-endpoint z_n; the new block."""
@@ -379,27 +340,6 @@ class _EtdStepper:
         if self._dW_cols is not None:  # the Ito system: + dW_n curl h after the drift
             out += np.multiply(self._dW_cols[n], self.hw, out=t)
         return out
-
-    def emit(self, m: int, t: float, z: float, last: State) -> State:
-        """The State holding member m's row, after a blowup check against `last`."""
-        if self.B == 1:
-            _check_finite(self.w, t, last)
-            return State._of_vorticity(t, self.w, z, self.half)
-        w = self.w[m]
-        try:
-            _check_finite(w, t, last)
-            state = self._at[m] = State._of_vorticity(t, w, z, self.half)
-            self._emitted += 1
-        except BlowupError:
-            self.w[m] = 0.0
-            if self.prev_rhs is not None:
-                self.prev_rhs[m] = 0.0
-            del self._live[self._emitted]
-            raise
-        finally:
-            if self._emitted == len(self._live):
-                self._emitted, self._advanced, self.level = 0, False, self.level + 1
-        return state
 
 
 def _per_level(a: np.ndarray, B: int) -> np.ndarray:
@@ -462,18 +402,36 @@ def horizon_steps(horizon: float, dt: float) -> int:
     return n
 
 
-def step(state: State, stepper: _EtdStepper, n: int) -> State:
-    """Step n of one member of the stepper's trajectories, from state at t_n to t_{n+1}.
+def step(state: State, stepper: _EtdStepper, n: int, m: int) -> State:
+    """Step n of member m of the stepper's block, from state at t_n to t_{n+1}.
 
-    The conjugated system takes z_n into its forcing and carries z_{n+1}; the
-    Ito system adds dW_n curl h after the etd1 drift; the deterministic system
-    runs the conjugated arithmetic with z = 0.  Each member-step is one call;
-    an ensemble's calls keep its lockstep (_EtdStepper) or raise ValueError.
+    The first call of step n advances the whole block to level n + 1; every
+    call checks member m's row and emits it as a State.  state supplies only
+    t, the deterministic z and the last valid state of a BlowupError.  A step
+    that is neither the block's next level nor its last raises ValueError.
+    An ensemble member whose row is not finite is frozen: its rows of the
+    block and of F_{n-1} are zeroed, so later levels stay finite.  The
+    conjugated system takes z_n into its forcing and carries z_{n+1}; the
+    Ito system adds dW_n curl h after the etd1 drift; the deterministic
+    system runs the conjugated arithmetic with z = 0.
     """
     st = stepper
-    m = st.member(state, n)
+    if n == st.level:
+        st.w, st.level = st._advance(st.w, n), n + 1
+    elif n != st.level - 1:
+        raise ValueError(f"step {n} is neither the next nor the last level of a block at level {st.level}")
+    w = st.w[m] if st.B > 1 else st.w
+    t = state.t + st.cfg.dt
+    try:
+        _check_finite(w, t, state)
+    except BlowupError:
+        if st.B > 1:
+            w[...] = 0.0
+            if st.prev_rhs is not None:
+                st.prev_rhs[m] = 0.0
+        raise
     z = state.z if st.z is None else float(st.z[m, n + 1])
-    return st.emit(m, state.t + st.cfg.dt, z, state)
+    return State._of_vorticity(t, w, z, st.half)
 
 
 def ensemble(
@@ -489,7 +447,8 @@ def ensemble(
     shortest path); None runs B deterministic members.  Entry m of each list
     is member m's State, or, from the step at which that member blew up on,
     its BlowupError: the member is frozen and the others go on with the
-    same bits as alone.  Each member-step is one step() call.  The
+    same bits as alone.  The initial states make the stepper's block, and
+    each member-step is one step(state, stepper, n, m) call.  The
     arguments are checked on the call, before any state is drawn.
     """
     paths = [None] * len(v0s) if paths is None else list(paths)
@@ -497,7 +456,9 @@ def ensemble(
         raise ValueError(f"an ensemble takes one path per member: {len(v0s)} fields, {len(paths)} paths")
     for v0 in v0s:
         _check_initial(v0, cfg)
-    stepper = _EtdStepper(cfg, paths)
+    if any(type(p) is not type(paths[0]) for p in paths):
+        raise ValueError("the members of an ensemble must share one system: "
+                         "all OUPath, all WienerPath or all None")
     if paths[0] is None:
         starts = [0.0] * len(paths)
         if steps is None:
@@ -514,24 +475,23 @@ def ensemble(
             raise ValueError(f"path covers {n} steps, requested {steps}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    z0 = [0.0] * len(paths) if stepper.z is None else stepper.z[:, 0].tolist()
+    z0 = [float(p.z[0]) if isinstance(p, OUPath) else 0.0 for p in paths]
     states = [State(t=s, u=v0.copy(), z=z) for v0, s, z in zip(v0s, starts, z0)]
-    stepper.start(states)
-    return _levels(states, stepper, steps)
+    return _levels(states, _EtdStepper(cfg, paths, states), steps)
 
 
 def _levels(states: list, stepper: _EtdStepper, steps: int) -> Iterator[list]:
     yield states
     for n in range(steps):
-        states = [_step_member(s, stepper, n) for s in states]
+        states = [_step_member(s, stepper, n, m) for m, s in enumerate(states)]
         yield states
 
 
-def _step_member(state, stepper: _EtdStepper, n: int):
+def _step_member(state, stepper: _EtdStepper, n: int, m: int):
     if isinstance(state, BlowupError):
         return state
     try:
-        return step(state, stepper, n)
+        return step(state, stepper, n, m)
     except BlowupError as exc:
         return exc
 

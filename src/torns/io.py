@@ -135,8 +135,9 @@ def _field_from_modes(grid: WaveGrid, modes: list, path: str) -> SpectralField:
             raise ConfigError(f"{here}.j", f"mode {j} outside the dealias mask 3|j| < N for N={N}")
         for comp, key in ((0, "u"), (1, "v")):
             val = entry.get(key, [0.0, 0.0])
-            if not isinstance(val, list) or len(val) != 2:
-                raise ConfigError(f"{here}.{key}", "expected [re, im]")
+            if (not isinstance(val, list) or len(val) != 2 or not all(
+                    isinstance(a, (int, float)) and not isinstance(a, bool) and _finite(a) for a in val)):
+                raise ConfigError(f"{here}.{key}", f"expected [re, im], two finite numbers, got {val!r}")
             c = complex(float(val[0]), float(val[1]))
             coeffs[comp, jx % N, jy % N] += 0.5 * c
             coeffs[comp, (-jx) % N, (-jy) % N] += 0.5 * c.conjugate()

@@ -32,6 +32,15 @@ class TestArgumentHandling:
     def test_missing_command_rejected(self):
         assert main([]) == 1
 
+    @pytest.mark.parametrize("threads, why", [("0", "must be >= 1, got 0"), ("-3", "must be >= 1, got -3"),
+                                              ("two", "invalid int value: 'two'")])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads, why):
+        out = tmp_path / "run"
+        assert main(["validate", "--threads", threads, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: argument --threads: {why}\n"
+        assert captured.out == "" and not out.exists()
+
     def test_missing_config_file_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(tmp_path / "nofile.json"), "--out", str(out)]) == 1
@@ -120,6 +129,27 @@ class TestFieldConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {where}: ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    # 1e400 parses as an infinite float, 1 followed by 400 zeros as an int beyond the float range
+    @pytest.mark.parametrize("role, key, pair", [
+        ("initial", "u", '["a", 0]'),
+        ("forcing", "u", "[null, 0]"),
+        ("initial", "u", "[1e400, 0]"),
+        ("initial", "v", "[0, -1e400]"),
+        ("noise", "v", "[1e400, 0]"),
+        ("noise", "u", "[1" + "0" * 400 + ", 0]"),
+        ("forcing", "v", "[true, 0]"),
+    ], ids=["string", "null", "inf", "minus-inf", "noise-inf", "big-int", "bool"])
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_bad_mode_pair_is_one_config_error_line(self, tmp_path, capsys, command, role, key, pair):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(f'{{"nu": 1.0, "N": 16, "dt": 0.01, "{role}": {{"modes": [{{"j": [1, 0], "{key}": {pair}}}]}}}}')
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {role}.modes[0].{key}: expected [re, im], two finite numbers")
+        assert captured.err.count("\n") == 1 and captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("spec", [{"preset": "random", "norm": 2, "seed": 7},

@@ -345,20 +345,21 @@ class TestVorticityCore:
         assert np.abs(c).max() > 0.0
         assert np.abs(c[:, ~g.dealias_mask]).max() == 0.0
 
-    def test_vorticity_cache_only_for_returned_field(self, grid16):
+    def test_block_is_the_stepper_only_state(self, grid16):
         cfg = basic_cfg(grid16, nu=0.05, f=random_divfree_field(grid16, seed=2, norm=0.5),
                         h=random_divfree_field(grid16, seed=3, norm=0.05), scheme="etd1")
         ou = given_z([0.3, 0.2, 0.1], cfg.dt)
-        st = _EtdStepper(cfg, ou)
-        a = step(State(0.0, random_divfree_field(grid16, seed=4, norm=1.0)), st, 0)
-        # stepping on from the returned field reuses its vorticity
-        cached = step(a, st, 1)
-        fresh = step(State(a.t, a.u.copy(), a.z), _EtdStepper(cfg, ou), 1)
-        assert np.abs(cached.u.coeffs - fresh.u.coeffs).max() <= 1e-14 * np.abs(fresh.u.coeffs).max()
-        # any other field is curled afresh
-        other = State(0.0, random_divfree_field(grid16, seed=5, norm=1.0))
-        assert np.array_equal(step(other, st, 1).u.coeffs,
-                              step(other, _EtdStepper(cfg, ou), 1).u.coeffs)
+        start = State(0.0, random_divfree_field(grid16, seed=4, norm=1.0))
+        steppers = [_EtdStepper(cfg, [ou], [start]) for _ in range(2)]
+        a, a2 = (step(start, st, 0, 0) for st in steppers)
+        b = step(a, steppers[0], 1, 0)
+        # the state handed in supplies t and z; its field is never read
+        other = State(a2.t, random_divfree_field(grid16, seed=5, norm=1.0), a2.z)
+        c = step(other, steppers[1], 1, 0)
+        assert (c.t, c.z) == (b.t, b.z) == (2 * cfg.dt, 0.1)
+        assert np.array_equal(c._w, b._w)
+        # a second call of the block's last step emits its row again
+        assert np.array_equal(step(a, steppers[0], 1, 0)._w, b._w)
 
 
 def noisy_cfg(grid, **kw):
@@ -375,16 +376,16 @@ class TestStepperBuffers:
         starts = [State(0.0, random_divfree_field(grid16, seed=s, norm=1.0)) for s in (4, 5)]
         alone = []
         for start in starts:
-            st, state, kept = _EtdStepper(cfg, ou), start, []
+            st, state, kept = _EtdStepper(cfg, [ou], [start]), start, []
             for n in range(12):
-                state = step(state, st, n)
+                state = step(state, st, n, 0)
                 kept.append(state.u.coeffs.copy())
             alone.append(kept)
-        steppers = [_EtdStepper(cfg, ou), _EtdStepper(cfg, ou)]
+        steppers = [_EtdStepper(cfg, [ou], [start]) for start in starts]
         states, kept = list(starts), [[], []]
         for n in range(12):
             for i in range(2):
-                states[i] = step(states[i], steppers[i], n)
+                states[i] = step(states[i], steppers[i], n, 0)
                 kept[i].append(states[i])
         # every emitted state still holds its own step, read only now
         for i in range(2):
@@ -416,15 +417,15 @@ class TestStepperBuffers:
         for N in (48, 64):
             g = make_grid(TWO_PI, N)
             cfg = noisy_cfg(g)
-            st = _EtdStepper(cfg, given_z(np.full(24, 0.1), cfg.dt))
             state = State(0.0, random_divfree_field(g, seed=4, norm=1.0))
+            st = _EtdStepper(cfg, [given_z(np.full(24, 0.1), cfg.dt)], [state])
             for n in range(3):  # past the etd2 bootstrap and the first FFT plans
-                state = step(state, st, n)
+                state = step(state, st, n, 0)
             half_array = st.hw.nbytes
             tracemalloc.start()
             try:
                 for n in range(3, 23):
-                    state = step(state, st, n)
+                    state = step(state, st, n, 0)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -554,36 +555,48 @@ class TestTrajectory:
         assert np.array_equal(states[-1].u.coeffs, res.state.u.coeffs)
 
     def test_one_step_call_per_member_step(self, grid16, monkeypatch):
-        # the benchmark's traced gate counts dynamics.step calls as member-steps
-        calls = []
+        # the benchmark's traced gate counts dynamics.step calls as member-steps;
+        # every stepper advances its block once per level, whatever its members
+        calls, steppers = [], []
         inner = dynamics.step
         monkeypatch.setattr(dynamics, "step", lambda *a: calls.append(1) or inner(*a))
-        cfg = noisy_cfg(grid16)
-        v0 = random_divfree_field(grid16, seed=4, norm=1.0)
-        for kind, n in (("deterministic", 7), ("ou", 6), ("wiener", 5)):
-            calls.clear()
-            integrate(v0, cfg, path=path_of_type(kind, cfg, n), steps=n, stride=2)
-            assert len(calls) == n, kind
-        calls.clear()
-        experiments.measure_smoothing(cfg, v0, deltas=[1e-3, 1e-4], horizons=[4 * cfg.dt, 10 * cfg.dt],
-                                      seeds=[1], directions=("random",))
-        assert len(calls) == 3 * 10  # the base and two perturbed members
-        calls.clear()
-        experiments.sample_attractor_deterministic(cfg, t_transient=5 * cfg.dt, count=3, stride=2, v0=v0)
-        assert len(calls) == 5 + 2 * 2
-        # absorbing: one stepper per horizon, its radii one ensemble
-        steppers = []
 
         class Counted(_EtdStepper):
             def __init__(self, *a):
-                steppers.append(1)
+                self.advances = 0
+                steppers.append(self)
                 super().__init__(*a)
 
+            def _advance(self, *a):
+                self.advances += 1
+                return super()._advance(*a)
+
         monkeypatch.setattr(dynamics, "_EtdStepper", Counted)
-        calls.clear()
-        experiments.measure_absorbing(cfg, initial_radii=[1.0, 2.0, 4.0], horizons=[3 * cfg.dt, 8 * cfg.dt],
-                                      seed=5)
-        assert len(calls) == 3 * (3 + 8) and len(steppers) == 2
+
+        def run(fn, *a, **kw):
+            """The step calls of fn, and each stepper's (members, block advances)."""
+            calls.clear()
+            steppers.clear()
+            fn(*a, **kw)
+            return len(calls), sorted((st.B, st.advances) for st in steppers)
+
+        cfg = noisy_cfg(grid16)
+        v0 = random_divfree_field(grid16, seed=4, norm=1.0)
+        for kind, n in (("deterministic", 7), ("ou", 6), ("wiener", 5)):
+            assert run(integrate, v0, cfg, path=path_of_type(kind, cfg, n), steps=n, stride=2) == (n, [(1, n)]), kind
+        # smoothing: the base and two perturbed members
+        assert run(experiments.measure_smoothing, cfg, v0, deltas=[1e-3, 1e-4],
+                   horizons=[4 * cfg.dt, 10 * cfg.dt], seeds=[1], directions=("random",)) == (3 * 10, [(3, 10)])
+        assert run(experiments.sample_attractor_deterministic, cfg, t_transient=5 * cfg.dt, count=3, stride=2,
+                   v0=v0) == (5 + 2 * 2, [(1, 9)])
+        # absorbing: one stepper per horizon, its radii one ensemble
+        assert run(experiments.measure_absorbing, cfg, initial_radii=[1.0, 2.0, 4.0],
+                   horizons=[3 * cfg.dt, 8 * cfg.dt], seed=5) == (3 * (3 + 8), [(3, 3), (3, 8)])
+        # convergence: levels of 4, 8 and 16 steps, each an OU and a Wiener ensemble of the 2 paths
+        assert run(experiments.conjugation_convergence, cfg, base_dt=cfg.dt, levels=3, T=4 * cfg.dt, seed=7,
+                   paths=2) == (2 * 2 * (4 + 8 + 16), [(2, 4), (2, 4), (2, 8), (2, 8), (2, 16), (2, 16)])
+        family = [random_divfree_field(grid16, seed=s, norm=1.0) for s in (4, 5, 6)]
+        assert run(experiments.pullback_solve, cfg, 5 * cfg.dt, 3, family) == (3 * 5, [(3, 5)])
 
 
 def member_paths(kind, cfg, n, B):
@@ -623,18 +636,14 @@ class TestEnsemble:
         cfg = noisy_cfg(grid16)
         ou = path_of_type("ou", cfg, 4)
         starts = [State(0.0, random_divfree_field(grid16, seed=s, norm=1.0)) for s in (4, 5, 6)]
-        st = _EtdStepper(cfg, [ou] * 3)
-        st.start(starts)
-        with pytest.raises(ValueError, match="lockstep"):
-            step(starts[0], st, 1)  # skips level 0
-        with pytest.raises(ValueError, match="lockstep"):
-            step(starts[1], st, 0)  # member 1 before member 0
-        with pytest.raises(ValueError, match="lockstep"):
-            step(State(0.0, starts[0].u.copy()), st, 0)  # a state the stepper did not emit
-        first = [step(s, st, 0) for s in starts]
-        with pytest.raises(ValueError, match="lockstep"):
-            step(starts[0], st, 1)  # a state of the level before
-        assert [step(s, st, 1).t for s in first] == [2 * cfg.dt] * 3
+        st = _EtdStepper(cfg, [ou] * 3, starts)
+        with pytest.raises(ValueError, match="neither the next nor the last level"):
+            step(starts[0], st, 1, 0)  # skips level 0
+        first = [step(s, st, 0, m) for m, s in enumerate(starts)]
+        second = [step(s, st, 1, m) for m, s in enumerate(first)]
+        with pytest.raises(ValueError, match="neither the next nor the last level"):
+            step(starts[0], st, 0, 0)  # the level before the last
+        assert [s.t for s in second] == [2 * cfg.dt] * 3
 
     def test_members_share_one_system(self, grid16):
         cfg = noisy_cfg(grid16)
