@@ -26,7 +26,7 @@ import numpy as np
 from . import dynamics, experiments, io as tio
 from .dynamics import BlowupError, SimConfig, integrate
 from .noise import ou_from_wiener, sample_wiener
-from .spectral import field_violations, sobolev_norm
+from .spectral import HalfSpectrum, field_violations, sobolev_norm
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -102,9 +102,9 @@ _ABSORBING_HORIZONS = (2.0, 5.0)
 def _pullback(cfg: SimConfig, args, out: Path) -> Outcome:
     horizons = list(_PULLBACK_HORIZONS)
     states = [experiments.pullback_solve(cfg, hor, cfg.seed, [cfg.u0])[0] for hor in horizons]
-    rows = [{"horizon": hor, "norm_h": sobolev_norm(st.u, 0.0), "norm_h1": sobolev_norm(st.u, 1.0),
-             "norm_h2": sobolev_norm(st.u, 2.0)} for hor, st in zip(horizons, states)]
-    tio.write_rows_csv(rows, ["horizon", "norm_h", "norm_h1", "norm_h2"], out / "pullback.csv")
+    cols, half = ["horizon", "norm_h", "norm_h1", "norm_h2"], HalfSpectrum(cfg.grid)
+    rows = [dict(zip(cols, (hor, *half.norms(st.w)))) for hor, st in zip(horizons, states)]
+    tio.write_rows_csv(rows, cols, out / "pullback.csv")
     tio.emit_plot_script(["pullback.csv"], out / "plot.py")
     return EXIT_OK, ["pullback.csv", "plot.py"], f"pullback states at 0 for horizons {horizons} written"
 

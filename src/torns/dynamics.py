@@ -42,10 +42,11 @@ state never holds them.  E, phi1 and phi2 are diagonal and commute with
 curl, so this is the velocity scheme up to roundoff.  Each stepper owns the
 buffers of its step (the kernel workspace, the etd2 right-hand sides and the
 update temporaries), so a level allocates only the new block; steppers of
-concurrent trajectories share nothing but read-only tables.  Velocity SpectralFields
-stay the interface: every step returns a State holding w, whose u is rebuilt
-from w without an FFT on the first read, so a loop pays for velocity only
-where it records or checkpoints.
+concurrent trajectories share nothing but read-only tables.  Every State
+that ensemble yields, the initial ones included, exposes its row w of the
+block, and the norms a run records come from it (HalfSpectrum.norms); u is
+rebuilt from w without an FFT on the first read, for checkpoints and the
+public API only.
 
 State space: w represents exactly the zero-mean, divergence-free velocity
 fields with no modes |j2| >= K, and the two forms of B agree only inside the
@@ -65,7 +66,7 @@ import numpy as np
 
 from . import spectral
 from .noise import OUPath, WienerPath
-from .spectral import SpectralField, WaveGrid, sobolev_norm
+from .spectral import SpectralField, WaveGrid
 
 __all__ = [
     "SimConfig",
@@ -190,18 +191,18 @@ class SimConfig:
 class State:
     """Trajectory state: time, velocity field and the current OU value.
 
-    A State emitted by a stepper holds the vorticity w on the (N, K) masked
-    half-spectrum columns instead; u = HalfSpectrum.velocity(w) is built on
-    the first read and cached.  Both arrays belong to the state alone (an
-    ensemble member's w is its own row of the level's block), so emitted
-    states may be kept; modify neither in place.
+    Every State that ensemble yields also holds w, its member's row of the
+    stepper's (N, K) masked half-spectrum vorticity block; an initial state
+    keeps the velocity it was given, a stepped one builds
+    u = HalfSpectrum.velocity(w) on the first read and caches it.  No array
+    is written after the state is yielded, so states may be kept; modify
+    neither in place.
     """
 
     __slots__ = ("t", "z", "_u", "_w", "_half")
 
     def __init__(self, t: float, u: SpectralField, z: float = 0.0):
-        self.t, self.z = t, z
-        self.u = u
+        self.t, self.z, self._u, self._w, self._half = t, z, u, None, None
 
     @classmethod
     def _of_vorticity(cls, t: float, w: np.ndarray, z: float, half: spectral.HalfSpectrum) -> "State":
@@ -210,14 +211,15 @@ class State:
         return state
 
     @property
+    def w(self) -> np.ndarray | None:
+        """The state's row of its stepper's block; None for a state built from a velocity."""
+        return self._w
+
+    @property
     def u(self) -> SpectralField:
         if self._u is None:
             self._u = self._half.velocity(self._w)
         return self._u
-
-    @u.setter
-    def u(self, value: SpectralField) -> None:
-        self._u, self._w, self._half = value, None, None
 
     def copy(self) -> "State":
         return State(t=self.t, u=self.u.copy(), z=self.z)
@@ -477,7 +479,10 @@ def ensemble(
         raise ValueError(f"steps must be >= 0, got {steps}")
     z0 = [float(p.z[0]) if isinstance(p, OUPath) else 0.0 for p in paths]
     states = [State(t=s, u=v0.copy(), z=z) for v0, s, z in zip(v0s, starts, z0)]
-    return _levels(states, _EtdStepper(cfg, paths, states), steps)
+    stepper = _EtdStepper(cfg, paths, states)
+    for state, w in zip(states, stepper.w if stepper.B > 1 else [stepper.w]):
+        state._w, state._half = w, stepper.half  # and keeps its given velocity
+    return _levels(states, stepper, steps)
 
 
 def _levels(states: list, stepper: _EtdStepper, steps: int) -> Iterator[list]:
@@ -529,10 +534,6 @@ class IntegrationResult:
     series: NormSeries
 
 
-def _record(series: list, t: float, u: SpectralField, z: float) -> None:
-    series.append((t, sobolev_norm(u, 0.0), sobolev_norm(u, 1.0), sobolev_norm(u, 2.0), z))
-
-
 def integrate(
     v0: SpectralField,
     cfg: SimConfig,
@@ -543,18 +544,17 @@ def integrate(
     """Drive one trajectory (see trajectory) and record a NormSeries every stride steps.
 
     The series always contains floor(steps/stride) + 1 samples, the first of
-    the initial state.  Velocity is built only at the recorded steps and when
-    the returned state's u is read.
+    the initial state, each read off the state's vorticity (HalfSpectrum.norms);
+    velocity is built only when the returned state's u is read.
     """
     stride = cfg.stride if stride is None else int(stride)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    rows: list = []
+    rows = []
     for n, state in enumerate(trajectory(v0, cfg, path, steps)):
-        if n % stride == 0:
-            _record(rows, state.t, state.u, state.z)
-    arr = np.array(rows, dtype=np.float64).reshape(-1, 5)
-    series = NormSeries(t=arr[:, 0], norm_h=arr[:, 1], norm_h1=arr[:, 2], norm_h2=arr[:, 3], z=arr[:, 4])
+        if n % stride == 0:  # the stepper's tables
+            rows.append((state.t, *state._half.norms(state.w), state.z))
+    series = NormSeries(*np.array(rows, dtype=np.float64).reshape(-1, 5).T)  # t, H, H1, H2, z
     return IntegrationResult(state=state, series=series)
 
 

@@ -203,7 +203,7 @@ def _smoothing_pair_rows(cfg, v1, direction, label, deltas, horizons, seed):
         return {"seed": seed, "direction": label, "delta": deltas[i], "T": T,
                 "dist0": dist0[i], "distT_h2_sq": d2, "ratio": ratio, "error": error}
 
-    rows = {}  # (member, T) -> row; velocity is built only where a checkpoint compares it
+    half, rows = spectral.HalfSpectrum(cfg.grid), {}  # (member, T) -> row
     for n, (base, *members) in enumerate(ensemble([v1, *starts], cfg, [ou] * (1 + len(deltas)), steps)):
         if isinstance(base, BlowupError):
             return [row(i, T, error=str(base)) for i in range(len(deltas)) for T in horizons]
@@ -214,7 +214,7 @@ def _smoothing_pair_rows(cfg, v1, direction, label, deltas, horizons, seed):
                         rows[i, T] = row(i, T, error=str(b))
             elif n in checkpoints:
                 T = checkpoints[n]
-                d2 = sobolev_norm(b.u - base.u, 2.0) ** 2
+                d2 = half.norms(b.w - base.w)[2] ** 2
                 rows[i, T] = row(i, T, d2, 0.0 if dist0[i] == 0.0 else d2 / dist0[i] ** 2)
     return [rows[i, T] for i in range(len(deltas)) for T in horizons]
 
@@ -235,6 +235,8 @@ def measure_smoothing(
     """
     horizons = sorted(horizons)
     for T in horizons:
+        if not T >= 0:
+            raise ValueError(f"horizon must be >= 0, got {T}")
         horizon_steps(T, cfg.dt)
     cells = {}
     for seed in seeds:
@@ -300,10 +302,10 @@ def measure_absorbing(
     family = [SpectralField(cfg.grid, r * e.coeffs) for r in radii]
 
     def cell(horizon: float) -> list:
-        rows = []
+        half, rows = spectral.HalfSpectrum(cfg.grid), []
         for radius, st in zip(radii, _pullback_family(cfg, horizon, seed, family)):
             error = str(st) if isinstance(st, BlowupError) else ""
-            norms = [float("nan") if error else sobolev_norm(st.u, s) for s in (0.0, 1.0, 2.0)]
+            norms = [float("nan")] * 3 if error else half.norms(st.w)
             rows.append(dict(zip(("radius", "horizon", "norm_h", "norm_h1", "norm_h2", "error"),
                                  (radius, horizon, *norms, error))))
         return rows
@@ -399,11 +401,11 @@ def conjugation_convergence(
             for system in ("ou", "wiener"):
                 if isinstance(results[lv, system][m], BlowupError):
                     raise results[lv, system][m]
+    half = spectral.HalfSpectrum(cfg.grid)
     errs = np.empty((paths, levels))
-    for lv in range(levels):  # a level's velocities are dropped before the next one's are built
+    for lv in range(levels):  # ||u - (v + h z(T))|| per path, from the vorticity
         finals = zip(results.pop((lv, "ou")), results.pop((lv, "wiener")), ous[lv])
-        for m, (v, u, ou) in enumerate(finals):
-            errs[m, lv] = sobolev_norm(u.u - conjugate(v.u, float(ou.z[-1]), cfg.h), 0.0)
+        errs[:, lv] = [half.norms(u.w - v.w - ou.z[-1] * half.curl(cfg.h))[0] for v, u, ou in finals]
     mean = errs.mean(axis=0)
     ratios = [float(mean[i] / mean[i + 1]) if mean[i + 1] > 0 else float("inf")
               for i in range(levels - 1)]

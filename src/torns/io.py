@@ -301,9 +301,9 @@ def read_checkpoint(path: str | Path) -> State:
 
 
 def _fmt(x) -> str:
-    """Shortest round-trip text for a float (deterministic across runs)."""
-    if isinstance(x, float):
-        return repr(x)
+    """Shortest round-trip text for a float, numpy's included (deterministic across runs)."""
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
     return str(x)
 
 

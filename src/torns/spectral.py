@@ -212,19 +212,14 @@ def divergence(u: SpectralField) -> np.ndarray:
 def sobolev_norm(u: SpectralField, s: float) -> float:
     """H^s norm ||A^{s/2} u|| = sqrt(L^2 * sum |k|^(2s) |u_hat|^2).
 
-    s = 0 gives the physical L2 norm; s must be >= 0.
+    s = 0 gives the physical L2 norm; s must be >= 0.  For velocity fields:
+    the norms a run records come from its vorticity (HalfSpectrum.norms).
     """
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
     g = u.grid
     e = (np.abs(u.coeffs[0]) ** 2 + np.abs(u.coeffs[1]) ** 2)
-    if s == 0.0:
-        total = e.sum()
-    elif s == 1.0:
-        total = (g.k2 * e).sum()
-    else:
-        total = (g.k2**s * e).sum()
-    return g.L * float(np.sqrt(total))
+    return g.L * float(np.sqrt((g.k2**s * e).sum()))
 
 
 def inner(u: SpectralField, v: SpectralField) -> float:
@@ -358,9 +353,10 @@ class HalfSpectrum:
     the transforms of u_1 u_2 and u_2^2 - u_1^2 to (u . grad) w.  For
     N <= _DFT_MAX_N, dft holds the real tables of vorticity_advection's four
     transform stages (a _DftTables, built once here); above it dft is None
-    and the kernel runs FFTs.  The tables are read-only, so one instance may
-    serve several threads; the buffers that change per call live in an
-    AdvectionWorkspace per trajectory.
+    and the kernel runs FFTs.  norms() reads the H, H1 and H2 norms of the
+    velocity off w with one (3, N, K) weight table.  The tables are
+    read-only, so one instance may serve several threads; the buffers that
+    change per call live in an AdvectionWorkspace per trajectory.
     """
 
     def __init__(self, grid: WaveGrid):
@@ -378,6 +374,10 @@ class HalfSpectrum:
         self.basdevant = np.stack([-(kx * kx - ky * ky), -kx * ky]) * self.dealias_mask.astype(
             np.complex128)
         self.dft = _dft_tables(self.ops, K, self.dealias_mask[:, 0]) if _runs_dft(N) else None
+        # L^2 |k|^(2s-2), s = 0, 1, 2: 0 at k = 0 and on the Nyquist row, doubled for j2 >= 1 (and -j2)
+        nz = inv_k2 > 0.0
+        self._norm_weights = (grid.L**2 * np.where(np.arange(K) > 0, 2.0, 1.0)
+                              * np.stack([inv_k2, nz, self.k2 * nz]))
 
     def curl(self, u: SpectralField) -> np.ndarray:
         """Vorticity i k_x u_2 - i k_y u_1 of a velocity field on the K masked columns."""
@@ -387,8 +387,8 @@ class HalfSpectrum:
         """The full (2, N, N) velocity spectrum of w, mirrored without an FFT.
 
         Columns j2 > N/2 are conj(u_hat(-j)); the columns K..N-K, and with
-        them the Nyquist lines, are zero.  The stepper calls this only when a
-        State's u is read.
+        them the Nyquist lines, are zero.  Only reading a State's u calls
+        this; no loop of the solver or the experiments does.
         """
         g = self.grid
         N, K = g.N, self.K
@@ -398,6 +398,14 @@ class HalfSpectrum:
         np.conjugate(half[:, 0, K - 1 : 0 : -1], out=out[:, 0, N - K + 1 :])
         np.conjugate(half[:, :0:-1, K - 1 : 0 : -1], out=out[:, 1:, N - K + 1 :])
         return SpectralField(g, out)
+
+    def norms(self, w: np.ndarray) -> np.ndarray:
+        """The H, H1 and H2 norms of the velocity of w, (..., 3) for w of shape (..., N, K).
+
+        |u_hat|^2 = |w_hat|^2 / |k|^2 makes ||u||_{H^s}^2 = L^2 sum |k|^(2s-2) |w_hat|^2, one
+        einsum with a weight table; equal to sobolev_norm(velocity(w), s) up to roundoff.
+        """
+        return np.sqrt(np.einsum("sjk,...jk->...s", self._norm_weights, w.real**2 + w.imag**2))
 
 
 class AdvectionWorkspace:

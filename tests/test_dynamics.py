@@ -21,6 +21,7 @@ from torns.dynamics import (
 )
 from torns.noise import OUPath, WienerPath, ou_from_wiener, sample_wiener
 from torns.spectral import (
+    HalfSpectrum,
     SpectralField,
     field_violations,
     make_grid,
@@ -340,7 +341,7 @@ class TestVorticityCore:
         ou = ou_from_wiener(sample_wiener(0.0, 5 * cfg.dt, cfg.dt, seed=6), init="stationary")
         *_, last = trajectory(random_divfree_field(g, seed=4, norm=1.0), cfg, ou)
         K = (N - 1) // 3 + 1
-        assert last._w.shape == (N, K) and last._w.flags.c_contiguous
+        assert last.w.shape == (N, K) and last.w.flags.c_contiguous
         c = last.u.coeffs
         assert np.abs(c).max() > 0.0
         assert np.abs(c[:, ~g.dealias_mask]).max() == 0.0
@@ -357,9 +358,9 @@ class TestVorticityCore:
         other = State(a2.t, random_divfree_field(grid16, seed=5, norm=1.0), a2.z)
         c = step(other, steppers[1], 1, 0)
         assert (c.t, c.z) == (b.t, b.z) == (2 * cfg.dt, 0.1)
-        assert np.array_equal(c._w, b._w)
+        assert np.array_equal(c.w, b.w)
         # a second call of the block's last step emits its row again
-        assert np.array_equal(step(a, steppers[0], 1, 0)._w, b._w)
+        assert np.array_equal(step(a, steppers[0], 1, 0).w, b.w)
 
 
 def noisy_cfg(grid, **kw):
@@ -392,19 +393,33 @@ class TestStepperBuffers:
             for n in range(12):
                 assert np.array_equal(kept[i][n].u.coeffs, alone[i][n])
 
-    def test_velocity_built_only_at_record_points(self, grid16, monkeypatch):
+    def test_no_loop_builds_velocity(self, grid16, monkeypatch, tmp_path):
+        # every recorded norm and distance is read off the states' vorticity rows
+        import json
+
         from torns import spectral
+        from torns.cli import main
 
         calls = []
         velocity = spectral.HalfSpectrum.velocity
         monkeypatch.setattr(spectral.HalfSpectrum, "velocity",
                             lambda self, w: calls.append(1) or velocity(self, w))
         cfg = noisy_cfg(grid16)
+        v0 = random_divfree_field(grid16, seed=4, norm=1.0)
         ou = ou_from_wiener(sample_wiener(0.0, 10 * cfg.dt, cfg.dt, seed=5), init="stationary")
-        res = integrate(random_divfree_field(grid16, seed=4, norm=1.0), cfg, path=ou, stride=3)
-        assert len(res.series) == 4 and len(calls) == 3  # steps 3, 6 and 9
+        res = integrate(v0, cfg, path=ou, stride=3)
+        assert len(res.series) == 4
+        # horizon 0 reads the initial states
+        experiments.measure_smoothing(cfg, v0, deltas=[1e-3], horizons=[0.0, 4 * cfg.dt], seeds=[1])
+        experiments.measure_absorbing(cfg, initial_radii=[1.0, 2.0], horizons=[0.0, 3 * cfg.dt], seed=5)
+        experiments.conjugation_convergence(cfg, base_dt=cfg.dt, levels=3, T=4 * cfg.dt, seed=7, paths=2)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"preset": "decay-noise", "N": 8, "dt": 1e-2}))
+        assert main(["pullback", "--config", str(config), "--out", str(tmp_path / "pb"), "--quiet"]) == 0
+        assert calls == []
+        # the returned state builds its velocity on the first read only, and a copy owns its own
         u = res.state.u
-        assert len(calls) == 4 and res.state.u is u
+        assert len(calls) == 1 and res.state.u is u
         twin = res.state.copy()
         assert twin.u is not u and np.array_equal(twin.u.coeffs, u.coeffs)
         twin.u.coeffs[:] = 0.0
@@ -607,10 +622,6 @@ def member_paths(kind, cfg, n, B):
     return [ou_from_wiener(w, init="stationary") for w in ws] if kind == "ou" else ws
 
 
-def row_bits(state):
-    return state._w if state._w is not None else state.u.coeffs
-
-
 class TestEnsemble:
     # N = 16 runs the dense-DFT kernel, N = 50 the FFT kernel; a BLAS that
     # blocked a product by its row count could change the bits with B
@@ -630,7 +641,19 @@ class TestEnsemble:
             for level, a in zip(levels, alone):
                 b = level[m]
                 assert (b.t, b.z) == (a.t, a.z)
-                assert np.array_equal(row_bits(b), row_bits(a))
+                assert np.array_equal(b.w, a.w)
+
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_initial_states_keep_their_velocity_and_carry_their_rows(self, grid16, B):
+        cfg = noisy_cfg(grid16)
+        v0s = [random_divfree_field(grid16, seed=30 + m, norm=1.0) for m in range(B)]
+        half = HalfSpectrum(grid16)
+        for v0, state in zip(v0s, next(dynamics.ensemble(v0s, cfg)), strict=True):
+            assert np.array_equal(state.u.coeffs, v0.coeffs) and state.u is not v0
+            assert np.array_equal(state.w, half.curl(v0))
+            with pytest.raises(AttributeError):
+                state.w = half.curl(v0)
+        assert State(0.0, v0s[0]).w is None
 
     def test_lockstep_is_enforced(self, grid16):
         cfg = noisy_cfg(grid16)
@@ -671,7 +694,7 @@ class TestEnsemble:
         assert all(level[big] is err for level in levels[blown:])
         for m in {0, 1, 2} - {big}:
             for level, a in zip(levels, trajectory(v0s[m], cfg, steps=14)):
-                assert np.array_equal(row_bits(level[m]), row_bits(a))
+                assert np.array_equal(level[m].w, a.w)
 
 
 class TestTaylorGreen:

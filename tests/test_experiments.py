@@ -78,6 +78,22 @@ class TestPullback:
         with pytest.raises(ValueError, match=r"is not a whole number of steps of dt = 0\.3"):
             run()
 
+    @pytest.mark.parametrize("experiment", ["pullback", "smoothing", "absorbing"])
+    def test_negative_horizon_rejected_before_any_path(self, grid16, experiment, monkeypatch):
+        for name in ("sample_wiener", "pullback_wiener", "ensemble"):
+            monkeypatch.setattr(experiments, name, None)
+        cfg = cfg_for(grid16, dt=0.1)
+        v0 = random_divfree_field(grid16, seed=1)
+        run = {
+            "pullback": lambda: pullback_solve(cfg, -0.5, 1, [v0]),
+            "smoothing": lambda: measure_smoothing(cfg, v0, deltas=[1e-3], horizons=[1.0, -0.5],
+                                                   seeds=[1], directions=("random",)),
+            "absorbing": lambda: measure_absorbing(cfg, initial_radii=[1.0], horizons=[-0.5, 1.0],
+                                                   seed=1),
+        }[experiment]
+        with pytest.raises(ValueError, match=r"horizon must be >= 0, got -0\.5"):
+            run()
+
     # N = 16 runs the dense-DFT kernel, N = 50 the FFT kernel
     @pytest.mark.parametrize("N", [16, 50])
     def test_family_members_have_the_bits_of_single_solves(self, N):

@@ -276,6 +276,12 @@ class TestRowsCsv:
         assert lines[2] == "2.0,"
 
 
+    def test_numpy_floats_written_as_plain_floats(self, tmp_path):
+        p = tmp_path / "rows.csv"
+        write_rows_csv([{"a": np.float64(0.1), "b": np.float32(0.5), "c": np.int64(3)}], ["a", "b", "c"], p)
+        assert p.read_text() == "a,b,c\n0.1,0.5,3\n"
+
+
 class TestPlotScript:
     def test_emitted_script_is_self_contained(self, tmp_path):
         emit_plot_script(["series.csv"], tmp_path / "plot.py")

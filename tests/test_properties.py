@@ -99,6 +99,21 @@ def test_stokes_powers_compose(N, seed, L, p, q):
     assert np.all(np.abs(composed - direct) <= 2e-15 * np.abs(direct))
 
 
+# 5e-15 is 4.7 times the largest relative difference measured over 3000
+# random draws of the same distribution (1.06e-15, for H2)
+@given(**_OPERATOR_DRAWS, members=st.integers(1, 4))
+def test_norms_from_vorticity_equal_sobolev_norms_of_velocity(N, seed, L, members):
+    # any (N, K) block, the Nyquist row and the zero mode included; each member alone
+    half = HalfSpectrum(make_grid(L, N))
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((members, N, half.K)) + 1j * rng.standard_normal((members, N, half.K))
+    got = half.norms(w)
+    assert got.shape == (members, 3)
+    for m in range(members):
+        ref = np.array([sobolev_norm(half.velocity(w[m]), s) for s in (0.0, 1.0, 2.0)])
+        assert np.all(np.abs(got[m] - ref) <= 5e-15 * ref)
+
+
 def reference_grad_linf_norms(h: SpectralField) -> tuple[float, float]:
     """The one-shot sampler: every entry d_a h_b as one irfft2 on the whole M x M grid.
 
