@@ -24,12 +24,12 @@ vorticity is one (B, N, K) block (one member runs as the plain (N, K)
 array), the stepper's only state, so the kernel and the ETD update run once
 per level for all of them, each member with its own z_n or dW_n.
 step(state, stepper, n, m) is one call per member-step: the first call of
-step n advances the block, and each call checks and emits member m's row
-as a State.  ensemble() yields the initial states and then one list per
-step, with a member that blew up frozen on its BlowupError while the others
-go on; it is the only time loop.  trajectory() is its one-member case, and
-integrate() records every stride-th state that yields.  Stacking changes no
-bit: each member's row equals its own one-member trajectory.
+step n advances the block and checks it once, and each call emits member
+m's row as a State.  ensemble() yields the initial states and then one list
+per step, with a member that blew up frozen on its BlowupError while the
+others go on; it is the only time loop.  trajectory() is its one-member
+case, and integrate() records every stride-th state that yields.  Stacking
+changes no bit: each member's row equals its own one-member trajectory.
 
 The stepper runs in half-spectrum vorticity (spectral.HalfSpectrum): it
 carries w = curl u as the contiguous (N, K) block of the K = (N-1)//3 + 1
@@ -263,7 +263,8 @@ class _EtdStepper:
     system: z of shape (B, n+1) from OUPaths (conjugated), dW of shape (B, n)
     from WienerPaths (Ito, etd1 drift), neither for None (deterministic).
     The curls of the members' initial states make the block w, the only
-    state the stepper advances; level counts the steps it has taken.
+    state the stepper advances; level counts the steps it has taken, and
+    step() checks each new level once for the whole block.
     Precomputes E = exp(-nu k^2 dt) and the dt phi1/phi2 weights as
     complex128 on the (N, K) masked columns, and the curls of f, h - nu A h
     and h there.  _advance() takes one drift step of the conjugated system
@@ -386,12 +387,6 @@ def _check_initial(v0: SpectralField, cfg: SimConfig) -> None:
         raise ValueError("initial data outside the solver's state space: " + "; ".join(problems))
 
 
-def _check_finite(coeffs: np.ndarray, t: float, last: State) -> None:
-    energy = float(np.vdot(coeffs, coeffs).real)
-    if not math.isfinite(energy):
-        raise BlowupError(f"non-finite coefficients at t={t:.6g}; last valid state at t={last.t:.6g}", last)
-
-
 def horizon_steps(horizon: float, dt: float) -> int:
     """The number of steps of size dt in horizon; ValueError unless it is whole.
 
@@ -407,32 +402,37 @@ def horizon_steps(horizon: float, dt: float) -> int:
 def step(state: State, stepper: _EtdStepper, n: int, m: int) -> State:
     """Step n of member m of the stepper's block, from state at t_n to t_{n+1}.
 
-    The first call of step n advances the whole block to level n + 1; every
-    call checks member m's row and emits it as a State.  state supplies only
-    t, the deterministic z and the last valid state of a BlowupError.  A step
-    that is neither the block's next level nor its last raises ValueError.
-    An ensemble member whose row is not finite is frozen: its rows of the
-    block and of F_{n-1} are zeroed, so later levels stay finite.  The
-    conjugated system takes z_n into its forcing and carries z_{n+1}; the
-    Ito system adds dW_n curl h after the etd1 drift; the deterministic
-    system runs the conjugated arithmetic with z = 0.
+    The first call of step n advances the whole block to level n + 1 and
+    checks it: one energy over the block, and one per member only when that
+    is not finite (the members in blown), and the level's z as Python floats
+    (zs).  Every call emits member m's row as a State, or raises its
+    BlowupError.  state supplies only t, the deterministic z and the last
+    valid state of a BlowupError.  A step that is neither the block's next
+    level nor its last raises ValueError.  An ensemble member whose row is
+    not finite is frozen: its rows of the block and of F_{n-1} are zeroed,
+    so later levels stay finite.  The conjugated system takes z_n into its
+    forcing and carries z_{n+1}; the Ito system adds dW_n curl h after the
+    etd1 drift; the deterministic system runs the conjugated arithmetic with
+    z = 0.
     """
     st = stepper
     if n == st.level:
         st.w, st.level = st._advance(st.w, n), n + 1
-    elif n != st.level - 1:
+        # one energy for the block; one per member only when that is not finite
+        st.blown = () if math.isfinite(np.vdot(st.w, st.w).real) else (
+            {0} if st.B == 1 else {i for i, r in enumerate(st.w) if not math.isfinite(np.vdot(r, r).real)})
+        st.zs = None if st.z is None else st.z[:, n + 1].tolist()
+    elif n != st.level - 1 or n < 0:
         raise ValueError(f"step {n} is neither the next nor the last level of a block at level {st.level}")
     w = st.w[m] if st.B > 1 else st.w
     t = state.t + st.cfg.dt
-    try:
-        _check_finite(w, t, state)
-    except BlowupError:
+    if m in st.blown:
         if st.B > 1:
             w[...] = 0.0
             if st.prev_rhs is not None:
                 st.prev_rhs[m] = 0.0
-        raise
-    z = state.z if st.z is None else float(st.z[m, n + 1])
+        raise BlowupError(f"non-finite coefficients at t={t:.6g}; last valid state at t={state.t:.6g}", state)
+    z = state.z if st.zs is None else st.zs[m]
     return State._of_vorticity(t, w, z, st.half)
 
 

@@ -17,9 +17,10 @@ reports are bit-reproducible for any worker count.  `threads` is an upper
 bound on the workers: cells run on a thread pool only on grids that take the
 FFT kernel (see _workers).  Trajectories that share a config step as one
 ensemble (dynamics.ensemble), with the bits of stepping them one by one: a
-pullback family, an absorbing cell's radii at one horizon, a smoothing cell's
-base and perturbed members of one (seed, direction), a convergence cell's
-(level, system) over the paths.
+pullback family, an absorbing cell's radii at one horizon, a convergence
+cell's (level, system) over the paths, and smoothing's base and perturbed
+members of every (seed, direction) on dense-DFT grids (of one per cell on
+FFT grids), each (seed, direction) on the OU path of its seed.
 """
 
 from __future__ import annotations
@@ -185,38 +186,49 @@ class SmoothingReport:
     median_ratio: float
 
 
-def _smoothing_pair_rows(cfg, v1, direction, label, deltas, horizons, seed):
-    """The base and perturbed trajectories as one ensemble; one row per (delta, T).
+def _smoothing_rows(cfg, v1, groups, deltas, horizons):
+    """The groups as one ensemble; one row per (group, delta, T), in the order of groups.
 
-    A blowup gives error rows: for every (delta, T) when the base trajectory
-    blows up, and for the horizons not yet reached when a perturbed one does.
+    A group ((seed, label), direction) is the base v1 and the perturbed
+    starts v1 + delta * direction on the OU path of seed (no path when every
+    horizon is 0).  A blowup gives error rows: for every (delta, T) of a
+    group when its base blows up, and for the horizons not yet reached when
+    a perturbed member does.
     """
-    t_max = max(horizons)
-    steps = horizon_steps(t_max, cfg.dt)
-    w = sample_wiener(0.0, t_max, cfg.dt, seed=seed)
-    ou = ou_from_wiener(w, init="stationary")
+    steps = horizon_steps(horizons[-1], cfg.dt)
     checkpoints = {horizon_steps(T, cfg.dt): T for T in horizons}
-    starts = [v1 + delta * direction for delta in deltas]
-    dist0 = [sobolev_norm(v2 - v1, 0.0) for v2 in starts]
+    ous = {seed: ou_from_wiener(sample_wiener(0.0, horizons[-1], cfg.dt, seed=seed), init="stationary")
+           for (seed, _), _ in groups} if steps else {}
+    k, v0s, paths, dist0 = 1 + len(deltas), [], [], []
+    for (seed, _), d in groups:
+        starts = [v1 + delta * d for delta in deltas]
+        v0s += [v1, *starts]
+        paths += [ous.get(seed)] * k
+        dist0.append([sobolev_norm(v2 - v1, 0.0) for v2 in starts])
 
-    def row(i, T, d2=float("nan"), ratio=float("nan"), error=""):
+    def row(g, i, T, d2=float("nan"), ratio=float("nan"), error=""):
+        (seed, label), _ = groups[g]
         return {"seed": seed, "direction": label, "delta": deltas[i], "T": T,
-                "dist0": dist0[i], "distT_h2_sq": d2, "ratio": ratio, "error": error}
+                "dist0": dist0[g][i], "distT_h2_sq": d2, "ratio": ratio, "error": error}
 
-    half, rows = spectral.HalfSpectrum(cfg.grid), {}  # (member, T) -> row
-    for n, (base, *members) in enumerate(ensemble([v1, *starts], cfg, [ou] * (1 + len(deltas)), steps)):
-        if isinstance(base, BlowupError):
-            return [row(i, T, error=str(base)) for i in range(len(deltas)) for T in horizons]
-        for i, b in enumerate(members):
-            if isinstance(b, BlowupError):
-                for T in horizons:
-                    if (i, T) not in rows:
-                        rows[i, T] = row(i, T, error=str(b))
-            elif n in checkpoints:
-                T = checkpoints[n]
-                d2 = half.norms(b.w - base.w)[2] ** 2
-                rows[i, T] = row(i, T, d2, 0.0 if dist0[i] == 0.0 else d2 / dist0[i] ** 2)
-    return [rows[i, T] for i in range(len(deltas)) for T in horizons]
+    half, rows = spectral.HalfSpectrum(cfg.grid), {}  # (group, member, T) -> row
+    for n, level in enumerate(ensemble(v0s, cfg, paths, steps)):
+        if n not in checkpoints:
+            continue
+        T = checkpoints[n]
+        for g in range(len(groups)):
+            base, *members = level[g * k:(g + 1) * k]
+            if isinstance(base, BlowupError):
+                continue
+            for i, b in enumerate(members):  # a member that blew up stays frozen on its error
+                if isinstance(b, BlowupError):
+                    rows[g, i, T] = row(g, i, T, error=str(b))
+                else:
+                    d2 = half.norms(b.w - base.w)[2] ** 2
+                    rows[g, i, T] = row(g, i, T, d2, 0.0 if dist0[g][i] == 0.0 else d2 / dist0[g][i] ** 2)
+    # a base that blew up fails every row of its group
+    return [row(g, i, T, error=str(level[g * k])) if isinstance(level[g * k], BlowupError) else rows[g, i, T]
+            for g in range(len(groups)) for i in range(len(deltas)) for T in horizons]
 
 
 def measure_smoothing(
@@ -232,13 +244,18 @@ def measure_smoothing(
 
     Directions: "random" draws a unit divergence-free field per seed; "lowest"
     puts the perturbation on the lowest wavenumber shell (worst smoothing decay).
+    Rows come per distinct (seed, direction) in sorted order, then delta and T.
+    On dense-DFT grids every group steps in one ensemble; on FFT grids each
+    group is its own cell, and cells share the `threads` workers.
     """
+    if not horizons:
+        raise ValueError("horizons must be nonempty")
     horizons = sorted(horizons)
     for T in horizons:
         if not T >= 0:
             raise ValueError(f"horizon must be >= 0, got {T}")
         horizon_steps(T, cfg.dt)
-    cells = {}
+    fields = {}
     for seed in seeds:
         for label in directions:
             if label == "random":
@@ -248,14 +265,12 @@ def measure_smoothing(
                                          profile=lambda k: np.where(np.abs(k - _kmin(cfg)) < 1e-9, 1.0, 0.0))
             else:
                 raise ValueError(f"unknown direction {label!r}")
-            cells[(seed, label)] = (
-                lambda v=v0, dd=d, lb=label, sd=seed: _smoothing_pair_rows(
-                    cfg, v, dd, lb, deltas, horizons, sd)
-            )
-    results = run_cells(cells, _workers(cfg, threads))
-    rows = []
-    for key in sorted(results.keys(), key=lambda k: (k[0], k[1])):
-        rows.extend(results[key])
+            fields[seed, label] = d
+    groups = sorted(fields.items())  # by (seed, label); a duplicate is one group
+    batches = [groups] if spectral._runs_dft(cfg.grid.N) else [[g] for g in groups]
+    results = run_cells({i: (lambda b=b: _smoothing_rows(cfg, v0, b, deltas, horizons))
+                         for i, b in enumerate(batches) if b}, _workers(cfg, threads))
+    rows = [r for i in sorted(results) for r in results[i]]
     ratios = [r["ratio"] for r in rows if r["error"] == "" and r["delta"] > 0]
     import statistics  # here, not at module level: it adds 0.5 MB to every CLI process
     return SmoothingReport(
@@ -373,6 +388,8 @@ def conjugation_convergence(
     """
     if levels < 3:
         raise ValueError(f"need at least 3 levels, got {levels}")
+    if paths < 1:
+        raise ValueError(f"need at least 1 path, got {paths}")
     v0 = random_divfree_field(cfg.grid, cfg.seed, norm=1.0, stream=31)
     # per level, the paths' Wiener increments and their OU processes
     wieners = [[sample_wiener(0.0, T, base_dt, seed=seed + m) for m in range(paths)]]

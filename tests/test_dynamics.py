@@ -602,6 +602,12 @@ class TestTrajectory:
         # smoothing: the base and two perturbed members
         assert run(experiments.measure_smoothing, cfg, v0, deltas=[1e-3, 1e-4],
                    horizons=[4 * cfg.dt, 10 * cfg.dt], seeds=[1], directions=("random",)) == (3 * 10, [(3, 10)])
+        # 2 seeds x 2 directions: one 12-member ensemble on the dense-DFT kernel,
+        # a 3-member ensemble per (seed, direction) on the FFT kernel (N = 50)
+        for g, blocks in ((grid16, [(12, 10)]), (make_grid(TWO_PI, 50), [(3, 10)] * 4)):
+            c = noisy_cfg(g)
+            assert run(experiments.measure_smoothing, c, random_divfree_field(g, seed=4, norm=1.0),
+                       deltas=[1e-3, 1e-4], horizons=[4 * c.dt, 10 * c.dt], seeds=[1, 2]) == (12 * 10, blocks)
         assert run(experiments.sample_attractor_deterministic, cfg, t_transient=5 * cfg.dt, count=3, stride=2,
                    v0=v0) == (5 + 2 * 2, [(1, 9)])
         # absorbing: one stepper per horizon, its radii one ensemble
@@ -679,19 +685,25 @@ class TestEnsemble:
     @pytest.mark.parametrize("big", [0, 1, 2])
     def test_blowup_freezes_only_its_member(self, grid16, big):
         # dt = 10 puts the explicit advection far outside its stability region:
-        # the norm-50 member blows up, the small ones decay; warnings are errors
+        # the norm-50 member blows up at step 9 and the norm-30 one, last, at
+        # step 11, after the first one's row was zeroed; the small ones decay;
+        # warnings are errors
         cfg = basic_cfg(grid16, dt=10.0)
         v0s = [random_divfree_field(grid16, seed=s, norm=0.05) for s in (1, 2)]
         v0s.insert(big, random_divfree_field(grid16, seed=1, norm=50.0))
+        v0s.append(random_divfree_field(grid16, seed=2, norm=30.0))
         levels = list(dynamics.ensemble(v0s, cfg, steps=14))
-        err = levels[-1][big]
-        assert isinstance(err, BlowupError)
-        with pytest.raises(BlowupError) as alone:
-            integrate(v0s[big], cfg, steps=14)
-        assert str(err) == str(alone.value)
-        assert np.array_equal(err.last_state.u.coeffs, alone.value.last_state.u.coeffs)
-        blown = next(n for n, level in enumerate(levels) if level[big] is err)
-        assert all(level[big] is err for level in levels[blown:])
+        blown = []
+        for m in (big, 3):
+            err = levels[-1][m]
+            assert isinstance(err, BlowupError)
+            with pytest.raises(BlowupError) as alone:
+                integrate(v0s[m], cfg, steps=14)
+            assert str(err) == str(alone.value)
+            assert np.array_equal(err.last_state.u.coeffs, alone.value.last_state.u.coeffs)
+            blown.append(next(n for n, level in enumerate(levels) if level[m] is err))
+            assert all(level[m] is err for level in levels[blown[-1]:])
+        assert blown == [9, 11]
         for m in {0, 1, 2} - {big}:
             for level, a in zip(levels, trajectory(v0s[m], cfg, steps=14)):
                 assert np.array_equal(level[m].w, a.w)

@@ -282,6 +282,35 @@ class TestSmoothing:
         assert [r["T"] for r in rep.rows] == [0.0, 0.1]
         assert all(r["error"] == "" and r["distT_h2_sq"] > 0.0 for r in rep.rows)
 
+    def test_empty_horizons_rejected_before_any_field(self, grid16, monkeypatch):
+        for name in ("random_divfree_field", "sample_wiener", "ensemble"):
+            monkeypatch.setattr(experiments, name, None)
+        with pytest.raises(ValueError, match="horizons must be nonempty"):
+            measure_smoothing(cfg_for(grid16), SpectralField.zero(grid16), deltas=[1e-3], horizons=[],
+                              seeds=[1])
+
+    # N = 16 steps every group in one ensemble, N = 50 (the FFT kernel) one group per cell
+    @pytest.mark.parametrize("N", [16, 50])
+    def test_zero_horizons_alone_give_the_initial_rows(self, N):
+        g = make_grid(TWO_PI, N)
+        cfg = cfg_for(g, h=random_divfree_field(g, seed=2, norm=0.3))
+        v0 = random_divfree_field(g, seed=1, norm=0.5)
+        kw = dict(deltas=[1e-3, 0.0], seeds=[1, 2])
+        rows = measure_smoothing(cfg, v0, horizons=[0.0], **kw).rows
+        assert rows == [r for r in measure_smoothing(cfg, v0, horizons=[0.0, 0.1], **kw).rows if r["T"] == 0.0]
+        assert len(rows) == 2 * 2 * 2 and all(r["error"] == "" for r in rows)
+
+    @pytest.mark.parametrize("N", [16, 50])
+    def test_duplicate_seeds_and_directions_are_one_group(self, N):
+        g = make_grid(TWO_PI, N)
+        cfg = cfg_for(g, h=random_divfree_field(g, seed=2, norm=0.3))
+        v0 = random_divfree_field(g, seed=1, norm=0.5)
+        kw = dict(deltas=[1e-3], horizons=[0.1])
+        rep = measure_smoothing(cfg, v0, seeds=[2, 1, 2], directions=("random", "lowest", "random"), **kw)
+        assert [(r["seed"], r["direction"]) for r in rep.rows] == [
+            (1, "lowest"), (1, "random"), (2, "lowest"), (2, "random")]
+        assert rep.rows == measure_smoothing(cfg, v0, seeds=[1, 2], **kw).rows
+
     def test_thread_count_invariance(self, grid16):
         cfg = cfg_for(grid16, h=random_divfree_field(grid16, seed=2, norm=0.3))
         v0 = random_divfree_field(grid16, seed=1, norm=0.5)
@@ -312,6 +341,22 @@ class TestSmoothing:
         assert [r["T"] for r in good] == [500.0, 1000.0] and all(r["error"] == "" for r in good)
         assert [r["T"] for r in bad] == [500.0, 1000.0]
         assert all("non-finite" in r["error"] for r in bad)
+
+    def test_blowup_stays_in_its_group(self, grid16):
+        # four groups in one ensemble: the delta-50 members of the random groups
+        # blow up at step 9, between the horizons; the lowest shell only decays
+        cfg = cfg_for(grid16, dt=10.0)
+        v0, kw = SpectralField.zero(grid16), dict(deltas=[1e-6, 50.0], horizons=[20.0, 1000.0])
+        rows = measure_smoothing(cfg, v0, seeds=[1, 2], **kw).rows
+        for seed in (1, 2):
+            for label in ("lowest", "random"):
+                group = [r for r in rows if (r["seed"], r["direction"]) == (seed, label)]
+                alone = measure_smoothing(cfg, v0, seeds=[seed], directions=(label,), **kw).rows
+                if label == "lowest":
+                    assert group == alone and all(r["error"] == "" for r in group)
+                else:  # repr: the error rows hold NaN
+                    assert repr(group) == repr(alone)
+                    assert ["non-finite" in r["error"] for r in group] == [False, False, False, True]
 
 
 class TestAbsorbing:
@@ -381,6 +426,11 @@ class TestConjugationConvergence:
     def test_rejects_too_few_levels(self, grid16):
         with pytest.raises(ValueError):
             conjugation_convergence(cfg_for(grid16), base_dt=2.0**-7, levels=2, T=1.0, seed=1)
+
+    def test_no_paths_rejected_before_any_path(self, grid16, monkeypatch):
+        monkeypatch.setattr(experiments, "sample_wiener", None)
+        with pytest.raises(ValueError, match="need at least 1 path, got 0"):
+            conjugation_convergence(cfg_for(grid16), base_dt=2.0**-7, levels=3, T=0.25, seed=1, paths=0)
 
     def test_first_order_strong_convergence(self, grid16):
         h = random_divfree_field(grid16, seed=11, norm=1.0)
