@@ -26,7 +26,7 @@ import numpy as np
 from . import dynamics, experiments, io as tio
 from .dynamics import BlowupError, SimConfig, integrate
 from .noise import ou_from_wiener, sample_wiener
-from .spectral import HalfSpectrum, field_violations, sobolev_norm
+from .spectral import field_violations, sobolev_norm
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -102,8 +102,8 @@ _ABSORBING_HORIZONS = (2.0, 5.0)
 def _pullback(cfg: SimConfig, args, out: Path) -> Outcome:
     horizons = list(_PULLBACK_HORIZONS)
     states = [experiments.pullback_solve(cfg, hor, cfg.seed, [cfg.u0])[0] for hor in horizons]
-    cols, half = ["horizon", "norm_h", "norm_h1", "norm_h2"], HalfSpectrum(cfg.grid)
-    rows = [dict(zip(cols, (hor, *half.norms(st.w)))) for hor, st in zip(horizons, states)]
+    cols = ["horizon", "norm_h", "norm_h1", "norm_h2"]
+    rows = [dict(zip(cols, (hor, *st.half.norms(st.w)))) for hor, st in zip(horizons, states)]
     tio.write_rows_csv(rows, cols, out / "pullback.csv")
     tio.emit_plot_script(["pullback.csv"], out / "plot.py")
     return EXIT_OK, ["pullback.csv", "plot.py"], f"pullback states at 0 for horizons {horizons} written"
@@ -199,8 +199,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--preset", type=str, default=None, help="named config preset")
         sp.add_argument("--out", type=Path, default="out", help="artifact directory")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
-        sp.add_argument("--threads", type=_at_least_one, default=1, help="at most this many experiment "
-                        "cell workers; small grids that run the dense-DFT kernel use 1")
+        sp.add_argument("--threads", type=_at_least_one, default=1, help="at most this many workers per "
+                        "experiment call on FFT grids (N > 48); smaller grids step on the calling thread")
         sp.add_argument("--quiet", action="store_true", help="suppress progress output")
     return p
 

@@ -58,6 +58,7 @@ what such a field holds in the columns |j2| >= K is dropped.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field
@@ -192,22 +193,22 @@ class State:
     """Trajectory state: time, velocity field and the current OU value.
 
     Every State that ensemble yields also holds w, its member's row of the
-    stepper's (N, K) masked half-spectrum vorticity block; an initial state
-    keeps the velocity it was given, a stepped one builds
-    u = HalfSpectrum.velocity(w) on the first read and caches it.  No array
-    is written after the state is yielded, so states may be kept; modify
-    neither in place.
+    stepper's (N, K) masked half-spectrum vorticity block, and half, the
+    stepper's HalfSpectrum (norms() reads w); an initial state keeps its
+    given velocity, a stepped one builds u = HalfSpectrum.velocity(w) on the
+    first read and caches it.  No array is written after the state is
+    yielded, so states may be kept; modify neither in place.
     """
 
-    __slots__ = ("t", "z", "_u", "_w", "_half")
+    __slots__ = ("t", "z", "_u", "_w", "half")
 
     def __init__(self, t: float, u: SpectralField, z: float = 0.0):
-        self.t, self.z, self._u, self._w, self._half = t, z, u, None, None
+        self.t, self.z, self._u, self._w, self.half = t, z, u, None, None
 
     @classmethod
     def _of_vorticity(cls, t: float, w: np.ndarray, z: float, half: spectral.HalfSpectrum) -> "State":
         state = cls(t, None, z)
-        state._w, state._half = w, half
+        state._w, state.half = w, half
         return state
 
     @property
@@ -218,7 +219,7 @@ class State:
     @property
     def u(self) -> SpectralField:
         if self._u is None:
-            self._u = self._half.velocity(self._w)
+            self._u = self.half.velocity(self._w)
         return self._u
 
     def copy(self) -> "State":
@@ -296,7 +297,7 @@ class _EtdStepper:
         self._z_cols = None if self.z is None else _per_level(self.z, B)
         self._dW_cols = None if self.dW is None else _per_level(self.dW, B)
         self._zero = np.zeros((B, 1, 1)) if B > 1 else 0.0
-        self.half = half = spectral.HalfSpectrum(cfg.grid)
+        self.half = half = _half_spectrum(cfg.grid)
         dt = cfg.dt
         z = -cfg.nu * dt * half.k2
         phi1, phi2 = _phi1(z), _phi2(z)
@@ -343,6 +344,10 @@ class _EtdStepper:
         if self._dW_cols is not None:  # the Ito system: + dW_n curl h after the drift
             out += np.multiply(self._dW_cols[n], self.hw, out=t)
         return out
+
+
+# one read-only HalfSpectrum per grid: each kept State holds it (0.9 MB at N = 128)
+_half_spectrum = functools.lru_cache(maxsize=4)(spectral.HalfSpectrum)
 
 
 def _per_level(a: np.ndarray, B: int) -> np.ndarray:
@@ -481,7 +486,7 @@ def ensemble(
     states = [State(t=s, u=v0.copy(), z=z) for v0, s, z in zip(v0s, starts, z0)]
     stepper = _EtdStepper(cfg, paths, states)
     for state, w in zip(states, stepper.w if stepper.B > 1 else [stepper.w]):
-        state._w, state._half = w, stepper.half  # and keeps its given velocity
+        state._w, state.half = w, stepper.half  # and keeps its given velocity
     return _levels(states, stepper, steps)
 
 
@@ -552,8 +557,8 @@ def integrate(
         raise ValueError(f"stride must be >= 1, got {stride}")
     rows = []
     for n, state in enumerate(trajectory(v0, cfg, path, steps)):
-        if n % stride == 0:  # the stepper's tables
-            rows.append((state.t, *state._half.norms(state.w), state.z))
+        if n % stride == 0:
+            rows.append((state.t, *state.half.norms(state.w), state.z))
     series = NormSeries(*np.array(rows, dtype=np.float64).reshape(-1, 5).T)  # t, H, H1, H2, z
     return IntegrationResult(state=state, series=series)
 

@@ -12,15 +12,14 @@ Everything here is a finite-horizon, finite-ensemble measurement:
   ||v1(T) - v2(T)||_{H^2}^2 / ||v1(0) - v2(0)||^2 over pairs driven by the
   same noise path.
 
-Experiment cells are independent; aggregation is order-independent, so
-reports are bit-reproducible for any worker count.  `threads` is an upper
-bound on the workers: cells run on a thread pool only on grids that take the
-FFT kernel (see _workers).  Trajectories that share a config step as one
-ensemble (dynamics.ensemble), with the bits of stepping them one by one: a
-pullback family, an absorbing cell's radii at one horizon, a convergence
-cell's (level, system) over the paths, and smoothing's base and perturbed
-members of every (seed, direction) on dense-DFT grids (of one per cell on
-FFT grids), each (seed, direction) on the OU path of its seed.
+Every experiment steps its trajectories as ensembles (dynamics.ensemble)
+through one runner, _run_ensembles: a pullback family, the radii of an
+absorbing horizon, a convergence (level, system) over the paths, and all of
+smoothing's base and perturbed members, each (seed, direction) on the OU path
+of its seed.  Each member has the bits of its own one-member run, so reports
+are bit-reproducible for any worker count.  On dense-DFT grids an ensemble is
+one block on the calling thread; on FFT grids it splits into sub-blocks
+within a byte budget, and `threads` bounds the workers that run them.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ __all__ = [
     "measure_absorbing",
     "ergodic_check",
     "conjugation_convergence",
-    "run_cells",
 ]
 
 # OU relaxation time is 1; ten units of burn-in before the pullback window
@@ -68,26 +66,59 @@ __all__ = [
 OU_BURN_IN = 10.0
 
 
-def _workers(cfg: SimConfig, threads: int) -> int:
-    """The cell workers for a grid: 1 where vorticity_advection runs the dense DFT.
+# The kernel workspace and stepper buffers of one FFT-grid sub-block, at most.
+# 8 members of decay-noise at dt = 4e-3 in sub-blocks of W on 2 threads, median
+# us per member-step of 7 rounds (5 at N = 96), 2 cores with 4 MiB L2 each:
+#   N = 64 (0.54 MB a member)  W = 1, 2, 4: 190, 141, 114;  one serial block 176
+#   N = 96 (1.19 MB)           W = 1, 2, 4: 372, 280, 747;  one serial block 452
+#   N = 128 (2.11 MB)          W = 1, 2, 4: 592, 1202, 954; one serial block 726
+# Sub-blocks of 4.2 MB and more lost (the cache as the cause is unverified).
+_SUB_BLOCK_BYTES = 5 * 2**19  # 2.5 MiB
 
-    On those grids every numpy call of a step is short, so the step is bound
-    by Python overhead under the interpreter lock and a second thread adds
-    only contention (2 cores, the cells-n16-t2 seed-0 pair with --threads 2:
-    serial 1.32-1.89 s, pool 1.84-2.13 s, serial faster in 8 of 8 alternating
-    pairs; a re-run 1.36-1.68 s against 1.56-1.99 s, 7 of 8).  FFT grids
-    keep the pool (N = 128: smoothing 4.27 s on 1 thread, 2.87 s on 2).
+
+def _member_bytes(N: int) -> int:
+    """One member's AdvectionWorkspace (5 N K + 4 N (N/2+1) complex, 4 N^2 real) and
+    _EtdStepper buffers (two right sides, arg, two temporaries, old and new block: 7 N K complex)."""
+    K, M = (N - 1) // 3 + 1, N // 2 + 1
+    return 16 * (12 * N * K + 4 * N * M) + 32 * N * N
+
+
+def _run_ensembles(ensembles: list, threads: int = 1) -> list[dict]:
+    """Step each (start, cfg, paths, reads) ensemble; per ensemble {n: level} for the steps n in reads.
+
+    paths holds one path per member; start(m) builds member m's initial field
+    when its sub-block starts.  A level is what dynamics.ensemble yields at
+    step n: each member's State, or its BlowupError, in member order, with
+    the bits of the member's own one-member run whatever the split or
+    `threads`.  The ensembles share a grid.  On dense-DFT grids each is one
+    block on the calling thread; on FFT grids each splits into near-equal
+    consecutive sub-blocks within _SUB_BLOCK_BYTES, and every sub-block runs
+    to its last read step on a pool of at most `threads` workers.
     """
-    return 1 if spectral._runs_dft(cfg.grid.N) else threads
+    N = ensembles[0][1].grid.N
+    dft = spectral._runs_dft(N)
+    blocks = []  # (ensemble, first member, end)
+    for e, (_, _, paths, _) in enumerate(ensembles):
+        B = len(paths)
+        k = -(-B // max(1, B if dft else _SUB_BLOCK_BYTES // _member_bytes(N)))
+        blocks += [(e, B * i // k, B * (i + 1) // k) for i in range(k)]
 
+    def run(block):
+        e, a, b = block
+        start, cfg, paths, reads = ensembles[e]
+        levels = ensemble([start(m) for m in range(a, b)], cfg, paths[a:b], max(reads))
+        return {n: level for n, level in enumerate(levels) if n in reads}
 
-def run_cells(cells: dict, threads: int = 1) -> dict:
-    """Evaluate {key: thunk} on a thread pool; results keyed, order-independent."""
-    if threads <= 1 or len(cells) <= 1:
-        return {k: fn() for k, fn in cells.items()}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {k: pool.submit(fn) for k, fn in cells.items()}
-        return {k: f.result() for k, f in futures.items()}
+    if dft or threads == 1 or len(blocks) < 2:
+        runs = list(map(run, blocks))
+    else:
+        with ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
+            runs = list(pool.map(run, blocks))
+    out = [{n: [] for n in reads} for *_, reads in ensembles]
+    for (e, _, _), levels in zip(blocks, runs):
+        for n, level in levels.items():
+            out[e][n] += level
+    return out
 
 
 def pullback_path(cfg: SimConfig, horizon: float, seed: int) -> OUPath:
@@ -106,19 +137,11 @@ def pullback_path(cfg: SimConfig, horizon: float, seed: int) -> OUPath:
     return OUPath(wiener=replace(w, t0=0.0 - horizon, increments=w.increments[b:]), z=ou.z[b:])
 
 
-def _pullback_family(cfg: SimConfig, horizon: float, seed: int, initial_states: list) -> list:
-    """The family as one ensemble on the path of `seed`: each member's State at 0, or its BlowupError."""
-    ou = pullback_path(cfg, horizon, seed)
-    for last in ensemble(initial_states, cfg, [ou] * len(initial_states)):
-        pass
-    return last
-
-
 def pullback_solve(cfg: SimConfig, horizon: float, seed: int, initial_states: list) -> list[State]:
     """States at time 0 of trajectories started at -horizon, one per family member.
 
-    The family steps as one ensemble on the noise path of `seed`; the first
-    member to blow up, in family order, raises its BlowupError.  Every state
+    The family steps as one ensemble on the noise path of `seed`, serially;
+    the first member to blow up, in family order, raises its BlowupError.  Every state
     carries z_omega(0), the anchored OU value at time 0 (at horizon 0, with the
     initial data unchanged).  A negative horizon, an empty family or a horizon
     that is not a whole number of steps raises ValueError before any path is drawn.
@@ -126,7 +149,8 @@ def pullback_solve(cfg: SimConfig, horizon: float, seed: int, initial_states: li
     if not initial_states:
         raise ValueError("initial-state family is empty")
     horizon_steps(horizon, cfg.dt)
-    states = _pullback_family(cfg, horizon, seed, initial_states)
+    ou = pullback_path(cfg, horizon, seed)
+    states = _run_ensembles([(initial_states.__getitem__, cfg, [ou] * len(initial_states), {ou.n})])[0][ou.n]
     for error in (s for s in states if isinstance(s, BlowupError)):
         raise error
     return states
@@ -186,7 +210,7 @@ class SmoothingReport:
     median_ratio: float
 
 
-def _smoothing_rows(cfg, v1, groups, deltas, horizons):
+def _smoothing_rows(cfg, v1, groups, deltas, horizons, threads):
     """The groups as one ensemble; one row per (group, delta, T), in the order of groups.
 
     A group ((seed, label), direction) is the base v1 and the perturbed
@@ -195,40 +219,30 @@ def _smoothing_rows(cfg, v1, groups, deltas, horizons):
     group when its base blows up, and for the horizons not yet reached when
     a perturbed member does.
     """
-    steps = horizon_steps(horizons[-1], cfg.dt)
-    checkpoints = {horizon_steps(T, cfg.dt): T for T in horizons}
+    at = {T: horizon_steps(T, cfg.dt) for T in horizons}  # two horizons may share a step
+    steps = max(at.values())
     ous = {seed: ou_from_wiener(sample_wiener(0.0, horizons[-1], cfg.dt, seed=seed), init="stationary")
            for (seed, _), _ in groups} if steps else {}
-    k, v0s, paths, dist0 = 1 + len(deltas), [], [], []
-    for (seed, _), d in groups:
-        starts = [v1 + delta * d for delta in deltas]
-        v0s += [v1, *starts]
-        paths += [ous.get(seed)] * k
-        dist0.append([sobolev_norm(v2 - v1, 0.0) for v2 in starts])
+    k = 1 + len(deltas)
+    paths = [ous.get(seed) for (seed, _), _ in groups for _ in range(k)]
+    dist0 = [[sobolev_norm(v1 + delta * d - v1, 0.0) for delta in deltas] for _, d in groups]
 
-    def row(g, i, T, d2=float("nan"), ratio=float("nan"), error=""):
-        (seed, label), _ = groups[g]
-        return {"seed": seed, "direction": label, "delta": deltas[i], "T": T,
-                "dist0": dist0[g][i], "distT_h2_sq": d2, "ratio": ratio, "error": error}
+    def start(m):  # member g k is group g's base, g k + 1 + i its start v1 + deltas[i] d
+        return v1 + deltas[m % k - 1] * groups[m // k][1] if m % k else v1
 
-    half, rows = spectral.HalfSpectrum(cfg.grid), {}  # (group, member, T) -> row
-    for n, level in enumerate(ensemble(v0s, cfg, paths, steps)):
-        if n not in checkpoints:
-            continue
-        T = checkpoints[n]
-        for g in range(len(groups)):
-            base, *members = level[g * k:(g + 1) * k]
-            if isinstance(base, BlowupError):
-                continue
-            for i, b in enumerate(members):  # a member that blew up stays frozen on its error
-                if isinstance(b, BlowupError):
-                    rows[g, i, T] = row(g, i, T, error=str(b))
-                else:
-                    d2 = half.norms(b.w - base.w)[2] ** 2
-                    rows[g, i, T] = row(g, i, T, d2, 0.0 if dist0[g][i] == 0.0 else d2 / dist0[g][i] ** 2)
-    # a base that blew up fails every row of its group
-    return [row(g, i, T, error=str(level[g * k])) if isinstance(level[g * k], BlowupError) else rows[g, i, T]
-            for g in range(len(groups)) for i in range(len(deltas)) for T in horizons]
+    (levels,) = _run_ensembles([(start, cfg, paths, set(at.values()))], threads)
+    rows = []
+    for g, ((seed, label), _) in enumerate(groups):
+        last = levels[steps][g * k]  # a base that blew up fails every row of its group
+        for i, delta in enumerate(deltas):
+            for T in horizons:  # a member that blew up stays frozen on its error
+                base, b = levels[at[T]][g * k], levels[at[T]][g * k + 1 + i]
+                error = next((str(x) for x in (last, b) if isinstance(x, BlowupError)), "")
+                d2 = float("nan") if error else b.half.norms(b.w - base.w)[2] ** 2
+                ratio = float("nan") if error else d2 / dist0[g][i] ** 2 if dist0[g][i] else 0.0
+                rows.append({"seed": seed, "direction": label, "delta": delta, "T": T, "dist0": dist0[g][i],
+                             "distT_h2_sq": d2, "ratio": ratio, "error": error})
+    return rows
 
 
 def measure_smoothing(
@@ -245,9 +259,11 @@ def measure_smoothing(
     Directions: "random" draws a unit divergence-free field per seed; "lowest"
     puts the perturbation on the lowest wavenumber shell (worst smoothing decay).
     Rows come per distinct (seed, direction) in sorted order, then delta and T.
-    On dense-DFT grids every group steps in one ensemble; on FFT grids each
-    group is its own cell, and cells share the `threads` workers.
+    Every group steps in one ensemble, on at most `threads` workers (see
+    _run_ensembles).  Empty deltas or horizons raise ValueError up front.
     """
+    if not deltas:
+        raise ValueError("deltas must be nonempty")
     if not horizons:
         raise ValueError("horizons must be nonempty")
     horizons = sorted(horizons)
@@ -266,11 +282,8 @@ def measure_smoothing(
             else:
                 raise ValueError(f"unknown direction {label!r}")
             fields[seed, label] = d
-    groups = sorted(fields.items())  # by (seed, label); a duplicate is one group
-    batches = [groups] if spectral._runs_dft(cfg.grid.N) else [[g] for g in groups]
-    results = run_cells({i: (lambda b=b: _smoothing_rows(cfg, v0, b, deltas, horizons))
-                         for i, b in enumerate(batches) if b}, _workers(cfg, threads))
-    rows = [r for i in sorted(results) for r in results[i]]
+    # by (seed, label); a duplicate is one group
+    rows = _smoothing_rows(cfg, v0, sorted(fields.items()), deltas, horizons, threads)
     ratios = [r["ratio"] for r in rows if r["error"] == "" and r["delta"] > 0]
     import statistics  # here, not at module level: it adds 0.5 MB to every CLI process
     return SmoothingReport(
@@ -303,30 +316,27 @@ def measure_absorbing(
 ) -> AbsorbingReport:
     """Pullback the family {radius * e : radius in initial_radii} over each horizon.
 
-    A cell is one horizon and its family one ensemble, on one anchored noise
-    path (the window only grows with the horizon).  One row per distinct
-    (radius, horizon) in increasing order; a member that blows up gets NaN
-    norms and its error.
+    Each horizon's family is one ensemble, on one anchored noise path (the
+    window only grows with the horizon), on at most `threads` workers.  One
+    row per distinct (radius, horizon) in increasing order; a member that
+    blows up gets NaN norms and its error.
     """
     if not initial_radii or not horizons:
         raise ValueError("radii and horizons must be nonempty")
     for h in horizons:
         horizon_steps(h, cfg.dt)
     e = random_divfree_field(cfg.grid, 99, norm=1.0, stream=29)  # one fixed unit direction
-    radii = sorted(set(initial_radii))
+    radii, hs = sorted(set(initial_radii)), sorted(set(horizons))
     family = [SpectralField(cfg.grid, r * e.coeffs) for r in radii]
-
-    def cell(horizon: float) -> list:
-        half, rows = spectral.HalfSpectrum(cfg.grid), []
-        for radius, st in zip(radii, _pullback_family(cfg, horizon, seed, family)):
+    ous, rows = [pullback_path(cfg, h, seed) for h in hs], []
+    runs = _run_ensembles([(family.__getitem__, cfg, [ou] * len(family), {ou.n}) for ou in ous], threads)
+    for i, radius in enumerate(radii):
+        for h, ou, levels in zip(hs, ous, runs):
+            st = levels[ou.n][i]
             error = str(st) if isinstance(st, BlowupError) else ""
-            norms = [float("nan")] * 3 if error else half.norms(st.w)
+            norms = [float("nan")] * 3 if error else st.half.norms(st.w)
             rows.append(dict(zip(("radius", "horizon", "norm_h", "norm_h1", "norm_h2", "error"),
-                                 (radius, horizon, *norms, error))))
-        return rows
-
-    results = run_cells({h: (lambda hh=h: cell(hh)) for h in horizons}, _workers(cfg, threads))
-    rows = [results[h][i] for i in range(len(radii)) for h in sorted(results)]
+                                 (radius, h, *norms, error))))
     estimates = {}
     for h in horizons:
         for sname, col in (("H", "norm_h"), ("H1", "norm_h1"), ("H2", "norm_h2")):
@@ -391,38 +401,22 @@ def conjugation_convergence(
     if paths < 1:
         raise ValueError(f"need at least 1 path, got {paths}")
     v0 = random_divfree_field(cfg.grid, cfg.seed, norm=1.0, stream=31)
-    # per level, the paths' Wiener increments and their OU processes
-    wieners = [[sample_wiener(0.0, T, base_dt, seed=seed + m) for m in range(paths)]]
-    for _ in range(levels - 1):
-        wieners.append([refine_wiener(w) for w in wieners[-1]])
-    ous = [[ou_from_wiener(w, init="stationary") for w in level] for level in wieners]
-
-    def final_states(level: int, system: str) -> list:
-        """One ensemble over the paths: each member's final State, or its BlowupError."""
-        lcfg = replace(cfg, dt=wieners[level][0].dt)
-        if system == "ou":
-            v0s, members = [v0] * paths, ous[level]
-        else:
-            v0s = [conjugate(v0, float(ou.z[0]), cfg.h) for ou in ous[level]]
-            members = wieners[level]
-        for last in ensemble(v0s, lcfg, members):
-            pass
-        return last
-
-    cells = {(lv, system): (lambda lv=lv, system=system: final_states(lv, system))
-             for lv in range(levels) for system in ("ou", "wiener")}
-    results = run_cells(cells, _workers(cfg, threads))
-    # a blowup raises as if the paths ran one by one, each level OU first
-    for m in range(paths):
-        for lv in range(levels):
-            for system in ("ou", "wiener"):
-                if isinstance(results[lv, system][m], BlowupError):
-                    raise results[lv, system][m]
-    half = spectral.HalfSpectrum(cfg.grid)
+    wieners = [sample_wiener(0.0, T, base_dt, seed=seed + m) for m in range(paths)]
     errs = np.empty((paths, levels))
-    for lv in range(levels):  # ||u - (v + h z(T))|| per path, from the vorticity
-        finals = zip(results.pop((lv, "ou")), results.pop((lv, "wiener")), ous[lv])
-        errs[:, lv] = [half.norms(u.w - v.w - ou.z[-1] * half.curl(cfg.h))[0] for v, u, ou in finals]
+    failed = {}  # (path, level, system) -> its BlowupError, OU system 0, Wiener 1
+    for lv in range(levels):  # only this level's paths and final states are held
+        if lv:
+            wieners = [refine_wiener(w) for w in wieners]
+        ous = [ou_from_wiener(w, init="stationary") for w in wieners]
+        lcfg, n = replace(cfg, dt=wieners[0].dt), wieners[0].n
+        runs = _run_ensembles([(lambda m: v0, lcfg, ous, {n}),
+                               (lambda m: conjugate(v0, float(ous[m].z[0]), cfg.h), lcfg, wieners, {n})], threads)
+        for m, (v, u, ou) in enumerate(zip(runs[0][n], runs[1][n], ous)):  # ||u - (v + h z(T))||
+            failed.update({(m, lv, s): x for s, x in enumerate((v, u)) if isinstance(x, BlowupError)})
+            if (m, lv, 0) not in failed and (m, lv, 1) not in failed:
+                errs[m, lv] = v.half.norms(u.w - v.w - ou.z[-1] * v.half.curl(cfg.h))[0]
+    if failed:  # a blowup raises as if the paths ran one by one, each level OU first
+        raise failed[min(failed)]
     mean = errs.mean(axis=0)
     ratios = [float(mean[i] / mean[i + 1]) if mean[i + 1] > 0 else float("inf")
               for i in range(levels - 1)]

@@ -2,7 +2,7 @@
 
 Every random draw in the package flows from a 64-bit master seed through a
 named stream, so distinct tasks (field generation, Wiener sampling, bridge
-refinement levels, experiment cells) never share generator state and results
+refinement levels, ensemble members) never share generator state and results
 are independent of execution order and thread count.
 """
 

@@ -22,7 +22,7 @@ size alone picks one: up to N = _DFT_MAX_N, where a numpy call costs mostly
 its Python wrapper, real matrix products with dense DFT tables; above it the
 Basdevant form, with two inverse and two forward real transforms as numpy's
 1-D FFTs.  The DFT kernel's calls are too short to gain from a second
-thread, so the experiments run their cells serially on those grids.  Both
+thread, so the experiments step their ensembles serially on those grids.  Both
 kernels take a leading member axis, (B, N, K), on which each member gets
 the bits of its own (N, K) call.
 

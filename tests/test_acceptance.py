@@ -286,24 +286,27 @@ def test_criterion_10_thread_determinism(tmp_path):
                  "forcing": {"preset": "random", "norm": 0.3, "seed": 2},
                  "noise": {"preset": "random", "norm": 0.3, "seed": 4},
                  "initial": {"preset": "random", "norm": 1.0, "seed": 5}}
-        cfgp = tmp_path / "config.json"
-        cfgp.write_text(json.dumps(small))
-
         runs = ("simulate", "taylor-green", "pullback", "smoothing",
                 "absorbing", "ergodic", "convergence")
-        for command in runs:
-            outputs = []
-            for threads in (1, 4):
-                out = tmp_path / f"{command}-t{threads}"
-                args = [command, "--out", str(out), "--threads", str(threads), "--quiet"]
-                if command == "taylor-green":
-                    args += ["--preset", "taylor-green"]
-                else:
-                    args += ["--config", str(cfgp)]
-                assert main(args) == 0, command
-                csvs = sorted(p.name for p in out.glob("*.csv"))
-                assert csvs, command
-                outputs.append({name: (out / name).read_bytes() for name in csvs})
-            assert outputs[0] == outputs[1], command
+        # N = 16 steps every ensemble on the calling thread; N = 50, the first
+        # grid on the FFT kernel, splits them into sub-blocks on the workers
+        # (convergence there, about 3 s a run, is left to test_experiments' TestRunner)
+        for N, commands in ((16, runs), (50, ("pullback", "smoothing", "absorbing"))):
+            cfgp = tmp_path / f"config{N}.json"
+            cfgp.write_text(json.dumps({**small, "N": N}))
+            for command in commands:
+                outputs = []
+                for threads in (1, 4):
+                    out = tmp_path / f"{command}-n{N}-t{threads}"
+                    args = [command, "--out", str(out), "--threads", str(threads), "--quiet"]
+                    if command == "taylor-green":
+                        args += ["--preset", "taylor-green"]
+                    else:
+                        args += ["--config", str(cfgp)]
+                    assert main(args) == 0, (N, command)
+                    csvs = sorted(p.name for p in out.glob("*.csv"))
+                    assert csvs, (N, command)
+                    outputs.append({name: (out / name).read_bytes() for name in csvs})
+                assert outputs[0] == outputs[1], (N, command)
 
     report(10, "CSV artifacts bit-identical across --threads for all subcommands", body)

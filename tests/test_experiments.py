@@ -15,7 +15,6 @@ from torns.experiments import (
     measure_smoothing,
     pullback_path,
     pullback_solve,
-    run_cells,
     sample_attractor_deterministic,
 )
 from torns.noise import ou_stationary_moment
@@ -114,7 +113,9 @@ class TestPullback:
         cfg = cfg_for(grid16, dt=10.0)
         e = random_divfree_field(grid16, seed=1, norm=1.0)
         family = [0.05 * e, 50.0 * e, 0.05 * e]
-        entries = experiments._pullback_family(cfg, 1000.0, 5, family)
+        ou = experiments.pullback_path(cfg, 1000.0, 5)
+        (levels,) = experiments._run_ensembles([(family.__getitem__, cfg, [ou] * 3, {ou.n})])
+        (entries,) = levels.values()
         assert [isinstance(s, BlowupError) for s in entries] == [False, True, False]
         with pytest.raises(BlowupError) as raised:
             pullback_solve(cfg, 1000.0, 5, family)
@@ -289,7 +290,23 @@ class TestSmoothing:
             measure_smoothing(cfg_for(grid16), SpectralField.zero(grid16), deltas=[1e-3], horizons=[],
                               seeds=[1])
 
-    # N = 16 steps every group in one ensemble, N = 50 (the FFT kernel) one group per cell
+    def test_empty_deltas_rejected_before_any_field(self, grid16, monkeypatch):
+        for name in ("random_divfree_field", "sample_wiener", "ensemble"):
+            monkeypatch.setattr(experiments, name, None)
+        with pytest.raises(ValueError, match="deltas must be nonempty"):
+            measure_smoothing(cfg_for(grid16), SpectralField.zero(grid16), deltas=[], horizons=[0.1],
+                              seeds=[1])
+
+    def test_horizons_on_one_step_each_get_their_rows(self, grid16):
+        cfg = cfg_for(grid16, dt=1e-2, h=random_divfree_field(grid16, seed=2, norm=0.3))
+        v0 = random_divfree_field(grid16, seed=1, norm=0.5)
+        kw = dict(deltas=[1e-3], seeds=[1], directions=("random",))
+        one = measure_smoothing(cfg, v0, horizons=[0.1], **kw).rows
+        both = measure_smoothing(cfg, v0, horizons=[0.1, 0.1 + 1e-12], **kw).rows
+        assert [r["T"] for r in both] == [0.1, 0.1 + 1e-12]
+        assert both == [one[0], {**one[0], "T": 0.1 + 1e-12}] and one[0]["error"] == ""
+
+    # N = 16 runs the dense-DFT kernel, N = 50 the FFT kernel
     @pytest.mark.parametrize("N", [16, 50])
     def test_zero_horizons_alone_give_the_initial_rows(self, N):
         g = make_grid(TWO_PI, N)
@@ -441,6 +458,26 @@ class TestConjugationConvergence:
             assert 1.5 < r < 2.6
         assert rep.orders[0] == pytest.approx(math.log2(rep.ratios[0]))
 
+    def test_blowup_raised_by_path_then_level_ou_first(self, grid16, monkeypatch):
+        # as if the paths ran one by one: path 0 at level 1, OU before Wiener,
+        # after every level has run
+        planted = {(2, 0, 0): "A", (0, 1, 0): "B", (1, 0, 1): "C", (1, 0, 0): "D"}  # (level, path, system)
+        real, calls = experiments._run_ensembles, []
+
+        def runner(ensembles, threads=1):
+            runs, lv = real(ensembles, threads), len(calls)
+            calls.append(lv)
+            for s, levels in enumerate(runs):
+                (level,) = levels.values()
+                level[:] = [BlowupError(planted[lv, m, s], None) if (lv, m, s) in planted else x
+                            for m, x in enumerate(level)]
+            return runs
+
+        monkeypatch.setattr(experiments, "_run_ensembles", runner)
+        with pytest.raises(BlowupError, match="^D$"):
+            conjugation_convergence(cfg_for(grid16), base_dt=2.0**-7, levels=3, T=2.0**-5, seed=1, paths=2)
+        assert calls == [0, 1, 2]
+
     def test_thread_invariance(self, grid16):
         h = random_divfree_field(grid16, seed=11, norm=1.0)
         cfg = cfg_for(grid16, dt=2.0**-7, h=h, seed=5)
@@ -449,16 +486,8 @@ class TestConjugationConvergence:
         assert a.errors == b.errors
 
 
-class TestRunCells:
-    def test_results_keyed_and_complete(self):
-        cells = {k: (lambda kk=k: kk * kk) for k in range(20)}
-        for threads in (1, 4):
-            out = run_cells(cells, threads=threads)
-            assert out == {k: k * k for k in range(20)}
-
-
-class TestPoolPolicy:
-    """Cells start a thread pool only on grids that run the FFT kernel."""
+class TestRunner:
+    """Ensembles split into sub-blocks, on a thread pool, only on grids that run the FFT kernel."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -478,8 +507,8 @@ class TestPoolPolicy:
         cfg = cfg_for(grid, dt=dt, h=random_divfree_field(grid, seed=2, norm=0.3))
         v0 = random_divfree_field(grid, seed=1, norm=0.5)
         return [
-            measure_smoothing(cfg, v0, deltas=[1e-3], horizons=[2 * dt], seeds=[1, 2],
-                              directions=("random",), threads=threads).rows,
+            measure_smoothing(cfg, v0, deltas=[1e-3], horizons=[dt, 2 * dt], seeds=[1, 2],
+                              threads=threads).rows,
             measure_absorbing(cfg, initial_radii=[1.0, 2.0], horizons=[dt, 2 * dt], seed=5,
                               threads=threads).rows,
             conjugation_convergence(cfg, base_dt=dt, levels=3, T=2 * dt, seed=9, paths=2,
@@ -491,12 +520,28 @@ class TestPoolPolicy:
         self.run_all(make_grid(TWO_PI, 16), threads=4)
         assert pools == []
 
-    def test_fft_grid_keeps_the_pool_and_its_rows(self, pools):
+    # the default budget, and one member per sub-block
+    @pytest.mark.parametrize("budget", [experiments._SUB_BLOCK_BYTES, 1])
+    def test_fft_grid_pools_at_most_threads_workers_with_the_serial_rows(self, pools, monkeypatch, budget):
         N = spectral._DFT_MAX_N + 2  # the first grid on the FFT kernel
         assert not spectral._runs_dft(N)
         grid = make_grid(TWO_PI, N)
         serial = self.run_all(grid, threads=1)
         assert pools == []
-        pooled = self.run_all(grid, threads=2)
-        assert pools == [2, 2, 2]
-        assert repr(pooled) == repr(serial)  # bit for bit, NaN entries included
+        monkeypatch.setattr(experiments, "_SUB_BLOCK_BYTES", budget)
+        for threads in (2, 3):
+            pools.clear()
+            pooled = self.run_all(grid, threads=threads)
+            assert pools and all(1 < w <= threads for w in pools)
+            assert repr(pooled) == repr(serial)  # bit for bit, NaN entries included
+
+    def test_fft_sub_blocks_are_near_equal_and_within_the_budget(self, monkeypatch):
+        N = spectral._DFT_MAX_N + 2
+        grid, sizes, real = make_grid(TWO_PI, N), [], experiments.ensemble
+        monkeypatch.setattr(experiments, "ensemble", lambda v0s, *a: sizes.append(len(v0s)) or real(v0s, *a))
+        monkeypatch.setattr(experiments, "_SUB_BLOCK_BYTES", 3 * experiments._member_bytes(N) + 1)
+        radii = [float(r) for r in range(8)]
+        rows = measure_absorbing(cfg_for(grid), initial_radii=radii, horizons=[0.1], seed=5).rows
+        assert sizes == [2, 3, 3]
+        monkeypatch.undo()
+        assert rows == measure_absorbing(cfg_for(grid), initial_radii=radii, horizons=[0.1], seed=5).rows
