@@ -133,7 +133,7 @@ def check_assumption(h: SpectralField, nu: float, grid: WaveGrid) -> AssumptionR
     """
     if h.grid != grid:
         raise ValueError("h is not defined on the given grid")
-    g_op, g_ma = spectral._grad_linf_norms(h)
+    g_op, g_ma = spectral.grad_linf(h)
     lam1 = grid.lambda1
     lhs = g_op / math.sqrt(math.pi)
     rhs = nu * lam1
@@ -153,8 +153,7 @@ class SimConfig:
     """Solver configuration: viscosity, grid, step, forcing f, noise intensity h.
 
     f and h must be band-limited inside the dealias mask (for h this stands in
-    for h in H^3 and keeps every A^p h exactly computable).  linear_only
-    disables B (diagnostic mode for closed-form linear oracles).  u0 optionally
+    for h in H^3 and keeps every A^p h exactly computable).  u0 optionally
     carries initial data attached by a config preset.
     """
 
@@ -168,7 +167,6 @@ class SimConfig:
     stride: int = 10
     t_end: float = 1.0
     u0: SpectralField | None = None
-    linear_only: bool = False
     assumption: AssumptionReport | None = dc_field(default=None, repr=False)
 
     def __post_init__(self):
@@ -328,9 +326,8 @@ class _EtdStepper:
         z = self._zero if self._z_cols is None else self._z_cols[n]
         rhs = self._rhs[1] if self.prev_rhs is self._rhs[0] else self._rhs[0]
         np.add(self._fw, np.multiply(z, self._zw, out=rhs), out=rhs)
-        if not self.cfg.linear_only:
-            arg = np.add(w, np.multiply(z, self.hw, out=self._arg), out=self._arg)
-            rhs -= spectral.vorticity_advection(arg, self.half, self._work)
+        arg = np.add(w, np.multiply(z, self.hw, out=self._arg), out=self._arg)
+        rhs -= spectral.vorticity_advection(arg, self.half, self._work)
         t, t2 = self._tmp
         if self.scheme == "etd2" and self.prev_rhs is not None:
             np.multiply(self.dt_phi12, rhs, out=t)

@@ -45,7 +45,6 @@ from . import spectral
 from .spectral import SpectralField, random_divfree_field, sobolev_norm
 
 __all__ = [
-    "AttractorSample",
     "SmoothingReport",
     "AbsorbingReport",
     "ErgodicReport",
@@ -131,7 +130,7 @@ def pullback_path(cfg: SimConfig, horizon: float, seed: int) -> OUPath:
     if not horizon >= 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     w = pullback_wiener(horizon, cfg.dt, seed, burn_in=OU_BURN_IN)
-    ou = ou_from_wiener(w, init="stationary")
+    ou = ou_from_wiener(w)
     b = round(OU_BURN_IN / cfg.dt)
     # 0.0 - horizon, not -horizon: the window of horizon 0 starts at t = +0.0
     return OUPath(wiener=replace(w, t0=0.0 - horizon, increments=w.increments[b:]), z=ou.z[b:])
@@ -156,28 +155,18 @@ def pullback_solve(cfg: SimConfig, horizon: float, seed: int, initial_states: li
     return states
 
 
-@dataclass
-class AttractorSample:
-    """Post-transient states of one deterministic run, a finite attractor proxy."""
-
-    states: list
-
-    @property
-    def count(self) -> int:
-        return len(self.states)
-
-
 def sample_attractor_deterministic(
     cfg: SimConfig,
     t_transient: float,
     count: int,
     stride: int,
     v0: SpectralField | None = None,
-) -> AttractorSample:
-    """Collect `count` states every `stride` solver steps after t_transient.
+) -> list[SpectralField]:
+    """The velocities of `count` states every `stride` solver steps after t_transient.
 
-    The states are those of one uninterrupted trajectory(); t_transient must
-    be a whole number of steps (horizon_steps).
+    The states are those of one uninterrupted trajectory(), a finite proxy of
+    the deterministic attractor; t_transient must be a whole number of steps
+    (horizon_steps).
     """
     if not t_transient > 0:
         raise ValueError(f"t_transient must be positive, got {t_transient}")
@@ -189,15 +178,14 @@ def sample_attractor_deterministic(
         v0 = random_divfree_field(cfg.grid, cfg.seed, norm=1.0, stream=17)
     n0 = horizon_steps(t_transient, cfg.dt)
     run = trajectory(v0, cfg, steps=n0 + stride * (count - 1))
-    states = [s.u for n, s in enumerate(run) if n >= n0 and (n - n0) % stride == 0]
-    return AttractorSample(states)
+    return [s.u for n, s in enumerate(run) if n >= n0 and (n - n0) % stride == 0]
 
 
-def distance_to_set(v: SpectralField, sample: AttractorSample, s: int = 2) -> float:
+def distance_to_set(v: SpectralField, sample: list[SpectralField], s: int = 2) -> float:
     """Hausdorff semi-distance inf over the sample of ||v - b||_{H^s}."""
-    if not sample.states:
+    if not sample:
         raise ValueError("attractor sample is empty")
-    return min(sobolev_norm(v - b, float(s)) for b in sample.states)
+    return min(sobolev_norm(v - b, float(s)) for b in sample)
 
 
 @dataclass
@@ -221,7 +209,7 @@ def _smoothing_rows(cfg, v1, groups, deltas, horizons, threads):
     """
     at = {T: horizon_steps(T, cfg.dt) for T in horizons}  # two horizons may share a step
     steps = max(at.values())
-    ous = {seed: ou_from_wiener(sample_wiener(0.0, horizons[-1], cfg.dt, seed=seed), init="stationary")
+    ous = {seed: ou_from_wiener(sample_wiener(0.0, horizons[-1], cfg.dt, seed=seed))
            for (seed, _), _ in groups} if steps else {}
     k = 1 + len(deltas)
     paths = [ous.get(seed) for (seed, _), _ in groups for _ in range(k)]
@@ -300,7 +288,8 @@ def _kmin(cfg: SimConfig) -> float:
 @dataclass
 class AbsorbingReport:
     """Rows (radius, horizon, norm_h, norm_h1, norm_h2, error) of the pulled-back states at 0;
-    radius_estimates[(h, s)] is the sup over the error-free radii of the H^s norm, s in H, H1, H2."""
+    horizons are the distinct horizons in increasing order, and radius_estimates[(h, s)] is
+    the sup over the error-free radii of the H^s norm at horizon h, s in H, H1, H2."""
 
     rows: list
     horizons: list
@@ -338,11 +327,11 @@ def measure_absorbing(
             rows.append(dict(zip(("radius", "horizon", "norm_h", "norm_h1", "norm_h2", "error"),
                                  (radius, h, *norms, error))))
     estimates = {}
-    for h in horizons:
+    for h in hs:
         for sname, col in (("H", "norm_h"), ("H1", "norm_h1"), ("H2", "norm_h2")):
             vals = [r[col] for r in rows if r["horizon"] == h and r["error"] == ""]
             estimates[(h, sname)] = max(vals) if vals else float("nan")
-    return AbsorbingReport(rows=rows, horizons=list(horizons), radius_estimates=estimates)
+    return AbsorbingReport(rows=rows, horizons=hs, radius_estimates=estimates)
 
 
 @dataclass
@@ -359,7 +348,7 @@ def ergodic_check(T: float, dt: float, seeds: list[int], moments: tuple[int, ...
     rows = []
     for seed in seeds:
         w = sample_wiener(0.0, T, dt, seed=seed)
-        ou = ou_from_wiener(w, init="stationary")
+        ou = ou_from_wiener(w)
         for m in moments:
             emp = empirical_moment(ou, m)
             ana = ou_stationary_moment(m)
@@ -407,7 +396,7 @@ def conjugation_convergence(
     for lv in range(levels):  # only this level's paths and final states are held
         if lv:
             wieners = [refine_wiener(w) for w in wieners]
-        ous = [ou_from_wiener(w, init="stationary") for w in wieners]
+        ous = [ou_from_wiener(w) for w in wieners]
         lcfg, n = replace(cfg, dt=wieners[0].dt), wieners[0].n
         runs = _run_ensembles([(lambda m: v0, lcfg, ous, {n}),
                                (lambda m: conjugate(v0, float(ous[m].z[0]), cfg.h), lcfg, wieners, {n})], threads)

@@ -7,8 +7,8 @@ The OU process solves dz + z dt = dW.  On a uniform grid it is advanced as
 sharing the raw Brownian increments with the SPDE solver (the exact transition
 would draw fresh noise of variance (1 - exp(-2 dt))/2; the shared-increment
 form has an O(dt) variance bias that vanishes in the refinement limit and is
-what makes the conjugation comparison meaningful pathwise).  Stationary
-initialisation draws z_0 from the exact marginal N(0, 1/2).
+what makes the conjugation comparison meaningful pathwise).  ou_from_wiener
+draws z_0 from the exact stationary marginal N(0, 1/2).
 
 The stationary absolute moments are E|z|^m = Gamma((1+m)/2) / sqrt(pi).
 """
@@ -53,7 +53,6 @@ class WienerPath:
     increments: np.ndarray
     seed: int
     level: int = 0
-    stream: int = 0
     quantum: float = 0.0
 
     def __post_init__(self):
@@ -104,36 +103,35 @@ def _snap(x: np.ndarray, q: float) -> np.ndarray:
     return np.round(x / q) * q
 
 
-def sample_wiener(t0: float, t1: float, dt: float, seed: int, stream: int = 0) -> WienerPath:
-    """Wiener increments on [t0, t1] at step dt, deterministic in (seed, stream)."""
+def sample_wiener(t0: float, t1: float, dt: float, seed: int) -> WienerPath:
+    """Wiener increments on [t0, t1] at step dt, deterministic in seed."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     n = round((t1 - t0) / dt)
-    rng = rng_for(seed, "wiener", stream)
+    rng = rng_for(seed, "wiener", 0)
     q = _lattice_quantum(dt)
     inc = _snap(rng.standard_normal(n) * math.sqrt(dt), q)
-    return WienerPath(t0=t0, t1=t1, dt=dt, increments=inc, seed=seed, stream=stream, quantum=q)
+    return WienerPath(t0=t0, t1=t1, dt=dt, increments=inc, seed=seed, quantum=q)
 
 
-def pullback_wiener(horizon: float, dt: float, seed: int, burn_in: float = 0.0, stream: int = 0) -> WienerPath:
+def pullback_wiener(horizon: float, dt: float, seed: int, burn_in: float = 0.0) -> WienerPath:
     """Wiener path on [-horizon - burn_in, 0] anchored at time 0.
 
     Increments are generated backwards from 0, so enlarging the horizon (or the
     burn-in) extends the same path into the past: the increments on [-t, 0]
-    are bit-identical for every horizon >= t with the same (seed, stream).
+    are bit-identical for every horizon >= t with the same seed.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n = round(horizon / dt) + round(burn_in / dt)
     if n <= 0:
         raise ValueError("pullback window is empty")
-    rng = rng_for(seed, "pullback", stream)
+    rng = rng_for(seed, "pullback", 0)
     q = _lattice_quantum(dt)
     inc_back = _snap(rng.standard_normal(n) * math.sqrt(dt), q)
-    return WienerPath(t0=-n * dt, t1=0.0, dt=dt, increments=inc_back[::-1].copy(),
-                      seed=seed, stream=stream, quantum=q)
+    return WienerPath(t0=-n * dt, t1=0.0, dt=dt, increments=inc_back[::-1].copy(), seed=seed, quantum=q)
 
 
 def refine_wiener(path: WienerPath) -> WienerPath:
@@ -143,18 +141,18 @@ def refine_wiener(path: WienerPath) -> WienerPath:
     d/2 +- xi with xi snapped to half the path quantum, so both halves and
     their sum are exact lattice arithmetic and pair sums reproduce the coarse
     increments bit for bit.  The bridge stream is derived from
-    (seed, stream, level+1).
+    (seed, level+1).
     """
     d = path.increments
     q = 0.5 * (path.quantum if path.quantum > 0 else _lattice_quantum(path.dt))
-    rng = rng_for(path.seed, "bridge", path.stream, path.level + 1)
+    rng = rng_for(path.seed, "bridge", 0, path.level + 1)
     xi = _snap(rng.standard_normal(path.n) * math.sqrt(0.25 * path.dt), q)
     fine = np.empty(2 * path.n)
     fine[0::2] = 0.5 * d + xi
     fine[1::2] = 0.5 * d - xi
     return WienerPath(
         t0=path.t0, t1=path.t1, dt=0.5 * path.dt, increments=fine,
-        seed=path.seed, level=path.level + 1, stream=path.stream, quantum=q,
+        seed=path.seed, level=path.level + 1, quantum=q,
     )
 
 
@@ -182,24 +180,14 @@ def _ou_scan(dW: np.ndarray, z0: float, dt: float) -> np.ndarray:
     return z
 
 
-def ou_from_wiener(path: WienerPath, init: str | float = "stationary") -> OUPath:
-    """OU samples driven by the path's increments.
+def ou_from_wiener(path: WienerPath) -> OUPath:
+    """Stationary OU samples driven by the path's increments.
 
-    init is "stationary" (z_0 ~ N(0, 1/2) from a stream derived from the path
-    seed, so refinements of the same path share z_0), "zero", or an explicit
-    float value.
+    z_0 ~ N(0, 1/2) comes from a stream derived from the path seed, so
+    refinements of the same path share z_0.
     """
-    if isinstance(init, str):
-        if init == "stationary":
-            z0 = float(rng_for(path.seed, "ou-init", path.stream).standard_normal() * math.sqrt(0.5))
-        elif init == "zero":
-            z0 = 0.0
-        else:
-            raise ValueError(f"unknown init mode {init!r}")
-    else:
-        z0 = float(init)
-    z = _ou_scan(path.increments, z0, path.dt)
-    return OUPath(wiener=path, z=z)
+    z0 = float(rng_for(path.seed, "ou-init", 0).standard_normal() * math.sqrt(0.5))
+    return OUPath(wiener=path, z=_ou_scan(path.increments, z0, path.dt))
 
 
 def ou_stationary_moment(m: int) -> float:

@@ -457,8 +457,7 @@ class AdvectionWorkspace:
         self.spec_cols = self.spec_t.view(np.complex128).mT  # (..., N, K), as out
 
 
-def vorticity_advection(w: np.ndarray, half: HalfSpectrum,
-                        work: AdvectionWorkspace | None = None) -> np.ndarray:
+def vorticity_advection(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorkspace) -> np.ndarray:
     """Dealiased curl B(u, u) = (u . grad) w on the K masked columns, for w = curl u.
 
     w and the result are (N, K) blocks of the half spectrum (HalfSpectrum),
@@ -475,12 +474,9 @@ def vorticity_advection(w: np.ndarray, half: HalfSpectrum,
     the K columns only; the mask sits in the weights of the last multiply.
     Under the 2/3 rule both are exact on the retained modes, so they agree
     with each other and with the half spectrum of curl nonlinear_term(u, u)
-    up to roundoff.  A call with a workspace allocates no array.  The result
-    is work.out, valid until the next call with the same workspace; without
-    a workspace a fresh one is allocated.
+    up to roundoff.  A call allocates no array.  The result is work.out,
+    valid until the next call with the same workspace.
     """
-    if work is None:
-        work = AdvectionWorkspace(half)
     kernel = _advection_fft if half.dft is None else _advection_dft
     return kernel(w, half, work)
 
@@ -521,24 +517,26 @@ def _advection_dft(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorkspace) 
     return work.out
 
 
-# x-rows of the oversampled grid per irfft along y in _grad_linf_norms: a block
-# of the four entries is 1024 M bytes (0.5 MB at N = 128).  Blocks of 8 and 32
+# x-rows of the oversampled grid per irfft along y in grad_linf: a block of
+# the four entries is 1024 M bytes (0.5 MB at N = 128).  Blocks of 8 and 32
 # rows took the same time at N = 128 and 512, blocks of N rows up to 1.5x longer
 _GRAD_BLOCK_ROWS = 32
 _GRAD_OVERSAMPLE = 4  # grad_linf takes the sup on the M x M grid, M = 4 N
 
 
-def _grad_linf_norms(h: SpectralField) -> tuple[float, float]:
-    """The "op" and "maxabs" sup norms of grad h (see grad_linf) from one sampling.
+def grad_linf(h: SpectralField) -> tuple[float, float]:
+    """The sup over the sampled points of two pointwise norms of grad h: (op, maxabs).
 
-    The entries d_a h_b are sampled on the M x M grid, M = _GRAD_OVERSAMPLE*N, as
-    irfft2 of the half spectrum j2 >= 0 with h taken as real; the Nyquist
-    lines j = -N/2 (outside the dealias mask) are dropped.  The inverse
-    transform along x runs once, on the N/2 columns j2 < N/2 that hold h,
-    into a (2, 2, M, N/2) complex array; the irfft along y then runs on
-    _GRAD_BLOCK_ROWS x-rows at a time, and both maxima are carried from
-    block to block.  So the call holds 32 M N bytes plus one block, never
-    the (2, 2, M, M) samples, and each sample is the one irfft2 gives.
+    op takes the operator 2-norm of the 2x2 Jacobian (the norm that makes
+    |integral |v|^2 |grad h|| <= ||grad h||_inf ||v||^2 valid), maxabs its
+    largest absolute entry.  h is taken as real and its Nyquist lines
+    j = -N/2 are dropped; the entries d_a h_b are sampled on the M x M grid,
+    M = _GRAD_OVERSAMPLE*N, as irfft2 of the half spectrum j2 >= 0, to
+    control the sampling error of the sup.  The inverse transform along x
+    runs once, on the N/2 columns j2 < N/2 that hold h, into a (2, 2, M, N/2)
+    complex array; the irfft along y then runs on _GRAD_BLOCK_ROWS x-rows at
+    a time, carrying both maxima.  So the call holds 32 M N bytes plus one
+    block, not the 32 M^2 of all the samples.
     """
     g = h.grid
     N, M = g.N, _GRAD_OVERSAMPLE * g.N
@@ -565,37 +563,20 @@ def _grad_linf_norms(h: SpectralField) -> tuple[float, float]:
     return float(np.sqrt(smax2)), max(float(hi), float(neg_lo))
 
 
-def grad_linf(h: SpectralField, norm: str = "op") -> float:
-    """Max over collocation points of a pointwise matrix norm of grad h.
-
-    norm="op" uses the operator 2-norm of the 2x2 Jacobian (the norm that makes
-    |integral |v|^2 |grad h|| <= ||grad h||_inf ||v||^2 valid); norm="maxabs"
-    uses the largest absolute entry.  Band-limited h is evaluated on an
-    oversampled grid to control the sampling error of the sup; h is taken as
-    real and its Nyquist lines are ignored.  The samples are taken a block of
-    rows at a time (_grad_linf_norms), so the call holds 32 M N bytes for
-    M = _GRAD_OVERSAMPLE*N, not the 32 M^2 of the whole oversampled grid.
-    """
-    if norm not in ("op", "maxabs"):
-        raise ValueError(f"unknown norm {norm!r}")
-    op, maxabs = _grad_linf_norms(h)
-    return op if norm == "op" else maxabs
-
-
 def random_divfree_field(
     grid: WaveGrid,
     seed: int,
     norm: float = 1.0,
     profile: Callable[[np.ndarray], np.ndarray] | None = None,
     stream: int = 0,
-    within_mask: bool = True,
 ) -> SpectralField:
     """Random zero-mean divergence-free field with prescribed L2 norm.
 
     Built from a random real streamfunction (u = perp-grad psi), so the result
     is exactly divergence-free and real in physical space.  profile maps |k|
     to a shell amplitude weight (default 1/(1+|k|^2)); the field is rescaled so
-    sobolev_norm(result, 0) == norm.  Deterministic in (seed, stream).
+    sobolev_norm(result, 0) == norm.  It lies inside the dealias mask, so the
+    solver takes it as initial data.  Deterministic in (seed, stream).
     """
     g = grid
     rng = rng_for(seed, "field", stream)
@@ -607,8 +588,7 @@ def random_divfree_field(
     else:
         w = np.asarray(profile(kmag), dtype=np.float64)
     psi *= w * np.sqrt(g.inv_k2)  # velocity amplitude |k| |psi| follows the profile
-    if within_mask:
-        psi *= g.dealias_mask
+    psi *= g.dealias_mask
     psi[0, 0] = 0.0
     coeffs = np.empty((2, g.N, g.N), dtype=np.complex128)
     coeffs[0] = -1j * g.ky * psi

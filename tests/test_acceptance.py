@@ -254,7 +254,7 @@ def test_criterion_9_h2_neighborhood():
         cfg_det = SimConfig(nu=nu, grid=g, dt=dt, f=f, h=SpectralField.zero(g))
         sample = sample_attractor_deterministic(cfg_det, t_transient=2.0, count=3,
                                                 stride=100, v0=u0)
-        assert all(sobolev_norm(u - u0, 2.0) < 1e-6 for u in sample.states)
+        assert all(sobolev_norm(u - u0, 2.0) < 1e-6 for u in sample)
 
         dists = {}
         for scale in (1.0, 0.5, 0.25):

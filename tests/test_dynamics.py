@@ -204,7 +204,7 @@ class TestRandomStep:
         h = random_divfree_field(grid16, seed=3, norm=0.4)
         cfg = basic_cfg(grid16, f=f, h=h)
         v0 = random_divfree_field(grid16, seed=4, norm=1.0)
-        ou = ou_from_wiener(zero_increments(100, cfg.dt), init="zero")
+        ou = given_z(np.zeros(101), cfg.dt)
         a = integrate(v0, cfg, path=ou)
         b = integrate(v0, cfg, steps=100)
         assert np.array_equal(a.state.u.coeffs, b.state.u.coeffs)
@@ -212,18 +212,19 @@ class TestRandomStep:
     def test_h_zero_makes_z_irrelevant(self, grid16):
         cfg = basic_cfg(grid16, f=random_divfree_field(grid16, seed=2, norm=0.5))
         v0 = random_divfree_field(grid16, seed=4, norm=1.0)
-        oua = ou_from_wiener(sample_wiener(0.0, 0.1, cfg.dt, seed=5), init="stationary")
-        oub = ou_from_wiener(sample_wiener(0.0, 0.1, cfg.dt, seed=6), init="stationary")
+        oua = ou_from_wiener(sample_wiener(0.0, 0.1, cfg.dt, seed=5))
+        oub = ou_from_wiener(sample_wiener(0.0, 0.1, cfg.dt, seed=6))
         a = integrate(v0, cfg, path=oua)
         b = integrate(v0, cfg, path=oub)
         assert np.array_equal(a.state.u.coeffs, b.state.u.coeffs)
 
     def test_linear_mode_matches_variation_of_constants(self, grid16):
-        # B disabled: etd1 on a single mode is the exact solution of the ODE
-        # dv/dt = -nu k^2 v + z_n (1 - nu k^2) h_k with piecewise-constant z
+        # B(v + z h) = 0 for parallel shears v and h: etd1 on a single mode is
+        # the exact solution of dv/dt = -nu k^2 v + z_n (1 - nu k^2) h_k with
+        # piecewise-constant z
         h = sine_shear(grid16, c=0.5)
-        cfg = basic_cfg(grid16, nu=0.9, dt=0.05, h=h, scheme="etd1", linear_only=True)
-        ou = ou_from_wiener(sample_wiener(0.0, 1.0, 0.05, seed=7), init="stationary")
+        cfg = basic_cfg(grid16, nu=0.9, dt=0.05, h=h, scheme="etd1")
+        ou = ou_from_wiener(sample_wiener(0.0, 1.0, 0.05, seed=7))
         res = integrate(SpectralField.zero(grid16), cfg, path=ou)
         k2 = 1.0
         E = math.exp(-0.9 * k2 * cfg.dt)
@@ -236,13 +237,12 @@ class TestRandomStep:
 
     def test_etd2_close_to_piecewise_exact(self, grid16):
         # multistep correction stays within O(dt^2) of the piecewise-z solution
+        # (a parallel shear, so B = 0)
         h = sine_shear(grid16, c=0.5)
-        ou = ou_from_wiener(sample_wiener(0.0, 1.0, 0.05, seed=7), init="stationary")
-        res1 = integrate(SpectralField.zero(grid16),
-                         basic_cfg(grid16, nu=0.9, dt=0.05, h=h, scheme="etd1", linear_only=True),
+        ou = ou_from_wiener(sample_wiener(0.0, 1.0, 0.05, seed=7))
+        res1 = integrate(SpectralField.zero(grid16), basic_cfg(grid16, nu=0.9, dt=0.05, h=h, scheme="etd1"),
                          path=ou)
-        res2 = integrate(SpectralField.zero(grid16),
-                         basic_cfg(grid16, nu=0.9, dt=0.05, h=h, scheme="etd2", linear_only=True),
+        res2 = integrate(SpectralField.zero(grid16), basic_cfg(grid16, nu=0.9, dt=0.05, h=h, scheme="etd2"),
                          path=ou)
         diff = sobolev_norm(res1.state.u - res2.state.u, 0.0)
         assert diff < 10 * 0.05**2
@@ -250,7 +250,7 @@ class TestRandomStep:
     def test_state_invariants_preserved(self, grid16):
         h = random_divfree_field(grid16, seed=3, norm=0.4)
         cfg = basic_cfg(grid16, f=random_divfree_field(grid16, seed=2, norm=0.5), h=h)
-        ou = ou_from_wiener(sample_wiener(0.0, 0.2, cfg.dt, seed=8), init="stationary")
+        ou = ou_from_wiener(sample_wiener(0.0, 0.2, cfg.dt, seed=8))
         res = integrate(random_divfree_field(grid16, seed=4), cfg, path=ou)
         assert field_violations(res.state.u, rtol=1e-12) == []
         assert res.state.z == ou.z[-1]
@@ -274,10 +274,10 @@ class TestEMStep:
         assert np.abs(st.u.coeffs - 0.37 * h.coeffs).max() < 1e-12
 
     def test_single_mode_noise_floor(self, grid16):
-        # linearized single mode: stationary E||u||^2 = ||h||^2 / (2 nu k^2)
+        # a parallel shear (B = 0) on a single mode: stationary E||u||^2 = ||h||^2 / (2 nu k^2)
         h = sine_shear(grid16, c=0.5)
         nu = 2.0
-        cfg = basic_cfg(grid16, nu=nu, h=h, dt=1e-2, scheme="etd1", linear_only=True)
+        cfg = basic_cfg(grid16, nu=nu, h=h, dt=1e-2, scheme="etd1")
         levels = []
         for seed in range(8):
             w = sample_wiener(0.0, 30.0, cfg.dt, seed=seed)
@@ -315,7 +315,7 @@ class TestVorticityCore:
                         f=random_divfree_field(g, seed=2, norm=0.5),
                         h=random_divfree_field(g, seed=3, norm=0.05))
         v0 = random_divfree_field(g, seed=4, norm=1.0)
-        ou = ou_from_wiener(sample_wiener(0.0, 200 * cfg.dt, cfg.dt, seed=5), init="stationary")
+        ou = ou_from_wiener(sample_wiener(0.0, 200 * cfg.dt, cfg.dt, seed=5))
         res = integrate(v0, cfg, path=ou)
         ref = velocity_etd2_reference(cfg, v0, ou.z)
         assert ou.n == 200
@@ -326,7 +326,7 @@ class TestVorticityCore:
         cfg = basic_cfg(g, nu=0.05, dt=2e-3,
                         f=random_divfree_field(g, seed=2, norm=0.5),
                         h=random_divfree_field(g, seed=3, norm=0.05))
-        ou = ou_from_wiener(sample_wiener(0.0, 0.2, cfg.dt, seed=6), init="stationary")
+        ou = ou_from_wiener(sample_wiener(0.0, 0.2, cfg.dt, seed=6))
         res = integrate(random_divfree_field(g, seed=4, norm=1.0), cfg, path=ou)
         assert field_violations(res.state.u, rtol=1e-13) == []
         assert np.abs(res.state.u.coeffs[:, ~g.dealias_mask]).max() < 1e-13 * np.abs(res.state.u.coeffs).max()
@@ -338,7 +338,7 @@ class TestVorticityCore:
         cfg = basic_cfg(g, nu=0.05, dt=2e-3,
                         f=random_divfree_field(g, seed=2, norm=0.5),
                         h=random_divfree_field(g, seed=3, norm=0.05))
-        ou = ou_from_wiener(sample_wiener(0.0, 5 * cfg.dt, cfg.dt, seed=6), init="stationary")
+        ou = ou_from_wiener(sample_wiener(0.0, 5 * cfg.dt, cfg.dt, seed=6))
         *_, last = trajectory(random_divfree_field(g, seed=4, norm=1.0), cfg, ou)
         K = (N - 1) // 3 + 1
         assert last.w.shape == (N, K) and last.w.flags.c_contiguous
@@ -406,7 +406,7 @@ class TestStepperBuffers:
                             lambda self, w: calls.append(1) or velocity(self, w))
         cfg = noisy_cfg(grid16)
         v0 = random_divfree_field(grid16, seed=4, norm=1.0)
-        ou = ou_from_wiener(sample_wiener(0.0, 10 * cfg.dt, cfg.dt, seed=5), init="stationary")
+        ou = ou_from_wiener(sample_wiener(0.0, 10 * cfg.dt, cfg.dt, seed=5))
         res = integrate(v0, cfg, path=ou, stride=3)
         assert len(res.series) == 4
         # horizon 0 reads the initial states
@@ -543,14 +543,16 @@ class TestIntegrate:
             integrate(v0, basic_cfg(grid16), steps=1)
 
     def test_rejects_initial_outside_mask(self, grid16):
-        v0 = random_divfree_field(grid16, seed=1, within_mask=False)
+        v0 = random_divfree_field(grid16, seed=1)
+        v0.coeffs[0, 0, 6] += 0.1j  # a shear at j2 = 6, where 3 j2 >= N
+        v0.coeffs[0, 0, -6 % 16] -= 0.1j
         with pytest.raises(ValueError, match="dealias mask"):
             integrate(v0, basic_cfg(grid16), steps=1)
 
 
 def path_of_type(kind, cfg, n):
     if kind == "ou":
-        return ou_from_wiener(sample_wiener(0.0, n * cfg.dt, cfg.dt, seed=5), init="stationary")
+        return ou_from_wiener(sample_wiener(0.0, n * cfg.dt, cfg.dt, seed=5))
     if kind == "wiener":
         return sample_wiener(0.0, n * cfg.dt, cfg.dt, seed=5)
     return None
@@ -625,7 +627,7 @@ def member_paths(kind, cfg, n, B):
     if kind == "deterministic":
         return None
     ws = [sample_wiener(0.0, n * cfg.dt, cfg.dt, seed=20 + m) for m in range(B)]
-    return [ou_from_wiener(w, init="stationary") for w in ws] if kind == "ou" else ws
+    return [ou_from_wiener(w) for w in ws] if kind == "ou" else ws
 
 
 class TestEnsemble:

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from torns import experiments, spectral
-from torns.dynamics import BlowupError, SimConfig, integrate, manufactured_forcing
+from torns.dynamics import BlowupError, SimConfig, State, _EtdStepper, integrate, manufactured_forcing
 from torns.experiments import (
-    AttractorSample,
     conjugation_convergence,
     distance_to_set,
     ergodic_check,
@@ -157,14 +156,14 @@ class TestAttractorSample:
     def test_zero_forcing_attractor_is_origin(self, grid16):
         cfg = cfg_for(grid16, nu=1.0)
         sample = sample_attractor_deterministic(cfg, t_transient=20.0, count=5, stride=10)
-        assert sample.count == 5
-        assert all(sobolev_norm(u, 0.0) < 1e-6 for u in sample.states)
+        assert len(sample) == 5
+        assert all(sobolev_norm(u, 0.0) < 1e-6 for u in sample)
 
     def test_manufactured_equilibrium_sampled(self, grid16):
         u0 = random_divfree_field(grid16, seed=5, norm=0.5)
         cfg = cfg_for(grid16, nu=2.0, f=manufactured_forcing(u0, 2.0), dt=1e-3)
         sample = sample_attractor_deterministic(cfg, t_transient=10.0, count=3, stride=10, v0=u0)
-        assert all(sobolev_norm(u - u0, 0.0) < 1e-6 for u in sample.states)
+        assert all(sobolev_norm(u - u0, 0.0) < 1e-6 for u in sample)
 
     def test_one_uninterrupted_trajectory(self, grid16):
         # etd2 history kept across the transient: the states are integrate()'s
@@ -174,13 +173,13 @@ class TestAttractorSample:
         sample = sample_attractor_deterministic(cfg, t_transient=n0 * cfg.dt, count=count,
                                                 stride=stride, v0=u0)
         ref = integrate(u0, cfg, steps=n0 + stride * (count - 1)).state.u
-        assert sample.count == count
-        assert np.array_equal(sample.states[-1].coeffs, ref.coeffs)
+        assert len(sample) == count
+        assert np.array_equal(sample[-1].coeffs, ref.coeffs)
 
     def test_single_state(self, grid16):
         cfg = cfg_for(grid16)
         sample = sample_attractor_deterministic(cfg, t_transient=1.0, count=1, stride=1000)
-        assert sample.count == 1
+        assert len(sample) == 1
 
     def test_rejects_bad_arguments(self, grid16):
         with pytest.raises(ValueError):
@@ -203,11 +202,10 @@ class TestAttractorSample:
 class TestDistanceToSet:
     def test_member_has_zero_distance(self, grid16):
         states = [random_divfree_field(grid16, seed=s) for s in range(3)]
-        sample = AttractorSample(states=states)
-        assert distance_to_set(states[1], sample, 2) == 0.0
+        assert distance_to_set(states[1], states, 2) == 0.0
 
     def test_origin_sample_gives_norm(self, grid16):
-        sample = AttractorSample(states=[SpectralField.zero(grid16)])
+        sample = [SpectralField.zero(grid16)]
         v = random_divfree_field(grid16, seed=3, norm=2.0)
         for s in (0, 1, 2):
             assert distance_to_set(v, sample, s) == pytest.approx(sobolev_norm(v, float(s)), rel=1e-14)
@@ -215,21 +213,18 @@ class TestDistanceToSet:
     def test_singleton_matches_direct_norm(self, grid16):
         b = random_divfree_field(grid16, seed=1)
         v = random_divfree_field(grid16, seed=2)
-        sample = AttractorSample(states=[b])
-        assert distance_to_set(v, sample, 2) == pytest.approx(sobolev_norm(v - b, 2.0), rel=1e-14)
+        assert distance_to_set(v, [b], 2) == pytest.approx(sobolev_norm(v - b, 2.0), rel=1e-14)
 
     def test_triangle_sanity(self, grid16):
         states = [random_divfree_field(grid16, seed=s) for s in range(4)]
-        sample = AttractorSample(states=states)
         v = random_divfree_field(grid16, seed=9)
-        d = distance_to_set(v, sample, 1)
+        d = distance_to_set(v, states, 1)
         for b in states:
             assert d <= sobolev_norm(v - b, 1.0) * (1 + 1e-14)
 
     def test_empty_sample_rejected(self, grid16):
-        sample = AttractorSample(states=[])
         with pytest.raises(ValueError):
-            distance_to_set(random_divfree_field(grid16, seed=1), sample, 2)
+            distance_to_set(random_divfree_field(grid16, seed=1), [], 2)
 
 
 class TestSmoothing:
@@ -414,6 +409,12 @@ class TestAbsorbing:
         with pytest.raises(ValueError):
             measure_absorbing(cfg_for(grid16), initial_radii=[], horizons=[1.0], seed=1)
 
+    def test_reports_the_distinct_horizons_of_its_rows(self, grid16):
+        # the report's horizons and estimate keys are those of its rows, not the caller's list
+        rep = measure_absorbing(cfg_for(grid16), initial_radii=[1.0], horizons=[0.02, 0.01, 0.02], seed=5)
+        assert rep.horizons == [0.01, 0.02] == [r["horizon"] for r in rep.rows]
+        assert list(rep.radius_estimates) == [(h, s) for h in (0.01, 0.02) for s in ("H", "H1", "H2")]
+
 
 class TestErgodicCheck:
     def test_values_within_tolerance(self):
@@ -534,6 +535,18 @@ class TestRunner:
             pooled = self.run_all(grid, threads=threads)
             assert pools and all(1 < w <= threads for w in pools)
             assert repr(pooled) == repr(serial)  # bit for bit, NaN entries included
+
+    @pytest.mark.parametrize("N, expected", [(64, 536_576), (96, 1_185_792), (128, 2_113_536)])
+    def test_member_bytes_is_a_members_real_allocation(self, N, expected):
+        # the kernel workspace of a one-member stepper, and its two right sides,
+        # argument, two temporaries and the old and new block
+        grid = make_grid(TWO_PI, N)
+        stepper = _EtdStepper(cfg_for(grid), [None], [State(0.0, SpectralField.zero(grid))])
+        work = stepper._work
+        kernel = [work.vel, work.cols, work.uv, work.adv, work.rows, work.spec, work.out]
+        blocks = [*stepper._rhs, stepper._arg, *stepper._tmp, stepper.w, stepper.w]
+        assert all(b.shape == (N, (N - 1) // 3 + 1) and b.dtype == np.complex128 for b in blocks)
+        assert experiments._member_bytes(N) == sum(a.nbytes for a in kernel + blocks) == expected
 
     def test_fft_sub_blocks_are_near_equal_and_within_the_budget(self, monkeypatch):
         N = spectral._DFT_MAX_N + 2

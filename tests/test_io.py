@@ -255,7 +255,7 @@ class TestSeriesCsv:
 class TestPathCsv:
     def test_schema_and_alignment(self, tmp_path):
         w = sample_wiener(0.0, 0.1, 0.01, seed=3)
-        ou = ou_from_wiener(w, init="stationary")
+        ou = ou_from_wiener(w)
         p = tmp_path / "path.csv"
         write_path_csv(ou, p)
         rows = p.read_text().strip().splitlines()

@@ -6,6 +6,7 @@ import pytest
 from torns.noise import (
     OUPath,
     WienerPath,
+    _ou_scan,
     empirical_moment,
     ou_from_wiener,
     ou_stationary_moment,
@@ -20,6 +21,14 @@ def zero_path(n, dt, seed=0):
 
 
 class TestSampleWiener:
+    def test_paths_keep_their_bits(self):
+        # every stream key holds the literal 0 that a stream index once filled
+        w = sample_wiener(0.0, 1.0, 0.01, seed=3)
+        got = (w.increments[0], pullback_wiener(1.0, 0.01, seed=3).increments[-1],
+               refine_wiener(w).increments[0], ou_from_wiener(w).z[0])
+        assert [x.hex() for x in got] == [
+            "0x1.ed00918000000p-4", "-0x1.5e723b0000000p-5", "0x1.14151f0000000p-6", "0x1.880687ece0b85p-3"]
+
     def test_reproducible(self):
         a = sample_wiener(0.0, 10.0, 0.01, seed=3)
         b = sample_wiener(0.0, 10.0, 0.01, seed=3)
@@ -101,20 +110,12 @@ class TestPullbackWiener:
 class TestOUPath:
     def test_pure_decay(self):
         # dW = 0, z0 = 1: z_n = exp(-n dt)
-        ou = ou_from_wiener(zero_path(100, 0.01), init=1.0)
-        assert np.abs(ou.z - np.exp(-0.01 * np.arange(101))).max() < 1e-12
-
-    def test_zero_init(self):
-        ou = ou_from_wiener(zero_path(50, 0.1), init="zero")
-        assert np.abs(ou.z).max() == 0.0
-
-    def test_unknown_init_mode(self):
-        with pytest.raises(ValueError):
-            ou_from_wiener(zero_path(10, 0.1), init="equilibrium")
+        z = _ou_scan(np.zeros(100), 1.0, 0.01)
+        assert np.abs(z - np.exp(-0.01 * np.arange(101))).max() < 1e-12
 
     def test_matches_sequential_recursion(self):
         w = sample_wiener(0.0, 50.0, 0.01, seed=14)
-        ou = ou_from_wiener(w, init=0.3)
+        ou = OUPath(wiener=w, z=_ou_scan(w.increments, 0.3, w.dt))
         z = 0.3
         q = math.exp(-0.01)
         seq = [z]
@@ -124,20 +125,20 @@ class TestOUPath:
         assert np.abs(ou.z - np.array(seq)).max() < 1e-10
 
     def test_stationary_variance(self):
-        ou = ou_from_wiener(sample_wiener(0.0, 1e4, 0.01, seed=4), init="stationary")
+        ou = ou_from_wiener(sample_wiener(0.0, 1e4, 0.01, seed=4))
         assert ou.z.var() == pytest.approx(0.5, rel=0.02)
 
     def test_stationary_init_reproducible_across_refinement(self):
         w = sample_wiener(0.0, 1.0, 0.01, seed=15)
-        a = ou_from_wiener(w, init="stationary")
-        b = ou_from_wiener(refine_wiener(w), init="stationary")
+        a = ou_from_wiener(w)
+        b = ou_from_wiener(refine_wiener(w))
         assert a.z[0] == b.z[0]
 
     def test_zero_vs_stationary_converge(self):
         # after t >= 10 (relaxation time 1) the two initialisations have mixed
         w = sample_wiener(0.0, 2000.0, 0.01, seed=16)
-        za = ou_from_wiener(w, init="zero").z
-        zb = ou_from_wiener(w, init="stationary").z
+        za = _ou_scan(w.increments, 0.0, w.dt)
+        zb = ou_from_wiener(w).z
         tail = slice(1000, None)  # t >= 10
         va, vb = za[tail].var(), zb[tail].var()
         assert abs(va - vb) / vb < 0.03
@@ -161,13 +162,13 @@ class TestMoments:
             assert empirical_moment(ou, m) == pytest.approx(1.3**m, rel=1e-14)
 
     def test_too_short_rejected(self):
-        ou = ou_from_wiener(zero_path(50, 0.01), init="zero")
+        ou = OUPath(wiener=zero_path(50, 0.01), z=np.zeros(51))
         with pytest.raises(ValueError):
             empirical_moment(ou, 1)
 
     def test_time_average_converges(self):
         w = sample_wiener(0.0, 1e4, 0.01, seed=1)
-        ou = ou_from_wiener(w, init="stationary")
+        ou = ou_from_wiener(w)
         assert empirical_moment(ou, 1) == pytest.approx(ou_stationary_moment(1), rel=0.02)
         assert empirical_moment(ou, 2) == pytest.approx(ou_stationary_moment(2), rel=0.02)
         assert empirical_moment(ou, 4) == pytest.approx(ou_stationary_moment(4), rel=0.05)
@@ -179,6 +180,6 @@ class TestMoments:
         errs = {T: [] for T in (1e2, 1e4)}
         for seed in (1, 2, 3):
             for T in errs:
-                ou = ou_from_wiener(sample_wiener(0.0, T, 0.01, seed=seed), init="stationary")
+                ou = ou_from_wiener(sample_wiener(0.0, T, 0.01, seed=seed))
                 errs[T].append(abs(empirical_moment(ou, m) - ana))
         assert np.mean(errs[1e4]) < np.mean(errs[1e2])
