@@ -67,10 +67,11 @@ def _simulate(cfg: SimConfig, args, out: Path) -> Outcome:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_ABORT, ["abort_state.trns"], None
     files = ["series.csv", "final_state.trns", "plot.py"]
-    if ou is not None:
-        tio.write_path_csv(ou, out / "noise.csv")
+    if ou is not None:  # dW on row k is the increment arriving at t_k, 0.0 on the first
+        dW = np.concatenate([[0.0], ou.wiener.increments])
+        tio.write_rows_csv(zip(ou.times(), dW, ou.z), ["t", "dW", "z"], out / "noise.csv")
         files.append("noise.csv")
-    tio.write_series_csv(res.series, out / "series.csv")
+    _write_series(res.series, out / "series.csv")
     tio.write_checkpoint(res.state, out / "final_state.trns", nu=cfg.nu)
     tio.emit_plot_script(["series.csv"], out / "plot.py")
     # the series records the conjugated v, at every stride-th step only; the
@@ -82,12 +83,21 @@ def _simulate(cfg: SimConfig, args, out: Path) -> Outcome:
         f"|u| = |v + h z(T)| = {sobolev_norm(u, 0.0):.6g}")
 
 
+def _write_series(series, path: Path) -> None:
+    tio.write_rows_csv(zip(series.t, series.norm_h, series.norm_h1, series.norm_h2, series.z),
+                       ["t", "norm_H", "norm_H1", "norm_H2", "z"], path)
+
+
+def _write_report(rows: list[dict], columns: list[str], path: Path) -> None:
+    tio.write_rows_csv(([r[c] for c in columns] for r in rows), columns, path)
+
+
 def _taylor_green(cfg: SimConfig, args, out: Path) -> Outcome:
     res = integrate(dynamics.taylor_green(0.0, cfg.nu, cfg.grid), cfg)
     exact = dynamics.taylor_green(res.state.t, cfg.nu, cfg.grid)
     err = sobolev_norm(res.state.u - exact, 0.0) / sobolev_norm(exact, 0.0)
     rate = float(np.polyfit(res.series.t, np.log(res.series.norm_h), 1)[0])
-    tio.write_series_csv(res.series, out / "taylor_green.csv")
+    _write_series(res.series, out / "taylor_green.csv")
     return EXIT_OK if err < 1e-8 else EXIT_VALIDATION, ["taylor_green.csv"], (
         f"taylor-green: max relative error {err:.3e}, fitted decay rate {rate:.8f} "
         f"(expected {-2 * cfg.nu:.8f})")
@@ -102,9 +112,8 @@ _ABSORBING_HORIZONS = (2.0, 5.0)
 def _pullback(cfg: SimConfig, args, out: Path) -> Outcome:
     horizons = list(_PULLBACK_HORIZONS)
     states = [experiments.pullback_solve(cfg, hor, cfg.seed, [cfg.u0])[0] for hor in horizons]
-    cols = ["horizon", "norm_h", "norm_h1", "norm_h2"]
-    rows = [dict(zip(cols, (hor, *st.half.norms(st.w)))) for hor, st in zip(horizons, states)]
-    tio.write_rows_csv(rows, cols, out / "pullback.csv")
+    tio.write_rows_csv([(hor, *st.half.norms(st.w)) for hor, st in zip(horizons, states)],
+                       ["horizon", "norm_h", "norm_h1", "norm_h2"], out / "pullback.csv")
     tio.emit_plot_script(["pullback.csv"], out / "plot.py")
     return EXIT_OK, ["pullback.csv", "plot.py"], f"pullback states at 0 for horizons {horizons} written"
 
@@ -114,7 +123,7 @@ def _smoothing(cfg: SimConfig, args, out: Path) -> Outcome:
         cfg, cfg.u0, deltas=[1e-2, 1e-3, 1e-4], horizons=list(_SMOOTHING_HORIZONS),
         seeds=[cfg.seed, cfg.seed + 1, cfg.seed + 2], threads=args.threads)
     cols = ["seed", "direction", "delta", "T", "dist0", "distT_h2_sq", "ratio", "error"]
-    tio.write_rows_csv(rep.rows, cols, out / "smoothing.csv")
+    _write_report(rep.rows, cols, out / "smoothing.csv")
     failures = {(r["seed"], r["direction"]) for r in rep.rows if r["error"]}
     if failures:
         print(f"aborted cells: {len(failures)}", file=sys.stderr)
@@ -128,7 +137,7 @@ def _absorbing(cfg: SimConfig, args, out: Path) -> Outcome:
         cfg, initial_radii=[1.0, 10.0], horizons=list(_ABSORBING_HORIZONS),
         seed=cfg.seed, threads=args.threads)
     cols = ["radius", "horizon", "norm_h", "norm_h1", "norm_h2", "error"]
-    tio.write_rows_csv(rep.rows, cols, out / "absorbing.csv")
+    _write_report(rep.rows, cols, out / "absorbing.csv")
     failures = [r for r in rep.rows if r["error"]]
     if failures:
         print(f"aborted cells: {len(failures)}", file=sys.stderr)
@@ -138,22 +147,19 @@ def _absorbing(cfg: SimConfig, args, out: Path) -> Outcome:
 
 
 def _ergodic(cfg: SimConfig, args, out: Path) -> Outcome:
-    rep = experiments.ergodic_check(T=1e4, dt=1e-2,
-                                    seeds=[cfg.seed, cfg.seed + 1, cfg.seed + 2])
-    tio.write_rows_csv(rep.rows, ["seed", "m", "empirical", "analytic", "rel_error"],
-                       out / "ergodic.csv")
+    rows = experiments.ergodic_check(T=1e4, dt=1e-2, seeds=[cfg.seed, cfg.seed + 1, cfg.seed + 2])
+    _write_report(rows, ["seed", "m", "empirical", "analytic", "rel_error"], out / "ergodic.csv")
     return EXIT_OK, ["ergodic.csv"], (
-        f"ergodic: worst relative error {max(r['rel_error'] for r in rep.rows):.4%}")
+        f"ergodic: worst relative error {max(r['rel_error'] for r in rows):.4%}")
 
 
 def _convergence(cfg: SimConfig, args, out: Path) -> Outcome:
     rep = experiments.conjugation_convergence(
         cfg, base_dt=2.0**-7, levels=4, T=1.0, seed=cfg.seed,
         paths=8, threads=args.threads)
-    cols = ["level", "dt", "strong_error", "ratio", "order"]
-    rows = [dict(zip(cols, (i, *r))) for i, r in enumerate(
+    rows = [(i, *r) for i, r in enumerate(
         zip_longest(rep.dts, rep.errors, rep.ratios, rep.orders, fillvalue=""))]
-    tio.write_rows_csv(rows, cols, out / "convergence.csv")
+    tio.write_rows_csv(rows, ["level", "dt", "strong_error", "ratio", "order"], out / "convergence.csv")
     return EXIT_OK, ["convergence.csv"], (
         f"conjugation convergence: ratios {['%.3f' % r for r in rep.ratios]}")
 

@@ -61,7 +61,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,7 +154,8 @@ class SimConfig:
 
     f and h must be band-limited inside the dealias mask (for h this stands in
     for h in H^3 and keeps every A^p h exactly computable).  u0 optionally
-    carries initial data attached by a config preset.
+    carries initial data attached by a config preset.  assumption is h's
+    admissibility report, computed by check_assumption on the first read.
     """
 
     nu: float
@@ -167,7 +168,6 @@ class SimConfig:
     stride: int = 10
     t_end: float = 1.0
     u0: SpectralField | None = None
-    assumption: AssumptionReport | None = dc_field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.nu > 0:
@@ -183,8 +183,10 @@ class SimConfig:
                 raise ValueError(f"{name} lives on {u.grid!r}, expected {self.grid!r}")
             if _outside_mask(u):
                 raise ValueError(f"{name} must be band-limited inside the dealias mask")
-        if self.assumption is None:
-            self.assumption = check_assumption(self.h, self.nu, self.grid)
+
+    @functools.cached_property
+    def assumption(self) -> AssumptionReport:
+        return check_assumption(self.h, self.nu, self.grid)
 
 
 class State:

@@ -47,7 +47,6 @@ from .spectral import SpectralField, random_divfree_field, sobolev_norm
 __all__ = [
     "SmoothingReport",
     "AbsorbingReport",
-    "ErgodicReport",
     "ConvergenceReport",
     "OU_BURN_IN",
     "pullback_path",
@@ -334,15 +333,9 @@ def measure_absorbing(
     return AbsorbingReport(rows=rows, horizons=hs, radius_estimates=estimates)
 
 
-@dataclass
-class ErgodicReport:
-    """Rows (seed, m, empirical, analytic, rel_error) of stationary OU moments."""
-
-    rows: list
-
-
-def ergodic_check(T: float, dt: float, seeds: list[int], moments: tuple[int, ...] = (1, 2, 4)) -> ErgodicReport:
-    """Time-averaged |z|^m along stationary OU paths against Gamma((1+m)/2)/sqrt(pi)."""
+def ergodic_check(T: float, dt: float, seeds: list[int], moments: tuple[int, ...] = (1, 2, 4)) -> list[dict]:
+    """Time-averaged |z|^m along stationary OU paths against Gamma((1+m)/2)/sqrt(pi):
+    one row (seed, m, empirical, analytic, rel_error) per seed and moment."""
     if T < 100:
         raise ValueError(f"T must be >= 100 for a meaningful time average, got {T}")
     rows = []
@@ -356,7 +349,7 @@ def ergodic_check(T: float, dt: float, seeds: list[int], moments: tuple[int, ...
                 "seed": seed, "m": m, "empirical": emp, "analytic": ana,
                 "rel_error": abs(emp - ana) / ana,
             })
-    return ErgodicReport(rows=rows)
+    return rows
 
 
 @dataclass

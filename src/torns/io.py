@@ -3,9 +3,10 @@
 Formats:
 
 * config -- JSON (documented schema below, see load_config);
-* norm series -- CSV with header t,norm_H,norm_H1,norm_H2,z; floats are
-  written with repr (shortest round-trip), so identical runs give
-  byte-identical files;
+* CSV -- a header of column names, then one line per row (write_rows_csv);
+  floats are written with repr (shortest round-trip), so identical runs give
+  byte-identical files.  The norm series has the columns
+  t,norm_H,norm_H1,norm_H2,z (read_series_csv reads it back);
 * checkpoint -- little-endian binary: magic "TRNS", u32 version, u32 N,
   f64 L, f64 nu, f64 t, f64 z, u64 payload byte length, then the coefficient
   payload as interleaved re/im f64 pairs, component-major, row-major mode
@@ -21,6 +22,7 @@ import json
 import math
 import struct
 import time
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 from typing import NamedTuple
 
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import SimConfig, State, NormSeries, taylor_green, manufactured_forcing
-from .spectral import SpectralField, WaveGrid, leray_project, make_grid, random_divfree_field
+from .spectral import SpectralField, WaveGrid, leray_project, random_divfree_field
 
 __all__ = [
     "ConfigError",
@@ -39,10 +41,8 @@ __all__ = [
     "write_checkpoint",
     "read_checkpoint",
     "peek_checkpoint",
-    "write_series_csv",
     "read_series_csv",
     "write_rows_csv",
-    "write_path_csv",
     "emit_plot_script",
     "write_manifest",
 ]
@@ -223,8 +223,9 @@ def load_config(raw: dict | str) -> SimConfig:
     scheme, seed, stride, t_end (finite, > 0), preset, forcing, noise, initial.
     A top-level "preset" fills unset keys ("taylor-green", "decay-noise").
     forcing/noise/initial are {"preset": ...} or {"modes": [...]} objects
-    (see _field_from_modes).  The admissibility report is evaluated and
-    attached; violation is a warning carried in the report, not a rejection.
+    (see _field_from_modes).  An inadmissible h is not rejected: the
+    config's admissibility report (SimConfig.assumption, computed on its
+    first read) carries the violation as a warning.
     """
     merged = normalize_config(raw)
 
@@ -237,7 +238,7 @@ def load_config(raw: dict | str) -> SimConfig:
     stride = _require(merged, "stride", int, lambda v: v >= 1, "must be >= 1")
     t_end = _require(merged, "t_end", (int, float), _positive, "must be positive and finite")
 
-    grid = make_grid(float(L), N)
+    grid = WaveGrid(float(L), N)
     f, h, u0 = (_build_field(grid, merged[role], role, float(nu))
                 for role in ("forcing", "noise", "initial"))
     try:
@@ -296,7 +297,7 @@ def read_checkpoint(path: str | Path) -> State:
     if hdr.payload_len != expected or len(payload) != hdr.payload_len:
         raise ValueError(f"{path}: truncated payload ({len(payload)} of {expected} bytes)")
     coeffs = np.frombuffer(payload, dtype=np.float64).view(np.complex128).reshape(2, hdr.N, hdr.N)
-    grid = make_grid(hdr.L, hdr.N)
+    grid = WaveGrid(hdr.L, hdr.N)
     return State(t=hdr.t, u=SpectralField(grid, coeffs.copy()), z=hdr.z)
 
 
@@ -305,16 +306,6 @@ def _fmt(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
-
-
-def write_series_csv(series: NormSeries, path: str | Path) -> None:
-    """Norm series as CSV: t,norm_H,norm_H1,norm_H2,z (header always present)."""
-    lines = ["t,norm_H,norm_H1,norm_H2,z"]
-    for i in range(len(series)):
-        lines.append(",".join(_fmt(float(v)) for v in
-                              (series.t[i], series.norm_h[i], series.norm_h1[i],
-                               series.norm_h2[i], series.z[i])))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_series_csv(path: str | Path) -> NormSeries:
@@ -327,22 +318,9 @@ def read_series_csv(path: str | Path) -> NormSeries:
                       norm_h2=data[:, 3], z=data[:, 4])
 
 
-def write_rows_csv(rows: list[dict], columns: list[str], path: str | Path) -> None:
-    """Report rows as CSV with a fixed column order (missing keys -> empty)."""
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(c, "")) for c in columns))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_path_csv(ou, path: str | Path) -> None:
-    """Noise path as CSV: t, dW, z; dW on row k is the increment arriving at t_k
-    (first row carries 0.0 by convention)."""
-    t = ou.times()
-    dW = np.concatenate([[0.0], ou.wiener.increments])
-    lines = ["t,dW,z"]
-    for i in range(len(t)):
-        lines.append(f"{_fmt(float(t[i]))},{_fmt(float(dW[i]))},{_fmt(float(ou.z[i]))}")
+def write_rows_csv(rows: Iterable[Sequence], columns: list[str], path: str | Path) -> None:
+    """CSV: the header columns, then each row, a sequence of values in column order."""
+    lines = [",".join(columns), *(",".join(map(_fmt, row)) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -121,11 +121,18 @@ def pullback_wiener(horizon: float, dt: float, seed: int, burn_in: float = 0.0) 
 
     Increments are generated backwards from 0, so enlarging the horizon (or the
     burn-in) extends the same path into the past: the increments on [-t, 0]
-    are bit-identical for every horizon >= t with the same seed.
+    are bit-identical for every horizon >= t with the same seed.  The horizon
+    must be >= 0 and a whole number of steps (to the tolerance of WienerPath);
+    the burn-in is rounded to the nearest whole number of steps.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    n = round(horizon / dt) + round(burn_in / dt)
+    if not horizon >= 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    n = round(horizon / dt)
+    if abs(horizon - n * dt) > 1e-9 * max(1.0, horizon):
+        raise ValueError(f"the horizon {horizon} is not a whole number of steps of dt = {dt}")
+    n += round(burn_in / dt)
     if n <= 0:
         raise ValueError("pullback window is empty")
     rng = rng_for(seed, "pullback", 0)

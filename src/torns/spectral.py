@@ -45,7 +45,6 @@ __all__ = [
     "WaveGrid",
     "SpectralField",
     "PhysicalField",
-    "make_grid",
     "leray_project",
     "divergence",
     "sobolev_norm",
@@ -115,11 +114,6 @@ class WaveGrid:
 
     def __repr__(self):
         return f"WaveGrid(L={self.L!r}, N={self.N})"
-
-
-def make_grid(L: float, N: int) -> WaveGrid:
-    """Build a WaveGrid, rejecting odd or too-small N and non-positive L."""
-    return WaveGrid(L, N)
 
 
 class SpectralField:

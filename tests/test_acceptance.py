@@ -30,11 +30,11 @@ from torns.experiments import (
 from torns.noise import ou_stationary_moment
 from torns.spectral import (
     SpectralField,
+    WaveGrid,
     apply_stokes_power,
     divergence,
     inner,
     leray_project,
-    make_grid,
     nonlinear_term,
     random_divfree_field,
     sobolev_norm,
@@ -58,11 +58,11 @@ def test_criterion_1_ergodic_moments():
     # stationary OU time averages vs Gamma((1+m)/2)/sqrt(pi):
     # T = 1e4, dt = 1e-2, 3 seeds; 2% for m = 1, 2 and 5% for m = 4
     def body():
-        rep = ergodic_check(T=1e4, dt=1e-2, seeds=[1, 4, 8], moments=(1, 2, 4))
+        rows = ergodic_check(T=1e4, dt=1e-2, seeds=[1, 4, 8], moments=(1, 2, 4))
         assert ou_stationary_moment(1) == pytest.approx(0.5641896, abs=5e-8)
         assert ou_stationary_moment(2) == pytest.approx(0.5, rel=1e-15)
         assert ou_stationary_moment(4) == pytest.approx(0.75, rel=1e-15)
-        for row in rep.rows:
+        for row in rows:
             tol = 0.02 if row["m"] in (1, 2) else 0.05
             assert row["rel_error"] < tol, row
 
@@ -72,7 +72,7 @@ def test_criterion_1_ergodic_moments():
 def test_criterion_2_operator_identities():
     # N = 32, L = 2pi, 100 random projected fields
     def body():
-        g = make_grid(TWO_PI, 32)
+        g = WaveGrid(TWO_PI, 32)
         for seed in range(100):
             u = random_divfree_field(g, seed=seed, norm=1.0 + 0.01 * seed)
             v = random_divfree_field(g, seed=1000 + seed, norm=2.0)
@@ -93,7 +93,7 @@ def test_criterion_3_brute_force_oracle():
     # dealiased pseudospectral B equals the O(N^4) Galerkin triad sum
     def body():
         for N in (4, 6):
-            g = make_grid(TWO_PI, N)
+            g = WaveGrid(TWO_PI, N)
             for seed in range(10):
                 u = random_divfree_field(g, seed=seed, norm=1.0)
                 v = random_divfree_field(g, seed=100 + seed, norm=1.5)
@@ -109,7 +109,7 @@ def test_criterion_4_taylor_green():
     # nu = 0.1, N = 16, dt = 1e-3, T = 1
     def body():
         nu = 0.1
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         zero = SpectralField.zero(g)
         cfg = SimConfig(nu=nu, grid=g, dt=1e-3, f=zero, h=zero, scheme="etd2")
         res = integrate(taylor_green(0.0, nu, g), cfg, steps=1000, stride=10)
@@ -126,7 +126,7 @@ def test_criterion_5_conjugation_convergence():
     # N = 16, admissible h, T = 1, 4 Wiener refinement levels from dt = 2^-7;
     # strong error = ensemble mean over 16 paths; ratios in [1.7, 2.3]
     def body():
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         h = random_divfree_field(g, seed=11, norm=1.0)
         f = random_divfree_field(g, seed=21, norm=0.5)
         cfg = SimConfig(nu=1.0, grid=g, dt=2.0**-7, f=f, h=h, seed=5)
@@ -141,7 +141,7 @@ def test_criterion_5_conjugation_convergence():
 
 def test_criterion_6_assumption_constants():
     def body():
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         nu = 1.0
         for seed in range(10):
             h = random_divfree_field(g, seed=seed, norm=0.2 + 0.05 * seed)
@@ -163,7 +163,7 @@ def test_criterion_7_absorbing_behavior():
     # across all radii within 25%.  f = h = 0: the Poincare decay bound holds
     # along every trajectory of the family.
     def body():
-        g = make_grid(TWO_PI, 32)
+        g = WaveGrid(TWO_PI, 32)
         nu, dt = 100.0, 2e-3
         radii = [1.0, 10.0, 100.0, 1000.0]
         horizons = [5.0, 10.0, 20.0, 40.0]
@@ -204,7 +204,7 @@ def test_criterion_8_smoothing():
     # 3 seeds: ratios finite, scale-stable within x3 per (seed, direction, T);
     # linear regime bounded by max_k |k|^4 exp(-2 nu |k|^2 T) + 1e-6.
     def body():
-        g = make_grid(TWO_PI, 32)
+        g = WaveGrid(TWO_PI, 32)
         nu, dt = 1.0, 1e-3
         horizons = [0.5, 1.0, 2.0, 4.0]
         deltas = [1e-2, 1e-3, 1e-4]
@@ -244,7 +244,7 @@ def test_criterion_9_h2_neighborhood():
     # horizon-stable (< 25% between horizons 20 and 40) and decrease
     # monotonically when h is halved twice (same omega)
     def body():
-        g = make_grid(TWO_PI, 32)
+        g = WaveGrid(TWO_PI, 32)
         nu, dt = 20.0, 1e-3
         u0 = random_divfree_field(g, seed=60, norm=1.0)
         f = manufactured_forcing(u0, nu)

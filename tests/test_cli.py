@@ -5,7 +5,8 @@ import pytest
 
 from torns.cli import main
 from torns.dynamics import conjugate
-from torns.io import load_config, read_checkpoint
+from torns.io import load_config, read_checkpoint, read_series_csv
+from torns.noise import ou_from_wiener, sample_wiener
 from torns.spectral import sobolev_norm
 
 # criterion 10's config: small enough that every subcommand runs in seconds
@@ -207,6 +208,20 @@ class TestSimulate:
         assert (out / "plot.py").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert "series.csv" in manifest["files"]
+
+    def test_noise_csv_is_the_path_with_a_leading_zero_increment(self, tmp_path):
+        # row k: t_k, the increment arriving at t_k (0.0 on the first row), z_k
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", write_config(tmp_path, SMALL), "--out", str(out)]) == 0
+        rows = (out / "noise.csv").read_text().splitlines()
+        ou = ou_from_wiener(sample_wiener(0.0, 0.5, 1e-2, seed=3))
+        assert rows[0] == "t,dW,z"
+        assert len(rows) == ou.n + 2  # header + n+1 samples
+        assert float(rows[1].split(",")[1]) == 0.0
+        dW = [0.0, *ou.wiener.increments.tolist()]
+        assert rows[1:] == [f"{t!r},{d!r},{z!r}" for t, d, z in zip(ou.times().tolist(), dW, ou.z.tolist())]
+        series = read_series_csv(out / "series.csv")  # the norm series reads back
+        assert series.t == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5], abs=1e-12)
 
     def test_unstable_dt_aborts_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

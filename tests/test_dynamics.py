@@ -23,8 +23,8 @@ from torns.noise import OUPath, WienerPath, ou_from_wiener, sample_wiener
 from torns.spectral import (
     HalfSpectrum,
     SpectralField,
+    WaveGrid,
     field_violations,
-    make_grid,
     nonlinear_term,
     random_divfree_field,
     sobolev_norm,
@@ -35,7 +35,7 @@ TWO_PI = 2.0 * np.pi
 
 @pytest.fixture(scope="module")
 def grid16():
-    return make_grid(TWO_PI, 16)
+    return WaveGrid(TWO_PI, 16)
 
 
 def sine_shear(grid, c=1.0):
@@ -135,7 +135,7 @@ class TestCheckAssumption:
         # 8.4 MB, and sampling them in one shot peaks near 16 MB; by blocks, near 3.4 MB
         import tracemalloc
 
-        g = make_grid(TWO_PI, 128)
+        g = WaveGrid(TWO_PI, 128)
         h = random_divfree_field(g, seed=15, norm=1.0)
         check_assumption(h, 1.0, g)  # the first call may fill numpy's FFT plan cache
         tracemalloc.start()
@@ -310,7 +310,7 @@ class TestVorticityCore:
     # N = 64 and 96 are above spectral._DFT_MAX_N and run the FFT kernel
     @pytest.mark.parametrize("N", [16, 24, 64, 96])
     def test_etd2_matches_velocity_form(self, N):
-        g = make_grid(TWO_PI, N)
+        g = WaveGrid(TWO_PI, N)
         cfg = basic_cfg(g, nu=0.05, dt=2e-3,
                         f=random_divfree_field(g, seed=2, norm=0.5),
                         h=random_divfree_field(g, seed=3, norm=0.05))
@@ -322,7 +322,7 @@ class TestVorticityCore:
         assert np.abs(res.state.u.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_state_space_kept_at_n24(self):
-        g = make_grid(TWO_PI, 24)
+        g = WaveGrid(TWO_PI, 24)
         cfg = basic_cfg(g, nu=0.05, dt=2e-3,
                         f=random_divfree_field(g, seed=2, norm=0.5),
                         h=random_divfree_field(g, seed=3, norm=0.05))
@@ -334,7 +334,7 @@ class TestVorticityCore:
     # N = 16 runs the dense-DFT kernel, N = 66 the FFT kernel
     @pytest.mark.parametrize("N", [16, 66])
     def test_emitted_state_holds_the_masked_columns(self, N):
-        g = make_grid(TWO_PI, N)
+        g = WaveGrid(TWO_PI, N)
         cfg = basic_cfg(g, nu=0.05, dt=2e-3,
                         f=random_divfree_field(g, seed=2, norm=0.5),
                         h=random_divfree_field(g, seed=3, norm=0.05))
@@ -430,7 +430,7 @@ class TestStepperBuffers:
 
         # one grid on each kernel: N = 48 runs the DFT tables, N = 64 the FFTs
         for N in (48, 64):
-            g = make_grid(TWO_PI, N)
+            g = WaveGrid(TWO_PI, N)
             cfg = noisy_cfg(g)
             state = State(0.0, random_divfree_field(g, seed=4, norm=1.0))
             st = _EtdStepper(cfg, [given_z(np.full(24, 0.1), cfg.dt)], [state])
@@ -466,8 +466,8 @@ class TestConjugate:
             assert d == pytest.approx(abs(z) * 0.7, rel=1e-12)
 
     def test_grid_mismatch(self):
-        v = random_divfree_field(make_grid(TWO_PI, 8), seed=1)
-        h = random_divfree_field(make_grid(TWO_PI, 16), seed=2)
+        v = random_divfree_field(WaveGrid(TWO_PI, 8), seed=1)
+        h = random_divfree_field(WaveGrid(TWO_PI, 16), seed=2)
         with pytest.raises(ValueError):
             conjugate(v, 1.0, h)
 
@@ -501,7 +501,7 @@ class TestIntegrate:
 
     def test_grid_mismatch_rejected(self, grid16):
         cfg = basic_cfg(grid16)
-        v0 = random_divfree_field(make_grid(TWO_PI, 8), seed=1)
+        v0 = random_divfree_field(WaveGrid(TWO_PI, 8), seed=1)
         with pytest.raises(ValueError):
             integrate(v0, cfg, steps=1)
 
@@ -606,7 +606,7 @@ class TestTrajectory:
                    horizons=[4 * cfg.dt, 10 * cfg.dt], seeds=[1], directions=("random",)) == (3 * 10, [(3, 10)])
         # 2 seeds x 2 directions: one 12-member ensemble, one block on the
         # dense-DFT kernel, two sub-blocks of 6 within the byte budget on the FFT kernel (N = 50)
-        for g, blocks in ((grid16, [(12, 10)]), (make_grid(TWO_PI, 50), [(6, 10)] * 2)):
+        for g, blocks in ((grid16, [(12, 10)]), (WaveGrid(TWO_PI, 50), [(6, 10)] * 2)):
             c = noisy_cfg(g)
             assert run(experiments.measure_smoothing, c, random_divfree_field(g, seed=4, norm=1.0),
                        deltas=[1e-3, 1e-4], horizons=[4 * c.dt, 10 * c.dt], seeds=[1, 2]) == (12 * 10, blocks)
@@ -637,7 +637,7 @@ class TestEnsemble:
     @pytest.mark.parametrize("kind", ["deterministic", "ou", "wiener"])
     @pytest.mark.parametrize("B", [1, 3, 8, 24])
     def test_members_have_the_bits_of_single_trajectories(self, N, kind, B):
-        g = make_grid(TWO_PI, N)
+        g = WaveGrid(TWO_PI, N)
         cfg = noisy_cfg(g)
         steps = 5
         v0s = [random_divfree_field(g, seed=30 + m, norm=1.0) for m in range(B)]
@@ -714,7 +714,7 @@ class TestEnsemble:
 class TestTaylorGreen:
     def test_requires_2pi_box(self):
         with pytest.raises(ValueError):
-            taylor_green(0.0, 1.0, make_grid(1.0, 16))
+            taylor_green(0.0, 1.0, WaveGrid(1.0, 16))
 
     def test_quadrature_norm(self, grid16):
         # || (cos x sin y, -sin x cos y) ||^2 = 2 pi^2 by direct integration

@@ -19,7 +19,7 @@ from torns.experiments import (
 from torns.noise import ou_stationary_moment
 from torns.spectral import (
     SpectralField,
-    make_grid,
+    WaveGrid,
     random_divfree_field,
     sobolev_norm,
 )
@@ -29,7 +29,7 @@ TWO_PI = 2.0 * np.pi
 
 @pytest.fixture(scope="module")
 def grid16():
-    return make_grid(TWO_PI, 16)
+    return WaveGrid(TWO_PI, 16)
 
 
 def cfg_for(grid, **kw):
@@ -95,7 +95,7 @@ class TestPullback:
     # N = 16 runs the dense-DFT kernel, N = 50 the FFT kernel
     @pytest.mark.parametrize("N", [16, 50])
     def test_family_members_have_the_bits_of_single_solves(self, N):
-        g = make_grid(TWO_PI, N)
+        g = WaveGrid(TWO_PI, N)
         cfg = cfg_for(g, nu=0.05, dt=2e-3, f=random_divfree_field(g, seed=4, norm=0.5),
                       h=random_divfree_field(g, seed=2, norm=0.05))
         family = [random_divfree_field(g, seed=s, norm=1.0) for s in (5, 6, 7)]
@@ -304,7 +304,7 @@ class TestSmoothing:
     # N = 16 runs the dense-DFT kernel, N = 50 the FFT kernel
     @pytest.mark.parametrize("N", [16, 50])
     def test_zero_horizons_alone_give_the_initial_rows(self, N):
-        g = make_grid(TWO_PI, N)
+        g = WaveGrid(TWO_PI, N)
         cfg = cfg_for(g, h=random_divfree_field(g, seed=2, norm=0.3))
         v0 = random_divfree_field(g, seed=1, norm=0.5)
         kw = dict(deltas=[1e-3, 0.0], seeds=[1, 2])
@@ -314,7 +314,7 @@ class TestSmoothing:
 
     @pytest.mark.parametrize("N", [16, 50])
     def test_duplicate_seeds_and_directions_are_one_group(self, N):
-        g = make_grid(TWO_PI, N)
+        g = WaveGrid(TWO_PI, N)
         cfg = cfg_for(g, h=random_divfree_field(g, seed=2, norm=0.3))
         v0 = random_divfree_field(g, seed=1, norm=0.5)
         kw = dict(deltas=[1e-3], horizons=[0.1])
@@ -418,16 +418,17 @@ class TestAbsorbing:
 
 class TestErgodicCheck:
     def test_values_within_tolerance(self):
-        rep = ergodic_check(T=1e4, dt=1e-2, seeds=[1, 4, 8])
-        for row in rep.rows:
+        rows = ergodic_check(T=1e4, dt=1e-2, seeds=[1, 4, 8])
+        assert [(r["seed"], r["m"]) for r in rows] == [(s, m) for s in (1, 4, 8) for m in (1, 2, 4)]
+        for row in rows:
             tol = 0.02 if row["m"] in (1, 2) else 0.05
             assert row["rel_error"] < tol
             assert row["analytic"] == pytest.approx(ou_stationary_moment(row["m"]), rel=1e-15)
 
     def test_m6_heavier_tail(self):
-        rep = ergodic_check(T=1e4, dt=1e-2, seeds=[1], moments=(6,))
-        assert rep.rows[0]["analytic"] == pytest.approx(15.0 / 8.0, rel=1e-15)
-        assert rep.rows[0]["rel_error"] < 0.10
+        (row,) = ergodic_check(T=1e4, dt=1e-2, seeds=[1], moments=(6,))
+        assert row["analytic"] == pytest.approx(15.0 / 8.0, rel=1e-15)
+        assert row["rel_error"] < 0.10
 
     def test_rejects_short_horizon(self):
         with pytest.raises(ValueError):
@@ -518,7 +519,7 @@ class TestRunner:
 
     def test_dft_grid_starts_no_pool(self, pools):
         assert spectral._runs_dft(16)
-        self.run_all(make_grid(TWO_PI, 16), threads=4)
+        self.run_all(WaveGrid(TWO_PI, 16), threads=4)
         assert pools == []
 
     # the default budget, and one member per sub-block
@@ -526,7 +527,7 @@ class TestRunner:
     def test_fft_grid_pools_at_most_threads_workers_with_the_serial_rows(self, pools, monkeypatch, budget):
         N = spectral._DFT_MAX_N + 2  # the first grid on the FFT kernel
         assert not spectral._runs_dft(N)
-        grid = make_grid(TWO_PI, N)
+        grid = WaveGrid(TWO_PI, N)
         serial = self.run_all(grid, threads=1)
         assert pools == []
         monkeypatch.setattr(experiments, "_SUB_BLOCK_BYTES", budget)
@@ -540,7 +541,7 @@ class TestRunner:
     def test_member_bytes_is_a_members_real_allocation(self, N, expected):
         # the kernel workspace of a one-member stepper, and its two right sides,
         # argument, two temporaries and the old and new block
-        grid = make_grid(TWO_PI, N)
+        grid = WaveGrid(TWO_PI, N)
         stepper = _EtdStepper(cfg_for(grid), [None], [State(0.0, SpectralField.zero(grid))])
         work = stepper._work
         kernel = [work.vel, work.cols, work.uv, work.adv, work.rows, work.spec, work.out]
@@ -550,7 +551,7 @@ class TestRunner:
 
     def test_fft_sub_blocks_are_near_equal_and_within_the_budget(self, monkeypatch):
         N = spectral._DFT_MAX_N + 2
-        grid, sizes, real = make_grid(TWO_PI, N), [], experiments.ensemble
+        grid, sizes, real = WaveGrid(TWO_PI, N), [], experiments.ensemble
         monkeypatch.setattr(experiments, "ensemble", lambda v0s, *a: sizes.append(len(v0s)) or real(v0s, *a))
         monkeypatch.setattr(experiments, "_SUB_BLOCK_BYTES", 3 * experiments._member_bytes(N) + 1)
         radii = [float(r) for r in range(8)]

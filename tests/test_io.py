@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torns.dynamics import NormSeries, State, taylor_green
+from torns import spectral
+from torns.cli import _write_series as write_series
+from torns.dynamics import NormSeries, State, check_assumption, taylor_green
 from torns.io import (
     ConfigError,
     config_defaults,
@@ -16,12 +18,9 @@ from torns.io import (
     read_series_csv,
     write_checkpoint,
     write_manifest,
-    write_path_csv,
     write_rows_csv,
-    write_series_csv,
 )
-from torns.noise import ou_from_wiener, sample_wiener
-from torns.spectral import make_grid, random_divfree_field, sobolev_norm
+from torns.spectral import WaveGrid, random_divfree_field, sobolev_norm
 
 TWO_PI = 2.0 * math.pi
 
@@ -112,6 +111,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(raw)
 
+    def test_assumption_computed_on_first_read_only(self, monkeypatch):
+        calls, grad_linf = [], spectral.grad_linf
+        monkeypatch.setattr(spectral, "grad_linf", lambda h: calls.append(h) or grad_linf(h))
+        cfg = load_config(minimal_config(noise={"preset": "random", "norm": 0.5, "seed": 1}))
+        assert calls == []
+        report = cfg.assumption
+        assert len(calls) == 1
+        assert cfg.assumption is report and len(calls) == 1
+        assert report == check_assumption(cfg.h, cfg.nu, cfg.grid)
+
     def test_assumption_attached_even_when_violated(self):
         raw = minimal_config(nu=1e-4, noise={"preset": "random", "norm": 5.0, "seed": 1})
         cfg = load_config(raw)
@@ -140,7 +149,7 @@ class TestLoadConfig:
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         st = State(t=1.25, u=random_divfree_field(g, seed=3, norm=2.0), z=-0.7)
         p = tmp_path / "state.trns"
         write_checkpoint(st, p, nu=0.3)
@@ -155,7 +164,7 @@ class TestCheckpoint:
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.trns"
-        g = make_grid(TWO_PI, 8)
+        g = WaveGrid(TWO_PI, 8)
         write_checkpoint(State(0.0, random_divfree_field(g, seed=1)), p)
         data = bytearray(p.read_bytes())
         data[:4] = b"NOPE"
@@ -165,7 +174,7 @@ class TestCheckpoint:
 
     def test_version_mismatch(self, tmp_path):
         p = tmp_path / "v2.trns"
-        g = make_grid(TWO_PI, 8)
+        g = WaveGrid(TWO_PI, 8)
         write_checkpoint(State(0.0, random_divfree_field(g, seed=1)), p)
         data = bytearray(p.read_bytes())
         data[4] += 1  # little-endian u32 version
@@ -175,7 +184,7 @@ class TestCheckpoint:
 
     def test_truncation_detected(self, tmp_path):
         p = tmp_path / "trunc.trns"
-        g = make_grid(TWO_PI, 8)
+        g = WaveGrid(TWO_PI, 8)
         write_checkpoint(State(0.0, random_divfree_field(g, seed=1)), p)
         p.write_bytes(p.read_bytes()[:-16])
         with pytest.raises(ValueError, match="truncated"):
@@ -183,7 +192,7 @@ class TestCheckpoint:
 
     def test_read_checkpoint_reads_the_file_once(self, tmp_path, monkeypatch):
         p = tmp_path / "once.trns"
-        write_checkpoint(State(0.0, random_divfree_field(make_grid(TWO_PI, 8), seed=1)), p)
+        write_checkpoint(State(0.0, random_divfree_field(WaveGrid(TWO_PI, 8), seed=1)), p)
         reads = []
         read_bytes = Path.read_bytes
         monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
@@ -196,7 +205,7 @@ class TestCheckpoint:
         from torns import io as tio
 
         p = tmp_path / "peek.trns"
-        write_checkpoint(State(0.0, random_divfree_field(make_grid(TWO_PI, 16), seed=1)), p, nu=0.3)
+        write_checkpoint(State(0.0, random_divfree_field(WaveGrid(TWO_PI, 16), seed=1)), p, nu=0.3)
         read = []
 
         class Counted:
@@ -228,7 +237,7 @@ class TestSeriesCsv:
             norm_h1=np.random.default_rng(1).random(n),
             norm_h2=np.random.default_rng(2).random(n), z=np.random.default_rng(3).random(n))
         p = tmp_path / "s.csv"
-        write_series_csv(series, p)
+        write_series(series, p)
         back = read_series_csv(p)
         for a, b in ((series.t, back.t), (series.norm_h, back.norm_h),
                      (series.norm_h1, back.norm_h1), (series.norm_h2, back.norm_h2),
@@ -239,7 +248,7 @@ class TestSeriesCsv:
         series = NormSeries(t=np.array([]), norm_h=np.array([]), norm_h1=np.array([]),
                             norm_h2=np.array([]), z=np.array([]))
         p = tmp_path / "empty.csv"
-        write_series_csv(series, p)
+        write_series(series, p)
         text = p.read_text().strip()
         assert text == "t,norm_H,norm_H1,norm_H2,z"
 
@@ -247,39 +256,26 @@ class TestSeriesCsv:
         series = NormSeries(t=np.array([0.0]), norm_h=np.array([1.0]), norm_h1=np.array([2.0]),
                             norm_h2=np.array([3.0]), z=np.array([4.0]))
         p = tmp_path / "one.csv"
-        write_series_csv(series, p)
+        write_series(series, p)
         rows = p.read_text().strip().splitlines()
         assert all(len(r.split(",")) == 5 for r in rows)
 
 
-class TestPathCsv:
-    def test_schema_and_alignment(self, tmp_path):
-        w = sample_wiener(0.0, 0.1, 0.01, seed=3)
-        ou = ou_from_wiener(w)
-        p = tmp_path / "path.csv"
-        write_path_csv(ou, p)
-        rows = p.read_text().strip().splitlines()
-        assert rows[0] == "t,dW,z"
-        assert len(rows) == ou.n + 2  # header + n+1 samples
-        first = rows[1].split(",")
-        assert float(first[1]) == 0.0  # increment column starts with the convention 0
-
-
 class TestRowsCsv:
-    def test_fixed_columns_and_missing_keys(self, tmp_path):
-        rows = [{"a": 1.5, "b": "x"}, {"a": 2.0}]
+    def test_values_in_column_order(self, tmp_path):
         p = tmp_path / "rows.csv"
-        write_rows_csv(rows, ["a", "b"], p)
-        lines = p.read_text().strip().splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1] == "1.5,x"
-        assert lines[2] == "2.0,"
-
+        write_rows_csv([(1.5, "x"), [2.0, ""]], ["a", "b"], p)
+        assert p.read_text() == "a,b\n1.5,x\n2.0,\n"
 
     def test_numpy_floats_written_as_plain_floats(self, tmp_path):
         p = tmp_path / "rows.csv"
-        write_rows_csv([{"a": np.float64(0.1), "b": np.float32(0.5), "c": np.int64(3)}], ["a", "b", "c"], p)
+        write_rows_csv([(np.float64(0.1), np.float32(0.5), np.int64(3))], ["a", "b", "c"], p)
         assert p.read_text() == "a,b,c\n0.1,0.5,3\n"
+
+    def test_rows_may_be_an_iterator(self, tmp_path):
+        p = tmp_path / "rows.csv"
+        write_rows_csv(zip(np.array([0.0, 0.5]), np.array([1.0, 2.0])), ["t", "x"], p)
+        assert p.read_text() == "t,x\n0.0,1.0\n0.5,2.0\n"
 
 
 class TestPlotScript:
@@ -303,11 +299,11 @@ class TestPlotScript:
         series = NormSeries(t=np.array([0.0, 1.0]), norm_h=np.array([1.0, 0.5]),
                             norm_h1=np.array([2.0, 1.0]), norm_h2=np.array([3.0, 1.5]),
                             z=np.array([0.0, 0.1]))
-        write_series_csv(series, tmp_path / "series.csv")
+        write_series(series, tmp_path / "series.csv")
         emit_plot_script(["series.csv"], tmp_path / "plot.py")
         dims = []
         for rerun in range(2):
-            write_series_csv(series, tmp_path / "series.csv")  # regenerate the CSV
+            write_series(series, tmp_path / "series.csv")  # regenerate the CSV
             subprocess.run([sys.executable, str(tmp_path / "plot.py")], check=True,
                            capture_output=True)
             dims.append(png_dims(tmp_path / "plot.png"))

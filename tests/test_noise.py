@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from torns import noise
 from torns.noise import (
     OUPath,
     WienerPath,
@@ -105,6 +106,24 @@ class TestPullbackWiener:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             pullback_wiener(0.0, 0.01, seed=4, burn_in=0.0)
+
+    @pytest.mark.parametrize("horizon, burn_in, match", [
+        (-1.0, 10.0, "horizon must be >= 0"),
+        (float("nan"), 10.0, "horizon must be >= 0"),
+        (0.15, 0.0, "not a whole number of steps"),
+        (0.04, 0.0, "not a whole number of steps"),
+        (0.04, 10.0, "not a whole number of steps"),
+    ])
+    def test_rejects_a_horizon_off_the_step_grid_before_any_draw(self, monkeypatch, horizon, burn_in, match):
+        monkeypatch.setattr(noise, "rng_for", lambda *key: pytest.fail("drew before checking the horizon"))
+        with pytest.raises(ValueError, match=match):
+            pullback_wiener(horizon, 0.1, seed=1, burn_in=burn_in)
+
+    def test_horizon_within_tolerance_and_burn_in_rounded(self):
+        # 3 * 0.1 is 0.30000000000000004; 10 / 0.3 rounds to 33 steps
+        assert pullback_wiener(0.3, 0.1, seed=1).n == 3
+        p = pullback_wiener(0.3, 0.3, seed=1, burn_in=10.0)
+        assert p.n == 1 + 33 and p.t0 == pytest.approx(-34 * 0.3)
 
 
 class TestOUPath:

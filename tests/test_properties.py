@@ -15,10 +15,10 @@ from torns.spectral import (
     AdvectionWorkspace,
     HalfSpectrum,
     SpectralField,
+    WaveGrid,
     apply_stokes_power,
     inner,
     leray_project,
-    make_grid,
     nonlinear_term,
     random_divfree_field,
     sobolev_norm,
@@ -36,7 +36,7 @@ TWO_PI = 2.0 * np.pi
 )
 def test_dft_kernel_is_curl_of_nonlinear_term(N, seed, norm, decay):
     # band-limited: the field lies inside the dealias mask, with shell weights |k|^-decay
-    g = make_grid(TWO_PI, N)
+    g = WaveGrid(TWO_PI, N)
     half = HalfSpectrum(g)
     assert half.dft is not None
     u = random_divfree_field(g, seed, norm=norm, profile=lambda k: (1.0 + k) ** -decay)
@@ -53,7 +53,7 @@ def test_dft_kernel_is_curl_of_nonlinear_term(N, seed, norm, decay):
 )
 def test_fft_kernel_is_curl_of_nonlinear_term(N, seed, norm, decay):
     # the grids above _DFT_MAX_N, up to 128, run the Basdevant FFT kernel
-    g = make_grid(TWO_PI, N)
+    g = WaveGrid(TWO_PI, N)
     half = HalfSpectrum(g)
     assert half.dft is None
     u = random_divfree_field(g, seed, norm=norm, profile=lambda k: (1.0 + k) ** -decay)
@@ -74,7 +74,7 @@ def test_leray_projection_is_idempotent(N, seed, L):
     # any field, divergent and with a mean: the projection acts on every mode
     rng = np.random.default_rng(seed)
     c = rng.standard_normal((2, N, N)) + 1j * rng.standard_normal((2, N, N))
-    once = leray_project(SpectralField(make_grid(L, N), c))
+    once = leray_project(SpectralField(WaveGrid(L, N), c))
     twice = leray_project(once)
     assert np.abs(twice.coeffs - once.coeffs).max() <= 2e-15 * np.abs(once.coeffs).max()
 
@@ -83,7 +83,7 @@ def test_leray_projection_is_idempotent(N, seed, L):
 def test_nonlinear_term_is_orthogonal_to_its_advected_field(N, seed, L):
     # (B(u, v), v) = 0 for divergence-free u and v inside the dealias mask, on
     # the scale ||u|| ||v||_H1 ||v|| / L of the terms it sums
-    g = make_grid(L, N)
+    g = WaveGrid(L, N)
     u = random_divfree_field(g, seed, stream=1)
     v = random_divfree_field(g, seed, stream=2)
     scale = sobolev_norm(u, 0.0) * sobolev_norm(v, 1.0) * sobolev_norm(v, 0.0) / L
@@ -94,7 +94,7 @@ def test_nonlinear_term_is_orthogonal_to_its_advected_field(N, seed, L):
 def test_stokes_powers_compose(N, seed, L, p, q):
     # p and q in steps of 1/16, so that p + q is exact; compared mode by mode
     p, q = p / 16, q / 16
-    u = random_divfree_field(make_grid(L, N), seed)
+    u = random_divfree_field(WaveGrid(L, N), seed)
     composed = apply_stokes_power(apply_stokes_power(u, p), q).coeffs
     direct = apply_stokes_power(u, p + q).coeffs
     assert np.all(np.abs(composed - direct) <= 2e-15 * np.abs(direct))
@@ -105,7 +105,7 @@ def test_stokes_powers_compose(N, seed, L, p, q):
 @given(**_OPERATOR_DRAWS, members=st.integers(1, 4))
 def test_norms_from_vorticity_equal_sobolev_norms_of_velocity(N, seed, L, members):
     # any (N, K) block, the Nyquist row and the zero mode included; each member alone
-    half = HalfSpectrum(make_grid(L, N))
+    half = HalfSpectrum(WaveGrid(L, N))
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((members, N, half.K)) + 1j * rng.standard_normal((members, N, half.K))
     got = half.norms(w)
@@ -149,7 +149,7 @@ def reference_grad_linf_norms(h: SpectralField) -> tuple[float, float]:
 )
 def test_blocked_grad_sampler_equals_one_shot_irfft2(N, seed, norm, L):
     # M = 4 N is a multiple of the block size for some draws (N = 8), not for others (N = 10)
-    h = random_divfree_field(make_grid(L, N), seed, norm=norm)
+    h = random_divfree_field(WaveGrid(L, N), seed, norm=norm)
     got = spectral.grad_linf(h)
     assert [x.hex() for x in got] == [x.hex() for x in reference_grad_linf_norms(h)]
 
@@ -206,7 +206,7 @@ def test_manifest_config_echo_reloads_the_same_config(raw):
 
 def _emitted_state(N, seed, steps, noisy):
     """The last State of a short conjugated (noisy) or deterministic trajectory."""
-    g = make_grid(TWO_PI, N)
+    g = WaveGrid(TWO_PI, N)
     cfg = SimConfig(nu=0.5, grid=g, dt=1e-2, f=random_divfree_field(g, seed, norm=0.5),
                     h=random_divfree_field(g, seed + 1, norm=0.1))
     path = ou_from_wiener(sample_wiener(0.0, steps * cfg.dt, cfg.dt, seed)) if noisy else None

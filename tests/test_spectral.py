@@ -9,13 +9,13 @@ from torns.spectral import (
     HalfSpectrum,
     PhysicalField,
     SpectralField,
+    WaveGrid,
     apply_stokes_power,
     divergence,
     field_violations,
     grad_linf,
     inner,
     leray_project,
-    make_grid,
     nonlinear_term,
     random_divfree_field,
     sobolev_norm,
@@ -68,31 +68,31 @@ def galerkin_convolution(u, v):
 
 class TestWaveGrid:
     def test_lambda1_2pi(self):
-        assert make_grid(TWO_PI, 8).lambda1 == pytest.approx(1.0, abs=1e-15)
+        assert WaveGrid(TWO_PI, 8).lambda1 == pytest.approx(1.0, abs=1e-15)
 
     def test_lambda1_unit_box(self):
-        assert make_grid(1.0, 8).lambda1 == pytest.approx(4 * np.pi**2, rel=1e-15)
+        assert WaveGrid(1.0, 8).lambda1 == pytest.approx(4 * np.pi**2, rel=1e-15)
 
     @pytest.mark.parametrize("L,N", [(TWO_PI, 7), (TWO_PI, 2), (0.0, 8), (-1.0, 8)])
     def test_rejects_bad_arguments(self, L, N):
         with pytest.raises(ValueError):
-            make_grid(L, N)
+            WaveGrid(L, N)
 
     def test_mask_symmetric_under_reflection(self):
         for N in (4, 6, 8, 16, 32):
-            g = make_grid(TWO_PI, N)
+            g = WaveGrid(TWO_PI, N)
             m = g.dealias_mask
             flipped = np.roll(m[::-1, ::-1], (1, 1), axis=(0, 1))
             assert np.array_equal(m, flipped)
 
     def test_wavenumbers_scale_with_L(self):
-        g = make_grid(4.0, 8)
+        g = WaveGrid(4.0, 8)
         assert g.kx[1, 0] == pytest.approx(2 * np.pi / 4.0)
 
 
 class TestLerayProjection:
     def test_annihilates_gradient_mode(self):
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         # u_hat = c * k at a single mode is a pure gradient
         c = np.zeros((2, 16, 16), dtype=complex)
         c[0, 2, 1] = 2.0 * 0.7
@@ -102,14 +102,14 @@ class TestLerayProjection:
 
     def test_single_mode_by_hand(self):
         # L=2pi, mode j=(1,0): u_hat=(1,0) is parallel to k -> 0; (0,1) is transverse -> kept
-        g = make_grid(TWO_PI, 8)
+        g = WaveGrid(TWO_PI, 8)
         para = single_mode(g, 0, 1, 0, 1.0)
         assert np.abs(leray_project(para).coeffs).max() == 0.0
         perp = single_mode(g, 1, 1, 0, 1.0)
         assert np.array_equal(leray_project(perp).coeffs, perp.coeffs)
 
     def test_idempotent(self):
-        g = make_grid(TWO_PI, 32)
+        g = WaveGrid(TWO_PI, 32)
         rng = np.random.default_rng(0)
         raw = SpectralField(g, rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32)))
         once = leray_project(raw)
@@ -118,12 +118,12 @@ class TestLerayProjection:
         assert np.abs(twice.coeffs - once.coeffs).max() <= 1e-14 * scale
 
     def test_divfree_field_unchanged(self):
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         u = random_divfree_field(g, seed=4)
         assert np.abs(leray_project(u).coeffs - u.coeffs).max() < 1e-14
 
     def test_zero_mean_enforced(self):
-        g = make_grid(TWO_PI, 8)
+        g = WaveGrid(TWO_PI, 8)
         c = np.zeros((2, 8, 8), dtype=complex)
         c[0, 0, 0] = 3.0
         assert np.abs(leray_project(SpectralField(g, c)).coeffs).max() == 0.0
@@ -131,14 +131,14 @@ class TestLerayProjection:
 
 class TestDivergence:
     def test_projected_field_divfree(self):
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         u = random_divfree_field(g, seed=7, norm=3.0)
         ref = (np.sqrt(g.k2) * np.abs(u.coeffs).max()).max()
         assert np.abs(divergence(u)).max() < 1e-13 * ref
 
     def test_gradient_mode_formula(self):
         # u_hat = c*k at mode j -> divergence i |k|^2 c there
-        g = make_grid(TWO_PI, 8)
+        g = WaveGrid(TWO_PI, 8)
         c = np.zeros((2, 8, 8), dtype=complex)
         cval = 0.35
         c[0, 1, 2] = cval * g.kx[1, 0]
@@ -148,30 +148,30 @@ class TestDivergence:
         assert d[1, 2] == pytest.approx(1j * k2 * cval, rel=1e-14)
 
     def test_zero_field(self):
-        g = make_grid(TWO_PI, 8)
+        g = WaveGrid(TWO_PI, 8)
         assert np.abs(divergence(SpectralField.zero(g))).max() == 0.0
 
 
 class TestSobolevNorm:
     def test_zero_field(self):
-        g = make_grid(TWO_PI, 8)
+        g = WaveGrid(TWO_PI, 8)
         for s in (0.0, 0.5, 1.0, 2.0):
             assert sobolev_norm(SpectralField.zero(g), s) == 0.0
 
     def test_rejects_negative_s(self):
-        g = make_grid(TWO_PI, 8)
+        g = WaveGrid(TWO_PI, 8)
         with pytest.raises(ValueError):
             sobolev_norm(SpectralField.zero(g), -0.5)
 
     def test_unit_shell_h1_equals_l2(self):
         # u = (cos y, 0): |k| = 1 on L=2pi, so H1 weight is 1
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         u = single_mode(g, 0, 0, 1, 0.5)  # cos y
         assert sobolev_norm(u, 1.0) == pytest.approx(sobolev_norm(u, 0.0), rel=1e-13)
 
     def test_quadrature_oracle(self):
         # grid quadrature of |u|^2 and |grad u|^2 matches the Parseval sums
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         u = random_divfree_field(g, seed=12, norm=2.0)
         vals = to_physical(u).values
         dA = (g.L / g.N) ** 2
@@ -185,48 +185,48 @@ class TestSobolevNorm:
         assert np.sqrt(gradsq) == pytest.approx(sobolev_norm(u, 1.0), rel=1e-12)
 
     def test_poincare_on_random_fields(self):
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         for seed in range(200):
             u = random_divfree_field(g, seed=seed, norm=1.0)
             assert sobolev_norm(u, 0.0) <= (g.L / TWO_PI) * sobolev_norm(u, 1.0) * (1 + 1e-14)
 
     def test_poincare_equality_on_lowest_shell(self):
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         u = single_mode(g, 1, 1, 0, 1.0)
         assert sobolev_norm(u, 0.0) == pytest.approx(sobolev_norm(u, 1.0), rel=1e-14)
 
     def test_monotone_in_s(self):
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         u = random_divfree_field(g, seed=3)
         norms = [sobolev_norm(u, s) for s in (0.0, 0.5, 1.0, 1.5, 2.0)]
         assert all(a <= b * (1 + 1e-14) for a, b in zip(norms, norms[1:]))
 
     def test_h1_norm_squared_is_energy_pairing(self):
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         u = random_divfree_field(g, seed=9, norm=1.7)
         assert sobolev_norm(u, 1.0) ** 2 == pytest.approx(inner(apply_stokes_power(u, 1.0), u), rel=1e-12)
 
 
 class TestStokesPower:
     def test_identity_at_zero(self):
-        g = make_grid(TWO_PI, 8)
+        g = WaveGrid(TWO_PI, 8)
         u = random_divfree_field(g, seed=5)
         assert np.array_equal(apply_stokes_power(u, 0.0).coeffs, u.coeffs)
 
     def test_eigenvalue_on_single_mode(self):
-        g = make_grid(TWO_PI, 8)
+        g = WaveGrid(TWO_PI, 8)
         u = single_mode(g, 1, 2, 0, 1.0)  # |k| = 2
         assert np.allclose(apply_stokes_power(u, 1.0).coeffs, 4.0 * u.coeffs, rtol=1e-14)
 
     def test_half_powers_compose(self):
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         u = random_divfree_field(g, seed=6)
         a = apply_stokes_power(apply_stokes_power(u, 0.5), 0.5)
         b = apply_stokes_power(u, 1.0)
         assert np.abs(a.coeffs - b.coeffs).max() <= 1e-13 * np.abs(b.coeffs).max()
 
     def test_inverse(self):
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         u = random_divfree_field(g, seed=8)
         back = apply_stokes_power(apply_stokes_power(u, -1.0), 1.0)
         assert np.abs(back.coeffs - u.coeffs).max() <= 1e-13 * np.abs(u.coeffs).max()
@@ -234,20 +234,20 @@ class TestStokesPower:
 
 class TestTransforms:
     def test_round_trip(self):
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         u = random_divfree_field(g, seed=1, norm=2.0)
         back = to_spectral(to_physical(u))
         assert np.abs(back.coeffs - u.coeffs).max() < 1e-13 * np.abs(u.coeffs).max()
 
     def test_single_mode_is_cosine(self):
-        g = make_grid(TWO_PI, 8)
+        g = WaveGrid(TWO_PI, 8)
         u = single_mode(g, 0, 1, 0, 0.5)  # cos x in the x-component
         vals = to_physical(u).values
         assert np.allclose(vals[0], np.cos(g.x)[:, None] * np.ones(8), atol=1e-14)
         assert np.abs(vals[1]).max() < 1e-15
 
     def test_parseval_on_random_fields(self):
-        g = make_grid(2.5, 12)
+        g = WaveGrid(2.5, 12)
         dA = (g.L / g.N) ** 2
         for seed in range(100):
             u = random_divfree_field(g, seed=seed, norm=1.0 + seed * 0.01)
@@ -255,8 +255,8 @@ class TestTransforms:
             assert q == pytest.approx(sobolev_norm(u, 0.0), rel=1e-12)
 
     def test_grid_mismatch_rejected(self):
-        a = make_grid(TWO_PI, 8)
-        b = make_grid(TWO_PI, 16)
+        a = WaveGrid(TWO_PI, 8)
+        b = WaveGrid(TWO_PI, 16)
         with pytest.raises(ValueError):
             PhysicalField(b, to_physical(random_divfree_field(a, seed=0)).values)
 
@@ -264,7 +264,7 @@ class TestTransforms:
 class TestNonlinearTerm:
     def test_shear_flow_self_advection_vanishes(self):
         # u = (sin(2*pi*y/L), 0): u.grad = u1 d/dx of a y-only profile
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         u = single_mode(g, 0, 0, 1, -0.5j)  # sin y
         b = nonlinear_term(u, u)
         assert np.abs(b.coeffs).max() < 1e-15
@@ -272,14 +272,14 @@ class TestNonlinearTerm:
     def test_taylor_green_is_pure_gradient(self):
         from torns.dynamics import taylor_green
 
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         u = taylor_green(0.0, 1.0, g)
         b = nonlinear_term(u, u)
         assert np.abs(b.coeffs).max() < 1e-14
 
     @pytest.mark.parametrize("N", [4, 6])
     def test_matches_galerkin_convolution(self, N):
-        g = make_grid(TWO_PI, N)
+        g = WaveGrid(TWO_PI, N)
         for seed in range(5):
             u = random_divfree_field(g, seed=seed, norm=1.0)
             v = random_divfree_field(g, seed=100 + seed, norm=1.5)
@@ -289,7 +289,7 @@ class TestNonlinearTerm:
             assert np.abs(fast.coeffs - slow.coeffs).max() <= 1e-12 * scale
 
     def test_output_dealiased_and_divfree(self):
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         u = random_divfree_field(g, seed=2, norm=2.0)
         v = random_divfree_field(g, seed=3, norm=2.0)
         b = nonlinear_term(u, v)
@@ -297,14 +297,14 @@ class TestNonlinearTerm:
         assert not field_violations(b)
 
     def test_grid_mismatch(self):
-        u = random_divfree_field(make_grid(TWO_PI, 8), seed=0)
-        v = random_divfree_field(make_grid(TWO_PI, 16), seed=0)
+        u = random_divfree_field(WaveGrid(TWO_PI, 8), seed=0)
+        v = random_divfree_field(WaveGrid(TWO_PI, 16), seed=0)
         with pytest.raises(ValueError):
             nonlinear_term(u, v)
 
     def test_skew_symmetry(self):
         # (B(u, v), v) = 0 for divergence-free u on the dealiased grid
-        g = make_grid(TWO_PI, 32)
+        g = WaveGrid(TWO_PI, 32)
         for seed in range(20):
             u = random_divfree_field(g, seed=seed, norm=1.0)
             v = random_divfree_field(g, seed=500 + seed, norm=1.0)
@@ -313,7 +313,7 @@ class TestNonlinearTerm:
 
     def test_enstrophy_identity(self):
         # the 2D-torus identity (B(u, u), A u) = 0
-        g = make_grid(TWO_PI, 32)
+        g = WaveGrid(TWO_PI, 32)
         for seed in range(20):
             u = random_divfree_field(g, seed=seed, norm=1.0)
             lhs = abs(inner(nonlinear_term(u, u), apply_stokes_power(u, 1.0)))
@@ -325,7 +325,7 @@ class TestVorticityAdvection:
     # N = 64 and 96 are above spectral._DFT_MAX_N and run the FFT kernel
     @pytest.mark.parametrize("N", [16, 24, 32, 64, 96])
     def test_equals_curl_of_nonlinear_term(self, N):
-        g = make_grid(TWO_PI, N)
+        g = WaveGrid(TWO_PI, N)
         half = HalfSpectrum(g)
         for seed in range(3):
             u = random_divfree_field(g, seed=seed, norm=1.0 + seed)
@@ -338,7 +338,7 @@ class TestVorticityAdvection:
     def test_pruned_transforms_equal_irfft2_rfft2(self, N):
         # the reference is unpruned: one irfft2 of u_1 and u_2 on the whole half
         # spectrum, one rfft2 of u_1 u_2 and u_2^2 - u_1^2, cut to the K columns
-        g = make_grid(TWO_PI, N)
+        g = WaveGrid(TWO_PI, N)
         half = HalfSpectrum(g)
         K = half.K
         work = AdvectionWorkspace(half)
@@ -363,7 +363,7 @@ class TestVorticityAdvection:
     def test_dft_kernel_equals_fft_kernel(self, N, monkeypatch):
         # the dense tables compute the same transforms, summed in another order
         monkeypatch.setattr(spectral, "_DFT_MAX_N", 64)
-        g = make_grid(TWO_PI, N)
+        g = WaveGrid(TWO_PI, N)
         half = HalfSpectrum(g)
         work = AdvectionWorkspace(half)
         for seed in range(3):
@@ -376,7 +376,7 @@ class TestVorticityAdvection:
 
     @pytest.mark.parametrize("N", [16, 32, 48, 64, 96])
     def test_kernel_chosen_by_grid_size(self, N):
-        g = make_grid(TWO_PI, N)
+        g = WaveGrid(TWO_PI, N)
         half = HalfSpectrum(g)
         assert (half.dft is not None) == (N <= spectral._DFT_MAX_N)
         kernel = spectral._advection_dft if half.dft is not None else spectral._advection_fft
@@ -390,7 +390,7 @@ class TestVorticityAdvection:
     @pytest.mark.parametrize("N", [16, 64, 96])
     @pytest.mark.parametrize("kernel", ["vorticity_advection", "_advection_fft"])
     def test_call_allocates_less_than_a_half_spectrum(self, N, kernel):
-        g = make_grid(TWO_PI, N)
+        g = WaveGrid(TWO_PI, N)
         half = HalfSpectrum(g)
         work = AdvectionWorkspace(half)
         w = half.curl(random_divfree_field(g, seed=3, norm=1.0))
@@ -410,7 +410,7 @@ class TestVorticityAdvection:
         # u = (a(y), 0) has (u . grad) w = a(y) d_x w = 0; the single-mode oracles
         # of the dynamics tests rest on the kernels giving that bit for bit,
         # for the stepper's argument v + z h with v and h both shears too
-        g = make_grid(TWO_PI, N)
+        g = WaveGrid(TWO_PI, N)
         half = HalfSpectrum(g)
         work = AdvectionWorkspace(half)
         v = single_mode(g, 0, 0, 1, -0.5j) + single_mode(g, 0, 0, 3, 0.2 + 0.1j)
@@ -420,7 +420,7 @@ class TestVorticityAdvection:
             assert np.array_equal(vorticity_advection(w, half, work), np.zeros_like(w))
 
     def test_output_dealiased(self):
-        g = make_grid(TWO_PI, 24)
+        g = WaveGrid(TWO_PI, 24)
         half = HalfSpectrum(g)
         out = vorticity_advection(half.curl(random_divfree_field(g, seed=4, norm=2.0)), half,
                                   AdvectionWorkspace(half))
@@ -428,7 +428,7 @@ class TestVorticityAdvection:
 
     @pytest.mark.parametrize("N", [16, 24])
     def test_velocity_rebuild_round_trip(self, N):
-        g = make_grid(TWO_PI, N)
+        g = WaveGrid(TWO_PI, N)
         half = HalfSpectrum(g)
         u = random_divfree_field(g, seed=6, norm=1.5)
         back = half.velocity(half.curl(u))
@@ -436,7 +436,7 @@ class TestVorticityAdvection:
         assert field_violations(back, rtol=1e-13) == []
 
     def test_velocity_has_no_nyquist_lines(self):
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         half = HalfSpectrum(g)
         rng = np.random.default_rng(1)
         w = rng.standard_normal((16, half.K)) + 1j * rng.standard_normal((16, half.K))
@@ -447,20 +447,20 @@ class TestVorticityAdvection:
 
 class TestGradLinf:
     def test_zero_field(self):
-        g = make_grid(TWO_PI, 8)
+        g = WaveGrid(TWO_PI, 8)
         assert grad_linf(SpectralField.zero(g)) == (0.0, 0.0)
 
     def test_sinusoidal_shear_analytic(self):
         # h = (c sin y, 0): grad has single entry c cos y; both norms equal |c|
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         h = single_mode(g, 0, 0, 1, -0.55j)  # 1.1 sin y (coefficient -i c/2)
         op, maxabs = grad_linf(h)
         assert op == pytest.approx(1.1, rel=1e-12)
         assert maxabs == pytest.approx(1.1, rel=1e-12)
 
     def test_refinement_invariance_for_bandlimited(self):
-        gc = make_grid(TWO_PI, 16)
-        gf = make_grid(TWO_PI, 32)
+        gc = WaveGrid(TWO_PI, 16)
+        gf = WaveGrid(TWO_PI, 32)
         h = random_divfree_field(gc, seed=13, norm=1.0)
         hf = SpectralField.zero(gf)
         # same modes on the doubled grid
@@ -472,7 +472,7 @@ class TestGradLinf:
         assert grad_linf(h)[0] == pytest.approx(grad_linf(hf)[0], abs=1e-10)  # the operator norm
 
     def test_operator_norm_dominates_entries(self):
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         h = random_divfree_field(g, seed=14, norm=1.0)
         op, maxabs = grad_linf(h)
         assert op >= maxabs * (1 - 1e-12)
@@ -480,29 +480,29 @@ class TestGradLinf:
 
 class TestRandomDivfreeField:
     def test_deterministic_in_seed(self):
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         a = random_divfree_field(g, seed=42, norm=1.0)
         b = random_divfree_field(g, seed=42, norm=1.0)
         assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_norm_matches_request(self):
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         for norm in (0.5, 1.0, 123.0):
             u = random_divfree_field(g, seed=0, norm=norm)
             assert sobolev_norm(u, 0.0) == pytest.approx(norm, rel=1e-10)
 
     def test_satisfies_all_invariants(self):
-        g = make_grid(3.7, 12)
+        g = WaveGrid(3.7, 12)
         u = random_divfree_field(g, seed=77, norm=2.0)
         assert field_violations(u) == []
 
     def test_respects_mask(self):
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         u = random_divfree_field(g, seed=1)
         assert np.abs(u.coeffs[:, ~g.dealias_mask]).max() == 0.0
 
     def test_profile_controls_support(self):
-        g = make_grid(TWO_PI, 16)
+        g = WaveGrid(TWO_PI, 16)
         u = random_divfree_field(g, seed=5, profile=lambda k: np.where(np.abs(k - 1.0) < 1e-9, 1.0, 0.0))
         k2 = g.k2
         occupied = np.abs(u.coeffs).sum(axis=0) > 0
@@ -511,30 +511,30 @@ class TestRandomDivfreeField:
 
 class TestFieldViolations:
     def test_clean_field(self):
-        g = make_grid(TWO_PI, 8)
+        g = WaveGrid(TWO_PI, 8)
         assert field_violations(random_divfree_field(g, seed=0)) == []
 
     def test_detects_mean(self):
-        g = make_grid(TWO_PI, 8)
+        g = WaveGrid(TWO_PI, 8)
         u = random_divfree_field(g, seed=0)
         u.coeffs[0, 0, 0] = 1.0
         assert any("mean" in v for v in field_violations(u))
 
     def test_detects_divergence(self):
-        g = make_grid(TWO_PI, 8)
+        g = WaveGrid(TWO_PI, 8)
         c = np.zeros((2, 8, 8), dtype=complex)
         c[0, 1, 0] = 1.0
         c[0, -1 % 8, 0] = 1.0
         assert any("divergence" in v for v in field_violations(SpectralField(g, c)))
 
     def test_detects_hermitian_breakage(self):
-        g = make_grid(TWO_PI, 8)
+        g = WaveGrid(TWO_PI, 8)
         u = random_divfree_field(g, seed=0)
         u.coeffs[0, 1, 2] += 0.5
         assert any("Hermitian" in v for v in field_violations(u))
 
     def test_detects_nonfinite(self):
-        g = make_grid(TWO_PI, 8)
+        g = WaveGrid(TWO_PI, 8)
         u = random_divfree_field(g, seed=0)
         u.coeffs[1, 2, 3] = np.nan
         assert any("NaN" in v for v in field_violations(u))
