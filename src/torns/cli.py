@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dynamics, experiments, io as tio
 from .dynamics import BlowupError, SimConfig, integrate
-from .noise import ou_from_wiener, sample_wiener
+from .noise import horizon_steps, ou_from_wiener, sample_wiener
 from .spectral import field_violations, sobolev_norm
 
 EXIT_OK = 0
@@ -56,7 +56,7 @@ def _validate(cfg: SimConfig, args, out: Path) -> Outcome:
 
 
 def _simulate(cfg: SimConfig, args, out: Path) -> Outcome:
-    steps = dynamics.horizon_steps(cfg.t_end, cfg.dt)
+    steps = horizon_steps(cfg.t_end, cfg.dt)
     # h = 0 runs the deterministic system, with no noise path to write
     ou = (ou_from_wiener(sample_wiener(0.0, steps * cfg.dt, cfg.dt, seed=cfg.seed))
           if sobolev_norm(cfg.h, 0.0) > 0.0 else None)
@@ -234,7 +234,7 @@ def _run(args) -> int:
         return EXIT_VALIDATION
     for T in command.horizons + ((cfg.t_end,) if command.to_t_end else ()):
         try:
-            dynamics.horizon_steps(T, cfg.dt)
+            horizon_steps(T, cfg.dt)
         except ValueError as exc:
             raise tio.ConfigError("dt", str(exc)) from None
     if command.writes:

@@ -66,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
-from .noise import OUPath, WienerPath
+from .noise import OUPath, WienerPath, horizon_steps
 from .spectral import SpectralField, WaveGrid
 
 __all__ = [
@@ -77,7 +77,6 @@ __all__ = [
     "BlowupError",
     "check_assumption",
     "conjugate",
-    "horizon_steps",
     "step",
     "ensemble",
     "trajectory",
@@ -389,18 +388,6 @@ def _check_initial(v0: SpectralField, cfg: SimConfig) -> None:
         problems.append("content outside the dealias mask")
     if problems:
         raise ValueError("initial data outside the solver's state space: " + "; ".join(problems))
-
-
-def horizon_steps(horizon: float, dt: float) -> int:
-    """The number of steps of size dt in horizon; ValueError unless it is whole.
-
-    Every fixed horizon is checked with it before any step is taken, with
-    the tolerance the noise paths apply to their windows.
-    """
-    n = round(horizon / dt)
-    if abs(horizon - n * dt) > 1e-9 * max(1.0, abs(horizon)):
-        raise ValueError(f"the horizon {horizon} is not a whole number of steps of dt = {dt}")
-    return n
 
 
 def step(state: State, stepper: _EtdStepper, n: int, m: int) -> State:

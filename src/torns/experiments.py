@@ -2,9 +2,10 @@
 
 Everything here is a finite-horizon, finite-ensemble measurement:
 
-* pullback solves fix the noise on [-t, 0] (anchored at 0, so larger horizons
-  extend the same path into the past) and step the conjugated system of an
-  initial-data family forward from -t;
+* pullback solves fix the noise on [-t, 0] (noise.pullback_path: one
+  stationary OU chain drawn backward from 0, so larger horizons extend the
+  same z into the past and every horizon sees the same omega) and step the
+  conjugated system of an initial-data family forward from -t;
 * the deterministic global attractor is stood in for by finitely many
   post-transient states of one long run (distances to it are over-estimates);
 * absorbing behaviour is reported as sup norms over a pulled-back family;
@@ -31,13 +32,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
-    BlowupError, SimConfig, State, conjugate, ensemble, horizon_steps, trajectory)
+    BlowupError, SimConfig, State, conjugate, ensemble, trajectory)
 from .noise import (
-    OUPath,
+    horizon_steps,
     ou_from_wiener,
     ou_stationary_moment,
     empirical_moment,
-    pullback_wiener,
+    pullback_path,
     refine_wiener,
     sample_wiener,
 )
@@ -48,8 +49,6 @@ __all__ = [
     "SmoothingReport",
     "AbsorbingReport",
     "ConvergenceReport",
-    "OU_BURN_IN",
-    "pullback_path",
     "pullback_solve",
     "sample_attractor_deterministic",
     "distance_to_set",
@@ -58,11 +57,6 @@ __all__ = [
     "ergodic_check",
     "conjugation_convergence",
 ]
-
-# OU relaxation time is 1; ten units of burn-in before the pullback window
-# stands in for the process's infinite past (initialisation bias < e^-10).
-OU_BURN_IN = 10.0
-
 
 # The kernel workspace and stepper buffers of one FFT-grid sub-block, at most.
 # 8 members of decay-noise at dt = 4e-3 in sub-blocks of W on 2 threads, median
@@ -119,35 +113,20 @@ def _run_ensembles(ensembles: list, threads: int = 1) -> list[dict]:
     return out
 
 
-def pullback_path(cfg: SimConfig, horizon: float, seed: int) -> OUPath:
-    """OU path on [-horizon, 0], anchored at 0, with stationary init at -horizon - OU_BURN_IN.
-
-    The same (seed, dt) yields bit-identical increments on [-t, 0] for every
-    horizon >= t; burn-in only extends the scalar OU integration further into
-    the past.  A negative horizon raises ValueError.
-    """
-    if not horizon >= 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    w = pullback_wiener(horizon, cfg.dt, seed, burn_in=OU_BURN_IN)
-    ou = ou_from_wiener(w)
-    b = round(OU_BURN_IN / cfg.dt)
-    # 0.0 - horizon, not -horizon: the window of horizon 0 starts at t = +0.0
-    return OUPath(wiener=replace(w, t0=0.0 - horizon, increments=w.increments[b:]), z=ou.z[b:])
-
-
 def pullback_solve(cfg: SimConfig, horizon: float, seed: int, initial_states: list) -> list[State]:
     """States at time 0 of trajectories started at -horizon, one per family member.
 
-    The family steps as one ensemble on the noise path of `seed`, serially;
-    the first member to blow up, in family order, raises its BlowupError.  Every state
-    carries z_omega(0), the anchored OU value at time 0 (at horizon 0, with the
-    initial data unchanged).  A negative horizon, an empty family or a horizon
-    that is not a whole number of steps raises ValueError before any path is drawn.
+    The family steps as one ensemble on pullback_path(horizon, cfg.dt, seed),
+    serially; the first member to blow up, in family order, raises its
+    BlowupError.  Every state carries z_omega(0), the OU value at time 0, the
+    same for every horizon (at horizon 0, with the initial data unchanged).
+    A negative horizon, an empty family or a horizon that is not a whole
+    number of steps raises ValueError before any path is drawn.
     """
     if not initial_states:
         raise ValueError("initial-state family is empty")
     horizon_steps(horizon, cfg.dt)
-    ou = pullback_path(cfg, horizon, seed)
+    ou = pullback_path(horizon, cfg.dt, seed)
     states = _run_ensembles([(initial_states.__getitem__, cfg, [ou] * len(initial_states), {ou.n})])[0][ou.n]
     for error in (s for s in states if isinstance(s, BlowupError)):
         raise error
@@ -247,17 +226,14 @@ def measure_smoothing(
     puts the perturbation on the lowest wavenumber shell (worst smoothing decay).
     Rows come per distinct (seed, direction) in sorted order, then delta and T.
     Every group steps in one ensemble, on at most `threads` workers (see
-    _run_ensembles).  Empty deltas or horizons raise ValueError up front.
+    _run_ensembles).  Empty deltas or horizons raise ValueError up front, and
+    a horizon that horizon_steps rejects before any path is drawn.
     """
     if not deltas:
         raise ValueError("deltas must be nonempty")
     if not horizons:
         raise ValueError("horizons must be nonempty")
     horizons = sorted(horizons)
-    for T in horizons:
-        if not T >= 0:
-            raise ValueError(f"horizon must be >= 0, got {T}")
-        horizon_steps(T, cfg.dt)
     fields = {}
     for seed in seeds:
         for label in directions:
@@ -304,10 +280,10 @@ def measure_absorbing(
 ) -> AbsorbingReport:
     """Pullback the family {radius * e : radius in initial_radii} over each horizon.
 
-    Each horizon's family is one ensemble, on one anchored noise path (the
-    window only grows with the horizon), on at most `threads` workers.  One
-    row per distinct (radius, horizon) in increasing order; a member that
-    blows up gets NaN norms and its error.
+    Each horizon's family is one ensemble on pullback_path(horizon, cfg.dt,
+    seed), on at most `threads` workers: one OU chain, each horizon a longer
+    stretch of its past.  One row per distinct (radius, horizon) in
+    increasing order; a member that blows up gets NaN norms and its error.
     """
     if not initial_radii or not horizons:
         raise ValueError("radii and horizons must be nonempty")
@@ -316,7 +292,7 @@ def measure_absorbing(
     e = random_divfree_field(cfg.grid, 99, norm=1.0, stream=29)  # one fixed unit direction
     radii, hs = sorted(set(initial_radii)), sorted(set(horizons))
     family = [SpectralField(cfg.grid, r * e.coeffs) for r in radii]
-    ous, rows = [pullback_path(cfg, h, seed) for h in hs], []
+    ous, rows = [pullback_path(h, cfg.dt, seed) for h in hs], []
     runs = _run_ensembles([(family.__getitem__, cfg, [ou] * len(family), {ou.n}) for ou in ous], threads)
     for i, radius in enumerate(radii):
         for h, ou, levels in zip(hs, ous, runs):

@@ -8,7 +8,17 @@ sharing the raw Brownian increments with the SPDE solver (the exact transition
 would draw fresh noise of variance (1 - exp(-2 dt))/2; the shared-increment
 form has an O(dt) variance bias that vanishes in the refinement limit and is
 what makes the conjugation comparison meaningful pathwise).  ou_from_wiener
-draws z_0 from the exact stationary marginal N(0, 1/2).
+draws z_0 from the exact stationary marginal N(0, 1/2) of the continuous
+process.
+
+pullback_path instead draws the scan itself in its stationary law, backward
+from time 0: z_0 ~ N(0, dt / (1 - exp(-2 dt))), the scan's own stationary
+variance (1/2 + O(dt)), then z_{-k-1} = exp(-dt) z_{-k} + eta_k with iid
+eta_k ~ N(0, dt).  The chain is a reversible Gaussian AR(1), so read forward
+it is the scan with dW_n = z_{n+1} - exp(-dt) z_n iid N(0, dt).  A longer
+horizon extends the same chain into the past, so z(theta_t omega) is a
+function of the seed alone: z and dW on [-t, 0] are bit-identical for every
+horizon >= t.
 
 The stationary absolute moments are E|z|^m = Gamma((1+m)/2) / sqrt(pi).
 """
@@ -25,8 +35,9 @@ from .rng import rng_for
 __all__ = [
     "WienerPath",
     "OUPath",
+    "horizon_steps",
     "sample_wiener",
-    "pullback_wiener",
+    "pullback_path",
     "refine_wiener",
     "ou_from_wiener",
     "ou_stationary_moment",
@@ -103,6 +114,20 @@ def _snap(x: np.ndarray, q: float) -> np.ndarray:
     return np.round(x / q) * q
 
 
+def horizon_steps(horizon: float, dt: float) -> int:
+    """The number of steps of size dt in horizon; ValueError unless it is >= 0 and whole.
+
+    Every fixed horizon is checked with it before any step is taken, with
+    the tolerance that WienerPath applies to its window.
+    """
+    if not horizon >= 0:
+        raise ValueError(f"horizon must be >= 0, got {horizon}")
+    n = round(horizon / dt)
+    if abs(horizon - n * dt) > 1e-9 * max(1.0, horizon):
+        raise ValueError(f"the horizon {horizon} is not a whole number of steps of dt = {dt}")
+    return n
+
+
 def sample_wiener(t0: float, t1: float, dt: float, seed: int) -> WienerPath:
     """Wiener increments on [t0, t1] at step dt, deterministic in seed."""
     if dt <= 0:
@@ -116,31 +141,6 @@ def sample_wiener(t0: float, t1: float, dt: float, seed: int) -> WienerPath:
     return WienerPath(t0=t0, t1=t1, dt=dt, increments=inc, seed=seed, quantum=q)
 
 
-def pullback_wiener(horizon: float, dt: float, seed: int, burn_in: float = 0.0) -> WienerPath:
-    """Wiener path on [-horizon - burn_in, 0] anchored at time 0.
-
-    Increments are generated backwards from 0, so enlarging the horizon (or the
-    burn-in) extends the same path into the past: the increments on [-t, 0]
-    are bit-identical for every horizon >= t with the same seed.  The horizon
-    must be >= 0 and a whole number of steps (to the tolerance of WienerPath);
-    the burn-in is rounded to the nearest whole number of steps.
-    """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not horizon >= 0:
-        raise ValueError(f"horizon must be >= 0, got {horizon}")
-    n = round(horizon / dt)
-    if abs(horizon - n * dt) > 1e-9 * max(1.0, horizon):
-        raise ValueError(f"the horizon {horizon} is not a whole number of steps of dt = {dt}")
-    n += round(burn_in / dt)
-    if n <= 0:
-        raise ValueError("pullback window is empty")
-    rng = rng_for(seed, "pullback", 0)
-    q = _lattice_quantum(dt)
-    inc_back = _snap(rng.standard_normal(n) * math.sqrt(dt), q)
-    return WienerPath(t0=-n * dt, t1=0.0, dt=dt, increments=inc_back[::-1].copy(), seed=seed, quantum=q)
-
-
 def refine_wiener(path: WienerPath) -> WienerPath:
     """Halve dt, keeping the coarse skeleton: pair sums equal coarse increments.
 
@@ -148,10 +148,13 @@ def refine_wiener(path: WienerPath) -> WienerPath:
     d/2 +- xi with xi snapped to half the path quantum, so both halves and
     their sum are exact lattice arithmetic and pair sums reproduce the coarse
     increments bit for bit.  The bridge stream is derived from
-    (seed, level+1).
+    (seed, level+1).  A path off the lattice (quantum 0, such as a
+    pullback_path's) raises ValueError: its pair sums could not be exact.
     """
+    if not path.quantum > 0:
+        raise ValueError("only a path on the increment lattice (quantum > 0) can be refined")
     d = path.increments
-    q = 0.5 * (path.quantum if path.quantum > 0 else _lattice_quantum(path.dt))
+    q = 0.5 * path.quantum
     rng = rng_for(path.seed, "bridge", 0, path.level + 1)
     xi = _snap(rng.standard_normal(path.n) * math.sqrt(0.25 * path.dt), q)
     fine = np.empty(2 * path.n)
@@ -195,6 +198,25 @@ def ou_from_wiener(path: WienerPath) -> OUPath:
     """
     z0 = float(rng_for(path.seed, "ou-init", 0).standard_normal() * math.sqrt(0.5))
     return OUPath(wiener=path, z=_ou_scan(path.increments, z0, path.dt))
+
+
+def pullback_path(horizon: float, dt: float, seed: int) -> OUPath:
+    """The stationary OU chain on [-horizon, 0], drawn backward from time 0 (module docstring).
+
+    Its increments dW_n = z_{n+1} - exp(-dt) z_n are off the lattice
+    (quantum 0), so the path is not refined.  A negative horizon, or one that
+    is not a whole number of steps (horizon_steps), raises ValueError before
+    any draw.
+    """
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    n = horizon_steps(horizon, dt)
+    rng = rng_for(seed, "pullback", 0)
+    z0 = rng.standard_normal() * math.sqrt(dt / -math.expm1(-2.0 * dt))
+    z = _ou_scan(rng.standard_normal(n) * math.sqrt(dt), z0, dt)[::-1].copy()
+    # 0.0 - horizon, not -horizon: the window of horizon 0 starts at t = +0.0
+    w = WienerPath(t0=0.0 - horizon, t1=0.0, dt=dt, increments=z[1:] - math.exp(-dt) * z[:-1], seed=seed)
+    return OUPath(wiener=w, z=z)
 
 
 def ou_stationary_moment(m: int) -> float:

@@ -1,22 +1,22 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from torns import experiments, spectral
-from torns.dynamics import BlowupError, SimConfig, State, _EtdStepper, integrate, manufactured_forcing
+from torns import experiments, io, spectral
+from torns.dynamics import BlowupError, SimConfig, State, _EtdStepper, integrate, manufactured_forcing, trajectory
 from torns.experiments import (
     conjugation_convergence,
     distance_to_set,
     ergodic_check,
     measure_absorbing,
     measure_smoothing,
-    pullback_path,
     pullback_solve,
     sample_attractor_deterministic,
 )
-from torns.noise import ou_stationary_moment
+from torns.noise import ou_stationary_moment, pullback_path
 from torns.spectral import (
     SpectralField,
     WaveGrid,
@@ -53,7 +53,7 @@ class TestPullback:
         v0 = random_divfree_field(grid16, seed=1)
         out = pullback_solve(cfg, 0.0, 1, [v0])
         assert np.array_equal(out[0].u.coeffs, v0.coeffs)
-        assert out[0].z == pullback_path(cfg, 0.0, seed=1).z[-1] != 0.0
+        assert out[0].z == pullback_path(0.0, cfg.dt, seed=1).z[-1] != 0.0
 
     def test_empty_family_rejected(self, grid16):
         with pytest.raises(ValueError):
@@ -78,7 +78,7 @@ class TestPullback:
 
     @pytest.mark.parametrize("experiment", ["pullback", "smoothing", "absorbing"])
     def test_negative_horizon_rejected_before_any_path(self, grid16, experiment, monkeypatch):
-        for name in ("sample_wiener", "pullback_wiener", "ensemble"):
+        for name in ("sample_wiener", "pullback_path", "ensemble"):
             monkeypatch.setattr(experiments, name, None)
         cfg = cfg_for(grid16, dt=0.1)
         v0 = random_divfree_field(grid16, seed=1)
@@ -112,7 +112,7 @@ class TestPullback:
         cfg = cfg_for(grid16, dt=10.0)
         e = random_divfree_field(grid16, seed=1, norm=1.0)
         family = [0.05 * e, 50.0 * e, 0.05 * e]
-        ou = experiments.pullback_path(cfg, 1000.0, 5)
+        ou = pullback_path(1000.0, cfg.dt, 5)
         (levels,) = experiments._run_ensembles([(family.__getitem__, cfg, [ou] * 3, {ou.n})])
         (entries,) = levels.values()
         assert [isinstance(s, BlowupError) for s in entries] == [False, True, False]
@@ -132,11 +132,28 @@ class TestPullback:
             assert st.t == pytest.approx(0.0, abs=1e-12)
 
     def test_noise_window_nesting(self, grid16):
+        # every horizon's state at 0 carries the same z(0): one omega
         cfg = cfg_for(grid16, h=random_divfree_field(grid16, seed=2, norm=0.3))
-        p_short = pullback_path(cfg, 1.0, seed=9)
-        p_long = pullback_path(cfg, 3.0, seed=9)
-        n = p_short.wiener.n
-        assert np.array_equal(p_short.wiener.increments, p_long.wiener.increments[-n:])
+        v0 = random_divfree_field(grid16, seed=5, norm=1.0)
+        p_short, p_long = pullback_path(1.0, cfg.dt, seed=9), pullback_path(3.0, cfg.dt, seed=9)
+        assert np.array_equal(p_short.z, p_long.z[-p_short.n - 1:])
+        assert len({pullback_solve(cfg, hor, 9, [v0])[0].z for hor in (0.0, 1.0, 3.0)}) == 1
+
+    @pytest.mark.parametrize("scheme, bound", [("etd1", 0.0), ("etd2", 1e-5)])
+    def test_cocycle(self, scheme, bound):
+        # pulling back from -3 equals stepping -3 -> -1 on the same path and then
+        # pulling back from -1: bit for bit under etd1; etd2 re-bootstraps at the
+        # restart (2.8e-6 measured on decay-noise, seed 7)
+        cfg = replace(io.load_config({"preset": "decay-noise"}), scheme=scheme)
+        (whole,) = pullback_solve(cfg, 3.0, 7, [cfg.u0])
+        run = trajectory(cfg.u0, cfg, pullback_path(3.0, cfg.dt, 7), steps=round(2.0 / cfg.dt))
+        *_, mid = run
+        (rest,) = pullback_solve(cfg, 1.0, 7, [mid.u])
+        assert whole.z == rest.z
+        gap = np.abs(whole.u.coeffs - rest.u.coeffs).max() / np.abs(whole.u.coeffs).max()
+        assert gap <= bound
+        if scheme == "etd1":
+            assert np.array_equal(whole.half.norms(whole.w), rest.half.norms(rest.w))
 
     def test_pullback_contraction_same_noise(self, grid16):
         # two different initial states under the same omega approach each other

@@ -7,28 +7,32 @@ from torns import noise
 from torns.noise import (
     OUPath,
     WienerPath,
+    _lattice_quantum,
     _ou_scan,
     empirical_moment,
+    horizon_steps,
     ou_from_wiener,
     ou_stationary_moment,
-    pullback_wiener,
+    pullback_path,
     refine_wiener,
     sample_wiener,
 )
 
 
 def zero_path(n, dt, seed=0):
-    return WienerPath(t0=0.0, t1=n * dt, dt=dt, increments=np.zeros(n), seed=seed)
+    return WienerPath(t0=0.0, t1=n * dt, dt=dt, increments=np.zeros(n), seed=seed, quantum=_lattice_quantum(dt))
 
 
 class TestSampleWiener:
     def test_paths_keep_their_bits(self):
         # every stream key holds the literal 0 that a stream index once filled
         w = sample_wiener(0.0, 1.0, 0.01, seed=3)
-        got = (w.increments[0], pullback_wiener(1.0, 0.01, seed=3).increments[-1],
+        p = pullback_path(1.0, 0.01, seed=3)
+        got = (w.increments[0], p.wiener.increments[-1], p.z[-1],
                refine_wiener(w).increments[0], ou_from_wiener(w).z[0])
         assert [x.hex() for x in got] == [
-            "0x1.ed00918000000p-4", "-0x1.5e723b0000000p-5", "0x1.14151f0000000p-6", "0x1.880687ece0b85p-3"]
+            "0x1.ed00918000000p-4", "0x1.13f37fa599688p-5", "-0x1.374dbd1574b8dp-2",
+            "0x1.14151f0000000p-6", "0x1.880687ece0b85p-3"]
 
     def test_reproducible(self):
         a = sample_wiener(0.0, 10.0, 0.01, seed=3)
@@ -90,40 +94,93 @@ class TestRefineWiener:
         assert mids.var() == pytest.approx(0.01 / 4, rel=0.05)
         assert np.abs(r.increments.reshape(-1, 2).sum(axis=1)).max() == 0.0
 
+    @pytest.mark.parametrize("make", ["random", "pullback"])
+    def test_path_off_the_lattice_rejected(self, make):
+        # pair sums of a path off the lattice would not be its increments bit for bit
+        dt = 0.01
+        w = (WienerPath(t0=0.0, t1=1000 * dt, dt=dt, seed=1,
+                        increments=np.random.default_rng(1).standard_normal(1000) * math.sqrt(dt))
+             if make == "random" else pullback_path(1000 * dt, dt, seed=1).wiener)
+        assert w.quantum == 0.0
+        with pytest.raises(ValueError, match="increment lattice"):
+            refine_wiener(w)
 
-class TestPullbackWiener:
-    def test_window_anchored_at_zero(self):
-        p = pullback_wiener(5.0, 0.01, seed=4, burn_in=10.0)
-        assert p.t1 == 0.0
-        assert p.t0 == pytest.approx(-15.0)
 
-    def test_nesting_extends_into_past(self):
-        p1 = pullback_wiener(5.0, 0.01, seed=4, burn_in=10.0)
-        p2 = pullback_wiener(40.0, 0.01, seed=4, burn_in=10.0)
-        n = p1.n
-        assert np.array_equal(p1.increments, p2.increments[-n:])
+class TestHorizonSteps:
+    def test_whole_steps_within_tolerance(self):
+        # 3 * 0.1 is 0.30000000000000004
+        assert horizon_steps(0.3, 0.1) == 3
+        assert horizon_steps(0.0, 0.1) == 0
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            pullback_wiener(0.0, 0.01, seed=4, burn_in=0.0)
-
-    @pytest.mark.parametrize("horizon, burn_in, match", [
-        (-1.0, 10.0, "horizon must be >= 0"),
-        (float("nan"), 10.0, "horizon must be >= 0"),
-        (0.15, 0.0, "not a whole number of steps"),
-        (0.04, 0.0, "not a whole number of steps"),
-        (0.04, 10.0, "not a whole number of steps"),
+    @pytest.mark.parametrize("horizon, match", [
+        (-0.5, r"horizon must be >= 0, got -0\.5"),
+        (float("nan"), "horizon must be >= 0, got nan"),
+        (0.15, r"the horizon 0\.15 is not a whole number of steps of dt = 0\.1"),
+        (0.04, "not a whole number of steps"),
     ])
-    def test_rejects_a_horizon_off_the_step_grid_before_any_draw(self, monkeypatch, horizon, burn_in, match):
+    def test_rejects(self, horizon, match):
+        with pytest.raises(ValueError, match=match):
+            horizon_steps(horizon, 0.1)
+
+
+class TestPullbackPath:
+    def test_window_anchored_at_zero(self):
+        p = pullback_path(5.0, 0.01, seed=4)
+        assert (p.t0, p.wiener.t1, p.n, len(p.z)) == (-5.0, 0.0, 500, 501)
+        assert p.times()[-1] == pytest.approx(0.0, abs=1e-12)
+        assert pullback_path(0.3, 0.1, seed=1).n == 3  # 3 * 0.1 is 0.30000000000000004
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.1])
+    def test_longer_horizon_extends_the_same_chain(self, dt):
+        # z and dW on [-t, 0] are bit-identical for every horizon >= t, across
+        # the scan's block boundary (30 / dt steps) too
+        short = pullback_path(5 * dt, dt, seed=4)
+        for steps in (6, 299, 40_000):
+            long = pullback_path(steps * dt, dt, seed=4)
+            assert np.array_equal(short.z, long.z[-6:])
+            assert np.array_equal(short.wiener.increments, long.wiener.increments[-5:])
+
+    def test_zero_horizon_is_one_stationary_value_at_plus_zero(self):
+        p = pullback_path(0.0, 0.01, seed=4)
+        assert p.n == 0 and len(p.z) == 1 and p.z[0] != 0.0
+        assert p.t0 == 0.0 and math.copysign(1.0, p.t0) == 1.0
+        assert p.z[0] == pullback_path(3.0, 0.01, seed=4).z[-1]
+
+    def test_reads_forward_as_the_scan_of_its_increments(self):
+        p = pullback_path(50.0, 0.01, seed=5)
+        z = _ou_scan(p.wiener.increments, float(p.z[0]), p.dt)
+        assert np.abs(z - p.z).max() < 1e-12
+
+    def test_stationary_law(self):
+        # z ~ N(0, dt / (1 - e^{-2 dt})), the scan's own stationary variance (0.5517 at
+        # dt = 0.1, not the continuous 1/2); dW iid N(0, dt), each independent of z_n
+        dt = 0.1
+        p = pullback_path(2e4, dt, seed=6)
+        dW, n = p.wiener.increments, p.n
+        assert p.z.var() == pytest.approx(dt / -math.expm1(-2 * dt), rel=0.03)
+        assert dW.var() == pytest.approx(dt, rel=0.02)
+        assert abs(np.corrcoef(dW[:-1], dW[1:])[0, 1]) < 5 / math.sqrt(n)
+        assert abs(np.corrcoef(p.z[:-1], dW)[0, 1]) < 5 / math.sqrt(n)
+
+    def test_time_zero_value_is_stationary_across_seeds(self):
+        dt = 0.3
+        z0 = np.array([pullback_path(0.0, dt, seed=s).z[0] for s in range(2000)])
+        assert z0.var() == pytest.approx(dt / -math.expm1(-2 * dt), rel=0.15)
+
+    @pytest.mark.parametrize("horizon, match", [
+        (-1.0, "horizon must be >= 0"),
+        (float("nan"), "horizon must be >= 0"),
+        (0.15, "not a whole number of steps"),
+        (0.04, "not a whole number of steps"),
+    ])
+    def test_rejects_a_horizon_off_the_step_grid_before_any_draw(self, monkeypatch, horizon, match):
         monkeypatch.setattr(noise, "rng_for", lambda *key: pytest.fail("drew before checking the horizon"))
         with pytest.raises(ValueError, match=match):
-            pullback_wiener(horizon, 0.1, seed=1, burn_in=burn_in)
+            pullback_path(horizon, 0.1, seed=1)
 
-    def test_horizon_within_tolerance_and_burn_in_rounded(self):
-        # 3 * 0.1 is 0.30000000000000004; 10 / 0.3 rounds to 33 steps
-        assert pullback_wiener(0.3, 0.1, seed=1).n == 3
-        p = pullback_wiener(0.3, 0.3, seed=1, burn_in=10.0)
-        assert p.n == 1 + 33 and p.t0 == pytest.approx(-34 * 0.3)
+    def test_rejects_nonpositive_dt(self):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            pullback_path(1.0, 0.0, seed=1)
 
 
 class TestOUPath:
