@@ -111,7 +111,9 @@ _ABSORBING_HORIZONS = (2.0, 5.0)
 
 def _pullback(cfg: SimConfig, args, out: Path) -> Outcome:
     horizons = list(_PULLBACK_HORIZONS)
-    states = [experiments.pullback_solve(cfg, hor, cfg.seed, [cfg.u0])[0] for hor in horizons]
+    states = [st for (st,) in experiments.pullback_solve(cfg, horizons, cfg.seed, [cfg.u0], args.threads)]
+    for error in (st for st in states if isinstance(st, BlowupError)):
+        raise error  # the first in horizon order; main exits 2 before any CSV
     tio.write_rows_csv([(hor, *st.half.norms(st.w)) for hor, st in zip(horizons, states)],
                        ["horizon", "norm_h", "norm_h1", "norm_h2"], out / "pullback.csv")
     tio.emit_plot_script(["pullback.csv"], out / "plot.py")
@@ -206,7 +208,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--out", type=Path, default="out", help="artifact directory")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
         sp.add_argument("--threads", type=_at_least_one, default=1, help="at most this many workers per "
-                        "experiment call on FFT grids (N > 48); smaller grids step on the calling thread")
+                        "experiment call (pullback, smoothing, absorbing, convergence) on FFT grids "
+                        "(N > 48); smaller grids step on the calling thread")
         sp.add_argument("--quiet", action="store_true", help="suppress progress output")
     return p
 

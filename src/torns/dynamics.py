@@ -263,8 +263,9 @@ class _EtdStepper:
     system: z of shape (B, n+1) from OUPaths (conjugated), dW of shape (B, n)
     from WienerPaths (Ito, etd1 drift), neither for None (deterministic).
     The curls of the members' initial states make the block w, the only
-    state the stepper advances; level counts the steps it has taken, and
-    step() checks each new level once for the whole block.
+    state the stepper advances; their times are the start times t0; level
+    counts the steps it has taken, and step() checks each new level once
+    for the whole block.
     Precomputes E = exp(-nu k^2 dt) and the dt phi1/phi2 weights as
     complex128 on the (N, K) masked columns, and the curls of f, h - nu A h
     and h there.  _advance() takes one drift step of the conjugated system
@@ -318,6 +319,7 @@ class _EtdStepper:
         self._tmp = (np.empty(block, np.complex128), np.empty(block, np.complex128))
         curls = [half.curl(s.u) for s in states]
         self.w = np.stack(curls) if B > 1 else curls[0]
+        self.t0 = [s.t for s in states]
         self.level = 0
 
     def _advance(self, w: np.ndarray, n: int) -> np.ndarray:
@@ -396,15 +398,16 @@ def step(state: State, stepper: _EtdStepper, n: int, m: int) -> State:
     The first call of step n advances the whole block to level n + 1 and
     checks it: one energy over the block, and one per member only when that
     is not finite (the members in blown), and the level's z as Python floats
-    (zs).  Every call emits member m's row as a State, or raises its
-    BlowupError.  state supplies only t, the deterministic z and the last
-    valid state of a BlowupError.  A step that is neither the block's next
-    level nor its last raises ValueError.  An ensemble member whose row is
-    not finite is frozen: its rows of the block and of F_{n-1} are zeroed,
-    so later levels stay finite.  The conjugated system takes z_n into its
-    forcing and carries z_{n+1}; the Ito system adds dW_n curl h after the
-    etd1 drift; the deterministic system runs the conjugated arithmetic with
-    z = 0.
+    (zs).  Every call emits member m's row as a State at t0_m + (n + 1) dt
+    from the member's start time (the float arithmetic of WienerPath.times),
+    or raises its BlowupError.  state supplies only the deterministic z and
+    the last valid state of a BlowupError.  A step that is neither the
+    block's next level nor its last raises ValueError.  An ensemble member
+    whose row is not finite is frozen: its rows of the block and of F_{n-1}
+    are zeroed, so later levels stay finite.  The conjugated system takes
+    z_n into its forcing and carries z_{n+1}; the Ito system adds dW_n
+    curl h after the etd1 drift; the deterministic system runs the
+    conjugated arithmetic with z = 0.
     """
     st = stepper
     if n == st.level:
@@ -416,7 +419,7 @@ def step(state: State, stepper: _EtdStepper, n: int, m: int) -> State:
     elif n != st.level - 1 or n < 0:
         raise ValueError(f"step {n} is neither the next nor the last level of a block at level {st.level}")
     w = st.w[m] if st.B > 1 else st.w
-    t = state.t + st.cfg.dt
+    t = st.t0[m] + (n + 1) * st.cfg.dt
     if m in st.blown:
         if st.B > 1:
             w[...] = 0.0

@@ -2,10 +2,11 @@
 
 Everything here is a finite-horizon, finite-ensemble measurement:
 
-* pullback solves fix the noise on [-t, 0] (noise.pullback_path: one
-  stationary OU chain drawn backward from 0, so larger horizons extend the
-  same z into the past and every horizon sees the same omega) and step the
-  conjugated system of an initial-data family forward from -t;
+* pullback_solve, the one pullback, fixes the noise on [-t, 0]
+  (noise.pullback_path: one stationary OU chain drawn backward from 0, so
+  larger horizons extend the same z into the past and every horizon sees the
+  same omega) and steps the conjugated system of an initial-data family
+  forward from -t, for every horizon t at once;
 * the deterministic global attractor is stood in for by finitely many
   post-transient states of one long run (distances to it are over-estimates);
 * absorbing behaviour is reported as sup norms over a pulled-back family;
@@ -14,13 +15,14 @@ Everything here is a finite-horizon, finite-ensemble measurement:
   same noise path.
 
 Every experiment steps its trajectories as ensembles (dynamics.ensemble)
-through one runner, _run_ensembles: a pullback family, the radii of an
-absorbing horizon, a convergence (level, system) over the paths, and all of
-smoothing's base and perturbed members, each (seed, direction) on the OU path
-of its seed.  Each member has the bits of its own one-member run, so reports
-are bit-reproducible for any worker count.  On dense-DFT grids an ensemble is
-one block on the calling thread; on FFT grids it splits into sub-blocks
-within a byte budget, and `threads` bounds the workers that run them.
+through one runner, _run_ensembles: the family of each pullback horizon
+(absorbing's radii among them), a convergence (level, system) over the
+paths, and all of smoothing's base and perturbed members, each (seed,
+direction) on the OU path of its seed.  Each member has the bits of its own
+one-member run, so reports are bit-reproducible for any worker count.  On
+dense-DFT grids an ensemble is one block on the calling thread; on FFT grids
+it splits into sub-blocks within a byte budget, and `threads` bounds the
+workers that run them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
-    BlowupError, SimConfig, State, conjugate, ensemble, trajectory)
+    BlowupError, SimConfig, conjugate, ensemble, trajectory)
 from .noise import (
     horizon_steps,
     ou_from_wiener,
@@ -113,24 +115,27 @@ def _run_ensembles(ensembles: list, threads: int = 1) -> list[dict]:
     return out
 
 
-def pullback_solve(cfg: SimConfig, horizon: float, seed: int, initial_states: list) -> list[State]:
-    """States at time 0 of trajectories started at -horizon, one per family member.
+def pullback_solve(cfg: SimConfig, horizons: list[float], seed: int, initial_states: list,
+                   threads: int = 1) -> list[list]:
+    """Per horizon, in the order given, the states at time 0 of the family started at -horizon.
 
-    The family steps as one ensemble on pullback_path(horizon, cfg.dt, seed),
-    serially; the first member to blow up, in family order, raises its
-    BlowupError.  Every state carries z_omega(0), the OU value at time 0, the
+    Each horizon's family is one ensemble on pullback_path(horizon, cfg.dt,
+    seed): one OU chain, each horizon a longer stretch of its past.  All of
+    them step in one _run_ensembles call, on at most `threads` workers.
+    Entry m of a horizon's list is member m's State, or its BlowupError in
+    its place.  Every state carries z_omega(0), the OU value at time 0, the
     same for every horizon (at horizon 0, with the initial data unchanged).
-    A negative horizon, an empty family or a horizon that is not a whole
-    number of steps raises ValueError before any path is drawn.
+    An empty family or horizon list, a negative horizon or one that is not a
+    whole number of steps raises ValueError before any path is drawn.
     """
-    if not initial_states:
-        raise ValueError("initial-state family is empty")
-    horizon_steps(horizon, cfg.dt)
-    ou = pullback_path(horizon, cfg.dt, seed)
-    states = _run_ensembles([(initial_states.__getitem__, cfg, [ou] * len(initial_states), {ou.n})])[0][ou.n]
-    for error in (s for s in states if isinstance(s, BlowupError)):
-        raise error
-    return states
+    if not initial_states or not horizons:
+        raise ValueError("the family and the horizons must be nonempty")
+    for h in horizons:
+        horizon_steps(h, cfg.dt)
+    ous = [pullback_path(h, cfg.dt, seed) for h in horizons]
+    runs = _run_ensembles([(initial_states.__getitem__, cfg, [ou] * len(initial_states), {ou.n})
+                           for ou in ous], threads)
+    return [levels[ou.n] for ou, levels in zip(ous, runs)]
 
 
 def sample_attractor_deterministic(
@@ -278,25 +283,18 @@ def measure_absorbing(
     seed: int,
     threads: int = 1,
 ) -> AbsorbingReport:
-    """Pullback the family {radius * e : radius in initial_radii} over each horizon.
+    """Pullback the family {radius * e : radius in initial_radii} over each horizon (pullback_solve).
 
-    Each horizon's family is one ensemble on pullback_path(horizon, cfg.dt,
-    seed), on at most `threads` workers: one OU chain, each horizon a longer
-    stretch of its past.  One row per distinct (radius, horizon) in
-    increasing order; a member that blows up gets NaN norms and its error.
+    One row per distinct (radius, horizon) in increasing order; a member
+    that blows up gets NaN norms and its error.
     """
-    if not initial_radii or not horizons:
-        raise ValueError("radii and horizons must be nonempty")
-    for h in horizons:
-        horizon_steps(h, cfg.dt)
     e = random_divfree_field(cfg.grid, 99, norm=1.0, stream=29)  # one fixed unit direction
     radii, hs = sorted(set(initial_radii)), sorted(set(horizons))
     family = [SpectralField(cfg.grid, r * e.coeffs) for r in radii]
-    ous, rows = [pullback_path(h, cfg.dt, seed) for h in hs], []
-    runs = _run_ensembles([(family.__getitem__, cfg, [ou] * len(family), {ou.n}) for ou in ous], threads)
+    runs, rows = pullback_solve(cfg, hs, seed, family, threads), []
     for i, radius in enumerate(radii):
-        for h, ou, levels in zip(hs, ous, runs):
-            st = levels[ou.n][i]
+        for h, states in zip(hs, runs):
+            st = states[i]
             error = str(st) if isinstance(st, BlowupError) else ""
             norms = [float("nan")] * 3 if error else st.half.norms(st.w)
             rows.append(dict(zip(("radius", "horizon", "norm_h", "norm_h1", "norm_h2", "error"),

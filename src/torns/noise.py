@@ -115,13 +115,15 @@ def _snap(x: np.ndarray, q: float) -> np.ndarray:
 
 
 def horizon_steps(horizon: float, dt: float) -> int:
-    """The number of steps of size dt in horizon; ValueError unless it is >= 0 and whole.
+    """The number of steps of size dt in horizon; ValueError unless it is finite, >= 0 and whole.
 
     Every fixed horizon is checked with it before any step is taken, with
     the tolerance that WienerPath applies to its window.
     """
     if not horizon >= 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
+    if horizon == math.inf:
+        raise ValueError(f"horizon must be finite, got {horizon}")
     n = round(horizon / dt)
     if abs(horizon - n * dt) > 1e-9 * max(1.0, horizon):
         raise ValueError(f"the horizon {horizon} is not a whole number of steps of dt = {dt}")

@@ -55,7 +55,6 @@ __all__ = [
     "AdvectionWorkspace",
     "vorticity_advection",
     "grad_linf",
-    "to_physical",
     "to_spectral",
     "random_divfree_field",
     "field_violations",
@@ -237,14 +236,8 @@ def apply_stokes_power(u: SpectralField, p: float) -> SpectralField:
     return SpectralField(g, u.coeffs * w)
 
 
-def to_physical(u: SpectralField) -> PhysicalField:
-    """Evaluate the Fourier series on the collocation lattice."""
-    vals = np.fft.ifft2(u.coeffs, axes=(-2, -1), norm="forward").real
-    return PhysicalField(u.grid, vals)
-
-
 def to_spectral(p: PhysicalField) -> SpectralField:
-    """Fourier series coefficients of collocation samples (inverse of to_physical)."""
+    """Fourier series coefficients of collocation samples on the grid's N x N lattice."""
     coeffs = np.fft.fft2(p.values, axes=(-2, -1), norm="forward")
     return SpectralField(p.grid, coeffs)
 

@@ -261,8 +261,7 @@ def test_criterion_9_h2_neighborhood():
             h = SpectralField(g, scale * h_base.coeffs)
             cfg = SimConfig(nu=nu, grid=g, dt=dt, f=f, h=h, scheme="etd2")
             assert cfg.assumption.satisfied
-            for horizon in (20.0, 40.0):
-                st = pullback_solve(cfg, horizon, 777, [v0])[0]
+            for horizon, (st,) in zip((20.0, 40.0), pullback_solve(cfg, [20.0, 40.0], 777, [v0])):
                 dists[(scale, horizon)] = distance_to_set(st.u, sample, 2)
         for scale in (1.0, 0.5, 0.25):
             a, b = dists[(scale, 20.0)], dists[(scale, 40.0)]

@@ -222,6 +222,9 @@ class TestSimulate:
         assert rows[1:] == [f"{t!r},{d!r},{z!r}" for t, d, z in zip(ou.times().tolist(), dW, ou.z.tolist())]
         series = read_series_csv(out / "series.csv")  # the norm series reads back
         assert series.t == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5], abs=1e-12)
+        # on the path's grid, bit for bit: t at every stride-th (10th) noise row
+        series_t = [r.split(",")[0] for r in (out / "series.csv").read_text().splitlines()[1:]]
+        assert series_t == [r.split(",")[0] for r in rows[1::10]]
 
     def test_unstable_dt_aborts_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

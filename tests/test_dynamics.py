@@ -619,7 +619,8 @@ class TestTrajectory:
         assert run(experiments.conjugation_convergence, cfg, base_dt=cfg.dt, levels=3, T=4 * cfg.dt, seed=7,
                    paths=2) == (2 * 2 * (4 + 8 + 16), [(2, 4), (2, 4), (2, 8), (2, 8), (2, 16), (2, 16)])
         family = [random_divfree_field(grid16, seed=s, norm=1.0) for s in (4, 5, 6)]
-        assert run(experiments.pullback_solve, cfg, 5 * cfg.dt, 3, family) == (3 * 5, [(3, 5)])
+        assert run(experiments.pullback_solve, cfg, [5 * cfg.dt, 2 * cfg.dt], 3, family) == (
+            3 * (5 + 2), [(3, 2), (3, 5)])
 
 
 def member_paths(kind, cfg, n, B):

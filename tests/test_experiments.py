@@ -51,13 +51,15 @@ class TestPullback:
     def test_zero_horizon_returns_initial(self, grid16):
         cfg = cfg_for(grid16)
         v0 = random_divfree_field(grid16, seed=1)
-        out = pullback_solve(cfg, 0.0, 1, [v0])
-        assert np.array_equal(out[0].u.coeffs, v0.coeffs)
-        assert out[0].z == pullback_path(0.0, cfg.dt, seed=1).z[-1] != 0.0
+        ((out,),) = pullback_solve(cfg, [0.0], 1, [v0])
+        assert np.array_equal(out.u.coeffs, v0.coeffs)
+        assert out.z == pullback_path(0.0, cfg.dt, seed=1).z[-1] != 0.0
 
     def test_empty_family_rejected(self, grid16):
-        with pytest.raises(ValueError):
-            pullback_solve(cfg_for(grid16), 1.0, 1, [])
+        with pytest.raises(ValueError, match="must be nonempty"):
+            pullback_solve(cfg_for(grid16), [1.0], 1, [])
+        with pytest.raises(ValueError, match="must be nonempty"):
+            pullback_solve(cfg_for(grid16), [], 1, [random_divfree_field(grid16, seed=1)])
 
     @pytest.mark.parametrize("experiment", ["pullback", "smoothing", "absorbing"])
     def test_horizon_not_a_whole_number_of_steps_rejected(self, grid16, experiment, monkeypatch):
@@ -67,7 +69,7 @@ class TestPullback:
         cfg = cfg_for(grid16, dt=0.3)
         v0 = random_divfree_field(grid16, seed=1)
         run = {
-            "pullback": lambda: pullback_solve(cfg, 5.0, 1, [v0]),
+            "pullback": lambda: pullback_solve(cfg, [0.6, 5.0], 1, [v0]),
             "smoothing": lambda: measure_smoothing(cfg, v0, deltas=[1e-3], horizons=[0.6, 1.0],
                                                    seeds=[1], directions=("random",)),
             "absorbing": lambda: measure_absorbing(cfg, initial_radii=[1.0], horizons=[0.6, 2.0],
@@ -83,7 +85,7 @@ class TestPullback:
         cfg = cfg_for(grid16, dt=0.1)
         v0 = random_divfree_field(grid16, seed=1)
         run = {
-            "pullback": lambda: pullback_solve(cfg, -0.5, 1, [v0]),
+            "pullback": lambda: pullback_solve(cfg, [1.0, -0.5], 1, [v0]),
             "smoothing": lambda: measure_smoothing(cfg, v0, deltas=[1e-3], horizons=[1.0, -0.5],
                                                    seeds=[1], directions=("random",)),
             "absorbing": lambda: measure_absorbing(cfg, initial_radii=[1.0], horizons=[-0.5, 1.0],
@@ -92,41 +94,46 @@ class TestPullback:
         with pytest.raises(ValueError, match=r"horizon must be >= 0, got -0\.5"):
             run()
 
-    # N = 16 runs the dense-DFT kernel, N = 50 the FFT kernel
+    # N = 16 runs the dense-DFT kernel, N = 50 the FFT kernel, where the two
+    # horizons are two sub-blocks, on the pool at threads = 2
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("N", [16, 50])
-    def test_family_members_have_the_bits_of_single_solves(self, N):
+    def test_family_members_have_the_bits_of_single_solves(self, N, threads):
         g = WaveGrid(TWO_PI, N)
         cfg = cfg_for(g, nu=0.05, dt=2e-3, f=random_divfree_field(g, seed=4, norm=0.5),
                       h=random_divfree_field(g, seed=2, norm=0.05))
         family = [random_divfree_field(g, seed=s, norm=1.0) for s in (5, 6, 7)]
-        for horizon in (0.0, 0.05):
-            together = pullback_solve(cfg, horizon, 3, family)
-            for v0, a in zip(family, together):
-                (b,) = pullback_solve(cfg, horizon, 3, [v0])
+        horizons = [0.05, 0.0]
+        together = pullback_solve(cfg, horizons, 3, family, threads)
+        assert [len(states) for states in together] == [3, 3]
+        for horizon, states in zip(horizons, together):
+            for v0, a in zip(family, states):
+                ((b,),) = pullback_solve(cfg, [horizon], 3, [v0])
                 assert (a.t, a.z) == (b.t, b.z)
                 assert np.array_equal(a.u.coeffs, b.u.coeffs)
-        assert all(math.copysign(1.0, a.t) == 1.0 for a in pullback_solve(cfg, 0.0, 3, family))
+        assert all(math.copysign(1.0, a.t) == 1.0 for a in together[1])
 
     def test_family_blowup_is_its_members_and_raised(self, grid16):
         # dt = 10 puts the explicit advection far outside its stability region
         cfg = cfg_for(grid16, dt=10.0)
         e = random_divfree_field(grid16, seed=1, norm=1.0)
         family = [0.05 * e, 50.0 * e, 0.05 * e]
-        ou = pullback_path(1000.0, cfg.dt, 5)
-        (levels,) = experiments._run_ensembles([(family.__getitem__, cfg, [ou] * 3, {ou.n})])
-        (entries,) = levels.values()
+        (entries,) = pullback_solve(cfg, [1000.0], 5, family)
         assert [isinstance(s, BlowupError) for s in entries] == [False, True, False]
+        # in its place, the error that the member's own solve raises
         with pytest.raises(BlowupError) as raised:
-            pullback_solve(cfg, 1000.0, 5, family)
+            for _ in trajectory(family[1], cfg, pullback_path(1000.0, cfg.dt, 5)):
+                pass
         assert str(raised.value) == str(entries[1])
         assert np.array_equal(raised.value.last_state.u.coeffs, entries[1].last_state.u.coeffs)
+        ((alone,),) = pullback_solve(cfg, [1000.0], 5, family[:1])
+        assert np.array_equal(entries[0].u.coeffs, alone.u.coeffs)
 
     def test_linear_decay_oracle(self, grid16):
         # f = h = 0, single shear mode: ||v(0)|| = exp(-nu lambda1 t) ||v0||
         cfg = cfg_for(grid16, nu=0.5)
         v0 = sine_shear(grid16, c=1.2)
-        for horizon in (2.0, 5.0):
-            st = pullback_solve(cfg, horizon, 3, [v0])[0]
+        for horizon, (st,) in zip((2.0, 5.0), pullback_solve(cfg, [2.0, 5.0], 3, [v0])):
             expected = math.exp(-0.5 * horizon) * sobolev_norm(v0, 0.0)
             assert sobolev_norm(st.u, 0.0) == pytest.approx(expected, abs=1e-9)
             assert st.t == pytest.approx(0.0, abs=1e-12)
@@ -137,7 +144,7 @@ class TestPullback:
         v0 = random_divfree_field(grid16, seed=5, norm=1.0)
         p_short, p_long = pullback_path(1.0, cfg.dt, seed=9), pullback_path(3.0, cfg.dt, seed=9)
         assert np.array_equal(p_short.z, p_long.z[-p_short.n - 1:])
-        assert len({pullback_solve(cfg, hor, 9, [v0])[0].z for hor in (0.0, 1.0, 3.0)}) == 1
+        assert len({st.z for (st,) in pullback_solve(cfg, [0.0, 1.0, 3.0], 9, [v0])}) == 1
 
     @pytest.mark.parametrize("scheme, bound", [("etd1", 0.0), ("etd2", 1e-5)])
     def test_cocycle(self, scheme, bound):
@@ -145,10 +152,11 @@ class TestPullback:
         # pulling back from -1: bit for bit under etd1; etd2 re-bootstraps at the
         # restart (2.8e-6 measured on decay-noise, seed 7)
         cfg = replace(io.load_config({"preset": "decay-noise"}), scheme=scheme)
-        (whole,) = pullback_solve(cfg, 3.0, 7, [cfg.u0])
+        ((whole,),) = pullback_solve(cfg, [3.0], 7, [cfg.u0])
         run = trajectory(cfg.u0, cfg, pullback_path(3.0, cfg.dt, 7), steps=round(2.0 / cfg.dt))
         *_, mid = run
-        (rest,) = pullback_solve(cfg, 1.0, 7, [mid.u])
+        assert mid.t == -1.0  # t0 + n dt, on the path's grid
+        ((rest,),) = pullback_solve(cfg, [1.0], 7, [mid.u])
         assert whole.z == rest.z
         gap = np.abs(whole.u.coeffs - rest.u.coeffs).max() / np.abs(whole.u.coeffs).max()
         assert gap <= bound
@@ -161,10 +169,7 @@ class TestPullback:
         cfg = cfg_for(grid16, h=h, f=random_divfree_field(grid16, seed=4, norm=0.2))
         va = random_divfree_field(grid16, seed=5, norm=1.0)
         vb = random_divfree_field(grid16, seed=6, norm=1.0)
-        gaps = []
-        for horizon in (2.0, 6.0, 14.0):
-            sa, sb = pullback_solve(cfg, horizon, 7, [va, vb])
-            gaps.append(sobolev_norm(sa.u - sb.u, 0.0))
+        gaps = [sobolev_norm(sa.u - sb.u, 0.0) for sa, sb in pullback_solve(cfg, [2.0, 6.0, 14.0], 7, [va, vb])]
         assert gaps[1] < gaps[0] and gaps[2] < gaps[1]
         assert gaps[2] < 1e-6
 

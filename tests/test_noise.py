@@ -115,6 +115,7 @@ class TestHorizonSteps:
     @pytest.mark.parametrize("horizon, match", [
         (-0.5, r"horizon must be >= 0, got -0\.5"),
         (float("nan"), "horizon must be >= 0, got nan"),
+        (float("inf"), "horizon must be finite, got inf"),
         (0.15, r"the horizon 0\.15 is not a whole number of steps of dt = 0\.1"),
         (0.04, "not a whole number of steps"),
     ])

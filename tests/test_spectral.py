@@ -19,12 +19,16 @@ from torns.spectral import (
     nonlinear_term,
     random_divfree_field,
     sobolev_norm,
-    to_physical,
     to_spectral,
     vorticity_advection,
 )
 
 TWO_PI = 2.0 * np.pi
+
+
+def to_physical(u):
+    """The Fourier series on the collocation lattice: the inverse of to_spectral, as a test oracle."""
+    return PhysicalField(u.grid, np.fft.ifft2(u.coeffs, axes=(-2, -1), norm="forward").real)
 
 
 def single_mode(grid, comp, jx, jy, value):
