@@ -4,12 +4,14 @@ Subcommands map 1:1 onto library operations: validate (admissibility check and
 field audit), simulate (one trajectory with artifacts), pullback, smoothing,
 absorbing, ergodic, taylor-green and convergence.  COMMANDS has one row per
 subcommand; the parser is built from it, and _run does once what every row
-shares: config loading, the --out directory, the manifest and --quiet.
+shares: config loading, the --out directory, the manifest and --quiet.  Each
+experiment row hands the rows of its CSV and its summary line to _report.
 
-Exit codes: 0 success, 1 validation/usage failure, 2 runtime abort (NaN/Inf),
-with partial artifacts and the abort diagnostic on stderr.  All randomness
-flows from the config seed (or --seed override), recorded in the manifest, so
-identical invocations are bit-reproducible for any --threads value.
+Exit codes: 0 success, 1 validation/usage failure, 2 runtime abort (NaN/Inf).
+On a blowup, pullback, smoothing and absorbing keep their CSV with error rows
+and print `aborted rows: k`; the others print `aborted: <diagnostic>`.  All
+randomness flows from the config seed (or --seed override), recorded in the
+manifest, so identical invocations are bit-reproducible for any --threads value.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -88,8 +89,15 @@ def _write_series(series, path: Path) -> None:
                        ["t", "norm_H", "norm_H1", "norm_H2", "z"], path)
 
 
-def _write_report(rows: list[dict], columns: list[str], path: Path) -> None:
-    tio.write_rows_csv(([r[c] for c in columns] for r in rows), columns, path)
+def _report(rows: list[dict], name: str, out: Path, summary: str) -> Outcome:
+    """Write rows to out/name, the first row's keys as the header.  Rows with an error exit 2 and
+    print `aborted rows: k` on stderr in place of the summary; the CSV and manifest are kept."""
+    tio.write_rows_csv((row.values() for row in rows), list(rows[0]), out / name)
+    failed = sum(1 for row in rows if row.get("error"))
+    if failed:
+        print(f"aborted rows: {failed}", file=sys.stderr)
+        return EXIT_ABORT, [name], None
+    return EXIT_OK, [name], summary
 
 
 def _taylor_green(cfg: SimConfig, args, out: Path) -> Outcome:
@@ -111,59 +119,45 @@ _ABSORBING_HORIZONS = (2.0, 5.0)
 
 def _pullback(cfg: SimConfig, args, out: Path) -> Outcome:
     horizons = list(_PULLBACK_HORIZONS)
-    states = [st for (st,) in experiments.pullback_solve(cfg, horizons, cfg.seed, [cfg.u0], args.threads)]
-    for error in (st for st in states if isinstance(st, BlowupError)):
-        raise error  # the first in horizon order; main exits 2 before any CSV
-    tio.write_rows_csv([(hor, *st.half.norms(st.w)) for hor, st in zip(horizons, states)],
-                       ["horizon", "norm_h", "norm_h1", "norm_h2"], out / "pullback.csv")
+    runs = experiments.pullback_solve(cfg, horizons, cfg.seed, [cfg.u0], args.threads)
+    rows = [{"horizon": h, **experiments._norms(st)} for h, (st,) in zip(horizons, runs)]
     tio.emit_plot_script(["pullback.csv"], out / "plot.py")
-    return EXIT_OK, ["pullback.csv", "plot.py"], f"pullback states at 0 for horizons {horizons} written"
+    code, files, summary = _report(rows, "pullback.csv", out,
+                                   f"pullback states at 0 for horizons {horizons} written")
+    return code, files + ["plot.py"], summary
 
 
 def _smoothing(cfg: SimConfig, args, out: Path) -> Outcome:
-    rep = experiments.measure_smoothing(
+    import statistics  # here, not at module level: it adds 0.5 MB to every CLI process
+    rows = experiments.measure_smoothing(
         cfg, cfg.u0, deltas=[1e-2, 1e-3, 1e-4], horizons=list(_SMOOTHING_HORIZONS),
         seeds=[cfg.seed, cfg.seed + 1, cfg.seed + 2], threads=args.threads)
-    cols = ["seed", "direction", "delta", "T", "dist0", "distT_h2_sq", "ratio", "error"]
-    _write_report(rep.rows, cols, out / "smoothing.csv")
-    failures = {(r["seed"], r["direction"]) for r in rep.rows if r["error"]}
-    if failures:
-        print(f"aborted cells: {len(failures)}", file=sys.stderr)
-        return EXIT_ABORT, ["smoothing.csv"], None
-    return EXIT_OK, ["smoothing.csv"], (
-        f"smoothing: max ratio {rep.max_ratio:.6g}, median {rep.median_ratio:.6g}")
+    ratios = [r["ratio"] for r in rows if r["delta"] > 0]
+    return _report(rows, "smoothing.csv", out,
+                   f"smoothing: max ratio {max(ratios):.6g}, median {statistics.median(ratios):.6g}")
 
 
 def _absorbing(cfg: SimConfig, args, out: Path) -> Outcome:
-    rep = experiments.measure_absorbing(
+    rows = experiments.measure_absorbing(
         cfg, initial_radii=[1.0, 10.0], horizons=list(_ABSORBING_HORIZONS),
         seed=cfg.seed, threads=args.threads)
-    cols = ["radius", "horizon", "norm_h", "norm_h1", "norm_h2", "error"]
-    _write_report(rep.rows, cols, out / "absorbing.csv")
-    failures = [r for r in rep.rows if r["error"]]
-    if failures:
-        print(f"aborted cells: {len(failures)}", file=sys.stderr)
-        return EXIT_ABORT, ["absorbing.csv"], None
-    return EXIT_OK, ["absorbing.csv"], "absorbing radii: " + ", ".join(
-        f"H(t={h})={rep.radius_estimates[(h, 'H')]:.4g}" for h in rep.horizons)
+    sups = {h: max(r["norm_h"] for r in rows if r["horizon"] == h) for h in _ABSORBING_HORIZONS}
+    return _report(rows, "absorbing.csv", out, "absorbing radii: " + ", ".join(
+        f"H(t={h})={sup:.4g}" for h, sup in sups.items()))
 
 
 def _ergodic(cfg: SimConfig, args, out: Path) -> Outcome:
     rows = experiments.ergodic_check(T=1e4, dt=1e-2, seeds=[cfg.seed, cfg.seed + 1, cfg.seed + 2])
-    _write_report(rows, ["seed", "m", "empirical", "analytic", "rel_error"], out / "ergodic.csv")
-    return EXIT_OK, ["ergodic.csv"], (
-        f"ergodic: worst relative error {max(r['rel_error'] for r in rows):.4%}")
+    return _report(rows, "ergodic.csv", out,
+                   f"ergodic: worst relative error {max(r['rel_error'] for r in rows):.4%}")
 
 
 def _convergence(cfg: SimConfig, args, out: Path) -> Outcome:
-    rep = experiments.conjugation_convergence(
+    rows = experiments.conjugation_convergence(
         cfg, base_dt=2.0**-7, levels=4, T=1.0, seed=cfg.seed,
         paths=8, threads=args.threads)
-    rows = [(i, *r) for i, r in enumerate(
-        zip_longest(rep.dts, rep.errors, rep.ratios, rep.orders, fillvalue=""))]
-    tio.write_rows_csv(rows, ["level", "dt", "strong_error", "ratio", "order"], out / "convergence.csv")
-    return EXIT_OK, ["convergence.csv"], (
-        f"conjugation convergence: ratios {['%.3f' % r for r in rep.ratios]}")
+    return _report(rows, "convergence.csv", out,
+                   f"conjugation convergence: ratios {['%.3f' % r['ratio'] for r in rows[:-1]]}")
 
 
 class Command(NamedTuple):

@@ -221,9 +221,6 @@ class State:
             self._u = self.half.velocity(self._w)
         return self._u
 
-    def copy(self) -> "State":
-        return State(t=self.t, u=self.u.copy(), z=self.z)
-
     def __repr__(self):
         return f"State(t={self.t!r}, z={self.z!r})"
 

@@ -9,10 +9,15 @@ Everything here is a finite-horizon, finite-ensemble measurement:
   forward from -t, for every horizon t at once;
 * the deterministic global attractor is stood in for by finitely many
   post-transient states of one long run (distances to it are over-estimates);
-* absorbing behaviour is reported as sup norms over a pulled-back family;
+* absorbing behaviour is reported as the norms of a pulled-back family (the
+  CLI prints their sup per horizon);
 * the (H, H^2)-smoothing constant is reported as the measured ratio
   ||v1(T) - v2(T)||_{H^2}^2 / ||v1(0) - v2(0)||^2 over pairs driven by the
   same noise path.
+
+Each measurement returns the rows of its CSV, dicts with the keys in column
+order; a blowup gives error rows (NaN values and the diagnostic in `error`),
+except in conjugation_convergence, which raises.
 
 Every experiment steps its trajectories as ensembles (dynamics.ensemble)
 through one runner, _run_ensembles: the family of each pullback horizon
@@ -29,7 +34,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -48,9 +54,6 @@ from . import spectral
 from .spectral import SpectralField, random_divfree_field, sobolev_norm
 
 __all__ = [
-    "SmoothingReport",
-    "AbsorbingReport",
-    "ConvergenceReport",
     "pullback_solve",
     "sample_attractor_deterministic",
     "distance_to_set",
@@ -171,16 +174,6 @@ def distance_to_set(v: SpectralField, sample: list[SpectralField], s: int = 2) -
     return min(sobolev_norm(v - b, float(s)) for b in sample)
 
 
-@dataclass
-class SmoothingReport:
-    """Rows (seed, direction, delta, T, dist0, distT_h2_sq, ratio, error), ratio = distT^2/delta^2;
-    max_ratio and median_ratio over the error-free rows with delta > 0 (NaN if none)."""
-
-    rows: list
-    max_ratio: float
-    median_ratio: float
-
-
 def _smoothing_rows(cfg, v1, groups, deltas, horizons, threads):
     """The groups as one ensemble; one row per (group, delta, T), in the order of groups.
 
@@ -224,20 +217,21 @@ def measure_smoothing(
     seeds: list[int],
     directions: tuple[str, ...] = ("random", "lowest"),
     threads: int = 1,
-) -> SmoothingReport:
+) -> list[dict]:
     """Measured (H, H^2)-smoothing ratios for perturbation pairs sharing one noise path.
 
     Directions: "random" draws a unit divergence-free field per seed; "lowest"
     puts the perturbation on the lowest wavenumber shell (worst smoothing decay).
-    Rows come per distinct (seed, direction) in sorted order, then delta and T.
-    Every group steps in one ensemble, on at most `threads` workers (see
-    _run_ensembles).  Empty deltas or horizons raise ValueError up front, and
-    a horizon that horizon_steps rejects before any path is drawn.
+    Rows (seed, direction, delta, T, dist0, distT_h2_sq, ratio = distT_h2_sq /
+    dist0^2, error) come per distinct (seed, direction) in sorted order, then
+    delta and T.  Every group steps in one ensemble, on at most `threads`
+    workers (see _run_ensembles).  Empty deltas, horizons, seeds or directions
+    raise ValueError up front, and a horizon that horizon_steps rejects before
+    any path is drawn.
     """
-    if not deltas:
-        raise ValueError("deltas must be nonempty")
-    if not horizons:
-        raise ValueError("horizons must be nonempty")
+    for name, values in dict(deltas=deltas, horizons=horizons, seeds=seeds, directions=directions).items():
+        if not values:
+            raise ValueError(f"{name} must be nonempty")
     horizons = sorted(horizons)
     fields = {}
     for seed in seeds:
@@ -251,29 +245,18 @@ def measure_smoothing(
                 raise ValueError(f"unknown direction {label!r}")
             fields[seed, label] = d
     # by (seed, label); a duplicate is one group
-    rows = _smoothing_rows(cfg, v0, sorted(fields.items()), deltas, horizons, threads)
-    ratios = [r["ratio"] for r in rows if r["error"] == "" and r["delta"] > 0]
-    import statistics  # here, not at module level: it adds 0.5 MB to every CLI process
-    return SmoothingReport(
-        rows=rows,
-        max_ratio=max(ratios) if ratios else float("nan"),
-        median_ratio=statistics.median(ratios) if ratios else float("nan"),
-    )
+    return _smoothing_rows(cfg, v0, sorted(fields.items()), deltas, horizons, threads)
 
 
 def _kmin(cfg: SimConfig) -> float:
     return 2.0 * math.pi / cfg.grid.L
 
 
-@dataclass
-class AbsorbingReport:
-    """Rows (radius, horizon, norm_h, norm_h1, norm_h2, error) of the pulled-back states at 0;
-    horizons are the distinct horizons in increasing order, and radius_estimates[(h, s)] is
-    the sup over the error-free radii of the H^s norm at horizon h, s in H, H1, H2."""
-
-    rows: list
-    horizons: list
-    radius_estimates: dict
+def _norms(st) -> dict:
+    """norm_h, norm_h1, norm_h2 and error ("") of a State; NaN norms and the message of a BlowupError."""
+    if isinstance(st, BlowupError):
+        return dict(norm_h=float("nan"), norm_h1=float("nan"), norm_h2=float("nan"), error=str(st))
+    return dict(zip(("norm_h", "norm_h1", "norm_h2"), st.half.norms(st.w)), error="")
 
 
 def measure_absorbing(
@@ -282,36 +265,28 @@ def measure_absorbing(
     horizons: list[float],
     seed: int,
     threads: int = 1,
-) -> AbsorbingReport:
+) -> list[dict]:
     """Pullback the family {radius * e : radius in initial_radii} over each horizon (pullback_solve).
 
-    One row per distinct (radius, horizon) in increasing order; a member
-    that blows up gets NaN norms and its error.
+    Rows (radius, horizon, norm_h, norm_h1, norm_h2, error) per distinct (radius,
+    horizon) in increasing order; a member that blows up gets NaN norms and its error.
     """
     e = random_divfree_field(cfg.grid, 99, norm=1.0, stream=29)  # one fixed unit direction
     radii, hs = sorted(set(initial_radii)), sorted(set(horizons))
     family = [SpectralField(cfg.grid, r * e.coeffs) for r in radii]
-    runs, rows = pullback_solve(cfg, hs, seed, family, threads), []
-    for i, radius in enumerate(radii):
-        for h, states in zip(hs, runs):
-            st = states[i]
-            error = str(st) if isinstance(st, BlowupError) else ""
-            norms = [float("nan")] * 3 if error else st.half.norms(st.w)
-            rows.append(dict(zip(("radius", "horizon", "norm_h", "norm_h1", "norm_h2", "error"),
-                                 (radius, h, *norms, error))))
-    estimates = {}
-    for h in hs:
-        for sname, col in (("H", "norm_h"), ("H1", "norm_h1"), ("H2", "norm_h2")):
-            vals = [r[col] for r in rows if r["horizon"] == h and r["error"] == ""]
-            estimates[(h, sname)] = max(vals) if vals else float("nan")
-    return AbsorbingReport(rows=rows, horizons=hs, radius_estimates=estimates)
+    runs = pullback_solve(cfg, hs, seed, family, threads)
+    return [{"radius": radius, "horizon": h, **_norms(states[i])}
+            for i, radius in enumerate(radii) for h, states in zip(hs, runs)]
 
 
 def ergodic_check(T: float, dt: float, seeds: list[int], moments: tuple[int, ...] = (1, 2, 4)) -> list[dict]:
     """Time-averaged |z|^m along stationary OU paths against Gamma((1+m)/2)/sqrt(pi):
-    one row (seed, m, empirical, analytic, rel_error) per seed and moment."""
+    one row (seed, m, empirical, analytic, rel_error) per seed and moment.  A short T
+    or empty seeds or moments raise ValueError before any path is drawn."""
     if T < 100:
         raise ValueError(f"T must be >= 100 for a meaningful time average, got {T}")
+    if not seeds or not moments:
+        raise ValueError("seeds and moments must be nonempty")
     rows = []
     for seed in seeds:
         w = sample_wiener(0.0, T, dt, seed=seed)
@@ -326,16 +301,6 @@ def ergodic_check(T: float, dt: float, seeds: list[int], moments: tuple[int, ...
     return rows
 
 
-@dataclass
-class ConvergenceReport:
-    """Strong conjugation errors per refinement level, consecutive ratios and log2 orders."""
-
-    dts: list
-    errors: list
-    ratios: list
-    orders: list
-
-
 def conjugation_convergence(
     cfg: SimConfig,
     base_dt: float,
@@ -344,13 +309,15 @@ def conjugation_convergence(
     seed: int,
     paths: int = 16,
     threads: int = 1,
-) -> ConvergenceReport:
+) -> list[dict]:
     """Strong error || u_h^EM(T) - (v(T) + h z(T)) || under Wiener bridge refinement.
 
     Both solvers share the Brownian increments at each level; z is the OU
     process of those increments with a level-independent stationary z_0.  The
     strong error at each level is the ensemble mean over `paths` independent
-    Wiener paths; v0 is drawn once from the config seed.
+    Wiener paths; v0 is drawn once from the config seed.  Rows (level, dt,
+    strong_error, ratio to the next level, its log2 order; "" on the last).  A
+    blowup raises: benchmarks/reference.json pins these five columns, no `error`.
     """
     if levels < 3:
         raise ValueError(f"need at least 3 levels, got {levels}")
@@ -377,8 +344,5 @@ def conjugation_convergence(
     ratios = [float(mean[i] / mean[i + 1]) if mean[i + 1] > 0 else float("inf")
               for i in range(levels - 1)]
     orders = [math.log2(r) if 0 < r < math.inf else float("nan") for r in ratios]
-    return ConvergenceReport(
-        dts=[base_dt / 2**i for i in range(levels)],
-        errors=[float(x) for x in mean],
-        ratios=ratios, orders=orders,
-    )
+    return [{"level": i, "dt": base_dt / 2**i, "strong_error": float(e), "ratio": r, "order": o}
+            for i, (e, r, o) in enumerate(zip_longest(mean, ratios, orders, fillvalue=""))]

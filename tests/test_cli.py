@@ -73,11 +73,12 @@ class TestArtifactContract:
                                       "forcing": {"preset": "random", "norm": 50, "seed": 1}})
         out = tmp_path / "ab"
         assert main(["absorbing", "--config", cfg, "--out", str(out)]) == 2
-        assert "aborted cells: 2" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == "aborted rows: 2\n" and captured.out == ""
         assert sorted(p.name for p in out.iterdir()) == ["absorbing.csv", "manifest.json"]
 
     def test_smoothing_blowup_keeps_report(self, tmp_path, capsys):
-        # every trajectory blows up: 3 seeds x 2 directions, each cell with error rows
+        # every trajectory blows up: 3 seeds x 2 directions x 3 deltas x 3 horizons error rows
         cfg = write_config(tmp_path, {
             "nu": 0.001, "N": 16, "dt": 0.01,
             "forcing": {"preset": "random", "norm": 50.0, "seed": 1},
@@ -86,7 +87,7 @@ class TestArtifactContract:
         out = tmp_path / "sm"
         assert main(["smoothing", "--config", cfg, "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "aborted cells: 6\n" and captured.out == ""
+        assert captured.err == "aborted rows: 54\n" and captured.out == ""
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "smoothing.csv"]
         rows = (out / "smoothing.csv").read_text().strip().splitlines()[1:]
         assert len(rows) == 54 and all("non-finite" in r for r in rows)
@@ -309,11 +310,22 @@ class TestTaylorGreenCommand:
 
 
 class TestExperimentCommands:
+    # the columns come from the keys of the rows that torns.experiments builds
+    @pytest.mark.parametrize("command", ["pullback", "smoothing", "absorbing", "ergodic", "convergence"])
+    def test_report_header(self, tmp_path, command):
+        header = {"pullback": "horizon,norm_h,norm_h1,norm_h2,error",
+                  "smoothing": "seed,direction,delta,T,dist0,distT_h2_sq,ratio,error",
+                  "absorbing": "radius,horizon,norm_h,norm_h1,norm_h2,error",
+                  "ergodic": "seed,m,empirical,analytic,rel_error",
+                  "convergence": "level,dt,strong_error,ratio,order"}[command]
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, SMALL), "--out", str(out), "--quiet"]) == 0
+        assert (out / f"{command}.csv").read_text().splitlines()[0] == header
+
     def test_ergodic_writes_report(self, tmp_path, capsys):
         out = tmp_path / "erg"
         assert main(["ergodic", "--preset", "decay-noise", "--out", str(out), "--seed", "1"]) == 0
         rows = (out / "ergodic.csv").read_text().strip().splitlines()
-        assert rows[0] == "seed,m,empirical,analytic,rel_error"
         assert len(rows) == 1 + 9  # 3 seeds x 3 moments
 
     def test_pullback_writes_report(self, tmp_path):
@@ -323,16 +335,23 @@ class TestExperimentCommands:
         out = tmp_path / "pb"
         assert main(["pullback", "--config", cfg, "--out", str(out)]) == 0
         rows = (out / "pullback.csv").read_text().strip().splitlines()
-        assert rows[0] == "horizon,norm_h,norm_h1,norm_h2"
         assert len(rows) == 4
 
     def test_pullback_unstable_dt_aborts_exit_2(self, tmp_path, capsys):
+        # dt = 0.25 blows up every horizon, 5 included (its 5 steps at dt = 1 stay
+        # finite); the report keeps one error row per horizon
         cfg = write_config(tmp_path, {
-            "nu": 1.0, "N": 16, "dt": 1.0,
+            "nu": 1.0, "N": 16, "dt": 0.25,
             "initial": {"preset": "random", "norm": 50.0, "seed": 1},
         })
-        assert main(["pullback", "--config", cfg, "--out", str(tmp_path / "pb")]) == 2
-        assert "aborted: non-finite" in capsys.readouterr().err
+        out = tmp_path / "pb"
+        assert main(["pullback", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "aborted rows: 3\n" and captured.out == ""
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "plot.py", "pullback.csv"]
+        rows = [r.split(",") for r in (out / "pullback.csv").read_text().strip().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["5.0", "10.0", "20.0"]
+        assert all(r[1:4] == ["nan"] * 3 and "non-finite" in r[4] for r in rows)
 
     @pytest.mark.parametrize("command", ["smoothing", "pullback", "absorbing", "simulate", "taylor-green"])
     def test_dt_not_dividing_a_horizon_is_config_error(self, tmp_path, capsys, command):
@@ -382,5 +401,13 @@ class TestExperimentCommands:
         out = tmp_path / "ab"
         assert main(["absorbing", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         rows = (out / "absorbing.csv").read_text().strip().splitlines()
-        assert rows[0].startswith("radius,horizon,norm_h")
         assert len(rows) == 1 + 4  # 2 radii x 2 horizons
+
+    def test_absorbing_summary_holds_the_sup_per_horizon(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"preset": "decay-noise", "N": 8, "dt": 1e-2})
+        out = tmp_path / "ab"
+        assert main(["absorbing", "--config", cfg, "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "absorbing.csv").read_text().strip().splitlines()[1:]]
+        sups = {h: max(float(r[2]) for r in rows if r[1] == h) for h in ("2.0", "5.0")}
+        assert capsys.readouterr().out == f"absorbing radii: H(t=2.0)={sups['2.0']:.4g}, H(t=5.0)={sups['5.0']:.4g}\n"
+        assert len(set(float(r[2]) for r in rows)) == 4  # the radii differ at both horizons

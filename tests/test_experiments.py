@@ -253,10 +253,10 @@ class TestSmoothing:
     def test_zero_delta_row_has_zero_ratio(self, grid16):
         cfg = cfg_for(grid16, h=random_divfree_field(grid16, seed=2, norm=0.3))
         v0 = random_divfree_field(grid16, seed=1, norm=0.5)
-        rep = measure_smoothing(cfg, v0, deltas=[0.0], horizons=[0.1], seeds=[1],
-                                directions=("random",))
-        assert rep.rows[0]["ratio"] == 0.0
-        assert rep.rows[0]["distT_h2_sq"] == 0.0
+        rows = measure_smoothing(cfg, v0, deltas=[0.0], horizons=[0.1], seeds=[1],
+                                 directions=("random",))
+        assert rows[0]["ratio"] == 0.0
+        assert rows[0]["distT_h2_sq"] == 0.0
 
     def test_linear_regime_heat_bound(self, grid16):
         # amplitudes ~ 1e-6: difference dynamics is the heat flow, so the ratio
@@ -264,10 +264,10 @@ class TestSmoothing:
         nu, T = 1.0, 0.5
         cfg = cfg_for(grid16, nu=nu, dt=1e-3)
         v0 = random_divfree_field(grid16, seed=1, norm=1e-6)
-        rep = measure_smoothing(cfg, v0, deltas=[1e-7], horizons=[T], seeds=[1, 2])
+        rows = measure_smoothing(cfg, v0, deltas=[1e-7], horizons=[T], seeds=[1, 2])
         k2 = grid16.k2[grid16.k2 > 0]
         bound = float((k2**2 * np.exp(-2 * nu * k2 * T)).max())
-        for row in rep.rows:
+        for row in rows:
             assert row["ratio"] <= bound + 1e-6
 
     def test_scale_stability_across_deltas(self, grid16):
@@ -275,51 +275,45 @@ class TestSmoothing:
                       f=random_divfree_field(grid16, seed=4, norm=0.5),
                       h=random_divfree_field(grid16, seed=2, norm=0.3))
         v0 = random_divfree_field(grid16, seed=1, norm=1.0)
-        rep = measure_smoothing(cfg, v0, deltas=[1e-2, 1e-3, 1e-4], horizons=[0.5, 1.0],
-                                seeds=[11], directions=("random", "lowest"))
+        rows = measure_smoothing(cfg, v0, deltas=[1e-2, 1e-3, 1e-4], horizons=[0.5, 1.0],
+                                 seeds=[11], directions=("random", "lowest"))
         for label in ("random", "lowest"):
             for T in (0.5, 1.0):
-                rows = [r for r in rep.rows if r["T"] == T and r["direction"] == label]
-                ratios = [r["ratio"] for r in rows]
+                ratios = [r["ratio"] for r in rows if r["T"] == T and r["direction"] == label]
                 assert len(ratios) == 3
                 assert max(ratios) / min(ratios) < 3.0
 
     def test_identical_pair_distances_zero(self, grid16):
         cfg = cfg_for(grid16, h=random_divfree_field(grid16, seed=2, norm=0.3))
         v0 = random_divfree_field(grid16, seed=1, norm=0.5)
-        rep = measure_smoothing(cfg, v0, deltas=[0.0, 1e-3], horizons=[0.2], seeds=[3])
-        zero_rows = [r for r in rep.rows if r["delta"] == 0.0]
+        rows = measure_smoothing(cfg, v0, deltas=[0.0, 1e-3], horizons=[0.2], seeds=[3])
+        zero_rows = [r for r in rows if r["delta"] == 0.0]
         assert all(r["distT_h2_sq"] == 0.0 for r in zero_rows)
 
     def test_every_horizon_has_a_row(self, grid16):
         # a horizon below half a step compares the initial pair
         cfg = cfg_for(grid16, h=random_divfree_field(grid16, seed=2, norm=0.3))
         v0 = random_divfree_field(grid16, seed=1, norm=0.5)
-        rep = measure_smoothing(cfg, v0, deltas=[1e-3], horizons=[0.0, 0.1], seeds=[1],
-                                directions=("random",))
-        assert [r["T"] for r in rep.rows] == [0.0, 0.1]
-        assert all(r["error"] == "" and r["distT_h2_sq"] > 0.0 for r in rep.rows)
+        rows = measure_smoothing(cfg, v0, deltas=[1e-3], horizons=[0.0, 0.1], seeds=[1],
+                                 directions=("random",))
+        assert [r["T"] for r in rows] == [0.0, 0.1]
+        assert all(r["error"] == "" and r["distT_h2_sq"] > 0.0 for r in rows)
 
-    def test_empty_horizons_rejected_before_any_field(self, grid16, monkeypatch):
-        for name in ("random_divfree_field", "sample_wiener", "ensemble"):
-            monkeypatch.setattr(experiments, name, None)
-        with pytest.raises(ValueError, match="horizons must be nonempty"):
-            measure_smoothing(cfg_for(grid16), SpectralField.zero(grid16), deltas=[1e-3], horizons=[],
-                              seeds=[1])
-
-    def test_empty_deltas_rejected_before_any_field(self, grid16, monkeypatch):
-        for name in ("random_divfree_field", "sample_wiener", "ensemble"):
-            monkeypatch.setattr(experiments, name, None)
-        with pytest.raises(ValueError, match="deltas must be nonempty"):
-            measure_smoothing(cfg_for(grid16), SpectralField.zero(grid16), deltas=[], horizons=[0.1],
-                              seeds=[1])
+    # an empty report would have no rows to give its CSV a header
+    @pytest.mark.parametrize("name", ["deltas", "horizons", "seeds", "directions"])
+    def test_empty_input_rejected_before_any_field(self, grid16, monkeypatch, name):
+        for fn in ("random_divfree_field", "sample_wiener", "ensemble"):
+            monkeypatch.setattr(experiments, fn, None)
+        kw = dict(deltas=[1e-3], horizons=[0.1], seeds=[1], directions=("random",))
+        with pytest.raises(ValueError, match=f"{name} must be nonempty"):
+            measure_smoothing(cfg_for(grid16), SpectralField.zero(grid16), **{**kw, name: []})
 
     def test_horizons_on_one_step_each_get_their_rows(self, grid16):
         cfg = cfg_for(grid16, dt=1e-2, h=random_divfree_field(grid16, seed=2, norm=0.3))
         v0 = random_divfree_field(grid16, seed=1, norm=0.5)
         kw = dict(deltas=[1e-3], seeds=[1], directions=("random",))
-        one = measure_smoothing(cfg, v0, horizons=[0.1], **kw).rows
-        both = measure_smoothing(cfg, v0, horizons=[0.1, 0.1 + 1e-12], **kw).rows
+        one = measure_smoothing(cfg, v0, horizons=[0.1], **kw)
+        both = measure_smoothing(cfg, v0, horizons=[0.1, 0.1 + 1e-12], **kw)
         assert [r["T"] for r in both] == [0.1, 0.1 + 1e-12]
         assert both == [one[0], {**one[0], "T": 0.1 + 1e-12}] and one[0]["error"] == ""
 
@@ -330,8 +324,8 @@ class TestSmoothing:
         cfg = cfg_for(g, h=random_divfree_field(g, seed=2, norm=0.3))
         v0 = random_divfree_field(g, seed=1, norm=0.5)
         kw = dict(deltas=[1e-3, 0.0], seeds=[1, 2])
-        rows = measure_smoothing(cfg, v0, horizons=[0.0], **kw).rows
-        assert rows == [r for r in measure_smoothing(cfg, v0, horizons=[0.0, 0.1], **kw).rows if r["T"] == 0.0]
+        rows = measure_smoothing(cfg, v0, horizons=[0.0], **kw)
+        assert rows == [r for r in measure_smoothing(cfg, v0, horizons=[0.0, 0.1], **kw) if r["T"] == 0.0]
         assert len(rows) == 2 * 2 * 2 and all(r["error"] == "" for r in rows)
 
     @pytest.mark.parametrize("N", [16, 50])
@@ -340,10 +334,10 @@ class TestSmoothing:
         cfg = cfg_for(g, h=random_divfree_field(g, seed=2, norm=0.3))
         v0 = random_divfree_field(g, seed=1, norm=0.5)
         kw = dict(deltas=[1e-3], horizons=[0.1])
-        rep = measure_smoothing(cfg, v0, seeds=[2, 1, 2], directions=("random", "lowest", "random"), **kw)
-        assert [(r["seed"], r["direction"]) for r in rep.rows] == [
+        rows = measure_smoothing(cfg, v0, seeds=[2, 1, 2], directions=("random", "lowest", "random"), **kw)
+        assert [(r["seed"], r["direction"]) for r in rows] == [
             (1, "lowest"), (1, "random"), (2, "lowest"), (2, "random")]
-        assert rep.rows == measure_smoothing(cfg, v0, seeds=[1, 2], **kw).rows
+        assert rows == measure_smoothing(cfg, v0, seeds=[1, 2], **kw)
 
     def test_thread_count_invariance(self, grid16):
         cfg = cfg_for(grid16, h=random_divfree_field(grid16, seed=2, norm=0.3))
@@ -351,27 +345,26 @@ class TestSmoothing:
         kw = dict(deltas=[1e-3, 1e-4], horizons=[0.2], seeds=[1, 2])
         a = measure_smoothing(cfg, v0, threads=1, **kw)
         b = measure_smoothing(cfg, v0, threads=4, **kw)
-        assert a.rows == b.rows
+        assert a == b
 
 
     def test_base_blowup_gives_error_rows(self, grid16):
         # dt = 10 puts the explicit advection far outside its stability region
         cfg = cfg_for(grid16, dt=10.0)
         v0 = random_divfree_field(grid16, seed=1, norm=50.0)
-        rep = measure_smoothing(cfg, v0, deltas=[1e-2, 1e-3], horizons=[500.0, 1000.0],
-                                seeds=[1], directions=("random",))
-        assert [(r["delta"], r["T"]) for r in rep.rows] == [
+        rows = measure_smoothing(cfg, v0, deltas=[1e-2, 1e-3], horizons=[500.0, 1000.0],
+                                 seeds=[1], directions=("random",))
+        assert [(r["delta"], r["T"]) for r in rows] == [
             (1e-2, 500.0), (1e-2, 1000.0), (1e-3, 500.0), (1e-3, 1000.0)]
-        assert all("non-finite" in r["error"] and math.isnan(r["ratio"]) for r in rep.rows)
-        assert math.isnan(rep.max_ratio)
+        assert all("non-finite" in r["error"] and math.isnan(r["ratio"]) for r in rows)
 
     def test_perturbed_blowup_gives_error_rows(self, grid16):
         # the base stays at rest; only the large perturbation blows up
         cfg = cfg_for(grid16, dt=10.0)
-        rep = measure_smoothing(cfg, SpectralField.zero(grid16), deltas=[1e-6, 50.0],
-                                horizons=[500.0, 1000.0], seeds=[1], directions=("random",))
-        good = [r for r in rep.rows if r["delta"] == 1e-6]
-        bad = [r for r in rep.rows if r["delta"] == 50.0]
+        rows = measure_smoothing(cfg, SpectralField.zero(grid16), deltas=[1e-6, 50.0],
+                                 horizons=[500.0, 1000.0], seeds=[1], directions=("random",))
+        good = [r for r in rows if r["delta"] == 1e-6]
+        bad = [r for r in rows if r["delta"] == 50.0]
         assert [r["T"] for r in good] == [500.0, 1000.0] and all(r["error"] == "" for r in good)
         assert [r["T"] for r in bad] == [500.0, 1000.0]
         assert all("non-finite" in r["error"] for r in bad)
@@ -381,11 +374,11 @@ class TestSmoothing:
         # blow up at step 9, between the horizons; the lowest shell only decays
         cfg = cfg_for(grid16, dt=10.0)
         v0, kw = SpectralField.zero(grid16), dict(deltas=[1e-6, 50.0], horizons=[20.0, 1000.0])
-        rows = measure_smoothing(cfg, v0, seeds=[1, 2], **kw).rows
+        rows = measure_smoothing(cfg, v0, seeds=[1, 2], **kw)
         for seed in (1, 2):
             for label in ("lowest", "random"):
                 group = [r for r in rows if (r["seed"], r["direction"]) == (seed, label)]
-                alone = measure_smoothing(cfg, v0, seeds=[seed], directions=(label,), **kw).rows
+                alone = measure_smoothing(cfg, v0, seeds=[seed], directions=(label,), **kw)
                 if label == "lowest":
                     assert group == alone and all(r["error"] == "" for r in group)
                 else:  # repr: the error rows hold NaN
@@ -396,46 +389,38 @@ class TestSmoothing:
 class TestAbsorbing:
     def test_pure_decay_bound_per_cell(self, grid16):
         cfg = cfg_for(grid16, nu=1.0)
-        rep = measure_absorbing(cfg, initial_radii=[1.0, 10.0], horizons=[1.0, 2.0], seed=5)
-        for row in rep.rows:
+        rows = measure_absorbing(cfg, initial_radii=[1.0, 10.0], horizons=[1.0, 2.0], seed=5)
+        for row in rows:
             bound = math.exp(-cfg.nu * grid16.lambda1 * row["horizon"]) * row["radius"]
             assert row["norm_h"] <= bound * (1 + 1e-6)
-
-    def test_radius_estimates_are_sups(self, grid16):
-        cfg = cfg_for(grid16, nu=1.0)
-        rep = measure_absorbing(cfg, initial_radii=[1.0, 5.0], horizons=[1.0], seed=5)
-        by_hand = max(r["norm_h"] for r in rep.rows if r["horizon"] == 1.0)
-        assert rep.radius_estimates[(1.0, "H")] == by_hand
 
     def test_zero_radius_gives_noise_response(self, grid16):
         h = random_divfree_field(grid16, seed=2, norm=0.3)
         cfg = cfg_for(grid16, h=h, f=random_divfree_field(grid16, seed=3, norm=0.2))
-        rep = measure_absorbing(cfg, initial_radii=[0.0], horizons=[5.0], seed=5)
-        assert rep.rows[0]["norm_h"] > 0.0
+        rows = measure_absorbing(cfg, initial_radii=[0.0], horizons=[5.0], seed=5)
+        assert rows[0]["norm_h"] > 0.0
 
     def test_monotone_in_radius_linear_regime(self, grid16):
         cfg = cfg_for(grid16, nu=1.0)
-        rep = measure_absorbing(cfg, initial_radii=[1.0, 2.0, 4.0], horizons=[1.0], seed=5)
-        norms = [r["norm_h"] for r in sorted(rep.rows, key=lambda r: r["radius"])]
+        rows = measure_absorbing(cfg, initial_radii=[1.0, 2.0, 4.0], horizons=[1.0], seed=5)
+        norms = [r["norm_h"] for r in sorted(rows, key=lambda r: r["radius"])]
         assert norms[0] <= norms[1] <= norms[2]
 
     def test_blowup_cell_gives_error_row(self, grid16):
         cfg = cfg_for(grid16, dt=10.0)
-        rep = measure_absorbing(cfg, initial_radii=[0.0, 50.0], horizons=[1000.0], seed=5)
-        ok, bad = sorted(rep.rows, key=lambda r: r["radius"])
+        rows = measure_absorbing(cfg, initial_radii=[0.0, 50.0], horizons=[1000.0], seed=5)
+        ok, bad = sorted(rows, key=lambda r: r["radius"])
         assert ok["error"] == "" and ok["norm_h"] == 0.0
         assert "non-finite" in bad["error"] and math.isnan(bad["norm_h"])
-        assert rep.radius_estimates[(1000.0, "H")] == 0.0
 
     def test_rejects_empty_grids(self, grid16):
         with pytest.raises(ValueError):
             measure_absorbing(cfg_for(grid16), initial_radii=[], horizons=[1.0], seed=1)
 
     def test_reports_the_distinct_horizons_of_its_rows(self, grid16):
-        # the report's horizons and estimate keys are those of its rows, not the caller's list
-        rep = measure_absorbing(cfg_for(grid16), initial_radii=[1.0], horizons=[0.02, 0.01, 0.02], seed=5)
-        assert rep.horizons == [0.01, 0.02] == [r["horizon"] for r in rep.rows]
-        assert list(rep.radius_estimates) == [(h, s) for h in (0.01, 0.02) for s in ("H", "H1", "H2")]
+        # the rows hold the distinct horizons in increasing order, not the caller's list
+        rows = measure_absorbing(cfg_for(grid16), initial_radii=[1.0], horizons=[0.02, 0.01, 0.02], seed=5)
+        assert [r["horizon"] for r in rows] == [0.01, 0.02]
 
 
 class TestErgodicCheck:
@@ -452,17 +437,23 @@ class TestErgodicCheck:
         assert row["analytic"] == pytest.approx(15.0 / 8.0, rel=1e-15)
         assert row["rel_error"] < 0.10
 
-    def test_rejects_short_horizon(self):
-        with pytest.raises(ValueError):
-            ergodic_check(T=10.0, dt=1e-2, seeds=[1])
+    # a short horizon, and the inputs that would give no rows, before any path is drawn
+    @pytest.mark.parametrize("kw, why", [(dict(T=10.0), "T must be >= 100"),
+                                         (dict(seeds=[]), "seeds and moments must be nonempty"),
+                                         (dict(moments=()), "seeds and moments must be nonempty")],
+                             ids=["short-T", "no-seeds", "no-moments"])
+    def test_rejected_before_any_path(self, monkeypatch, kw, why):
+        monkeypatch.setattr(experiments, "sample_wiener", None)
+        with pytest.raises(ValueError, match=why):
+            ergodic_check(**{**dict(T=1e4, dt=1e-2, seeds=[1]), **kw})
 
 
 class TestConjugationConvergence:
     def test_h_zero_errors_vanish(self, grid16):
         cfg = cfg_for(grid16, dt=2.0**-7, scheme="etd1",
                       f=random_divfree_field(grid16, seed=4, norm=0.3))
-        rep = conjugation_convergence(cfg, base_dt=2.0**-7, levels=3, T=0.25, seed=3, paths=2)
-        assert all(e <= 1e-10 for e in rep.errors)
+        rows = conjugation_convergence(cfg, base_dt=2.0**-7, levels=3, T=0.25, seed=3, paths=2)
+        assert all(r["strong_error"] <= 1e-10 for r in rows)
 
     def test_rejects_too_few_levels(self, grid16):
         with pytest.raises(ValueError):
@@ -477,10 +468,12 @@ class TestConjugationConvergence:
         h = random_divfree_field(grid16, seed=11, norm=1.0)
         f = random_divfree_field(grid16, seed=21, norm=0.5)
         cfg = cfg_for(grid16, dt=2.0**-7, h=h, f=f, seed=5)
-        rep = conjugation_convergence(cfg, base_dt=2.0**-7, levels=4, T=1.0, seed=100, paths=8)
-        for r in rep.ratios:
-            assert 1.5 < r < 2.6
-        assert rep.orders[0] == pytest.approx(math.log2(rep.ratios[0]))
+        rows = conjugation_convergence(cfg, base_dt=2.0**-7, levels=4, T=1.0, seed=100, paths=8)
+        for r in rows[:-1]:
+            assert 1.5 < r["ratio"] < 2.6
+        assert rows[0]["order"] == pytest.approx(math.log2(rows[0]["ratio"]))
+        assert [r["dt"] for r in rows] == [2.0**-7 / 2**i for i in range(4)]
+        assert rows[-1]["ratio"] == rows[-1]["order"] == ""
 
     def test_blowup_raised_by_path_then_level_ou_first(self, grid16, monkeypatch):
         # as if the paths ran one by one: path 0 at level 1, OU before Wiener,
@@ -507,7 +500,7 @@ class TestConjugationConvergence:
         cfg = cfg_for(grid16, dt=2.0**-7, h=h, seed=5)
         a = conjugation_convergence(cfg, base_dt=2.0**-7, levels=3, T=0.25, seed=9, paths=4, threads=1)
         b = conjugation_convergence(cfg, base_dt=2.0**-7, levels=3, T=0.25, seed=9, paths=4, threads=3)
-        assert a.errors == b.errors
+        assert a == b
 
 
 class TestRunner:
@@ -532,11 +525,11 @@ class TestRunner:
         v0 = random_divfree_field(grid, seed=1, norm=0.5)
         return [
             measure_smoothing(cfg, v0, deltas=[1e-3], horizons=[dt, 2 * dt], seeds=[1, 2],
-                              threads=threads).rows,
+                              threads=threads),
             measure_absorbing(cfg, initial_radii=[1.0, 2.0], horizons=[dt, 2 * dt], seed=5,
-                              threads=threads).rows,
+                              threads=threads),
             conjugation_convergence(cfg, base_dt=dt, levels=3, T=2 * dt, seed=9, paths=2,
-                                    threads=threads).errors,
+                                    threads=threads),
         ]
 
     def test_dft_grid_starts_no_pool(self, pools):
@@ -577,7 +570,7 @@ class TestRunner:
         monkeypatch.setattr(experiments, "ensemble", lambda v0s, *a: sizes.append(len(v0s)) or real(v0s, *a))
         monkeypatch.setattr(experiments, "_SUB_BLOCK_BYTES", 3 * experiments._member_bytes(N) + 1)
         radii = [float(r) for r in range(8)]
-        rows = measure_absorbing(cfg_for(grid), initial_radii=radii, horizons=[0.1], seed=5).rows
+        rows = measure_absorbing(cfg_for(grid), initial_radii=radii, horizons=[0.1], seed=5)
         assert sizes == [2, 3, 3]
         monkeypatch.undo()
-        assert rows == measure_absorbing(cfg_for(grid), initial_radii=radii, horizons=[0.1], seed=5).rows
+        assert rows == measure_absorbing(cfg_for(grid), initial_radii=radii, horizons=[0.1], seed=5)
