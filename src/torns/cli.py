@@ -33,7 +33,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_ABORT = 2
 # what a row's run(cfg, args, out) returns: the exit code, the files for the
-# manifest (None: no manifest) and the summary line (None: nothing to print)
+# manifest (None: no manifest) and the summary for stdout (None: nothing to print)
 Outcome = tuple[int, list[str] | None, str | None]
 
 
@@ -43,7 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _validate(cfg: SimConfig, args, out: Path) -> Outcome:
-    print(f"assumption: {cfg.assumption.summary()}")
     if not cfg.assumption.satisfied:
         print("warning: admissibility condition violated (experiments may still probe this regime)",
               file=sys.stderr)
@@ -51,9 +50,8 @@ def _validate(cfg: SimConfig, args, out: Path) -> Outcome:
                 for v in field_violations(u)]
     for pb in problems:
         print(f"invalid field: {pb}", file=sys.stderr)
-    if not problems:
-        print("fields: ok")
-    return EXIT_VALIDATION if problems else EXIT_OK, None, None
+    summary = f"assumption: {cfg.assumption.summary()}" + ("" if problems else "\nfields: ok")
+    return EXIT_VALIDATION if problems else EXIT_OK, None, summary
 
 
 def _simulate(cfg: SimConfig, args, out: Path) -> Outcome:
@@ -62,7 +60,7 @@ def _simulate(cfg: SimConfig, args, out: Path) -> Outcome:
     ou = (ou_from_wiener(sample_wiener(0.0, steps * cfg.dt, cfg.dt, seed=cfg.seed))
           if sobolev_norm(cfg.h, 0.0) > 0.0 else None)
     try:
-        res = integrate(cfg.u0, cfg, path=ou)
+        state, rows = integrate(cfg.u0, cfg, path=ou)
     except BlowupError as exc:
         tio.write_checkpoint(exc.last_state, out / "abort_state.trns", nu=cfg.nu)
         print(f"aborted: {exc}", file=sys.stderr)
@@ -70,29 +68,25 @@ def _simulate(cfg: SimConfig, args, out: Path) -> Outcome:
     files = ["series.csv", "final_state.trns", "plot.py"]
     if ou is not None:  # dW on row k is the increment arriving at t_k, 0.0 on the first
         dW = np.concatenate([[0.0], ou.wiener.increments])
-        tio.write_rows_csv(zip(ou.times(), dW, ou.z), ["t", "dW", "z"], out / "noise.csv")
+        tio.write_rows_csv([{"t": t, "dW": d, "z": z} for t, d, z in zip(ou.times(), dW, ou.z)],
+                           out / "noise.csv")
         files.append("noise.csv")
-    _write_series(res.series, out / "series.csv")
-    tio.write_checkpoint(res.state, out / "final_state.trns", nu=cfg.nu)
+    tio.write_rows_csv(rows, out / "series.csv")
+    tio.write_checkpoint(state, out / "final_state.trns", nu=cfg.nu)
     tio.emit_plot_script(["series.csv"], out / "plot.py")
     # the series records the conjugated v, at every stride-th step only; the
     # physical solution is u = v + h z
-    v = res.state.u
-    u = dynamics.conjugate(v, res.state.z, cfg.h)
+    v = state.u
+    u = dynamics.conjugate(v, state.z, cfg.h)
     return EXIT_OK, files, (
-        f"simulated {steps} steps to t={res.state.t:g}; final |v| = {sobolev_norm(v, 0.0):.6g}, "
+        f"simulated {steps} steps to t={state.t:g}; final |v| = {sobolev_norm(v, 0.0):.6g}, "
         f"|u| = |v + h z(T)| = {sobolev_norm(u, 0.0):.6g}")
 
 
-def _write_series(series, path: Path) -> None:
-    tio.write_rows_csv(zip(series.t, series.norm_h, series.norm_h1, series.norm_h2, series.z),
-                       ["t", "norm_H", "norm_H1", "norm_H2", "z"], path)
-
-
 def _report(rows: list[dict], name: str, out: Path, summary: str) -> Outcome:
-    """Write rows to out/name, the first row's keys as the header.  Rows with an error exit 2 and
-    print `aborted rows: k` on stderr in place of the summary; the CSV and manifest are kept."""
-    tio.write_rows_csv((row.values() for row in rows), list(rows[0]), out / name)
+    """Write rows to out/name.  Rows with an error exit 2 and print `aborted rows: k` on stderr
+    in place of the summary; the CSV and manifest are kept."""
+    tio.write_rows_csv(rows, out / name)
     failed = sum(1 for row in rows if row.get("error"))
     if failed:
         print(f"aborted rows: {failed}", file=sys.stderr)
@@ -101,11 +95,11 @@ def _report(rows: list[dict], name: str, out: Path, summary: str) -> Outcome:
 
 
 def _taylor_green(cfg: SimConfig, args, out: Path) -> Outcome:
-    res = integrate(dynamics.taylor_green(0.0, cfg.nu, cfg.grid), cfg)
-    exact = dynamics.taylor_green(res.state.t, cfg.nu, cfg.grid)
-    err = sobolev_norm(res.state.u - exact, 0.0) / sobolev_norm(exact, 0.0)
-    rate = float(np.polyfit(res.series.t, np.log(res.series.norm_h), 1)[0])
-    _write_series(res.series, out / "taylor_green.csv")
+    state, rows = integrate(dynamics.taylor_green(0.0, cfg.nu, cfg.grid), cfg)
+    exact = dynamics.taylor_green(state.t, cfg.nu, cfg.grid)
+    err = sobolev_norm(state.u - exact, 0.0) / sobolev_norm(exact, 0.0)
+    rate = float(np.polyfit([r["t"] for r in rows], np.log([r["norm_H"] for r in rows]), 1)[0])
+    tio.write_rows_csv(rows, out / "taylor_green.csv")
     return EXIT_OK if err < 1e-8 else EXIT_VALIDATION, ["taylor_green.csv"], (
         f"taylor-green: max relative error {err:.3e}, fitted decay rate {rate:.8f} "
         f"(expected {-2 * cfg.nu:.8f})")

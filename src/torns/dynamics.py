@@ -28,8 +28,9 @@ step n advances the block and checks it once, and each call emits member
 m's row as a State.  ensemble() yields the initial states and then one list
 per step, with a member that blew up frozen on its BlowupError while the
 others go on; it is the only time loop.  trajectory() is its one-member
-case, and integrate() records every stride-th state that yields.  Stacking
-changes no bit: each member's row equals its own one-member trajectory.
+case, and integrate() records the norms of every stride-th state that
+yields.  Stacking changes no bit: each member's row equals its own
+one-member trajectory.
 
 The stepper runs in half-spectrum vorticity (spectral.HalfSpectrum): it
 carries w = curl u as the contiguous (N, K) block of the K = (N-1)//3 + 1
@@ -60,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -73,7 +75,6 @@ __all__ = [
     "SimConfig",
     "AssumptionReport",
     "State",
-    "NormSeries",
     "BlowupError",
     "check_assumption",
     "conjugate",
@@ -175,7 +176,7 @@ class SimConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.stride < 1:
+        if operator.index(self.stride) < 1:  # a float stride raises TypeError
             raise ValueError(f"stride must be >= 1, got {self.stride}")
         for name, u in (("f", self.f), ("h", self.h)):
             if u.grid != self.grid:
@@ -223,20 +224,6 @@ class State:
 
     def __repr__(self):
         return f"State(t={self.t!r}, z={self.z!r})"
-
-
-@dataclass
-class NormSeries:
-    """Observer record: ||u||, ||u||_H1, ||u||_H2 and z sampled along a run."""
-
-    t: np.ndarray
-    norm_h: np.ndarray
-    norm_h1: np.ndarray
-    norm_h2: np.ndarray
-    z: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.t)
 
 
 class BlowupError(RuntimeError):
@@ -519,34 +506,30 @@ def _alone(levels: Iterator[list]) -> Iterator[State]:
         yield state
 
 
-@dataclass
-class IntegrationResult:
-    state: State
-    series: NormSeries
-
-
 def integrate(
     v0: SpectralField,
     cfg: SimConfig,
     path: OUPath | WienerPath | None = None,
     steps: int | None = None,
     stride: int | None = None,
-) -> IntegrationResult:
-    """Drive one trajectory (see trajectory) and record a NormSeries every stride steps.
+) -> tuple[State, list[dict]]:
+    """Drive one trajectory (see trajectory): the last state and a row every stride steps.
 
-    The series always contains floor(steps/stride) + 1 samples, the first of
-    the initial state, each read off the state's vorticity (HalfSpectrum.norms);
-    velocity is built only when the returned state's u is read.
+    The rows are those of series.csv, {t, norm_H, norm_H1, norm_H2, z}, always
+    floor(steps/stride) + 1 of them, the first of the initial state, each read
+    off the state's vorticity (HalfSpectrum.norms); velocity is built only when
+    the returned state's u is read.  A stride that is not an integer raises
+    TypeError, one below 1 ValueError, before any state is drawn.
     """
-    stride = cfg.stride if stride is None else int(stride)
+    stride = cfg.stride if stride is None else operator.index(stride)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     rows = []
     for n, state in enumerate(trajectory(v0, cfg, path, steps)):
         if n % stride == 0:
-            rows.append((state.t, *state.half.norms(state.w), state.z))
-    series = NormSeries(*np.array(rows, dtype=np.float64).reshape(-1, 5).T)  # t, H, H1, H2, z
-    return IntegrationResult(state=state, series=series)
+            h, h1, h2 = state.half.norms(state.w)
+            rows.append({"t": state.t, "norm_H": h, "norm_H1": h1, "norm_H2": h2, "z": state.z})
+    return state, rows
 
 
 def taylor_green(t: float, nu: float, grid: WaveGrid) -> SpectralField:

@@ -3,10 +3,11 @@
 Formats:
 
 * config -- JSON (documented schema below, see load_config);
-* CSV -- a header of column names, then one line per row (write_rows_csv);
-  floats are written with repr (shortest round-trip), so identical runs give
+* CSV -- a header of column names, then one line per row (write_rows_csv,
+  whose rows are dicts: the first row's keys are the header); floats are
+  written with repr (shortest round-trip), so identical runs give
   byte-identical files.  The norm series has the columns
-  t,norm_H,norm_H1,norm_H2,z (read_series_csv reads it back);
+  t,norm_H,norm_H1,norm_H2,z (the rows of dynamics.integrate);
 * checkpoint -- little-endian binary: magic "TRNS", u32 version, u32 N,
   f64 L, f64 nu, f64 t, f64 z, u64 payload byte length, then the coefficient
   payload as interleaved re/im f64 pairs, component-major, row-major mode
@@ -22,14 +23,14 @@ import json
 import math
 import struct
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .dynamics import SimConfig, State, NormSeries, taylor_green, manufactured_forcing
+from .dynamics import SimConfig, State, taylor_green, manufactured_forcing
 from .spectral import SpectralField, WaveGrid, leray_project, random_divfree_field
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "write_checkpoint",
     "read_checkpoint",
     "peek_checkpoint",
-    "read_series_csv",
     "write_rows_csv",
     "emit_plot_script",
     "write_manifest",
@@ -261,7 +261,7 @@ class CheckpointHeader(NamedTuple):
     payload_len: int
 
 
-def write_checkpoint(state: State, path: str | Path, nu: float = 0.0) -> None:
+def write_checkpoint(state: State, path: str | Path, nu: float) -> None:
     """Bit-exact binary dump of a State (coefficients as interleaved re/im f64)."""
     g = state.u.grid
     c = np.ascontiguousarray(state.u.coeffs, dtype=np.complex128)
@@ -308,19 +308,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def read_series_csv(path: str | Path) -> NormSeries:
-    rows = Path(path).read_text().strip().splitlines()
-    if rows[0] != "t,norm_H,norm_H1,norm_H2,z":
-        raise ValueError(f"{path}: unexpected header {rows[0]!r}")
-    data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]], dtype=np.float64)
-    data = data.reshape(-1, 5)
-    return NormSeries(t=data[:, 0], norm_h=data[:, 1], norm_h1=data[:, 2],
-                      norm_h2=data[:, 3], z=data[:, 4])
+def write_rows_csv(rows: Iterable[dict], path: str | Path) -> None:
+    """CSV: the first row's keys as the header, then each row's values under them.
 
-
-def write_rows_csv(rows: Iterable[Sequence], columns: list[str], path: str | Path) -> None:
-    """CSV: the header columns, then each row, a sequence of values in column order."""
-    lines = [",".join(columns), *(",".join(map(_fmt, row)) for row in rows)]
+    No rows is a ValueError: there would be no header to write.
+    """
+    rows = list(rows)
+    if not rows:
+        raise ValueError(f"{path}: no rows to write")
+    columns = list(rows[0])
+    lines = [",".join(columns), *(",".join(_fmt(row[c]) for c in columns) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -371,7 +368,7 @@ def _sha256(path: Path) -> str:
 
 
 def write_manifest(out_dir: str | Path, config_echo: dict, seeds: list[int],
-                   files: list[str], command: str = "") -> Path:
+                   files: list[str], command: str) -> Path:
     """Run manifest (written last): config echo, seeds, version, checksums."""
     out_dir = Path(out_dir)
     manifest = {

@@ -1,11 +1,12 @@
+import csv
 import hashlib
 import json
 
 import pytest
 
-from torns.cli import main
+from torns.cli import COMMANDS, main
 from torns.dynamics import conjugate
-from torns.io import load_config, read_checkpoint, read_series_csv
+from torns.io import load_config, read_checkpoint
 from torns.noise import ou_from_wiener, sample_wiener
 from torns.spectral import sobolev_norm
 
@@ -67,6 +68,17 @@ class TestArtifactContract:
         assert written and set(manifest["files"]) == written
         for name, entry in manifest["files"].items():
             assert entry["sha256"] == hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_quiet_leaves_stdout_empty(self, tmp_path, capsys, command):
+        # validate used to print its assumption and fields lines itself, past --quiet
+        args = [command, "--out", str(tmp_path / "out"), "--quiet"]
+        if command == "taylor-green":
+            args += ["--preset", "taylor-green"]
+        else:
+            args += ["--config", write_config(tmp_path, SMALL)]
+        assert main(args) == 0
+        assert capsys.readouterr().out == ""
 
     def test_absorbing_blowup_keeps_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"nu": 1.0, "N": 16, "dt": 0.2,
@@ -183,6 +195,7 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "alpha=1" in out
         assert "satisfied=True" in out
+        assert out.endswith("\nfields: ok\n")
 
     def test_violated_assumption_warns_but_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -221,8 +234,9 @@ class TestSimulate:
         assert float(rows[1].split(",")[1]) == 0.0
         dW = [0.0, *ou.wiener.increments.tolist()]
         assert rows[1:] == [f"{t!r},{d!r},{z!r}" for t, d, z in zip(ou.times().tolist(), dW, ou.z.tolist())]
-        series = read_series_csv(out / "series.csv")  # the norm series reads back
-        assert series.t == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5], abs=1e-12)
+        with open(out / "series.csv", newline="") as fh:  # the norm series reads back
+            times = [float(r["t"]) for r in csv.DictReader(fh)]
+        assert times == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5], abs=1e-12)
         # on the path's grid, bit for bit: t at every stride-th (10th) noise row
         series_t = [r.split(",")[0] for r in (out / "series.csv").read_text().splitlines()[1:]]
         assert series_t == [r.split(",")[0] for r in rows[1::10]]

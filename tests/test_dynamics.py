@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -91,6 +92,12 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="f must be band-limited"):
             basic_cfg(grid16, f=SpectralField(grid16, c))
 
+    def test_rejects_non_integral_stride(self, grid16):
+        # stride 2.5 used to record the steps n with n % 2.5 == 0, every fifth
+        cfg = basic_cfg(grid16)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            dataclasses.replace(cfg, stride=2.5)
+
     def test_attaches_assumption(self, grid16):
         cfg = basic_cfg(grid16)
         assert cfg.assumption is not None and cfg.assumption.satisfied
@@ -151,27 +158,27 @@ class TestDeterministicStep:
     def test_linear_decay_exact(self, grid16):
         # single shear mode, B = 0: ETD linear part is exact over 100 steps
         cfg = basic_cfg(grid16, nu=0.7, dt=1e-2)
-        res = integrate(sine_shear(grid16), cfg, steps=100)
+        state, _ = integrate(sine_shear(grid16), cfg, steps=100)
         expected = math.exp(-0.7 * 1.0) * sobolev_norm(sine_shear(grid16), 0.0)
-        assert sobolev_norm(res.state.u, 0.0) == pytest.approx(expected, abs=1e-10)
+        assert sobolev_norm(state.u, 0.0) == pytest.approx(expected, abs=1e-10)
 
     def test_taylor_green_analytic(self, grid16):
         cfg = basic_cfg(grid16, nu=0.1, dt=1e-3)
-        res = integrate(taylor_green(0.0, 0.1, grid16), cfg, steps=1000)
+        state, _ = integrate(taylor_green(0.0, 0.1, grid16), cfg, steps=1000)
         exact = taylor_green(1.0, 0.1, grid16)
-        rel = sobolev_norm(res.state.u - exact, 0.0) / sobolev_norm(exact, 0.0)
+        rel = sobolev_norm(state.u - exact, 0.0) / sobolev_norm(exact, 0.0)
         assert rel < 1e-8
 
     def test_manufactured_equilibrium(self, grid16):
         u0 = random_divfree_field(grid16, seed=5, norm=1.0)
         cfg = basic_cfg(grid16, f=manufactured_forcing(u0, 1.0))
-        res = integrate(u0, cfg, steps=1000)
-        assert sobolev_norm(res.state.u - u0, 0.0) < 1e-9
+        state, _ = integrate(u0, cfg, steps=1000)
+        assert sobolev_norm(state.u - u0, 0.0) < 1e-9
 
     def test_divergence_and_mean_preserved(self, grid16):
         cfg = basic_cfg(grid16, f=random_divfree_field(grid16, seed=2, norm=0.5))
-        res = integrate(random_divfree_field(grid16, seed=3), cfg, steps=50)
-        assert field_violations(res.state.u, rtol=1e-12) == []
+        state, _ = integrate(random_divfree_field(grid16, seed=3), cfg, steps=50)
+        assert field_violations(state.u, rtol=1e-12) == []
 
     def test_energy_monotone_without_forcing(self, grid16):
         cfg = basic_cfg(grid16, nu=0.5)
@@ -185,9 +192,10 @@ class TestDeterministicStep:
         # discrete Poincare decay: ||u(t)|| <= exp(-nu lambda1 t) ||u0|| (1 + 1e-6)
         cfg = basic_cfg(grid16, nu=0.8)
         u0 = random_divfree_field(grid16, seed=9, norm=1.0)
-        res = integrate(u0, cfg, steps=1000, stride=10)
-        bound = np.exp(-0.8 * grid16.lambda1 * res.series.t) * sobolev_norm(u0, 0.0)
-        assert np.all(res.series.norm_h <= bound * (1 + 1e-6))
+        _, rows = integrate(u0, cfg, steps=1000, stride=10)
+        t, norm_h = (np.array([r[k] for r in rows]) for k in ("t", "norm_H"))
+        bound = np.exp(-0.8 * grid16.lambda1 * t) * sobolev_norm(u0, 0.0)
+        assert np.all(norm_h <= bound * (1 + 1e-6))
 
     def test_blowup_detected(self, grid16):
         # dt = 10 puts the explicit advection far outside its stability region
@@ -205,18 +213,18 @@ class TestRandomStep:
         cfg = basic_cfg(grid16, f=f, h=h)
         v0 = random_divfree_field(grid16, seed=4, norm=1.0)
         ou = given_z(np.zeros(101), cfg.dt)
-        a = integrate(v0, cfg, path=ou)
-        b = integrate(v0, cfg, steps=100)
-        assert np.array_equal(a.state.u.coeffs, b.state.u.coeffs)
+        a, _ = integrate(v0, cfg, path=ou)
+        b, _ = integrate(v0, cfg, steps=100)
+        assert np.array_equal(a.u.coeffs, b.u.coeffs)
 
     def test_h_zero_makes_z_irrelevant(self, grid16):
         cfg = basic_cfg(grid16, f=random_divfree_field(grid16, seed=2, norm=0.5))
         v0 = random_divfree_field(grid16, seed=4, norm=1.0)
         oua = ou_from_wiener(sample_wiener(0.0, 0.1, cfg.dt, seed=5))
         oub = ou_from_wiener(sample_wiener(0.0, 0.1, cfg.dt, seed=6))
-        a = integrate(v0, cfg, path=oua)
-        b = integrate(v0, cfg, path=oub)
-        assert np.array_equal(a.state.u.coeffs, b.state.u.coeffs)
+        a, _ = integrate(v0, cfg, path=oua)
+        b, _ = integrate(v0, cfg, path=oub)
+        assert np.array_equal(a.u.coeffs, b.u.coeffs)
 
     def test_linear_mode_matches_variation_of_constants(self, grid16):
         # B(v + z h) = 0 for parallel shears v and h: etd1 on a single mode is
@@ -225,7 +233,7 @@ class TestRandomStep:
         h = sine_shear(grid16, c=0.5)
         cfg = basic_cfg(grid16, nu=0.9, dt=0.05, h=h, scheme="etd1")
         ou = ou_from_wiener(sample_wiener(0.0, 1.0, 0.05, seed=7))
-        res = integrate(SpectralField.zero(grid16), cfg, path=ou)
+        state, _ = integrate(SpectralField.zero(grid16), cfg, path=ou)
         k2 = 1.0
         E = math.exp(-0.9 * k2 * cfg.dt)
         phi1dt = (1 - E) / (0.9 * k2)
@@ -233,27 +241,27 @@ class TestRandomStep:
         hk = h.coeffs[0, 0, 1]
         for n in range(20):
             vk = E * vk + phi1dt * ou.z[n] * (1.0 - 0.9 * k2) * hk
-        assert res.state.u.coeffs[0, 0, 1] == pytest.approx(vk, rel=1e-12)
+        assert state.u.coeffs[0, 0, 1] == pytest.approx(vk, rel=1e-12)
 
     def test_etd2_close_to_piecewise_exact(self, grid16):
         # multistep correction stays within O(dt^2) of the piecewise-z solution
         # (a parallel shear, so B = 0)
         h = sine_shear(grid16, c=0.5)
         ou = ou_from_wiener(sample_wiener(0.0, 1.0, 0.05, seed=7))
-        res1 = integrate(SpectralField.zero(grid16), basic_cfg(grid16, nu=0.9, dt=0.05, h=h, scheme="etd1"),
+        res1, _ = integrate(SpectralField.zero(grid16), basic_cfg(grid16, nu=0.9, dt=0.05, h=h, scheme="etd1"),
                          path=ou)
-        res2 = integrate(SpectralField.zero(grid16), basic_cfg(grid16, nu=0.9, dt=0.05, h=h, scheme="etd2"),
+        res2, _ = integrate(SpectralField.zero(grid16), basic_cfg(grid16, nu=0.9, dt=0.05, h=h, scheme="etd2"),
                          path=ou)
-        diff = sobolev_norm(res1.state.u - res2.state.u, 0.0)
+        diff = sobolev_norm(res1.u - res2.u, 0.0)
         assert diff < 10 * 0.05**2
 
     def test_state_invariants_preserved(self, grid16):
         h = random_divfree_field(grid16, seed=3, norm=0.4)
         cfg = basic_cfg(grid16, f=random_divfree_field(grid16, seed=2, norm=0.5), h=h)
         ou = ou_from_wiener(sample_wiener(0.0, 0.2, cfg.dt, seed=8))
-        res = integrate(random_divfree_field(grid16, seed=4), cfg, path=ou)
-        assert field_violations(res.state.u, rtol=1e-12) == []
-        assert res.state.z == ou.z[-1]
+        state, _ = integrate(random_divfree_field(grid16, seed=4), cfg, path=ou)
+        assert field_violations(state.u, rtol=1e-12) == []
+        assert state.z == ou.z[-1]
 
 
 class TestEMStep:
@@ -262,9 +270,9 @@ class TestEMStep:
         cfg = basic_cfg(grid16, f=f, scheme="etd1")
         u0 = random_divfree_field(grid16, seed=4, norm=1.0)
         w = sample_wiener(0.0, 0.1, cfg.dt, seed=5)
-        a = integrate(u0, cfg, path=w)
-        b = integrate(u0, cfg, steps=100)
-        assert np.array_equal(a.state.u.coeffs, b.state.u.coeffs)
+        a, _ = integrate(u0, cfg, path=w)
+        b, _ = integrate(u0, cfg, steps=100)
+        assert np.array_equal(a.u.coeffs, b.u.coeffs)
 
     def test_one_step_from_zero_is_noise_increment(self, grid16):
         h = random_divfree_field(grid16, seed=3, norm=0.4)
@@ -281,8 +289,8 @@ class TestEMStep:
         levels = []
         for seed in range(8):
             w = sample_wiener(0.0, 30.0, cfg.dt, seed=seed)
-            res = integrate(SpectralField.zero(grid16), cfg, path=w, stride=10)
-            tail = res.series.norm_h[len(res.series.norm_h) // 2:]
+            _, rows = integrate(SpectralField.zero(grid16), cfg, path=w, stride=10)
+            tail = np.array([r["norm_H"] for r in rows[len(rows) // 2:]])
             levels.append((tail**2).mean())
         expected = sobolev_norm(h, 0.0) ** 2 / (2 * nu * 1.0)
         assert np.mean(levels) == pytest.approx(expected, rel=0.35)
@@ -316,10 +324,10 @@ class TestVorticityCore:
                         h=random_divfree_field(g, seed=3, norm=0.05))
         v0 = random_divfree_field(g, seed=4, norm=1.0)
         ou = ou_from_wiener(sample_wiener(0.0, 200 * cfg.dt, cfg.dt, seed=5))
-        res = integrate(v0, cfg, path=ou)
+        state, _ = integrate(v0, cfg, path=ou)
         ref = velocity_etd2_reference(cfg, v0, ou.z)
         assert ou.n == 200
-        assert np.abs(res.state.u.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(state.u.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_state_space_kept_at_n24(self):
         g = WaveGrid(TWO_PI, 24)
@@ -327,9 +335,9 @@ class TestVorticityCore:
                         f=random_divfree_field(g, seed=2, norm=0.5),
                         h=random_divfree_field(g, seed=3, norm=0.05))
         ou = ou_from_wiener(sample_wiener(0.0, 0.2, cfg.dt, seed=6))
-        res = integrate(random_divfree_field(g, seed=4, norm=1.0), cfg, path=ou)
-        assert field_violations(res.state.u, rtol=1e-13) == []
-        assert np.abs(res.state.u.coeffs[:, ~g.dealias_mask]).max() < 1e-13 * np.abs(res.state.u.coeffs).max()
+        state, _ = integrate(random_divfree_field(g, seed=4, norm=1.0), cfg, path=ou)
+        assert field_violations(state.u, rtol=1e-13) == []
+        assert np.abs(state.u.coeffs[:, ~g.dealias_mask]).max() < 1e-13 * np.abs(state.u.coeffs).max()
 
     # N = 16 runs the dense-DFT kernel, N = 66 the FFT kernel
     @pytest.mark.parametrize("N", [16, 66])
@@ -407,8 +415,8 @@ class TestStepperBuffers:
         cfg = noisy_cfg(grid16)
         v0 = random_divfree_field(grid16, seed=4, norm=1.0)
         ou = ou_from_wiener(sample_wiener(0.0, 10 * cfg.dt, cfg.dt, seed=5))
-        res = integrate(v0, cfg, path=ou, stride=3)
-        assert len(res.series) == 4
+        state, rows = integrate(v0, cfg, path=ou, stride=3)
+        assert len(rows) == 4
         # horizon 0 reads the initial states
         experiments.measure_smoothing(cfg, v0, deltas=[1e-3], horizons=[0.0, 4 * cfg.dt], seeds=[1])
         experiments.measure_absorbing(cfg, initial_radii=[1.0, 2.0], horizons=[0.0, 3 * cfg.dt], seed=5)
@@ -418,8 +426,8 @@ class TestStepperBuffers:
         assert main(["pullback", "--config", str(config), "--out", str(tmp_path / "pb"), "--quiet"]) == 0
         assert calls == []
         # the returned state builds its velocity on the first read only
-        u = res.state.u
-        assert len(calls) == 1 and res.state.u is u
+        u = state.u
+        assert len(calls) == 1 and state.u is u
 
     def test_steady_state_step_allocates_little(self):
         import tracemalloc
@@ -472,22 +480,23 @@ class TestIntegrate:
     def test_zero_steps_returns_initial(self, grid16):
         cfg = basic_cfg(grid16)
         v0 = random_divfree_field(grid16, seed=1)
-        res = integrate(v0, cfg, steps=0)
-        assert np.array_equal(res.state.u.coeffs, v0.coeffs)
-        assert len(res.series) == 1
+        state, rows = integrate(v0, cfg, steps=0)
+        assert np.array_equal(state.u.coeffs, v0.coeffs)
+        assert len(rows) == 1
 
     def test_series_length_contract(self, grid16):
         cfg = basic_cfg(grid16)
         v0 = random_divfree_field(grid16, seed=1)
         for steps, stride in ((100, 10), (101, 10), (7, 3), (5, 100)):
-            res = integrate(v0, cfg, steps=steps, stride=stride)
-            assert len(res.series) == steps // stride + 1
+            _, rows = integrate(v0, cfg, steps=steps, stride=stride)
+            assert len(rows) == steps // stride + 1
 
     def test_observer_matches_taylor_green(self, grid16):
         cfg = basic_cfg(grid16, nu=0.1)
-        res = integrate(taylor_green(0.0, 0.1, grid16), cfg, steps=1000, stride=100)
-        expected = np.exp(-0.2 * res.series.t) * sobolev_norm(taylor_green(0.0, 0.1, grid16), 0.0)
-        assert np.abs(res.series.norm_h / expected - 1).max() < 1e-8
+        _, rows = integrate(taylor_green(0.0, 0.1, grid16), cfg, steps=1000, stride=100)
+        t, norm_h = (np.array([r[k] for r in rows]) for k in ("t", "norm_H"))
+        expected = np.exp(-0.2 * t) * sobolev_norm(taylor_green(0.0, 0.1, grid16), 0.0)
+        assert np.abs(norm_h / expected - 1).max() < 1e-8
 
     def test_dt_mismatch_rejected(self, grid16):
         cfg = basic_cfg(grid16, dt=1e-3)
@@ -514,6 +523,12 @@ class TestIntegrate:
         if "steps" in kw:  # checked on the call, before any state is drawn
             with pytest.raises(ValueError, match=message):
                 trajectory(v0, cfg, **kw)
+
+    def test_rejects_non_integral_stride(self, grid16):
+        # stride 2.5 used to be truncated to 2, six rows over 10 steps, not floor(10/2.5) + 1
+        v0 = random_divfree_field(grid16, seed=1)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            integrate(v0, basic_cfg(grid16), steps=10, stride=2.5)
 
     def test_rejects_t_end_not_whole_number_of_steps(self, grid16):
         # round(1.0 / 0.3) steps used to end the deterministic run at t = 0.9
@@ -561,11 +576,11 @@ class TestTrajectory:
         v0 = random_divfree_field(grid16, seed=4, norm=1.0)
         path = path_of_type(kind, cfg, 7)
         states = list(trajectory(v0, cfg, path=path, steps=7))
-        res = integrate(v0, cfg, path=path, steps=7, stride=3)
+        state, _ = integrate(v0, cfg, path=path, steps=7, stride=3)
         assert len(states) == 7 + 1
         assert np.array_equal(states[0].u.coeffs, v0.coeffs)
-        assert states[-1].t == res.state.t and states[-1].z == res.state.z
-        assert np.array_equal(states[-1].u.coeffs, res.state.u.coeffs)
+        assert states[-1].t == state.t and states[-1].z == state.z
+        assert np.array_equal(states[-1].u.coeffs, state.u.coeffs)
 
     def test_one_step_call_per_member_step(self, grid16, monkeypatch):
         # the benchmark's traced gate counts dynamics.step calls as member-steps;

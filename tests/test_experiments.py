@@ -194,7 +194,7 @@ class TestAttractorSample:
         n0, stride, count = 30, 4, 3
         sample = sample_attractor_deterministic(cfg, t_transient=n0 * cfg.dt, count=count,
                                                 stride=stride, v0=u0)
-        ref = integrate(u0, cfg, steps=n0 + stride * (count - 1)).state.u
+        ref = integrate(u0, cfg, steps=n0 + stride * (count - 1))[0].u
         assert len(sample) == count
         assert np.array_equal(sample[-1].coeffs, ref.coeffs)
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -6,8 +7,7 @@ import numpy as np
 import pytest
 
 from torns import spectral
-from torns.cli import _write_series as write_series
-from torns.dynamics import NormSeries, State, check_assumption, taylor_green
+from torns.dynamics import State, check_assumption, integrate, taylor_green
 from torns.io import (
     ConfigError,
     config_defaults,
@@ -15,7 +15,6 @@ from torns.io import (
     load_config,
     peek_checkpoint,
     read_checkpoint,
-    read_series_csv,
     write_checkpoint,
     write_manifest,
     write_rows_csv,
@@ -165,7 +164,7 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.trns"
         g = WaveGrid(TWO_PI, 8)
-        write_checkpoint(State(0.0, random_divfree_field(g, seed=1)), p)
+        write_checkpoint(State(0.0, random_divfree_field(g, seed=1)), p, nu=1.0)
         data = bytearray(p.read_bytes())
         data[:4] = b"NOPE"
         p.write_bytes(bytes(data))
@@ -175,7 +174,7 @@ class TestCheckpoint:
     def test_version_mismatch(self, tmp_path):
         p = tmp_path / "v2.trns"
         g = WaveGrid(TWO_PI, 8)
-        write_checkpoint(State(0.0, random_divfree_field(g, seed=1)), p)
+        write_checkpoint(State(0.0, random_divfree_field(g, seed=1)), p, nu=1.0)
         data = bytearray(p.read_bytes())
         data[4] += 1  # little-endian u32 version
         p.write_bytes(bytes(data))
@@ -185,14 +184,14 @@ class TestCheckpoint:
     def test_truncation_detected(self, tmp_path):
         p = tmp_path / "trunc.trns"
         g = WaveGrid(TWO_PI, 8)
-        write_checkpoint(State(0.0, random_divfree_field(g, seed=1)), p)
+        write_checkpoint(State(0.0, random_divfree_field(g, seed=1)), p, nu=1.0)
         p.write_bytes(p.read_bytes()[:-16])
         with pytest.raises(ValueError, match="truncated"):
             read_checkpoint(p)
 
     def test_read_checkpoint_reads_the_file_once(self, tmp_path, monkeypatch):
         p = tmp_path / "once.trns"
-        write_checkpoint(State(0.0, random_divfree_field(WaveGrid(TWO_PI, 8), seed=1)), p)
+        write_checkpoint(State(0.0, random_divfree_field(WaveGrid(TWO_PI, 8), seed=1)), p, nu=1.0)
         reads = []
         read_bytes = Path.read_bytes
         monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
@@ -232,31 +231,27 @@ class TestCheckpoint:
 class TestSeriesCsv:
     def test_round_trip(self, tmp_path):
         n = 7
-        series = NormSeries(
-            t=np.linspace(0, 1, n), norm_h=np.random.default_rng(0).random(n),
-            norm_h1=np.random.default_rng(1).random(n),
-            norm_h2=np.random.default_rng(2).random(n), z=np.random.default_rng(3).random(n))
+        cols = {"t": np.linspace(0, 1, n), "norm_H": np.random.default_rng(0).random(n),
+                "norm_H1": np.random.default_rng(1).random(n),
+                "norm_H2": np.random.default_rng(2).random(n), "z": np.random.default_rng(3).random(n)}
+        rows = [{k: v[i] for k, v in cols.items()} for i in range(n)]
         p = tmp_path / "s.csv"
-        write_series(series, p)
-        back = read_series_csv(p)
-        for a, b in ((series.t, back.t), (series.norm_h, back.norm_h),
-                     (series.norm_h1, back.norm_h1), (series.norm_h2, back.norm_h2),
-                     (series.z, back.z)):
-            assert np.array_equal(a, b)  # repr round-trips floats exactly
+        write_rows_csv(rows, p)
+        with open(p, newline="") as fh:
+            back = list(csv.DictReader(fh))
+        for k, v in cols.items():
+            assert np.array_equal(v, [float(r[k]) for r in back])  # repr round-trips floats exactly
 
     def test_header_schema(self, tmp_path):
-        series = NormSeries(t=np.array([]), norm_h=np.array([]), norm_h1=np.array([]),
-                            norm_h2=np.array([]), z=np.array([]))
-        p = tmp_path / "empty.csv"
-        write_series(series, p)
-        text = p.read_text().strip()
-        assert text == "t,norm_H,norm_H1,norm_H2,z"
+        cfg = load_config(minimal_config())
+        _, rows = integrate(random_divfree_field(cfg.grid, seed=1), cfg, steps=0)
+        p = tmp_path / "one.csv"
+        write_rows_csv(rows, p)
+        assert p.read_text().splitlines()[0] == "t,norm_H,norm_H1,norm_H2,z"
 
     def test_column_count(self, tmp_path):
-        series = NormSeries(t=np.array([0.0]), norm_h=np.array([1.0]), norm_h1=np.array([2.0]),
-                            norm_h2=np.array([3.0]), z=np.array([4.0]))
         p = tmp_path / "one.csv"
-        write_series(series, p)
+        write_rows_csv([{"t": 0.0, "norm_H": 1.0, "norm_H1": 2.0, "norm_H2": 3.0, "z": 4.0}], p)
         rows = p.read_text().strip().splitlines()
         assert all(len(r.split(",")) == 5 for r in rows)
 
@@ -264,18 +259,24 @@ class TestSeriesCsv:
 class TestRowsCsv:
     def test_values_in_column_order(self, tmp_path):
         p = tmp_path / "rows.csv"
-        write_rows_csv([(1.5, "x"), [2.0, ""]], ["a", "b"], p)
+        write_rows_csv([{"a": 1.5, "b": "x"}, {"b": "", "a": 2.0}], p)
         assert p.read_text() == "a,b\n1.5,x\n2.0,\n"
 
     def test_numpy_floats_written_as_plain_floats(self, tmp_path):
         p = tmp_path / "rows.csv"
-        write_rows_csv([(np.float64(0.1), np.float32(0.5), np.int64(3))], ["a", "b", "c"], p)
+        write_rows_csv([{"a": np.float64(0.1), "b": np.float32(0.5), "c": np.int64(3)}], p)
         assert p.read_text() == "a,b,c\n0.1,0.5,3\n"
 
     def test_rows_may_be_an_iterator(self, tmp_path):
         p = tmp_path / "rows.csv"
-        write_rows_csv(zip(np.array([0.0, 0.5]), np.array([1.0, 2.0])), ["t", "x"], p)
+        write_rows_csv(({"t": t, "x": x} for t, x in zip(np.array([0.0, 0.5]), np.array([1.0, 2.0]))), p)
         assert p.read_text() == "t,x\n0.0,1.0\n0.5,2.0\n"
+
+    def test_no_rows_rejected(self, tmp_path):
+        p = tmp_path / "rows.csv"
+        with pytest.raises(ValueError, match="no rows to write"):
+            write_rows_csv([], p)
+        assert not p.exists()
 
 
 class TestPlotScript:
@@ -296,14 +297,13 @@ class TestPlotScript:
             assert data[:8] == b"\x89PNG\r\n\x1a\n"
             return data[16:24]  # IHDR width/height
 
-        series = NormSeries(t=np.array([0.0, 1.0]), norm_h=np.array([1.0, 0.5]),
-                            norm_h1=np.array([2.0, 1.0]), norm_h2=np.array([3.0, 1.5]),
-                            z=np.array([0.0, 0.1]))
-        write_series(series, tmp_path / "series.csv")
+        rows = [{"t": 0.0, "norm_H": 1.0, "norm_H1": 2.0, "norm_H2": 3.0, "z": 0.0},
+                {"t": 1.0, "norm_H": 0.5, "norm_H1": 1.0, "norm_H2": 1.5, "z": 0.1}]
+        write_rows_csv(rows, tmp_path / "series.csv")
         emit_plot_script(["series.csv"], tmp_path / "plot.py")
         dims = []
         for rerun in range(2):
-            write_series(series, tmp_path / "series.csv")  # regenerate the CSV
+            write_rows_csv(rows, tmp_path / "series.csv")  # regenerate the CSV
             subprocess.run([sys.executable, str(tmp_path / "plot.py")], check=True,
                            capture_output=True)
             dims.append(png_dims(tmp_path / "plot.png"))

@@ -232,7 +232,7 @@ def test_truncated_checkpoint_is_rejected(N, keep):
     state = _emitted_state(N, seed=3, steps=1, noisy=False)
     with tempfile.TemporaryDirectory() as out:
         path = Path(out) / "state.trns"
-        tio.write_checkpoint(state, path)
+        tio.write_checkpoint(state, path, nu=1.0)
         data = path.read_bytes()
         path.write_bytes(data[: int(keep * len(data))])
         with pytest.raises(ValueError, match="truncated"):
