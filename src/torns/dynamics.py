@@ -533,21 +533,19 @@ def integrate(
 
 
 def taylor_green(t: float, nu: float, grid: WaveGrid) -> SpectralField:
-    """Decaying Taylor-Green vortex e^{-2 nu t} (cos x sin y, -sin x cos y).
+    """Decaying Taylor-Green vortex e^{-2 nu lambda_1 t} (cos kx sin ky, -sin kx cos ky), k = 2 pi / L.
 
-    Exact solution of the unforced equations on the 2*pi torus: the advection
-    term is a pure gradient, annihilated by the Leray projection.
+    Exact solution of the unforced equations on every square torus: the
+    advection term is a pure gradient, annihilated by the Leray projection.
+    Built in closed form as its four modes j = (+-1, +-1), each with
+    a = e^{-2 nu lambda_1 t} / 4, u_1 = -i j_2 a and u_2 = i j_1 a.
     """
-    if abs(grid.L - 2.0 * np.pi) > 1e-12:
-        raise ValueError(f"Taylor-Green requires L = 2*pi, got L={grid.L}")
-    x = grid.x[:, None]
-    y = grid.x[None, :]
-    amp = math.exp(-2.0 * nu * t)
-    vals = np.stack([
-        amp * np.cos(x) * np.sin(y),
-        -amp * np.sin(x) * np.cos(y),
-    ])
-    return spectral.to_spectral(spectral.PhysicalField(grid, vals))
+    a = math.exp(-2.0 * nu * grid.lambda1 * t) / 4.0
+    coeffs = np.zeros((2, grid.N, grid.N), dtype=np.complex128)
+    for j1 in (1, -1):
+        for j2 in (1, -1):
+            coeffs[:, j1, j2] = -1j * j2 * a, 1j * j1 * a
+    return SpectralField(grid, coeffs)
 
 
 def manufactured_forcing(u0: SpectralField, nu: float) -> SpectralField:

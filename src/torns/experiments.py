@@ -33,7 +33,6 @@ workers that run them.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from itertools import zip_longest
 
@@ -109,6 +108,8 @@ def _run_ensembles(ensembles: list, threads: int = 1) -> list[dict]:
     if dft or threads == 1 or len(blocks) < 2:
         runs = list(map(run, blocks))
     else:
+        # imported here: concurrent.futures and the logging it loads cost every CLI process 0.6 MB
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=min(threads, len(blocks))) as pool:
             runs = list(pool.map(run, blocks))
     out = [{n: [] for n in reads} for *_, reads in ensembles]
@@ -253,10 +254,10 @@ def _kmin(cfg: SimConfig) -> float:
 
 
 def _norms(st) -> dict:
-    """norm_h, norm_h1, norm_h2 and error ("") of a State; NaN norms and the message of a BlowupError."""
+    """norm_H, norm_H1, norm_H2 and error ("") of a State; NaN norms and the message of a BlowupError."""
     if isinstance(st, BlowupError):
-        return dict(norm_h=float("nan"), norm_h1=float("nan"), norm_h2=float("nan"), error=str(st))
-    return dict(zip(("norm_h", "norm_h1", "norm_h2"), st.half.norms(st.w)), error="")
+        return dict(norm_H=float("nan"), norm_H1=float("nan"), norm_H2=float("nan"), error=str(st))
+    return dict(zip(("norm_H", "norm_H1", "norm_H2"), st.half.norms(st.w)), error="")
 
 
 def measure_absorbing(
@@ -268,7 +269,7 @@ def measure_absorbing(
 ) -> list[dict]:
     """Pullback the family {radius * e : radius in initial_radii} over each horizon (pullback_solve).
 
-    Rows (radius, horizon, norm_h, norm_h1, norm_h2, error) per distinct (radius,
+    Rows (radius, horizon, norm_H, norm_H1, norm_H2, error) per distinct (radius,
     horizon) in increasing order; a member that blows up gets NaN norms and its error.
     """
     e = random_divfree_field(cfg.grid, 99, norm=1.0, stream=29)  # one fixed unit direction

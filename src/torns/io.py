@@ -181,10 +181,7 @@ def _build_field(grid: WaveGrid, spec: dict, path: str, nu: float) -> SpectralFi
     if preset == "taylor-green":
         if path != "initial":
             raise ConfigError(f"{path}.preset", "taylor-green preset is only valid for initial data")
-        try:
-            return taylor_green(0.0, nu, grid)
-        except ValueError as exc:  # the vortex exists only on the 2 pi torus
-            raise ConfigError(f"{path}.preset", str(exc)) from exc
+        return taylor_green(0.0, nu, grid)
     if preset == "manufactured":
         if path != "forcing":
             raise ConfigError(f"{path}.preset", "manufactured preset is only valid for forcing")

@@ -59,7 +59,6 @@ class WienerPath:
     """
 
     t0: float
-    t1: float
     dt: float
     increments: np.ndarray
     seed: int
@@ -67,15 +66,17 @@ class WienerPath:
     quantum: float = 0.0
 
     def __post_init__(self):
-        n = len(self.increments)
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if abs((self.t1 - self.t0) - n * self.dt) > 1e-9 * max(1.0, abs(self.t1 - self.t0)):
-            raise ValueError(f"(t1-t0)/dt not integral: t0={self.t0}, t1={self.t1}, dt={self.dt}, n={n}")
 
     @property
     def n(self) -> int:
         return len(self.increments)
+
+    @property
+    def t1(self) -> float:
+        """The end of the window, t0 + n dt."""
+        return self.t0 + self.n * self.dt
 
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n + 1)
@@ -117,8 +118,8 @@ def _snap(x: np.ndarray, q: float) -> np.ndarray:
 def horizon_steps(horizon: float, dt: float) -> int:
     """The number of steps of size dt in horizon; ValueError unless it is finite, >= 0 and whole.
 
-    Every fixed horizon is checked with it before any step is taken, with
-    the tolerance that WienerPath applies to its window.
+    Every fixed horizon is checked with it before any step is taken, and
+    sample_wiener checks its window [t0, t1] with it.
     """
     if not horizon >= 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
@@ -136,11 +137,11 @@ def sample_wiener(t0: float, t1: float, dt: float, seed: int) -> WienerPath:
         raise ValueError(f"dt must be positive, got {dt}")
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    n = round((t1 - t0) / dt)
+    n = horizon_steps(t1 - t0, dt)
     rng = rng_for(seed, "wiener", 0)
     q = _lattice_quantum(dt)
     inc = _snap(rng.standard_normal(n) * math.sqrt(dt), q)
-    return WienerPath(t0=t0, t1=t1, dt=dt, increments=inc, seed=seed, quantum=q)
+    return WienerPath(t0=t0, dt=dt, increments=inc, seed=seed, quantum=q)
 
 
 def refine_wiener(path: WienerPath) -> WienerPath:
@@ -163,7 +164,7 @@ def refine_wiener(path: WienerPath) -> WienerPath:
     fine[0::2] = 0.5 * d + xi
     fine[1::2] = 0.5 * d - xi
     return WienerPath(
-        t0=path.t0, t1=path.t1, dt=0.5 * path.dt, increments=fine,
+        t0=path.t0, dt=0.5 * path.dt, increments=fine,
         seed=path.seed, level=path.level + 1, quantum=q,
     )
 
@@ -217,7 +218,7 @@ def pullback_path(horizon: float, dt: float, seed: int) -> OUPath:
     z0 = rng.standard_normal() * math.sqrt(dt / -math.expm1(-2.0 * dt))
     z = _ou_scan(rng.standard_normal(n) * math.sqrt(dt), z0, dt)[::-1].copy()
     # 0.0 - horizon, not -horizon: the window of horizon 0 starts at t = +0.0
-    w = WienerPath(t0=0.0 - horizon, t1=0.0, dt=dt, increments=z[1:] - math.exp(-dt) * z[:-1], seed=seed)
+    w = WienerPath(t0=0.0 - horizon, dt=dt, increments=z[1:] - math.exp(-dt) * z[:-1], seed=seed)
     return OUPath(wiener=w, z=z)
 
 

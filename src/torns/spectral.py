@@ -9,7 +9,8 @@ array c is L * sqrt(sum |c|^2).
 The first eigenvalue of the Stokes operator on this lattice is
 lambda_1 = 4*pi^2 / L^2.
 
-Velocity SpectralFields are the public representation.  The time stepper
+Velocity SpectralFields are the only public representation; no public type
+holds samples on the grid.  The time stepper
 works instead on the scalar vorticity w = curl u = d_x u_2 - d_y u_1, held
 only on the K = (N-1)//3 + 1 columns of the rfft2 half spectrum that meet
 the dealias mask, as one contiguous (N, K) array (HalfSpectrum; the other
@@ -44,7 +45,6 @@ from .rng import rng_for
 __all__ = [
     "WaveGrid",
     "SpectralField",
-    "PhysicalField",
     "leray_project",
     "divergence",
     "sobolev_norm",
@@ -55,21 +55,20 @@ __all__ = [
     "AdvectionWorkspace",
     "vorticity_advection",
     "grad_linf",
-    "to_spectral",
     "random_divfree_field",
     "field_violations",
 ]
 
 
 class WaveGrid:
-    """Wavenumber lattice, dealiasing mask and collocation points for one resolution.
+    """Wavenumber lattice and dealiasing mask for one resolution.
 
     Parameters
     ----------
     L : float
         Domain side length, > 0.
     N : int
-        Modes (and collocation points) per dimension; even, >= 4.
+        Modes per dimension; even, >= 4.
     """
 
     def __init__(self, L: float, N: int):
@@ -98,7 +97,6 @@ class WaveGrid:
         # products of retained modes are exactly alias-free (for N divisible by
         # 3 the inclusive cutoff would let the corner modes alias onto +-N/3)
         self.dealias_mask = (3 * np.abs(self.jx) < N) & (3 * np.abs(self.jy) < N)
-        self.x = np.arange(N) * (self.L / N)
 
     @property
     def lambda1(self) -> float:
@@ -156,19 +154,6 @@ class SpectralField:
 
     def __repr__(self):
         return f"SpectralField(N={self.grid.N}, L={self.grid.L:g}, |u|={sobolev_norm(self, 0.0):.6g})"
-
-
-class PhysicalField:
-    """Velocity samples on the N x N collocation lattice x_ab = (a*L/N, b*L/N)."""
-
-    __slots__ = ("grid", "values")
-
-    def __init__(self, grid: WaveGrid, values: np.ndarray):
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape != (2, grid.N, grid.N):
-            raise ValueError(f"values shape {values.shape} does not match grid N={grid.N}")
-        self.grid = grid
-        self.values = values
 
 
 def _check_same_grid(u, v) -> None:
@@ -234,12 +219,6 @@ def apply_stokes_power(u: SpectralField, p: float) -> SpectralField:
         w = np.where(g.k2 > 0.0, g.k2, 1.0) ** p
         w[0, 0] = 0.0
     return SpectralField(g, u.coeffs * w)
-
-
-def to_spectral(p: PhysicalField) -> SpectralField:
-    """Fourier series coefficients of collocation samples on the grid's N x N lattice."""
-    coeffs = np.fft.fft2(p.values, axes=(-2, -1), norm="forward")
-    return SpectralField(p.grid, coeffs)
 
 
 def nonlinear_term(u: SpectralField, v: SpectralField) -> SpectralField:

@@ -176,7 +176,7 @@ def test_criterion_7_absorbing_behavior():
         rows = measure_absorbing(cfg, initial_radii=radii, horizons=horizons,
                                  seed=1234, threads=1)
         assert all(r["error"] == "" for r in rows)
-        for col in ("norm_h", "norm_h1"):
+        for col in ("norm_H", "norm_H1"):
             vals = [r[col] for r in rows if r["horizon"] in (20.0, 40.0)]
             assert len(vals) == 8
             assert (max(vals) - min(vals)) / max(vals) <= 0.25, (col, vals)

@@ -1,9 +1,15 @@
 import csv
 import hashlib
 import json
+import math
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import torns
 from torns.cli import COMMANDS, main
 from torns.dynamics import conjugate
 from torns.io import load_config, read_checkpoint
@@ -103,23 +109,6 @@ class TestArtifactContract:
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "smoothing.csv"]
         rows = (out / "smoothing.csv").read_text().strip().splitlines()[1:]
         assert len(rows) == 54 and all("non-finite" in r for r in rows)
-
-    def test_taylor_green_wrong_box_writes_nothing(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"nu": 0.1, "N": 16, "dt": 1e-3, "L": 3.0})
-        out = tmp_path / "tg"
-        assert main(["taylor-green", "--config", cfg, "--out", str(out)]) == 1
-        assert "requires L = 2*pi" in capsys.readouterr().err
-        assert not out.exists()
-
-
-    def test_taylor_green_initial_data_wrong_box_is_config_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"preset": "taylor-green", "L": 3.0})
-        out = tmp_path / "tg"
-        assert main(["taylor-green", "--config", cfg, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: initial.preset: ")
-        assert err.count("\n") == 1
-        assert not out.exists()
 
 
 class TestFieldConfig:
@@ -314,6 +303,15 @@ class TestTaylorGreenCommand:
         out = capsys.readouterr().out
         assert "max relative error" in out
 
+    @pytest.mark.parametrize("L", [3.0, 2.0 * math.pi, 10.0])
+    def test_any_box_decays_at_two_nu_lambda1(self, tmp_path, capsys, L):
+        cfg = write_config(tmp_path, {"preset": "taylor-green", "L": L})
+        assert main(["taylor-green", "--config", cfg, "--out", str(tmp_path / "tg")]) == 0
+        expected = f"{-2 * 0.1 * 4 * math.pi**2 / L**2:.8f}"
+        m = re.fullmatch(r"taylor-green: max relative error (\S+), fitted decay rate (\S+) \(expected (\S+)\)\n",
+                         capsys.readouterr().out)
+        assert float(m[1]) < 1e-8 and m[2] == m[3] == expected
+
     def test_unstable_dt_aborts_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "preset": "taylor-green", "dt": 10.0, "t_end": 10000.0,
@@ -327,9 +325,9 @@ class TestExperimentCommands:
     # the columns come from the keys of the rows that torns.experiments builds
     @pytest.mark.parametrize("command", ["pullback", "smoothing", "absorbing", "ergodic", "convergence"])
     def test_report_header(self, tmp_path, command):
-        header = {"pullback": "horizon,norm_h,norm_h1,norm_h2,error",
+        header = {"pullback": "horizon,norm_H,norm_H1,norm_H2,error",
                   "smoothing": "seed,direction,delta,T,dist0,distT_h2_sq,ratio,error",
-                  "absorbing": "radius,horizon,norm_h,norm_h1,norm_h2,error",
+                  "absorbing": "radius,horizon,norm_H,norm_H1,norm_H2,error",
                   "ergodic": "seed,m,empirical,analytic,rel_error",
                   "convergence": "level,dt,strong_error,ratio,order"}[command]
         out = tmp_path / "out"
@@ -381,22 +379,27 @@ class TestExperimentCommands:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @staticmethod
+    def fresh_process(code: str) -> list[str]:
+        """The words that code prints in a new interpreter that imports torns from this tree."""
+        env = {"PYTHONPATH": str(Path(torns.__file__).resolve().parents[1]), "PATH": ""}
+        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True)
+        return res.stdout.split()
+
     def test_smoothing_leaves_numpy_ma_unimported(self, tmp_path):
         # np.median imports numpy.ma on its first call; a fresh process shows it
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import torns
-
         cfg = write_config(tmp_path, SMALL)
         argv = ["smoothing", "--config", cfg, "--out", str(tmp_path / "sm"), "--quiet"]
         code = (f"import sys; from torns.cli import main; code = main({argv!r}); "
                 "print(code, 'numpy.ma' in sys.modules)")
-        env = {"PYTHONPATH": str(Path(torns.__file__).resolve().parents[1]), "PATH": ""}
-        res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                             check=True)
-        assert res.stdout.split() == ["0", "False"]
+        assert self.fresh_process(code) == ["0", "False"]
+
+    def test_import_leaves_pool_logging_and_statistics_unimported(self):
+        # each costs every CLI process memory and time: only an FFT-grid pool imports the first two
+        code = ("import sys, torns.cli; "
+                "print(*(m in sys.modules for m in ('concurrent.futures', 'logging', 'statistics')))")
+        assert self.fresh_process(code) == ["False", "False", "False"]
 
     def test_smoothing_threads_bit_identical(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -56,7 +56,7 @@ def basic_cfg(grid, **kw):
 
 
 def zero_increments(n, dt):
-    return WienerPath(t0=0.0, t1=n * dt, dt=dt, increments=np.zeros(n), seed=0)
+    return WienerPath(t0=0.0, dt=dt, increments=np.zeros(n), seed=0)
 
 
 def given_z(z, dt):
@@ -277,7 +277,7 @@ class TestEMStep:
     def test_one_step_from_zero_is_noise_increment(self, grid16):
         h = random_divfree_field(grid16, seed=3, norm=0.4)
         cfg = basic_cfg(grid16, h=h, dt=1e-4, scheme="etd1")
-        w = WienerPath(t0=0.0, t1=cfg.dt, dt=cfg.dt, increments=np.array([0.37]), seed=0)
+        w = WienerPath(t0=0.0, dt=cfg.dt, increments=np.array([0.37]), seed=0)
         _, st = trajectory(SpectralField.zero(grid16), cfg, path=w)
         assert np.abs(st.u.coeffs - 0.37 * h.coeffs).max() < 1e-12
 
@@ -724,9 +724,18 @@ class TestEnsemble:
 
 
 class TestTaylorGreen:
-    def test_requires_2pi_box(self):
-        with pytest.raises(ValueError):
-            taylor_green(0.0, 1.0, WaveGrid(1.0, 16))
+    @pytest.mark.parametrize("L", [1.0, 3.0, 2.0 * math.pi, 10.0])
+    def test_samples_are_the_vortex_on_any_box(self, L):
+        # the series sampled at (a L/N, b L/N) is e^{-2 nu lambda_1 t} (cos kx sin ky, -sin kx cos ky),
+        # k = 2 pi / L, so kx = 2 pi a / N on every torus
+        g = WaveGrid(L, 16)
+        u = taylor_green(0.5, 0.1, g)
+        vals = np.fft.ifft2(u.coeffs, axes=(-2, -1), norm="forward").real
+        kx = 2.0 * math.pi * np.arange(16) / 16
+        x, y = kx[:, None], kx[None, :]
+        amp = math.exp(-2.0 * 0.1 * g.lambda1 * 0.5)
+        assert np.abs(vals[0] - amp * np.cos(x) * np.sin(y)).max() < 1e-15
+        assert np.abs(vals[1] + amp * np.sin(x) * np.cos(y)).max() < 1e-15
 
     def test_quadrature_norm(self, grid16):
         # || (cos x sin y, -sin x cos y) ||^2 = 2 pi^2 by direct integration

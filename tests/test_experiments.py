@@ -1,5 +1,5 @@
+import concurrent.futures
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -392,26 +392,26 @@ class TestAbsorbing:
         rows = measure_absorbing(cfg, initial_radii=[1.0, 10.0], horizons=[1.0, 2.0], seed=5)
         for row in rows:
             bound = math.exp(-cfg.nu * grid16.lambda1 * row["horizon"]) * row["radius"]
-            assert row["norm_h"] <= bound * (1 + 1e-6)
+            assert row["norm_H"] <= bound * (1 + 1e-6)
 
     def test_zero_radius_gives_noise_response(self, grid16):
         h = random_divfree_field(grid16, seed=2, norm=0.3)
         cfg = cfg_for(grid16, h=h, f=random_divfree_field(grid16, seed=3, norm=0.2))
         rows = measure_absorbing(cfg, initial_radii=[0.0], horizons=[5.0], seed=5)
-        assert rows[0]["norm_h"] > 0.0
+        assert rows[0]["norm_H"] > 0.0
 
     def test_monotone_in_radius_linear_regime(self, grid16):
         cfg = cfg_for(grid16, nu=1.0)
         rows = measure_absorbing(cfg, initial_radii=[1.0, 2.0, 4.0], horizons=[1.0], seed=5)
-        norms = [r["norm_h"] for r in sorted(rows, key=lambda r: r["radius"])]
+        norms = [r["norm_H"] for r in sorted(rows, key=lambda r: r["radius"])]
         assert norms[0] <= norms[1] <= norms[2]
 
     def test_blowup_cell_gives_error_row(self, grid16):
         cfg = cfg_for(grid16, dt=10.0)
         rows = measure_absorbing(cfg, initial_radii=[0.0, 50.0], horizons=[1000.0], seed=5)
         ok, bad = sorted(rows, key=lambda r: r["radius"])
-        assert ok["error"] == "" and ok["norm_h"] == 0.0
-        assert "non-finite" in bad["error"] and math.isnan(bad["norm_h"])
+        assert ok["error"] == "" and ok["norm_H"] == 0.0
+        assert "non-finite" in bad["error"] and math.isnan(bad["norm_H"])
 
     def test_rejects_empty_grids(self, grid16):
         with pytest.raises(ValueError):
@@ -510,12 +510,13 @@ class TestRunner:
     def pools(self, monkeypatch):
         started = []
 
-        class Recorder(ThreadPoolExecutor):
+        class Recorder(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers=None):
                 started.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(experiments, "ThreadPoolExecutor", Recorder)
+        # experiments imports it from concurrent.futures where it builds the pool
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
         return started
 
     @staticmethod

@@ -20,7 +20,7 @@ from torns.noise import (
 
 
 def zero_path(n, dt, seed=0):
-    return WienerPath(t0=0.0, t1=n * dt, dt=dt, increments=np.zeros(n), seed=seed, quantum=_lattice_quantum(dt))
+    return WienerPath(t0=0.0, dt=dt, increments=np.zeros(n), seed=seed, quantum=_lattice_quantum(dt))
 
 
 class TestSampleWiener:
@@ -64,8 +64,11 @@ class TestSampleWiener:
         assert w.increments.var() == pytest.approx(dt, rel=0.05)
 
     def test_grid_consistency_validated(self):
-        with pytest.raises(ValueError):
-            WienerPath(t0=0.0, t1=1.0, dt=0.3, increments=np.zeros(3), seed=0)
+        # the window must be a whole number of steps; t1 is then t0 + n dt
+        with pytest.raises(ValueError, match="not a whole number of steps"):
+            sample_wiener(0.0, 1.0, 0.3, seed=0)
+        w = sample_wiener(0.5, 1.7, 0.3, seed=0)
+        assert (w.n, w.t1) == (4, 0.5 + 4 * 0.3)
 
 
 class TestRefineWiener:
@@ -98,7 +101,7 @@ class TestRefineWiener:
     def test_path_off_the_lattice_rejected(self, make):
         # pair sums of a path off the lattice would not be its increments bit for bit
         dt = 0.01
-        w = (WienerPath(t0=0.0, t1=1000 * dt, dt=dt, seed=1,
+        w = (WienerPath(t0=0.0, dt=dt, seed=1,
                         increments=np.random.default_rng(1).standard_normal(1000) * math.sqrt(dt))
              if make == "random" else pullback_path(1000 * dt, dt, seed=1).wiener)
         assert w.quantum == 0.0
