@@ -96,21 +96,36 @@ class AssumptionReport:
     lhs = ||grad h||_Linf / sqrt(pi), rhs = nu * lambda_1; admissible means
     lhs < rhs strictly.  When admissible, alpha in (0, 1] solves
     lhs = (1 - alpha) rhs, beta > 0 solves lhs (1 + beta) = rhs (1 - alpha/2)
-    (beta = +inf when h = 0) and lam = alpha nu lambda_1 / 4.
+    (beta = +inf when h = 0) and lam = alpha nu lambda_1 / 4; otherwise all
+    three are None.
     """
 
     lhs: float
     rhs: float
-    satisfied: bool
     grad_linf_op: float
     grad_linf_maxabs: float
-    alpha: float | None = None
-    beta: float | None = None
-    lam: float | None = None
+
+    @property
+    def satisfied(self) -> bool:
+        return self.lhs < self.rhs
 
     @property
     def margin(self) -> float:
         return self.rhs - self.lhs
+
+    @property
+    def alpha(self) -> float | None:
+        return 1.0 - self.lhs / self.rhs if self.satisfied else None
+
+    @property
+    def beta(self) -> float | None:
+        if not self.satisfied:
+            return None
+        return math.inf if self.lhs == 0.0 else self.rhs * (1.0 - 0.5 * self.alpha) / self.lhs - 1.0
+
+    @property
+    def lam(self) -> float | None:
+        return self.alpha * self.rhs / 4 if self.satisfied else None
 
     def summary(self) -> str:
         s = (
@@ -134,18 +149,8 @@ def check_assumption(h: SpectralField, nu: float, grid: WaveGrid) -> AssumptionR
     if h.grid != grid:
         raise ValueError("h is not defined on the given grid")
     g_op, g_ma = spectral.grad_linf(h)
-    lam1 = grid.lambda1
-    lhs = g_op / math.sqrt(math.pi)
-    rhs = nu * lam1
-    if not lhs < rhs:
-        return AssumptionReport(lhs=lhs, rhs=rhs, satisfied=False,
-                                grad_linf_op=g_op, grad_linf_maxabs=g_ma)
-    alpha = 1.0 - lhs / rhs
-    beta = math.inf if lhs == 0.0 else rhs * (1.0 - 0.5 * alpha) / lhs - 1.0
-    lam = 0.25 * alpha * nu * lam1
-    return AssumptionReport(lhs=lhs, rhs=rhs, satisfied=True,
-                            grad_linf_op=g_op, grad_linf_maxabs=g_ma,
-                            alpha=alpha, beta=beta, lam=lam)
+    return AssumptionReport(lhs=g_op / math.sqrt(math.pi), rhs=nu * grid.lambda1,
+                            grad_linf_op=g_op, grad_linf_maxabs=g_ma)
 
 
 @dataclass

@@ -308,7 +308,7 @@ def conjugation_convergence(
     levels: int,
     T: float,
     seed: int,
-    paths: int = 16,
+    paths: int,
     threads: int = 1,
 ) -> list[dict]:
     """Strong error || u_h^EM(T) - (v(T) + h z(T)) || under Wiener bridge refinement.

@@ -35,13 +35,11 @@ from .spectral import SpectralField, WaveGrid, leray_project, random_divfree_fie
 
 __all__ = [
     "ConfigError",
-    "CheckpointHeader",
     "load_config",
     "normalize_config",
     "config_defaults",
     "write_checkpoint",
     "read_checkpoint",
-    "peek_checkpoint",
     "write_rows_csv",
     "emit_plot_script",
     "write_manifest",
@@ -245,7 +243,7 @@ def load_config(raw: dict | str) -> SimConfig:
         raise ConfigError("<config>", str(exc)) from exc
 
 
-class CheckpointHeader(NamedTuple):
+class _CheckpointHeader(NamedTuple):
     """Decoded checkpoint header (see module docstring for the layout)."""
 
     magic: bytes
@@ -268,10 +266,10 @@ def write_checkpoint(state: State, path: str | Path, nu: float) -> None:
     Path(path).write_bytes(header + payload)
 
 
-def _parse_header(data: bytes, path: str | Path) -> CheckpointHeader:
+def _parse_header(data: bytes, path: str | Path) -> _CheckpointHeader:
     if len(data) < _HEADER.size:
         raise ValueError(f"{path}: truncated checkpoint header")
-    hdr = CheckpointHeader(*_HEADER.unpack_from(data))
+    hdr = _CheckpointHeader(*_HEADER.unpack_from(data))
     if hdr.magic != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad magic {hdr.magic!r}")
     if hdr.version != CHECKPOINT_VERSION:
@@ -279,14 +277,9 @@ def _parse_header(data: bytes, path: str | Path) -> CheckpointHeader:
     return hdr
 
 
-def peek_checkpoint(path: str | Path) -> CheckpointHeader:
-    """The header of a checkpoint, read without its payload."""
-    with open(path, "rb") as fh:
-        return _parse_header(fh.read(_HEADER.size), path)
-
-
 def read_checkpoint(path: str | Path) -> State:
-    """Inverse of write_checkpoint (viscosity is retrievable via peek_checkpoint)."""
+    """Inverse of write_checkpoint.  The header's nu is informational: a run's
+    config, nu with it, is the config echo in its manifest."""
     data = Path(path).read_bytes()
     hdr = _parse_header(data, path)
     payload = data[_HEADER.size:]

@@ -48,8 +48,6 @@ __all__ = [
     "leray_project",
     "divergence",
     "sobolev_norm",
-    "inner",
-    "apply_stokes_power",
     "nonlinear_term",
     "HalfSpectrum",
     "AdvectionWorkspace",
@@ -149,9 +147,6 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
-
     def __repr__(self):
         return f"SpectralField(N={self.grid.N}, L={self.grid.L:g}, |u|={sobolev_norm(self, 0.0):.6g})"
 
@@ -198,27 +193,6 @@ def sobolev_norm(u: SpectralField, s: float) -> float:
     g = u.grid
     e = (np.abs(u.coeffs[0]) ** 2 + np.abs(u.coeffs[1]) ** 2)
     return g.L * float(np.sqrt((g.k2**s * e).sum()))
-
-
-def inner(u: SpectralField, v: SpectralField) -> float:
-    """Real L2 inner product (u, v) = integral of u . v over the torus."""
-    _check_same_grid(u, v)
-    return u.grid.L**2 * float(np.real(np.vdot(v.coeffs, u.coeffs)))
-
-
-def apply_stokes_power(u: SpectralField, p: float) -> SpectralField:
-    """Apply A^p, diagonal per mode with eigenvalue |k|^(2p); zero mode stays 0."""
-    g = u.grid
-    if p == 0.0:
-        return u.copy()
-    if p > 0:
-        w = g.k2**p
-        if not float(p).is_integer():
-            w = np.where(g.k2 > 0.0, w, 0.0)
-    else:
-        w = np.where(g.k2 > 0.0, g.k2, 1.0) ** p
-        w[0, 0] = 0.0
-    return SpectralField(g, u.coeffs * w)
 
 
 def nonlinear_term(u: SpectralField, v: SpectralField) -> SpectralField:

@@ -31,14 +31,13 @@ from torns.noise import ou_stationary_moment
 from torns.spectral import (
     SpectralField,
     WaveGrid,
-    apply_stokes_power,
     divergence,
-    inner,
     leray_project,
     nonlinear_term,
     random_divfree_field,
     sobolev_norm,
 )
+from tests.oracle import apply_stokes_power, inner
 from tests.test_spectral import galerkin_convolution
 
 TWO_PI = 2.0 * np.pi

@@ -122,11 +122,17 @@ class TestCheckAssumption:
         assert rep.beta == pytest.approx(0.5, rel=1e-12)
 
     def test_violation_branch(self, grid16):
+        # lhs = 2 rhs: alpha, beta and lambda are absent, and summary() omits them
         h = sine_shear(grid16, c=2.0 * math.sqrt(math.pi))
         rep = check_assumption(h, 1.0, grid16)
         assert not rep.satisfied
         assert rep.alpha is None
         assert rep.margin < 0
+        assert rep.lhs == pytest.approx(2.0 * rep.rhs, rel=1e-12)
+        assert (rep.beta, rep.lam) == (None, None)
+        summary = rep.summary()
+        assert summary.startswith("satisfied=False ")
+        assert not any(key in summary for key in ("alpha=", "beta=", "lambda="))
 
     def test_defining_identities(self, grid16):
         for seed in range(10):

@@ -457,7 +457,7 @@ class TestConjugationConvergence:
 
     def test_rejects_too_few_levels(self, grid16):
         with pytest.raises(ValueError):
-            conjugation_convergence(cfg_for(grid16), base_dt=2.0**-7, levels=2, T=1.0, seed=1)
+            conjugation_convergence(cfg_for(grid16), base_dt=2.0**-7, levels=2, T=1.0, seed=1, paths=2)
 
     def test_no_paths_rejected_before_any_path(self, grid16, monkeypatch):
         monkeypatch.setattr(experiments, "sample_wiener", None)

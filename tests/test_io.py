@@ -6,14 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torns import spectral
+from torns import io as tio, spectral
 from torns.dynamics import State, check_assumption, integrate, taylor_green
 from torns.io import (
     ConfigError,
     config_defaults,
     emit_plot_script,
     load_config,
-    peek_checkpoint,
     read_checkpoint,
     write_checkpoint,
     write_manifest,
@@ -156,7 +155,7 @@ class TestCheckpoint:
         assert back.t == st.t
         assert back.z == st.z
         assert np.array_equal(back.u.coeffs, st.u.coeffs)
-        hdr = peek_checkpoint(p)
+        hdr = tio._parse_header(p.read_bytes(), p)
         assert hdr.nu == 0.3
         assert hdr.N == 16
         assert hdr.payload_len == 2 * 16 * 16 * 16
@@ -197,35 +196,6 @@ class TestCheckpoint:
         monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))
         read_checkpoint(p)
         assert reads == [p]
-
-    def test_peek_reads_only_the_header(self, tmp_path, monkeypatch):
-        import builtins
-
-        from torns import io as tio
-
-        p = tmp_path / "peek.trns"
-        write_checkpoint(State(0.0, random_divfree_field(WaveGrid(TWO_PI, 16), seed=1)), p, nu=0.3)
-        read = []
-
-        class Counted:
-            def __init__(self, *args):
-                self.fh = builtins.open(*args)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def read(self, n=-1):
-                data = self.fh.read(n)
-                read.append(len(data))
-                return data
-
-        monkeypatch.setattr(tio, "open", Counted, raising=False)
-        hdr = peek_checkpoint(p)
-        assert (hdr.N, hdr.nu, hdr.payload_len) == (16, 0.3, 2 * 16 * 16 * 16)
-        assert sum(read) == tio._HEADER.size < p.stat().st_size
 
 
 class TestSeriesCsv:

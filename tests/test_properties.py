@@ -16,14 +16,13 @@ from torns.spectral import (
     HalfSpectrum,
     SpectralField,
     WaveGrid,
-    apply_stokes_power,
-    inner,
     leray_project,
     nonlinear_term,
     random_divfree_field,
     sobolev_norm,
     vorticity_advection,
 )
+from tests.oracle import apply_stokes_power, inner
 
 TWO_PI = 2.0 * np.pi
 
@@ -236,7 +235,7 @@ def test_checkpoint_round_trips_an_emitted_state_bit_for_bit(N, seed, steps, noi
     with tempfile.TemporaryDirectory() as out:
         path = Path(out) / "state.trns"
         tio.write_checkpoint(state, path, nu=nu)
-        back, header = tio.read_checkpoint(path), tio.peek_checkpoint(path)
+        back, header = tio.read_checkpoint(path), tio._parse_header(path.read_bytes(), path)
     assert back.u.grid == state.u.grid
     assert back.u.coeffs.tobytes() == state.u.coeffs.tobytes()
     assert (back.t.hex(), back.z.hex(), header.nu.hex()) == (state.t.hex(), state.z.hex(), nu.hex())

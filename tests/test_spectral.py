@@ -9,17 +9,16 @@ from torns.spectral import (
     HalfSpectrum,
     SpectralField,
     WaveGrid,
-    apply_stokes_power,
     divergence,
     field_violations,
     grad_linf,
-    inner,
     leray_project,
     nonlinear_term,
     random_divfree_field,
     sobolev_norm,
     vorticity_advection,
 )
+from tests.oracle import apply_stokes_power, inner
 
 TWO_PI = 2.0 * np.pi
 
