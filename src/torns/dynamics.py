@@ -45,9 +45,9 @@ buffers of its step (the kernel workspace, the etd2 right-hand sides and the
 update temporaries), so a level allocates only the new block; steppers of
 concurrent trajectories share nothing but read-only tables.  Every State
 that ensemble yields, the initial ones included, exposes its row w of the
-block, and the norms a run records come from it (HalfSpectrum.norms); u is
-rebuilt from w without an FFT on the first read, for checkpoints and the
-public API only.
+block, and every norm a run reports comes from it (State.norms); u is
+rebuilt from w without an FFT on the first read, for checkpoints, the
+Taylor-Green check and the public API only.
 
 State space: w represents exactly the zero-mean, divergence-free velocity
 fields with no modes |j2| >= K, and the two forms of B agree only inside the
@@ -77,7 +77,6 @@ __all__ = [
     "State",
     "BlowupError",
     "check_assumption",
-    "conjugate",
     "step",
     "ensemble",
     "trajectory",
@@ -87,6 +86,7 @@ __all__ = [
 ]
 
 SCHEMES = ("etd1", "etd2")
+NORMS = ("norm_H", "norm_H1", "norm_H2")  # the columns of every reported norm (State.norms)
 
 
 @dataclass(frozen=True)
@@ -227,6 +227,10 @@ class State:
             self._u = self.half.velocity(self._w)
         return self._u
 
+    def norms(self) -> dict:
+        """The NORMS columns of the velocity, read off w (HalfSpectrum.norms); only a yielded State has w."""
+        return dict(zip(NORMS, self.half.norms(self._w)))
+
     def __repr__(self):
         return f"State(t={self.t!r}, z={self.z!r})"
 
@@ -237,12 +241,6 @@ class BlowupError(RuntimeError):
     def __init__(self, message: str, last_state: State):
         super().__init__(message)
         self.last_state = last_state
-
-
-def conjugate(v: SpectralField, z: float, h: SpectralField) -> SpectralField:
-    """The transformation u_h = v + h z linking the Ito and conjugated systems."""
-    spectral._check_same_grid(v, h)
-    return SpectralField(v.grid, v.coeffs + z * h.coeffs)
 
 
 class _EtdStepper:
@@ -520,9 +518,9 @@ def integrate(
 ) -> tuple[State, list[dict]]:
     """Drive one trajectory (see trajectory): the last state and a row every stride steps.
 
-    The rows are those of series.csv, {t, norm_H, norm_H1, norm_H2, z}, always
+    The rows are those of series.csv, {t, the NORMS columns, z}, always
     floor(steps/stride) + 1 of them, the first of the initial state, each read
-    off the state's vorticity (HalfSpectrum.norms); velocity is built only when
+    off the state's vorticity (State.norms); velocity is built only when
     the returned state's u is read.  A stride that is not an integer raises
     TypeError, one below 1 ValueError, before any state is drawn.
     """
@@ -532,8 +530,7 @@ def integrate(
     rows = []
     for n, state in enumerate(trajectory(v0, cfg, path, steps)):
         if n % stride == 0:
-            h, h1, h2 = state.half.norms(state.w)
-            rows.append({"t": state.t, "norm_H": h, "norm_H1": h1, "norm_H2": h2, "z": state.z})
+            rows.append({"t": state.t, **state.norms(), "z": state.z})
     return state, rows
 
 

@@ -38,8 +38,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .dynamics import (
-    BlowupError, SimConfig, conjugate, ensemble, trajectory)
+from .dynamics import NORMS, BlowupError, SimConfig, _half_spectrum, ensemble, trajectory
 from .noise import (
     horizon_steps,
     ou_from_wiener,
@@ -222,7 +221,8 @@ def measure_smoothing(
     """Measured (H, H^2)-smoothing ratios for perturbation pairs sharing one noise path.
 
     Directions: "random" draws a unit divergence-free field per seed; "lowest"
-    puts the perturbation on the lowest wavenumber shell (worst smoothing decay).
+    puts it on the lowest shell, whose linear ratio lam^2 e^{-2 nu lam T} is the sup over shells only
+    from T ~ 1/(nu lambda_1) (decay-noise, T = 0.01: "lowest" 0.983, "random" 67.6, sup 1353.4).
     Rows (seed, direction, delta, T, dist0, distT_h2_sq, ratio = distT_h2_sq /
     dist0^2, error) come per distinct (seed, direction) in sorted order, then
     delta and T.  Every group steps in one ensemble, on at most `threads`
@@ -254,10 +254,10 @@ def _kmin(cfg: SimConfig) -> float:
 
 
 def _norms(st) -> dict:
-    """norm_H, norm_H1, norm_H2 and error ("") of a State; NaN norms and the message of a BlowupError."""
+    """The NORMS columns and error ("") of a State; NaN norms and the message of a BlowupError."""
     if isinstance(st, BlowupError):
-        return dict(norm_H=float("nan"), norm_H1=float("nan"), norm_H2=float("nan"), error=str(st))
-    return dict(zip(("norm_H", "norm_H1", "norm_H2"), st.half.norms(st.w)), error="")
+        return {**dict.fromkeys(NORMS, float("nan")), "error": str(st)}
+    return {**st.norms(), "error": ""}
 
 
 def measure_absorbing(
@@ -269,8 +269,8 @@ def measure_absorbing(
 ) -> list[dict]:
     """Pullback the family {radius * e : radius in initial_radii} over each horizon (pullback_solve).
 
-    Rows (radius, horizon, norm_H, norm_H1, norm_H2, error) per distinct (radius,
-    horizon) in increasing order; a member that blows up gets NaN norms and its error.
+    Rows (radius, horizon, the NORMS columns, error) per distinct (radius, horizon)
+    in increasing order; a member that blows up gets NaN norms and its error.
     """
     e = random_divfree_field(cfg.grid, 99, norm=1.0, stream=29)  # one fixed unit direction
     radii, hs = sorted(set(initial_radii)), sorted(set(horizons))
@@ -325,6 +325,7 @@ def conjugation_convergence(
     if paths < 1:
         raise ValueError(f"need at least 1 path, got {paths}")
     v0 = random_divfree_field(cfg.grid, cfg.seed, norm=1.0, stream=31)
+    hw = _half_spectrum(cfg.grid).curl(cfg.h)  # curl h: v + h z on the vorticity block
     wieners = [sample_wiener(0.0, T, base_dt, seed=seed + m) for m in range(paths)]
     errs = np.empty((paths, levels))
     failed = {}  # (path, level, system) -> its BlowupError, OU system 0, Wiener 1
@@ -334,11 +335,11 @@ def conjugation_convergence(
         ous = [ou_from_wiener(w) for w in wieners]
         lcfg, n = replace(cfg, dt=wieners[0].dt), wieners[0].n
         runs = _run_ensembles([(lambda m: v0, lcfg, ous, {n}),
-                               (lambda m: conjugate(v0, float(ous[m].z[0]), cfg.h), lcfg, wieners, {n})], threads)
+                               (lambda m: v0 + float(ous[m].z[0]) * cfg.h, lcfg, wieners, {n})], threads)
         for m, (v, u, ou) in enumerate(zip(runs[0][n], runs[1][n], ous)):  # ||u - (v + h z(T))||
             failed.update({(m, lv, s): x for s, x in enumerate((v, u)) if isinstance(x, BlowupError)})
             if (m, lv, 0) not in failed and (m, lv, 1) not in failed:
-                errs[m, lv] = v.half.norms(u.w - v.w - ou.z[-1] * v.half.curl(cfg.h))[0]
+                errs[m, lv] = v.half.norms(u.w - v.w - ou.z[-1] * hw)[0]
     if failed:  # a blowup raises as if the paths ran one by one, each level OU first
         raise failed[min(failed)]
     mean = errs.mean(axis=0)

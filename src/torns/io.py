@@ -6,8 +6,8 @@ Formats:
 * CSV -- a header of column names, then one line per row (write_rows_csv,
   whose rows are dicts: the first row's keys are the header); floats are
   written with repr (shortest round-trip), so identical runs give
-  byte-identical files.  The norm series has the columns
-  t,norm_H,norm_H1,norm_H2,z (the rows of dynamics.integrate);
+  byte-identical files.  The norm series has the columns t, then
+  dynamics.NORMS, then z (the rows of dynamics.integrate);
 * checkpoint -- little-endian binary: magic "TRNS", u32 version, u32 N,
   f64 L, f64 nu, f64 t, f64 z, u64 payload byte length, then the coefficient
   payload as interleaved re/im f64 pairs, component-major, row-major mode

@@ -13,7 +13,7 @@ import pytest
 import torns
 from torns import cli
 from torns.cli import COMMANDS, main
-from torns.dynamics import conjugate, integrate
+from torns.dynamics import integrate
 from torns.io import load_config, read_checkpoint
 from torns.noise import ou_from_wiener, sample_wiener
 from torns.spectral import sobolev_norm
@@ -58,6 +58,20 @@ class TestArgumentHandling:
         assert err.startswith("config error: config: ")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if COMMANDS[c].writes])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_that_cannot_be_a_directory_is_usage_error(self, tmp_path, capsys, monkeypatch, command, under):
+        # an existing file, or a path under one, fails before the command runs
+        monkeypatch.setitem(COMMANDS, command, COMMANDS[command]._replace(run=None))
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        out = blocker / "run" if under else blocker
+        assert main([command, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"usage error: --out {out}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert blocker.read_text() == "kept"
 
 
 class TestArtifactContract:
@@ -252,7 +266,7 @@ class TestSimulate:
         state = read_checkpoint(out / "final_state.trns")
         h = load_config(json.dumps(SMALL)).h
         v_norm = sobolev_norm(state.u, 0.0)
-        u_norm = sobolev_norm(conjugate(state.u, state.z, h), 0.0)
+        u_norm = sobolev_norm(state.u + state.z * h, 0.0)
         assert abs(u_norm - v_norm) > 1e-3 * v_norm  # the two differ on this config
         assert line.endswith(f"final |v| = {v_norm:.6g}, |u| = |v + h z(T)| = {u_norm:.6g}")
 

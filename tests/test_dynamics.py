@@ -13,7 +13,6 @@ from torns.dynamics import (
     _phi1,
     _phi2,
     check_assumption,
-    conjugate,
     integrate,
     manufactured_forcing,
     step,
@@ -455,31 +454,6 @@ class TestStepperBuffers:
             finally:
                 tracemalloc.stop()
             assert peak < 12 * half_array, N
-
-
-class TestConjugate:
-    def test_zero_z(self, grid16):
-        v = random_divfree_field(grid16, seed=1)
-        h = random_divfree_field(grid16, seed=2)
-        assert np.array_equal(conjugate(v, 0.0, h).coeffs, v.coeffs)
-
-    def test_pure_noise_component(self, grid16):
-        h = random_divfree_field(grid16, seed=2)
-        out = conjugate(SpectralField.zero(grid16), 1.0, h)
-        assert np.array_equal(out.coeffs, h.coeffs)
-
-    def test_linearity_in_z(self, grid16):
-        v = random_divfree_field(grid16, seed=1, norm=1.0)
-        h = random_divfree_field(grid16, seed=2, norm=0.7)
-        for z in (-2.0, 0.5, 3.0):
-            d = sobolev_norm(conjugate(v, z, h) - v, 0.0)
-            assert d == pytest.approx(abs(z) * 0.7, rel=1e-12)
-
-    def test_grid_mismatch(self):
-        v = random_divfree_field(WaveGrid(TWO_PI, 8), seed=1)
-        h = random_divfree_field(WaveGrid(TWO_PI, 16), seed=2)
-        with pytest.raises(ValueError):
-            conjugate(v, 1.0, h)
 
 
 class TestIntegrate:

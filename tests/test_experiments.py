@@ -290,6 +290,27 @@ class TestSmoothing:
         zero_rows = [r for r in rows if r["delta"] == 0.0]
         assert all(r["distT_h2_sq"] == 0.0 for r in zero_rows)
 
+    @pytest.mark.parametrize("nu,T", [(1.0, 0.05), (0.1, 0.5)])
+    def test_one_shell_ratio_is_closed_form(self, grid16, nu, T):
+        # a field on one shell |k|^2 = lam has w = lam psi, a steady Euler
+        # state, so at f = h = 0 from base 0 its ratio is lam^2 e^{-2 nu lam T}
+        # at any amplitude; the sup over shells is (1/(e nu T))^2, taken at
+        # lam = 1/(nu T) = 20, a shell of the N = 16 mask.  Measured at 50
+        # steps on all 19 shells: 7.5e-15 (ratio), 4.2e-15 (sup)
+        cfg = cfg_for(grid16, nu=nu, dt=T / 50)
+        zero = SpectralField.zero(grid16)
+        shells = np.unique(grid16.k2[grid16.dealias_mask & (grid16.k2 > 0)])
+        groups = [((0, f"{lam:g}"), random_divfree_field(
+            grid16, 0, profile=lambda k, lam=lam: np.abs(k * k - lam) < 1e-9)) for lam in shells]
+        rows = experiments._smoothing_rows(cfg, zero, groups, [1e-6, 10.0], [T], 1)
+        assert len(rows) == 2 * len(shells) == 38
+        for row in rows:
+            lam = float(row["direction"])
+            assert row["ratio"] == pytest.approx(lam**2 * math.exp(-2 * nu * lam * T), rel=3e-14, abs=0)
+        top = max(rows, key=lambda r: r["ratio"])
+        assert top["direction"] == "20"
+        assert top["ratio"] == pytest.approx((1 / (math.e * nu * T)) ** 2, rel=3e-14, abs=0)
+
     def test_every_horizon_has_a_row(self, grid16):
         # a horizon below half a step compares the initial pair
         cfg = cfg_for(grid16, h=random_divfree_field(grid16, seed=2, norm=0.3))

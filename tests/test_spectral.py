@@ -91,6 +91,15 @@ class TestWaveGrid:
         assert g.kx[1, 0] == pytest.approx(2 * np.pi / 4.0)
 
 
+class TestSpectralField:
+    def test_grid_mismatch(self):
+        u = random_divfree_field(WaveGrid(TWO_PI, 8), seed=1)
+        v = random_divfree_field(WaveGrid(TWO_PI, 16), seed=2)
+        for op in (lambda: u + v, lambda: u - v):
+            with pytest.raises(ValueError, match="grid mismatch"):
+                op()
+
+
 class TestLerayProjection:
     def test_annihilates_gradient_mode(self):
         g = WaveGrid(TWO_PI, 16)
