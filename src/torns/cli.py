@@ -57,8 +57,7 @@ def _validate(cfg: SimConfig, args, out: Path) -> Outcome:
 def _simulate(cfg: SimConfig, args, out: Path) -> Outcome:
     steps = horizon_steps(cfg.t_end, cfg.dt)
     # h = 0 runs the deterministic system, with no noise path to write
-    ou = (ou_from_wiener(sample_wiener(0.0, steps * cfg.dt, cfg.dt, seed=cfg.seed))
-          if sobolev_norm(cfg.h, 0.0) > 0.0 else None)
+    ou = ou_from_wiener(sample_wiener(0.0, steps * cfg.dt, cfg.dt, seed=cfg.seed)) if cfg.noisy else None
     try:
         state, rows = integrate(cfg.u0, cfg, path=ou)
     except BlowupError as exc:

@@ -44,10 +44,10 @@ curl, so this is the velocity scheme up to roundoff.  Each stepper owns the
 buffers of its step (the kernel workspace, the etd2 right-hand sides and the
 update temporaries), so a level allocates only the new block; steppers of
 concurrent trajectories share nothing but read-only tables.  Every State
-that ensemble yields, the initial ones included, exposes its row w of the
-block, and every norm a run reports comes from it (State.norms); u is
-rebuilt from w without an FFT on the first read, for checkpoints, the
-Taylor-Green check and the public API only.
+exposes its vorticity row w, a yielded one its row of the block, and every
+norm a run reports comes from it (State.norms); u is rebuilt from w
+without an FFT on the first read, for the Taylor-Green check and the
+public API only.
 
 State space: w represents exactly the zero-mean, divergence-free velocity
 fields with no modes |j2| >= K, and the two forms of B agree only inside the
@@ -160,7 +160,8 @@ class SimConfig:
     f and h must be band-limited inside the dealias mask (for h this stands in
     for h in H^3 and keeps every A^p h exactly computable).  u0 optionally
     carries initial data attached by a config preset.  assumption is h's
-    admissibility report, computed by check_assumption on the first read.
+    admissibility report, computed by check_assumption on the first read;
+    noisy tells whether h is nonzero.
     """
 
     nu: float
@@ -193,32 +194,38 @@ class SimConfig:
     def assumption(self) -> AssumptionReport:
         return check_assumption(self.h, self.nu, self.grid)
 
+    @property
+    def noisy(self) -> bool:
+        """Whether h is nonzero; a zero h runs the deterministic system, with no noise path."""
+        return bool(self.h.coeffs.any())
+
 
 class State:
     """Trajectory state: time, velocity field and the current OU value.
 
-    Every State that ensemble yields also holds w, its member's row of the
-    stepper's (N, K) masked half-spectrum vorticity block, and half, the
-    stepper's HalfSpectrum (norms() reads w); an initial state keeps its
-    given velocity, a stepped one builds u = HalfSpectrum.velocity(w) on the
-    first read and caches it.  No array is written after the state is
-    yielded, so states may be kept; modify neither in place.
+    Every State holds w, its (N, K) masked half-spectrum vorticity row, and
+    half, the grid's HalfSpectrum; norms() reads w.  A State built from a
+    velocity takes w = half.curl(u) once and keeps u; a stepped one holds its
+    row of the stepper's block, one read from a checkpoint the stored row,
+    and both build u = half.velocity(w) on the first read and cache it.  No
+    array is written after the state is yielded; modify neither in place.
     """
 
     __slots__ = ("t", "z", "_u", "_w", "half")
 
     def __init__(self, t: float, u: SpectralField, z: float = 0.0):
-        self.t, self.z, self._u, self._w, self.half = t, z, u, None, None
+        self.half = _half_spectrum(u.grid)
+        self.t, self.z, self._u, self._w = t, z, u, self.half.curl(u)
 
     @classmethod
     def _of_vorticity(cls, t: float, w: np.ndarray, z: float, half: spectral.HalfSpectrum) -> "State":
-        state = cls(t, None, z)
-        state._w, state.half = w, half
+        state = cls.__new__(cls)
+        state.t, state.z, state._u, state._w, state.half = t, z, None, w, half
         return state
 
     @property
-    def w(self) -> np.ndarray | None:
-        """The state's row of its stepper's block; None for a state built from a velocity."""
+    def w(self) -> np.ndarray:
+        """The state's (N, K) vorticity row."""
         return self._w
 
     @property
@@ -228,7 +235,7 @@ class State:
         return self._u
 
     def norms(self) -> dict:
-        """The NORMS columns of the velocity, read off w (HalfSpectrum.norms); only a yielded State has w."""
+        """The NORMS columns of the velocity, read off w (HalfSpectrum.norms)."""
         return dict(zip(NORMS, self.half.norms(self._w)))
 
     def __repr__(self):
@@ -249,7 +256,7 @@ class _EtdStepper:
     paths holds one path per member, all of one kind, which selects the
     system: z of shape (B, n+1) from OUPaths (conjugated), dW of shape (B, n)
     from WienerPaths (Ito, etd1 drift), neither for None (deterministic).
-    The curls of the members' initial states make the block w, the only
+    The rows of the members' initial states make the block w, the only
     state the stepper advances; their times are the start times t0; level
     counts the steps it has taken, and step() checks each new level once
     for the whole block.
@@ -304,8 +311,7 @@ class _EtdStepper:
         self._rhs = (np.empty(block, np.complex128), np.empty(block, np.complex128))
         self._arg = np.empty(block, np.complex128)
         self._tmp = (np.empty(block, np.complex128), np.empty(block, np.complex128))
-        curls = [half.curl(s.u) for s in states]
-        self.w = np.stack(curls) if B > 1 else curls[0]
+        self.w = np.stack([s.w for s in states]) if B > 1 else states[0].w
         self.t0 = [s.t for s in states]
         self.level = 0
 
@@ -460,10 +466,7 @@ def ensemble(
         raise ValueError(f"steps must be >= 0, got {steps}")
     z0 = [float(p.z[0]) if isinstance(p, OUPath) else 0.0 for p in paths]
     states = [State(t=s, u=v0.copy(), z=z) for v0, s, z in zip(v0s, starts, z0)]
-    stepper = _EtdStepper(cfg, paths, states)
-    for state, w in zip(states, stepper.w if stepper.B > 1 else [stepper.w]):
-        state._w, state.half = w, stepper.half  # and keeps its given velocity
-    return _levels(states, stepper, steps)
+    return _levels(states, _EtdStepper(cfg, paths, states), steps)
 
 
 def _levels(states: list, stepper: _EtdStepper, steps: int) -> Iterator[list]:

@@ -178,15 +178,15 @@ def _smoothing_rows(cfg, v1, groups, deltas, horizons, threads):
     """The groups as one ensemble; one row per (group, delta, T), in the order of groups.
 
     A group ((seed, label), direction) is the base v1 and the perturbed
-    starts v1 + delta * direction on the OU path of seed (no path when every
-    horizon is 0).  A blowup gives error rows: for every (delta, T) of a
-    group when its base blows up, and for the horizons not yet reached when
-    a perturbed member does.
+    starts v1 + delta * direction on the OU path of seed (no path, the
+    deterministic system, when h is zero or every horizon is 0).  A blowup
+    gives error rows: for every (delta, T) of a group when its base blows
+    up, and for the horizons not yet reached when a perturbed member does.
     """
     at = {T: horizon_steps(T, cfg.dt) for T in horizons}  # two horizons may share a step
     steps = max(at.values())
-    ous = {seed: ou_from_wiener(sample_wiener(0.0, horizons[-1], cfg.dt, seed=seed))
-           for (seed, _), _ in groups} if steps else {}
+    seeds = {seed for (seed, _), _ in groups} if steps and cfg.noisy else ()  # one path per seed
+    ous = {seed: ou_from_wiener(sample_wiener(0.0, horizons[-1], cfg.dt, seed=seed)) for seed in seeds}
     k = 1 + len(deltas)
     paths = [ous.get(seed) for (seed, _), _ in groups for _ in range(k)]
     dist0 = [[sobolev_norm(v1 + delta * d - v1, 0.0) for delta in deltas] for _, d in groups]

@@ -8,10 +8,11 @@ Formats:
   written with repr (shortest round-trip), so identical runs give
   byte-identical files.  The norm series has the columns t, then
   dynamics.NORMS, then z (the rows of dynamics.integrate);
-* checkpoint -- little-endian binary: magic "TRNS", u32 version, u32 N,
-  f64 L, f64 nu, f64 t, f64 z, u64 payload byte length, then the coefficient
-  payload as interleaved re/im f64 pairs, component-major, row-major mode
-  order (exactly 2 * N * N complex values);
+* checkpoint -- little-endian binary: magic "TRNS", u32 version (2), u32 N,
+  f64 L, f64 nu, f64 t, f64 z, u64 payload byte length, then the state's
+  vorticity row (State.w), the (N, K) masked half-spectrum block with
+  K = (N-1)//3 + 1, as interleaved re/im f64 pairs in row-major order
+  (exactly N * K complex values, N * K * 16 bytes);
 * manifest -- JSON listing every emitted file with its sha256 (written last;
   the only artifact containing wall-clock data).
 """
@@ -30,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .dynamics import SimConfig, State, taylor_green, manufactured_forcing
+from .dynamics import SimConfig, State, _half_spectrum, taylor_green, manufactured_forcing
 from .spectral import SpectralField, WaveGrid, leray_project, random_divfree_field
 
 __all__ = [
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"TRNS"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _HEADER = struct.Struct("<4sII d d d d Q")  # magic, version, N, L, nu, t, z, payload bytes
 
 
@@ -96,6 +97,18 @@ def config_defaults(preset: str | None = None) -> dict:
     return base
 
 
+# the keys of each kind of field spec; a modes spec takes "modes" alone and a mode entry j, u and v
+_SPEC_KEYS = {"zero": ("preset",), "taylor-green": ("preset",),
+              "random": ("preset", "norm", "seed"), "manufactured": ("preset", "norm", "seed")}
+
+
+def _known_keys(spec: dict, allowed, prefix: str) -> None:
+    """Reject the first key of spec outside allowed as "<prefix><key>: unknown field"."""
+    for key in spec:
+        if key not in allowed:
+            raise ConfigError(f"{prefix}{key}", "unknown field")
+
+
 def _require(raw: dict, field: str, types, check=None, msg: str = ""):
     if field not in raw:
         raise ConfigError(field, "missing required field")
@@ -121,6 +134,7 @@ def _field_from_modes(grid: WaveGrid, modes: list, path: str) -> SpectralField:
         here = f"{path}[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(here, "mode entries must be objects")
+        _known_keys(entry, ("j", "u", "v"), f"{here}.")
         j = entry.get("j")
         if (not isinstance(j, list) or len(j) != 2
                 or not all(isinstance(a, int) and not isinstance(a, bool) for a in j)):
@@ -169,8 +183,12 @@ def _build_field(grid: WaveGrid, spec: dict, path: str, nu: float) -> SpectralFi
     if not isinstance(spec, dict):
         raise ConfigError(path, "expected an object")
     if "modes" in spec:
+        _known_keys(spec, ("modes",), f"{path}.")
         return _field_from_modes(grid, _require(spec, "modes", list), f"{path}.modes")
     preset = spec.get("preset", "zero")
+    if not isinstance(preset, str) or preset not in _SPEC_KEYS:
+        raise ConfigError(f"{path}.preset", f"unknown preset {preset!r}")
+    _known_keys(spec, _SPEC_KEYS[preset], f"{path}.")
     if preset == "zero":
         return SpectralField.zero(grid)
     if preset == "random":
@@ -180,12 +198,10 @@ def _build_field(grid: WaveGrid, spec: dict, path: str, nu: float) -> SpectralFi
         if path != "initial":
             raise ConfigError(f"{path}.preset", "taylor-green preset is only valid for initial data")
         return taylor_green(0.0, nu, grid)
-    if preset == "manufactured":
-        if path != "forcing":
-            raise ConfigError(f"{path}.preset", "manufactured preset is only valid for forcing")
-        norm, seed = _preset_params(spec, path)
-        return manufactured_forcing(random_divfree_field(grid, seed, norm=norm), nu)
-    raise ConfigError(f"{path}.preset", f"unknown preset {preset!r}")
+    if path != "forcing":  # manufactured
+        raise ConfigError(f"{path}.preset", "manufactured preset is only valid for forcing")
+    norm, seed = _preset_params(spec, path)
+    return manufactured_forcing(random_divfree_field(grid, seed, norm=norm), nu)
 
 
 def normalize_config(raw: dict | str) -> dict:
@@ -203,9 +219,7 @@ def normalize_config(raw: dict | str) -> dict:
         raise ConfigError("<root>", "config must be a JSON object")
     known = {"nu", "L", "N", "dt", "scheme", "seed", "stride", "t_end",
              "preset", "forcing", "noise", "initial"}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(key, "unknown field")
+    _known_keys(raw, known, "")
     merged = config_defaults(raw.get("preset"))
     merged.update({k: v for k, v in raw.items() if k != "preset"})
     return merged
@@ -257,10 +271,9 @@ class _CheckpointHeader(NamedTuple):
 
 
 def write_checkpoint(state: State, path: str | Path, nu: float) -> None:
-    """Bit-exact binary dump of a State (coefficients as interleaved re/im f64)."""
-    g = state.u.grid
-    c = np.ascontiguousarray(state.u.coeffs, dtype=np.complex128)
-    payload = c.view(np.float64).tobytes()
+    """Bit-exact binary dump of a State's vorticity row (interleaved re/im f64)."""
+    g = state.half.grid
+    payload = state.w.tobytes()
     header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, g.N, g.L, nu,
                           state.t, state.z, len(payload))
     Path(path).write_bytes(header + payload)
@@ -278,17 +291,16 @@ def _parse_header(data: bytes, path: str | Path) -> _CheckpointHeader:
 
 
 def read_checkpoint(path: str | Path) -> State:
-    """Inverse of write_checkpoint.  The header's nu is informational: a run's
-    config, nu with it, is the config echo in its manifest."""
+    """Inverse of write_checkpoint, bit for bit in w.  The header's nu is informational:
+    a run's config, nu with it, is the config echo in its manifest."""
     data = Path(path).read_bytes()
     hdr = _parse_header(data, path)
     payload = data[_HEADER.size:]
-    expected = 2 * hdr.N * hdr.N * 16
+    expected = hdr.N * ((hdr.N - 1) // 3 + 1) * 16  # the (N, K) row
     if hdr.payload_len != expected or len(payload) != hdr.payload_len:
         raise ValueError(f"{path}: truncated payload ({len(payload)} of {expected} bytes)")
-    coeffs = np.frombuffer(payload, dtype=np.float64).view(np.complex128).reshape(2, hdr.N, hdr.N)
-    grid = WaveGrid(hdr.L, hdr.N)
-    return State(t=hdr.t, u=SpectralField(grid, coeffs.copy()), z=hdr.z)
+    w = np.frombuffer(payload, dtype=np.complex128).reshape(hdr.N, -1).copy()
+    return State._of_vorticity(hdr.t, w, hdr.z, _half_spectrum(WaveGrid(hdr.L, hdr.N)))
 
 
 def _fmt(x) -> str:

@@ -246,6 +246,17 @@ class TestSimulate:
         series_t = [r.split(",")[0] for r in (out / "series.csv").read_text().splitlines()[1:]]
         assert series_t == [r.split(",")[0] for r in rows[1::10]]
 
+    @pytest.mark.parametrize("raw", [SMALL, {"preset": "taylor-green", "t_end": 0.05}], ids=["noisy", "h-zero"])
+    def test_final_state_reads_back_with_the_last_series_norms(self, tmp_path, raw):
+        # the checkpoint stores the vorticity row, so its norms are the recorded ones, bit for bit
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", write_config(tmp_path, raw), "--out", str(out), "--quiet"]) == 0
+        *_, last = (out / "series.csv").read_text().splitlines()
+        state = read_checkpoint(out / "final_state.trns")
+        t, *norms, z = last.split(",")
+        assert (t, z) == (repr(state.t), repr(state.z))
+        assert norms == [repr(float(v)) for v in state.norms().values()]
+
     def test_unstable_dt_aborts_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "nu": 1.0, "N": 16, "dt": 10.0, "t_end": 10000.0,

@@ -653,7 +653,11 @@ class TestEnsemble:
             assert np.array_equal(state.w, half.curl(v0))
             with pytest.raises(AttributeError):
                 state.w = half.curl(v0)
-        assert State(0.0, v0s[0]).w is None
+        # a State built from a velocity carries that velocity's row, and so its norms
+        built = State(0.0, v0s[0])
+        assert built.u is v0s[0]
+        assert np.array_equal(built.w, half.curl(v0s[0]))
+        assert list(built.norms().values()) == list(half.norms(half.curl(v0s[0])))
 
     def test_lockstep_is_enforced(self, grid16):
         cfg = noisy_cfg(grid16)

@@ -360,6 +360,18 @@ class TestSmoothing:
             (1, "lowest"), (1, "random"), (2, "lowest"), (2, "random")]
         assert rows == measure_smoothing(cfg, v0, seeds=[1, 2], **kw)
 
+    def test_h_zero_runs_deterministic_members_with_no_path(self, grid16, monkeypatch):
+        # h = 0: the conjugated system is the deterministic one bit for bit, so no path is drawn
+        cfg = cfg_for(grid16, f=random_divfree_field(grid16, seed=3, norm=0.5))
+        v0 = random_divfree_field(grid16, seed=1, norm=0.5)
+        kw = dict(deltas=[1e-3, 1e-4], horizons=[0.1, 0.2], seeds=[1, 2])
+        calls, sample_wiener = [], experiments.sample_wiener
+        monkeypatch.setattr(experiments, "sample_wiener", lambda *a, **k: calls.append(a) or sample_wiener(*a, **k))
+        rows = measure_smoothing(cfg, v0, **kw)
+        assert calls == []
+        monkeypatch.setattr(SimConfig, "noisy", property(lambda self: True))
+        assert measure_smoothing(cfg, v0, **kw) == rows and len(calls) == 2
+
     def test_thread_count_invariance(self, grid16):
         cfg = cfg_for(grid16, h=random_divfree_field(grid16, seed=2, norm=0.3))
         v0 = random_divfree_field(grid16, seed=1, norm=0.5)

@@ -58,6 +58,21 @@ class TestLoadConfig:
             load_config(minimal_config(viscosity=1.0))
         assert "viscosity" in str(exc.value)
 
+    @pytest.mark.parametrize("role,spec,field", [
+        ("noise", {"preset": "random", "nrom": 0.05, "seed": 11}, "noise.nrom"),
+        ("noise", {"preset": "zero", "norm": 0.05}, "noise.norm"),
+        ("forcing", {"norm": 0.05}, "forcing.norm"),
+        ("initial", {"preset": "taylor-green", "seed": 1}, "initial.seed"),
+        ("forcing", {"preset": "manufactured", "norm": 0.5, "seeds": 1}, "forcing.seeds"),
+        ("forcing", {"modes": [{"j": [1, 0], "v": [1.0, 0.0]}], "preset": "zero"}, "forcing.preset"),
+        ("forcing", {"modes": [{"j": [1, 0], "v": [1.0, 0.0], "w": [1.0, 0.0]}]}, "forcing.modes[0].w"),
+    ])
+    def test_rejects_unknown_field_in_a_field_spec(self, role, spec, field):
+        # a misspelled key was dropped: "nrom" gave an h of the default norm 1, 20 times 0.05
+        with pytest.raises(ConfigError) as exc:
+            load_config(minimal_config(**{role: spec}))
+        assert (exc.value.field, str(exc.value)) == (field, f"{field}: unknown field")
+
     def test_rejects_bad_json(self):
         with pytest.raises(ConfigError):
             load_config("{not json")
@@ -147,18 +162,44 @@ class TestLoadConfig:
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
+        # the payload is the row: it round-trips bit for bit, the velocity rebuilt from it to roundoff
         g = WaveGrid(TWO_PI, 16)
-        st = State(t=1.25, u=random_divfree_field(g, seed=3, norm=2.0), z=-0.7)
+        u = random_divfree_field(g, seed=3, norm=2.0)
+        st = State(t=1.25, u=u, z=-0.7)
         p = tmp_path / "state.trns"
         write_checkpoint(st, p, nu=0.3)
         back = read_checkpoint(p)
         assert back.t == st.t
         assert back.z == st.z
-        assert np.array_equal(back.u.coeffs, st.u.coeffs)
+        assert back.w.tobytes() == st.w.tobytes()
+        assert back.norms() == st.norms()
+        assert np.abs(back.u.coeffs - u.coeffs).max() <= 1e-15 * np.abs(u.coeffs).max()
         hdr = tio._parse_header(p.read_bytes(), p)
         assert hdr.nu == 0.3
         assert hdr.N == 16
-        assert hdr.payload_len == 2 * 16 * 16 * 16
+        assert hdr.version == 2
+
+    @pytest.mark.parametrize("N", [8, 16, 128])
+    def test_payload_is_the_row(self, tmp_path, N):
+        g = WaveGrid(TWO_PI, N)
+        K = (N - 1) // 3 + 1
+        st = State(0.5, random_divfree_field(g, seed=4, norm=1.0))
+        p = tmp_path / "row.trns"
+        write_checkpoint(st, p, nu=1.0)
+        data = p.read_bytes()
+        assert tio._parse_header(data, p).payload_len == N * K * 16
+        assert len(data) == tio._HEADER.size + N * K * 16
+        assert data[tio._HEADER.size:] == spectral.HalfSpectrum(g).curl(st.u).tobytes()
+
+    def test_version_1_is_refused(self, tmp_path):
+        # version 1 stored the (2, N, N) velocity; no reader of it is kept
+        p = tmp_path / "v1.trns"
+        write_checkpoint(State(0.0, random_divfree_field(WaveGrid(TWO_PI, 8), seed=1)), p, nu=1.0)
+        data = bytearray(p.read_bytes())
+        data[4:8] = (1).to_bytes(4, "little")
+        p.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="version mismatch: file has 1, expected 2"):
+            read_checkpoint(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.trns"
