@@ -25,12 +25,12 @@ array), the stepper's only state, so the kernel and the ETD update run once
 per level for all of them, each member with its own z_n or dW_n.
 step(state, stepper, n, m) is one call per member-step: the first call of
 step n advances the block and checks it once, and each call emits member
-m's row as a State.  ensemble() yields the initial states and then one list
-per step, with a member that blew up frozen on its BlowupError while the
-others go on; it is the only time loop.  trajectory() is its one-member
-case, and integrate() records the norms of every stride-th state that
-yields.  Stacking changes no bit: each member's row equals its own
-one-member trajectory.
+m's row as a State.  ensemble() takes the members' initial rows, yields
+their states and then one list per step, with a member that blew up frozen
+on its BlowupError while the others go on; it is the only time loop.
+trajectory() is its one-member case from a velocity, and integrate()
+records the norms of every stride-th state that yields.  Stacking changes
+no bit: each member's row equals its own one-member trajectory.
 
 The stepper runs in half-spectrum vorticity (spectral.HalfSpectrum): it
 carries w = curl u as the contiguous (N, K) block of the K = (N-1)//3 + 1
@@ -43,18 +43,18 @@ state never holds them.  E, phi1 and phi2 are diagonal and commute with
 curl, so this is the velocity scheme up to roundoff.  Each stepper owns the
 buffers of its step (the kernel workspace, the etd2 right-hand sides and the
 update temporaries), so a level allocates only the new block; steppers of
-concurrent trajectories share nothing but read-only tables.  Every State
-exposes its vorticity row w, a yielded one its row of the block, and every
-norm a run reports comes from it (State.norms); u is rebuilt from w
-without an FFT on the first read, for the Taylor-Green check and the
-public API only.
+concurrent trajectories share nothing but read-only tables.  A State is
+built from its vorticity row w alone, and every norm a run reports comes
+from it (State.norms); u is rebuilt from w without an FFT on the first
+read, for the Taylor-Green check and the public API only.
 
 State space: w represents exactly the zero-mean, divergence-free velocity
 fields with no modes |j2| >= K, and the two forms of B agree only inside the
 dealias mask.  So SimConfig requires f and h inside the mask (only their
-divergence-free parts act), and ensemble rejects an initial field with a
-nonzero mean, a divergence or content outside the mask beyond 1e-13 relative;
-what such a field holds in the columns |j2| >= K is dropped.
+divergence-free parts act).  An initial velocity is checked once, where it
+enters (trajectory and the experiments), for a nonzero mean, a divergence or
+content outside the mask beyond 1e-13 relative, and curled; what it holds in
+the columns |j2| >= K is dropped.  ensemble audits its rows to the same bound.
 """
 
 from __future__ import annotations
@@ -201,27 +201,19 @@ class SimConfig:
 
 
 class State:
-    """Trajectory state: time, velocity field and the current OU value.
+    """Trajectory state: time t, vorticity row w and the current OU value z.
 
-    Every State holds w, its (N, K) masked half-spectrum vorticity row, and
-    half, the grid's HalfSpectrum; norms() reads w.  A State built from a
-    velocity takes w = half.curl(u) once and keeps u; a stepped one holds its
-    row of the stepper's block, one read from a checkpoint the stored row,
-    and both build u = half.velocity(w) on the first read and cache it.  No
-    array is written after the state is yielded; modify neither in place.
+    w is the (N, K) masked half-spectrum vorticity row and half the grid's
+    HalfSpectrum; norms() reads w.  A stepped State holds its row of the
+    stepper's block, one read from a checkpoint the stored row.  Both build
+    u = half.velocity(w) on the first read and cache it.  No array is
+    written after the state is yielded; modify neither in place.
     """
 
     __slots__ = ("t", "z", "_u", "_w", "half")
 
-    def __init__(self, t: float, u: SpectralField, z: float = 0.0):
-        self.half = _half_spectrum(u.grid)
-        self.t, self.z, self._u, self._w = t, z, u, self.half.curl(u)
-
-    @classmethod
-    def _of_vorticity(cls, t: float, w: np.ndarray, z: float, half: spectral.HalfSpectrum) -> "State":
-        state = cls.__new__(cls)
-        state.t, state.z, state._u, state._w, state.half = t, z, None, w, half
-        return state
+    def __init__(self, t: float, w: np.ndarray, z: float, half: spectral.HalfSpectrum):
+        self.t, self.z, self._u, self._w, self.half = t, z, None, w, half
 
     @property
     def w(self) -> np.ndarray:
@@ -374,8 +366,8 @@ def _outside_mask(u: SpectralField) -> bool:
     return scale > 0 and float(np.abs(u.coeffs[:, ~u.grid.dealias_mask]).max()) > 1e-13 * scale
 
 
-def _check_initial(v0: SpectralField, cfg: SimConfig) -> None:
-    """Reject initial data off cfg's grid or outside the solver's state space."""
+def _check_initial(v0: SpectralField, cfg: SimConfig) -> np.ndarray:
+    """The row of initial velocity v0; ValueError when v0 is off cfg's grid or outside the state space."""
     if v0.grid != cfg.grid:
         raise ValueError("initial data grid does not match config grid")
     problems = spectral.field_violations(v0, rtol=1e-13)
@@ -383,6 +375,7 @@ def _check_initial(v0: SpectralField, cfg: SimConfig) -> None:
         problems.append("content outside the dealias mask")
     if problems:
         raise ValueError("initial data outside the solver's state space: " + "; ".join(problems))
+    return _half_spectrum(cfg.grid).curl(v0)
 
 
 def step(state: State, stepper: _EtdStepper, n: int, m: int) -> State:
@@ -420,31 +413,36 @@ def step(state: State, stepper: _EtdStepper, n: int, m: int) -> State:
                 st.prev_rhs[m] = 0.0
         raise BlowupError(f"non-finite coefficients at t={t:.6g}; last valid state at t={state.t:.6g}", state)
     z = state.z if st.zs is None else st.zs[m]
-    return State._of_vorticity(t, w, z, st.half)
+    return State(t, w, z, st.half)
 
 
 def ensemble(
-    v0s: list,
+    w0s: list,
     cfg: SimConfig,
     paths: list | None = None,
     steps: int | None = None,
 ) -> Iterator[list]:
     """B trajectories that share cfg, stepped as one block: the initial states, then one list per step.
 
-    paths holds one path per member, all of one kind, which selects the
-    system, the start times and the steps as in trajectory (steps to the
-    shortest path); None runs B deterministic members.  Entry m of each list
-    is member m's State, or, from the step at which that member blew up on,
-    its BlowupError: the member is frozen and the others go on with the
-    same bits as alone.  The initial states make the stepper's block, and
-    each member-step is one step(state, stepper, n, m) call.  The
-    arguments are checked on the call, before any state is drawn.
+    w0s holds each member's initial (N, K) vorticity row, which its initial
+    State holds; one outside the state space (HalfSpectrum.violations)
+    raises ValueError.  paths holds one path per member, all of one kind,
+    which selects the system, the start times and the steps as in trajectory
+    (steps to the shortest path); None runs B deterministic members.  Entry
+    m of each list is member m's State, or, from the step at which that
+    member blew up on, its BlowupError: the member is frozen and the others
+    go on with the same bits as alone.  The initial states make the
+    stepper's block, and each member-step is one step(state, stepper, n, m)
+    call.  The arguments are checked on the call, before any state is drawn.
     """
-    paths = [None] * len(v0s) if paths is None else list(paths)
-    if not v0s or len(paths) != len(v0s):
-        raise ValueError(f"an ensemble takes one path per member: {len(v0s)} fields, {len(paths)} paths")
-    for v0 in v0s:
-        _check_initial(v0, cfg)
+    paths = [None] * len(w0s) if paths is None else list(paths)
+    if not w0s or len(paths) != len(w0s):
+        raise ValueError(f"an ensemble takes one path per member: {len(w0s)} rows, {len(paths)} paths")
+    half = _half_spectrum(cfg.grid)
+    for w0 in w0s:
+        problems = half.violations(w0)
+        if problems:
+            raise ValueError("initial row outside the solver's state space: " + "; ".join(problems))
     if any(type(p) is not type(paths[0]) for p in paths):
         raise ValueError("the members of an ensemble must share one system: "
                          "all OUPath, all WienerPath or all None")
@@ -465,7 +463,7 @@ def ensemble(
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     z0 = [float(p.z[0]) if isinstance(p, OUPath) else 0.0 for p in paths]
-    states = [State(t=s, u=v0.copy(), z=z) for v0, s, z in zip(v0s, starts, z0)]
+    states = [State(s, w0, z, half) for w0, s, z in zip(w0s, starts, z0)]
     return _levels(states, _EtdStepper(cfg, paths, states), steps)
 
 
@@ -498,11 +496,11 @@ def trajectory(
     is a whole number (horizon_steps)), an OUPath the conjugated random
     equation, and a WienerPath the Ito equation by Euler-Maruyama (both from
     the path's t0; steps default to the path's length).  Path dt must match cfg.dt.
-    The arguments are checked on the call, before any state is drawn.  Emitted
-    states are never written again, so callers may keep any of them.  This
-    is the one-member ensemble; a blowup raises its BlowupError.
+    The arguments, v0 among them, are checked on the call, before any state is
+    drawn.  Emitted states are never written again, so callers may keep any of
+    them.  This is the one-member ensemble of v0's row; a blowup raises its BlowupError.
     """
-    return _alone(ensemble([v0], cfg, [path], steps))
+    return _alone(ensemble([_check_initial(v0, cfg)], cfg, [path], steps))
 
 
 def _alone(levels: Iterator[list]) -> Iterator[State]:

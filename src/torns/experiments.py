@@ -7,8 +7,6 @@ Everything here is a finite-horizon, finite-ensemble measurement:
   larger horizons extend the same z into the past and every horizon sees the
   same omega) and steps the conjugated system of an initial-data family
   forward from -t, for every horizon t at once;
-* the deterministic global attractor is stood in for by finitely many
-  post-transient states of one long run (distances to it are over-estimates);
 * absorbing behaviour is reported as the norms of a pulled-back family (the
   CLI prints their sup per horizon);
 * the (H, H^2)-smoothing constant is reported as the measured ratio
@@ -23,11 +21,14 @@ Every experiment steps its trajectories as ensembles (dynamics.ensemble)
 through one runner, _run_ensembles: the family of each pullback horizon
 (absorbing's radii among them), a convergence (level, system) over the
 paths, and all of smoothing's base and perturbed members, each (seed,
-direction) on the OU path of its seed.  Each member has the bits of its own
-one-member run, so reports are bit-reproducible for any worker count.  On
-dense-DFT grids an ensemble is one block on the calling thread; on FFT grids
-it splits into sub-blocks within a byte budget, and `threads` bounds the
-workers that run them.
+direction) on the OU path of its seed.  The ensembles start from rows: an
+initial velocity handed in (pullback_solve's family, smoothing's base) is
+checked and curled once, and each other start is the curl of the velocity
+it perturbs.  Each member has the bits of its own one-member run, so
+reports are bit-reproducible for any worker count.  On dense-DFT grids an
+ensemble is one block on the calling thread; on FFT grids it splits into
+sub-blocks within a byte budget, and `threads` bounds the workers that run
+them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .dynamics import NORMS, BlowupError, SimConfig, _half_spectrum, ensemble, trajectory
+from .dynamics import NORMS, BlowupError, SimConfig, _check_initial, _half_spectrum, ensemble
 from .noise import (
     horizon_steps,
     ou_from_wiener,
@@ -53,8 +54,6 @@ from .spectral import SpectralField, random_divfree_field, sobolev_norm
 
 __all__ = [
     "pullback_solve",
-    "sample_attractor_deterministic",
-    "distance_to_set",
     "measure_smoothing",
     "measure_absorbing",
     "ergodic_check",
@@ -79,16 +78,16 @@ def _member_bytes(N: int) -> int:
 
 
 def _run_ensembles(ensembles: list, threads: int = 1) -> list[dict]:
-    """Step each (start, cfg, paths, reads) ensemble; per ensemble {n: level} for the steps n in reads.
+    """Step each (rows, cfg, paths, reads) ensemble; per ensemble {n: level} for the steps n in reads.
 
-    paths holds one path per member; start(m) builds member m's initial field
-    when its sub-block starts.  A level is what dynamics.ensemble yields at
-    step n: each member's State, or its BlowupError, in member order, with
-    the bits of the member's own one-member run whatever the split or
-    `threads`.  The ensembles share a grid.  On dense-DFT grids each is one
-    block on the calling thread; on FFT grids each splits into near-equal
-    consecutive sub-blocks within _SUB_BLOCK_BYTES, and every sub-block runs
-    to its last read step on a pool of at most `threads` workers.
+    rows holds each member's initial vorticity row and paths its path.  A
+    level is what dynamics.ensemble yields at step n: each member's State,
+    or its BlowupError, in member order, with the bits of the member's own
+    one-member run whatever the split or `threads`.  The ensembles share a
+    grid.  On dense-DFT grids each is one block on the calling thread; on
+    FFT grids each splits into near-equal consecutive sub-blocks within
+    _SUB_BLOCK_BYTES, and every sub-block runs to its last read step on a
+    pool of at most `threads` workers.
     """
     N = ensembles[0][1].grid.N
     dft = spectral._runs_dft(N)
@@ -100,8 +99,8 @@ def _run_ensembles(ensembles: list, threads: int = 1) -> list[dict]:
 
     def run(block):
         e, a, b = block
-        start, cfg, paths, reads = ensembles[e]
-        levels = ensemble([start(m) for m in range(a, b)], cfg, paths[a:b], max(reads))
+        rows, cfg, paths, reads = ensembles[e]
+        levels = ensemble(rows[a:b], cfg, paths[a:b], max(reads))
         return {n: level for n, level in enumerate(levels) if n in reads}
 
     if dft or threads == 1 or len(blocks) < 2:
@@ -122,79 +121,48 @@ def pullback_solve(cfg: SimConfig, horizons: list[float], seed: int, initial_sta
                    threads: int = 1) -> list[list]:
     """Per horizon, in the order given, the states at time 0 of the family started at -horizon.
 
-    Each horizon's family is one ensemble on pullback_path(horizon, cfg.dt,
-    seed): one OU chain, each horizon a longer stretch of its past.  All of
-    them step in one _run_ensembles call, on at most `threads` workers.
-    Entry m of a horizon's list is member m's State, or its BlowupError in
-    its place.  Every state carries z_omega(0), the OU value at time 0, the
-    same for every horizon (at horizon 0, with the initial data unchanged).
-    An empty family or horizon list, a negative horizon or one that is not a
-    whole number of steps raises ValueError before any path is drawn.
+    initial_states are velocities, each checked and curled once; each
+    horizon's family is one ensemble of their rows on pullback_path(horizon,
+    cfg.dt, seed): one OU chain, each horizon a longer stretch of its past.
+    All of them step in one _run_ensembles call, on at most `threads`
+    workers.  Entry m of a horizon's list is member m's State, or its
+    BlowupError in its place.  Every state carries z_omega(0), the OU value
+    at time 0, the same for every horizon (at horizon 0, with the initial
+    rows unchanged).  An empty family or horizon list, a negative horizon or
+    one that is not a whole number of steps, or a field outside the state
+    space raises ValueError before any path is drawn.
     """
     if not initial_states or not horizons:
         raise ValueError("the family and the horizons must be nonempty")
     for h in horizons:
         horizon_steps(h, cfg.dt)
+    rows = [_check_initial(v, cfg) for v in initial_states]
     ous = [pullback_path(h, cfg.dt, seed) for h in horizons]
-    runs = _run_ensembles([(initial_states.__getitem__, cfg, [ou] * len(initial_states), {ou.n})
-                           for ou in ous], threads)
+    runs = _run_ensembles([(rows, cfg, [ou] * len(rows), {ou.n}) for ou in ous], threads)
     return [levels[ou.n] for ou, levels in zip(ous, runs)]
-
-
-def sample_attractor_deterministic(
-    cfg: SimConfig,
-    t_transient: float,
-    count: int,
-    stride: int,
-    v0: SpectralField | None = None,
-) -> list[SpectralField]:
-    """The velocities of `count` states every `stride` solver steps after t_transient.
-
-    The states are those of one uninterrupted trajectory(), a finite proxy of
-    the deterministic attractor; t_transient must be a whole number of steps
-    (horizon_steps).
-    """
-    if not t_transient > 0:
-        raise ValueError(f"t_transient must be positive, got {t_transient}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if v0 is None:
-        v0 = random_divfree_field(cfg.grid, cfg.seed, norm=1.0, stream=17)
-    n0 = horizon_steps(t_transient, cfg.dt)
-    run = trajectory(v0, cfg, steps=n0 + stride * (count - 1))
-    return [s.u for n, s in enumerate(run) if n >= n0 and (n - n0) % stride == 0]
-
-
-def distance_to_set(v: SpectralField, sample: list[SpectralField], s: int = 2) -> float:
-    """Hausdorff semi-distance inf over the sample of ||v - b||_{H^s}."""
-    if not sample:
-        raise ValueError("attractor sample is empty")
-    return min(sobolev_norm(v - b, float(s)) for b in sample)
 
 
 def _smoothing_rows(cfg, v1, groups, deltas, horizons, threads):
     """The groups as one ensemble; one row per (group, delta, T), in the order of groups.
 
-    A group ((seed, label), direction) is the base v1 and the perturbed
-    starts v1 + delta * direction on the OU path of seed (no path, the
-    deterministic system, when h is zero or every horizon is 0).  A blowup
-    gives error rows: for every (delta, T) of a group when its base blows
-    up, and for the horizons not yet reached when a perturbed member does.
+    A group ((seed, label), direction) is the base v1, checked and curled
+    once, and the rows of the perturbed starts v1 + delta * direction on the
+    OU path of seed (no path, the deterministic system, when h is zero or
+    every horizon is 0).  A blowup gives error rows: for every (delta, T)
+    of a group when its base blows up, and for the horizons not yet reached
+    when a perturbed member does.
     """
     at = {T: horizon_steps(T, cfg.dt) for T in horizons}  # two horizons may share a step
     steps = max(at.values())
+    w1, half = _check_initial(v1, cfg), _half_spectrum(cfg.grid)
     seeds = {seed for (seed, _), _ in groups} if steps and cfg.noisy else ()  # one path per seed
     ous = {seed: ou_from_wiener(sample_wiener(0.0, horizons[-1], cfg.dt, seed=seed)) for seed in seeds}
     k = 1 + len(deltas)
     paths = [ous.get(seed) for (seed, _), _ in groups for _ in range(k)]
     dist0 = [[sobolev_norm(v1 + delta * d - v1, 0.0) for delta in deltas] for _, d in groups]
-
-    def start(m):  # member g k is group g's base, g k + 1 + i its start v1 + deltas[i] d
-        return v1 + deltas[m % k - 1] * groups[m // k][1] if m % k else v1
-
-    (levels,) = _run_ensembles([(start, cfg, paths, set(at.values()))], threads)
+    # member g k is group g's base, g k + 1 + i its start v1 + deltas[i] d
+    starts = [w for _, d in groups for w in (w1, *(half.curl(v1 + delta * d) for delta in deltas))]
+    (levels,) = _run_ensembles([(starts, cfg, paths, set(at.values()))], threads)
     rows = []
     for g, ((seed, label), _) in enumerate(groups):
         last = levels[steps][g * k]  # a base that blew up fails every row of its group
@@ -316,7 +284,7 @@ def conjugation_convergence(
     Both solvers share the Brownian increments at each level; z is the OU
     process of those increments with a level-independent stationary z_0.  The
     strong error at each level is the ensemble mean over `paths` independent
-    Wiener paths; v0 is drawn once from the config seed.  Rows (level, dt,
+    Wiener paths; v0 is drawn and curled once, from the config seed.  Rows (level, dt,
     strong_error, ratio to the next level, its log2 order; "" on the last).  A
     blowup raises: benchmarks/reference.json pins these five columns, no `error`.
     """
@@ -325,7 +293,8 @@ def conjugation_convergence(
     if paths < 1:
         raise ValueError(f"need at least 1 path, got {paths}")
     v0 = random_divfree_field(cfg.grid, cfg.seed, norm=1.0, stream=31)
-    hw = _half_spectrum(cfg.grid).curl(cfg.h)  # curl h: v + h z on the vorticity block
+    half = _half_spectrum(cfg.grid)
+    w0, hw = half.curl(v0), half.curl(cfg.h)  # curl h: v + h z on the vorticity block
     wieners = [sample_wiener(0.0, T, base_dt, seed=seed + m) for m in range(paths)]
     errs = np.empty((paths, levels))
     failed = {}  # (path, level, system) -> its BlowupError, OU system 0, Wiener 1
@@ -334,8 +303,8 @@ def conjugation_convergence(
             wieners = [refine_wiener(w) for w in wieners]
         ous = [ou_from_wiener(w) for w in wieners]
         lcfg, n = replace(cfg, dt=wieners[0].dt), wieners[0].n
-        runs = _run_ensembles([(lambda m: v0, lcfg, ous, {n}),
-                               (lambda m: v0 + float(ous[m].z[0]) * cfg.h, lcfg, wieners, {n})], threads)
+        starts = [half.curl(v0 + float(ou.z[0]) * cfg.h) for ou in ous]  # u(0) = v(0) + h z(0)
+        runs = _run_ensembles([([w0] * paths, lcfg, ous, {n}), (starts, lcfg, wieners, {n})], threads)
         for m, (v, u, ou) in enumerate(zip(runs[0][n], runs[1][n], ous)):  # ||u - (v + h z(T))||
             failed.update({(m, lv, s): x for s, x in enumerate((v, u)) if isinstance(x, BlowupError)})
             if (m, lv, 0) not in failed and (m, lv, 1) not in failed:

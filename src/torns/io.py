@@ -124,8 +124,8 @@ def _field_from_modes(grid: WaveGrid, modes: list, path: str) -> SpectralField:
     """Sparse mode list -> Hermitian-symmetrized, Leray-projected field.
 
     Each entry: {"j": [jx, jy], "u": [re, im], "v": [re, im]} giving the
-    coefficients of both velocity components at lattice mode j, which must lie
-    inside the dealias mask (3|j| < N per direction, the solver's state space).
+    coefficients of both velocity components at lattice mode j != [0, 0], inside
+    the dealias mask (3|j| < N per direction): the solver's state space.
     The conjugate is added at -j, so the physical field is real.
     """
     N = grid.N
@@ -145,6 +145,8 @@ def _field_from_modes(grid: WaveGrid, modes: list, path: str) -> SpectralField:
             raise ConfigError(f"{here}.j", f"mode {j} outside the lattice for N={N}")
         if not grid.dealias_mask[jx % N, jy % N]:
             raise ConfigError(f"{here}.j", f"mode {j} outside the dealias mask 3|j| < N for N={N}")
+        if jx == jy == 0:
+            raise ConfigError(f"{here}.j", "mode [0, 0] is the mean, which lies outside the state space")
         for comp, key in ((0, "u"), (1, "v")):
             val = entry.get(key, [0.0, 0.0])
             if (not isinstance(val, list) or len(val) != 2 or not all(
@@ -291,8 +293,8 @@ def _parse_header(data: bytes, path: str | Path) -> _CheckpointHeader:
 
 
 def read_checkpoint(path: str | Path) -> State:
-    """Inverse of write_checkpoint, bit for bit in w.  The header's nu is informational:
-    a run's config, nu with it, is the config echo in its manifest."""
+    """Inverse of write_checkpoint, bit for bit in w; ValueError for a row outside the state space.
+    The header's nu is informational: a run's config, nu with it, is the config echo in its manifest."""
     data = Path(path).read_bytes()
     hdr = _parse_header(data, path)
     payload = data[_HEADER.size:]
@@ -300,7 +302,11 @@ def read_checkpoint(path: str | Path) -> State:
     if hdr.payload_len != expected or len(payload) != hdr.payload_len:
         raise ValueError(f"{path}: truncated payload ({len(payload)} of {expected} bytes)")
     w = np.frombuffer(payload, dtype=np.complex128).reshape(hdr.N, -1).copy()
-    return State._of_vorticity(hdr.t, w, hdr.z, _half_spectrum(WaveGrid(hdr.L, hdr.N)))
+    half = _half_spectrum(WaveGrid(hdr.L, hdr.N))
+    problems = half.violations(w)
+    if problems:
+        raise ValueError(f"{path}: row outside the solver's state space: " + "; ".join(problems))
+    return State(hdr.t, w, hdr.z, half)
 
 
 def _fmt(x) -> str:

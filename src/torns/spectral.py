@@ -294,9 +294,10 @@ class HalfSpectrum:
     N <= _DFT_MAX_N, dft holds the real tables of vorticity_advection's four
     transform stages (a _DftTables, built once here); above it dft is None
     and the kernel runs FFTs.  norms() reads the H, H1 and H2 norms of the
-    velocity off w with one (3, N, K) weight table.  The tables are
-    read-only, so one instance may serve several threads; the buffers that
-    change per call live in an AdvectionWorkspace per trajectory.
+    velocity off w with one (3, N, K) weight table; violations() audits a
+    row.  The tables are read-only, so one instance may serve several
+    threads; the buffers that change per call live in an AdvectionWorkspace
+    per trajectory.
     """
 
     def __init__(self, grid: WaveGrid):
@@ -346,6 +347,27 @@ class HalfSpectrum:
         einsum with a weight table; equal to sobolev_norm(velocity(w), s) up to roundoff.
         """
         return np.sqrt(np.einsum("sjk,...jk->...s", self._norm_weights, w.real**2 + w.imag**2))
+
+    def violations(self, w: np.ndarray) -> list[str]:
+        """Audit a row against the solver's state space; returns human-readable violations (empty if valid).
+
+        Checks a complex128 array of shape (N, K), finite, then, to 1e-13 of
+        max |w|, a zero k = 0 entry, zero rows j1 outside the dealias mask
+        (the Nyquist row among them) and the Hermitian symmetry
+        w(-j1, 0) = conj w(j1, 0) of column 0, the one column that holds
+        both j and -j.
+        """
+        if getattr(w, "dtype", None) != np.complex128 or w.shape != (self.grid.N, self.K):
+            return [f"expected a complex128 array of shape {(self.grid.N, self.K)}, "
+                    f"got {getattr(w, 'dtype', type(w).__name__)} of shape {np.shape(w)}"]
+        if not np.isfinite(w).all():
+            return ["coefficients contain NaN or Inf"]
+        col = w[:, 0]
+        largest = {  # each problem's largest |w_hat|; column 0 against its rows -j1 mod N
+            "nonzero mean mode": abs(w[0, 0]),
+            "content outside the dealias mask": np.abs(w[~self.dealias_mask[:, 0]]).max(),
+            "Hermitian symmetry violated on column 0": np.abs(col - np.conj(np.roll(col[::-1], 1))).max()}
+        return [f"{problem}: {v:.3e}" for problem, v in largest.items() if v > 1e-13 * np.abs(w).max()]
 
 
 class AdvectionWorkspace:

@@ -216,6 +216,13 @@ class TestValidate:
         assert main(["validate", "--config", cfg]) == 1
         assert "N" in capsys.readouterr().err
 
+    def test_mean_mode_is_config_error(self, tmp_path, capsys):
+        # a noise on the mode j = [0, 0] used to be dropped and pass with "fields: ok"
+        cfg = write_config(tmp_path, {"nu": 1.0, "N": 16, "dt": 1e-3,
+                                      "noise": {"modes": [{"j": [0, 0], "u": [1.0, 0.0]}]}})
+        assert main(["validate", "--config", cfg]) == 1
+        assert "config error: noise.modes[0].j: mode [0, 0] is the mean" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_artifacts_and_manifest(self, tmp_path, capsys):

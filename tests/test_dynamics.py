@@ -54,6 +54,21 @@ def basic_cfg(grid, **kw):
     return SimConfig(grid=grid, **kw)
 
 
+def row(v):
+    """The vorticity row of velocity v: what ensemble takes and a State holds."""
+    return HalfSpectrum(v.grid).curl(v)
+
+
+def state_of(t, v, z=0.0):
+    """The State of velocity v at time t."""
+    return State(t, row(v), z, HalfSpectrum(v.grid))
+
+
+def close_to(u, v):
+    """u equals v to 1e-15 of v's largest coefficient: the roundoff of velocity(curl(v))."""
+    return np.abs(u.coeffs - v.coeffs).max() <= 1e-15 * np.abs(v.coeffs).max()
+
+
 def zero_increments(n, dt):
     return WienerPath(t0=0.0, dt=dt, increments=np.zeros(n), seed=0)
 
@@ -363,12 +378,12 @@ class TestVorticityCore:
         cfg = basic_cfg(grid16, nu=0.05, f=random_divfree_field(grid16, seed=2, norm=0.5),
                         h=random_divfree_field(grid16, seed=3, norm=0.05), scheme="etd1")
         ou = given_z([0.3, 0.2, 0.1], cfg.dt)
-        start = State(0.0, random_divfree_field(grid16, seed=4, norm=1.0))
+        start = state_of(0.0, random_divfree_field(grid16, seed=4, norm=1.0))
         steppers = [_EtdStepper(cfg, [ou], [start]) for _ in range(2)]
         a, a2 = (step(start, st, 0, 0) for st in steppers)
         b = step(a, steppers[0], 1, 0)
         # the state handed in supplies t and z; its field is never read
-        other = State(a2.t, random_divfree_field(grid16, seed=5, norm=1.0), a2.z)
+        other = state_of(a2.t, random_divfree_field(grid16, seed=5, norm=1.0), a2.z)
         c = step(other, steppers[1], 1, 0)
         assert (c.t, c.z) == (b.t, b.z) == (2 * cfg.dt, 0.1)
         assert np.array_equal(c.w, b.w)
@@ -387,7 +402,7 @@ class TestStepperBuffers:
         cfg = noisy_cfg(grid16, scheme=scheme)
         ou = given_z(np.linspace(0.3, -0.2, 13), cfg.dt)
 
-        starts = [State(0.0, random_divfree_field(grid16, seed=s, norm=1.0)) for s in (4, 5)]
+        starts = [state_of(0.0, random_divfree_field(grid16, seed=s, norm=1.0)) for s in (4, 5)]
         alone = []
         for start in starts:
             st, state, kept = _EtdStepper(cfg, [ou], [start]), start, []
@@ -441,7 +456,7 @@ class TestStepperBuffers:
         for N in (48, 64):
             g = WaveGrid(TWO_PI, N)
             cfg = noisy_cfg(g)
-            state = State(0.0, random_divfree_field(g, seed=4, norm=1.0))
+            state = state_of(0.0, random_divfree_field(g, seed=4, norm=1.0))
             st = _EtdStepper(cfg, [given_z(np.full(24, 0.1), cfg.dt)], [state])
             for n in range(3):  # past the etd2 bootstrap and the first FFT plans
                 state = step(state, st, n, 0)
@@ -461,7 +476,8 @@ class TestIntegrate:
         cfg = basic_cfg(grid16)
         v0 = random_divfree_field(grid16, seed=1)
         state, rows = integrate(v0, cfg, steps=0)
-        assert np.array_equal(state.u.coeffs, v0.coeffs)
+        assert np.array_equal(state.w, row(v0))
+        assert close_to(state.u, v0)
         assert len(rows) == 1
 
     def test_series_length_contract(self, grid16):
@@ -558,7 +574,8 @@ class TestTrajectory:
         states = list(trajectory(v0, cfg, path=path, steps=7))
         state, _ = integrate(v0, cfg, path=path, steps=7, stride=3)
         assert len(states) == 7 + 1
-        assert np.array_equal(states[0].u.coeffs, v0.coeffs)
+        assert np.array_equal(states[0].w, row(v0))
+        assert close_to(states[0].u, v0)
         assert states[-1].t == state.t and states[-1].z == state.z
         assert np.array_equal(states[-1].u.coeffs, state.u.coeffs)
 
@@ -601,8 +618,6 @@ class TestTrajectory:
             c = noisy_cfg(g)
             assert run(experiments.measure_smoothing, c, random_divfree_field(g, seed=4, norm=1.0),
                        deltas=[1e-3, 1e-4], horizons=[4 * c.dt, 10 * c.dt], seeds=[1, 2]) == (12 * 10, blocks)
-        assert run(experiments.sample_attractor_deterministic, cfg, t_transient=5 * cfg.dt, count=3, stride=2,
-                   v0=v0) == (5 + 2 * 2, [(1, 9)])
         # absorbing: one stepper per horizon, its radii one ensemble
         assert run(experiments.measure_absorbing, cfg, initial_radii=[1.0, 2.0, 4.0],
                    horizons=[3 * cfg.dt, 8 * cfg.dt], seed=5) == (3 * (3 + 8), [(3, 3), (3, 8)])
@@ -634,7 +649,7 @@ class TestEnsemble:
         steps = 5
         v0s = [random_divfree_field(g, seed=30 + m, norm=1.0) for m in range(B)]
         paths = member_paths(kind, cfg, steps, B)
-        levels = list(dynamics.ensemble(v0s, cfg, paths, steps=steps))
+        levels = list(dynamics.ensemble([row(v) for v in v0s], cfg, paths, steps=steps))
         assert len(levels) == steps + 1
         for m in range(B):
             alone = trajectory(v0s[m], cfg, None if paths is None else paths[m], steps=steps)
@@ -648,21 +663,49 @@ class TestEnsemble:
         cfg = noisy_cfg(grid16)
         v0s = [random_divfree_field(grid16, seed=30 + m, norm=1.0) for m in range(B)]
         half = HalfSpectrum(grid16)
-        for v0, state in zip(v0s, next(dynamics.ensemble(v0s, cfg)), strict=True):
-            assert np.array_equal(state.u.coeffs, v0.coeffs) and state.u is not v0
-            assert np.array_equal(state.w, half.curl(v0))
+        w0s = [half.curl(v0) for v0 in v0s]
+        for v0, w0, state in zip(v0s, w0s, next(dynamics.ensemble(w0s, cfg)), strict=True):
+            # the initial state holds the row it was given, and its velocity is v0 to roundoff
+            assert state.w is w0 and close_to(state.u, v0)
             with pytest.raises(AttributeError):
                 state.w = half.curl(v0)
-        # a State built from a velocity carries that velocity's row, and so its norms
-        built = State(0.0, v0s[0])
-        assert built.u is v0s[0]
-        assert np.array_equal(built.w, half.curl(v0s[0]))
-        assert list(built.norms().values()) == list(half.norms(half.curl(v0s[0])))
+        # a State is built from a row alone; its velocity and norms are read off it
+        built = State(0.0, w0s[0], 0.0, half)
+        assert built.w is w0s[0] and close_to(built.u, v0s[0])
+        assert list(built.norms().values()) == list(half.norms(w0s[0]))
+
+    @pytest.mark.parametrize("case, problem", [
+        ("shape", r"expected a complex128 array of shape \(16, 6\), got complex128 of shape \(16, 5\)"),
+        # a float row used to step, and its initial State wrote a checkpoint of half the payload
+        ("dtype", r"expected a complex128 array of shape \(16, 6\), got float64 of shape \(16, 6\)"),
+        ("nan", "coefficients contain NaN or Inf"),
+        ("mean", "nonzero mean mode"),
+        ("outside", "content outside the dealias mask"),
+        ("hermitian", "Hermitian symmetry violated on column 0"),
+    ])
+    def test_rejects_a_row_outside_the_state_space(self, grid16, case, problem):
+        cfg = noisy_cfg(grid16)
+        good = row(random_divfree_field(grid16, seed=4, norm=1.0))
+        bad = good.copy()
+        if case == "shape":
+            bad = good[:, :-1]
+        elif case == "dtype":
+            bad = np.ascontiguousarray(good.real)
+        elif case == "nan":
+            bad[2, 1] = np.nan
+        elif case == "mean":
+            bad[0, 0] = 0.5
+        elif case == "outside":
+            bad[6, 2] = 0.5  # the row j1 = 6, where 3 j1 >= N
+        else:
+            bad[3, 0] += 0.5  # row 3 of column 0 without its mirror row -3
+        with pytest.raises(ValueError, match="initial row outside the solver's state space: " + problem):
+            dynamics.ensemble([good, bad], cfg)
 
     def test_lockstep_is_enforced(self, grid16):
         cfg = noisy_cfg(grid16)
         ou = path_of_type("ou", cfg, 4)
-        starts = [State(0.0, random_divfree_field(grid16, seed=s, norm=1.0)) for s in (4, 5, 6)]
+        starts = [state_of(0.0, random_divfree_field(grid16, seed=s, norm=1.0)) for s in (4, 5, 6)]
         st = _EtdStepper(cfg, [ou] * 3, starts)
         with pytest.raises(ValueError, match="neither the next nor the last level"):
             step(starts[0], st, 1, 0)  # skips level 0
@@ -674,11 +717,11 @@ class TestEnsemble:
 
     def test_members_share_one_system(self, grid16):
         cfg = noisy_cfg(grid16)
-        v0s = [random_divfree_field(grid16, seed=s, norm=1.0) for s in (4, 5)]
+        w0s = [row(random_divfree_field(grid16, seed=s, norm=1.0)) for s in (4, 5)]
         with pytest.raises(ValueError, match="share one system"):
-            dynamics.ensemble(v0s, cfg, [path_of_type("ou", cfg, 3), None])
+            dynamics.ensemble(w0s, cfg, [path_of_type("ou", cfg, 3), None])
         with pytest.raises(ValueError, match="one path per member"):
-            dynamics.ensemble(v0s, cfg, [path_of_type("ou", cfg, 3)])
+            dynamics.ensemble(w0s, cfg, [path_of_type("ou", cfg, 3)])
 
     @pytest.mark.parametrize("big", [0, 1, 2])
     def test_blowup_freezes_only_its_member(self, grid16, big):
@@ -690,7 +733,7 @@ class TestEnsemble:
         v0s = [random_divfree_field(grid16, seed=s, norm=0.05) for s in (1, 2)]
         v0s.insert(big, random_divfree_field(grid16, seed=1, norm=50.0))
         v0s.append(random_divfree_field(grid16, seed=2, norm=30.0))
-        levels = list(dynamics.ensemble(v0s, cfg, steps=14))
+        levels = list(dynamics.ensemble([row(v) for v in v0s], cfg, steps=14))
         blown = []
         for m in (big, 3):
             err = levels[-1][m]

@@ -6,15 +6,13 @@ import numpy as np
 import pytest
 
 from torns import experiments, io, spectral
-from torns.dynamics import BlowupError, SimConfig, State, _EtdStepper, integrate, manufactured_forcing, trajectory
+from torns.dynamics import BlowupError, SimConfig, State, _EtdStepper, trajectory
 from torns.experiments import (
     conjugation_convergence,
-    distance_to_set,
     ergodic_check,
     measure_absorbing,
     measure_smoothing,
     pullback_solve,
-    sample_attractor_deterministic,
 )
 from torns.noise import ou_stationary_moment, pullback_path
 from torns.spectral import (
@@ -52,7 +50,9 @@ class TestPullback:
         cfg = cfg_for(grid16)
         v0 = random_divfree_field(grid16, seed=1)
         ((out,),) = pullback_solve(cfg, [0.0], 1, [v0])
-        assert np.array_equal(out.u.coeffs, v0.coeffs)
+        # the state holds the row of v0, and its velocity is v0 up to the curl's roundoff
+        assert np.array_equal(out.w, spectral.HalfSpectrum(grid16).curl(v0))
+        assert np.abs(out.u.coeffs - v0.coeffs).max() <= 1e-15 * np.abs(v0.coeffs).max()
         assert out.z == pullback_path(0.0, cfg.dt, seed=1).z[-1] != 0.0
 
     def test_empty_family_rejected(self, grid16):
@@ -63,8 +63,7 @@ class TestPullback:
 
     @pytest.mark.parametrize("experiment", ["pullback", "smoothing", "absorbing"])
     def test_horizon_not_a_whole_number_of_steps_rejected(self, grid16, experiment, monkeypatch):
-        # rejected before any cell steps: stepping would fail this test
-        monkeypatch.setattr(experiments, "trajectory", None)
+        # rejected before any cell steps: stepping (dynamics.ensemble, the one time loop) would fail this test
         monkeypatch.setattr(experiments, "ensemble", None)
         cfg = cfg_for(grid16, dt=0.3)
         v0 = random_divfree_field(grid16, seed=1)
@@ -172,81 +171,6 @@ class TestPullback:
         gaps = [sobolev_norm(sa.u - sb.u, 0.0) for sa, sb in pullback_solve(cfg, [2.0, 6.0, 14.0], 7, [va, vb])]
         assert gaps[1] < gaps[0] and gaps[2] < gaps[1]
         assert gaps[2] < 1e-6
-
-
-class TestAttractorSample:
-    def test_zero_forcing_attractor_is_origin(self, grid16):
-        cfg = cfg_for(grid16, nu=1.0)
-        sample = sample_attractor_deterministic(cfg, t_transient=20.0, count=5, stride=10)
-        assert len(sample) == 5
-        assert all(sobolev_norm(u, 0.0) < 1e-6 for u in sample)
-
-    def test_manufactured_equilibrium_sampled(self, grid16):
-        u0 = random_divfree_field(grid16, seed=5, norm=0.5)
-        cfg = cfg_for(grid16, nu=2.0, f=manufactured_forcing(u0, 2.0), dt=1e-3)
-        sample = sample_attractor_deterministic(cfg, t_transient=10.0, count=3, stride=10, v0=u0)
-        assert all(sobolev_norm(u - u0, 0.0) < 1e-6 for u in sample)
-
-    def test_one_uninterrupted_trajectory(self, grid16):
-        # etd2 history kept across the transient: the states are integrate()'s
-        u0 = random_divfree_field(grid16, seed=6, norm=1.0)
-        cfg = cfg_for(grid16, nu=0.1, f=random_divfree_field(grid16, seed=7, norm=0.5))
-        n0, stride, count = 30, 4, 3
-        sample = sample_attractor_deterministic(cfg, t_transient=n0 * cfg.dt, count=count,
-                                                stride=stride, v0=u0)
-        ref = integrate(u0, cfg, steps=n0 + stride * (count - 1))[0].u
-        assert len(sample) == count
-        assert np.array_equal(sample[-1].coeffs, ref.coeffs)
-
-    def test_single_state(self, grid16):
-        cfg = cfg_for(grid16)
-        sample = sample_attractor_deterministic(cfg, t_transient=1.0, count=1, stride=1000)
-        assert len(sample) == 1
-
-    def test_rejects_bad_arguments(self, grid16):
-        with pytest.raises(ValueError):
-            sample_attractor_deterministic(cfg_for(grid16), t_transient=0.0, count=1, stride=1)
-        with pytest.raises(ValueError):
-            sample_attractor_deterministic(cfg_for(grid16), t_transient=1.0, count=0, stride=1)
-
-    def test_rejects_transient_not_whole_number_of_steps(self, grid16):
-        # round(0.5 / 0.3) steps used to start the sample at t = 0.6
-        with pytest.raises(ValueError, match="the horizon 0.5 is not a whole number of steps"):
-            sample_attractor_deterministic(cfg_for(grid16, dt=0.3), t_transient=0.5, count=1, stride=1)
-
-    @pytest.mark.parametrize("stride", [0, -1])
-    def test_rejects_stride_below_one(self, grid16, stride):
-        # stride 0 used to divide by zero, stride -1 to return an empty sample
-        with pytest.raises(ValueError, match=f"stride must be >= 1, got {stride}"):
-            sample_attractor_deterministic(cfg_for(grid16), t_transient=1.0, count=3, stride=stride)
-
-
-class TestDistanceToSet:
-    def test_member_has_zero_distance(self, grid16):
-        states = [random_divfree_field(grid16, seed=s) for s in range(3)]
-        assert distance_to_set(states[1], states, 2) == 0.0
-
-    def test_origin_sample_gives_norm(self, grid16):
-        sample = [SpectralField.zero(grid16)]
-        v = random_divfree_field(grid16, seed=3, norm=2.0)
-        for s in (0, 1, 2):
-            assert distance_to_set(v, sample, s) == pytest.approx(sobolev_norm(v, float(s)), rel=1e-14)
-
-    def test_singleton_matches_direct_norm(self, grid16):
-        b = random_divfree_field(grid16, seed=1)
-        v = random_divfree_field(grid16, seed=2)
-        assert distance_to_set(v, [b], 2) == pytest.approx(sobolev_norm(v - b, 2.0), rel=1e-14)
-
-    def test_triangle_sanity(self, grid16):
-        states = [random_divfree_field(grid16, seed=s) for s in range(4)]
-        v = random_divfree_field(grid16, seed=9)
-        d = distance_to_set(v, states, 1)
-        for b in states:
-            assert d <= sobolev_norm(v - b, 1.0) * (1 + 1e-14)
-
-    def test_empty_sample_rejected(self, grid16):
-        with pytest.raises(ValueError):
-            distance_to_set(random_divfree_field(grid16, seed=1), [], 2)
 
 
 class TestSmoothing:
@@ -591,7 +515,8 @@ class TestRunner:
         # the kernel workspace of a one-member stepper, and its two right sides,
         # argument, two temporaries and the old and new block
         grid = WaveGrid(TWO_PI, N)
-        stepper = _EtdStepper(cfg_for(grid), [None], [State(0.0, SpectralField.zero(grid))])
+        half = spectral.HalfSpectrum(grid)
+        stepper = _EtdStepper(cfg_for(grid), [None], [State(0.0, np.zeros((N, half.K), complex), 0.0, half)])
         work = stepper._work
         kernel = [work.vel, work.cols, work.uv, work.adv, work.rows, work.spec, work.out]
         blocks = [*stepper._rhs, stepper._arg, *stepper._tmp, stepper.w, stepper.w]

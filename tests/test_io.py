@@ -1,13 +1,14 @@
 import csv
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from torns import io as tio, spectral
-from torns.dynamics import State, check_assumption, integrate, taylor_green
+from torns.dynamics import State, check_assumption, ensemble, integrate, taylor_green, trajectory
 from torns.io import (
     ConfigError,
     config_defaults,
@@ -18,9 +19,16 @@ from torns.io import (
     write_manifest,
     write_rows_csv,
 )
+from torns.noise import OUPath, WienerPath, ou_from_wiener, sample_wiener
 from torns.spectral import WaveGrid, random_divfree_field, sobolev_norm
 
 TWO_PI = 2.0 * math.pi
+
+
+def state_of(t, u, z=0.0):
+    """The State of velocity u: its vorticity row, as every State holds."""
+    half = spectral.HalfSpectrum(u.grid)
+    return State(t, half.curl(u), z, half)
 
 
 def minimal_config(**kw):
@@ -119,6 +127,15 @@ class TestLoadConfig:
             load_config(raw)
         assert exc.value.field == f"{field}.modes[1].j"
 
+    @pytest.mark.parametrize("role", ["forcing", "noise", "initial"])
+    def test_mean_mode_rejected_naming_entry(self, role):
+        # the mean lies outside the state space; such an entry used to be dropped, so a
+        # u0 of it loaded with norm 0 and a noise of it passed `torns validate`
+        modes = [{"j": [1, 0], "v": [0.1, 0.0]}, {"j": [0, 0], "u": [1.0, 0.0]}]
+        with pytest.raises(ConfigError, match="the mean, which lies outside the state space") as exc:
+            load_config(minimal_config(**{role: {"modes": modes}}))
+        assert exc.value.field == f"{role}.modes[1].j"
+
     def test_noise_outside_mask_rejected(self):
         raw = minimal_config(noise={"modes": [{"j": [6, 0], "v": [1.0, 0.0]}]})
         with pytest.raises(ConfigError):
@@ -165,7 +182,7 @@ class TestCheckpoint:
         # the payload is the row: it round-trips bit for bit, the velocity rebuilt from it to roundoff
         g = WaveGrid(TWO_PI, 16)
         u = random_divfree_field(g, seed=3, norm=2.0)
-        st = State(t=1.25, u=u, z=-0.7)
+        st = state_of(1.25, u, -0.7)
         p = tmp_path / "state.trns"
         write_checkpoint(st, p, nu=0.3)
         back = read_checkpoint(p)
@@ -183,18 +200,18 @@ class TestCheckpoint:
     def test_payload_is_the_row(self, tmp_path, N):
         g = WaveGrid(TWO_PI, N)
         K = (N - 1) // 3 + 1
-        st = State(0.5, random_divfree_field(g, seed=4, norm=1.0))
+        u = random_divfree_field(g, seed=4, norm=1.0)
         p = tmp_path / "row.trns"
-        write_checkpoint(st, p, nu=1.0)
+        write_checkpoint(state_of(0.5, u), p, nu=1.0)
         data = p.read_bytes()
         assert tio._parse_header(data, p).payload_len == N * K * 16
         assert len(data) == tio._HEADER.size + N * K * 16
-        assert data[tio._HEADER.size:] == spectral.HalfSpectrum(g).curl(st.u).tobytes()
+        assert data[tio._HEADER.size:] == spectral.HalfSpectrum(g).curl(u).tobytes()
 
     def test_version_1_is_refused(self, tmp_path):
         # version 1 stored the (2, N, N) velocity; no reader of it is kept
         p = tmp_path / "v1.trns"
-        write_checkpoint(State(0.0, random_divfree_field(WaveGrid(TWO_PI, 8), seed=1)), p, nu=1.0)
+        write_checkpoint(state_of(0.0, random_divfree_field(WaveGrid(TWO_PI, 8), seed=1)), p, nu=1.0)
         data = bytearray(p.read_bytes())
         data[4:8] = (1).to_bytes(4, "little")
         p.write_bytes(bytes(data))
@@ -204,7 +221,7 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.trns"
         g = WaveGrid(TWO_PI, 8)
-        write_checkpoint(State(0.0, random_divfree_field(g, seed=1)), p, nu=1.0)
+        write_checkpoint(state_of(0.0, random_divfree_field(g, seed=1)), p, nu=1.0)
         data = bytearray(p.read_bytes())
         data[:4] = b"NOPE"
         p.write_bytes(bytes(data))
@@ -214,7 +231,7 @@ class TestCheckpoint:
     def test_version_mismatch(self, tmp_path):
         p = tmp_path / "v2.trns"
         g = WaveGrid(TWO_PI, 8)
-        write_checkpoint(State(0.0, random_divfree_field(g, seed=1)), p, nu=1.0)
+        write_checkpoint(state_of(0.0, random_divfree_field(g, seed=1)), p, nu=1.0)
         data = bytearray(p.read_bytes())
         data[4] += 1  # little-endian u32 version
         p.write_bytes(bytes(data))
@@ -224,14 +241,53 @@ class TestCheckpoint:
     def test_truncation_detected(self, tmp_path):
         p = tmp_path / "trunc.trns"
         g = WaveGrid(TWO_PI, 8)
-        write_checkpoint(State(0.0, random_divfree_field(g, seed=1)), p, nu=1.0)
+        write_checkpoint(state_of(0.0, random_divfree_field(g, seed=1)), p, nu=1.0)
         p.write_bytes(p.read_bytes()[:-16])
         with pytest.raises(ValueError, match="truncated"):
             read_checkpoint(p)
 
+    @pytest.mark.parametrize("index, problem", [
+        ((0, 0), "nonzero mean mode"),
+        ((6, 1), "content outside the dealias mask"),  # the row j1 = 6, where 3 j1 >= N
+        ((8, 0), "content outside the dealias mask"),  # the Nyquist row
+        ((3, 0), "Hermitian symmetry violated on column 0"),
+    ])
+    def test_row_outside_the_state_space_is_refused(self, tmp_path, index, problem):
+        # 0.5 written into the row of a valid N = 16 checkpoint; it used to read back
+        # silently, and the velocity rebuilt from it hid the content
+        st = state_of(0.0, random_divfree_field(WaveGrid(TWO_PI, 16), seed=1))
+        p = tmp_path / "corrupt.trns"
+        write_checkpoint(st, p, nu=1.0)
+        w = st.w.copy()
+        w[index] += 0.5
+        p.write_bytes(p.read_bytes()[:tio._HEADER.size] + w.tobytes())
+        with pytest.raises(ValueError, match="row outside the solver's state space: " + problem):
+            read_checkpoint(p)
+
+    def test_etd1_run_resumes_from_its_checkpoint_bit_for_bit(self, tmp_path):
+        # decay-noise under etd1 on the OU path of seed 3, cut at step 150 of 400: the
+        # read-back row seeds the path's tail with no velocity round trip, so the resumed
+        # run ends on the uninterrupted run's w and z bit for bit (through State.u it ended
+        # 7.5e-17 off).  t counts from the tail's start, so it may differ in the last bit
+        cfg = replace(load_config({"preset": "decay-noise"}), scheme="etd1")
+        ou = ou_from_wiener(sample_wiener(0.0, 0.4, cfg.dt, seed=3))
+        cut = 150
+        *_, mid = trajectory(cfg.u0, cfg, ou, steps=cut)
+        *_, last = trajectory(cfg.u0, cfg, ou)
+        p = tmp_path / "cut.trns"
+        write_checkpoint(mid, p, nu=cfg.nu)
+        back = read_checkpoint(p)
+        tail = OUPath(WienerPath(t0=back.t, dt=cfg.dt, increments=ou.wiener.increments[cut:], seed=3),
+                      ou.z[cut:])
+        *_, (end,) = ensemble([back.w], cfg, [tail])
+        assert ou.n == 400
+        assert end.w.tobytes() == last.w.tobytes()
+        assert end.z == last.z
+        assert abs(end.t - last.t) <= math.ulp(last.t)
+
     def test_read_checkpoint_reads_the_file_once(self, tmp_path, monkeypatch):
         p = tmp_path / "once.trns"
-        write_checkpoint(State(0.0, random_divfree_field(WaveGrid(TWO_PI, 8), seed=1)), p, nu=1.0)
+        write_checkpoint(state_of(0.0, random_divfree_field(WaveGrid(TWO_PI, 8), seed=1)), p, nu=1.0)
         reads = []
         read_bytes = Path.read_bytes
         monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or read_bytes(self))

@@ -443,6 +443,13 @@ class TestVorticityAdvection:
         assert np.abs(c[:, 8, :]).max() == 0.0
         assert np.abs(c[:, :, 8]).max() == 0.0
 
+    @pytest.mark.parametrize("N", [8, 16, 50, 128])
+    def test_curls_and_the_zero_row_pass_the_row_audit(self, N):
+        g = WaveGrid(TWO_PI, N)
+        half = HalfSpectrum(g)
+        assert half.violations(half.curl(random_divfree_field(g, seed=6, norm=1.5))) == []
+        assert half.violations(np.zeros((N, half.K), dtype=complex)) == []
+
 
 class TestGradLinf:
     def test_zero_field(self):
