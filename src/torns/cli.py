@@ -24,10 +24,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import dynamics, experiments, io as tio
+from . import __version__, dynamics, experiments, io as tio
 from .dynamics import NORMS, BlowupError, SimConfig, integrate
 from .noise import horizon_steps, ou_from_wiener, sample_wiener
-from .spectral import field_violations, sobolev_norm
+from .spectral import field_violations
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -98,9 +98,11 @@ def _taylor_green(cfg: SimConfig, args, out: Path) -> Outcome:
     # roundoff left in modes that decay at nu lambda_1, half the vortex's rate,
     # outgrows the vortex on a small torus or a long horizon: so the error is
     # scaled by ||u(0)||, not ||u(T)||, and the rate is read off the vortex's
-    # own coefficient, u_2 at j = (1, 1), which is i e^{-2 nu lambda_1 t} / 4
-    err = sobolev_norm(state.u - exact, 0.0) / sobolev_norm(u0, 0.0)
-    a0, a = u0.coeffs[1, 1, 1].imag, state.u.coeffs[1, 1, 1].imag
+    # own coefficient, w at j = (1, 1), which is -k0 e^{-2 nu lambda_1 t} / 2
+    half = state.half
+    w0 = half.curl(u0)
+    err = half.norms(state.w - half.curl(exact))[0] / half.norms(w0)[0]
+    a0, a = -w0[1, 1].real, -state.w[1, 1].real
     rate = math.log(a / a0) / state.t if a > 0 else -math.inf
     expected = -2 * cfg.nu * cfg.grid.lambda1
     # once the vortex has decayed, err is small whatever the rate; the
@@ -167,7 +169,7 @@ class Command(NamedTuple):
     run: Callable[[SimConfig, argparse.Namespace, Path], Outcome]
     writes: bool = True  # creates --out
     horizons: tuple[float, ...] = ()  # refused before creating --out unless dt divides each
-    to_t_end: bool = False  # steps to the config's t_end, refused the same way
+    to_t_end: bool = False  # steps to the config's t_end, refused the same way or at 0 steps
 
 
 COMMANDS = {
@@ -194,7 +196,7 @@ def _at_least_one(text: str) -> int:
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="torns", description=__doc__.splitlines()[0])
-    p.add_argument("--version", action="version", version="%(prog)s 0.1.0")
+    p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sp = sub.add_parser(name)
@@ -212,7 +214,7 @@ def _build_parser() -> _Parser:
 def _load(args, preset: str) -> tuple[SimConfig, dict]:
     """Config plus its normalized raw dict (the re-loadable manifest echo)."""
     if args.config is None:
-        raw = tio.normalize_config(tio.config_defaults(args.preset or preset))
+        raw = tio.normalize_config({"preset": args.preset or preset})
     else:
         try:
             text = args.config.read_text()
@@ -232,6 +234,8 @@ def _run(args) -> int:
             horizon_steps(T, cfg.dt)
         except ValueError as exc:
             raise tio.ConfigError("dt", str(exc)) from None
+    if command.to_t_end and horizon_steps(cfg.t_end, cfg.dt) == 0:
+        raise tio.ConfigError("t_end", f"{cfg.t_end} rounds to 0 steps of dt = {cfg.dt}; need at least one")
     if command.writes:
         try:
             args.out.mkdir(parents=True, exist_ok=True)

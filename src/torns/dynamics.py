@@ -46,7 +46,7 @@ update temporaries), so a level allocates only the new block; steppers of
 concurrent trajectories share nothing but read-only tables.  A State is
 built from its vorticity row w alone, and every norm a run reports comes
 from it (State.norms); u is rebuilt from w without an FFT on the first
-read, for the Taylor-Green check and the public API only.
+read, for callers of the public API only.
 
 State space: w represents exactly the zero-mean, divergence-free velocity
 fields with no modes |j2| >= K, and the two forms of B agree only inside the
@@ -142,13 +142,15 @@ def check_assumption(h: SpectralField, nu: float, grid: WaveGrid) -> AssumptionR
     """Evaluate the noise-admissibility condition ||grad h||_Linf < sqrt(pi) nu lambda_1.
 
     A violated condition is a valid report (satisfied=False, constants absent),
-    not an error.  ||grad h||_Linf is sampled on a 4N x 4N grid a block of rows
-    at a time (spectral.grad_linf), so the check holds 32 (4N) N bytes and one
-    block, not the 4 (4N)^2 samples: a peak of about 3.4 MB at N = 128.
+    not an error.  grad h is sampled off the row curl h (spectral.grad_linf,
+    64 (4N) K bytes and one block), the divergence-free part the stepper
+    runs: a gradient part, or columns |j2| >= K outside the mask (which
+    SimConfig refuses), drops out.
     """
     if h.grid != grid:
         raise ValueError("h is not defined on the given grid")
-    g_op, g_ma = spectral.grad_linf(h)
+    half = _half_spectrum(grid)
+    g_op, g_ma = spectral.grad_linf(half.curl(h), half)
     return AssumptionReport(lhs=g_op / math.sqrt(math.pi), rhs=nu * grid.lambda1,
                             grad_linf_op=g_op, grad_linf_maxabs=g_ma)
 
@@ -552,8 +554,9 @@ def taylor_green(t: float, nu: float, grid: WaveGrid) -> SpectralField:
 
 
 def manufactured_forcing(u0: SpectralField, nu: float) -> SpectralField:
-    """f = nu A u0 + B(u0, u0), making u0 a steady state of the deterministic system."""
-    return SpectralField(
-        u0.grid,
-        nu * u0.grid.k2 * u0.coeffs + spectral.nonlinear_term(u0, u0).coeffs,
-    )
+    """f = nu A u0 + B(u0, u0) as the velocity of its row nu k^2 w0 + curl B, so that u0 is a
+    steady state of the deterministic system under the stepper's own vorticity_advection."""
+    half = _half_spectrum(u0.grid)
+    w0 = half.curl(u0)
+    advection = spectral.vorticity_advection(w0, half, spectral.AdvectionWorkspace(half))
+    return half.velocity(nu * half.k2 * w0 + advection)

@@ -23,12 +23,12 @@ through one runner, _run_ensembles: the family of each pullback horizon
 paths, and all of smoothing's base and perturbed members, each (seed,
 direction) on the OU path of its seed.  The ensembles start from rows: an
 initial velocity handed in (pullback_solve's family, smoothing's base) is
-checked and curled once, and each other start is the curl of the velocity
-it perturbs.  Each member has the bits of its own one-member run, so
-reports are bit-reproducible for any worker count.  On dense-DFT grids an
-ensemble is one block on the calling thread; on FFT grids it splits into
-sub-blocks within a byte budget, and `threads` bounds the workers that run
-them.
+checked and curled once, and each perturbed start is a sum of rows
+(smoothing's w1 + delta dw, convergence's w0 + z(0) curl h).  Each member
+has the bits of its own one-member run, so reports are bit-reproducible for
+any worker count.  On dense-DFT grids an ensemble is one block on the
+calling thread; on FFT grids it splits into sub-blocks within a byte
+budget, and `threads` bounds the workers that run them.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .noise import (
     sample_wiener,
 )
 from . import spectral
-from .spectral import SpectralField, random_divfree_field, sobolev_norm
+from .spectral import SpectralField, random_divfree_field
 
 __all__ = [
     "pullback_solve",
@@ -145,10 +145,11 @@ def pullback_solve(cfg: SimConfig, horizons: list[float], seed: int, initial_sta
 def _smoothing_rows(cfg, v1, groups, deltas, horizons, threads):
     """The groups as one ensemble; one row per (group, delta, T), in the order of groups.
 
-    A group ((seed, label), direction) is the base v1, checked and curled
-    once, and the rows of the perturbed starts v1 + delta * direction on the
-    OU path of seed (no path, the deterministic system, when h is zero or
-    every horizon is 0).  A blowup gives error rows: for every (delta, T)
+    A group ((seed, label), direction) is the base row w1 of v1, checked and
+    curled once, and the perturbed starts w1 + delta * dw, dw the direction
+    curled once, on the OU path of seed (no path, the deterministic system,
+    when h is zero or every horizon is 0).  dist0 is the H norm of start - w1,
+    read as distT_h2_sq is.  A blowup gives error rows: for every (delta, T)
     of a group when its base blows up, and for the horizons not yet reached
     when a perturbed member does.
     """
@@ -159,9 +160,12 @@ def _smoothing_rows(cfg, v1, groups, deltas, horizons, threads):
     ous = {seed: ou_from_wiener(sample_wiener(0.0, horizons[-1], cfg.dt, seed=seed)) for seed in seeds}
     k = 1 + len(deltas)
     paths = [ous.get(seed) for (seed, _), _ in groups for _ in range(k)]
-    dist0 = [[sobolev_norm(v1 + delta * d - v1, 0.0) for delta in deltas] for _, d in groups]
-    # member g k is group g's base, g k + 1 + i its start v1 + deltas[i] d
-    starts = [w for _, d in groups for w in (w1, *(half.curl(v1 + delta * d) for delta in deltas))]
+    starts, dist0 = [], []  # member g k is group g's base, g k + 1 + i its start w1 + deltas[i] dw
+    for _, d in groups:
+        dw = half.curl(d)
+        perturbed = [w1 + delta * dw for delta in deltas]
+        starts += [w1, *perturbed]
+        dist0.append([float(half.norms(w - w1)[0]) for w in perturbed])
     (levels,) = _run_ensembles([(starts, cfg, paths, set(at.values()))], threads)
     rows = []
     for g, ((seed, label), _) in enumerate(groups):
@@ -242,7 +246,7 @@ def measure_absorbing(
     """
     e = random_divfree_field(cfg.grid, 99, norm=1.0, stream=29)  # one fixed unit direction
     radii, hs = sorted(set(initial_radii)), sorted(set(horizons))
-    family = [SpectralField(cfg.grid, r * e.coeffs) for r in radii]
+    family = [r * e for r in radii]
     runs = pullback_solve(cfg, hs, seed, family, threads)
     return [{"radius": radius, "horizon": h, **_norms(states[i])}
             for i, radius in enumerate(radii) for h, states in zip(hs, runs)]
@@ -284,7 +288,8 @@ def conjugation_convergence(
     Both solvers share the Brownian increments at each level; z is the OU
     process of those increments with a level-independent stationary z_0.  The
     strong error at each level is the ensemble mean over `paths` independent
-    Wiener paths; v0 is drawn and curled once, from the config seed.  Rows (level, dt,
+    Wiener paths; v0 is drawn and curled once, from the config seed, and each
+    Ito member starts at its row plus z(0) curl h.  Rows (level, dt,
     strong_error, ratio to the next level, its log2 order; "" on the last).  A
     blowup raises: benchmarks/reference.json pins these five columns, no `error`.
     """
@@ -303,7 +308,7 @@ def conjugation_convergence(
             wieners = [refine_wiener(w) for w in wieners]
         ous = [ou_from_wiener(w) for w in wieners]
         lcfg, n = replace(cfg, dt=wieners[0].dt), wieners[0].n
-        starts = [half.curl(v0 + float(ou.z[0]) * cfg.h) for ou in ous]  # u(0) = v(0) + h z(0)
+        starts = [w0 + float(ou.z[0]) * hw for ou in ous]  # u(0) = v(0) + h z(0)
         runs = _run_ensembles([([w0] * paths, lcfg, ous, {n}), (starts, lcfg, wieners, {n})], threads)
         for m, (v, u, ou) in enumerate(zip(runs[0][n], runs[1][n], ous)):  # ||u - (v + h z(T))||
             failed.update({(m, lv, s): x for s, x in enumerate((v, u)) if isinstance(x, BlowupError)})

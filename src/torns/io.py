@@ -38,7 +38,6 @@ __all__ = [
     "ConfigError",
     "load_config",
     "normalize_config",
-    "config_defaults",
     "write_checkpoint",
     "read_checkpoint",
     "write_rows_csv",
@@ -85,16 +84,6 @@ _PRESETS = {
         "initial": {"preset": "random", "norm": 1.0, "seed": 5},
     },
 }
-
-
-def config_defaults(preset: str | None = None) -> dict:
-    """The raw config dict for a named preset (or the bare defaults)."""
-    base = dict(_DEFAULTS)
-    if preset is not None:
-        if preset not in _PRESETS:
-            raise ConfigError("preset", f"unknown preset {preset!r} (have {sorted(_PRESETS)})")
-        base.update(_PRESETS[preset])
-    return base
 
 
 # the keys of each kind of field spec; a modes spec takes "modes" alone and a mode entry j, u and v
@@ -222,7 +211,12 @@ def normalize_config(raw: dict | str) -> dict:
     known = {"nu", "L", "N", "dt", "scheme", "seed", "stride", "t_end",
              "preset", "forcing", "noise", "initial"}
     _known_keys(raw, known, "")
-    merged = config_defaults(raw.get("preset"))
+    merged = dict(_DEFAULTS)
+    preset = raw.get("preset")
+    if preset is not None:
+        if not isinstance(preset, str) or preset not in _PRESETS:
+            raise ConfigError("preset", f"unknown preset {preset!r} (have {sorted(_PRESETS)})")
+        merged.update(_PRESETS[preset])
     merged.update({k: v for k, v in raw.items() if k != "preset"})
     return merged
 
@@ -293,10 +287,14 @@ def _parse_header(data: bytes, path: str | Path) -> _CheckpointHeader:
 
 
 def read_checkpoint(path: str | Path) -> State:
-    """Inverse of write_checkpoint, bit for bit in w; ValueError for a row outside the state space.
-    The header's nu is informational: a run's config, nu with it, is the config echo in its manifest."""
+    """Inverse of write_checkpoint, bit for bit in w; ValueError for a row outside the state space
+    or a header whose L, t or z is not finite.  The header's nu is informational: a run's
+    config, nu with it, is the config echo in its manifest."""
     data = Path(path).read_bytes()
     hdr = _parse_header(data, path)
+    for name in ("t", "z"):  # WaveGrid refuses a non-finite L
+        if not math.isfinite(getattr(hdr, name)):
+            raise ValueError(f"{path}: non-finite {name} in the header: {getattr(hdr, name)}")
     payload = data[_HEADER.size:]
     expected = hdr.N * ((hdr.N - 1) // 3 + 1) * 16  # the (N, K) row
     if hdr.payload_len != expected or len(payload) != hdr.payload_len:

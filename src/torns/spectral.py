@@ -9,29 +9,32 @@ array c is L * sqrt(sum |c|^2).
 The first eigenvalue of the Stokes operator on this lattice is
 lambda_1 = 4*pi^2 / L^2.
 
-Velocity SpectralFields are the only public representation; no public type
-holds samples on the grid.  The time stepper
-works instead on the scalar vorticity w = curl u = d_x u_2 - d_y u_1, held
-only on the K = (N-1)//3 + 1 columns of the rfft2 half spectrum that meet
-the dealias mask, as one contiguous (N, K) array (HalfSpectrum; the other
-columns of a field inside the mask are zero).  There u = (d_y psi, -d_x psi)
-with psi = w / |k|^2, and curl B(u, u) = (u . grad) w (vorticity_advection)
-agrees with nonlinear_term up to roundoff.  The kernel writes into the
-buffers of an AdvectionWorkspace that its caller owns, so a step allocates
-no transform intermediates.  Two kernels agree to roundoff, and the grid
-size alone picks one: up to N = _DFT_MAX_N, where a numpy call costs mostly
-its Python wrapper, real matrix products with dense DFT tables; above it the
-Basdevant form, with two inverse and two forward real transforms as numpy's
-1-D FFTs.  The DFT kernel's calls are too short to gain from a second
-thread, so the experiments step their ensembles serially on those grids.  Both
-kernels take a leading member axis, (B, N, K), on which each member gets
-the bits of its own (N, K) call.
+The solver and its reports compute on the scalar vorticity w = curl u =
+d_x u_2 - d_y u_1, held only on the K = (N-1)//3 + 1 columns of the rfft2
+half spectrum that meet the dealias mask, as one contiguous (N, K) array
+(HalfSpectrum; the other columns of a field inside the mask are zero).  A
+velocity SpectralField is built or read only at the library's edge: a
+config's fields, the velocities the entry points take, and State.u.  There
+u = (d_y psi, -d_x psi) with psi = w / |k|^2, and curl B(u, u) = (u . grad) w
+(vorticity_advection) agrees with nonlinear_term up to roundoff.
+nonlinear_term, the velocity form of B, has no caller in the solver: it
+stays as the reference that the benchmark's sweep times and the tests check
+the kernel against.  The kernel writes into the buffers of an
+AdvectionWorkspace that its caller owns, so a step allocates no transform
+intermediates.  Two kernels agree to roundoff, and the grid size alone
+picks one: up to N = _DFT_MAX_N, where a numpy call costs mostly its Python
+wrapper, real matrix products with dense DFT tables; above it the Basdevant
+form, with two inverse and two forward real transforms as numpy's 1-D FFTs.
+The DFT kernel's calls are too short to gain from a second thread, so the
+experiments step their ensembles serially on those grids.  Both kernels
+take a leading member axis, (B, N, K), on which each member gets the bits
+of its own (N, K) call.
 
-grad_linf samples the 2x2 Jacobian of h on a 4N x 4N grid, but never holds
-that grid: one inverse transform along x on the N/2 columns that hold h,
-then the irfft along y a block of rows at a time, with running maxima.  At
-N = 128 a call peaks near 3.4 MB, where the 4 x 512 x 512 samples alone
-would take 8.4 MB.
+grad_linf samples the 2x2 Jacobian of the velocity of a row on a 4N x 4N
+grid, but never holds that grid: one inverse transform along x on the K
+columns of the row, then the irfft along y a block of rows at a time, with
+running maxima.  At N = 128 a call peaks near 2.8 MB (64 (4N) K bytes and
+one block), where the 4 x 512 x 512 samples alone would take 8.4 MB.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ __all__ = [
     "SpectralField",
     "leray_project",
     "divergence",
-    "sobolev_norm",
     "nonlinear_term",
     "HalfSpectrum",
     "AdvectionWorkspace",
@@ -70,8 +72,8 @@ class WaveGrid:
     """
 
     def __init__(self, L: float, N: int):
-        if not float(L) > 0.0:
-            raise ValueError(f"L must be positive, got {L}")
+        if not (float(L) > 0.0 and np.isfinite(L)):
+            raise ValueError(f"L must be positive and finite, got {L}")
         N = int(N)
         if N < 4:
             raise ValueError(f"N must be >= 4, got {N}")
@@ -148,7 +150,7 @@ class SpectralField:
     __rmul__ = __mul__
 
     def __repr__(self):
-        return f"SpectralField(N={self.grid.N}, L={self.grid.L:g}, |u|={sobolev_norm(self, 0.0):.6g})"
+        return f"SpectralField(N={self.grid.N}, L={self.grid.L:g})"
 
 
 def _check_same_grid(u, v) -> None:
@@ -182,26 +184,14 @@ def divergence(u: SpectralField) -> np.ndarray:
     return 1j * (g.kx * u.coeffs[0] + g.ky * u.coeffs[1])
 
 
-def sobolev_norm(u: SpectralField, s: float) -> float:
-    """H^s norm ||A^{s/2} u|| = sqrt(L^2 * sum |k|^(2s) |u_hat|^2).
-
-    s = 0 gives the physical L2 norm; s must be >= 0.  For velocity fields:
-    the norms a run records come from its vorticity (HalfSpectrum.norms).
-    """
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
-    g = u.grid
-    e = (np.abs(u.coeffs[0]) ** 2 + np.abs(u.coeffs[1]) ** 2)
-    return g.L * float(np.sqrt((g.k2**s * e).sum()))
-
-
 def nonlinear_term(u: SpectralField, v: SpectralField) -> SpectralField:
     """Dealiased bilinear term B(u, v) = P((u . grad) v).
 
     v is differentiated spectrally; u and grad v are multiplied pointwise on
     the collocation grid; the product is transformed back, masked by the 2/3
     rule and Leray-projected.  For inputs supported inside the dealias mask
-    the retained modes equal the exact Galerkin convolution.
+    the retained modes equal the exact Galerkin convolution.  Nothing in the
+    solver calls it: it stays for benchmarks/probe.py's sweep and the tests.
     """
     _check_same_grid(u, v)
     g = u.grid
@@ -328,8 +318,8 @@ class HalfSpectrum:
         """The full (2, N, N) velocity spectrum of w, mirrored without an FFT.
 
         Columns j2 > N/2 are conj(u_hat(-j)); the columns K..N-K, and with
-        them the Nyquist lines, are zero.  Only reading a State's u calls
-        this; no loop of the solver or the experiments does.
+        them the Nyquist lines, are zero.  Only the library's edge calls
+        this (State.u, manufactured_forcing); no loop of the solver does.
         """
         g = self.grid
         N, K = g.N, self.K
@@ -344,7 +334,7 @@ class HalfSpectrum:
         """The H, H1 and H2 norms of the velocity of w, (..., 3) for w of shape (..., N, K).
 
         |u_hat|^2 = |w_hat|^2 / |k|^2 makes ||u||_{H^s}^2 = L^2 sum |k|^(2s-2) |w_hat|^2, one
-        einsum with a weight table; equal to sobolev_norm(velocity(w), s) up to roundoff.
+        einsum with a weight table; equal to the per-mode sum on velocity(w) up to roundoff.
         """
         return np.sqrt(np.einsum("sjk,...jk->...s", self._norm_weights, w.real**2 + w.imag**2))
 
@@ -486,28 +476,24 @@ _GRAD_BLOCK_ROWS = 32
 _GRAD_OVERSAMPLE = 4  # grad_linf takes the sup on the M x M grid, M = 4 N
 
 
-def grad_linf(h: SpectralField) -> tuple[float, float]:
-    """The sup over the sampled points of two pointwise norms of grad h: (op, maxabs).
+def grad_linf(hw: np.ndarray, half: HalfSpectrum) -> tuple[float, float]:
+    """The sup over the sampled points of two pointwise norms of grad h, h the velocity of hw: (op, maxabs).
 
     op takes the operator 2-norm of the 2x2 Jacobian (the norm that makes
     |integral |v|^2 |grad h|| <= ||grad h||_inf ||v||^2 valid), maxabs its
-    largest absolute entry.  h is taken as real and its Nyquist lines
-    j = -N/2 are dropped; the entries d_a h_b are sampled on the M x M grid,
+    largest absolute entry.  hw is an (N, K) vorticity row (HalfSpectrum),
+    so h is real, divergence-free and zero on the Nyquist lines.  The
+    entries d_a h_b = ops[2 + a] ops[b] hw are sampled on the M x M grid,
     M = _GRAD_OVERSAMPLE*N, as irfft2 of the half spectrum j2 >= 0, to
     control the sampling error of the sup.  The inverse transform along x
-    runs once, on the N/2 columns j2 < N/2 that hold h, into a (2, 2, M, N/2)
-    complex array; the irfft along y then runs on _GRAD_BLOCK_ROWS x-rows at
-    a time, carrying both maxima.  So the call holds 32 M N bytes plus one
+    runs once, on the K columns of the row, into a (2, 2, M, K) complex
+    array; the irfft along y then runs on _GRAD_BLOCK_ROWS x-rows at a
+    time, carrying both maxima.  So the call holds 64 M K bytes plus one
     block, not the 32 M^2 of all the samples.
     """
-    g = h.grid
-    N, M = g.N, _GRAD_OVERSAMPLE * g.N
-    inner = np.abs(g.jx[:, 0]) < N // 2
-    rows = g.jx[inner, 0] % M
-    cols = np.zeros((2, 2, M, N // 2), dtype=np.complex128)
-    for b in range(2):
-        for a, k in ((0, g.kx), (1, g.ky)):
-            cols[a, b, rows] = (1j * k * h.coeffs[b])[inner, : N // 2]
+    M = _GRAD_OVERSAMPLE * half.grid.N
+    cols = np.zeros((2, 2, M, half.K), dtype=np.complex128)
+    cols[:, :, half.grid.jx[:, 0] % M] = half.ops[2:4, None] * (half.ops[:2] * hw)
     np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
     block = np.empty((2, 2, min(_GRAD_BLOCK_ROWS, M), M))
     peaks = np.empty((-(-M // _GRAD_BLOCK_ROWS), 3))  # per block: max J, -min J, max smax^2
@@ -536,8 +522,8 @@ def random_divfree_field(
 
     Built from a random real streamfunction (u = perp-grad psi), so the result
     is exactly divergence-free and real in physical space.  profile maps |k|
-    to a shell amplitude weight (default 1/(1+|k|^2)); the field is rescaled so
-    sobolev_norm(result, 0) == norm.  It lies inside the dealias mask, so the
+    to a shell amplitude weight (default 1/(1+|k|^2)); the field is rescaled to the
+    L2 norm `norm`.  It lies inside the dealias mask, so the
     solver takes it as initial data.  Deterministic in (seed, stream).
     """
     g = grid
@@ -555,12 +541,11 @@ def random_divfree_field(
     coeffs = np.empty((2, g.N, g.N), dtype=np.complex128)
     coeffs[0] = -1j * g.ky * psi
     coeffs[1] = 1j * g.kx * psi
-    u = SpectralField(g, coeffs)
-    cur = sobolev_norm(u, 0.0)
+    cur = g.L * float(np.sqrt((np.abs(coeffs[0]) ** 2 + np.abs(coeffs[1]) ** 2).sum()))  # the L2 norm
     if cur == 0.0:
         raise ValueError("profile produced an identically zero field")
-    u.coeffs *= norm / cur
-    return u
+    coeffs *= norm / cur
+    return SpectralField(g, coeffs)
 
 
 def field_violations(u: SpectralField, rtol: float = 1e-13) -> list[str]:

@@ -1,8 +1,11 @@
 """Test oracles on velocity SpectralFields that the solver itself never calls.
 
-The L2 pairing and the Stokes powers A^p, written from their per-mode
-definitions, so the identities the tests check (skew symmetry, the enstrophy
-identity, composition of powers) rest on code outside torns.
+The L2 pairing, the Stokes powers A^p and the Sobolev norms, written from
+their per-mode definitions on the (2, N, N) velocity spectrum, so the
+identities the tests check (skew symmetry, the enstrophy identity,
+composition of powers) and the norms they compare against rest on code
+outside torns, which reads every norm off a vorticity row
+(HalfSpectrum.norms).
 """
 
 import numpy as np
@@ -30,3 +33,15 @@ def apply_stokes_power(u: SpectralField, p: float) -> SpectralField:
         w = np.where(g.k2 > 0.0, g.k2, 1.0) ** p
         w[0, 0] = 0.0
     return SpectralField(g, u.coeffs * w)
+
+
+def sobolev_norm(u: SpectralField, s: float) -> float:
+    """H^s norm ||A^{s/2} u|| = sqrt(L^2 * sum |k|^(2s) |u_hat|^2).
+
+    s = 0 gives the physical L2 norm; s must be >= 0.
+    """
+    if s < 0:
+        raise ValueError(f"s must be >= 0, got {s}")
+    g = u.grid
+    e = (np.abs(u.coeffs[0]) ** 2 + np.abs(u.coeffs[1]) ** 2)
+    return g.L * float(np.sqrt((g.k2**s * e).sum()))

@@ -34,9 +34,8 @@ from torns.spectral import (
     leray_project,
     nonlinear_term,
     random_divfree_field,
-    sobolev_norm,
 )
-from tests.oracle import apply_stokes_power, inner
+from tests.oracle import apply_stokes_power, inner, sobolev_norm
 from tests.test_spectral import galerkin_convolution
 
 TWO_PI = 2.0 * np.pi

@@ -16,7 +16,7 @@ from torns.cli import COMMANDS, main
 from torns.dynamics import integrate
 from torns.io import load_config, read_checkpoint
 from torns.noise import ou_from_wiener, sample_wiener
-from torns.spectral import sobolev_norm
+from tests.oracle import sobolev_norm
 
 # criterion 10's config: small enough that every subcommand runs in seconds
 SMALL = {"nu": 1.0, "N": 16, "dt": 1e-2, "seed": 3, "t_end": 0.5,
@@ -41,6 +41,12 @@ class TestArgumentHandling:
 
     def test_missing_command_rejected(self):
         assert main([]) == 1
+
+    def test_version_is_the_package_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"torns {torns.__version__}\n"
 
     @pytest.mark.parametrize("threads, why", [("0", "must be >= 1, got 0"), ("-3", "must be >= 1, got -3"),
                                               ("two", "invalid int value: 'two'")])
@@ -192,6 +198,17 @@ class TestTopLevelNumbers:
         assert captured.err.startswith(f"config error: {field}: must be positive and finite")
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, preset", [("simulate", "decay-noise"), ("taylor-green", "taylor-green")])
+    def test_t_end_of_zero_steps_is_config_error(self, tmp_path, capsys, command, preset):
+        # 1e-10 is within horizon_steps' tolerance of 0 steps of 1e-3: simulate used to raise
+        # from sample_wiener and taylor-green to divide by zero in its rate
+        cfg = write_config(tmp_path, {"preset": preset, "t_end": 1e-10})
+        out = tmp_path / "run"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: t_end: 1e-10 rounds to 0 steps of dt = 0.001; need at least one\n"
+        assert captured.out == "" and not out.exists()
 
 
 class TestValidate:

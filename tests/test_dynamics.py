@@ -27,8 +27,8 @@ from torns.spectral import (
     field_violations,
     nonlinear_term,
     random_divfree_field,
-    sobolev_norm,
 )
+from tests.oracle import sobolev_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -157,9 +157,22 @@ class TestCheckAssumption:
             assert rep.lhs * (1 + rep.beta) == pytest.approx(rep.rhs * (1 - rep.alpha / 2), rel=1e-12)
             assert rep.lam == pytest.approx(0.25 * rep.alpha * rep.rhs, rel=1e-14)
 
+    def test_gradient_part_of_h_does_not_change_the_report(self, grid16):
+        # only the divergence-free part of h acts, and the check reads the row the stepper
+        # runs: adding a pure gradient inside the mask used to change grad_linf
+        h = random_divfree_field(grid16, seed=3, norm=0.3)
+        phi = np.fft.fft2(np.random.default_rng(4).standard_normal((16, 16)), norm="forward")
+        phi *= grid16.dealias_mask
+        phi[0, 0] = 0.0
+        g = SpectralField(grid16, np.stack([1j * grid16.kx * phi, 1j * grid16.ky * phi]))
+        assert np.abs(HalfSpectrum(grid16).curl(g)).max() < 1e-15 * np.abs(g.coeffs).max()
+        a, b = check_assumption(h, 1.0, grid16), check_assumption(h + g, 1.0, grid16)
+        for x, y in ((a.lhs, b.lhs), (a.grad_linf_op, b.grad_linf_op), (a.grad_linf_maxabs, b.grad_linf_maxabs)):
+            assert y == pytest.approx(x, rel=1e-14, abs=0)
+
     def test_sampling_holds_a_fraction_of_the_oversampled_grid(self):
         # N = 128 samples grad h on 512 x 512 points: the four entries alone are
-        # 8.4 MB, and sampling them in one shot peaks near 16 MB; by blocks, near 3.4 MB
+        # 8.4 MB, and sampling them in one shot peaks near 16 MB; by blocks off the row, near 2.8 MB
         import tracemalloc
 
         g = WaveGrid(TWO_PI, 128)

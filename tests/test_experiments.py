@@ -16,11 +16,12 @@ from torns.experiments import (
 )
 from torns.noise import ou_stationary_moment, pullback_path
 from torns.spectral import (
+    HalfSpectrum,
     SpectralField,
     WaveGrid,
     random_divfree_field,
-    sobolev_norm,
 )
+from tests.oracle import sobolev_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -213,6 +214,22 @@ class TestSmoothing:
         rows = measure_smoothing(cfg, v0, deltas=[0.0, 1e-3], horizons=[0.2], seeds=[3])
         zero_rows = [r for r in rows if r["delta"] == 0.0]
         assert all(r["distT_h2_sq"] == 0.0 for r in zero_rows)
+
+    def test_dist0_reads_the_start_rows_as_distT_does(self, grid16):
+        # each start is the base row plus delta times the direction's row; dist0 reads
+        # start - w1 with the reader and row subtraction of distT_h2_sq, which at T = 0
+        # is the H2 norm of that same difference
+        cfg = cfg_for(grid16, h=random_divfree_field(grid16, seed=2, norm=0.3))
+        v0 = random_divfree_field(grid16, seed=1, norm=0.5)
+        half = HalfSpectrum(grid16)
+        w1, dw = half.curl(v0), half.curl(random_divfree_field(grid16, 1, norm=1.0, stream=23))
+        rows = measure_smoothing(cfg, v0, deltas=[1e-2, 1e-3, 0.7], horizons=[0.0], seeds=[1],
+                                 directions=("random",))
+        assert len(rows) == 3
+        for row in rows:
+            d = (w1 + row["delta"] * dw) - w1
+            assert row["dist0"] == half.norms(d)[0]
+            assert row["distT_h2_sq"] == half.norms(d)[2] ** 2
 
     @pytest.mark.parametrize("nu,T", [(1.0, 0.05), (0.1, 0.5)])
     def test_one_shell_ratio_is_closed_form(self, grid16, nu, T):

@@ -11,16 +11,17 @@ from torns import io as tio, spectral
 from torns.dynamics import State, check_assumption, ensemble, integrate, taylor_green, trajectory
 from torns.io import (
     ConfigError,
-    config_defaults,
     emit_plot_script,
     load_config,
+    normalize_config,
     read_checkpoint,
     write_checkpoint,
     write_manifest,
     write_rows_csv,
 )
 from torns.noise import OUPath, WienerPath, ou_from_wiener, sample_wiener
-from torns.spectral import WaveGrid, random_divfree_field, sobolev_norm
+from torns.spectral import WaveGrid, random_divfree_field
+from tests.oracle import sobolev_norm
 
 TWO_PI = 2.0 * math.pi
 
@@ -143,7 +144,7 @@ class TestLoadConfig:
 
     def test_assumption_computed_on_first_read_only(self, monkeypatch):
         calls, grad_linf = [], spectral.grad_linf
-        monkeypatch.setattr(spectral, "grad_linf", lambda h: calls.append(h) or grad_linf(h))
+        monkeypatch.setattr(spectral, "grad_linf", lambda hw, half: calls.append(hw) or grad_linf(hw, half))
         cfg = load_config(minimal_config(noise={"preset": "random", "norm": 0.5, "seed": 1}))
         assert calls == []
         report = cfg.assumption
@@ -158,13 +159,18 @@ class TestLoadConfig:
         assert not cfg.assumption.satisfied
 
     def test_unknown_preset(self):
-        with pytest.raises(ConfigError):
-            config_defaults("kolmogorov")
+        with pytest.raises(ConfigError) as exc:
+            normalize_config({"preset": "kolmogorov"})
+        assert exc.value.field == "preset"
+
+    def test_preset_that_is_not_a_name_is_config_error(self):
+        # a list preset used to escape as TypeError (unhashable) and a CLI traceback
+        with pytest.raises(ConfigError) as exc:
+            normalize_config({"preset": ["decay-noise"]})
+        assert exc.value.field == "preset"
 
     def test_normalize_echo_round_trip(self):
         # config -> normalized echo -> config is the identity
-        from torns.io import normalize_config
-
         raw = {"preset": "decay-noise", "N": 8, "seed": 5,
                "forcing": {"modes": [{"j": [1, 1], "u": [0.2, -0.1]}]}}
         echo = normalize_config(raw)
@@ -262,6 +268,20 @@ class TestCheckpoint:
         w[index] += 0.5
         p.write_bytes(p.read_bytes()[:tio._HEADER.size] + w.tobytes())
         with pytest.raises(ValueError, match="row outside the solver's state space: " + problem):
+            read_checkpoint(p)
+
+    @pytest.mark.parametrize("field, match", [("L", "L must be positive and finite"), ("t", "non-finite t"),
+                                              ("z", "non-finite z")])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_header_is_refused(self, tmp_path, field, match, value):
+        # an infinite L used to read back with NaN norms and an audit-clean velocity,
+        # an infinite or NaN t or z silently
+        p = tmp_path / "header.trns"
+        write_checkpoint(state_of(0.5, random_divfree_field(WaveGrid(TWO_PI, 16), seed=1), 0.25), p, nu=1.0)
+        data = p.read_bytes()
+        hdr = tio._parse_header(data, p)._replace(**{field: value})
+        p.write_bytes(tio._HEADER.pack(*hdr) + data[tio._HEADER.size:])
+        with pytest.raises(ValueError, match=match):
             read_checkpoint(p)
 
     def test_etd1_run_resumes_from_its_checkpoint_bit_for_bit(self, tmp_path):

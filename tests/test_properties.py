@@ -19,10 +19,9 @@ from torns.spectral import (
     leray_project,
     nonlinear_term,
     random_divfree_field,
-    sobolev_norm,
     vorticity_advection,
 )
-from tests.oracle import apply_stokes_power, inner
+from tests.oracle import apply_stokes_power, inner, sobolev_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -131,21 +130,22 @@ def test_taylor_green_stays_exact_under_integrate_on_any_torus(L):
     assert sobolev_norm(state.u - taylor_green(1.0, 0.1, g), 0.0) <= 2e-13 * sobolev_norm(u0, 0.0)
 
 
-def reference_grad_linf_norms(h: SpectralField) -> tuple[float, float]:
-    """The one-shot sampler: every entry d_a h_b as one irfft2 on the whole M x M grid.
+def reference_grad_linf_norms(hw: np.ndarray, half: HalfSpectrum) -> tuple[float, float]:
+    """The one-shot sampler: every entry d_a h_b of the velocity h of row hw as one irfft2 on
+    the whole M x M grid.
 
-    h is taken as real (half spectrum j2 >= 0) and the Nyquist lines are
-    dropped, as in spectral.grad_linf; this holds all 4 M^2 samples.
+    The entries ops[2 + a] ops[b] hw are placed on the half spectrum j2 >= 0
+    as in spectral.grad_linf; this holds all 4 M^2 samples.
     """
-    g = h.grid
-    N, M = g.N, spectral._GRAD_OVERSAMPLE * g.N
-    inner = np.abs(g.jx[:, 0]) < N // 2
-    rows = g.jx[inner, 0] % M
+    g = half.grid
+    M = spectral._GRAD_OVERSAMPLE * g.N
+    rows = g.jx[:, 0] % M
     big = np.zeros((M, M // 2 + 1), dtype=np.complex128)
     J = np.empty((2, 2, M, M))
     for b in range(2):
-        for a, k in ((0, g.kx), (1, g.ky)):
-            big[rows, : N // 2] = (1j * k * h.coeffs[b])[inner, : N // 2]
+        u = half.ops[b] * hw
+        for a in range(2):
+            big[rows, : half.K] = half.ops[2 + a] * u
             J[a, b] = np.fft.irfft2(big, s=(M, M), norm="forward")
     maxabs = max(float(J.max()), -float(J.min()))
     a, b = J[0, 0], J[0, 1]
@@ -165,9 +165,10 @@ def reference_grad_linf_norms(h: SpectralField) -> tuple[float, float]:
 )
 def test_blocked_grad_sampler_equals_one_shot_irfft2(N, seed, norm, L):
     # M = 4 N is a multiple of the block size for some draws (N = 8), not for others (N = 10)
-    h = random_divfree_field(WaveGrid(L, N), seed, norm=norm)
-    got = spectral.grad_linf(h)
-    assert [x.hex() for x in got] == [x.hex() for x in reference_grad_linf_norms(h)]
+    half = HalfSpectrum(WaveGrid(L, N))
+    hw = half.curl(random_divfree_field(half.grid, seed, norm=norm))
+    got = spectral.grad_linf(hw, half)
+    assert [x.hex() for x in got] == [x.hex() for x in reference_grad_linf_norms(hw, half)]
 
 
 _FIELDS = st.one_of(

@@ -15,10 +15,9 @@ from torns.spectral import (
     leray_project,
     nonlinear_term,
     random_divfree_field,
-    sobolev_norm,
     vorticity_advection,
 )
-from tests.oracle import apply_stokes_power, inner
+from tests.oracle import apply_stokes_power, inner, sobolev_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -74,7 +73,8 @@ class TestWaveGrid:
     def test_lambda1_unit_box(self):
         assert WaveGrid(1.0, 8).lambda1 == pytest.approx(4 * np.pi**2, rel=1e-15)
 
-    @pytest.mark.parametrize("L,N", [(TWO_PI, 7), (TWO_PI, 2), (0.0, 8), (-1.0, 8)])
+    # an infinite side was accepted, with lambda1 = 0
+    @pytest.mark.parametrize("L,N", [(TWO_PI, 7), (TWO_PI, 2), (0.0, 8), (-1.0, 8), (np.inf, 8), (np.nan, 8)])
     def test_rejects_bad_arguments(self, L, N):
         with pytest.raises(ValueError):
             WaveGrid(L, N)
@@ -453,14 +453,15 @@ class TestVorticityAdvection:
 
 class TestGradLinf:
     def test_zero_field(self):
-        g = WaveGrid(TWO_PI, 8)
-        assert grad_linf(SpectralField.zero(g)) == (0.0, 0.0)
+        half = HalfSpectrum(WaveGrid(TWO_PI, 8))
+        assert grad_linf(np.zeros((8, half.K), dtype=complex), half) == (0.0, 0.0)
 
     def test_sinusoidal_shear_analytic(self):
         # h = (c sin y, 0): grad has single entry c cos y; both norms equal |c|
         g = WaveGrid(TWO_PI, 16)
         h = single_mode(g, 0, 0, 1, -0.55j)  # 1.1 sin y (coefficient -i c/2)
-        op, maxabs = grad_linf(h)
+        half = HalfSpectrum(g)
+        op, maxabs = grad_linf(half.curl(h), half)
         assert op == pytest.approx(1.1, rel=1e-12)
         assert maxabs == pytest.approx(1.1, rel=1e-12)
 
@@ -475,12 +476,15 @@ class TestGradLinf:
                 for b in range(16):
                     ja, jb = gc.jx[a, 0], gc.jy[0, b]
                     hf.coeffs[comp, ja % 32, jb % 32] = h.coeffs[comp, a, b]
-        assert grad_linf(h)[0] == pytest.approx(grad_linf(hf)[0], abs=1e-10)  # the operator norm
+        half, half_f = HalfSpectrum(gc), HalfSpectrum(gf)
+        op, op_f = grad_linf(half.curl(h), half)[0], grad_linf(half_f.curl(hf), half_f)[0]
+        assert op == pytest.approx(op_f, abs=1e-10)  # the operator norm
 
     def test_operator_norm_dominates_entries(self):
         g = WaveGrid(TWO_PI, 16)
         h = random_divfree_field(g, seed=14, norm=1.0)
-        op, maxabs = grad_linf(h)
+        half = HalfSpectrum(g)
+        op, maxabs = grad_linf(half.curl(h), half)
         assert op >= maxabs * (1 - 1e-12)
 
 
