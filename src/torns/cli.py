@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands map 1:1 onto library operations: validate (admissibility check and
-field audit), simulate (one trajectory with artifacts), pullback, smoothing,
+audit of u0), simulate (one trajectory with artifacts), pullback, smoothing,
 absorbing, ergodic, taylor-green and convergence.  COMMANDS has one row per
 subcommand; the parser is built from it, and _run does once what every row
 shares: config loading, the --out directory, the manifest and --quiet.  Each
@@ -46,8 +46,7 @@ def _validate(cfg: SimConfig, args, out: Path) -> Outcome:
     if not cfg.assumption.satisfied:
         print("warning: admissibility condition violated (experiments may still probe this regime)",
               file=sys.stderr)
-    problems = [f"{name}: {v}" for name, u in (("f", cfg.f), ("h", cfg.h), ("u0", cfg.u0))
-                for v in field_violations(u)]
+    problems = [f"u0: {v}" for v in field_violations(cfg.u0)]
     for pb in problems:
         print(f"invalid field: {pb}", file=sys.stderr)
     summary = f"assumption: {cfg.assumption.summary()}" + ("" if problems else "\nfields: ok")
@@ -75,7 +74,7 @@ def _simulate(cfg: SimConfig, args, out: Path) -> Outcome:
     tio.emit_plot_script(["series.csv"], out / "plot.py")
     # the series records the conjugated v, at every stride-th step only; the
     # physical solution is u = v + h z, read off the vorticity block as v is
-    v, u = (state.half.norms(w)[0] for w in (state.w, state.w + state.z * state.half.curl(cfg.h)))
+    v, u = (state.half.norms(w)[0] for w in (state.w, state.w + state.z * cfg.hw))
     return EXIT_OK, files, (
         f"simulated {steps} steps to t={state.t:g}; final |v| = {v:.6g}, |u| = |v + h z(T)| = {u:.6g}")
 

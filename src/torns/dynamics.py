@@ -34,12 +34,13 @@ no bit: each member's row equals its own one-member trajectory.
 
 The stepper runs in half-spectrum vorticity (spectral.HalfSpectrum): it
 carries w = curl u as the contiguous (N, K) block of the K = (N-1)//3 + 1
-rfft2 columns that meet the dealias mask, takes the curls of f, h - nu A h
-and h once, and gets curl B from spectral.vorticity_advection (on FFT grids
-2 inverse and 2 forward real 2-D transforms per step in the Basdevant form,
-on small grids dense DFT products; no Leray projection).  The other columns
-of a field inside the mask are zero, and so stay zero on every step, so the
-state never holds them.  E, phi1 and phi2 are diagonal and commute with
+rfft2 columns that meet the dealias mask, reads the config's rows
+fw = curl f and hw = curl h, builds the row of h - nu A h once, and gets
+curl B from spectral.vorticity_advection (on FFT grids 2 inverse and 2
+forward real 2-D transforms per step in the Basdevant form, on small grids
+dense DFT products; no Leray projection).  The other columns of a field
+inside the mask are zero, and so stay zero on every step, so the state
+never holds them.  E, phi1 and phi2 are diagonal and commute with
 curl, so this is the velocity scheme up to roundoff.  Each stepper owns the
 buffers of its step (the kernel workspace, the etd2 right-hand sides and the
 update temporaries), so a level allocates only the new block; steppers of
@@ -50,12 +51,12 @@ read, for callers of the public API only.
 
 State space: w represents exactly the zero-mean, divergence-free velocity
 fields with no modes |j2| >= K, and the two forms of B agree only inside the
-dealias mask.  So SimConfig requires f and h inside the mask (only their
-divergence-free parts act).  An initial velocity is checked once, where it
-enters (trajectory and the experiments), for a nonzero mean, a divergence or
-content outside the mask beyond 1e-13 relative, and curled; what it holds in
-the columns |j2| >= K is dropped.  ensemble audits its rows to the same bound.
-"""
+dealias mask.  So SimConfig holds f and h as rows audited to that space
+(io.load_config curls the velocities a config spec builds).  An initial
+velocity is checked once, where it enters (trajectory and the experiments),
+for a nonzero mean, a divergence or content outside the mask beyond 1e-13
+relative, and curled; what it holds in the columns |j2| >= K is dropped.
+ensemble audits its rows to the same bound."""
 
 from __future__ import annotations
 
@@ -138,39 +139,36 @@ class AssumptionReport:
         return s
 
 
-def check_assumption(h: SpectralField, nu: float, grid: WaveGrid) -> AssumptionReport:
+def check_assumption(hw: np.ndarray, nu: float, grid: WaveGrid) -> AssumptionReport:
     """Evaluate the noise-admissibility condition ||grad h||_Linf < sqrt(pi) nu lambda_1.
 
     A violated condition is a valid report (satisfied=False, constants absent),
-    not an error.  grad h is sampled off the row curl h (spectral.grad_linf,
-    64 (4N) K bytes and one block), the divergence-free part the stepper
-    runs: a gradient part, or columns |j2| >= K outside the mask (which
-    SimConfig refuses), drops out.
+    not an error.  hw is the (N, K) row curl h the stepper runs (SimConfig.hw),
+    so h is its divergence-free velocity; grad h is sampled off it
+    (spectral.grad_linf, 64 (4N) K bytes and one block).
     """
-    if h.grid != grid:
-        raise ValueError("h is not defined on the given grid")
-    half = _half_spectrum(grid)
-    g_op, g_ma = spectral.grad_linf(half.curl(h), half)
+    g_op, g_ma = spectral.grad_linf(hw, _half_spectrum(grid))
     return AssumptionReport(lhs=g_op / math.sqrt(math.pi), rhs=nu * grid.lambda1,
                             grad_linf_op=g_op, grad_linf_maxabs=g_ma)
 
 
 @dataclass
 class SimConfig:
-    """Solver configuration: viscosity, grid, step, forcing f, noise intensity h.
+    """Solver configuration: viscosity, grid, step and the rows fw = curl f and hw = curl h.
 
-    f and h must be band-limited inside the dealias mask (for h this stands in
-    for h in H^3 and keeps every A^p h exactly computable).  u0 optionally
-    carries initial data attached by a config preset.  assumption is h's
-    admissibility report, computed by check_assumption on the first read;
-    noisy tells whether h is nonzero.
+    fw and hw, the (N, K) vorticity rows of the forcing and the noise
+    intensity, are audited (HalfSpectrum.violations) when the config is
+    built, so h lies inside the dealias mask (for h in H^3, with every A^p h
+    exactly computable).  u0 optionally carries initial velocity attached by
+    a config preset.  assumption is h's admissibility report, computed by
+    check_assumption on the first read; noisy tells whether h is nonzero.
     """
 
     nu: float
     grid: WaveGrid
     dt: float
-    f: SpectralField
-    h: SpectralField
+    fw: np.ndarray
+    hw: np.ndarray
     scheme: str = "etd2"
     seed: int = 0
     stride: int = 10
@@ -186,20 +184,20 @@ class SimConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if operator.index(self.stride) < 1:  # a float stride raises TypeError
             raise ValueError(f"stride must be >= 1, got {self.stride}")
-        for name, u in (("f", self.f), ("h", self.h)):
-            if u.grid != self.grid:
-                raise ValueError(f"{name} lives on {u.grid!r}, expected {self.grid!r}")
-            if _outside_mask(u):
-                raise ValueError(f"{name} must be band-limited inside the dealias mask")
+        half = _half_spectrum(self.grid)
+        for name in ("fw", "hw"):
+            problems = half.violations(getattr(self, name))
+            if problems:
+                raise ValueError(f"{name} outside the solver's state space: " + "; ".join(problems))
 
     @functools.cached_property
     def assumption(self) -> AssumptionReport:
-        return check_assumption(self.h, self.nu, self.grid)
+        return check_assumption(self.hw, self.nu, self.grid)
 
     @property
     def noisy(self) -> bool:
         """Whether h is nonzero; a zero h runs the deterministic system, with no noise path."""
-        return bool(self.h.coeffs.any())
+        return bool(self.hw.any())
 
 
 class State:
@@ -255,8 +253,8 @@ class _EtdStepper:
     counts the steps it has taken, and step() checks each new level once
     for the whole block.
     Precomputes E = exp(-nu k^2 dt) and the dt phi1/phi2 weights as
-    complex128 on the (N, K) masked columns, and the curls of f, h - nu A h
-    and h there.  _advance() takes one drift step of the conjugated system
+    complex128 on the (N, K) masked columns, and the row of h - nu A h from
+    cfg.hw.  _advance() takes one drift step of the conjugated system
     for the whole block, each member with its own z_n; the deterministic and
     Ito drifts are the case z = 0.  etd2 keeps F_{n-1} between levels.  The
     stepper owns every buffer its step writes: the kernel workspace, two
@@ -296,8 +294,7 @@ class _EtdStepper:
         # the Ito solver's drift is first order by construction
         self.scheme = "etd1" if self.dW is not None else cfg.scheme
         self.prev_rhs: np.ndarray | None = None
-        self.hw = half.curl(cfg.h)
-        self._fw = half.curl(cfg.f)
+        self.hw, self._fw = cfg.hw, cfg.fw
         # curl of the combined z-forcing profile h - nu A h of the conjugated right side
         self._zw = self.hw - cfg.nu * half.k2 * self.hw
         self._work = spectral.AdvectionWorkspace(half, B if B > 1 else None)
@@ -362,18 +359,12 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _outside_mask(u: SpectralField) -> bool:
-    """True when u has content outside the dealias mask beyond 1e-13 of its largest coefficient."""
-    scale = float(np.abs(u.coeffs).max())
-    return scale > 0 and float(np.abs(u.coeffs[:, ~u.grid.dealias_mask]).max()) > 1e-13 * scale
-
-
 def _check_initial(v0: SpectralField, cfg: SimConfig) -> np.ndarray:
     """The row of initial velocity v0; ValueError when v0 is off cfg's grid or outside the state space."""
     if v0.grid != cfg.grid:
         raise ValueError("initial data grid does not match config grid")
     problems = spectral.field_violations(v0, rtol=1e-13)
-    if _outside_mask(v0):
+    if np.abs(v0.coeffs[:, ~v0.grid.dealias_mask]).max() > 1e-13 * np.abs(v0.coeffs).max():
         problems.append("content outside the dealias mask")
     if problems:
         raise ValueError("initial data outside the solver's state space: " + "; ".join(problems))

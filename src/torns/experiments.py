@@ -299,7 +299,7 @@ def conjugation_convergence(
         raise ValueError(f"need at least 1 path, got {paths}")
     v0 = random_divfree_field(cfg.grid, cfg.seed, norm=1.0, stream=31)
     half = _half_spectrum(cfg.grid)
-    w0, hw = half.curl(v0), half.curl(cfg.h)  # curl h: v + h z on the vorticity block
+    w0, hw = half.curl(v0), cfg.hw  # curl h: v + h z on the vorticity block
     wieners = [sample_wiener(0.0, T, base_dt, seed=seed + m) for m in range(paths)]
     errs = np.empty((paths, levels))
     failed = {}  # (path, level, system) -> its BlowupError, OU system 0, Wiener 1

@@ -159,10 +159,10 @@ def _positive(v) -> bool:
 
 
 def _preset_params(spec: dict, path: str) -> tuple[float, int]:
-    """The norm (a finite real, default 1) and seed (an int, default 0) of a random field."""
+    """The norm (a finite real >= 0, default 1) and seed (an int, default 0) of a random field."""
     norm = spec.get("norm", 1.0)
-    if isinstance(norm, bool) or not isinstance(norm, (int, float)) or not _finite(norm):
-        raise ConfigError(f"{path}.norm", f"expected a finite number, got {norm!r}")
+    if isinstance(norm, bool) or not isinstance(norm, (int, float)) or not _finite(norm) or norm < 0:
+        raise ConfigError(f"{path}.norm", f"expected a finite number >= 0, got {norm!r}")
     seed = spec.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"{path}.seed", f"expected an integer, got {seed!r}")
@@ -228,9 +228,10 @@ def load_config(raw: dict | str) -> SimConfig:
     scheme, seed, stride, t_end (finite, > 0), preset, forcing, noise, initial.
     A top-level "preset" fills unset keys ("taylor-green", "decay-noise").
     forcing/noise/initial are {"preset": ...} or {"modes": [...]} objects
-    (see _field_from_modes).  An inadmissible h is not rejected: the
-    config's admissibility report (SimConfig.assumption, computed on its
-    first read) carries the violation as a warning.
+    (see _field_from_modes).  Each is built as a velocity; SimConfig gets
+    the rows curl f and curl h, and u0 as it is.  An inadmissible h is not
+    rejected: the config's admissibility report (SimConfig.assumption,
+    computed on its first read) carries the violation as a warning.
     """
     merged = normalize_config(raw)
 
@@ -246,8 +247,9 @@ def load_config(raw: dict | str) -> SimConfig:
     grid = WaveGrid(float(L), N)
     f, h, u0 = (_build_field(grid, merged[role], role, float(nu))
                 for role in ("forcing", "noise", "initial"))
+    half = _half_spectrum(grid)
     try:
-        return SimConfig(nu=float(nu), grid=grid, dt=float(dt), f=f, h=h,
+        return SimConfig(nu=float(nu), grid=grid, dt=float(dt), fw=half.curl(f), hw=half.curl(h),
                          scheme=scheme, seed=seed, stride=stride, t_end=float(t_end), u0=u0)
     except ValueError as exc:
         raise ConfigError("<config>", str(exc)) from exc
@@ -297,8 +299,11 @@ def read_checkpoint(path: str | Path) -> State:
             raise ValueError(f"{path}: non-finite {name} in the header: {getattr(hdr, name)}")
     payload = data[_HEADER.size:]
     expected = hdr.N * ((hdr.N - 1) // 3 + 1) * 16  # the (N, K) row
-    if hdr.payload_len != expected or len(payload) != hdr.payload_len:
+    if len(payload) < expected:
         raise ValueError(f"{path}: truncated payload ({len(payload)} of {expected} bytes)")
+    for size in (len(payload), hdr.payload_len):  # the payload, then the header's record of it
+        if size != expected:
+            raise ValueError(f"{path}: payload of {size} bytes does not match N = {hdr.N} ({expected} bytes)")
     w = np.frombuffer(payload, dtype=np.complex128).reshape(hdr.N, -1).copy()
     half = _half_spectrum(WaveGrid(hdr.L, hdr.N))
     problems = half.violations(w)

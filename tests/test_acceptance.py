@@ -36,6 +36,7 @@ from torns.spectral import (
     random_divfree_field,
 )
 from tests.oracle import apply_stokes_power, inner, sobolev_norm
+from tests.test_dynamics import row as curl
 from tests.test_spectral import galerkin_convolution
 
 TWO_PI = 2.0 * np.pi
@@ -108,7 +109,7 @@ def test_criterion_4_taylor_green():
         nu = 0.1
         g = WaveGrid(TWO_PI, 16)
         zero = SpectralField.zero(g)
-        cfg = SimConfig(nu=nu, grid=g, dt=1e-3, f=zero, h=zero, scheme="etd2")
+        cfg = SimConfig(nu=nu, grid=g, dt=1e-3, fw=curl(zero), hw=curl(zero), scheme="etd2")
         state, rows = integrate(taylor_green(0.0, nu, g), cfg, steps=1000, stride=10)
         exact = taylor_green(1.0, nu, g)
         rel = sobolev_norm(state.u - exact, 0.0) / sobolev_norm(exact, 0.0)
@@ -126,7 +127,7 @@ def test_criterion_5_conjugation_convergence():
         g = WaveGrid(TWO_PI, 16)
         h = random_divfree_field(g, seed=11, norm=1.0)
         f = random_divfree_field(g, seed=21, norm=0.5)
-        cfg = SimConfig(nu=1.0, grid=g, dt=2.0**-7, f=f, h=h, seed=5)
+        cfg = SimConfig(nu=1.0, grid=g, dt=2.0**-7, fw=curl(f), hw=curl(h), seed=5)
         assert cfg.assumption.satisfied
         rows = conjugation_convergence(cfg, base_dt=2.0**-7, levels=4, T=1.0,
                                        seed=500, paths=16, threads=1)
@@ -143,11 +144,11 @@ def test_criterion_6_assumption_constants():
         nu = 1.0
         for seed in range(10):
             h = random_divfree_field(g, seed=seed, norm=0.2 + 0.05 * seed)
-            rep = check_assumption(h, nu, g)
+            rep = check_assumption(curl(h), nu, g)
             assert rep.satisfied
             assert abs(rep.lhs - (1 - rep.alpha) * rep.rhs) <= 1e-12 * rep.rhs
             assert abs(rep.lhs * (1 + rep.beta) - rep.rhs * (1 - 0.5 * rep.alpha)) <= 1e-12 * rep.rhs
-        rep0 = check_assumption(SpectralField.zero(g), nu, g)
+        rep0 = check_assumption(curl(SpectralField.zero(g)), nu, g)
         assert rep0.alpha == 1.0
         assert rep0.lam == 0.25 * nu * g.lambda1
         assert rep0.beta == math.inf
@@ -168,7 +169,7 @@ def test_criterion_7_absorbing_behavior():
 
         h = random_divfree_field(g, seed=7, norm=1.0)
         f = random_divfree_field(g, seed=8, norm=1.0)
-        cfg = SimConfig(nu=nu, grid=g, dt=dt, f=f, h=h, scheme="etd2")
+        cfg = SimConfig(nu=nu, grid=g, dt=dt, fw=curl(f), hw=curl(h), scheme="etd2")
         assert cfg.assumption.satisfied
         rows = measure_absorbing(cfg, initial_radii=radii, horizons=horizons,
                                  seed=1234, threads=1)
@@ -181,7 +182,7 @@ def test_criterion_7_absorbing_behavior():
         # decay bound: with h = 0 the pullback trajectory from radius r equals
         # the forward deterministic run, so check the bound along its series.
         zero = SpectralField.zero(g)
-        cfg0 = SimConfig(nu=nu, grid=g, dt=dt, f=zero, h=zero, scheme="etd2")
+        cfg0 = SimConfig(nu=nu, grid=g, dt=dt, fw=curl(zero), hw=curl(zero), scheme="etd2")
         e = random_divfree_field(g, seed=99, norm=1.0, stream=29)
         for radius in radii:
             v0 = SpectralField(g, radius * e.coeffs)
@@ -208,7 +209,7 @@ def test_criterion_8_smoothing():
         deltas = [1e-2, 1e-3, 1e-4]
         h = random_divfree_field(g, seed=7, norm=0.5)
         f = random_divfree_field(g, seed=8, norm=0.5)
-        cfg = SimConfig(nu=nu, grid=g, dt=dt, f=f, h=h, scheme="etd2")
+        cfg = SimConfig(nu=nu, grid=g, dt=dt, fw=curl(f), hw=curl(h), scheme="etd2")
         assert cfg.assumption.satisfied
         v0 = random_divfree_field(g, seed=30, norm=1.0)
         rows = measure_smoothing(cfg, v0, deltas=deltas, horizons=horizons,
@@ -225,7 +226,7 @@ def test_criterion_8_smoothing():
 
         # linear regime: f = h = 0, amplitudes ~ 1e-6
         zero = SpectralField.zero(g)
-        cfg_lin = SimConfig(nu=nu, grid=g, dt=dt, f=zero, h=zero, scheme="etd2")
+        cfg_lin = SimConfig(nu=nu, grid=g, dt=dt, fw=curl(zero), hw=curl(zero), scheme="etd2")
         v0_lin = random_divfree_field(g, seed=31, norm=1e-6)
         rows_lin = measure_smoothing(cfg_lin, v0_lin, deltas=[1e-8], horizons=horizons,
                                      seeds=[1, 2], threads=1)
@@ -250,7 +251,7 @@ def test_criterion_9_h2_neighborhood():
         v0 = random_divfree_field(g, seed=62, norm=5.0)
 
         # the attractor sample: the states of one run at steps 2000, 2100 and 2200
-        cfg_det = SimConfig(nu=nu, grid=g, dt=dt, f=f, h=SpectralField.zero(g))
+        cfg_det = SimConfig(nu=nu, grid=g, dt=dt, fw=curl(f), hw=curl(SpectralField.zero(g)))
         sample = [st for n, st in enumerate(trajectory(u0, cfg_det, steps=2200)) if n in (2000, 2100, 2200)]
         assert len(sample) == 3
         assert all(sobolev_norm(st.u - u0, 2.0) < 1e-6 for st in sample)
@@ -258,7 +259,7 @@ def test_criterion_9_h2_neighborhood():
         dists = {}
         for scale in (1.0, 0.5, 0.25):
             h = SpectralField(g, scale * h_base.coeffs)
-            cfg = SimConfig(nu=nu, grid=g, dt=dt, f=f, h=h, scheme="etd2")
+            cfg = SimConfig(nu=nu, grid=g, dt=dt, fw=curl(f), hw=curl(h), scheme="etd2")
             assert cfg.assumption.satisfied
             for horizon, (st,) in zip((20.0, 40.0), pullback_solve(cfg, [20.0, 40.0], 777, [v0])):
                 # H2 semi-distance to the sample, read off the rows

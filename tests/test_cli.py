@@ -16,6 +16,7 @@ from torns.cli import COMMANDS, main
 from torns.dynamics import integrate
 from torns.io import load_config, read_checkpoint
 from torns.noise import ou_from_wiener, sample_wiener
+from torns.spectral import HalfSpectrum
 from tests.oracle import sobolev_norm
 
 # criterion 10's config: small enough that every subcommand runs in seconds
@@ -180,7 +181,7 @@ class TestFieldConfig:
     @pytest.mark.parametrize("spec", [{"preset": "random", "norm": 2, "seed": 7},
                                       {"preset": "manufactured", "norm": 0.5}])
     def test_well_formed_parameters_load(self, spec):
-        assert load_config({"nu": 1.0, "N": 16, "dt": 1e-2, "forcing": spec}).f.coeffs.any()
+        assert load_config({"nu": 1.0, "N": 16, "dt": 1e-2, "forcing": spec}).fw.any()
 
 
 class TestTopLevelNumbers:
@@ -299,7 +300,8 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
         line = capsys.readouterr().out.strip()
         state = read_checkpoint(out / "final_state.trns")
-        h = load_config(json.dumps(SMALL)).h
+        cfg = load_config(json.dumps(SMALL))
+        h = HalfSpectrum(cfg.grid).velocity(cfg.hw)
         v_norm = sobolev_norm(state.u, 0.0)
         u_norm = sobolev_norm(state.u + state.z * h, 0.0)
         assert abs(u_norm - v_norm) > 1e-3 * v_norm  # the two differ on this config

@@ -49,8 +49,8 @@ def sine_shear(grid, c=1.0):
 def basic_cfg(grid, **kw):
     kw.setdefault("nu", 1.0)
     kw.setdefault("dt", 1e-3)
-    kw.setdefault("f", SpectralField.zero(grid))
-    kw.setdefault("h", SpectralField.zero(grid))
+    kw.setdefault("fw", row(SpectralField.zero(grid)))
+    kw.setdefault("hw", row(SpectralField.zero(grid)))
     return SimConfig(grid=grid, **kw)
 
 
@@ -78,6 +78,36 @@ def given_z(z, dt):
     return OUPath(wiener=zero_increments(len(z) - 1, dt), z=np.asarray(z, dtype=float))
 
 
+# the ways an (N, K) row at N = 16 leaves the state space, and the audit's message for each
+ROW_CASES = [
+    ("shape", r"expected a complex128 array of shape \(16, 6\), got complex128 of shape \(16, 5\)"),
+    # a float row used to step, and its initial State wrote a checkpoint of half the payload
+    ("dtype", r"expected a complex128 array of shape \(16, 6\), got float64 of shape \(16, 6\)"),
+    ("nan", "coefficients contain NaN or Inf"),
+    ("mean", "nonzero mean mode"),
+    ("outside", "content outside the dealias mask"),
+    ("hermitian", "Hermitian symmetry violated on column 0"),
+]
+
+
+def bad_row(good, case):
+    """A copy of the row good broken in the way ROW_CASES names case."""
+    if case == "shape":
+        return good[:, :-1]
+    if case == "dtype":
+        return np.ascontiguousarray(good.real)
+    bad = good.copy()
+    if case == "nan":
+        bad[2, 1] = np.nan
+    elif case == "mean":
+        bad[0, 0] = 0.5
+    elif case == "outside":
+        bad[6, 2] = 0.5  # the row j1 = 6, where 3 j1 >= N
+    else:
+        bad[3, 0] += 0.5  # row 3 of column 0 without its mirror row -3
+    return bad
+
+
 class TestSimConfig:
     def test_rejects_nonpositive_nu(self, grid16):
         with pytest.raises(ValueError):
@@ -93,18 +123,24 @@ class TestSimConfig:
             basic_cfg(grid16, scheme="em")
 
     def test_rejects_h_outside_mask(self, grid16):
-        c = np.zeros((2, 16, 16), dtype=complex)
-        c[1, 7, 0] = 1.0  # |j| = 7 > 16/3
-        c[1, -7 % 16, 0] = 1.0
-        with pytest.raises(ValueError):
-            basic_cfg(grid16, h=SpectralField(grid16, c))
+        hw = np.zeros((16, 6), dtype=complex)
+        hw[7, 0] = hw[-7 % 16, 0] = 1.0  # the rows j1 = +-7, where 3 |j1| >= 16
+        with pytest.raises(ValueError, match="hw outside the solver's state space: content outside the dealias"):
+            basic_cfg(grid16, hw=hw)
 
     def test_rejects_f_outside_mask(self, grid16):
-        c = np.zeros((2, 16, 16), dtype=complex)
-        c[1, 6, 0] = 1.0  # |j| = 6 > 16/3
-        c[1, -6 % 16, 0] = 1.0
-        with pytest.raises(ValueError, match="f must be band-limited"):
-            basic_cfg(grid16, f=SpectralField(grid16, c))
+        fw = np.zeros((16, 6), dtype=complex)
+        fw[6, 0] = fw[-6 % 16, 0] = 1.0  # the rows j1 = +-6, where 3 |j1| >= 16
+        with pytest.raises(ValueError, match="fw outside the solver's state space: content outside the dealias"):
+            basic_cfg(grid16, fw=fw)
+
+    @pytest.mark.parametrize("case, problem", ROW_CASES)
+    @pytest.mark.parametrize("name", ["fw", "hw"])
+    def test_rejects_a_row_outside_the_state_space(self, grid16, name, case, problem):
+        good = row(random_divfree_field(grid16, seed=4, norm=1.0))
+        basic_cfg(grid16, **{name: good})
+        with pytest.raises(ValueError, match=f"{name} outside the solver's state space: " + problem):
+            basic_cfg(grid16, **{name: bad_row(good, case)})
 
     def test_rejects_non_integral_stride(self, grid16):
         # stride 2.5 used to record the steps n with n % 2.5 == 0, every fifth
@@ -119,7 +155,7 @@ class TestSimConfig:
 
 class TestCheckAssumption:
     def test_zero_h(self, grid16):
-        rep = check_assumption(SpectralField.zero(grid16), 1.0, grid16)
+        rep = check_assumption(row(SpectralField.zero(grid16)), 1.0, grid16)
         assert rep.satisfied
         assert rep.alpha == 1.0
         assert rep.lam == pytest.approx(0.25 * grid16.lambda1)
@@ -129,7 +165,7 @@ class TestCheckAssumption:
         # ||grad h||_inf = 0.5 sqrt(pi) with nu = lambda1 = 1: alpha = 1/2,
         # lambda = 1/8, beta = 1/2 by solving the two defining identities
         h = sine_shear(grid16, c=0.5 * math.sqrt(math.pi))
-        rep = check_assumption(h, 1.0, grid16)
+        rep = check_assumption(row(h), 1.0, grid16)
         assert rep.satisfied
         assert rep.alpha == pytest.approx(0.5, rel=1e-12)
         assert rep.lam == pytest.approx(0.125, rel=1e-12)
@@ -138,7 +174,7 @@ class TestCheckAssumption:
     def test_violation_branch(self, grid16):
         # lhs = 2 rhs: alpha, beta and lambda are absent, and summary() omits them
         h = sine_shear(grid16, c=2.0 * math.sqrt(math.pi))
-        rep = check_assumption(h, 1.0, grid16)
+        rep = check_assumption(row(h), 1.0, grid16)
         assert not rep.satisfied
         assert rep.alpha is None
         assert rep.margin < 0
@@ -151,7 +187,7 @@ class TestCheckAssumption:
     def test_defining_identities(self, grid16):
         for seed in range(10):
             h = random_divfree_field(grid16, seed=seed, norm=0.3)
-            rep = check_assumption(h, 1.0, grid16)
+            rep = check_assumption(row(h), 1.0, grid16)
             assert rep.satisfied
             assert rep.lhs == pytest.approx((1 - rep.alpha) * rep.rhs, rel=1e-12)
             assert rep.lhs * (1 + rep.beta) == pytest.approx(rep.rhs * (1 - rep.alpha / 2), rel=1e-12)
@@ -166,7 +202,7 @@ class TestCheckAssumption:
         phi[0, 0] = 0.0
         g = SpectralField(grid16, np.stack([1j * grid16.kx * phi, 1j * grid16.ky * phi]))
         assert np.abs(HalfSpectrum(grid16).curl(g)).max() < 1e-15 * np.abs(g.coeffs).max()
-        a, b = check_assumption(h, 1.0, grid16), check_assumption(h + g, 1.0, grid16)
+        a, b = check_assumption(row(h), 1.0, grid16), check_assumption(row(h + g), 1.0, grid16)
         for x, y in ((a.lhs, b.lhs), (a.grad_linf_op, b.grad_linf_op), (a.grad_linf_maxabs, b.grad_linf_maxabs)):
             assert y == pytest.approx(x, rel=1e-14, abs=0)
 
@@ -176,11 +212,11 @@ class TestCheckAssumption:
         import tracemalloc
 
         g = WaveGrid(TWO_PI, 128)
-        h = random_divfree_field(g, seed=15, norm=1.0)
-        check_assumption(h, 1.0, g)  # the first call may fill numpy's FFT plan cache
+        hw = row(random_divfree_field(g, seed=15, norm=1.0))
+        check_assumption(hw, 1.0, g)  # the first call may fill numpy's FFT plan cache
         tracemalloc.start()
         try:
-            check_assumption(h, 1.0, g)
+            check_assumption(hw, 1.0, g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -204,12 +240,12 @@ class TestDeterministicStep:
 
     def test_manufactured_equilibrium(self, grid16):
         u0 = random_divfree_field(grid16, seed=5, norm=1.0)
-        cfg = basic_cfg(grid16, f=manufactured_forcing(u0, 1.0))
+        cfg = basic_cfg(grid16, fw=row(manufactured_forcing(u0, 1.0)))
         state, _ = integrate(u0, cfg, steps=1000)
         assert sobolev_norm(state.u - u0, 0.0) < 1e-9
 
     def test_divergence_and_mean_preserved(self, grid16):
-        cfg = basic_cfg(grid16, f=random_divfree_field(grid16, seed=2, norm=0.5))
+        cfg = basic_cfg(grid16, fw=row(random_divfree_field(grid16, seed=2, norm=0.5)))
         state, _ = integrate(random_divfree_field(grid16, seed=3), cfg, steps=50)
         assert field_violations(state.u, rtol=1e-12) == []
 
@@ -243,7 +279,7 @@ class TestRandomStep:
     def test_zero_noise_path_reduces_to_deterministic(self, grid16):
         f = random_divfree_field(grid16, seed=2, norm=0.5)
         h = random_divfree_field(grid16, seed=3, norm=0.4)
-        cfg = basic_cfg(grid16, f=f, h=h)
+        cfg = basic_cfg(grid16, fw=row(f), hw=row(h))
         v0 = random_divfree_field(grid16, seed=4, norm=1.0)
         ou = given_z(np.zeros(101), cfg.dt)
         a, _ = integrate(v0, cfg, path=ou)
@@ -251,7 +287,7 @@ class TestRandomStep:
         assert np.array_equal(a.u.coeffs, b.u.coeffs)
 
     def test_h_zero_makes_z_irrelevant(self, grid16):
-        cfg = basic_cfg(grid16, f=random_divfree_field(grid16, seed=2, norm=0.5))
+        cfg = basic_cfg(grid16, fw=row(random_divfree_field(grid16, seed=2, norm=0.5)))
         v0 = random_divfree_field(grid16, seed=4, norm=1.0)
         oua = ou_from_wiener(sample_wiener(0.0, 0.1, cfg.dt, seed=5))
         oub = ou_from_wiener(sample_wiener(0.0, 0.1, cfg.dt, seed=6))
@@ -264,7 +300,7 @@ class TestRandomStep:
         # the exact solution of dv/dt = -nu k^2 v + z_n (1 - nu k^2) h_k with
         # piecewise-constant z
         h = sine_shear(grid16, c=0.5)
-        cfg = basic_cfg(grid16, nu=0.9, dt=0.05, h=h, scheme="etd1")
+        cfg = basic_cfg(grid16, nu=0.9, dt=0.05, hw=row(h), scheme="etd1")
         ou = ou_from_wiener(sample_wiener(0.0, 1.0, 0.05, seed=7))
         state, _ = integrate(SpectralField.zero(grid16), cfg, path=ou)
         k2 = 1.0
@@ -281,16 +317,16 @@ class TestRandomStep:
         # (a parallel shear, so B = 0)
         h = sine_shear(grid16, c=0.5)
         ou = ou_from_wiener(sample_wiener(0.0, 1.0, 0.05, seed=7))
-        res1, _ = integrate(SpectralField.zero(grid16), basic_cfg(grid16, nu=0.9, dt=0.05, h=h, scheme="etd1"),
-                         path=ou)
-        res2, _ = integrate(SpectralField.zero(grid16), basic_cfg(grid16, nu=0.9, dt=0.05, h=h, scheme="etd2"),
-                         path=ou)
+        res1, _ = integrate(SpectralField.zero(grid16),
+                            basic_cfg(grid16, nu=0.9, dt=0.05, hw=row(h), scheme="etd1"), path=ou)
+        res2, _ = integrate(SpectralField.zero(grid16),
+                            basic_cfg(grid16, nu=0.9, dt=0.05, hw=row(h), scheme="etd2"), path=ou)
         diff = sobolev_norm(res1.u - res2.u, 0.0)
         assert diff < 10 * 0.05**2
 
     def test_state_invariants_preserved(self, grid16):
         h = random_divfree_field(grid16, seed=3, norm=0.4)
-        cfg = basic_cfg(grid16, f=random_divfree_field(grid16, seed=2, norm=0.5), h=h)
+        cfg = basic_cfg(grid16, fw=row(random_divfree_field(grid16, seed=2, norm=0.5)), hw=row(h))
         ou = ou_from_wiener(sample_wiener(0.0, 0.2, cfg.dt, seed=8))
         state, _ = integrate(random_divfree_field(grid16, seed=4), cfg, path=ou)
         assert field_violations(state.u, rtol=1e-12) == []
@@ -300,7 +336,7 @@ class TestRandomStep:
 class TestEMStep:
     def test_h_zero_reduces_to_deterministic(self, grid16):
         f = random_divfree_field(grid16, seed=2, norm=0.5)
-        cfg = basic_cfg(grid16, f=f, scheme="etd1")
+        cfg = basic_cfg(grid16, fw=row(f), scheme="etd1")
         u0 = random_divfree_field(grid16, seed=4, norm=1.0)
         w = sample_wiener(0.0, 0.1, cfg.dt, seed=5)
         a, _ = integrate(u0, cfg, path=w)
@@ -309,7 +345,7 @@ class TestEMStep:
 
     def test_one_step_from_zero_is_noise_increment(self, grid16):
         h = random_divfree_field(grid16, seed=3, norm=0.4)
-        cfg = basic_cfg(grid16, h=h, dt=1e-4, scheme="etd1")
+        cfg = basic_cfg(grid16, hw=row(h), dt=1e-4, scheme="etd1")
         w = WienerPath(t0=0.0, dt=cfg.dt, increments=np.array([0.37]), seed=0)
         _, st = trajectory(SpectralField.zero(grid16), cfg, path=w)
         assert np.abs(st.u.coeffs - 0.37 * h.coeffs).max() < 1e-12
@@ -318,7 +354,7 @@ class TestEMStep:
         # a parallel shear (B = 0) on a single mode: stationary E||u||^2 = ||h||^2 / (2 nu k^2)
         h = sine_shear(grid16, c=0.5)
         nu = 2.0
-        cfg = basic_cfg(grid16, nu=nu, h=h, dt=1e-2, scheme="etd1")
+        cfg = basic_cfg(grid16, nu=nu, hw=row(h), dt=1e-2, scheme="etd1")
         levels = []
         for seed in range(8):
             w = sample_wiener(0.0, 30.0, cfg.dt, seed=seed)
@@ -334,7 +370,7 @@ def velocity_etd2_reference(cfg, v0, zs):
     g, dt, nu = cfg.grid, cfg.dt, cfg.nu
     zk = -nu * dt * g.k2
     E, phi1, phi2 = np.exp(zk), _phi1(zk), _phi2(zk)
-    h, f = cfg.h.coeffs, cfg.f.coeffs
+    h, f = (HalfSpectrum(g).velocity(w).coeffs for w in (cfg.hw, cfg.fw))
     u, prev = v0.coeffs.copy(), None
     for n in range(len(zs) - 1):
         adv = SpectralField(g, u + zs[n] * h)
@@ -353,8 +389,8 @@ class TestVorticityCore:
     def test_etd2_matches_velocity_form(self, N):
         g = WaveGrid(TWO_PI, N)
         cfg = basic_cfg(g, nu=0.05, dt=2e-3,
-                        f=random_divfree_field(g, seed=2, norm=0.5),
-                        h=random_divfree_field(g, seed=3, norm=0.05))
+                        fw=row(random_divfree_field(g, seed=2, norm=0.5)),
+                        hw=row(random_divfree_field(g, seed=3, norm=0.05)))
         v0 = random_divfree_field(g, seed=4, norm=1.0)
         ou = ou_from_wiener(sample_wiener(0.0, 200 * cfg.dt, cfg.dt, seed=5))
         state, _ = integrate(v0, cfg, path=ou)
@@ -365,8 +401,8 @@ class TestVorticityCore:
     def test_state_space_kept_at_n24(self):
         g = WaveGrid(TWO_PI, 24)
         cfg = basic_cfg(g, nu=0.05, dt=2e-3,
-                        f=random_divfree_field(g, seed=2, norm=0.5),
-                        h=random_divfree_field(g, seed=3, norm=0.05))
+                        fw=row(random_divfree_field(g, seed=2, norm=0.5)),
+                        hw=row(random_divfree_field(g, seed=3, norm=0.05)))
         ou = ou_from_wiener(sample_wiener(0.0, 0.2, cfg.dt, seed=6))
         state, _ = integrate(random_divfree_field(g, seed=4, norm=1.0), cfg, path=ou)
         assert field_violations(state.u, rtol=1e-13) == []
@@ -377,8 +413,8 @@ class TestVorticityCore:
     def test_emitted_state_holds_the_masked_columns(self, N):
         g = WaveGrid(TWO_PI, N)
         cfg = basic_cfg(g, nu=0.05, dt=2e-3,
-                        f=random_divfree_field(g, seed=2, norm=0.5),
-                        h=random_divfree_field(g, seed=3, norm=0.05))
+                        fw=row(random_divfree_field(g, seed=2, norm=0.5)),
+                        hw=row(random_divfree_field(g, seed=3, norm=0.05)))
         ou = ou_from_wiener(sample_wiener(0.0, 5 * cfg.dt, cfg.dt, seed=6))
         *_, last = trajectory(random_divfree_field(g, seed=4, norm=1.0), cfg, ou)
         K = (N - 1) // 3 + 1
@@ -388,8 +424,8 @@ class TestVorticityCore:
         assert np.abs(c[:, ~g.dealias_mask]).max() == 0.0
 
     def test_block_is_the_stepper_only_state(self, grid16):
-        cfg = basic_cfg(grid16, nu=0.05, f=random_divfree_field(grid16, seed=2, norm=0.5),
-                        h=random_divfree_field(grid16, seed=3, norm=0.05), scheme="etd1")
+        cfg = basic_cfg(grid16, nu=0.05, fw=row(random_divfree_field(grid16, seed=2, norm=0.5)),
+                        hw=row(random_divfree_field(grid16, seed=3, norm=0.05)), scheme="etd1")
         ou = given_z([0.3, 0.2, 0.1], cfg.dt)
         start = state_of(0.0, random_divfree_field(grid16, seed=4, norm=1.0))
         steppers = [_EtdStepper(cfg, [ou], [start]) for _ in range(2)]
@@ -405,8 +441,8 @@ class TestVorticityCore:
 
 
 def noisy_cfg(grid, **kw):
-    return basic_cfg(grid, nu=0.05, dt=2e-3, f=random_divfree_field(grid, seed=2, norm=0.5),
-                     h=random_divfree_field(grid, seed=3, norm=0.05), **kw)
+    return basic_cfg(grid, nu=0.05, dt=2e-3, fw=row(random_divfree_field(grid, seed=2, norm=0.5)),
+                     hw=row(random_divfree_field(grid, seed=3, norm=0.05)), **kw)
 
 
 class TestStepperBuffers:
@@ -687,33 +723,12 @@ class TestEnsemble:
         assert built.w is w0s[0] and close_to(built.u, v0s[0])
         assert list(built.norms().values()) == list(half.norms(w0s[0]))
 
-    @pytest.mark.parametrize("case, problem", [
-        ("shape", r"expected a complex128 array of shape \(16, 6\), got complex128 of shape \(16, 5\)"),
-        # a float row used to step, and its initial State wrote a checkpoint of half the payload
-        ("dtype", r"expected a complex128 array of shape \(16, 6\), got float64 of shape \(16, 6\)"),
-        ("nan", "coefficients contain NaN or Inf"),
-        ("mean", "nonzero mean mode"),
-        ("outside", "content outside the dealias mask"),
-        ("hermitian", "Hermitian symmetry violated on column 0"),
-    ])
+    @pytest.mark.parametrize("case, problem", ROW_CASES)
     def test_rejects_a_row_outside_the_state_space(self, grid16, case, problem):
         cfg = noisy_cfg(grid16)
         good = row(random_divfree_field(grid16, seed=4, norm=1.0))
-        bad = good.copy()
-        if case == "shape":
-            bad = good[:, :-1]
-        elif case == "dtype":
-            bad = np.ascontiguousarray(good.real)
-        elif case == "nan":
-            bad[2, 1] = np.nan
-        elif case == "mean":
-            bad[0, 0] = 0.5
-        elif case == "outside":
-            bad[6, 2] = 0.5  # the row j1 = 6, where 3 j1 >= N
-        else:
-            bad[3, 0] += 0.5  # row 3 of column 0 without its mirror row -3
         with pytest.raises(ValueError, match="initial row outside the solver's state space: " + problem):
-            dynamics.ensemble([good, bad], cfg)
+            dynamics.ensemble([good, bad_row(good, case)], cfg)
 
     def test_lockstep_is_enforced(self, grid16):
         cfg = noisy_cfg(grid16)

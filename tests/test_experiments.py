@@ -22,6 +22,7 @@ from torns.spectral import (
     random_divfree_field,
 )
 from tests.oracle import sobolev_norm
+from tests.test_dynamics import row as curl
 
 TWO_PI = 2.0 * np.pi
 
@@ -34,8 +35,8 @@ def grid16():
 def cfg_for(grid, **kw):
     kw.setdefault("nu", 1.0)
     kw.setdefault("dt", 1e-2)
-    kw.setdefault("f", SpectralField.zero(grid))
-    kw.setdefault("h", SpectralField.zero(grid))
+    kw.setdefault("fw", curl(SpectralField.zero(grid)))
+    kw.setdefault("hw", curl(SpectralField.zero(grid)))
     return SimConfig(grid=grid, **kw)
 
 
@@ -100,8 +101,8 @@ class TestPullback:
     @pytest.mark.parametrize("N", [16, 50])
     def test_family_members_have_the_bits_of_single_solves(self, N, threads):
         g = WaveGrid(TWO_PI, N)
-        cfg = cfg_for(g, nu=0.05, dt=2e-3, f=random_divfree_field(g, seed=4, norm=0.5),
-                      h=random_divfree_field(g, seed=2, norm=0.05))
+        cfg = cfg_for(g, nu=0.05, dt=2e-3, fw=curl(random_divfree_field(g, seed=4, norm=0.5)),
+                      hw=curl(random_divfree_field(g, seed=2, norm=0.05)))
         family = [random_divfree_field(g, seed=s, norm=1.0) for s in (5, 6, 7)]
         horizons = [0.05, 0.0]
         together = pullback_solve(cfg, horizons, 3, family, threads)
@@ -140,7 +141,7 @@ class TestPullback:
 
     def test_noise_window_nesting(self, grid16):
         # every horizon's state at 0 carries the same z(0): one omega
-        cfg = cfg_for(grid16, h=random_divfree_field(grid16, seed=2, norm=0.3))
+        cfg = cfg_for(grid16, hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
         v0 = random_divfree_field(grid16, seed=5, norm=1.0)
         p_short, p_long = pullback_path(1.0, cfg.dt, seed=9), pullback_path(3.0, cfg.dt, seed=9)
         assert np.array_equal(p_short.z, p_long.z[-p_short.n - 1:])
@@ -166,7 +167,7 @@ class TestPullback:
     def test_pullback_contraction_same_noise(self, grid16):
         # two different initial states under the same omega approach each other
         h = random_divfree_field(grid16, seed=2, norm=0.3)
-        cfg = cfg_for(grid16, h=h, f=random_divfree_field(grid16, seed=4, norm=0.2))
+        cfg = cfg_for(grid16, hw=curl(h), fw=curl(random_divfree_field(grid16, seed=4, norm=0.2)))
         va = random_divfree_field(grid16, seed=5, norm=1.0)
         vb = random_divfree_field(grid16, seed=6, norm=1.0)
         gaps = [sobolev_norm(sa.u - sb.u, 0.0) for sa, sb in pullback_solve(cfg, [2.0, 6.0, 14.0], 7, [va, vb])]
@@ -176,7 +177,7 @@ class TestPullback:
 
 class TestSmoothing:
     def test_zero_delta_row_has_zero_ratio(self, grid16):
-        cfg = cfg_for(grid16, h=random_divfree_field(grid16, seed=2, norm=0.3))
+        cfg = cfg_for(grid16, hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
         v0 = random_divfree_field(grid16, seed=1, norm=0.5)
         rows = measure_smoothing(cfg, v0, deltas=[0.0], horizons=[0.1], seeds=[1],
                                  directions=("random",))
@@ -197,8 +198,8 @@ class TestSmoothing:
 
     def test_scale_stability_across_deltas(self, grid16):
         cfg = cfg_for(grid16, dt=1e-3,
-                      f=random_divfree_field(grid16, seed=4, norm=0.5),
-                      h=random_divfree_field(grid16, seed=2, norm=0.3))
+                      fw=curl(random_divfree_field(grid16, seed=4, norm=0.5)),
+                      hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
         v0 = random_divfree_field(grid16, seed=1, norm=1.0)
         rows = measure_smoothing(cfg, v0, deltas=[1e-2, 1e-3, 1e-4], horizons=[0.5, 1.0],
                                  seeds=[11], directions=("random", "lowest"))
@@ -209,7 +210,7 @@ class TestSmoothing:
                 assert max(ratios) / min(ratios) < 3.0
 
     def test_identical_pair_distances_zero(self, grid16):
-        cfg = cfg_for(grid16, h=random_divfree_field(grid16, seed=2, norm=0.3))
+        cfg = cfg_for(grid16, hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
         v0 = random_divfree_field(grid16, seed=1, norm=0.5)
         rows = measure_smoothing(cfg, v0, deltas=[0.0, 1e-3], horizons=[0.2], seeds=[3])
         zero_rows = [r for r in rows if r["delta"] == 0.0]
@@ -219,7 +220,7 @@ class TestSmoothing:
         # each start is the base row plus delta times the direction's row; dist0 reads
         # start - w1 with the reader and row subtraction of distT_h2_sq, which at T = 0
         # is the H2 norm of that same difference
-        cfg = cfg_for(grid16, h=random_divfree_field(grid16, seed=2, norm=0.3))
+        cfg = cfg_for(grid16, hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
         v0 = random_divfree_field(grid16, seed=1, norm=0.5)
         half = HalfSpectrum(grid16)
         w1, dw = half.curl(v0), half.curl(random_divfree_field(grid16, 1, norm=1.0, stream=23))
@@ -254,7 +255,7 @@ class TestSmoothing:
 
     def test_every_horizon_has_a_row(self, grid16):
         # a horizon below half a step compares the initial pair
-        cfg = cfg_for(grid16, h=random_divfree_field(grid16, seed=2, norm=0.3))
+        cfg = cfg_for(grid16, hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
         v0 = random_divfree_field(grid16, seed=1, norm=0.5)
         rows = measure_smoothing(cfg, v0, deltas=[1e-3], horizons=[0.0, 0.1], seeds=[1],
                                  directions=("random",))
@@ -271,7 +272,7 @@ class TestSmoothing:
             measure_smoothing(cfg_for(grid16), SpectralField.zero(grid16), **{**kw, name: []})
 
     def test_horizons_on_one_step_each_get_their_rows(self, grid16):
-        cfg = cfg_for(grid16, dt=1e-2, h=random_divfree_field(grid16, seed=2, norm=0.3))
+        cfg = cfg_for(grid16, dt=1e-2, hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
         v0 = random_divfree_field(grid16, seed=1, norm=0.5)
         kw = dict(deltas=[1e-3], seeds=[1], directions=("random",))
         one = measure_smoothing(cfg, v0, horizons=[0.1], **kw)
@@ -283,7 +284,7 @@ class TestSmoothing:
     @pytest.mark.parametrize("N", [16, 50])
     def test_zero_horizons_alone_give_the_initial_rows(self, N):
         g = WaveGrid(TWO_PI, N)
-        cfg = cfg_for(g, h=random_divfree_field(g, seed=2, norm=0.3))
+        cfg = cfg_for(g, hw=curl(random_divfree_field(g, seed=2, norm=0.3)))
         v0 = random_divfree_field(g, seed=1, norm=0.5)
         kw = dict(deltas=[1e-3, 0.0], seeds=[1, 2])
         rows = measure_smoothing(cfg, v0, horizons=[0.0], **kw)
@@ -293,7 +294,7 @@ class TestSmoothing:
     @pytest.mark.parametrize("N", [16, 50])
     def test_duplicate_seeds_and_directions_are_one_group(self, N):
         g = WaveGrid(TWO_PI, N)
-        cfg = cfg_for(g, h=random_divfree_field(g, seed=2, norm=0.3))
+        cfg = cfg_for(g, hw=curl(random_divfree_field(g, seed=2, norm=0.3)))
         v0 = random_divfree_field(g, seed=1, norm=0.5)
         kw = dict(deltas=[1e-3], horizons=[0.1])
         rows = measure_smoothing(cfg, v0, seeds=[2, 1, 2], directions=("random", "lowest", "random"), **kw)
@@ -303,7 +304,7 @@ class TestSmoothing:
 
     def test_h_zero_runs_deterministic_members_with_no_path(self, grid16, monkeypatch):
         # h = 0: the conjugated system is the deterministic one bit for bit, so no path is drawn
-        cfg = cfg_for(grid16, f=random_divfree_field(grid16, seed=3, norm=0.5))
+        cfg = cfg_for(grid16, fw=curl(random_divfree_field(grid16, seed=3, norm=0.5)))
         v0 = random_divfree_field(grid16, seed=1, norm=0.5)
         kw = dict(deltas=[1e-3, 1e-4], horizons=[0.1, 0.2], seeds=[1, 2])
         calls, sample_wiener = [], experiments.sample_wiener
@@ -314,7 +315,7 @@ class TestSmoothing:
         assert measure_smoothing(cfg, v0, **kw) == rows and len(calls) == 2
 
     def test_thread_count_invariance(self, grid16):
-        cfg = cfg_for(grid16, h=random_divfree_field(grid16, seed=2, norm=0.3))
+        cfg = cfg_for(grid16, hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
         v0 = random_divfree_field(grid16, seed=1, norm=0.5)
         kw = dict(deltas=[1e-3, 1e-4], horizons=[0.2], seeds=[1, 2])
         a = measure_smoothing(cfg, v0, threads=1, **kw)
@@ -370,7 +371,7 @@ class TestAbsorbing:
 
     def test_zero_radius_gives_noise_response(self, grid16):
         h = random_divfree_field(grid16, seed=2, norm=0.3)
-        cfg = cfg_for(grid16, h=h, f=random_divfree_field(grid16, seed=3, norm=0.2))
+        cfg = cfg_for(grid16, hw=curl(h), fw=curl(random_divfree_field(grid16, seed=3, norm=0.2)))
         rows = measure_absorbing(cfg, initial_radii=[0.0], horizons=[5.0], seed=5)
         assert rows[0]["norm_H"] > 0.0
 
@@ -425,7 +426,7 @@ class TestErgodicCheck:
 class TestConjugationConvergence:
     def test_h_zero_errors_vanish(self, grid16):
         cfg = cfg_for(grid16, dt=2.0**-7, scheme="etd1",
-                      f=random_divfree_field(grid16, seed=4, norm=0.3))
+                      fw=curl(random_divfree_field(grid16, seed=4, norm=0.3)))
         rows = conjugation_convergence(cfg, base_dt=2.0**-7, levels=3, T=0.25, seed=3, paths=2)
         assert all(r["strong_error"] <= 1e-10 for r in rows)
 
@@ -441,7 +442,7 @@ class TestConjugationConvergence:
     def test_first_order_strong_convergence(self, grid16):
         h = random_divfree_field(grid16, seed=11, norm=1.0)
         f = random_divfree_field(grid16, seed=21, norm=0.5)
-        cfg = cfg_for(grid16, dt=2.0**-7, h=h, f=f, seed=5)
+        cfg = cfg_for(grid16, dt=2.0**-7, hw=curl(h), fw=curl(f), seed=5)
         rows = conjugation_convergence(cfg, base_dt=2.0**-7, levels=4, T=1.0, seed=100, paths=8)
         for r in rows[:-1]:
             assert 1.5 < r["ratio"] < 2.6
@@ -471,7 +472,7 @@ class TestConjugationConvergence:
 
     def test_thread_invariance(self, grid16):
         h = random_divfree_field(grid16, seed=11, norm=1.0)
-        cfg = cfg_for(grid16, dt=2.0**-7, h=h, seed=5)
+        cfg = cfg_for(grid16, dt=2.0**-7, hw=curl(h), seed=5)
         a = conjugation_convergence(cfg, base_dt=2.0**-7, levels=3, T=0.25, seed=9, paths=4, threads=1)
         b = conjugation_convergence(cfg, base_dt=2.0**-7, levels=3, T=0.25, seed=9, paths=4, threads=3)
         assert a == b
@@ -496,7 +497,7 @@ class TestRunner:
     @staticmethod
     def run_all(grid, threads):
         dt = 2.0**-5
-        cfg = cfg_for(grid, dt=dt, h=random_divfree_field(grid, seed=2, norm=0.3))
+        cfg = cfg_for(grid, dt=dt, hw=curl(random_divfree_field(grid, seed=2, norm=0.3)))
         v0 = random_divfree_field(grid, seed=1, norm=0.5)
         return [
             measure_smoothing(cfg, v0, deltas=[1e-3], horizons=[dt, 2 * dt], seeds=[1, 2],

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +22,6 @@ from torns.io import (
 )
 from torns.noise import OUPath, WienerPath, ou_from_wiener, sample_wiener
 from torns.spectral import WaveGrid, random_divfree_field
-from tests.oracle import sobolev_norm
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,8 +44,7 @@ class TestLoadConfig:
         assert cfg.scheme == "etd2"
         assert cfg.stride == 10
         assert cfg.grid.L == pytest.approx(TWO_PI)
-        assert sobolev_norm(cfg.f, 0.0) == 0.0
-        assert sobolev_norm(cfg.h, 0.0) == 0.0
+        assert not cfg.fw.any() and not cfg.hw.any()
 
     def test_accepts_json_text(self):
         cfg = load_config(json.dumps(minimal_config(seed=7)))
@@ -82,6 +81,20 @@ class TestLoadConfig:
             load_config(minimal_config(**{role: spec}))
         assert (exc.value.field, str(exc.value)) == (field, f"{field}: unknown field")
 
+    @pytest.mark.parametrize("role, spec", [
+        ("noise", {"preset": "random", "norm": -0.5, "seed": 1}),
+        ("initial", {"preset": "random", "norm": -0.5, "seed": 1}),
+        ("forcing", {"preset": "manufactured", "norm": -0.5, "seed": 1}),
+    ])
+    def test_negative_norm_is_config_error(self, role, spec):
+        # a norm is the field's L2 norm: -0.5 used to load a field of norm 0.5, its sign flipped
+        with pytest.raises(ConfigError) as exc:
+            load_config(minimal_config(**{role: spec}))
+        assert str(exc.value) == f"{role}.norm: expected a finite number >= 0, got -0.5"
+        # a norm of 0 is a zero field
+        cfg = load_config(minimal_config(**{role: dict(spec, norm=0)}))
+        assert not (cfg.fw.any() or cfg.hw.any() or cfg.u0.coeffs.any())
+
     def test_rejects_bad_json(self):
         with pytest.raises(ConfigError):
             load_config("{not json")
@@ -89,8 +102,7 @@ class TestLoadConfig:
     def test_taylor_green_preset(self):
         cfg = load_config({"preset": "taylor-green"})
         assert cfg.grid.L == pytest.approx(TWO_PI)
-        assert sobolev_norm(cfg.f, 0.0) == 0.0
-        assert sobolev_norm(cfg.h, 0.0) == 0.0
+        assert not cfg.fw.any() and not cfg.hw.any()
         expected = taylor_green(0.0, cfg.nu, cfg.grid)
         assert np.abs(cfg.u0.coeffs - expected.coeffs).max() < 1e-14
 
@@ -102,11 +114,12 @@ class TestLoadConfig:
         raw = minimal_config(forcing={"modes": [{"j": [1, 0], "v": [1.0, 0.0]}]})
         cfg = load_config(raw)
         # transverse single mode survives projection, Hermitian pair present
-        assert cfg.f.coeffs[1, 1, 0] == pytest.approx(0.5)
-        assert cfg.f.coeffs[1, -1 % 16, 0] == pytest.approx(0.5)
+        f = spectral.HalfSpectrum(cfg.grid).velocity(cfg.fw)
+        assert f.coeffs[1, 1, 0] == pytest.approx(0.5)
+        assert f.coeffs[1, -1 % 16, 0] == pytest.approx(0.5)
         from torns.spectral import field_violations
 
-        assert field_violations(cfg.f) == []
+        assert field_violations(f) == []
 
     def test_mode_list_bad_j_reports_path(self):
         raw = minimal_config(forcing={"modes": [{"j": [1], "v": [1.0, 0.0]}]})
@@ -150,7 +163,7 @@ class TestLoadConfig:
         report = cfg.assumption
         assert len(calls) == 1
         assert cfg.assumption is report and len(calls) == 1
-        assert report == check_assumption(cfg.h, cfg.nu, cfg.grid)
+        assert report == check_assumption(cfg.hw, cfg.nu, cfg.grid)
 
     def test_assumption_attached_even_when_violated(self):
         raw = minimal_config(nu=1e-4, noise={"preset": "random", "norm": 5.0, "seed": 1})
@@ -179,8 +192,8 @@ class TestLoadConfig:
         b = load_config(echo)
         assert (a.nu, a.grid.L, a.grid.N, a.dt, a.scheme, a.seed, a.stride, a.t_end) == \
                (b.nu, b.grid.L, b.grid.N, b.dt, b.scheme, b.seed, b.stride, b.t_end)
-        for fa, fb in ((a.f, b.f), (a.h, b.h), (a.u0, b.u0)):
-            assert np.array_equal(fa.coeffs, fb.coeffs)
+        for fa, fb in ((a.fw, b.fw), (a.hw, b.hw), (a.u0.coeffs, b.u0.coeffs)):
+            assert np.array_equal(fa, fb)
 
 
 class TestCheckpoint:
@@ -242,6 +255,29 @@ class TestCheckpoint:
         data[4] += 1  # little-endian u32 version
         p.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="version mismatch"):
+            read_checkpoint(p)
+
+    @pytest.mark.parametrize("offset, fmt, value, message", [
+        # the header's N: an N = 8 row is 384 bytes, N = 6 needs 192 and N = 0 none
+        (8, "<I", 6, r"payload of 384 bytes does not match N = 6 \(192 bytes\)"),
+        (8, "<I", 0, r"payload of 384 bytes does not match N = 0 \(0 bytes\)"),
+        (8, "<I", 10, r"truncated payload \(384 of 640 bytes\)"),
+        # the header's record of the payload length
+        (44, "<Q", 392, r"payload of 392 bytes does not match N = 8 \(384 bytes\)"),
+        # the payload cut by one value
+        (None, None, None, r"truncated payload \(368 of 384 bytes\)"),
+    ], ids=["N=6", "N=0", "N=10", "length", "cut"])
+    def test_size_mismatch_names_its_fault(self, tmp_path, offset, fmt, value, message):
+        # each used to read "truncated payload", with the bytes of the payload against those of N
+        p = tmp_path / "size.trns"
+        write_checkpoint(state_of(0.0, random_divfree_field(WaveGrid(TWO_PI, 8), seed=1)), p, nu=1.0)
+        data = bytearray(p.read_bytes())
+        if offset is None:
+            del data[-16:]
+        else:
+            struct.pack_into(fmt, data, offset, value)
+        p.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=message):
             read_checkpoint(p)
 
     def test_truncation_detected(self, tmp_path):
