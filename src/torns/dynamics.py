@@ -28,8 +28,8 @@ step n advances the block and checks it once, and each call emits member
 m's row as a State.  ensemble() takes the members' initial rows, yields
 their states and then one list per step, with a member that blew up frozen
 on its BlowupError while the others go on; it is the only time loop.
-trajectory() is its one-member case from a velocity, and integrate()
-records the norms of every stride-th state that yields.  Stacking changes
+trajectory() is its one-member case, and integrate() records the norms
+of every stride-th state that yields from an initial velocity.  Stacking changes
 no bit: each member's row equals its own one-member trajectory.
 
 The stepper runs in half-spectrum vorticity (spectral.HalfSpectrum): it
@@ -52,11 +52,12 @@ read, for callers of the public API only.
 State space: w represents exactly the zero-mean, divergence-free velocity
 fields with no modes |j2| >= K, and the two forms of B agree only inside the
 dealias mask.  So SimConfig holds f and h as rows audited to that space
-(io.load_config curls the velocities a config spec builds).  An initial
-velocity is checked once, where it enters (trajectory and the experiments),
-for a nonzero mean, a divergence or content outside the mask beyond 1e-13
-relative, and curled; what it holds in the columns |j2| >= K is dropped.
-ensemble audits its rows to the same bound."""
+(io.load_config curls the velocities a config spec builds), and every entry
+point but integrate takes rows, audited to the same 1e-13 relative bound
+(HalfSpectrum.admit).  A velocity enters only at integrate and SimConfig.w0,
+the row of the config's u0: it is checked once there for a nonzero mean, a
+divergence or content outside the mask (spectral.field_violations), and
+curled; what it holds in the columns |j2| >= K is dropped."""
 
 from __future__ import annotations
 
@@ -160,8 +161,9 @@ class SimConfig:
     intensity, are audited (HalfSpectrum.violations) when the config is
     built, so h lies inside the dealias mask (for h in H^3, with every A^p h
     exactly computable).  u0 optionally carries initial velocity attached by
-    a config preset.  assumption is h's admissibility report, computed by
-    check_assumption on the first read; noisy tells whether h is nonzero.
+    a config preset, and w0 is its row, checked and curled on the first read.
+    assumption is h's admissibility report, computed by check_assumption on
+    the first read; noisy tells whether h is nonzero.
     """
 
     nu: float
@@ -184,15 +186,19 @@ class SimConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if operator.index(self.stride) < 1:  # a float stride raises TypeError
             raise ValueError(f"stride must be >= 1, got {self.stride}")
-        half = _half_spectrum(self.grid)
         for name in ("fw", "hw"):
-            problems = half.violations(getattr(self, name))
-            if problems:
-                raise ValueError(f"{name} outside the solver's state space: " + "; ".join(problems))
+            _half_spectrum(self.grid).admit(getattr(self, name), name)
 
     @functools.cached_property
     def assumption(self) -> AssumptionReport:
         return check_assumption(self.hw, self.nu, self.grid)
+
+    @functools.cached_property
+    def w0(self) -> np.ndarray:
+        """The row of u0 (_check_initial); ValueError when u0 is absent, off the grid or outside the state space."""
+        if self.u0 is None:
+            raise ValueError("the config carries no initial velocity u0")
+        return _check_initial(self.u0, self)
 
     @property
     def noisy(self) -> bool:
@@ -364,8 +370,6 @@ def _check_initial(v0: SpectralField, cfg: SimConfig) -> np.ndarray:
     if v0.grid != cfg.grid:
         raise ValueError("initial data grid does not match config grid")
     problems = spectral.field_violations(v0, rtol=1e-13)
-    if np.abs(v0.coeffs[:, ~v0.grid.dealias_mask]).max() > 1e-13 * np.abs(v0.coeffs).max():
-        problems.append("content outside the dealias mask")
     if problems:
         raise ValueError("initial data outside the solver's state space: " + "; ".join(problems))
     return _half_spectrum(cfg.grid).curl(v0)
@@ -433,9 +437,7 @@ def ensemble(
         raise ValueError(f"an ensemble takes one path per member: {len(w0s)} rows, {len(paths)} paths")
     half = _half_spectrum(cfg.grid)
     for w0 in w0s:
-        problems = half.violations(w0)
-        if problems:
-            raise ValueError("initial row outside the solver's state space: " + "; ".join(problems))
+        half.admit(w0, "initial row")
     if any(type(p) is not type(paths[0]) for p in paths):
         raise ValueError("the members of an ensemble must share one system: "
                          "all OUPath, all WienerPath or all None")
@@ -477,7 +479,7 @@ def _step_member(state, stepper: _EtdStepper, n: int, m: int):
 
 
 def trajectory(
-    v0: SpectralField,
+    w0: np.ndarray,
     cfg: SimConfig,
     path: OUPath | WienerPath | None = None,
     steps: int | None = None,
@@ -489,11 +491,11 @@ def trajectory(
     is a whole number (horizon_steps)), an OUPath the conjugated random
     equation, and a WienerPath the Ito equation by Euler-Maruyama (both from
     the path's t0; steps default to the path's length).  Path dt must match cfg.dt.
-    The arguments, v0 among them, are checked on the call, before any state is
-    drawn.  Emitted states are never written again, so callers may keep any of
-    them.  This is the one-member ensemble of v0's row; a blowup raises its BlowupError.
+    The arguments, the (N, K) vorticity row w0 among them, are checked on the
+    call, before any state is drawn.  Emitted states are never written again,
+    so callers may keep any of them.  This is the one-member ensemble of w0; a blowup raises its BlowupError.
     """
-    return _alone(ensemble([_check_initial(v0, cfg)], cfg, [path], steps))
+    return _alone(ensemble([w0], cfg, [path], steps))
 
 
 def _alone(levels: Iterator[list]) -> Iterator[State]:
@@ -510,19 +512,20 @@ def integrate(
     steps: int | None = None,
     stride: int | None = None,
 ) -> tuple[State, list[dict]]:
-    """Drive one trajectory (see trajectory): the last state and a row every stride steps.
+    """Drive one trajectory (see trajectory) from the velocity v0: the last state and a row every stride steps.
 
-    The rows are those of series.csv, {t, the NORMS columns, z}, always
-    floor(steps/stride) + 1 of them, the first of the initial state, each read
-    off the state's vorticity (State.norms); velocity is built only when
-    the returned state's u is read.  A stride that is not an integer raises
-    TypeError, one below 1 ValueError, before any state is drawn.
+    The one entry point that takes a velocity: v0 is checked and curled once
+    (_check_initial).  The rows are those of series.csv, {t, the NORMS
+    columns, z}, always floor(steps/stride) + 1 of them, the first of the
+    initial state, each read off the state's vorticity (State.norms); velocity
+    is built only when the returned state's u is read.  A stride that is not
+    an integer raises TypeError, one below 1 ValueError, before any state is drawn.
     """
     stride = cfg.stride if stride is None else operator.index(stride)
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     rows = []
-    for n, state in enumerate(trajectory(v0, cfg, path, steps)):
+    for n, state in enumerate(trajectory(_check_initial(v0, cfg), cfg, path, steps)):
         if n % stride == 0:
             rows.append({"t": state.t, **state.norms(), "z": state.z})
     return state, rows

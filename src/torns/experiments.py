@@ -21,14 +21,15 @@ Every experiment steps its trajectories as ensembles (dynamics.ensemble)
 through one runner, _run_ensembles: the family of each pullback horizon
 (absorbing's radii among them), a convergence (level, system) over the
 paths, and all of smoothing's base and perturbed members, each (seed,
-direction) on the OU path of its seed.  The ensembles start from rows: an
-initial velocity handed in (pullback_solve's family, smoothing's base) is
-checked and curled once, and each perturbed start is a sum of rows
-(smoothing's w1 + delta dw, convergence's w0 + z(0) curl h).  Each member
-has the bits of its own one-member run, so reports are bit-reproducible for
-any worker count.  On dense-DFT grids an ensemble is one block on the
-calling thread; on FFT grids it splits into sub-blocks within a byte
-budget, and `threads` bounds the workers that run them.
+direction) on the OU path of its seed.  The ensembles start from rows:
+pullback_solve and measure_smoothing take (N, K) vorticity rows, as
+dynamics.ensemble does, a drawn direction is curled once, and each start
+built here is a sum of rows (absorbing's r curl e, smoothing's w1 + delta
+dw, convergence's w0 + z(0) curl h).  Each member has the bits of its own
+one-member run, so reports are bit-reproducible for any worker count.  On
+dense-DFT grids an ensemble is one block on the calling thread; on FFT
+grids it splits into sub-blocks within a byte budget, and `threads` bounds
+the workers that run them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .dynamics import NORMS, BlowupError, SimConfig, _check_initial, _half_spectrum, ensemble
+from .dynamics import NORMS, BlowupError, SimConfig, _half_spectrum, ensemble
 from .noise import (
     horizon_steps,
     ou_from_wiener,
@@ -50,7 +51,7 @@ from .noise import (
     sample_wiener,
 )
 from . import spectral
-from .spectral import SpectralField, random_divfree_field
+from .spectral import random_divfree_field
 
 __all__ = [
     "pullback_solve",
@@ -117,37 +118,38 @@ def _run_ensembles(ensembles: list, threads: int = 1) -> list[dict]:
     return out
 
 
-def pullback_solve(cfg: SimConfig, horizons: list[float], seed: int, initial_states: list,
+def pullback_solve(cfg: SimConfig, horizons: list[float], seed: int, w0s: list,
                    threads: int = 1) -> list[list]:
     """Per horizon, in the order given, the states at time 0 of the family started at -horizon.
 
-    initial_states are velocities, each checked and curled once; each
-    horizon's family is one ensemble of their rows on pullback_path(horizon,
-    cfg.dt, seed): one OU chain, each horizon a longer stretch of its past.
+    w0s holds the family's (N, K) vorticity rows; each horizon's family is
+    one ensemble of them on pullback_path(horizon, cfg.dt, seed): one OU
+    chain, each horizon a longer stretch of its past.
     All of them step in one _run_ensembles call, on at most `threads`
     workers.  Entry m of a horizon's list is member m's State, or its
     BlowupError in its place.  Every state carries z_omega(0), the OU value
     at time 0, the same for every horizon (at horizon 0, with the initial
     rows unchanged).  An empty family or horizon list, a negative horizon or
-    one that is not a whole number of steps, or a field outside the state
-    space raises ValueError before any path is drawn.
+    one that is not a whole number of steps, or a row outside the state
+    space (HalfSpectrum.admit) raises ValueError before any path is drawn.
     """
-    if not initial_states or not horizons:
+    if not w0s or not horizons:
         raise ValueError("the family and the horizons must be nonempty")
     for h in horizons:
         horizon_steps(h, cfg.dt)
-    rows = [_check_initial(v, cfg) for v in initial_states]
+    for w0 in w0s:
+        _half_spectrum(cfg.grid).admit(w0, "initial row")
     ous = [pullback_path(h, cfg.dt, seed) for h in horizons]
-    runs = _run_ensembles([(rows, cfg, [ou] * len(rows), {ou.n}) for ou in ous], threads)
+    runs = _run_ensembles([(w0s, cfg, [ou] * len(w0s), {ou.n}) for ou in ous], threads)
     return [levels[ou.n] for ou, levels in zip(ous, runs)]
 
 
-def _smoothing_rows(cfg, v1, groups, deltas, horizons, threads):
+def _smoothing_rows(cfg, w1, groups, deltas, horizons, threads):
     """The groups as one ensemble; one row per (group, delta, T), in the order of groups.
 
-    A group ((seed, label), direction) is the base row w1 of v1, checked and
-    curled once, and the perturbed starts w1 + delta * dw, dw the direction
-    curled once, on the OU path of seed (no path, the deterministic system,
+    A group ((seed, label), direction) is the base row w1, admitted before
+    any path is drawn, and the perturbed starts w1 + delta * dw, dw the
+    direction curled once, on the OU path of seed (no path, the deterministic system,
     when h is zero or every horizon is 0).  dist0 is the H norm of start - w1,
     read as distT_h2_sq is.  A blowup gives error rows: for every (delta, T)
     of a group when its base blows up, and for the horizons not yet reached
@@ -155,7 +157,8 @@ def _smoothing_rows(cfg, v1, groups, deltas, horizons, threads):
     """
     at = {T: horizon_steps(T, cfg.dt) for T in horizons}  # two horizons may share a step
     steps = max(at.values())
-    w1, half = _check_initial(v1, cfg), _half_spectrum(cfg.grid)
+    half = _half_spectrum(cfg.grid)
+    half.admit(w1, "initial row")
     seeds = {seed for (seed, _), _ in groups} if steps and cfg.noisy else ()  # one path per seed
     ous = {seed: ou_from_wiener(sample_wiener(0.0, horizons[-1], cfg.dt, seed=seed)) for seed in seeds}
     k = 1 + len(deltas)
@@ -183,14 +186,14 @@ def _smoothing_rows(cfg, v1, groups, deltas, horizons, threads):
 
 def measure_smoothing(
     cfg: SimConfig,
-    v0: SpectralField,
+    w1: np.ndarray,
     deltas: list[float],
     horizons: list[float],
     seeds: list[int],
     directions: tuple[str, ...] = ("random", "lowest"),
     threads: int = 1,
 ) -> list[dict]:
-    """Measured (H, H^2)-smoothing ratios for perturbation pairs sharing one noise path.
+    """Measured (H, H^2)-smoothing ratios for perturbation pairs sharing one noise path, from the row w1.
 
     Directions: "random" draws a unit divergence-free field per seed; "lowest"
     puts it on the lowest shell, whose linear ratio lam^2 e^{-2 nu lam T} is the sup over shells only
@@ -199,8 +202,8 @@ def measure_smoothing(
     dist0^2, error) come per distinct (seed, direction) in sorted order, then
     delta and T.  Every group steps in one ensemble, on at most `threads`
     workers (see _run_ensembles).  Empty deltas, horizons, seeds or directions
-    raise ValueError up front, and a horizon that horizon_steps rejects before
-    any path is drawn.
+    raise ValueError up front, and a horizon that horizon_steps rejects or a
+    row w1 outside the state space before any path is drawn.
     """
     for name, values in dict(deltas=deltas, horizons=horizons, seeds=seeds, directions=directions).items():
         if not values:
@@ -218,7 +221,7 @@ def measure_smoothing(
                 raise ValueError(f"unknown direction {label!r}")
             fields[seed, label] = d
     # by (seed, label); a duplicate is one group
-    return _smoothing_rows(cfg, v0, sorted(fields.items()), deltas, horizons, threads)
+    return _smoothing_rows(cfg, w1, sorted(fields.items()), deltas, horizons, threads)
 
 
 def _kmin(cfg: SimConfig) -> float:
@@ -239,14 +242,14 @@ def measure_absorbing(
     seed: int,
     threads: int = 1,
 ) -> list[dict]:
-    """Pullback the family {radius * e : radius in initial_radii} over each horizon (pullback_solve).
+    """Pullback the rows {radius * curl e : radius in initial_radii}, e one fixed unit direction, per horizon.
 
     Rows (radius, horizon, the NORMS columns, error) per distinct (radius, horizon)
     in increasing order; a member that blows up gets NaN norms and its error.
     """
-    e = random_divfree_field(cfg.grid, 99, norm=1.0, stream=29)  # one fixed unit direction
+    ew = _half_spectrum(cfg.grid).curl(random_divfree_field(cfg.grid, 99, norm=1.0, stream=29))
     radii, hs = sorted(set(initial_radii)), sorted(set(horizons))
-    family = [r * e for r in radii]
+    family = [r * ew for r in radii]
     runs = pullback_solve(cfg, hs, seed, family, threads)
     return [{"radius": radius, "horizon": h, **_norms(states[i])}
             for i, radius in enumerate(radii) for h, states in zip(hs, runs)]

@@ -289,27 +289,29 @@ def _parse_header(data: bytes, path: str | Path) -> _CheckpointHeader:
 
 
 def read_checkpoint(path: str | Path) -> State:
-    """Inverse of write_checkpoint, bit for bit in w; ValueError for a row outside the state space
-    or a header whose L, t or z is not finite.  The header's nu is informational: a run's
-    config, nu with it, is the config echo in its manifest."""
+    """Inverse of write_checkpoint, bit for bit in w; ValueError, starting with the path, for a row
+    outside the state space or a header whose L, t or z is not finite or whose N no grid takes.
+    The header's nu is informational: a run's config, nu with it, is the config echo in its manifest."""
     data = Path(path).read_bytes()
     hdr = _parse_header(data, path)
     for name in ("t", "z"):  # WaveGrid refuses a non-finite L
         if not math.isfinite(getattr(hdr, name)):
             raise ValueError(f"{path}: non-finite {name} in the header: {getattr(hdr, name)}")
     payload = data[_HEADER.size:]
-    expected = hdr.N * ((hdr.N - 1) // 3 + 1) * 16  # the (N, K) row
+    if hdr.N * hdr.N > len(payload):  # a row holds N K > N^2 / 3 values: no grid is built for such an N
+        raise ValueError(f"{path}: truncated payload ({len(payload)} bytes for N = {hdr.N})")
+    try:
+        half = _half_spectrum(WaveGrid(hdr.L, hdr.N))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    expected = hdr.N * half.K * 16  # the (N, K) row
     if len(payload) < expected:
         raise ValueError(f"{path}: truncated payload ({len(payload)} of {expected} bytes)")
     for size in (len(payload), hdr.payload_len):  # the payload, then the header's record of it
         if size != expected:
             raise ValueError(f"{path}: payload of {size} bytes does not match N = {hdr.N} ({expected} bytes)")
-    w = np.frombuffer(payload, dtype=np.complex128).reshape(hdr.N, -1).copy()
-    half = _half_spectrum(WaveGrid(hdr.L, hdr.N))
-    problems = half.violations(w)
-    if problems:
-        raise ValueError(f"{path}: row outside the solver's state space: " + "; ".join(problems))
-    return State(hdr.t, w, hdr.z, half)
+    w = np.frombuffer(payload, dtype=np.complex128).reshape(hdr.N, half.K).copy()
+    return State(hdr.t, half.admit(w, f"{path}: row"), hdr.z, half)
 
 
 def _fmt(x) -> str:

@@ -13,8 +13,9 @@ The solver and its reports compute on the scalar vorticity w = curl u =
 d_x u_2 - d_y u_1, held only on the K = (N-1)//3 + 1 columns of the rfft2
 half spectrum that meet the dealias mask, as one contiguous (N, K) array
 (HalfSpectrum; the other columns of a field inside the mask are zero).  A
-velocity SpectralField is built or read only at the library's edge: a
-config's fields, the velocities the entry points take, and State.u.  There
+velocity SpectralField, coefficients with no arithmetic, is built or read
+only at the library's edge: a config's fields, the velocity that
+dynamics.integrate takes, and State.u; field_violations audits one.  There
 u = (d_y psi, -d_x psi) with psi = w / |k|^2, and curl B(u, u) = (u . grad) w
 (vorticity_advection) agrees with nonlinear_term up to roundoff.
 nonlinear_term, the velocity form of B, has no caller in the solver: it
@@ -49,7 +50,6 @@ __all__ = [
     "WaveGrid",
     "SpectralField",
     "leray_project",
-    "divergence",
     "nonlinear_term",
     "HalfSpectrum",
     "AdvectionWorkspace",
@@ -133,22 +133,6 @@ class SpectralField:
     def zero(cls, grid: WaveGrid) -> "SpectralField":
         return cls(grid, np.zeros((2, grid.N, grid.N), dtype=np.complex128))
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, a: float) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs * a)
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return f"SpectralField(N={self.grid.N}, L={self.grid.L:g})"
 
@@ -176,12 +160,6 @@ def leray_project(u: SpectralField) -> SpectralField:
     Idempotent up to roundoff; total (never raises).
     """
     return SpectralField(u.grid, _project_coeffs(u.coeffs, u.grid))
-
-
-def divergence(u: SpectralField) -> np.ndarray:
-    """Spectral coefficients of div u: per mode i k . u_hat. Shape (N, N)."""
-    g = u.grid
-    return 1j * (g.kx * u.coeffs[0] + g.ky * u.coeffs[1])
 
 
 def nonlinear_term(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -285,9 +263,9 @@ class HalfSpectrum:
     transform stages (a _DftTables, built once here); above it dft is None
     and the kernel runs FFTs.  norms() reads the H, H1 and H2 norms of the
     velocity off w with one (3, N, K) weight table; violations() audits a
-    row.  The tables are read-only, so one instance may serve several
-    threads; the buffers that change per call live in an AdvectionWorkspace
-    per trajectory.
+    row, and admit() is the one place that lets one in.  The tables are
+    read-only, so one instance may serve several threads; the buffers that
+    change per call live in an AdvectionWorkspace per trajectory.
     """
 
     def __init__(self, grid: WaveGrid):
@@ -358,6 +336,13 @@ class HalfSpectrum:
             "content outside the dealias mask": np.abs(w[~self.dealias_mask[:, 0]]).max(),
             "Hermitian symmetry violated on column 0": np.abs(col - np.conj(np.roll(col[::-1], 1))).max()}
         return [f"{problem}: {v:.3e}" for problem, v in largest.items() if v > 1e-13 * np.abs(w).max()]
+
+    def admit(self, w: np.ndarray, what: str) -> np.ndarray:
+        """w itself when violations() finds nothing; else ValueError "<what> outside the solver's state space: ..."."""
+        problems = self.violations(w)
+        if problems:
+            raise ValueError(f"{what} outside the solver's state space: " + "; ".join(problems))
+        return w
 
 
 class AdvectionWorkspace:
@@ -551,8 +536,9 @@ def random_divfree_field(
 def field_violations(u: SpectralField, rtol: float = 1e-13) -> list[str]:
     """Audit SpectralField invariants; returns human-readable violations (empty if valid).
 
-    Checks finiteness, Hermitian symmetry (real physical field), zero mean and
-    relative divergence below rtol.
+    Checks finiteness, Hermitian symmetry (real physical field), zero mean,
+    relative divergence |k . u_hat| and content outside the dealias mask,
+    each below rtol.
     """
     out = []
     c = u.coeffs
@@ -571,8 +557,11 @@ def field_violations(u: SpectralField, rtol: float = 1e-13) -> list[str]:
     if mean > rtol * scale:
         out.append(f"nonzero mean mode: |u_hat(0)| = {mean:.3e}")
     g = u.grid
-    div = np.abs(divergence(u))
+    div = np.abs(g.kx * c[0] + g.ky * c[1])
     ref = float((np.sqrt(g.k2) * np.sqrt(np.abs(c[0]) ** 2 + np.abs(c[1]) ** 2)).max())
     if ref > 0 and float(div.max()) > rtol * ref:
         out.append(f"divergence too large: max |k . u_hat| = {div.max():.3e} (scale {ref:.3e})")
+    outside = float(np.abs(c[:, ~g.dealias_mask]).max())
+    if outside > rtol * scale:
+        out.append(f"content outside the dealias mask: {outside:.3e}")
     return out

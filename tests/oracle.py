@@ -1,8 +1,8 @@
 """Test oracles on velocity SpectralFields that the solver itself never calls.
 
-The L2 pairing, the Stokes powers A^p and the Sobolev norms, written from
-their per-mode definitions on the (2, N, N) velocity spectrum, so the
-identities the tests check (skew symmetry, the enstrophy identity,
+The L2 pairing, the divergence, the Stokes powers A^p and the Sobolev norms,
+written from their per-mode definitions on the (2, N, N) velocity spectrum,
+so the identities the tests check (skew symmetry, the enstrophy identity,
 composition of powers) and the norms they compare against rest on code
 outside torns, which reads every norm off a vorticity row
 (HalfSpectrum.norms).
@@ -20,11 +20,17 @@ def inner(u: SpectralField, v: SpectralField) -> float:
     return u.grid.L**2 * float(np.real(np.vdot(v.coeffs, u.coeffs)))
 
 
+def divergence(u: SpectralField) -> np.ndarray:
+    """Spectral coefficients of div u: per mode i k . u_hat. Shape (N, N)."""
+    g = u.grid
+    return 1j * (g.kx * u.coeffs[0] + g.ky * u.coeffs[1])
+
+
 def apply_stokes_power(u: SpectralField, p: float) -> SpectralField:
     """Apply A^p, diagonal per mode with eigenvalue |k|^(2p); zero mode stays 0."""
     g = u.grid
     if p == 0.0:
-        return u.copy()
+        return SpectralField(g, u.coeffs.copy())
     if p > 0:
         w = g.k2**p
         if not float(p).is_integer():

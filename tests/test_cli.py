@@ -16,7 +16,7 @@ from torns.cli import COMMANDS, main
 from torns.dynamics import integrate
 from torns.io import load_config, read_checkpoint
 from torns.noise import ou_from_wiener, sample_wiener
-from torns.spectral import HalfSpectrum
+from torns.spectral import HalfSpectrum, SpectralField
 from tests.oracle import sobolev_norm
 
 # criterion 10's config: small enough that every subcommand runs in seconds
@@ -234,6 +234,18 @@ class TestValidate:
         assert main(["validate", "--config", cfg]) == 1
         assert "N" in capsys.readouterr().err
 
+    def test_u0_outside_the_mask_is_invalid(self, capsys):
+        # validate audits u0 as a run admits it (SimConfig.w0); a shear at j2 = 6, where
+        # 3 j2 >= N, used to pass with "fields: ok"
+        cfg = load_config({"preset": "taylor-green"})
+        cfg.u0.coeffs[0, 0, 6] += 0.1j
+        cfg.u0.coeffs[0, 0, -6 % 16] -= 0.1j
+        code, files, summary = cli._validate(cfg, None, None)
+        assert (code, files) == (cli.EXIT_VALIDATION, None) and "fields: ok" not in summary
+        assert capsys.readouterr().err == (
+            "invalid field: u0: initial data outside the solver's state space: "
+            "content outside the dealias mask: 1.000e-01\n")
+
     def test_mean_mode_is_config_error(self, tmp_path, capsys):
         # a noise on the mode j = [0, 0] used to be dropped and pass with "fields: ok"
         cfg = write_config(tmp_path, {"nu": 1.0, "N": 16, "dt": 1e-3,
@@ -303,7 +315,7 @@ class TestSimulate:
         cfg = load_config(json.dumps(SMALL))
         h = HalfSpectrum(cfg.grid).velocity(cfg.hw)
         v_norm = sobolev_norm(state.u, 0.0)
-        u_norm = sobolev_norm(state.u + state.z * h, 0.0)
+        u_norm = sobolev_norm(SpectralField(cfg.grid, state.u.coeffs + state.z * h.coeffs), 0.0)
         assert abs(u_norm - v_norm) > 1e-3 * v_norm  # the two differ on this config
         assert line.endswith(f"final |v| = {v_norm:.6g}, |u| = |v + h z(T)| = {u_norm:.6g}")
 

@@ -22,7 +22,7 @@ from torns.spectral import (
     random_divfree_field,
 )
 from tests.oracle import sobolev_norm
-from tests.test_dynamics import row as curl
+from tests.test_dynamics import bad_row, row as curl
 
 TWO_PI = 2.0 * np.pi
 
@@ -51,7 +51,7 @@ class TestPullback:
     def test_zero_horizon_returns_initial(self, grid16):
         cfg = cfg_for(grid16)
         v0 = random_divfree_field(grid16, seed=1)
-        ((out,),) = pullback_solve(cfg, [0.0], 1, [v0])
+        ((out,),) = pullback_solve(cfg, [0.0], 1, [curl(v0)])
         # the state holds the row of v0, and its velocity is v0 up to the curl's roundoff
         assert np.array_equal(out.w, spectral.HalfSpectrum(grid16).curl(v0))
         assert np.abs(out.u.coeffs - v0.coeffs).max() <= 1e-15 * np.abs(v0.coeffs).max()
@@ -61,17 +61,17 @@ class TestPullback:
         with pytest.raises(ValueError, match="must be nonempty"):
             pullback_solve(cfg_for(grid16), [1.0], 1, [])
         with pytest.raises(ValueError, match="must be nonempty"):
-            pullback_solve(cfg_for(grid16), [], 1, [random_divfree_field(grid16, seed=1)])
+            pullback_solve(cfg_for(grid16), [], 1, [curl(random_divfree_field(grid16, seed=1))])
 
     @pytest.mark.parametrize("experiment", ["pullback", "smoothing", "absorbing"])
     def test_horizon_not_a_whole_number_of_steps_rejected(self, grid16, experiment, monkeypatch):
         # rejected before any cell steps: stepping (dynamics.ensemble, the one time loop) would fail this test
         monkeypatch.setattr(experiments, "ensemble", None)
         cfg = cfg_for(grid16, dt=0.3)
-        v0 = random_divfree_field(grid16, seed=1)
+        w0 = curl(random_divfree_field(grid16, seed=1))
         run = {
-            "pullback": lambda: pullback_solve(cfg, [0.6, 5.0], 1, [v0]),
-            "smoothing": lambda: measure_smoothing(cfg, v0, deltas=[1e-3], horizons=[0.6, 1.0],
+            "pullback": lambda: pullback_solve(cfg, [0.6, 5.0], 1, [w0]),
+            "smoothing": lambda: measure_smoothing(cfg, w0, deltas=[1e-3], horizons=[0.6, 1.0],
                                                    seeds=[1], directions=("random",)),
             "absorbing": lambda: measure_absorbing(cfg, initial_radii=[1.0], horizons=[0.6, 2.0],
                                                    seed=1),
@@ -79,20 +79,28 @@ class TestPullback:
         with pytest.raises(ValueError, match=r"is not a whole number of steps of dt = 0\.3"):
             run()
 
-    @pytest.mark.parametrize("experiment", ["pullback", "smoothing", "absorbing"])
-    def test_negative_horizon_rejected_before_any_path(self, grid16, experiment, monkeypatch):
+    @pytest.mark.parametrize("experiment, broken", [
+        ("pullback", "horizon"), ("smoothing", "horizon"), ("absorbing", "horizon"),
+        # the rows handed in, admitted before any path as the horizons are
+        ("pullback", "row"), ("smoothing", "row"),
+    ], ids=["pullback", "smoothing", "absorbing", "pullback-row", "smoothing-row"])
+    def test_negative_horizon_rejected_before_any_path(self, grid16, experiment, broken, monkeypatch):
         for name in ("sample_wiener", "pullback_path", "ensemble"):
             monkeypatch.setattr(experiments, name, None)
         cfg = cfg_for(grid16, dt=0.1)
-        v0 = random_divfree_field(grid16, seed=1)
+        w0, horizons = curl(random_divfree_field(grid16, seed=1)), [1.0, -0.5]
+        match = r"horizon must be >= 0, got -0\.5"
+        if broken == "row":
+            w0, horizons = bad_row(w0, "outside"), [1.0]
+            match = "initial row outside the solver's state space: content outside the dealias mask"
         run = {
-            "pullback": lambda: pullback_solve(cfg, [1.0, -0.5], 1, [v0]),
-            "smoothing": lambda: measure_smoothing(cfg, v0, deltas=[1e-3], horizons=[1.0, -0.5],
+            "pullback": lambda: pullback_solve(cfg, horizons, 1, [w0]),
+            "smoothing": lambda: measure_smoothing(cfg, w0, deltas=[1e-3], horizons=horizons,
                                                    seeds=[1], directions=("random",)),
             "absorbing": lambda: measure_absorbing(cfg, initial_radii=[1.0], horizons=[-0.5, 1.0],
                                                    seed=1),
         }[experiment]
-        with pytest.raises(ValueError, match=r"horizon must be >= 0, got -0\.5"):
+        with pytest.raises(ValueError, match=match):
             run()
 
     # N = 16 runs the dense-DFT kernel, N = 50 the FFT kernel, where the two
@@ -103,13 +111,13 @@ class TestPullback:
         g = WaveGrid(TWO_PI, N)
         cfg = cfg_for(g, nu=0.05, dt=2e-3, fw=curl(random_divfree_field(g, seed=4, norm=0.5)),
                       hw=curl(random_divfree_field(g, seed=2, norm=0.05)))
-        family = [random_divfree_field(g, seed=s, norm=1.0) for s in (5, 6, 7)]
+        family = [curl(random_divfree_field(g, seed=s, norm=1.0)) for s in (5, 6, 7)]
         horizons = [0.05, 0.0]
         together = pullback_solve(cfg, horizons, 3, family, threads)
         assert [len(states) for states in together] == [3, 3]
         for horizon, states in zip(horizons, together):
-            for v0, a in zip(family, states):
-                ((b,),) = pullback_solve(cfg, [horizon], 3, [v0])
+            for w0, a in zip(family, states):
+                ((b,),) = pullback_solve(cfg, [horizon], 3, [w0])
                 assert (a.t, a.z) == (b.t, b.z)
                 assert np.array_equal(a.u.coeffs, b.u.coeffs)
         assert all(math.copysign(1.0, a.t) == 1.0 for a in together[1])
@@ -117,7 +125,7 @@ class TestPullback:
     def test_family_blowup_is_its_members_and_raised(self, grid16):
         # dt = 10 puts the explicit advection far outside its stability region
         cfg = cfg_for(grid16, dt=10.0)
-        e = random_divfree_field(grid16, seed=1, norm=1.0)
+        e = curl(random_divfree_field(grid16, seed=1, norm=1.0))
         family = [0.05 * e, 50.0 * e, 0.05 * e]
         (entries,) = pullback_solve(cfg, [1000.0], 5, family)
         assert [isinstance(s, BlowupError) for s in entries] == [False, True, False]
@@ -134,7 +142,7 @@ class TestPullback:
         # f = h = 0, single shear mode: ||v(0)|| = exp(-nu lambda1 t) ||v0||
         cfg = cfg_for(grid16, nu=0.5)
         v0 = sine_shear(grid16, c=1.2)
-        for horizon, (st,) in zip((2.0, 5.0), pullback_solve(cfg, [2.0, 5.0], 3, [v0])):
+        for horizon, (st,) in zip((2.0, 5.0), pullback_solve(cfg, [2.0, 5.0], 3, [curl(v0)])):
             expected = math.exp(-0.5 * horizon) * sobolev_norm(v0, 0.0)
             assert sobolev_norm(st.u, 0.0) == pytest.approx(expected, abs=1e-9)
             assert st.t == pytest.approx(0.0, abs=1e-12)
@@ -142,10 +150,10 @@ class TestPullback:
     def test_noise_window_nesting(self, grid16):
         # every horizon's state at 0 carries the same z(0): one omega
         cfg = cfg_for(grid16, hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
-        v0 = random_divfree_field(grid16, seed=5, norm=1.0)
+        w0 = curl(random_divfree_field(grid16, seed=5, norm=1.0))
         p_short, p_long = pullback_path(1.0, cfg.dt, seed=9), pullback_path(3.0, cfg.dt, seed=9)
         assert np.array_equal(p_short.z, p_long.z[-p_short.n - 1:])
-        assert len({st.z for (st,) in pullback_solve(cfg, [0.0, 1.0, 3.0], 9, [v0])}) == 1
+        assert len({st.z for (st,) in pullback_solve(cfg, [0.0, 1.0, 3.0], 9, [w0])}) == 1
 
     @pytest.mark.parametrize("scheme, bound", [("etd1", 0.0), ("etd2", 1e-5)])
     def test_cocycle(self, scheme, bound):
@@ -153,11 +161,11 @@ class TestPullback:
         # pulling back from -1: bit for bit under etd1; etd2 re-bootstraps at the
         # restart (2.8e-6 measured on decay-noise, seed 7)
         cfg = replace(io.load_config({"preset": "decay-noise"}), scheme=scheme)
-        ((whole,),) = pullback_solve(cfg, [3.0], 7, [cfg.u0])
-        run = trajectory(cfg.u0, cfg, pullback_path(3.0, cfg.dt, 7), steps=round(2.0 / cfg.dt))
+        ((whole,),) = pullback_solve(cfg, [3.0], 7, [cfg.w0])
+        run = trajectory(cfg.w0, cfg, pullback_path(3.0, cfg.dt, 7), steps=round(2.0 / cfg.dt))
         *_, mid = run
         assert mid.t == -1.0  # t0 + n dt, on the path's grid
-        ((rest,),) = pullback_solve(cfg, [1.0], 7, [mid.u])
+        ((rest,),) = pullback_solve(cfg, [1.0], 7, [mid.w])
         assert whole.z == rest.z
         gap = np.abs(whole.u.coeffs - rest.u.coeffs).max() / np.abs(whole.u.coeffs).max()
         assert gap <= bound
@@ -170,7 +178,8 @@ class TestPullback:
         cfg = cfg_for(grid16, hw=curl(h), fw=curl(random_divfree_field(grid16, seed=4, norm=0.2)))
         va = random_divfree_field(grid16, seed=5, norm=1.0)
         vb = random_divfree_field(grid16, seed=6, norm=1.0)
-        gaps = [sobolev_norm(sa.u - sb.u, 0.0) for sa, sb in pullback_solve(cfg, [2.0, 6.0, 14.0], 7, [va, vb])]
+        gaps = [sobolev_norm(SpectralField(grid16, sa.u.coeffs - sb.u.coeffs), 0.0)
+                for sa, sb in pullback_solve(cfg, [2.0, 6.0, 14.0], 7, [curl(va), curl(vb)])]
         assert gaps[1] < gaps[0] and gaps[2] < gaps[1]
         assert gaps[2] < 1e-6
 
@@ -178,8 +187,8 @@ class TestPullback:
 class TestSmoothing:
     def test_zero_delta_row_has_zero_ratio(self, grid16):
         cfg = cfg_for(grid16, hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
-        v0 = random_divfree_field(grid16, seed=1, norm=0.5)
-        rows = measure_smoothing(cfg, v0, deltas=[0.0], horizons=[0.1], seeds=[1],
+        w1 = curl(random_divfree_field(grid16, seed=1, norm=0.5))
+        rows = measure_smoothing(cfg, w1, deltas=[0.0], horizons=[0.1], seeds=[1],
                                  directions=("random",))
         assert rows[0]["ratio"] == 0.0
         assert rows[0]["distT_h2_sq"] == 0.0
@@ -189,8 +198,8 @@ class TestSmoothing:
         # is at most max_k |k|^4 exp(-2 nu |k|^2 T)
         nu, T = 1.0, 0.5
         cfg = cfg_for(grid16, nu=nu, dt=1e-3)
-        v0 = random_divfree_field(grid16, seed=1, norm=1e-6)
-        rows = measure_smoothing(cfg, v0, deltas=[1e-7], horizons=[T], seeds=[1, 2])
+        w1 = curl(random_divfree_field(grid16, seed=1, norm=1e-6))
+        rows = measure_smoothing(cfg, w1, deltas=[1e-7], horizons=[T], seeds=[1, 2])
         k2 = grid16.k2[grid16.k2 > 0]
         bound = float((k2**2 * np.exp(-2 * nu * k2 * T)).max())
         for row in rows:
@@ -200,8 +209,8 @@ class TestSmoothing:
         cfg = cfg_for(grid16, dt=1e-3,
                       fw=curl(random_divfree_field(grid16, seed=4, norm=0.5)),
                       hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
-        v0 = random_divfree_field(grid16, seed=1, norm=1.0)
-        rows = measure_smoothing(cfg, v0, deltas=[1e-2, 1e-3, 1e-4], horizons=[0.5, 1.0],
+        w1 = curl(random_divfree_field(grid16, seed=1, norm=1.0))
+        rows = measure_smoothing(cfg, w1, deltas=[1e-2, 1e-3, 1e-4], horizons=[0.5, 1.0],
                                  seeds=[11], directions=("random", "lowest"))
         for label in ("random", "lowest"):
             for T in (0.5, 1.0):
@@ -211,8 +220,8 @@ class TestSmoothing:
 
     def test_identical_pair_distances_zero(self, grid16):
         cfg = cfg_for(grid16, hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
-        v0 = random_divfree_field(grid16, seed=1, norm=0.5)
-        rows = measure_smoothing(cfg, v0, deltas=[0.0, 1e-3], horizons=[0.2], seeds=[3])
+        w1 = curl(random_divfree_field(grid16, seed=1, norm=0.5))
+        rows = measure_smoothing(cfg, w1, deltas=[0.0, 1e-3], horizons=[0.2], seeds=[3])
         zero_rows = [r for r in rows if r["delta"] == 0.0]
         assert all(r["distT_h2_sq"] == 0.0 for r in zero_rows)
 
@@ -221,10 +230,10 @@ class TestSmoothing:
         # start - w1 with the reader and row subtraction of distT_h2_sq, which at T = 0
         # is the H2 norm of that same difference
         cfg = cfg_for(grid16, hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
-        v0 = random_divfree_field(grid16, seed=1, norm=0.5)
         half = HalfSpectrum(grid16)
-        w1, dw = half.curl(v0), half.curl(random_divfree_field(grid16, 1, norm=1.0, stream=23))
-        rows = measure_smoothing(cfg, v0, deltas=[1e-2, 1e-3, 0.7], horizons=[0.0], seeds=[1],
+        w1, dw = half.curl(random_divfree_field(grid16, seed=1, norm=0.5)), half.curl(
+            random_divfree_field(grid16, 1, norm=1.0, stream=23))
+        rows = measure_smoothing(cfg, w1, deltas=[1e-2, 1e-3, 0.7], horizons=[0.0], seeds=[1],
                                  directions=("random",))
         assert len(rows) == 3
         for row in rows:
@@ -240,7 +249,7 @@ class TestSmoothing:
         # lam = 1/(nu T) = 20, a shell of the N = 16 mask.  Measured at 50
         # steps on all 19 shells: 7.5e-15 (ratio), 4.2e-15 (sup)
         cfg = cfg_for(grid16, nu=nu, dt=T / 50)
-        zero = SpectralField.zero(grid16)
+        zero = curl(SpectralField.zero(grid16))
         shells = np.unique(grid16.k2[grid16.dealias_mask & (grid16.k2 > 0)])
         groups = [((0, f"{lam:g}"), random_divfree_field(
             grid16, 0, profile=lambda k, lam=lam: np.abs(k * k - lam) < 1e-9)) for lam in shells]
@@ -256,8 +265,8 @@ class TestSmoothing:
     def test_every_horizon_has_a_row(self, grid16):
         # a horizon below half a step compares the initial pair
         cfg = cfg_for(grid16, hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
-        v0 = random_divfree_field(grid16, seed=1, norm=0.5)
-        rows = measure_smoothing(cfg, v0, deltas=[1e-3], horizons=[0.0, 0.1], seeds=[1],
+        w1 = curl(random_divfree_field(grid16, seed=1, norm=0.5))
+        rows = measure_smoothing(cfg, w1, deltas=[1e-3], horizons=[0.0, 0.1], seeds=[1],
                                  directions=("random",))
         assert [r["T"] for r in rows] == [0.0, 0.1]
         assert all(r["error"] == "" and r["distT_h2_sq"] > 0.0 for r in rows)
@@ -269,14 +278,14 @@ class TestSmoothing:
             monkeypatch.setattr(experiments, fn, None)
         kw = dict(deltas=[1e-3], horizons=[0.1], seeds=[1], directions=("random",))
         with pytest.raises(ValueError, match=f"{name} must be nonempty"):
-            measure_smoothing(cfg_for(grid16), SpectralField.zero(grid16), **{**kw, name: []})
+            measure_smoothing(cfg_for(grid16), curl(SpectralField.zero(grid16)), **{**kw, name: []})
 
     def test_horizons_on_one_step_each_get_their_rows(self, grid16):
         cfg = cfg_for(grid16, dt=1e-2, hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
-        v0 = random_divfree_field(grid16, seed=1, norm=0.5)
+        w1 = curl(random_divfree_field(grid16, seed=1, norm=0.5))
         kw = dict(deltas=[1e-3], seeds=[1], directions=("random",))
-        one = measure_smoothing(cfg, v0, horizons=[0.1], **kw)
-        both = measure_smoothing(cfg, v0, horizons=[0.1, 0.1 + 1e-12], **kw)
+        one = measure_smoothing(cfg, w1, horizons=[0.1], **kw)
+        both = measure_smoothing(cfg, w1, horizons=[0.1, 0.1 + 1e-12], **kw)
         assert [r["T"] for r in both] == [0.1, 0.1 + 1e-12]
         assert both == [one[0], {**one[0], "T": 0.1 + 1e-12}] and one[0]["error"] == ""
 
@@ -285,49 +294,49 @@ class TestSmoothing:
     def test_zero_horizons_alone_give_the_initial_rows(self, N):
         g = WaveGrid(TWO_PI, N)
         cfg = cfg_for(g, hw=curl(random_divfree_field(g, seed=2, norm=0.3)))
-        v0 = random_divfree_field(g, seed=1, norm=0.5)
+        w1 = curl(random_divfree_field(g, seed=1, norm=0.5))
         kw = dict(deltas=[1e-3, 0.0], seeds=[1, 2])
-        rows = measure_smoothing(cfg, v0, horizons=[0.0], **kw)
-        assert rows == [r for r in measure_smoothing(cfg, v0, horizons=[0.0, 0.1], **kw) if r["T"] == 0.0]
+        rows = measure_smoothing(cfg, w1, horizons=[0.0], **kw)
+        assert rows == [r for r in measure_smoothing(cfg, w1, horizons=[0.0, 0.1], **kw) if r["T"] == 0.0]
         assert len(rows) == 2 * 2 * 2 and all(r["error"] == "" for r in rows)
 
     @pytest.mark.parametrize("N", [16, 50])
     def test_duplicate_seeds_and_directions_are_one_group(self, N):
         g = WaveGrid(TWO_PI, N)
         cfg = cfg_for(g, hw=curl(random_divfree_field(g, seed=2, norm=0.3)))
-        v0 = random_divfree_field(g, seed=1, norm=0.5)
+        w1 = curl(random_divfree_field(g, seed=1, norm=0.5))
         kw = dict(deltas=[1e-3], horizons=[0.1])
-        rows = measure_smoothing(cfg, v0, seeds=[2, 1, 2], directions=("random", "lowest", "random"), **kw)
+        rows = measure_smoothing(cfg, w1, seeds=[2, 1, 2], directions=("random", "lowest", "random"), **kw)
         assert [(r["seed"], r["direction"]) for r in rows] == [
             (1, "lowest"), (1, "random"), (2, "lowest"), (2, "random")]
-        assert rows == measure_smoothing(cfg, v0, seeds=[1, 2], **kw)
+        assert rows == measure_smoothing(cfg, w1, seeds=[1, 2], **kw)
 
     def test_h_zero_runs_deterministic_members_with_no_path(self, grid16, monkeypatch):
         # h = 0: the conjugated system is the deterministic one bit for bit, so no path is drawn
         cfg = cfg_for(grid16, fw=curl(random_divfree_field(grid16, seed=3, norm=0.5)))
-        v0 = random_divfree_field(grid16, seed=1, norm=0.5)
+        w1 = curl(random_divfree_field(grid16, seed=1, norm=0.5))
         kw = dict(deltas=[1e-3, 1e-4], horizons=[0.1, 0.2], seeds=[1, 2])
         calls, sample_wiener = [], experiments.sample_wiener
         monkeypatch.setattr(experiments, "sample_wiener", lambda *a, **k: calls.append(a) or sample_wiener(*a, **k))
-        rows = measure_smoothing(cfg, v0, **kw)
+        rows = measure_smoothing(cfg, w1, **kw)
         assert calls == []
         monkeypatch.setattr(SimConfig, "noisy", property(lambda self: True))
-        assert measure_smoothing(cfg, v0, **kw) == rows and len(calls) == 2
+        assert measure_smoothing(cfg, w1, **kw) == rows and len(calls) == 2
 
     def test_thread_count_invariance(self, grid16):
         cfg = cfg_for(grid16, hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
-        v0 = random_divfree_field(grid16, seed=1, norm=0.5)
+        w1 = curl(random_divfree_field(grid16, seed=1, norm=0.5))
         kw = dict(deltas=[1e-3, 1e-4], horizons=[0.2], seeds=[1, 2])
-        a = measure_smoothing(cfg, v0, threads=1, **kw)
-        b = measure_smoothing(cfg, v0, threads=4, **kw)
+        a = measure_smoothing(cfg, w1, threads=1, **kw)
+        b = measure_smoothing(cfg, w1, threads=4, **kw)
         assert a == b
 
 
     def test_base_blowup_gives_error_rows(self, grid16):
         # dt = 10 puts the explicit advection far outside its stability region
         cfg = cfg_for(grid16, dt=10.0)
-        v0 = random_divfree_field(grid16, seed=1, norm=50.0)
-        rows = measure_smoothing(cfg, v0, deltas=[1e-2, 1e-3], horizons=[500.0, 1000.0],
+        w1 = curl(random_divfree_field(grid16, seed=1, norm=50.0))
+        rows = measure_smoothing(cfg, w1, deltas=[1e-2, 1e-3], horizons=[500.0, 1000.0],
                                  seeds=[1], directions=("random",))
         assert [(r["delta"], r["T"]) for r in rows] == [
             (1e-2, 500.0), (1e-2, 1000.0), (1e-3, 500.0), (1e-3, 1000.0)]
@@ -336,7 +345,7 @@ class TestSmoothing:
     def test_perturbed_blowup_gives_error_rows(self, grid16):
         # the base stays at rest; only the large perturbation blows up
         cfg = cfg_for(grid16, dt=10.0)
-        rows = measure_smoothing(cfg, SpectralField.zero(grid16), deltas=[1e-6, 50.0],
+        rows = measure_smoothing(cfg, curl(SpectralField.zero(grid16)), deltas=[1e-6, 50.0],
                                  horizons=[500.0, 1000.0], seeds=[1], directions=("random",))
         good = [r for r in rows if r["delta"] == 1e-6]
         bad = [r for r in rows if r["delta"] == 50.0]
@@ -348,12 +357,12 @@ class TestSmoothing:
         # four groups in one ensemble: the delta-50 members of the random groups
         # blow up at step 9, between the horizons; the lowest shell only decays
         cfg = cfg_for(grid16, dt=10.0)
-        v0, kw = SpectralField.zero(grid16), dict(deltas=[1e-6, 50.0], horizons=[20.0, 1000.0])
-        rows = measure_smoothing(cfg, v0, seeds=[1, 2], **kw)
+        w1, kw = curl(SpectralField.zero(grid16)), dict(deltas=[1e-6, 50.0], horizons=[20.0, 1000.0])
+        rows = measure_smoothing(cfg, w1, seeds=[1, 2], **kw)
         for seed in (1, 2):
             for label in ("lowest", "random"):
                 group = [r for r in rows if (r["seed"], r["direction"]) == (seed, label)]
-                alone = measure_smoothing(cfg, v0, seeds=[seed], directions=(label,), **kw)
+                alone = measure_smoothing(cfg, w1, seeds=[seed], directions=(label,), **kw)
                 if label == "lowest":
                     assert group == alone and all(r["error"] == "" for r in group)
                 else:  # repr: the error rows hold NaN
@@ -498,9 +507,9 @@ class TestRunner:
     def run_all(grid, threads):
         dt = 2.0**-5
         cfg = cfg_for(grid, dt=dt, hw=curl(random_divfree_field(grid, seed=2, norm=0.3)))
-        v0 = random_divfree_field(grid, seed=1, norm=0.5)
+        w1 = curl(random_divfree_field(grid, seed=1, norm=0.5))
         return [
-            measure_smoothing(cfg, v0, deltas=[1e-3], horizons=[dt, 2 * dt], seeds=[1, 2],
+            measure_smoothing(cfg, w1, deltas=[1e-3], horizons=[dt, 2 * dt], seeds=[1, 2],
                               threads=threads),
             measure_absorbing(cfg, initial_radii=[1.0, 2.0], horizons=[dt, 2 * dt], seed=5,
                               threads=threads),

@@ -258,15 +258,17 @@ class TestCheckpoint:
             read_checkpoint(p)
 
     @pytest.mark.parametrize("offset, fmt, value, message", [
-        # the header's N: an N = 8 row is 384 bytes, N = 6 needs 192 and N = 0 none
+        # the header's N: an N = 8 row is 384 bytes, N = 6 needs 192; no grid takes N = 0
         (8, "<I", 6, r"payload of 384 bytes does not match N = 6 \(192 bytes\)"),
-        (8, "<I", 0, r"payload of 384 bytes does not match N = 0 \(0 bytes\)"),
+        (8, "<I", 0, r"size\.trns: N must be >= 4, got 0"),
         (8, "<I", 10, r"truncated payload \(384 of 640 bytes\)"),
+        # an N whose grid alone would take gigabytes, refused before it is built
+        (8, "<I", 2**20, r"truncated payload \(384 bytes for N = 1048576\)"),
         # the header's record of the payload length
         (44, "<Q", 392, r"payload of 392 bytes does not match N = 8 \(384 bytes\)"),
         # the payload cut by one value
         (None, None, None, r"truncated payload \(368 of 384 bytes\)"),
-    ], ids=["N=6", "N=0", "N=10", "length", "cut"])
+    ], ids=["N=6", "N=0", "N=10", "N=2^20", "length", "cut"])
     def test_size_mismatch_names_its_fault(self, tmp_path, offset, fmt, value, message):
         # each used to read "truncated payload", with the bytes of the payload against those of N
         p = tmp_path / "size.trns"
@@ -279,6 +281,21 @@ class TestCheckpoint:
         p.write_bytes(bytes(data))
         with pytest.raises(ValueError, match=message):
             read_checkpoint(p)
+
+    @pytest.mark.parametrize("N, problem", [(0, "N must be >= 4, got 0"), (2, "N must be >= 4, got 2"),
+                                            (3, "N must be >= 4, got 3"), (5, "N must be even, got 5")],
+                             ids=["N=0", "N=2", "N=3", "N=5"])
+    def test_header_N_that_no_grid_takes_names_the_path(self, tmp_path, N, problem):
+        # a payload of the size N K would have, K = (N-1)//3 + 1; N = 0 used to raise numpy's
+        # reshape error, and each of these used to drop the path
+        p = tmp_path / "grid.trns"
+        write_checkpoint(state_of(0.0, random_divfree_field(WaveGrid(TWO_PI, 8), seed=1)), p, nu=1.0)
+        hdr = tio._parse_header(p.read_bytes(), p)
+        size = N * ((N - 1) // 3 + 1) * 16
+        p.write_bytes(tio._HEADER.pack(*hdr._replace(N=N, payload_len=size)) + bytes(size))
+        with pytest.raises(ValueError) as exc:
+            read_checkpoint(p)
+        assert str(exc.value) == f"{p}: {problem}"
 
     def test_truncation_detected(self, tmp_path):
         p = tmp_path / "trunc.trns"
@@ -328,8 +345,8 @@ class TestCheckpoint:
         cfg = replace(load_config({"preset": "decay-noise"}), scheme="etd1")
         ou = ou_from_wiener(sample_wiener(0.0, 0.4, cfg.dt, seed=3))
         cut = 150
-        *_, mid = trajectory(cfg.u0, cfg, ou, steps=cut)
-        *_, last = trajectory(cfg.u0, cfg, ou)
+        *_, mid = trajectory(cfg.w0, cfg, ou, steps=cut)
+        *_, last = trajectory(cfg.w0, cfg, ou)
         p = tmp_path / "cut.trns"
         write_checkpoint(mid, p, nu=cfg.nu)
         back = read_checkpoint(p)

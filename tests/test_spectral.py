@@ -9,7 +9,6 @@ from torns.spectral import (
     HalfSpectrum,
     SpectralField,
     WaveGrid,
-    divergence,
     field_violations,
     grad_linf,
     leray_project,
@@ -17,7 +16,7 @@ from torns.spectral import (
     random_divfree_field,
     vorticity_advection,
 )
-from tests.oracle import apply_stokes_power, inner, sobolev_norm
+from tests.oracle import apply_stokes_power, divergence, inner, sobolev_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -93,11 +92,14 @@ class TestWaveGrid:
 
 class TestSpectralField:
     def test_grid_mismatch(self):
+        # a field has no arithmetic; the one operation on two of them checks their grids
         u = random_divfree_field(WaveGrid(TWO_PI, 8), seed=1)
         v = random_divfree_field(WaveGrid(TWO_PI, 16), seed=2)
-        for op in (lambda: u + v, lambda: u - v):
+        for a, b in ((u, v), (v, u)):
             with pytest.raises(ValueError, match="grid mismatch"):
-                op()
+                nonlinear_term(a, b)
+        with pytest.raises(TypeError):
+            u + u
 
 
 class TestLerayProjection:
@@ -412,7 +414,7 @@ class TestVorticityAdvection:
         g = WaveGrid(TWO_PI, N)
         half = HalfSpectrum(g)
         work = AdvectionWorkspace(half)
-        v = single_mode(g, 0, 0, 1, -0.5j) + single_mode(g, 0, 0, 3, 0.2 + 0.1j)
+        v = SpectralField(g, single_mode(g, 0, 0, 1, -0.5j).coeffs + single_mode(g, 0, 0, 3, 0.2 + 0.1j).coeffs)
         hw = half.curl(single_mode(g, 0, 0, 2, 0.3j))
         for z in (0.0, 0.7, -1.3):
             w = np.add(half.curl(v), np.multiply(z, hw))
@@ -536,6 +538,11 @@ class TestFieldViolations:
         c[0, 1, 0] = 1.0
         c[0, -1 % 8, 0] = 1.0
         assert any("divergence" in v for v in field_violations(SpectralField(g, c)))
+
+    def test_detects_content_outside_the_mask(self):
+        # a shear at j2 = 3, where 3 j2 >= N: real, zero-mean and divergence-free
+        g = WaveGrid(TWO_PI, 8)
+        assert field_violations(single_mode(g, 0, 0, 3, 0.5j)) == ["content outside the dealias mask: 5.000e-01"]
 
     def test_detects_hermitian_breakage(self):
         g = WaveGrid(TWO_PI, 8)
