@@ -51,13 +51,15 @@ read, for callers of the public API only.
 
 State space: w represents exactly the zero-mean, divergence-free velocity
 fields with no modes |j2| >= K, and the two forms of B agree only inside the
-dealias mask.  So SimConfig holds f and h as rows audited to that space
-(io.load_config curls the velocities a config spec builds), and every entry
-point but integrate takes rows, audited to the same 1e-13 relative bound
-(HalfSpectrum.admit).  A velocity enters only at integrate and SimConfig.w0,
-the row of the config's u0: it is checked once there for a nonzero mean, a
-divergence or content outside the mask (spectral.field_violations), and
-curled; what it holds in the columns |j2| >= K is dropped."""
+dealias mask.  So SimConfig holds f, h and the initial data as rows audited
+to that space, every field is built as a row (taylor_green,
+manufactured_forcing, spectral.random_row and io's mode lists), and every
+entry point but integrate takes rows, audited to the same 1e-13 relative
+bound (HalfSpectrum.admit).  A velocity enters only at integrate, whose
+callers pass SimConfig.u0, the velocity of w0: it is checked once there for
+a nonzero mean, a divergence or content outside the mask
+(spectral.field_violations), and curled; what it holds in the columns
+|j2| >= K is dropped."""
 
 from __future__ import annotations
 
@@ -155,13 +157,14 @@ def check_assumption(hw: np.ndarray, nu: float, grid: WaveGrid) -> AssumptionRep
 
 @dataclass
 class SimConfig:
-    """Solver configuration: viscosity, grid, step and the rows fw = curl f and hw = curl h.
+    """Solver configuration: viscosity, grid, step and the rows fw = curl f, hw = curl h and w0.
 
-    fw and hw, the (N, K) vorticity rows of the forcing and the noise
-    intensity, are audited (HalfSpectrum.violations) when the config is
-    built, so h lies inside the dealias mask (for h in H^3, with every A^p h
-    exactly computable).  u0 optionally carries initial velocity attached by
-    a config preset, and w0 is its row, checked and curled on the first read.
+    fw, hw and the optional initial row w0 are (N, K) vorticity rows of
+    the forcing, the noise intensity and the initial data, audited
+    (HalfSpectrum.admit) when the config is built, so h lies inside the
+    dealias mask (for h in H^3, with every A^p h exactly computable); nu,
+    dt and t_end must be positive and finite.  u0 is the velocity of w0,
+    built on the first read for the callers of integrate.
     assumption is h's admissibility report, computed by check_assumption on
     the first read; noisy tells whether h is nonzero.
     """
@@ -175,18 +178,18 @@ class SimConfig:
     seed: int = 0
     stride: int = 10
     t_end: float = 1.0
-    u0: SpectralField | None = None
+    w0: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.nu > 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        for name in ("nu", "dt", "t_end"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if operator.index(self.stride) < 1:  # a float stride raises TypeError
             raise ValueError(f"stride must be >= 1, got {self.stride}")
-        for name in ("fw", "hw"):
+        for name in ("fw", "hw") if self.w0 is None else ("fw", "hw", "w0"):
             _half_spectrum(self.grid).admit(getattr(self, name), name)
 
     @functools.cached_property
@@ -194,11 +197,11 @@ class SimConfig:
         return check_assumption(self.hw, self.nu, self.grid)
 
     @functools.cached_property
-    def w0(self) -> np.ndarray:
-        """The row of u0 (_check_initial); ValueError when u0 is absent, off the grid or outside the state space."""
-        if self.u0 is None:
-            raise ValueError("the config carries no initial velocity u0")
-        return _check_initial(self.u0, self)
+    def u0(self) -> SpectralField:
+        """The velocity of w0, for integrate; ValueError when the config carries no w0."""
+        if self.w0 is None:
+            raise ValueError("the config carries no initial row w0")
+        return _half_spectrum(self.grid).velocity(self.w0)
 
     @property
     def noisy(self) -> bool:
@@ -531,26 +534,26 @@ def integrate(
     return state, rows
 
 
-def taylor_green(t: float, nu: float, grid: WaveGrid) -> SpectralField:
-    """Decaying Taylor-Green vortex e^{-2 nu lambda_1 t} (cos kx sin ky, -sin kx cos ky), k = 2 pi / L.
+def taylor_green(t: float, nu: float, grid: WaveGrid) -> np.ndarray:
+    """Row of the decaying Taylor-Green vortex e^{-2 nu lambda_1 t} (cos kx sin ky, -sin kx cos ky), k = 2 pi / L.
 
     Exact solution of the unforced equations on every square torus: the
     advection term is a pure gradient, annihilated by the Leray projection.
-    Built in closed form as its four modes j = (+-1, +-1), each with
-    a = e^{-2 nu lambda_1 t} / 4, u_1 = -i j_2 a and u_2 = i j_1 a.
+    Its velocity has the four modes j = (+-1, +-1), each with
+    a = e^{-2 nu lambda_1 t} / 4, u_1 = -i j_2 a and u_2 = i j_1 a, so its
+    (N, K) row holds -2 k a at j = (+-1, 1), the masked columns' share.
     """
-    a = math.exp(-2.0 * nu * grid.lambda1 * t) / 4.0
-    coeffs = np.zeros((2, grid.N, grid.N), dtype=np.complex128)
-    for j1 in (1, -1):
-        for j2 in (1, -1):
-            coeffs[:, j1, j2] = -1j * j2 * a, 1j * j1 * a
-    return SpectralField(grid, coeffs)
+    w = np.zeros((grid.N, _half_spectrum(grid).K), dtype=np.complex128)
+    w[[1, -1], 1] = -2.0 * grid.ky[0, 1] * (math.exp(-2.0 * nu * grid.lambda1 * t) / 4.0)
+    return w
 
 
-def manufactured_forcing(u0: SpectralField, nu: float) -> SpectralField:
-    """f = nu A u0 + B(u0, u0) as the velocity of its row nu k^2 w0 + curl B, so that u0 is a
-    steady state of the deterministic system under the stepper's own vorticity_advection."""
-    half = _half_spectrum(u0.grid)
-    w0 = half.curl(u0)
+def manufactured_forcing(w0: np.ndarray, nu: float, grid: WaveGrid) -> np.ndarray:
+    """The row nu k^2 w0 + curl B of f = nu A u0 + B(u0, u0), u0 the velocity of the row w0.
+
+    So w0 is a steady state of the deterministic system under the
+    stepper's own vorticity_advection.
+    """
+    half = _half_spectrum(grid)
     advection = spectral.vorticity_advection(w0, half, spectral.AdvectionWorkspace(half))
-    return half.velocity(nu * half.k2 * w0 + advection)
+    return nu * half.k2 * w0 + advection

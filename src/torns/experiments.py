@@ -23,13 +23,13 @@ through one runner, _run_ensembles: the family of each pullback horizon
 paths, and all of smoothing's base and perturbed members, each (seed,
 direction) on the OU path of its seed.  The ensembles start from rows:
 pullback_solve and measure_smoothing take (N, K) vorticity rows, as
-dynamics.ensemble does, a drawn direction is curled once, and each start
-built here is a sum of rows (absorbing's r curl e, smoothing's w1 + delta
-dw, convergence's w0 + z(0) curl h).  Each member has the bits of its own
-one-member run, so reports are bit-reproducible for any worker count.  On
-dense-DFT grids an ensemble is one block on the calling thread; on FFT
-grids it splits into sub-blocks within a byte budget, and `threads` bounds
-the workers that run them.
+dynamics.ensemble does, every direction and start drawn here is drawn as
+a row (spectral.random_row), and each start built here is a sum of rows
+(absorbing's r e, smoothing's w1 + delta dw, convergence's w0 + z(0) hw).
+Each member has the bits of its own one-member run, so reports are
+bit-reproducible for any worker count.  On dense-DFT grids an ensemble is
+one block on the calling thread; on FFT grids it splits into sub-blocks
+within a byte budget, and `threads` bounds the workers that run them.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .noise import (
     sample_wiener,
 )
 from . import spectral
-from .spectral import random_divfree_field
+from .spectral import random_row
 
 __all__ = [
     "pullback_solve",
@@ -147,9 +147,9 @@ def pullback_solve(cfg: SimConfig, horizons: list[float], seed: int, w0s: list,
 def _smoothing_rows(cfg, w1, groups, deltas, horizons, threads):
     """The groups as one ensemble; one row per (group, delta, T), in the order of groups.
 
-    A group ((seed, label), direction) is the base row w1, admitted before
+    A group ((seed, label), dw) is the base row w1, admitted before
     any path is drawn, and the perturbed starts w1 + delta * dw, dw the
-    direction curled once, on the OU path of seed (no path, the deterministic system,
+    direction's row, on the OU path of seed (no path, the deterministic system,
     when h is zero or every horizon is 0).  dist0 is the H norm of start - w1,
     read as distT_h2_sq is.  A blowup gives error rows: for every (delta, T)
     of a group when its base blows up, and for the horizons not yet reached
@@ -164,8 +164,7 @@ def _smoothing_rows(cfg, w1, groups, deltas, horizons, threads):
     k = 1 + len(deltas)
     paths = [ous.get(seed) for (seed, _), _ in groups for _ in range(k)]
     starts, dist0 = [], []  # member g k is group g's base, g k + 1 + i its start w1 + deltas[i] dw
-    for _, d in groups:
-        dw = half.curl(d)
+    for _, dw in groups:
         perturbed = [w1 + delta * dw for delta in deltas]
         starts += [w1, *perturbed]
         dist0.append([float(half.norms(w - w1)[0]) for w in perturbed])
@@ -195,7 +194,7 @@ def measure_smoothing(
 ) -> list[dict]:
     """Measured (H, H^2)-smoothing ratios for perturbation pairs sharing one noise path, from the row w1.
 
-    Directions: "random" draws a unit divergence-free field per seed; "lowest"
+    Directions: "random" draws the row of a unit divergence-free field per seed; "lowest"
     puts it on the lowest shell, whose linear ratio lam^2 e^{-2 nu lam T} is the sup over shells only
     from T ~ 1/(nu lambda_1) (decay-noise, T = 0.01: "lowest" 0.983, "random" 67.6, sup 1353.4).
     Rows (seed, direction, delta, T, dist0, distT_h2_sq, ratio = distT_h2_sq /
@@ -209,17 +208,18 @@ def measure_smoothing(
         if not values:
             raise ValueError(f"{name} must be nonempty")
     horizons = sorted(horizons)
+    half = _half_spectrum(cfg.grid)
     fields = {}
     for seed in seeds:
         for label in directions:
             if label == "random":
-                d = random_divfree_field(cfg.grid, seed, norm=1.0, stream=23)
+                dw = random_row(half, seed, norm=1.0, stream=23)
             elif label == "lowest":
-                d = random_divfree_field(cfg.grid, seed, norm=1.0, stream=24,
-                                         profile=lambda k: np.where(np.abs(k - _kmin(cfg)) < 1e-9, 1.0, 0.0))
+                dw = random_row(half, seed, norm=1.0, stream=24,
+                                profile=lambda k: np.where(np.abs(k - _kmin(cfg)) < 1e-9, 1.0, 0.0))
             else:
                 raise ValueError(f"unknown direction {label!r}")
-            fields[seed, label] = d
+            fields[seed, label] = dw
     # by (seed, label); a duplicate is one group
     return _smoothing_rows(cfg, w1, sorted(fields.items()), deltas, horizons, threads)
 
@@ -242,14 +242,14 @@ def measure_absorbing(
     seed: int,
     threads: int = 1,
 ) -> list[dict]:
-    """Pullback the rows {radius * curl e : radius in initial_radii}, e one fixed unit direction, per horizon.
+    """Pullback the rows {radius * e : radius in initial_radii}, e the row of one fixed unit direction, per horizon.
 
     Rows (radius, horizon, the NORMS columns, error) per distinct (radius, horizon)
     in increasing order; a member that blows up gets NaN norms and its error.
     """
-    ew = _half_spectrum(cfg.grid).curl(random_divfree_field(cfg.grid, 99, norm=1.0, stream=29))
+    e = random_row(_half_spectrum(cfg.grid), 99, norm=1.0, stream=29)
     radii, hs = sorted(set(initial_radii)), sorted(set(horizons))
-    family = [r * ew for r in radii]
+    family = [r * e for r in radii]
     runs = pullback_solve(cfg, hs, seed, family, threads)
     return [{"radius": radius, "horizon": h, **_norms(states[i])}
             for i, radius in enumerate(radii) for h, states in zip(hs, runs)]
@@ -291,8 +291,8 @@ def conjugation_convergence(
     Both solvers share the Brownian increments at each level; z is the OU
     process of those increments with a level-independent stationary z_0.  The
     strong error at each level is the ensemble mean over `paths` independent
-    Wiener paths; v0 is drawn and curled once, from the config seed, and each
-    Ito member starts at its row plus z(0) curl h.  Rows (level, dt,
+    Wiener paths; the row w0 of v(0) is drawn once, from the config seed, and each
+    Ito member starts at w0 plus z(0) curl h.  Rows (level, dt,
     strong_error, ratio to the next level, its log2 order; "" on the last).  A
     blowup raises: benchmarks/reference.json pins these five columns, no `error`.
     """
@@ -300,9 +300,8 @@ def conjugation_convergence(
         raise ValueError(f"need at least 3 levels, got {levels}")
     if paths < 1:
         raise ValueError(f"need at least 1 path, got {paths}")
-    v0 = random_divfree_field(cfg.grid, cfg.seed, norm=1.0, stream=31)
-    half = _half_spectrum(cfg.grid)
-    w0, hw = half.curl(v0), cfg.hw  # curl h: v + h z on the vorticity block
+    w0 = random_row(_half_spectrum(cfg.grid), cfg.seed, norm=1.0, stream=31)
+    hw = cfg.hw  # curl h: v + h z on the vorticity block
     wieners = [sample_wiener(0.0, T, base_dt, seed=seed + m) for m in range(paths)]
     errs = np.empty((paths, levels))
     failed = {}  # (path, level, system) -> its BlowupError, OU system 0, Wiener 1

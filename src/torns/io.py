@@ -2,7 +2,8 @@
 
 Formats:
 
-* config -- JSON (documented schema below, see load_config);
+* config -- JSON (documented schema below, see load_config), whose field
+  specs are built as (N, K) vorticity rows, the form SimConfig holds;
 * CSV -- a header of column names, then one line per row (write_rows_csv,
   whose rows are dicts: the first row's keys are the header); floats are
   written with repr (shortest round-trip), so identical runs give
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import SimConfig, State, _half_spectrum, taylor_green, manufactured_forcing
-from .spectral import SpectralField, WaveGrid, leray_project, random_divfree_field
+from .spectral import HalfSpectrum, WaveGrid, random_row
 
 __all__ = [
     "ConfigError",
@@ -109,16 +110,20 @@ def _require(raw: dict, field: str, types, check=None, msg: str = ""):
     return v
 
 
-def _field_from_modes(grid: WaveGrid, modes: list, path: str) -> SpectralField:
-    """Sparse mode list -> Hermitian-symmetrized, Leray-projected field.
+def _field_from_modes(half: HalfSpectrum, modes: list, path: str) -> np.ndarray:
+    """Sparse mode list -> the (N, K) vorticity row of its real, divergence-free part.
 
     Each entry: {"j": [jx, jy], "u": [re, im], "v": [re, im]} giving the
     coefficients of both velocity components at lattice mode j != [0, 0], inside
     the dealias mask (3|j| < N per direction): the solver's state space.
-    The conjugate is added at -j, so the physical field is real.
+    Half its curl i (kx v - ky u) is added at j and the conjugate at -j,
+    each where its column is one of the row's 0..K-1, so the physical field
+    is real; the curl drops the entry's gradient part, as a Leray
+    projection would.
     """
+    grid = half.grid
     N = grid.N
-    coeffs = np.zeros((2, N, N), dtype=np.complex128)
+    w = np.zeros((N, half.K), dtype=np.complex128)
     for i, entry in enumerate(modes):
         here = f"{path}[{i}]"
         if not isinstance(entry, dict):
@@ -129,22 +134,24 @@ def _field_from_modes(grid: WaveGrid, modes: list, path: str) -> SpectralField:
                 or not all(isinstance(a, int) and not isinstance(a, bool) for a in j)):
             raise ConfigError(f"{here}.j", "expected a pair of integers")
         jx, jy = j
-        half = N // 2
-        if not (-half < jx <= half and -half < jy <= half):
+        if not (-N // 2 < jx <= N // 2 and -N // 2 < jy <= N // 2):
             raise ConfigError(f"{here}.j", f"mode {j} outside the lattice for N={N}")
         if not grid.dealias_mask[jx % N, jy % N]:
             raise ConfigError(f"{here}.j", f"mode {j} outside the dealias mask 3|j| < N for N={N}")
         if jx == jy == 0:
             raise ConfigError(f"{here}.j", "mode [0, 0] is the mean, which lies outside the state space")
-        for comp, key in ((0, "u"), (1, "v")):
+        c = 0j  # half the curl, -i ky u + i kx v
+        for key, ik in (("u", -1j * grid.ky[0, jy % N]), ("v", 1j * grid.kx[jx % N, 0])):
             val = entry.get(key, [0.0, 0.0])
             if (not isinstance(val, list) or len(val) != 2 or not all(
                     isinstance(a, (int, float)) and not isinstance(a, bool) and _finite(a) for a in val)):
                 raise ConfigError(f"{here}.{key}", f"expected [re, im], two finite numbers, got {val!r}")
-            c = complex(float(val[0]), float(val[1]))
-            coeffs[comp, jx % N, jy % N] += 0.5 * c
-            coeffs[comp, (-jx) % N, (-jy) % N] += 0.5 * c.conjugate()
-    return leray_project(SpectralField(grid, coeffs))
+            c += ik * (0.5 * complex(float(val[0]), float(val[1])))
+        if jy >= 0:
+            w[jx % N, jy] += c
+        if jy <= 0:
+            w[-jx % N, -jy] += c.conjugate()
+    return w
 
 
 def _finite(v) -> bool:
@@ -169,30 +176,30 @@ def _preset_params(spec: dict, path: str) -> tuple[float, int]:
     return float(norm), seed
 
 
-def _build_field(grid: WaveGrid, spec: dict, path: str, nu: float) -> SpectralField:
-    """The field of one role, `path`: "forcing", "noise" or "initial"."""
+def _build_field(half: HalfSpectrum, spec: dict, path: str, nu: float) -> np.ndarray:
+    """The (N, K) vorticity row of one role, `path`: "forcing", "noise" or "initial"."""
     if not isinstance(spec, dict):
         raise ConfigError(path, "expected an object")
     if "modes" in spec:
         _known_keys(spec, ("modes",), f"{path}.")
-        return _field_from_modes(grid, _require(spec, "modes", list), f"{path}.modes")
+        return _field_from_modes(half, _require(spec, "modes", list), f"{path}.modes")
     preset = spec.get("preset", "zero")
     if not isinstance(preset, str) or preset not in _SPEC_KEYS:
         raise ConfigError(f"{path}.preset", f"unknown preset {preset!r}")
     _known_keys(spec, _SPEC_KEYS[preset], f"{path}.")
     if preset == "zero":
-        return SpectralField.zero(grid)
+        return np.zeros((half.grid.N, half.K), dtype=np.complex128)
     if preset == "random":
         norm, seed = _preset_params(spec, path)
-        return random_divfree_field(grid, seed, norm=norm)
+        return random_row(half, seed, norm=norm)
     if preset == "taylor-green":
         if path != "initial":
             raise ConfigError(f"{path}.preset", "taylor-green preset is only valid for initial data")
-        return taylor_green(0.0, nu, grid)
+        return taylor_green(0.0, nu, half.grid)
     if path != "forcing":  # manufactured
         raise ConfigError(f"{path}.preset", "manufactured preset is only valid for forcing")
     norm, seed = _preset_params(spec, path)
-    return manufactured_forcing(random_divfree_field(grid, seed, norm=norm), nu)
+    return manufactured_forcing(random_row(half, seed, norm=norm), nu, half.grid)
 
 
 def normalize_config(raw: dict | str) -> dict:
@@ -228,8 +235,8 @@ def load_config(raw: dict | str) -> SimConfig:
     scheme, seed, stride, t_end (finite, > 0), preset, forcing, noise, initial.
     A top-level "preset" fills unset keys ("taylor-green", "decay-noise").
     forcing/noise/initial are {"preset": ...} or {"modes": [...]} objects
-    (see _field_from_modes).  Each is built as a velocity; SimConfig gets
-    the rows curl f and curl h, and u0 as it is.  An inadmissible h is not
+    (see _field_from_modes).  Each is built as its (N, K) vorticity row, and
+    SimConfig gets them as fw, hw and w0.  An inadmissible h is not
     rejected: the config's admissibility report (SimConfig.assumption,
     computed on its first read) carries the violation as a warning.
     """
@@ -244,13 +251,12 @@ def load_config(raw: dict | str) -> SimConfig:
     stride = _require(merged, "stride", int, lambda v: v >= 1, "must be >= 1")
     t_end = _require(merged, "t_end", (int, float), _positive, "must be positive and finite")
 
-    grid = WaveGrid(float(L), N)
-    f, h, u0 = (_build_field(grid, merged[role], role, float(nu))
-                for role in ("forcing", "noise", "initial"))
-    half = _half_spectrum(grid)
+    half = _half_spectrum(WaveGrid(float(L), N))
+    fw, hw, w0 = (_build_field(half, merged[role], role, float(nu))
+                  for role in ("forcing", "noise", "initial"))
     try:
-        return SimConfig(nu=float(nu), grid=grid, dt=float(dt), fw=half.curl(f), hw=half.curl(h),
-                         scheme=scheme, seed=seed, stride=stride, t_end=float(t_end), u0=u0)
+        return SimConfig(nu=float(nu), grid=half.grid, dt=float(dt), fw=fw, hw=hw,
+                         scheme=scheme, seed=seed, stride=stride, t_end=float(t_end), w0=w0)
     except ValueError as exc:
         raise ConfigError("<config>", str(exc)) from exc
 

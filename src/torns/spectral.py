@@ -12,10 +12,12 @@ lambda_1 = 4*pi^2 / L^2.
 The solver and its reports compute on the scalar vorticity w = curl u =
 d_x u_2 - d_y u_1, held only on the K = (N-1)//3 + 1 columns of the rfft2
 half spectrum that meet the dealias mask, as one contiguous (N, K) array
-(HalfSpectrum; the other columns of a field inside the mask are zero).  A
-velocity SpectralField, coefficients with no arithmetic, is built or read
-only at the library's edge: a config's fields, the velocity that
-dynamics.integrate takes, and State.u; field_violations audits one.  There
+(HalfSpectrum; the other columns of a field inside the mask are zero).
+Every field the library builds is born as such a row (random_row, and the
+rows of dynamics and io).  A velocity SpectralField, coefficients with no
+arithmetic, is built only at the library's edge, by HalfSpectrum.velocity
+(SimConfig.u0, the velocity that dynamics.integrate takes, and State.u)
+and by nonlinear_term; field_violations audits one.  There
 u = (d_y psi, -d_x psi) with psi = w / |k|^2, and curl B(u, u) = (u . grad) w
 (vorticity_advection) agrees with nonlinear_term up to roundoff.
 nonlinear_term, the velocity form of B, has no caller in the solver: it
@@ -49,13 +51,12 @@ from .rng import rng_for
 __all__ = [
     "WaveGrid",
     "SpectralField",
-    "leray_project",
     "nonlinear_term",
     "HalfSpectrum",
     "AdvectionWorkspace",
     "vorticity_advection",
     "grad_linf",
-    "random_divfree_field",
+    "random_row",
     "field_violations",
 ]
 
@@ -129,10 +130,6 @@ class SpectralField:
         self.grid = grid
         self.coeffs = coeffs
 
-    @classmethod
-    def zero(cls, grid: WaveGrid) -> "SpectralField":
-        return cls(grid, np.zeros((2, grid.N, grid.N), dtype=np.complex128))
-
     def __repr__(self):
         return f"SpectralField(N={self.grid.N}, L={self.grid.L:g})"
 
@@ -151,15 +148,6 @@ def _project_coeffs(coeffs: np.ndarray, grid: WaveGrid) -> np.ndarray:
     out[1] = coeffs[1] - grid.ky * fac
     out[:, 0, 0] = 0.0
     return out
-
-
-def leray_project(u: SpectralField) -> SpectralField:
-    """Helmholtz-Leray projection onto divergence-free, zero-mean fields.
-
-    Per mode: u_hat -> u_hat - k (k . u_hat) / |k|^2, and u_hat_0 -> 0.
-    Idempotent up to roundoff; total (never raises).
-    """
-    return SpectralField(u.grid, _project_coeffs(u.coeffs, u.grid))
 
 
 def nonlinear_term(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -297,7 +285,7 @@ class HalfSpectrum:
 
         Columns j2 > N/2 are conj(u_hat(-j)); the columns K..N-K, and with
         them the Nyquist lines, are zero.  Only the library's edge calls
-        this (State.u, manufactured_forcing); no loop of the solver does.
+        this (State.u, SimConfig.u0); no loop of the solver does.
         """
         g = self.grid
         N, K = g.N, self.K
@@ -496,41 +484,32 @@ def grad_linf(hw: np.ndarray, half: HalfSpectrum) -> tuple[float, float]:
     return float(np.sqrt(smax2)), max(float(hi), float(neg_lo))
 
 
-def random_divfree_field(
-    grid: WaveGrid,
+def random_row(
+    half: HalfSpectrum,
     seed: int,
     norm: float = 1.0,
     profile: Callable[[np.ndarray], np.ndarray] | None = None,
     stream: int = 0,
-) -> SpectralField:
-    """Random zero-mean divergence-free field with prescribed L2 norm.
+) -> np.ndarray:
+    """Random (N, K) vorticity row whose velocity has the L2 norm `norm`.
 
-    Built from a random real streamfunction (u = perp-grad psi), so the result
-    is exactly divergence-free and real in physical space.  profile maps |k|
-    to a shell amplitude weight (default 1/(1+|k|^2)); the field is rescaled to the
-    L2 norm `norm`.  It lies inside the dealias mask, so the
-    solver takes it as initial data.  Deterministic in (seed, stream).
+    Drawn from a random real streamfunction psi (u = perp-grad psi, so the
+    velocity is exactly divergence-free and real in physical space): the
+    row is w = -|k| amp(|k|) psi_hat on the masked columns, zero at k = 0,
+    so the velocity's amplitude |k| |psi_hat| per mode follows the profile
+    amp (default 1/(1+|k|^2)).  It lies in the solver's state space, and is
+    rescaled to norm through half.norms.  Deterministic in (seed, stream).
     """
-    g = grid
     rng = rng_for(seed, "field", stream)
-    psi_phys = rng.standard_normal((g.N, g.N))
-    psi = np.fft.fft2(psi_phys, norm="forward")
-    kmag = np.sqrt(g.k2)
-    if profile is None:
-        w = 1.0 / (1.0 + g.k2)
-    else:
-        w = np.asarray(profile(kmag), dtype=np.float64)
-    psi *= w * np.sqrt(g.inv_k2)  # velocity amplitude |k| |psi| follows the profile
-    psi *= g.dealias_mask
-    psi[0, 0] = 0.0
-    coeffs = np.empty((2, g.N, g.N), dtype=np.complex128)
-    coeffs[0] = -1j * g.ky * psi
-    coeffs[1] = 1j * g.kx * psi
-    cur = g.L * float(np.sqrt((np.abs(coeffs[0]) ** 2 + np.abs(coeffs[1]) ** 2).sum()))  # the L2 norm
+    psi = np.fft.fft2(rng.standard_normal((half.grid.N,) * 2), norm="forward")[:, : half.K]
+    kmag = np.sqrt(half.k2)
+    amp = 1.0 / (1.0 + half.k2) if profile is None else np.asarray(profile(kmag), dtype=np.float64)
+    w = -kmag * amp * half.dealias_mask * psi
+    w[0, 0] = 0.0
+    cur = float(half.norms(w)[0])
     if cur == 0.0:
         raise ValueError("profile produced an identically zero field")
-    coeffs *= norm / cur
-    return SpectralField(g, coeffs)
+    return w * (norm / cur)
 
 
 def field_violations(u: SpectralField, rtol: float = 1e-13) -> list[str]:

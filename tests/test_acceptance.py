@@ -16,7 +16,6 @@ from torns.dynamics import (
     check_assumption,
     integrate,
     manufactured_forcing,
-    taylor_green,
     trajectory,
 )
 from torns.experiments import (
@@ -30,11 +29,18 @@ from torns.noise import ou_stationary_moment
 from torns.spectral import (
     SpectralField,
     WaveGrid,
-    leray_project,
     nonlinear_term,
-    random_divfree_field,
 )
-from tests.oracle import apply_stokes_power, divergence, inner, sobolev_norm
+from tests.oracle import (
+    apply_stokes_power,
+    divergence,
+    inner,
+    leray_project,
+    random_divfree_field,
+    sobolev_norm,
+    taylor_green_velocity,
+    zero_field,
+)
 from tests.test_dynamics import row as curl
 from tests.test_spectral import galerkin_convolution
 
@@ -107,10 +113,10 @@ def test_criterion_4_taylor_green():
     def body():
         nu = 0.1
         g = WaveGrid(TWO_PI, 16)
-        zero = SpectralField.zero(g)
+        zero = zero_field(g)
         cfg = SimConfig(nu=nu, grid=g, dt=1e-3, fw=curl(zero), hw=curl(zero), scheme="etd2")
-        state, rows = integrate(taylor_green(0.0, nu, g), cfg, steps=1000, stride=10)
-        exact = taylor_green(1.0, nu, g)
+        state, rows = integrate(taylor_green_velocity(0.0, nu, g), cfg, steps=1000, stride=10)
+        exact = taylor_green_velocity(1.0, nu, g)
         rel = sobolev_norm(SpectralField(g, state.u.coeffs - exact.coeffs), 0.0) / sobolev_norm(exact, 0.0)
         assert rel < 1e-8
         rate = float(np.polyfit([r["t"] for r in rows], np.log([r["norm_H"] for r in rows]), 1)[0])
@@ -147,7 +153,7 @@ def test_criterion_6_assumption_constants():
             assert rep.satisfied
             assert abs(rep.lhs - (1 - rep.alpha) * rep.rhs) <= 1e-12 * rep.rhs
             assert abs(rep.lhs * (1 + rep.beta) - rep.rhs * (1 - 0.5 * rep.alpha)) <= 1e-12 * rep.rhs
-        rep0 = check_assumption(curl(SpectralField.zero(g)), nu, g)
+        rep0 = check_assumption(curl(zero_field(g)), nu, g)
         assert rep0.alpha == 1.0
         assert rep0.lam == 0.25 * nu * g.lambda1
         assert rep0.beta == math.inf
@@ -180,7 +186,7 @@ def test_criterion_7_absorbing_behavior():
 
         # decay bound: with h = 0 the pullback trajectory from radius r equals
         # the forward deterministic run, so check the bound along its series.
-        zero = SpectralField.zero(g)
+        zero = zero_field(g)
         cfg0 = SimConfig(nu=nu, grid=g, dt=dt, fw=curl(zero), hw=curl(zero), scheme="etd2")
         e = random_divfree_field(g, seed=99, norm=1.0, stream=29)
         for radius in radii:
@@ -224,7 +230,7 @@ def test_criterion_8_smoothing():
                     assert max(ratios) / min(ratios) < 3.0, (seed, direction, T, ratios)
 
         # linear regime: f = h = 0, amplitudes ~ 1e-6
-        zero = SpectralField.zero(g)
+        zero = zero_field(g)
         cfg_lin = SimConfig(nu=nu, grid=g, dt=dt, fw=curl(zero), hw=curl(zero), scheme="etd2")
         w1_lin = curl(random_divfree_field(g, seed=31, norm=1e-6))
         rows_lin = measure_smoothing(cfg_lin, w1_lin, deltas=[1e-8], horizons=horizons,
@@ -245,12 +251,12 @@ def test_criterion_9_h2_neighborhood():
         g = WaveGrid(TWO_PI, 32)
         nu, dt = 20.0, 1e-3
         u0 = random_divfree_field(g, seed=60, norm=1.0)
-        f = manufactured_forcing(u0, nu)
+        fw = manufactured_forcing(curl(u0), nu, g)
         h_base = random_divfree_field(g, seed=61, norm=1.0)
         v0 = random_divfree_field(g, seed=62, norm=5.0)
 
         # the attractor sample: the states of one run at steps 2000, 2100 and 2200
-        cfg_det = SimConfig(nu=nu, grid=g, dt=dt, fw=curl(f), hw=curl(SpectralField.zero(g)))
+        cfg_det = SimConfig(nu=nu, grid=g, dt=dt, fw=fw, hw=curl(zero_field(g)))
         sample = [st for n, st in enumerate(trajectory(curl(u0), cfg_det, steps=2200)) if n in (2000, 2100, 2200)]
         assert len(sample) == 3
         assert all(sobolev_norm(SpectralField(g, st.u.coeffs - u0.coeffs), 2.0) < 1e-6 for st in sample)
@@ -258,7 +264,7 @@ def test_criterion_9_h2_neighborhood():
         dists = {}
         for scale in (1.0, 0.5, 0.25):
             h = SpectralField(g, scale * h_base.coeffs)
-            cfg = SimConfig(nu=nu, grid=g, dt=dt, fw=curl(f), hw=curl(h), scheme="etd2")
+            cfg = SimConfig(nu=nu, grid=g, dt=dt, fw=fw, hw=curl(h), scheme="etd2")
             assert cfg.assumption.satisfied
             for horizon, (st,) in zip((20.0, 40.0), pullback_solve(cfg, [20.0, 40.0], 777, [curl(v0)])):
                 # H2 semi-distance to the sample, read off the rows

@@ -26,9 +26,8 @@ from torns.spectral import (
     WaveGrid,
     field_violations,
     nonlinear_term,
-    random_divfree_field,
 )
-from tests.oracle import sobolev_norm
+from tests.oracle import random_divfree_field, sobolev_norm, taylor_green_velocity, zero_field
 
 TWO_PI = 2.0 * np.pi
 
@@ -49,8 +48,8 @@ def sine_shear(grid, c=1.0):
 def basic_cfg(grid, **kw):
     kw.setdefault("nu", 1.0)
     kw.setdefault("dt", 1e-3)
-    kw.setdefault("fw", row(SpectralField.zero(grid)))
-    kw.setdefault("hw", row(SpectralField.zero(grid)))
+    kw.setdefault("fw", row(zero_field(grid)))
+    kw.setdefault("hw", row(zero_field(grid)))
     return SimConfig(grid=grid, **kw)
 
 
@@ -109,9 +108,13 @@ def bad_row(good, case):
 
 
 class TestSimConfig:
-    def test_rejects_nonpositive_nu(self, grid16):
-        with pytest.raises(ValueError):
-            basic_cfg(grid16, nu=0.0)
+    @pytest.mark.parametrize("name, value", [
+        ("nu", 0.0), ("nu", math.inf), ("nu", math.nan), ("dt", math.inf),
+        ("t_end", math.inf), ("t_end", -1.0), ("t_end", math.nan)])
+    def test_rejects_nonpositive_nu(self, grid16, name, value):
+        # nu = inf and dt = inf used to build, and blew up on the first step; any t_end built
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            basic_cfg(grid16, **{name: value})
 
     def test_rejects_bad_scheme(self, grid16):
         with pytest.raises(ValueError):
@@ -135,7 +138,7 @@ class TestSimConfig:
             basic_cfg(grid16, fw=fw)
 
     @pytest.mark.parametrize("case, problem", ROW_CASES)
-    @pytest.mark.parametrize("name", ["fw", "hw"])
+    @pytest.mark.parametrize("name", ["fw", "hw", "w0"])
     def test_rejects_a_row_outside_the_state_space(self, grid16, name, case, problem):
         good = row(random_divfree_field(grid16, seed=4, norm=1.0))
         basic_cfg(grid16, **{name: good})
@@ -152,25 +155,19 @@ class TestSimConfig:
         cfg = basic_cfg(grid16)
         assert cfg.assumption is not None and cfg.assumption.satisfied
 
-    def test_w0_is_the_row_of_u0_admitted_on_first_read(self, grid16):
-        u0 = random_divfree_field(grid16, seed=4, norm=1.0)
-        assert basic_cfg(grid16, u0=u0).w0.tobytes() == HalfSpectrum(grid16).curl(u0).tobytes()
-        # a shear at j2 = 6, where 3 j2 >= N: the config builds, and reading w0 raises
-        bad = SpectralField(grid16, u0.coeffs.copy())
-        bad.coeffs[0, 0, 6] += 0.1j
-        bad.coeffs[0, 0, -6 % 16] -= 0.1j
-        cfg = basic_cfg(grid16, u0=bad)
-        with pytest.raises(ValueError, match="initial data outside the solver's state space: content outside the"):
-            cfg.w0
-        with pytest.raises(ValueError, match="initial data grid does not match config grid"):
-            basic_cfg(grid16, u0=random_divfree_field(WaveGrid(TWO_PI, 8), seed=4)).w0
-        with pytest.raises(ValueError, match="the config carries no initial velocity u0"):
-            basic_cfg(grid16).w0
+    def test_u0_is_the_velocity_of_w0_built_on_first_read(self, grid16):
+        w0 = row(random_divfree_field(grid16, seed=4, norm=1.0))
+        cfg = basic_cfg(grid16, w0=w0)
+        assert "u0" not in vars(cfg)
+        assert cfg.u0.coeffs.tobytes() == HalfSpectrum(grid16).velocity(w0).coeffs.tobytes()
+        assert cfg.u0 is cfg.u0
+        with pytest.raises(ValueError, match="the config carries no initial row w0"):
+            basic_cfg(grid16).u0
 
 
 class TestCheckAssumption:
     def test_zero_h(self, grid16):
-        rep = check_assumption(row(SpectralField.zero(grid16)), 1.0, grid16)
+        rep = check_assumption(row(zero_field(grid16)), 1.0, grid16)
         assert rep.satisfied
         assert rep.alpha == 1.0
         assert rep.lam == pytest.approx(0.25 * grid16.lambda1)
@@ -249,14 +246,14 @@ class TestDeterministicStep:
 
     def test_taylor_green_analytic(self, grid16):
         cfg = basic_cfg(grid16, nu=0.1, dt=1e-3)
-        state, _ = integrate(taylor_green(0.0, 0.1, grid16), cfg, steps=1000)
-        exact = taylor_green(1.0, 0.1, grid16)
+        *_, state = trajectory(taylor_green(0.0, 0.1, grid16), cfg, steps=1000)
+        exact = taylor_green_velocity(1.0, 0.1, grid16)
         rel = sobolev_norm(SpectralField(grid16, state.u.coeffs - exact.coeffs), 0.0) / sobolev_norm(exact, 0.0)
         assert rel < 1e-8
 
     def test_manufactured_equilibrium(self, grid16):
         u0 = random_divfree_field(grid16, seed=5, norm=1.0)
-        cfg = basic_cfg(grid16, fw=row(manufactured_forcing(u0, 1.0)))
+        cfg = basic_cfg(grid16, fw=manufactured_forcing(row(u0), 1.0, grid16))
         state, _ = integrate(u0, cfg, steps=1000)
         assert sobolev_norm(SpectralField(grid16, state.u.coeffs - u0.coeffs), 0.0) < 1e-9
 
@@ -318,7 +315,7 @@ class TestRandomStep:
         h = sine_shear(grid16, c=0.5)
         cfg = basic_cfg(grid16, nu=0.9, dt=0.05, hw=row(h), scheme="etd1")
         ou = ou_from_wiener(sample_wiener(0.0, 1.0, 0.05, seed=7))
-        state, _ = integrate(SpectralField.zero(grid16), cfg, path=ou)
+        state, _ = integrate(zero_field(grid16), cfg, path=ou)
         k2 = 1.0
         E = math.exp(-0.9 * k2 * cfg.dt)
         phi1dt = (1 - E) / (0.9 * k2)
@@ -333,9 +330,9 @@ class TestRandomStep:
         # (a parallel shear, so B = 0)
         h = sine_shear(grid16, c=0.5)
         ou = ou_from_wiener(sample_wiener(0.0, 1.0, 0.05, seed=7))
-        res1, _ = integrate(SpectralField.zero(grid16),
+        res1, _ = integrate(zero_field(grid16),
                             basic_cfg(grid16, nu=0.9, dt=0.05, hw=row(h), scheme="etd1"), path=ou)
-        res2, _ = integrate(SpectralField.zero(grid16),
+        res2, _ = integrate(zero_field(grid16),
                             basic_cfg(grid16, nu=0.9, dt=0.05, hw=row(h), scheme="etd2"), path=ou)
         diff = sobolev_norm(SpectralField(grid16, res1.u.coeffs - res2.u.coeffs), 0.0)
         assert diff < 10 * 0.05**2
@@ -363,7 +360,7 @@ class TestEMStep:
         h = random_divfree_field(grid16, seed=3, norm=0.4)
         cfg = basic_cfg(grid16, hw=row(h), dt=1e-4, scheme="etd1")
         w = WienerPath(t0=0.0, dt=cfg.dt, increments=np.array([0.37]), seed=0)
-        _, st = trajectory(row(SpectralField.zero(grid16)), cfg, path=w)
+        _, st = trajectory(row(zero_field(grid16)), cfg, path=w)
         assert np.abs(st.u.coeffs - 0.37 * h.coeffs).max() < 1e-12
 
     def test_single_mode_noise_floor(self, grid16):
@@ -374,7 +371,7 @@ class TestEMStep:
         levels = []
         for seed in range(8):
             w = sample_wiener(0.0, 30.0, cfg.dt, seed=seed)
-            _, rows = integrate(SpectralField.zero(grid16), cfg, path=w, stride=10)
+            _, rows = integrate(zero_field(grid16), cfg, path=w, stride=10)
             tail = np.array([r["norm_H"] for r in rows[len(rows) // 2:]])
             levels.append((tail**2).mean())
         expected = sobolev_norm(h, 0.0) ** 2 / (2 * nu * 1.0)
@@ -554,9 +551,9 @@ class TestIntegrate:
 
     def test_observer_matches_taylor_green(self, grid16):
         cfg = basic_cfg(grid16, nu=0.1)
-        _, rows = integrate(taylor_green(0.0, 0.1, grid16), cfg, steps=1000, stride=100)
+        _, rows = integrate(taylor_green_velocity(0.0, 0.1, grid16), cfg, steps=1000, stride=100)
         t, norm_h = (np.array([r[k] for r in rows]) for k in ("t", "norm_H"))
-        expected = np.exp(-0.2 * t) * sobolev_norm(taylor_green(0.0, 0.1, grid16), 0.0)
+        expected = np.exp(-0.2 * t) * sobolev_norm(taylor_green_velocity(0.0, 0.1, grid16), 0.0)
         assert np.abs(norm_h / expected - 1).max() < 1e-8
 
     def test_dt_mismatch_rejected(self, grid16):
@@ -794,13 +791,25 @@ class TestEnsemble:
                 assert np.array_equal(level[m].w, a.w)
 
 
+def taylor_green_u(t, nu, grid):
+    """The velocity of the row dynamics.taylor_green builds."""
+    return HalfSpectrum(grid).velocity(taylor_green(t, nu, grid))
+
+
 class TestTaylorGreen:
+    @pytest.mark.parametrize("L", [1.0, 3.0, 2.0 * math.pi, 10.0])
+    @pytest.mark.parametrize("N", [8, 16, 32])
+    def test_row_is_the_curl_of_the_closed_form_velocity(self, L, N):
+        g = WaveGrid(L, N)
+        for t in (0.0, 0.5):
+            assert taylor_green(t, 0.1, g).tobytes() == HalfSpectrum(g).curl(taylor_green_velocity(t, 0.1, g)).tobytes()
+
     @pytest.mark.parametrize("L", [1.0, 3.0, 2.0 * math.pi, 10.0])
     def test_samples_are_the_vortex_on_any_box(self, L):
         # the series sampled at (a L/N, b L/N) is e^{-2 nu lambda_1 t} (cos kx sin ky, -sin kx cos ky),
         # k = 2 pi / L, so kx = 2 pi a / N on every torus
         g = WaveGrid(L, 16)
-        u = taylor_green(0.5, 0.1, g)
+        u = taylor_green_u(0.5, 0.1, g)
         vals = np.fft.ifft2(u.coeffs, axes=(-2, -1), norm="forward").real
         kx = 2.0 * math.pi * np.arange(16) / 16
         x, y = kx[:, None], kx[None, :]
@@ -810,16 +819,16 @@ class TestTaylorGreen:
 
     def test_quadrature_norm(self, grid16):
         # || (cos x sin y, -sin x cos y) ||^2 = 2 pi^2 by direct integration
-        u = taylor_green(0.0, 1.0, grid16)
+        u = taylor_green_u(0.0, 1.0, grid16)
         assert sobolev_norm(u, 0.0) == pytest.approx(math.sqrt(2.0) * math.pi, rel=1e-13)
 
     def test_divergence_free(self, grid16):
         from tests.oracle import divergence
 
-        assert np.abs(divergence(taylor_green(0.0, 1.0, grid16))).max() < 1e-13
+        assert np.abs(divergence(taylor_green_u(0.0, 1.0, grid16))).max() < 1e-13
 
     def test_advection_is_gradient(self, grid16):
         from torns.spectral import nonlinear_term
 
-        u = taylor_green(0.0, 1.0, grid16)
+        u = taylor_green_u(0.0, 1.0, grid16)
         assert np.abs(nonlinear_term(u, u).coeffs).max() < 1e-14

@@ -19,9 +19,8 @@ from torns.spectral import (
     HalfSpectrum,
     SpectralField,
     WaveGrid,
-    random_divfree_field,
 )
-from tests.oracle import sobolev_norm
+from tests.oracle import random_divfree_field, sobolev_norm, zero_field
 from tests.test_dynamics import bad_row, row as curl
 
 TWO_PI = 2.0 * np.pi
@@ -35,8 +34,8 @@ def grid16():
 def cfg_for(grid, **kw):
     kw.setdefault("nu", 1.0)
     kw.setdefault("dt", 1e-2)
-    kw.setdefault("fw", curl(SpectralField.zero(grid)))
-    kw.setdefault("hw", curl(SpectralField.zero(grid)))
+    kw.setdefault("fw", curl(zero_field(grid)))
+    kw.setdefault("hw", curl(zero_field(grid)))
     return SimConfig(grid=grid, **kw)
 
 
@@ -231,8 +230,8 @@ class TestSmoothing:
         # is the H2 norm of that same difference
         cfg = cfg_for(grid16, hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
         half = HalfSpectrum(grid16)
-        w1, dw = half.curl(random_divfree_field(grid16, seed=1, norm=0.5)), half.curl(
-            random_divfree_field(grid16, 1, norm=1.0, stream=23))
+        w1, dw = half.curl(random_divfree_field(grid16, seed=1, norm=0.5)), spectral.random_row(
+            half, 1, norm=1.0, stream=23)
         rows = measure_smoothing(cfg, w1, deltas=[1e-2, 1e-3, 0.7], horizons=[0.0], seeds=[1],
                                  directions=("random",))
         assert len(rows) == 3
@@ -249,10 +248,10 @@ class TestSmoothing:
         # lam = 1/(nu T) = 20, a shell of the N = 16 mask.  Measured at 50
         # steps on all 19 shells: 7.5e-15 (ratio), 4.2e-15 (sup)
         cfg = cfg_for(grid16, nu=nu, dt=T / 50)
-        zero = curl(SpectralField.zero(grid16))
+        zero = curl(zero_field(grid16))
         shells = np.unique(grid16.k2[grid16.dealias_mask & (grid16.k2 > 0)])
-        groups = [((0, f"{lam:g}"), random_divfree_field(
-            grid16, 0, profile=lambda k, lam=lam: np.abs(k * k - lam) < 1e-9)) for lam in shells]
+        groups = [((0, f"{lam:g}"), spectral.random_row(
+            HalfSpectrum(grid16), 0, profile=lambda k, lam=lam: np.abs(k * k - lam) < 1e-9)) for lam in shells]
         rows = experiments._smoothing_rows(cfg, zero, groups, [1e-6, 10.0], [T], 1)
         assert len(rows) == 2 * len(shells) == 38
         for row in rows:
@@ -274,11 +273,11 @@ class TestSmoothing:
     # an empty report would have no rows to give its CSV a header
     @pytest.mark.parametrize("name", ["deltas", "horizons", "seeds", "directions"])
     def test_empty_input_rejected_before_any_field(self, grid16, monkeypatch, name):
-        for fn in ("random_divfree_field", "sample_wiener", "ensemble"):
+        for fn in ("random_row", "sample_wiener", "ensemble"):
             monkeypatch.setattr(experiments, fn, None)
         kw = dict(deltas=[1e-3], horizons=[0.1], seeds=[1], directions=("random",))
         with pytest.raises(ValueError, match=f"{name} must be nonempty"):
-            measure_smoothing(cfg_for(grid16), curl(SpectralField.zero(grid16)), **{**kw, name: []})
+            measure_smoothing(cfg_for(grid16), curl(zero_field(grid16)), **{**kw, name: []})
 
     def test_horizons_on_one_step_each_get_their_rows(self, grid16):
         cfg = cfg_for(grid16, dt=1e-2, hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
@@ -345,7 +344,7 @@ class TestSmoothing:
     def test_perturbed_blowup_gives_error_rows(self, grid16):
         # the base stays at rest; only the large perturbation blows up
         cfg = cfg_for(grid16, dt=10.0)
-        rows = measure_smoothing(cfg, curl(SpectralField.zero(grid16)), deltas=[1e-6, 50.0],
+        rows = measure_smoothing(cfg, curl(zero_field(grid16)), deltas=[1e-6, 50.0],
                                  horizons=[500.0, 1000.0], seeds=[1], directions=("random",))
         good = [r for r in rows if r["delta"] == 1e-6]
         bad = [r for r in rows if r["delta"] == 50.0]
@@ -357,7 +356,7 @@ class TestSmoothing:
         # four groups in one ensemble: the delta-50 members of the random groups
         # blow up at step 9, between the horizons; the lowest shell only decays
         cfg = cfg_for(grid16, dt=10.0)
-        w1, kw = curl(SpectralField.zero(grid16)), dict(deltas=[1e-6, 50.0], horizons=[20.0, 1000.0])
+        w1, kw = curl(zero_field(grid16)), dict(deltas=[1e-6, 50.0], horizons=[20.0, 1000.0])
         rows = measure_smoothing(cfg, w1, seeds=[1, 2], **kw)
         for seed in (1, 2):
             for label in ("lowest", "random"):

@@ -9,19 +9,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torns import io as tio, spectral
-from torns.dynamics import SimConfig, integrate, taylor_green, trajectory
+from torns.dynamics import SimConfig, integrate, trajectory
 from torns.noise import ou_from_wiener, sample_wiener
 from torns.spectral import (
     AdvectionWorkspace,
     HalfSpectrum,
     SpectralField,
     WaveGrid,
-    leray_project,
     nonlinear_term,
-    random_divfree_field,
     vorticity_advection,
 )
-from tests.oracle import apply_stokes_power, inner, sobolev_norm
+from tests.oracle import (
+    apply_stokes_power,
+    inner,
+    leray_project,
+    random_divfree_field,
+    sobolev_norm,
+    taylor_green_velocity,
+    zero_field,
+)
 from tests.test_dynamics import row as curl
 
 TWO_PI = 2.0 * np.pi
@@ -124,11 +130,11 @@ def test_norms_from_vorticity_equal_sobolev_norms_of_velocity(N, seed, L, member
 def test_taylor_green_stays_exact_under_integrate_on_any_torus(L):
     # nu = 0.1, N = 16, dt = 1e-3, T = 1, as criterion 4 at L = 2 pi
     g = WaveGrid(L, 16)
-    zero = SpectralField.zero(g)
-    u0 = taylor_green(0.0, 0.1, g)
+    zero = zero_field(g)
+    u0 = taylor_green_velocity(0.0, 0.1, g)
     state, _ = integrate(u0, SimConfig(nu=0.1, grid=g, dt=1e-3, fw=curl(zero), hw=curl(zero)), steps=1000)
     assert state.t == 1.0
-    error = SpectralField(g, state.u.coeffs - taylor_green(1.0, 0.1, g).coeffs)
+    error = SpectralField(g, state.u.coeffs - taylor_green_velocity(1.0, 0.1, g).coeffs)
     assert sobolev_norm(error, 0.0) <= 2e-13 * sobolev_norm(u0, 0.0)
 
 

@@ -11,12 +11,19 @@ from torns.spectral import (
     WaveGrid,
     field_violations,
     grad_linf,
-    leray_project,
     nonlinear_term,
-    random_divfree_field,
     vorticity_advection,
 )
-from tests.oracle import apply_stokes_power, divergence, inner, sobolev_norm
+from tests.oracle import (
+    apply_stokes_power,
+    divergence,
+    inner,
+    leray_project,
+    random_divfree_field,
+    sobolev_norm,
+    taylor_green_velocity,
+    zero_field,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -161,19 +168,19 @@ class TestDivergence:
 
     def test_zero_field(self):
         g = WaveGrid(TWO_PI, 8)
-        assert np.abs(divergence(SpectralField.zero(g))).max() == 0.0
+        assert np.abs(divergence(zero_field(g))).max() == 0.0
 
 
 class TestSobolevNorm:
     def test_zero_field(self):
         g = WaveGrid(TWO_PI, 8)
         for s in (0.0, 0.5, 1.0, 2.0):
-            assert sobolev_norm(SpectralField.zero(g), s) == 0.0
+            assert sobolev_norm(zero_field(g), s) == 0.0
 
     def test_rejects_negative_s(self):
         g = WaveGrid(TWO_PI, 8)
         with pytest.raises(ValueError):
-            sobolev_norm(SpectralField.zero(g), -0.5)
+            sobolev_norm(zero_field(g), -0.5)
 
     def test_unit_shell_h1_equals_l2(self):
         # u = (cos y, 0): |k| = 1 on L=2pi, so H1 weight is 1
@@ -271,10 +278,8 @@ class TestNonlinearTerm:
         assert np.abs(b.coeffs).max() < 1e-15
 
     def test_taylor_green_is_pure_gradient(self):
-        from torns.dynamics import taylor_green
-
         g = WaveGrid(TWO_PI, 16)
-        u = taylor_green(0.0, 1.0, g)
+        u = taylor_green_velocity(0.0, 1.0, g)
         b = nonlinear_term(u, u)
         assert np.abs(b.coeffs).max() < 1e-14
 
@@ -471,7 +476,7 @@ class TestGradLinf:
         gc = WaveGrid(TWO_PI, 16)
         gf = WaveGrid(TWO_PI, 32)
         h = random_divfree_field(gc, seed=13, norm=1.0)
-        hf = SpectralField.zero(gf)
+        hf = zero_field(gf)
         # same modes on the doubled grid
         for comp in range(2):
             for a in range(16):
@@ -519,6 +524,39 @@ class TestRandomDivfreeField:
         k2 = g.k2
         occupied = np.abs(u.coeffs).sum(axis=0) > 0
         assert np.all(np.abs(k2[occupied] - 1.0) < 1e-12)
+
+
+class TestRandomRow:
+    # the oracle draws the same streamfunction and builds its velocity; the row
+    # rounds differently: at most 1.04e-15 of max |w| and 1.6e-15 in the norm,
+    # measured on these draws (L = 2 pi and 3, N = 16, 32 and 128)
+    @pytest.mark.parametrize("L", [TWO_PI, 3.0])
+    @pytest.mark.parametrize("N", [16, 32, 128])
+    @pytest.mark.parametrize("profile", ["default", "custom", "lowest"])
+    def test_is_the_curl_of_the_oracle_velocity(self, L, N, profile):
+        g = WaveGrid(L, N)
+        half = HalfSpectrum(g)
+        kmin = 2.0 * np.pi / L
+        amp = {"default": None, "custom": lambda k: np.exp(-0.3 * k) * k,
+               "lowest": lambda k: np.where(np.abs(k - kmin) < 1e-9, 1.0, 0.0)}[profile]
+        for seed in (1, 5, 99):
+            for norm in (0.5, 3.0):
+                w = spectral.random_row(half, seed, norm=norm, profile=amp, stream=23)
+                expected = half.curl(random_divfree_field(g, seed, norm=norm, profile=amp, stream=23))
+                assert np.abs(w - expected).max() <= 2e-15 * np.abs(expected).max()
+                assert half.norms(w)[0] == pytest.approx(norm, rel=4e-15, abs=0)
+                assert half.violations(w) == []
+
+    def test_deterministic_in_seed_and_stream(self):
+        half = HalfSpectrum(WaveGrid(TWO_PI, 16))
+        a, b = (spectral.random_row(half, 42, stream=3) for _ in range(2))
+        assert a.tobytes() == b.tobytes()
+        assert not np.array_equal(a, spectral.random_row(half, 42, stream=4))
+        assert not np.array_equal(a, spectral.random_row(half, 43, stream=3))
+
+    def test_zero_profile_is_an_error(self):
+        with pytest.raises(ValueError, match="identically zero field"):
+            spectral.random_row(HalfSpectrum(WaveGrid(TWO_PI, 16)), 1, profile=np.zeros_like)
 
 
 class TestFieldViolations:
