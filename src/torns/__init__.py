@@ -3,7 +3,7 @@
 Modules, each name imported from its own: spectral (fields, vorticity rows,
 their random draws and norms, dealiased advection), noise (Wiener/OU paths),
 dynamics (ETD/EM steppers for the deterministic, Ito and OU-conjugated systems),
-experiments (pullback, absorbing-radius, smoothing and convergence measurements),
+experiments (pullback of a family, smoothing and convergence measurements),
 io (configs, checkpoints, CSV artifacts), cli (the torns command).
 """
 

@@ -2,14 +2,15 @@
 
 Subcommands map 1:1 onto library operations: validate (admissibility check;
 the fields are audited as the config loads), simulate (one trajectory with
-artifacts), pullback, smoothing, absorbing, ergodic, taylor-green and
+artifacts), pullback (the family {w0, 1 e, 10 e} on one path: its norms, its
+spread and its synchronisation rate), smoothing, ergodic, taylor-green and
 convergence.  COMMANDS has one row per subcommand; the parser is built from
 it, and _run does once what every row shares: config loading, the --out
 directory, the manifest and --quiet.  Each experiment row hands the rows of
 its CSV and its summary line to _report.
 
 Exit codes: 0 success, 1 validation/usage failure, 2 runtime abort (NaN/Inf).
-On a blowup, pullback, smoothing and absorbing keep their CSV with error rows
+On a blowup, pullback and smoothing keep their CSV with error rows
 and print `aborted rows: k`; the others print `aborted: <diagnostic>`.  All
 randomness flows from the config seed (or --seed override), recorded in the
 manifest, so identical invocations are bit-reproducible for any --threads value.
@@ -29,6 +30,7 @@ import numpy as np
 from . import __version__, dynamics, experiments, io as tio
 from .dynamics import NORMS, BlowupError, SimConfig, integrate
 from .noise import horizon_steps, ou_from_wiener, sample_wiener
+from .spectral import _DFT_MAX_N, random_row
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -109,19 +111,39 @@ def _taylor_green(cfg: SimConfig, args, out: Path) -> Outcome:
         f"{rate:.8f} (expected {expected:.8f})")
 
 
-# the fixed horizons of the pullback, smoothing and absorbing rows
-_PULLBACK_HORIZONS = (5.0, 10.0, 20.0)
+# the fixed horizons of the pullback and smoothing rows
+_PULLBACK_HORIZONS = (2.0, 5.0, 10.0)
 _SMOOTHING_HORIZONS = (0.5, 1.0, 2.0)
-_ABSORBING_HORIZONS = (2.0, 5.0)
+# pullback's family past w0: these multiples of one fixed unit row e
+_PULLBACK_RADII = (1.0, 10.0)
 
 
 def _pullback(cfg: SimConfig, args, out: Path) -> Outcome:
-    horizons = list(_PULLBACK_HORIZONS)
-    runs = experiments.pullback_solve(cfg, horizons, cfg.seed, [cfg.w0], args.threads)
-    rows = [{"horizon": h, **experiments._norms(st)} for h, (st,) in zip(horizons, runs)]
+    # the family {w0, r e} on one path: dist_H is a member's H distance to the
+    # w0 member at time 0, and the synchronisation rate is the least-squares
+    # decay rate of log max dist_H against the horizon
+    e = random_row(dynamics._half_spectrum(cfg.grid), 99, norm=1.0, stream=29)
+    horizons, members = list(_PULLBACK_HORIZONS), ["w0", *_PULLBACK_RADII]
+    runs = experiments.pullback_solve(cfg, horizons, cfg.seed, [cfg.w0, *(r * e for r in _PULLBACK_RADII)],
+                                      args.threads)
+    rows, sups, logs = [], [], []
+    for h, states in zip(horizons, runs):
+        w0 = states[0]
+        for member, st in zip(members, states):
+            failed = isinstance(st, BlowupError)
+            norms = dict.fromkeys(NORMS, math.nan) if failed else st.norms()
+            dist = math.nan if failed or isinstance(w0, BlowupError) else st.half.norms(st.w - w0.w)[0]
+            rows.append({"horizon": h, "member": member, **norms, "dist_H": dist,
+                         "error": str(st) if failed else ""})
+        family = rows[-len(members):]
+        sups.append(max(r[NORMS[0]] for r in family))
+        spread = max(r["dist_H"] for r in family)
+        logs.append(math.log(spread) if spread > 0 else -math.inf)
+    mh, ml = sum(horizons) / len(horizons), sum(logs) / len(logs)
+    rate = -sum((h - mh) * (y - ml) for h, y in zip(horizons, logs)) / sum((h - mh) ** 2 for h in horizons)
     tio.emit_plot_script(["pullback.csv"], out / "plot.py")
-    code, files, summary = _report(rows, "pullback.csv", out,
-                                   f"pullback states at 0 for horizons {horizons} written")
+    code, files, summary = _report(rows, "pullback.csv", out, "pullback family: sup " + ", ".join(
+        f"H(t={h})={sup:.4g}" for h, sup in zip(horizons, sups)) + f"; synchronisation rate {rate:.4f}")
     return code, files + ["plot.py"], summary
 
 
@@ -134,15 +156,6 @@ def _smoothing(cfg: SimConfig, args, out: Path) -> Outcome:
     median = ratios[mid] if len(ratios) % 2 else (ratios[mid - 1] + ratios[mid]) / 2
     return _report(rows, "smoothing.csv", out,
                    f"smoothing: max ratio {max(ratios):.6g}, median {median:.6g}")
-
-
-def _absorbing(cfg: SimConfig, args, out: Path) -> Outcome:
-    rows = experiments.measure_absorbing(
-        cfg, initial_radii=[1.0, 10.0], horizons=list(_ABSORBING_HORIZONS),
-        seed=cfg.seed, threads=args.threads)
-    sups = {h: max(r[NORMS[0]] for r in rows if r["horizon"] == h) for h in _ABSORBING_HORIZONS}
-    return _report(rows, "absorbing.csv", out, "absorbing radii: " + ", ".join(
-        f"H(t={h})={sup:.4g}" for h, sup in sups.items()))
 
 
 def _ergodic(cfg: SimConfig, args, out: Path) -> Outcome:
@@ -172,7 +185,6 @@ COMMANDS = {
     "simulate": Command("decay-noise", _simulate, to_t_end=True),
     "pullback": Command("decay-noise", _pullback, horizons=_PULLBACK_HORIZONS),
     "smoothing": Command("decay-noise", _smoothing, horizons=_SMOOTHING_HORIZONS),
-    "absorbing": Command("decay-noise", _absorbing, horizons=_ABSORBING_HORIZONS),
     "ergodic": Command("decay-noise", _ergodic),
     "taylor-green": Command("taylor-green", _taylor_green, to_t_end=True),
     "convergence": Command("decay-noise", _convergence),
@@ -200,8 +212,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--out", type=Path, default="out", help="artifact directory")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
         sp.add_argument("--threads", type=_at_least_one, default=1, help="at most this many workers per "
-                        "experiment call (pullback, smoothing, absorbing, convergence) on FFT grids "
-                        "(N > 48); smaller grids step on the calling thread")
+                        "experiment call (pullback, smoothing, convergence) on FFT grids "
+                        f"(N > {_DFT_MAX_N}); smaller grids step on the calling thread")
         sp.add_argument("--quiet", action="store_true", help="suppress progress output")
     return p
 

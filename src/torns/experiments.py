@@ -7,8 +7,9 @@ Everything here is a finite-horizon, finite-ensemble measurement:
   larger horizons extend the same z into the past and every horizon sees the
   same omega) and steps the conjugated system of an initial-data family
   forward from -t, for every horizon t at once;
-* absorbing behaviour is reported as the norms of a pulled-back family (the
-  CLI prints their sup per horizon);
+* absorbing behaviour and synchronisation are reported from a pulled-back
+  family (torns pullback: the family's norms, their sup per horizon, and each
+  member's H distance to one member at time 0, with its decay rate);
 * the (H, H^2)-smoothing constant is reported as the measured ratio
   ||v1(T) - v2(T)||_{H^2}^2 / ||v1(0) - v2(0)||^2 over pairs driven by the
   same noise path.
@@ -18,14 +19,13 @@ order; a blowup gives error rows (NaN values and the diagnostic in `error`),
 except in conjugation_convergence, which raises.
 
 Every experiment steps its trajectories as ensembles (dynamics.ensemble)
-through one runner, _run_ensembles: the family of each pullback horizon
-(absorbing's radii among them), a convergence (level, system) over the
-paths, and all of smoothing's base and perturbed members, each (seed,
-direction) on the OU path of its seed.  The ensembles start from rows:
-pullback_solve and measure_smoothing take (N, K) vorticity rows, as
-dynamics.ensemble does, every direction and start drawn here is drawn as
-a row (spectral.random_row), and each start built here is a sum of rows
-(absorbing's r e, smoothing's w1 + delta dw, convergence's w0 + z(0) hw).
+through one runner, _run_ensembles: the family of each pullback horizon, a
+convergence (level, system) over the paths, and all of smoothing's base and
+perturbed members, each (seed, direction) on the OU path of its seed.  The
+ensembles start from rows: pullback_solve and measure_smoothing take (N, K)
+vorticity rows, as dynamics.ensemble does, every direction and start drawn
+here is drawn as a row (spectral.random_row), and each start built here is
+a sum of rows (smoothing's w1 + delta dw, convergence's w0 + z(0) hw).
 Each member has the bits of its own one-member run, so reports are
 bit-reproducible for any worker count.  On dense-DFT grids an ensemble is
 one block on the calling thread; on FFT grids it splits into sub-blocks
@@ -40,7 +40,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .dynamics import NORMS, BlowupError, SimConfig, _half_spectrum, ensemble
+from .dynamics import BlowupError, SimConfig, _half_spectrum, ensemble
 from .noise import (
     horizon_steps,
     ou_from_wiener,
@@ -56,7 +56,6 @@ from .spectral import random_row
 __all__ = [
     "pullback_solve",
     "measure_smoothing",
-    "measure_absorbing",
     "ergodic_check",
     "conjugation_convergence",
 ]
@@ -226,33 +225,6 @@ def measure_smoothing(
 
 def _kmin(cfg: SimConfig) -> float:
     return 2.0 * math.pi / cfg.grid.L
-
-
-def _norms(st) -> dict:
-    """The NORMS columns and error ("") of a State; NaN norms and the message of a BlowupError."""
-    if isinstance(st, BlowupError):
-        return {**dict.fromkeys(NORMS, float("nan")), "error": str(st)}
-    return {**st.norms(), "error": ""}
-
-
-def measure_absorbing(
-    cfg: SimConfig,
-    initial_radii: list[float],
-    horizons: list[float],
-    seed: int,
-    threads: int = 1,
-) -> list[dict]:
-    """Pullback the rows {radius * e : radius in initial_radii}, e the row of one fixed unit direction, per horizon.
-
-    Rows (radius, horizon, the NORMS columns, error) per distinct (radius, horizon)
-    in increasing order; a member that blows up gets NaN norms and its error.
-    """
-    e = random_row(_half_spectrum(cfg.grid), 99, norm=1.0, stream=29)
-    radii, hs = sorted(set(initial_radii)), sorted(set(horizons))
-    family = [r * e for r in radii]
-    runs = pullback_solve(cfg, hs, seed, family, threads)
-    return [{"radius": radius, "horizon": h, **_norms(states[i])}
-            for i, radius in enumerate(radii) for h, states in zip(hs, runs)]
 
 
 def ergodic_check(T: float, dt: float, seeds: list[int], moments: tuple[int, ...] = (1, 2, 4)) -> list[dict]:

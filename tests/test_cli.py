@@ -14,9 +14,10 @@ import torns
 from torns import cli
 from torns.cli import COMMANDS, main
 from torns.dynamics import integrate
+from torns.experiments import pullback_solve
 from torns.io import load_config, read_checkpoint
 from torns.noise import ou_from_wiener, sample_wiener
-from torns.spectral import HalfSpectrum, SpectralField
+from torns.spectral import HalfSpectrum, SpectralField, random_row
 from tests.oracle import sobolev_norm
 
 # criterion 10's config: small enough that every subcommand runs in seconds
@@ -83,7 +84,7 @@ class TestArgumentHandling:
 
 class TestArtifactContract:
     @pytest.mark.parametrize("command", ["simulate", "taylor-green", "pullback", "smoothing",
-                                         "absorbing", "ergodic", "convergence"])
+                                         "ergodic", "convergence"])
     def test_manifest_lists_every_artifact(self, tmp_path, command):
         out = tmp_path / "out"
         args = [command, "--out", str(out), "--quiet"]
@@ -110,13 +111,17 @@ class TestArtifactContract:
         assert capsys.readouterr().out == ""
 
     def test_absorbing_blowup_keeps_report(self, tmp_path, capsys):
+        # every member of pullback's family blows up past horizon 2: 3 members x 2 horizons error rows
         cfg = write_config(tmp_path, {"nu": 1.0, "N": 16, "dt": 0.2,
                                       "forcing": {"preset": "random", "norm": 50, "seed": 1}})
         out = tmp_path / "ab"
-        assert main(["absorbing", "--config", cfg, "--out", str(out)]) == 2
+        assert main(["pullback", "--config", cfg, "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "aborted rows: 2\n" and captured.out == ""
-        assert sorted(p.name for p in out.iterdir()) == ["absorbing.csv", "manifest.json"]
+        assert captured.err == "aborted rows: 6\n" and captured.out == ""
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "plot.py", "pullback.csv"]
+        rows = [r.split(",") for r in (out / "pullback.csv").read_text().strip().splitlines()[1:]]
+        assert [r[0] for r in rows if r[6]] == ["5.0"] * 3 + ["10.0"] * 3
+        assert all(r[2:6] == ["nan"] * 4 and "non-finite" in r[6] for r in rows if r[6])
 
     def test_smoothing_blowup_keeps_report(self, tmp_path, capsys):
         # every trajectory blows up: 3 seeds x 2 directions x 3 deltas x 3 horizons error rows
@@ -398,11 +403,10 @@ class TestTaylorGreenCommand:
 
 class TestExperimentCommands:
     # the columns come from the keys of the rows that torns.experiments builds
-    @pytest.mark.parametrize("command", ["pullback", "smoothing", "absorbing", "ergodic", "convergence"])
+    @pytest.mark.parametrize("command", ["pullback", "smoothing", "ergodic", "convergence"])
     def test_report_header(self, tmp_path, command):
-        header = {"pullback": "horizon,norm_H,norm_H1,norm_H2,error",
+        header = {"pullback": "horizon,member,norm_H,norm_H1,norm_H2,dist_H,error",
                   "smoothing": "seed,direction,delta,T,dist0,distT_h2_sq,ratio,error",
-                  "absorbing": "radius,horizon,norm_H,norm_H1,norm_H2,error",
                   "ergodic": "seed,m,empirical,analytic,rel_error",
                   "convergence": "level,dt,strong_error,ratio,order"}[command]
         out = tmp_path / "out"
@@ -421,12 +425,17 @@ class TestExperimentCommands:
         })
         out = tmp_path / "pb"
         assert main(["pullback", "--config", cfg, "--out", str(out)]) == 0
-        rows = (out / "pullback.csv").read_text().strip().splitlines()
-        assert len(rows) == 4
+        rows = [r.split(",") for r in (out / "pullback.csv").read_text().strip().splitlines()[1:]]
+        # one row per (horizon, member), horizon first, then the family {w0, 1 e, 10 e}
+        assert [r[:2] for r in rows] == [[h, m] for h in ("2.0", "5.0", "10.0") for m in ("w0", "1.0", "10.0")]
+        # dist_H is the H distance to the w0 member at time 0: exactly zero for w0 itself
+        assert [r[5] for r in rows if r[1] == "w0"] == ["0.0"] * 3
+        assert all(float(r[5]) > 0 for r in rows if r[1] != "w0")
 
     def test_pullback_unstable_dt_aborts_exit_2(self, tmp_path, capsys):
-        # dt = 0.25 blows up every horizon, 5 included (its 5 steps at dt = 1 stay
-        # finite); the report keeps one error row per horizon
+        # dt = 0.25 blows up the w0 member (norm 50) at horizons 5 and 10, not
+        # in horizon 2's 8 steps: its two error rows, and NaN distances to it
+        # in the rows of the radii, which stay finite
         cfg = write_config(tmp_path, {
             "nu": 1.0, "N": 16, "dt": 0.25,
             "initial": {"preset": "random", "norm": 50.0, "seed": 1},
@@ -434,13 +443,15 @@ class TestExperimentCommands:
         out = tmp_path / "pb"
         assert main(["pullback", "--config", cfg, "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "aborted rows: 3\n" and captured.out == ""
+        assert captured.err == "aborted rows: 2\n" and captured.out == ""
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "plot.py", "pullback.csv"]
         rows = [r.split(",") for r in (out / "pullback.csv").read_text().strip().splitlines()[1:]]
-        assert [r[0] for r in rows] == ["5.0", "10.0", "20.0"]
-        assert all(r[1:4] == ["nan"] * 3 and "non-finite" in r[4] for r in rows)
+        failed = [r for r in rows if r[6]]
+        assert [r[:2] for r in failed] == [["5.0", "w0"], ["10.0", "w0"]]
+        assert all(r[2:6] == ["nan"] * 4 and "non-finite" in r[6] for r in failed)
+        assert all(r[5] == "nan" and math.isfinite(float(r[2])) for r in rows if r[0] != "2.0" and r[1] != "w0")
 
-    @pytest.mark.parametrize("command", ["smoothing", "pullback", "absorbing", "simulate", "taylor-green"])
+    @pytest.mark.parametrize("command", ["smoothing", "pullback", "simulate", "taylor-green"])
     def test_dt_not_dividing_a_horizon_is_config_error(self, tmp_path, capsys, command):
         # dt = 0.3 divides none of the fixed horizons of these rows, nor the
         # default t_end = 1 that simulate and taylor-green step to
@@ -489,17 +500,35 @@ class TestExperimentCommands:
         assert outs[0] == outs[1]
 
     def test_absorbing_writes_report(self, tmp_path):
-        cfg = write_config(tmp_path, {"preset": "decay-noise", "N": 8, "dt": 1e-2})
+        raw = {"preset": "decay-noise", "N": 8, "dt": 1e-2}
         out = tmp_path / "ab"
-        assert main(["absorbing", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-        rows = (out / "absorbing.csv").read_text().strip().splitlines()
-        assert len(rows) == 1 + 4  # 2 radii x 2 horizons
+        assert main(["pullback", "--config", write_config(tmp_path, raw), "--out", str(out), "--quiet"]) == 0
+        rows = [r.split(",") for r in (out / "pullback.csv").read_text().strip().splitlines()[1:]]
+        radii = [r for r in rows if r[1] != "w0"]
+        assert len(radii) == 6  # 2 radii x 3 horizons
+        # w0 in the family leaves the radii's members with the bits of a pullback of the radii alone
+        cfg = load_config(raw)
+        e = random_row(HalfSpectrum(cfg.grid), 99, norm=1.0, stream=29)
+        alone = pullback_solve(cfg, [2.0, 5.0, 10.0], cfg.seed, [1.0 * e, 10.0 * e])
+        assert [r[2:5] for r in radii] == [[repr(float(v)) for v in st.norms().values()]
+                                            for states in alone for st in states]
 
     def test_absorbing_summary_holds_the_sup_per_horizon(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"preset": "decay-noise", "N": 8, "dt": 1e-2})
         out = tmp_path / "ab"
-        assert main(["absorbing", "--config", cfg, "--out", str(out)]) == 0
-        rows = [r.split(",") for r in (out / "absorbing.csv").read_text().strip().splitlines()[1:]]
-        sups = {h: max(float(r[2]) for r in rows if r[1] == h) for h in ("2.0", "5.0")}
-        assert capsys.readouterr().out == f"absorbing radii: H(t=2.0)={sups['2.0']:.4g}, H(t=5.0)={sups['5.0']:.4g}\n"
-        assert len(set(float(r[2]) for r in rows)) == 4  # the radii differ at both horizons
+        assert main(["pullback", "--config", cfg, "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "pullback.csv").read_text().strip().splitlines()[1:]]
+        sups = {h: max(float(r[2]) for r in rows if r[0] == h) for h in ("2.0", "5.0", "10.0")}
+        printed = capsys.readouterr().out
+        assert printed.startswith("pullback family: sup H(t=2.0)={:.4g}, H(t=5.0)={:.4g}, H(t=10.0)={:.4g}; "
+                              "synchronisation rate ".format(*sups.values()))
+        assert printed.count("\n") == 1
+        assert len(set(float(r[2]) for r in rows if r[1] != "w0")) == 6  # the radii differ at every horizon
+
+    def test_pullback_synchronises_at_nu_lambda1(self, tmp_path, capsys):
+        # decay-noise (nu = 1, lambda_1 = 1) at N = 8: the family's spread at
+        # time 0 decays at nu lambda_1; measured 1.000102, bound ten times that gap
+        cfg = write_config(tmp_path, {"preset": "decay-noise", "N": 8, "dt": 1e-2})
+        assert main(["pullback", "--config", cfg, "--out", str(tmp_path / "pb")]) == 0
+        rate = float(capsys.readouterr().out.split("; synchronisation rate ")[1])
+        assert abs(rate - 1.0) < 1e-3

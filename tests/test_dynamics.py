@@ -26,6 +26,7 @@ from torns.spectral import (
     WaveGrid,
     field_violations,
     nonlinear_term,
+    random_row,
 )
 from tests.oracle import random_divfree_field, sobolev_norm, taylor_green_velocity, zero_field
 
@@ -501,7 +502,8 @@ class TestStepperBuffers:
         assert len(rows) == 4
         # horizon 0 reads the initial states
         experiments.measure_smoothing(cfg, row(v0), deltas=[1e-3], horizons=[0.0, 4 * cfg.dt], seeds=[1])
-        experiments.measure_absorbing(cfg, initial_radii=[1.0, 2.0], horizons=[0.0, 3 * cfg.dt], seed=5)
+        e = random_row(HalfSpectrum(grid16), 99, norm=1.0, stream=29)  # torns pullback's radii family
+        experiments.pullback_solve(cfg, [0.0, 3 * cfg.dt], 5, [1.0 * e, 2.0 * e])
         experiments.conjugation_convergence(cfg, base_dt=cfg.dt, levels=3, T=4 * cfg.dt, seed=7, paths=2)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"preset": "decay-noise", "N": 8, "dt": 1e-2}))
@@ -680,9 +682,10 @@ class TestTrajectory:
             c = noisy_cfg(g)
             assert run(experiments.measure_smoothing, c, row(random_divfree_field(g, seed=4, norm=1.0)),
                        deltas=[1e-3, 1e-4], horizons=[4 * c.dt, 10 * c.dt], seeds=[1, 2]) == (12 * 10, blocks)
-        # absorbing: one stepper per horizon, its radii one ensemble
-        assert run(experiments.measure_absorbing, cfg, initial_radii=[1.0, 2.0, 4.0],
-                   horizons=[3 * cfg.dt, 8 * cfg.dt], seed=5) == (3 * (3 + 8), [(3, 3), (3, 8)])
+        # absorbing, torns pullback's radii family: one stepper per horizon, its radii one ensemble
+        e = random_row(HalfSpectrum(grid16), 99, norm=1.0, stream=29)
+        assert run(experiments.pullback_solve, cfg, [3 * cfg.dt, 8 * cfg.dt], 5,
+                   [r * e for r in (1.0, 2.0, 4.0)]) == (3 * (3 + 8), [(3, 3), (3, 8)])
         # convergence: levels of 4, 8 and 16 steps, each an OU and a Wiener ensemble of the 2 paths
         assert run(experiments.conjugation_convergence, cfg, base_dt=cfg.dt, levels=3, T=4 * cfg.dt, seed=7,
                    paths=2) == (2 * 2 * (4 + 8 + 16), [(2, 4), (2, 4), (2, 8), (2, 8), (2, 16), (2, 16)])

@@ -10,7 +10,6 @@ from torns.dynamics import BlowupError, SimConfig, State, _EtdStepper, trajector
 from torns.experiments import (
     conjugation_convergence,
     ergodic_check,
-    measure_absorbing,
     measure_smoothing,
     pullback_solve,
 )
@@ -19,6 +18,7 @@ from torns.spectral import (
     HalfSpectrum,
     SpectralField,
     WaveGrid,
+    random_row,
 )
 from tests.oracle import random_divfree_field, sobolev_norm, zero_field
 from tests.test_dynamics import bad_row, row as curl
@@ -37,6 +37,12 @@ def cfg_for(grid, **kw):
     kw.setdefault("fw", curl(zero_field(grid)))
     kw.setdefault("hw", curl(zero_field(grid)))
     return SimConfig(grid=grid, **kw)
+
+
+def radii(grid, *rs):
+    """The rows r e of the family that torns pullback adds to w0, e its fixed unit row."""
+    e = random_row(HalfSpectrum(grid), 99, norm=1.0, stream=29)
+    return [r * e for r in rs]
 
 
 def sine_shear(grid, c=1.0):
@@ -72,8 +78,7 @@ class TestPullback:
             "pullback": lambda: pullback_solve(cfg, [0.6, 5.0], 1, [w0]),
             "smoothing": lambda: measure_smoothing(cfg, w0, deltas=[1e-3], horizons=[0.6, 1.0],
                                                    seeds=[1], directions=("random",)),
-            "absorbing": lambda: measure_absorbing(cfg, initial_radii=[1.0], horizons=[0.6, 2.0],
-                                                   seed=1),
+            "absorbing": lambda: pullback_solve(cfg, [0.6, 2.0], 1, radii(grid16, 1.0)),
         }[experiment]
         with pytest.raises(ValueError, match=r"is not a whole number of steps of dt = 0\.3"):
             run()
@@ -96,8 +101,7 @@ class TestPullback:
             "pullback": lambda: pullback_solve(cfg, horizons, 1, [w0]),
             "smoothing": lambda: measure_smoothing(cfg, w0, deltas=[1e-3], horizons=horizons,
                                                    seeds=[1], directions=("random",)),
-            "absorbing": lambda: measure_absorbing(cfg, initial_radii=[1.0], horizons=[-0.5, 1.0],
-                                                   seed=1),
+            "absorbing": lambda: pullback_solve(cfg, [-0.5, 1.0], 1, radii(grid16, 1.0)),
         }[experiment]
         with pytest.raises(ValueError, match=match):
             run()
@@ -370,40 +374,36 @@ class TestSmoothing:
 
 
 class TestAbsorbing:
+    # torns pullback's family past w0: the rows r e, pulled back per horizon
     def test_pure_decay_bound_per_cell(self, grid16):
         cfg = cfg_for(grid16, nu=1.0)
-        rows = measure_absorbing(cfg, initial_radii=[1.0, 10.0], horizons=[1.0, 2.0], seed=5)
-        for row in rows:
-            bound = math.exp(-cfg.nu * grid16.lambda1 * row["horizon"]) * row["radius"]
-            assert row["norm_H"] <= bound * (1 + 1e-6)
+        rs, horizons = [1.0, 10.0], [1.0, 2.0]
+        for horizon, states in zip(horizons, pullback_solve(cfg, horizons, 5, radii(grid16, *rs))):
+            for radius, st in zip(rs, states):
+                bound = math.exp(-cfg.nu * grid16.lambda1 * horizon) * radius
+                assert st.norms()["norm_H"] <= bound * (1 + 1e-6)
 
     def test_zero_radius_gives_noise_response(self, grid16):
         h = random_divfree_field(grid16, seed=2, norm=0.3)
         cfg = cfg_for(grid16, hw=curl(h), fw=curl(random_divfree_field(grid16, seed=3, norm=0.2)))
-        rows = measure_absorbing(cfg, initial_radii=[0.0], horizons=[5.0], seed=5)
-        assert rows[0]["norm_H"] > 0.0
+        ((st,),) = pullback_solve(cfg, [5.0], 5, radii(grid16, 0.0))
+        assert st.norms()["norm_H"] > 0.0
 
     def test_monotone_in_radius_linear_regime(self, grid16):
         cfg = cfg_for(grid16, nu=1.0)
-        rows = measure_absorbing(cfg, initial_radii=[1.0, 2.0, 4.0], horizons=[1.0], seed=5)
-        norms = [r["norm_H"] for r in sorted(rows, key=lambda r: r["radius"])]
+        (states,) = pullback_solve(cfg, [1.0], 5, radii(grid16, 1.0, 2.0, 4.0))
+        norms = [st.norms()["norm_H"] for st in states]
         assert norms[0] <= norms[1] <= norms[2]
 
     def test_blowup_cell_gives_error_row(self, grid16):
         cfg = cfg_for(grid16, dt=10.0)
-        rows = measure_absorbing(cfg, initial_radii=[0.0, 50.0], horizons=[1000.0], seed=5)
-        ok, bad = sorted(rows, key=lambda r: r["radius"])
-        assert ok["error"] == "" and ok["norm_H"] == 0.0
-        assert "non-finite" in bad["error"] and math.isnan(bad["norm_H"])
+        ((ok, bad),) = pullback_solve(cfg, [1000.0], 5, radii(grid16, 0.0, 50.0))
+        assert ok.norms()["norm_H"] == 0.0
+        assert isinstance(bad, BlowupError) and "non-finite" in str(bad)
 
     def test_rejects_empty_grids(self, grid16):
         with pytest.raises(ValueError):
-            measure_absorbing(cfg_for(grid16), initial_radii=[], horizons=[1.0], seed=1)
-
-    def test_reports_the_distinct_horizons_of_its_rows(self, grid16):
-        # the rows hold the distinct horizons in increasing order, not the caller's list
-        rows = measure_absorbing(cfg_for(grid16), initial_radii=[1.0], horizons=[0.02, 0.01, 0.02], seed=5)
-        assert [r["horizon"] for r in rows] == [0.01, 0.02]
+            pullback_solve(cfg_for(grid16), [1.0], 1, radii(grid16))
 
 
 class TestErgodicCheck:
@@ -510,8 +510,8 @@ class TestRunner:
         return [
             measure_smoothing(cfg, w1, deltas=[1e-3], horizons=[dt, 2 * dt], seeds=[1, 2],
                               threads=threads),
-            measure_absorbing(cfg, initial_radii=[1.0, 2.0], horizons=[dt, 2 * dt], seed=5,
-                              threads=threads),
+            [[st.norms() for st in states]
+             for states in pullback_solve(cfg, [dt, 2 * dt], 5, radii(grid, 1.0, 2.0), threads=threads)],
             conjugation_convergence(cfg, base_dt=dt, levels=3, T=2 * dt, seed=9, paths=2,
                                     threads=threads),
         ]
@@ -554,8 +554,9 @@ class TestRunner:
         grid, sizes, real = WaveGrid(TWO_PI, N), [], experiments.ensemble
         monkeypatch.setattr(experiments, "ensemble", lambda v0s, *a: sizes.append(len(v0s)) or real(v0s, *a))
         monkeypatch.setattr(experiments, "_SUB_BLOCK_BYTES", 3 * experiments._member_bytes(N) + 1)
-        radii = [float(r) for r in range(8)]
-        rows = measure_absorbing(cfg_for(grid), initial_radii=radii, horizons=[0.1], seed=5)
+        family = radii(grid, *map(float, range(8)))
+        (states,) = pullback_solve(cfg_for(grid), [0.1], 5, family)
         assert sizes == [2, 3, 3]
         monkeypatch.undo()
-        assert rows == measure_absorbing(cfg_for(grid), initial_radii=radii, horizons=[0.1], seed=5)
+        (rerun,) = pullback_solve(cfg_for(grid), [0.1], 5, family)
+        assert all(np.array_equal(a.w, b.w) for a, b in zip(states, rerun))
