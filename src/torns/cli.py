@@ -6,8 +6,10 @@ artifacts), pullback (the family {w0, 1 e, 10 e} on one path: its norms, its
 spread and its synchronisation rate), smoothing, ergodic, taylor-green and
 convergence.  COMMANDS has one row per subcommand; the parser is built from
 it, and _run does once what every row shares: config loading, the --out
-directory, the manifest and --quiet.  Each experiment row hands the rows of
-its CSV and its summary line to _report.
+directory, the manifest and --quiet.  Each experiment row draws every row
+its report steps (pullback's family, smoothing's direction rows per seed,
+convergence's start), so torns.experiments steps only the rows it is given,
+and hands the rows of its CSV and its summary line to _report.
 
 Exit codes: 0 success, 1 validation/usage failure, 2 runtime abort (NaN/Inf).
 On a blowup, pullback and smoothing keep their CSV with error rows
@@ -147,10 +149,20 @@ def _pullback(cfg: SimConfig, args, out: Path) -> Outcome:
     return code, files + ["plot.py"], summary
 
 
+def _directions(cfg: SimConfig, seeds: list[int]) -> dict[tuple[int, str], np.ndarray]:
+    """smoothing's unit direction rows per seed: "random", and "lowest" on the shell |k| = 2 pi / L, whose
+    linear ratio lam^2 e^{-2 nu lam T} is the sup over shells only from T ~ 1/(nu lambda_1)
+    (decay-noise, T = 0.01: "lowest" 0.983, "random" 67.6, sup 1353.4)."""
+    half, kmin = dynamics._half_spectrum(cfg.grid), 2.0 * math.pi / cfg.grid.L
+    lowest = lambda k: np.abs(k - kmin) < 1e-9
+    return {(seed, label): random_row(half, seed, norm=1.0, stream=stream, profile=profile)
+            for seed in seeds for label, stream, profile in (("random", 23, None), ("lowest", 24, lowest))}
+
+
 def _smoothing(cfg: SimConfig, args, out: Path) -> Outcome:
     rows = experiments.measure_smoothing(
-        cfg, cfg.w0, deltas=[1e-2, 1e-3, 1e-4], horizons=list(_SMOOTHING_HORIZONS),
-        seeds=[cfg.seed, cfg.seed + 1, cfg.seed + 2], threads=args.threads)
+        cfg, cfg.w0, _directions(cfg, [cfg.seed, cfg.seed + 1, cfg.seed + 2]), deltas=[1e-2, 1e-3, 1e-4],
+        horizons=list(_SMOOTHING_HORIZONS), threads=args.threads)
     ratios = sorted(r["ratio"] for r in rows if r["delta"] > 0)
     mid = len(ratios) // 2  # statistics.median's arithmetic, without its 0.4 MB import
     median = ratios[mid] if len(ratios) % 2 else (ratios[mid - 1] + ratios[mid]) / 2
@@ -165,8 +177,10 @@ def _ergodic(cfg: SimConfig, args, out: Path) -> Outcome:
 
 
 def _convergence(cfg: SimConfig, args, out: Path) -> Outcome:
+    # v(0), one unit row drawn from the config seed
+    w0 = random_row(dynamics._half_spectrum(cfg.grid), cfg.seed, norm=1.0, stream=31)
     rows = experiments.conjugation_convergence(
-        cfg, base_dt=2.0**-7, levels=4, T=1.0, seed=cfg.seed,
+        cfg, w0, base_dt=2.0**-7, levels=4, T=1.0, seed=cfg.seed,
         paths=8, threads=args.threads)
     return _report(rows, "convergence.csv", out,
                    f"conjugation convergence: ratios {['%.3f' % r['ratio'] for r in rows[:-1]]}")

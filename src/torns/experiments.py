@@ -22,9 +22,9 @@ Every experiment steps its trajectories as ensembles (dynamics.ensemble)
 through one runner, _run_ensembles: the family of each pullback horizon, a
 convergence (level, system) over the paths, and all of smoothing's base and
 perturbed members, each (seed, direction) on the OU path of its seed.  The
-ensembles start from rows: pullback_solve and measure_smoothing take (N, K)
-vorticity rows, as dynamics.ensemble does, every direction and start drawn
-here is drawn as a row (spectral.random_row), and each start built here is
+experiments step only the rows they are given: every start and direction
+is an (N, K) vorticity row that the caller draws (the CLI draws each
+report's), admitted before any path is drawn, and each start built here is
 a sum of rows (smoothing's w1 + delta dw, convergence's w0 + z(0) hw).
 Each member has the bits of its own one-member run, so reports are
 bit-reproducible for any worker count.  On dense-DFT grids an ensemble is
@@ -51,7 +51,6 @@ from .noise import (
     sample_wiener,
 )
 from . import spectral
-from .spectral import random_row
 
 __all__ = [
     "pullback_solve",
@@ -143,21 +142,41 @@ def pullback_solve(cfg: SimConfig, horizons: list[float], seed: int, w0s: list,
     return [levels[ou.n] for ou, levels in zip(ous, runs)]
 
 
-def _smoothing_rows(cfg, w1, groups, deltas, horizons, threads):
-    """The groups as one ensemble; one row per (group, delta, T), in the order of groups.
+def measure_smoothing(
+    cfg: SimConfig,
+    w1: np.ndarray,
+    directions: dict[tuple[int, str], np.ndarray],
+    deltas: list[float],
+    horizons: list[float],
+    threads: int = 1,
+) -> list[dict]:
+    """Measured (H, H^2)-smoothing ratios for perturbation pairs sharing one noise path, from the row w1.
 
-    A group ((seed, label), dw) is the base row w1, admitted before
-    any path is drawn, and the perturbed starts w1 + delta * dw, dw the
-    direction's row, on the OU path of seed (no path, the deterministic system,
-    when h is zero or every horizon is 0).  dist0 is the H norm of start - w1,
-    read as distT_h2_sq is.  A blowup gives error rows: for every (delta, T)
-    of a group when its base blows up, and for the horizons not yet reached
-    when a perturbed member does.
+    directions maps (seed, label) to a direction row dw; each is a group, the
+    base row w1 and the perturbed starts w1 + delta * dw, on the OU path of
+    seed (no path, the deterministic system, when h is zero or every horizon
+    is 0).  Rows (seed, direction, delta, T, dist0, distT_h2_sq, ratio =
+    distT_h2_sq / dist0^2, error) come per group in sorted key order, then
+    delta and T; dist0 is the H norm of start - w1, read as distT_h2_sq is.
+    Every group steps in one ensemble, on at most `threads` workers (see
+    _run_ensembles).  A blowup gives error rows: for every (delta, T) of a
+    group when its base blows up, and for the horizons not yet reached when a
+    perturbed member does.  Empty directions, deltas or horizons raise
+    ValueError up front, and a horizon that horizon_steps rejects, or a row
+    w1 or dw outside the state space (HalfSpectrum.admit), before any path
+    is drawn.
     """
+    for name, values in dict(directions=directions, deltas=deltas, horizons=horizons).items():
+        if not values:
+            raise ValueError(f"{name} must be nonempty")
+    horizons = sorted(horizons)
     at = {T: horizon_steps(T, cfg.dt) for T in horizons}  # two horizons may share a step
     steps = max(at.values())
     half = _half_spectrum(cfg.grid)
     half.admit(w1, "initial row")
+    groups = sorted(directions.items())
+    for (seed, label), dw in groups:
+        half.admit(dw, f"direction row {label!r} of seed {seed}")
     seeds = {seed for (seed, _), _ in groups} if steps and cfg.noisy else ()  # one path per seed
     ous = {seed: ou_from_wiener(sample_wiener(0.0, horizons[-1], cfg.dt, seed=seed)) for seed in seeds}
     k = 1 + len(deltas)
@@ -180,51 +199,6 @@ def _smoothing_rows(cfg, w1, groups, deltas, horizons, threads):
                 rows.append({"seed": seed, "direction": label, "delta": delta, "T": T, "dist0": dist0[g][i],
                              "distT_h2_sq": d2, "ratio": ratio, "error": error})
     return rows
-
-
-def measure_smoothing(
-    cfg: SimConfig,
-    w1: np.ndarray,
-    deltas: list[float],
-    horizons: list[float],
-    seeds: list[int],
-    directions: tuple[str, ...] = ("random", "lowest"),
-    threads: int = 1,
-) -> list[dict]:
-    """Measured (H, H^2)-smoothing ratios for perturbation pairs sharing one noise path, from the row w1.
-
-    Directions: "random" draws the row of a unit divergence-free field per seed; "lowest"
-    puts it on the lowest shell, whose linear ratio lam^2 e^{-2 nu lam T} is the sup over shells only
-    from T ~ 1/(nu lambda_1) (decay-noise, T = 0.01: "lowest" 0.983, "random" 67.6, sup 1353.4).
-    Rows (seed, direction, delta, T, dist0, distT_h2_sq, ratio = distT_h2_sq /
-    dist0^2, error) come per distinct (seed, direction) in sorted order, then
-    delta and T.  Every group steps in one ensemble, on at most `threads`
-    workers (see _run_ensembles).  Empty deltas, horizons, seeds or directions
-    raise ValueError up front, and a horizon that horizon_steps rejects or a
-    row w1 outside the state space before any path is drawn.
-    """
-    for name, values in dict(deltas=deltas, horizons=horizons, seeds=seeds, directions=directions).items():
-        if not values:
-            raise ValueError(f"{name} must be nonempty")
-    horizons = sorted(horizons)
-    half = _half_spectrum(cfg.grid)
-    fields = {}
-    for seed in seeds:
-        for label in directions:
-            if label == "random":
-                dw = random_row(half, seed, norm=1.0, stream=23)
-            elif label == "lowest":
-                dw = random_row(half, seed, norm=1.0, stream=24,
-                                profile=lambda k: np.where(np.abs(k - _kmin(cfg)) < 1e-9, 1.0, 0.0))
-            else:
-                raise ValueError(f"unknown direction {label!r}")
-            fields[seed, label] = dw
-    # by (seed, label); a duplicate is one group
-    return _smoothing_rows(cfg, w1, sorted(fields.items()), deltas, horizons, threads)
-
-
-def _kmin(cfg: SimConfig) -> float:
-    return 2.0 * math.pi / cfg.grid.L
 
 
 def ergodic_check(T: float, dt: float, seeds: list[int], moments: tuple[int, ...] = (1, 2, 4)) -> list[dict]:
@@ -251,6 +225,7 @@ def ergodic_check(T: float, dt: float, seeds: list[int], moments: tuple[int, ...
 
 def conjugation_convergence(
     cfg: SimConfig,
+    w0: np.ndarray,
     base_dt: float,
     levels: int,
     T: float,
@@ -263,16 +238,18 @@ def conjugation_convergence(
     Both solvers share the Brownian increments at each level; z is the OU
     process of those increments with a level-independent stationary z_0.  The
     strong error at each level is the ensemble mean over `paths` independent
-    Wiener paths; the row w0 of v(0) is drawn once, from the config seed, and each
-    Ito member starts at w0 plus z(0) curl h.  Rows (level, dt,
-    strong_error, ratio to the next level, its log2 order; "" on the last).  A
-    blowup raises: benchmarks/reference.json pins these five columns, no `error`.
+    Wiener paths; v(0) is the row w0, and each Ito member starts at w0 plus
+    z(0) curl h.  Rows (level, dt, strong_error, ratio to the next level, its
+    log2 order; "" on the last).  A blowup raises: benchmarks/reference.json
+    pins these five columns, no `error`.  Fewer than 3 levels or no paths,
+    or a row w0 outside the state space (HalfSpectrum.admit), raise
+    ValueError before any path is drawn.
     """
     if levels < 3:
         raise ValueError(f"need at least 3 levels, got {levels}")
     if paths < 1:
         raise ValueError(f"need at least 1 path, got {paths}")
-    w0 = random_row(_half_spectrum(cfg.grid), cfg.seed, norm=1.0, stream=31)
+    _half_spectrum(cfg.grid).admit(w0, "initial row")
     hw = cfg.hw  # curl h: v + h z on the vorticity block
     wieners = [sample_wiener(0.0, T, base_dt, seed=seed + m) for m in range(paths)]
     errs = np.empty((paths, levels))

@@ -358,17 +358,21 @@ for name in CSVS:
         rows = list(csv.DictReader(fh))
     if not rows:
         continue
-    cols = rows[0].keys()
-    xkey = "t" if "t" in cols else list(cols)[0]
-    for key in cols:
-        if key == xkey or key == "error":
-            continue
-        try:
-            xs = [float(r[xkey]) for r in rows]
-            ys = [float(r[key]) for r in rows]
-        except ValueError:
-            continue
-        ax.plot(xs, ys, label=f"{{name}}:{{key}}")
+    cols = list(rows[0])
+    xkey = "t" if "t" in cols else cols[0]
+    members = {{}}  # a member column (pullback.csv): one line per member and column
+    for r in rows:
+        members.setdefault(r.get("member"), []).append(r)
+    for member, group in members.items():
+        for key in cols:
+            if key in (xkey, "member", "error"):
+                continue
+            try:
+                xs = [float(r[xkey]) for r in group]
+                ys = [float(r[key]) for r in group]
+            except ValueError:
+                continue
+            ax.plot(xs, ys, label=f"{{name}}:{{key}}" + (f":{{member}}" if member else ""))
 ax.set_xlabel("t")
 ax.legend(fontsize=6)
 fig.tight_layout()
@@ -378,7 +382,8 @@ print("wrote", HERE / "plot.png")
 
 
 def emit_plot_script(csv_names: list[str], path: str | Path) -> None:
-    """Write a stand-alone matplotlib script that reads the given CSVs and saves plot.png."""
+    """Write a stand-alone matplotlib script that reads the given CSVs and saves plot.png: each numeric
+    column against t (else the first column), one line per member when a CSV has a member column."""
     Path(path).write_text(_PLOT_TEMPLATE.format(csvs=list(csv_names)))
 
 

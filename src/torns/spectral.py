@@ -409,9 +409,10 @@ def vorticity_advection(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorksp
 def _advection_fft(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorkspace) -> np.ndarray:
     """vorticity_advection in the Basdevant form, numpy's 1-D FFTs out= into the workspace."""
     N = half.grid.N
-    # a broadcasting multiply with out= allocates a transient, a broadcast copy does not
-    np.copyto(work.vel, w)
-    np.multiply(work.ops2, work.vel, out=work.vel)
+    # one multiply per field, none broadcast: a multiply that broadcasts w over both
+    # fields buffers a transient the size of vel below N = 128 (numpy 2.4, tracemalloc)
+    for op, vel in zip(work.ops2, work.vel):
+        np.multiply(op, w, out=vel)
     np.fft.ifft(work.vel, n=N, axis=-2, norm="forward", out=work.cols_k)
     u = np.fft.irfft(work.cols, n=N, axis=-1, norm="forward", out=work.uv)
     adv = work.adv

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from torns.cli import _directions  # torns smoothing's direction rows
 from torns.dynamics import (
     BlowupError,
     SimConfig,
@@ -136,7 +137,8 @@ def test_criterion_5_conjugation_convergence():
         f = random_divfree_field(g, seed=21, norm=0.5)
         cfg = SimConfig(nu=1.0, grid=g, dt=2.0**-7, fw=curl(f), hw=curl(h), seed=5)
         assert cfg.assumption.satisfied
-        rows = conjugation_convergence(cfg, base_dt=2.0**-7, levels=4, T=1.0,
+        w0 = random_row(HalfSpectrum(g), cfg.seed, norm=1.0, stream=31)  # torns convergence's start
+        rows = conjugation_convergence(cfg, w0, base_dt=2.0**-7, levels=4, T=1.0,
                                        seed=500, paths=16, threads=1)
         ratios = [r["ratio"] for r in rows[:-1]]
         for r in ratios:
@@ -221,8 +223,8 @@ def test_criterion_8_smoothing():
         cfg = SimConfig(nu=nu, grid=g, dt=dt, fw=curl(f), hw=curl(h), scheme="etd2")
         assert cfg.assumption.satisfied
         w1 = curl(random_divfree_field(g, seed=30, norm=1.0))
-        rows = measure_smoothing(cfg, w1, deltas=deltas, horizons=horizons,
-                                 seeds=[555, 556, 557], threads=1)
+        rows = measure_smoothing(cfg, w1, _directions(cfg, [555, 556, 557]), deltas=deltas, horizons=horizons,
+                                 threads=1)
         assert all(r["error"] == "" for r in rows)
         assert all(np.isfinite(r["ratio"]) for r in rows)
         for seed in (555, 556, 557):
@@ -237,8 +239,8 @@ def test_criterion_8_smoothing():
         zero = zero_field(g)
         cfg_lin = SimConfig(nu=nu, grid=g, dt=dt, fw=curl(zero), hw=curl(zero), scheme="etd2")
         w1_lin = curl(random_divfree_field(g, seed=31, norm=1e-6))
-        rows_lin = measure_smoothing(cfg_lin, w1_lin, deltas=[1e-8], horizons=horizons,
-                                     seeds=[1, 2], threads=1)
+        rows_lin = measure_smoothing(cfg_lin, w1_lin, _directions(cfg_lin, [1, 2]), deltas=[1e-8],
+                                     horizons=horizons, threads=1)
         k2 = g.k2[g.k2 > 0]
         for row in rows_lin:
             heat = float((k2**2 * np.exp(-2 * nu * k2 * row["T"])).max())

@@ -26,6 +26,37 @@ SMALL = {"nu": 1.0, "N": 16, "dt": 1e-2, "seed": 3, "t_end": 0.5,
          "noise": {"preset": "random", "norm": 0.3, "seed": 4},
          "initial": {"preset": "random", "norm": 1.0, "seed": 5}}
 
+# matplotlib.pyplot as far as plot.py uses it: savefig writes each ax.plot call's
+# (label, xs, ys) to plot.calls.json next to the image
+STUB_PYPLOT = '''import json
+from pathlib import Path
+
+calls = []
+
+
+class Axes:
+    def plot(self, xs, ys, label):
+        calls.append([label, list(xs), list(ys)])
+
+    def set_xlabel(self, text):
+        pass
+
+    def legend(self, **kw):
+        pass
+
+
+class Figure:
+    def tight_layout(self):
+        pass
+
+    def savefig(self, path):
+        Path(path).with_name("plot.calls.json").write_text(json.dumps(calls))
+
+
+def subplots(**kw):
+    return Figure(), Axes()
+'''
+
 
 def write_config(tmp_path, raw, name="config.json"):
     p = tmp_path / name
@@ -109,6 +140,30 @@ class TestArtifactContract:
             args += ["--config", write_config(tmp_path, SMALL)]
         assert main(args) == 0
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "pullback"])
+    def test_plot_script_draws_one_line_per_member_and_column(self, tmp_path, command):
+        # plot.py runs against a stub matplotlib that records its ax.plot calls
+        stub = tmp_path / "stub" / "matplotlib"
+        stub.mkdir(parents=True)
+        (stub / "__init__.py").write_text("def use(backend):\n    pass\n")
+        (stub / "pyplot.py").write_text(STUB_PYPLOT)
+        out = tmp_path / "out"
+        raw = {"preset": "decay-noise", "N": 8, "dt": 1e-2}
+        assert main([command, "--config", write_config(tmp_path, raw), "--out", str(out), "--quiet"]) == 0
+        subprocess.run([sys.executable, str(out / "plot.py")], env={"PYTHONPATH": str(stub.parent), "PATH": ""},
+                       capture_output=True, check=True)
+        calls = json.loads((out / "plot.calls.json").read_text())
+        name = {"simulate": "series.csv", "pullback": "pullback.csv"}[command]
+        with open(out / name, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        if command == "simulate":  # one line per column, against t
+            expected = [[f"series.csv:{key}", [float(r["t"]) for r in rows], [float(r[key]) for r in rows]]
+                        for key in ("norm_H", "norm_H1", "norm_H2", "z")]
+        else:  # one line per (member, column), over the horizons
+            expected = [[f"pullback.csv:{key}:{m}", [2.0, 5.0, 10.0], [float(r[key]) for r in rows if r["member"] == m]]
+                        for m in ("w0", "1.0", "10.0") for key in ("norm_H", "norm_H1", "norm_H2", "dist_H")]
+        assert calls == expected
 
     def test_absorbing_blowup_keeps_report(self, tmp_path, capsys):
         # every member of pullback's family blows up past horizon 2: 3 members x 2 horizons error rows

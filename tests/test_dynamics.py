@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from torns import dynamics, experiments
+from torns import cli, dynamics, experiments
 from torns.dynamics import (
     BlowupError,
     SimConfig,
@@ -501,10 +501,12 @@ class TestStepperBuffers:
         state, rows = integrate(v0, cfg, path=ou, stride=3)
         assert len(rows) == 4
         # horizon 0 reads the initial states
-        experiments.measure_smoothing(cfg, row(v0), deltas=[1e-3], horizons=[0.0, 4 * cfg.dt], seeds=[1])
+        experiments.measure_smoothing(cfg, row(v0), cli._directions(cfg, [1]), deltas=[1e-3],
+                                      horizons=[0.0, 4 * cfg.dt])
         e = random_row(HalfSpectrum(grid16), 99, norm=1.0, stream=29)  # torns pullback's radii family
         experiments.pullback_solve(cfg, [0.0, 3 * cfg.dt], 5, [1.0 * e, 2.0 * e])
-        experiments.conjugation_convergence(cfg, base_dt=cfg.dt, levels=3, T=4 * cfg.dt, seed=7, paths=2)
+        w0 = random_row(HalfSpectrum(grid16), cfg.seed, norm=1.0, stream=31)  # torns convergence's start
+        experiments.conjugation_convergence(cfg, w0, base_dt=cfg.dt, levels=3, T=4 * cfg.dt, seed=7, paths=2)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"preset": "decay-noise", "N": 8, "dt": 1e-2}))
         assert main(["pullback", "--config", str(config), "--out", str(tmp_path / "pb"), "--quiet"]) == 0
@@ -674,20 +676,23 @@ class TestTrajectory:
         for kind, n in (("deterministic", 7), ("ou", 6), ("wiener", 5)):
             assert run(integrate, v0, cfg, path=path_of_type(kind, cfg, n), steps=n, stride=2) == (n, [(1, n)]), kind
         # smoothing: the base and two perturbed members
-        assert run(experiments.measure_smoothing, cfg, row(v0), deltas=[1e-3, 1e-4],
-                   horizons=[4 * cfg.dt, 10 * cfg.dt], seeds=[1], directions=("random",)) == (3 * 10, [(3, 10)])
+        dw = cli._directions(cfg, [1])[1, "random"]
+        assert run(experiments.measure_smoothing, cfg, row(v0), {(1, "random"): dw},
+                   deltas=[1e-3, 1e-4], horizons=[4 * cfg.dt, 10 * cfg.dt]) == (3 * 10, [(3, 10)])
         # 2 seeds x 2 directions: one 12-member ensemble, one block on the
         # dense-DFT kernel, two sub-blocks of 6 within the byte budget on the FFT kernel (N = 50)
         for g, blocks in ((grid16, [(12, 10)]), (WaveGrid(TWO_PI, 50), [(6, 10)] * 2)):
             c = noisy_cfg(g)
             assert run(experiments.measure_smoothing, c, row(random_divfree_field(g, seed=4, norm=1.0)),
-                       deltas=[1e-3, 1e-4], horizons=[4 * c.dt, 10 * c.dt], seeds=[1, 2]) == (12 * 10, blocks)
+                       cli._directions(c, [1, 2]), deltas=[1e-3, 1e-4],
+                       horizons=[4 * c.dt, 10 * c.dt]) == (12 * 10, blocks)
         # absorbing, torns pullback's radii family: one stepper per horizon, its radii one ensemble
         e = random_row(HalfSpectrum(grid16), 99, norm=1.0, stream=29)
         assert run(experiments.pullback_solve, cfg, [3 * cfg.dt, 8 * cfg.dt], 5,
                    [r * e for r in (1.0, 2.0, 4.0)]) == (3 * (3 + 8), [(3, 3), (3, 8)])
         # convergence: levels of 4, 8 and 16 steps, each an OU and a Wiener ensemble of the 2 paths
-        assert run(experiments.conjugation_convergence, cfg, base_dt=cfg.dt, levels=3, T=4 * cfg.dt, seed=7,
+        w0 = random_row(HalfSpectrum(grid16), cfg.seed, norm=1.0, stream=31)  # torns convergence's start
+        assert run(experiments.conjugation_convergence, cfg, w0, base_dt=cfg.dt, levels=3, T=4 * cfg.dt, seed=7,
                    paths=2) == (2 * 2 * (4 + 8 + 16), [(2, 4), (2, 4), (2, 8), (2, 8), (2, 16), (2, 16)])
         family = [row(random_divfree_field(grid16, seed=s, norm=1.0)) for s in (4, 5, 6)]
         assert run(experiments.pullback_solve, cfg, [5 * cfg.dt, 2 * cfg.dt], 3, family) == (

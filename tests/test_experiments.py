@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from torns import experiments, io, spectral
+from torns import cli, experiments, io, spectral
 from torns.dynamics import BlowupError, SimConfig, State, _EtdStepper, trajectory
 from torns.experiments import (
     conjugation_convergence,
@@ -37,6 +37,16 @@ def cfg_for(grid, **kw):
     kw.setdefault("fw", curl(zero_field(grid)))
     kw.setdefault("hw", curl(zero_field(grid)))
     return SimConfig(grid=grid, **kw)
+
+
+def directions(cfg, seeds, *labels):
+    """torns smoothing's direction rows of the seeds, of the labels given or both."""
+    return {key: dw for key, dw in cli._directions(cfg, seeds).items() if not labels or key[1] in labels}
+
+
+def start(cfg):
+    """torns convergence's v(0): the unit row of stream 31, drawn from the config seed."""
+    return random_row(HalfSpectrum(cfg.grid), cfg.seed, norm=1.0, stream=31)
 
 
 def radii(grid, *rs):
@@ -76,8 +86,8 @@ class TestPullback:
         w0 = curl(random_divfree_field(grid16, seed=1))
         run = {
             "pullback": lambda: pullback_solve(cfg, [0.6, 5.0], 1, [w0]),
-            "smoothing": lambda: measure_smoothing(cfg, w0, deltas=[1e-3], horizons=[0.6, 1.0],
-                                                   seeds=[1], directions=("random",)),
+            "smoothing": lambda: measure_smoothing(cfg, w0, directions(cfg, [1], "random"), deltas=[1e-3],
+                                                   horizons=[0.6, 1.0]),
             "absorbing": lambda: pullback_solve(cfg, [0.6, 2.0], 1, radii(grid16, 1.0)),
         }[experiment]
         with pytest.raises(ValueError, match=r"is not a whole number of steps of dt = 0\.3"):
@@ -86,22 +96,28 @@ class TestPullback:
     @pytest.mark.parametrize("experiment, broken", [
         ("pullback", "horizon"), ("smoothing", "horizon"), ("absorbing", "horizon"),
         # the rows handed in, admitted before any path as the horizons are
-        ("pullback", "row"), ("smoothing", "row"),
-    ], ids=["pullback", "smoothing", "absorbing", "pullback-row", "smoothing-row"])
+        ("pullback", "row"), ("smoothing", "row"), ("smoothing", "direction-row"), ("convergence", "row"),
+    ], ids=["pullback", "smoothing", "absorbing", "pullback-row", "smoothing-row", "direction-row",
+            "convergence-row"])
     def test_negative_horizon_rejected_before_any_path(self, grid16, experiment, broken, monkeypatch):
         for name in ("sample_wiener", "pullback_path", "ensemble"):
             monkeypatch.setattr(experiments, name, None)
         cfg = cfg_for(grid16, dt=0.1)
         w0, horizons = curl(random_divfree_field(grid16, seed=1)), [1.0, -0.5]
+        dws = directions(cfg, [1], "random")
         match = r"horizon must be >= 0, got -0\.5"
         if broken == "row":
             w0, horizons = bad_row(w0, "outside"), [1.0]
             match = "initial row outside the solver's state space: content outside the dealias mask"
+        elif broken == "direction-row":
+            dws, horizons = {(1, "random"): bad_row(dws[1, "random"], "outside")}, [1.0]
+            match = ("direction row 'random' of seed 1 outside the solver's state space: "
+                     "content outside the dealias mask")
         run = {
             "pullback": lambda: pullback_solve(cfg, horizons, 1, [w0]),
-            "smoothing": lambda: measure_smoothing(cfg, w0, deltas=[1e-3], horizons=horizons,
-                                                   seeds=[1], directions=("random",)),
+            "smoothing": lambda: measure_smoothing(cfg, w0, dws, deltas=[1e-3], horizons=horizons),
             "absorbing": lambda: pullback_solve(cfg, [-0.5, 1.0], 1, radii(grid16, 1.0)),
+            "convergence": lambda: conjugation_convergence(cfg, w0, base_dt=0.1, levels=3, T=1.0, seed=1, paths=2),
         }[experiment]
         with pytest.raises(ValueError, match=match):
             run()
@@ -191,8 +207,7 @@ class TestSmoothing:
     def test_zero_delta_row_has_zero_ratio(self, grid16):
         cfg = cfg_for(grid16, hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
         w1 = curl(random_divfree_field(grid16, seed=1, norm=0.5))
-        rows = measure_smoothing(cfg, w1, deltas=[0.0], horizons=[0.1], seeds=[1],
-                                 directions=("random",))
+        rows = measure_smoothing(cfg, w1, directions(cfg, [1], "random"), deltas=[0.0], horizons=[0.1])
         assert rows[0]["ratio"] == 0.0
         assert rows[0]["distT_h2_sq"] == 0.0
 
@@ -202,7 +217,7 @@ class TestSmoothing:
         nu, T = 1.0, 0.5
         cfg = cfg_for(grid16, nu=nu, dt=1e-3)
         w1 = curl(random_divfree_field(grid16, seed=1, norm=1e-6))
-        rows = measure_smoothing(cfg, w1, deltas=[1e-7], horizons=[T], seeds=[1, 2])
+        rows = measure_smoothing(cfg, w1, directions(cfg, [1, 2]), deltas=[1e-7], horizons=[T])
         k2 = grid16.k2[grid16.k2 > 0]
         bound = float((k2**2 * np.exp(-2 * nu * k2 * T)).max())
         for row in rows:
@@ -213,8 +228,8 @@ class TestSmoothing:
                       fw=curl(random_divfree_field(grid16, seed=4, norm=0.5)),
                       hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
         w1 = curl(random_divfree_field(grid16, seed=1, norm=1.0))
-        rows = measure_smoothing(cfg, w1, deltas=[1e-2, 1e-3, 1e-4], horizons=[0.5, 1.0],
-                                 seeds=[11], directions=("random", "lowest"))
+        rows = measure_smoothing(cfg, w1, directions(cfg, [11]), deltas=[1e-2, 1e-3, 1e-4],
+                                 horizons=[0.5, 1.0])
         for label in ("random", "lowest"):
             for T in (0.5, 1.0):
                 ratios = [r["ratio"] for r in rows if r["T"] == T and r["direction"] == label]
@@ -224,7 +239,7 @@ class TestSmoothing:
     def test_identical_pair_distances_zero(self, grid16):
         cfg = cfg_for(grid16, hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
         w1 = curl(random_divfree_field(grid16, seed=1, norm=0.5))
-        rows = measure_smoothing(cfg, w1, deltas=[0.0, 1e-3], horizons=[0.2], seeds=[3])
+        rows = measure_smoothing(cfg, w1, directions(cfg, [3]), deltas=[0.0, 1e-3], horizons=[0.2])
         zero_rows = [r for r in rows if r["delta"] == 0.0]
         assert all(r["distT_h2_sq"] == 0.0 for r in zero_rows)
 
@@ -236,8 +251,8 @@ class TestSmoothing:
         half = HalfSpectrum(grid16)
         w1, dw = half.curl(random_divfree_field(grid16, seed=1, norm=0.5)), spectral.random_row(
             half, 1, norm=1.0, stream=23)
-        rows = measure_smoothing(cfg, w1, deltas=[1e-2, 1e-3, 0.7], horizons=[0.0], seeds=[1],
-                                 directions=("random",))
+        rows = measure_smoothing(cfg, w1, directions(cfg, [1], "random"), deltas=[1e-2, 1e-3, 0.7],
+                                 horizons=[0.0])
         assert len(rows) == 3
         for row in rows:
             d = (w1 + row["delta"] * dw) - w1
@@ -254,9 +269,9 @@ class TestSmoothing:
         cfg = cfg_for(grid16, nu=nu, dt=T / 50)
         zero = curl(zero_field(grid16))
         shells = np.unique(grid16.k2[grid16.dealias_mask & (grid16.k2 > 0)])
-        groups = [((0, f"{lam:g}"), spectral.random_row(
-            HalfSpectrum(grid16), 0, profile=lambda k, lam=lam: np.abs(k * k - lam) < 1e-9)) for lam in shells]
-        rows = experiments._smoothing_rows(cfg, zero, groups, [1e-6, 10.0], [T], 1)
+        groups = {(0, f"{lam:g}"): spectral.random_row(
+            HalfSpectrum(grid16), 0, profile=lambda k, lam=lam: np.abs(k * k - lam) < 1e-9) for lam in shells}
+        rows = measure_smoothing(cfg, zero, groups, [1e-6, 10.0], [T])
         assert len(rows) == 2 * len(shells) == 38
         for row in rows:
             lam = float(row["direction"])
@@ -269,24 +284,24 @@ class TestSmoothing:
         # a horizon below half a step compares the initial pair
         cfg = cfg_for(grid16, hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
         w1 = curl(random_divfree_field(grid16, seed=1, norm=0.5))
-        rows = measure_smoothing(cfg, w1, deltas=[1e-3], horizons=[0.0, 0.1], seeds=[1],
-                                 directions=("random",))
+        rows = measure_smoothing(cfg, w1, directions(cfg, [1], "random"), deltas=[1e-3], horizons=[0.0, 0.1])
         assert [r["T"] for r in rows] == [0.0, 0.1]
         assert all(r["error"] == "" and r["distT_h2_sq"] > 0.0 for r in rows)
 
     # an empty report would have no rows to give its CSV a header
-    @pytest.mark.parametrize("name", ["deltas", "horizons", "seeds", "directions"])
+    @pytest.mark.parametrize("name", ["deltas", "horizons", "directions"])
     def test_empty_input_rejected_before_any_field(self, grid16, monkeypatch, name):
-        for fn in ("random_row", "sample_wiener", "ensemble"):
+        for fn in ("sample_wiener", "ensemble"):
             monkeypatch.setattr(experiments, fn, None)
-        kw = dict(deltas=[1e-3], horizons=[0.1], seeds=[1], directions=("random",))
+        cfg = cfg_for(grid16)
+        kw = dict(directions=directions(cfg, [1], "random"), deltas=[1e-3], horizons=[0.1])
         with pytest.raises(ValueError, match=f"{name} must be nonempty"):
-            measure_smoothing(cfg_for(grid16), curl(zero_field(grid16)), **{**kw, name: []})
+            measure_smoothing(cfg, curl(zero_field(grid16)), **{**kw, name: []})
 
     def test_horizons_on_one_step_each_get_their_rows(self, grid16):
         cfg = cfg_for(grid16, dt=1e-2, hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
         w1 = curl(random_divfree_field(grid16, seed=1, norm=0.5))
-        kw = dict(deltas=[1e-3], seeds=[1], directions=("random",))
+        kw = dict(directions=directions(cfg, [1], "random"), deltas=[1e-3])
         one = measure_smoothing(cfg, w1, horizons=[0.1], **kw)
         both = measure_smoothing(cfg, w1, horizons=[0.1, 0.1 + 1e-12], **kw)
         assert [r["T"] for r in both] == [0.1, 0.1 + 1e-12]
@@ -298,27 +313,28 @@ class TestSmoothing:
         g = WaveGrid(TWO_PI, N)
         cfg = cfg_for(g, hw=curl(random_divfree_field(g, seed=2, norm=0.3)))
         w1 = curl(random_divfree_field(g, seed=1, norm=0.5))
-        kw = dict(deltas=[1e-3, 0.0], seeds=[1, 2])
+        kw = dict(directions=directions(cfg, [1, 2]), deltas=[1e-3, 0.0])
         rows = measure_smoothing(cfg, w1, horizons=[0.0], **kw)
         assert rows == [r for r in measure_smoothing(cfg, w1, horizons=[0.0, 0.1], **kw) if r["T"] == 0.0]
         assert len(rows) == 2 * 2 * 2 and all(r["error"] == "" for r in rows)
 
     @pytest.mark.parametrize("N", [16, 50])
-    def test_duplicate_seeds_and_directions_are_one_group(self, N):
+    def test_groups_come_in_sorted_key_order(self, N):
         g = WaveGrid(TWO_PI, N)
         cfg = cfg_for(g, hw=curl(random_divfree_field(g, seed=2, norm=0.3)))
         w1 = curl(random_divfree_field(g, seed=1, norm=0.5))
         kw = dict(deltas=[1e-3], horizons=[0.1])
-        rows = measure_smoothing(cfg, w1, seeds=[2, 1, 2], directions=("random", "lowest", "random"), **kw)
+        dws = directions(cfg, [1, 2])
+        rows = measure_smoothing(cfg, w1, dict(reversed(dws.items())), **kw)
         assert [(r["seed"], r["direction"]) for r in rows] == [
             (1, "lowest"), (1, "random"), (2, "lowest"), (2, "random")]
-        assert rows == measure_smoothing(cfg, w1, seeds=[1, 2], **kw)
+        assert rows == measure_smoothing(cfg, w1, dws, **kw)
 
     def test_h_zero_runs_deterministic_members_with_no_path(self, grid16, monkeypatch):
         # h = 0: the conjugated system is the deterministic one bit for bit, so no path is drawn
         cfg = cfg_for(grid16, fw=curl(random_divfree_field(grid16, seed=3, norm=0.5)))
         w1 = curl(random_divfree_field(grid16, seed=1, norm=0.5))
-        kw = dict(deltas=[1e-3, 1e-4], horizons=[0.1, 0.2], seeds=[1, 2])
+        kw = dict(directions=directions(cfg, [1, 2]), deltas=[1e-3, 1e-4], horizons=[0.1, 0.2])
         calls, sample_wiener = [], experiments.sample_wiener
         monkeypatch.setattr(experiments, "sample_wiener", lambda *a, **k: calls.append(a) or sample_wiener(*a, **k))
         rows = measure_smoothing(cfg, w1, **kw)
@@ -329,7 +345,7 @@ class TestSmoothing:
     def test_thread_count_invariance(self, grid16):
         cfg = cfg_for(grid16, hw=curl(random_divfree_field(grid16, seed=2, norm=0.3)))
         w1 = curl(random_divfree_field(grid16, seed=1, norm=0.5))
-        kw = dict(deltas=[1e-3, 1e-4], horizons=[0.2], seeds=[1, 2])
+        kw = dict(directions=directions(cfg, [1, 2]), deltas=[1e-3, 1e-4], horizons=[0.2])
         a = measure_smoothing(cfg, w1, threads=1, **kw)
         b = measure_smoothing(cfg, w1, threads=4, **kw)
         assert a == b
@@ -339,8 +355,8 @@ class TestSmoothing:
         # dt = 10 puts the explicit advection far outside its stability region
         cfg = cfg_for(grid16, dt=10.0)
         w1 = curl(random_divfree_field(grid16, seed=1, norm=50.0))
-        rows = measure_smoothing(cfg, w1, deltas=[1e-2, 1e-3], horizons=[500.0, 1000.0],
-                                 seeds=[1], directions=("random",))
+        rows = measure_smoothing(cfg, w1, directions(cfg, [1], "random"), deltas=[1e-2, 1e-3],
+                                 horizons=[500.0, 1000.0])
         assert [(r["delta"], r["T"]) for r in rows] == [
             (1e-2, 500.0), (1e-2, 1000.0), (1e-3, 500.0), (1e-3, 1000.0)]
         assert all("non-finite" in r["error"] and math.isnan(r["ratio"]) for r in rows)
@@ -348,8 +364,8 @@ class TestSmoothing:
     def test_perturbed_blowup_gives_error_rows(self, grid16):
         # the base stays at rest; only the large perturbation blows up
         cfg = cfg_for(grid16, dt=10.0)
-        rows = measure_smoothing(cfg, curl(zero_field(grid16)), deltas=[1e-6, 50.0],
-                                 horizons=[500.0, 1000.0], seeds=[1], directions=("random",))
+        rows = measure_smoothing(cfg, curl(zero_field(grid16)), directions(cfg, [1], "random"),
+                                 deltas=[1e-6, 50.0], horizons=[500.0, 1000.0])
         good = [r for r in rows if r["delta"] == 1e-6]
         bad = [r for r in rows if r["delta"] == 50.0]
         assert [r["T"] for r in good] == [500.0, 1000.0] and all(r["error"] == "" for r in good)
@@ -361,11 +377,11 @@ class TestSmoothing:
         # blow up at step 9, between the horizons; the lowest shell only decays
         cfg = cfg_for(grid16, dt=10.0)
         w1, kw = curl(zero_field(grid16)), dict(deltas=[1e-6, 50.0], horizons=[20.0, 1000.0])
-        rows = measure_smoothing(cfg, w1, seeds=[1, 2], **kw)
+        rows = measure_smoothing(cfg, w1, directions(cfg, [1, 2]), **kw)
         for seed in (1, 2):
             for label in ("lowest", "random"):
                 group = [r for r in rows if (r["seed"], r["direction"]) == (seed, label)]
-                alone = measure_smoothing(cfg, w1, seeds=[seed], directions=(label,), **kw)
+                alone = measure_smoothing(cfg, w1, directions(cfg, [seed], label), **kw)
                 if label == "lowest":
                     assert group == alone and all(r["error"] == "" for r in group)
                 else:  # repr: the error rows hold NaN
@@ -435,23 +451,25 @@ class TestConjugationConvergence:
     def test_h_zero_errors_vanish(self, grid16):
         cfg = cfg_for(grid16, dt=2.0**-7, scheme="etd1",
                       fw=curl(random_divfree_field(grid16, seed=4, norm=0.3)))
-        rows = conjugation_convergence(cfg, base_dt=2.0**-7, levels=3, T=0.25, seed=3, paths=2)
+        rows = conjugation_convergence(cfg, start(cfg), base_dt=2.0**-7, levels=3, T=0.25, seed=3, paths=2)
         assert all(r["strong_error"] <= 1e-10 for r in rows)
 
     def test_rejects_too_few_levels(self, grid16):
         with pytest.raises(ValueError):
-            conjugation_convergence(cfg_for(grid16), base_dt=2.0**-7, levels=2, T=1.0, seed=1, paths=2)
+            conjugation_convergence(cfg_for(grid16), start(cfg_for(grid16)), base_dt=2.0**-7, levels=2, T=1.0,
+                                    seed=1, paths=2)
 
     def test_no_paths_rejected_before_any_path(self, grid16, monkeypatch):
         monkeypatch.setattr(experiments, "sample_wiener", None)
         with pytest.raises(ValueError, match="need at least 1 path, got 0"):
-            conjugation_convergence(cfg_for(grid16), base_dt=2.0**-7, levels=3, T=0.25, seed=1, paths=0)
+            conjugation_convergence(cfg_for(grid16), start(cfg_for(grid16)), base_dt=2.0**-7, levels=3, T=0.25,
+                                    seed=1, paths=0)
 
     def test_first_order_strong_convergence(self, grid16):
         h = random_divfree_field(grid16, seed=11, norm=1.0)
         f = random_divfree_field(grid16, seed=21, norm=0.5)
         cfg = cfg_for(grid16, dt=2.0**-7, hw=curl(h), fw=curl(f), seed=5)
-        rows = conjugation_convergence(cfg, base_dt=2.0**-7, levels=4, T=1.0, seed=100, paths=8)
+        rows = conjugation_convergence(cfg, start(cfg), base_dt=2.0**-7, levels=4, T=1.0, seed=100, paths=8)
         for r in rows[:-1]:
             assert 1.5 < r["ratio"] < 2.6
         assert rows[0]["order"] == pytest.approx(math.log2(rows[0]["ratio"]))
@@ -475,14 +493,15 @@ class TestConjugationConvergence:
 
         monkeypatch.setattr(experiments, "_run_ensembles", runner)
         with pytest.raises(BlowupError, match="^D$"):
-            conjugation_convergence(cfg_for(grid16), base_dt=2.0**-7, levels=3, T=2.0**-5, seed=1, paths=2)
+            conjugation_convergence(cfg_for(grid16), start(cfg_for(grid16)), base_dt=2.0**-7, levels=3,
+                                    T=2.0**-5, seed=1, paths=2)
         assert calls == [0, 1, 2]
 
     def test_thread_invariance(self, grid16):
         h = random_divfree_field(grid16, seed=11, norm=1.0)
         cfg = cfg_for(grid16, dt=2.0**-7, hw=curl(h), seed=5)
-        a = conjugation_convergence(cfg, base_dt=2.0**-7, levels=3, T=0.25, seed=9, paths=4, threads=1)
-        b = conjugation_convergence(cfg, base_dt=2.0**-7, levels=3, T=0.25, seed=9, paths=4, threads=3)
+        a = conjugation_convergence(cfg, start(cfg), base_dt=2.0**-7, levels=3, T=0.25, seed=9, paths=4, threads=1)
+        b = conjugation_convergence(cfg, start(cfg), base_dt=2.0**-7, levels=3, T=0.25, seed=9, paths=4, threads=3)
         assert a == b
 
 
@@ -508,11 +527,11 @@ class TestRunner:
         cfg = cfg_for(grid, dt=dt, hw=curl(random_divfree_field(grid, seed=2, norm=0.3)))
         w1 = curl(random_divfree_field(grid, seed=1, norm=0.5))
         return [
-            measure_smoothing(cfg, w1, deltas=[1e-3], horizons=[dt, 2 * dt], seeds=[1, 2],
+            measure_smoothing(cfg, w1, directions(cfg, [1, 2]), deltas=[1e-3], horizons=[dt, 2 * dt],
                               threads=threads),
             [[st.norms() for st in states]
              for states in pullback_solve(cfg, [dt, 2 * dt], 5, radii(grid, 1.0, 2.0), threads=threads)],
-            conjugation_convergence(cfg, base_dt=dt, levels=3, T=2 * dt, seed=9, paths=2,
+            conjugation_convergence(cfg, start(cfg), base_dt=dt, levels=3, T=2 * dt, seed=9, paths=2,
                                     threads=threads),
         ]
 
