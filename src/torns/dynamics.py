@@ -20,17 +20,18 @@ order), so with h = 0 it equals the deterministic etd1 step bit for bit.
 A stepper is built from (cfg, paths, states): the path type selects the
 system (None deterministic, OUPath conjugated, WienerPath Ito), and one path
 and one initial state per member give it B members that share cfg.  Their
-vorticity is one (B, N, K) block (one member runs as the plain (N, K)
-array), the stepper's only state, so the kernel and the ETD update run once
-per level for all of them, each member with its own z_n or dW_n.
+vorticity is one (B, N, K) block, the stepper's only state, so the kernel
+and the ETD update run once per level for all of them, each member with its
+own z_n or dW_n.
 step(state, stepper, n, m) is one call per member-step: the first call of
 step n advances the block and checks it once, and each call emits member
 m's row as a State.  ensemble() takes the members' initial rows, yields
 their states and then one list per step, with a member that blew up frozen
 on its BlowupError while the others go on; it is the only time loop.
-trajectory() is its one-member case, and integrate() records the norms
-of every stride-th state that yields from an initial velocity.  Stacking changes
-no bit: each member's row equals its own one-member trajectory.
+trajectory() is its one-member case, a (1, N, K) block, and integrate()
+records the norms of every stride-th state that yields from an initial
+velocity.  Stacking changes no bit: each member's row equals its own
+one-member trajectory.
 
 The stepper runs in half-spectrum vorticity (spectral.HalfSpectrum): it
 carries w = curl u as the contiguous (N, K) block of the K = (N-1)//3 + 1
@@ -257,26 +258,20 @@ class _EtdStepper:
     paths holds one path per member, all of one kind, which selects the
     system: z of shape (B, n+1) from OUPaths (conjugated), dW of shape (B, n)
     from WienerPaths (Ito, etd1 drift), neither for None (deterministic).
-    The rows of the members' initial states make the block w, the only
-    state the stepper advances; their times are the start times t0; level
-    counts the steps it has taken, and step() checks each new level once
-    for the whole block.
+    The rows of the members' initial states make the (B, N, K) block w,
+    B = 1 for a lone trajectory, the only state the stepper advances; their
+    times are the start times t0; level counts the steps it has taken, and
+    step() checks each new level once for the whole block.
     Precomputes E = exp(-nu k^2 dt) and the dt phi1/phi2 weights as
     complex128 on the (N, K) masked columns, and the row of h - nu A h from
-    cfg.hw.  _advance() takes one drift step of the conjugated system
-    for the whole block, each member with its own z_n; the deterministic and
-    Ito drifts are the case z = 0.  etd2 keeps F_{n-1} between levels.  The
-    stepper owns every buffer its step writes: the kernel workspace, two
-    right-hand-side buffers that alternate as F_n and F_{n-1}, and the
-    update temporaries.  _advance() returns the new block as a fresh array,
-    the only one it allocates, because the emitted states hold its rows and
-    are kept by callers.
-
-    A single member has no member axis: its block is the (N, K) array and
-    its z a scalar.  The fork pays: through the block path one member
-    stepped 33.8 against 28.6 us at N = 16 and 51.3 against 45.9 us at
-    N = 32 (fork faster in 19 and 18 of 20 in-process rounds on 2 cores),
-    from the (1, 1, 1) z column and the (1, N, K) kernel.
+    cfg.hw, each table with a unit member axis, (1, N, K).  _advance() takes
+    one drift step of the conjugated system for the whole block, each member
+    with its own z_n; the deterministic and Ito drifts are the case z = 0.
+    etd2 keeps F_{n-1} between levels.  The stepper owns every buffer its
+    step writes: the kernel workspace, two right-hand-side buffers that
+    alternate as F_n and F_{n-1}, and the update temporaries.  _advance()
+    returns the new block as a fresh array, the only one it allocates,
+    because the emitted states hold its rows and are kept by callers.
     """
 
     def __init__(self, cfg: SimConfig, paths: list, states: list):
@@ -286,32 +281,31 @@ class _EtdStepper:
         n = 0 if paths[0] is None else min(p.n for p in paths)
         self.z = np.stack([p.z[: n + 1] for p in paths]) if kind is OUPath else None
         self.dW = np.stack([p.increments[:n] for p in paths]) if kind is WienerPath else None
-        # one member runs without the member axis: its block is (N, K), and
-        # per level a scalar scales it where an ensemble's (B, 1, 1) column does
-        lead = (B,) if B > 1 else ()
-        self._z_cols = None if self.z is None else _per_level(self.z, B)
-        self._dW_cols = None if self.dW is None else _per_level(self.dW, B)
-        self._zero = np.zeros((B, 1, 1)) if B > 1 else 0.0
+        # indexed by level n: the (B, 1, 1) column that scales the block
+        self._z_cols = None if self.z is None else self.z.T[:, :, None, None]
+        self._dW_cols = None if self.dW is None else self.dW.T[:, :, None, None]
+        self._zero = np.zeros((B, 1, 1))
         self.half = half = _half_spectrum(cfg.grid)
         dt = cfg.dt
         z = -cfg.nu * dt * half.k2
         phi1, phi2 = _phi1(z), _phi2(z)
         # complex tables: a real x complex multiply casts, and costs about twice
-        # a complex x complex one
+        # a complex x complex one; every table has a unit member axis, since an
+        # (N, K) operand broadcast onto a (1, N, K) block doubles a small op's cost
         self.E, self.dt_phi1, self.dt_phi12, self.dt_phi2 = (
-            a.astype(np.complex128) for a in (np.exp(z), dt * phi1, dt * (phi1 + phi2), dt * phi2))
+            a.astype(np.complex128)[None] for a in (np.exp(z), dt * phi1, dt * (phi1 + phi2), dt * phi2))
         # the Ito solver's drift is first order by construction
         self.scheme = "etd1" if self.dW is not None else cfg.scheme
         self.prev_rhs: np.ndarray | None = None
-        self.hw, self._fw = cfg.hw, cfg.fw
+        self.hw, self._fw = cfg.hw[None], cfg.fw[None]
         # curl of the combined z-forcing profile h - nu A h of the conjugated right side
         self._zw = self.hw - cfg.nu * half.k2 * self.hw
-        self._work = spectral.AdvectionWorkspace(half, B if B > 1 else None)
-        block = (*lead, *self.hw.shape)
+        self._work = spectral.AdvectionWorkspace(half, B)
+        block = (B, *cfg.hw.shape)
         self._rhs = (np.empty(block, np.complex128), np.empty(block, np.complex128))
         self._arg = np.empty(block, np.complex128)
         self._tmp = (np.empty(block, np.complex128), np.empty(block, np.complex128))
-        self.w = np.stack([s.w for s in states]) if B > 1 else states[0].w
+        self.w = np.stack([s.w for s in states])
         self.t0 = [s.t for s in states]
         self.level = 0
 
@@ -341,11 +335,6 @@ class _EtdStepper:
 
 # one read-only HalfSpectrum per grid: each kept State holds it (0.9 MB at N = 128)
 _half_spectrum = functools.lru_cache(maxsize=4)(spectral.HalfSpectrum)
-
-
-def _per_level(a: np.ndarray, B: int) -> np.ndarray:
-    """Indexed by level n: the (B, 1, 1) column a[:, n], or the scalar a[0, n] for one member."""
-    return a.T[:, :, None, None] if B > 1 else a[0]
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -399,18 +388,17 @@ def step(state: State, stepper: _EtdStepper, n: int, m: int) -> State:
     if n == st.level:
         st.w, st.level = st._advance(st.w, n), n + 1
         # one energy for the block; one per member only when that is not finite
-        st.blown = () if math.isfinite(np.vdot(st.w, st.w).real) else (
-            {0} if st.B == 1 else {i for i, r in enumerate(st.w) if not math.isfinite(np.vdot(r, r).real)})
+        st.blown = () if math.isfinite(np.vdot(st.w, st.w).real) else {
+            i for i, r in enumerate(st.w) if not math.isfinite(np.vdot(r, r).real)}
         st.zs = None if st.z is None else st.z[:, n + 1].tolist()
     elif n != st.level - 1 or n < 0:
         raise ValueError(f"step {n} is neither the next nor the last level of a block at level {st.level}")
-    w = st.w[m] if st.B > 1 else st.w
+    w = st.w[m]
     t = st.t0[m] + (n + 1) * st.cfg.dt
     if m in st.blown:
-        if st.B > 1:
-            w[...] = 0.0
-            if st.prev_rhs is not None:
-                st.prev_rhs[m] = 0.0
+        w[...] = 0.0
+        if st.prev_rhs is not None:
+            st.prev_rhs[m] = 0.0
         raise BlowupError(f"non-finite coefficients at t={t:.6g}; last valid state at t={state.t:.6g}", state)
     z = state.z if st.zs is None else st.zs[m]
     return State(t, w, z, st.half)
@@ -458,7 +446,7 @@ def ensemble(
             steps = n
         elif steps > n:
             raise ValueError(f"path covers {n} steps, requested {steps}")
-    if steps < 0:
+    if operator.index(steps) < 0:  # a float steps raises TypeError
         raise ValueError(f"steps must be >= 0, got {steps}")
     z0 = [float(p.z[0]) if isinstance(p, OUPath) else 0.0 for p in paths]
     states = [State(s, w0, z, half) for w0, s, z in zip(w0s, starts, z0)]
@@ -555,5 +543,5 @@ def manufactured_forcing(w0: np.ndarray, nu: float, grid: WaveGrid) -> np.ndarra
     stepper's own vorticity_advection.
     """
     half = _half_spectrum(grid)
-    advection = spectral.vorticity_advection(w0, half, spectral.AdvectionWorkspace(half))
+    advection = spectral.vorticity_advection(w0[None], half, spectral.AdvectionWorkspace(half, 1))[0]
     return nu * half.k2 * w0 + advection

@@ -30,8 +30,8 @@ wrapper, real matrix products with dense DFT tables; above it the Basdevant
 form, with two inverse and two forward real transforms as numpy's 1-D FFTs.
 The DFT kernel's calls are too short to gain from a second thread, so the
 experiments step their ensembles serially on those grids.  Both kernels
-take a leading member axis, (B, N, K), on which each member gets the bits
-of its own (N, K) call.
+run on a block with a leading member axis, (B, N, K), B = 1 for a lone
+trajectory, on which each member gets the bits of its own one-member call.
 
 grad_linf samples the 2x2 Jacobian of the velocity of a row on a 4N x 4N
 grid, but never holds that grid: one inverse transform along x on the K
@@ -42,6 +42,7 @@ one block), where the 4 x 512 x 512 samples alone would take 8.4 MB.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -69,13 +70,14 @@ class WaveGrid:
     L : float
         Domain side length, > 0.
     N : int
-        Modes per dimension; even, >= 4.
+        Modes per dimension; even, >= 4.  An integer: a float or a string
+        raises TypeError, a numpy integer is taken as its int.
     """
 
     def __init__(self, L: float, N: int):
         if not (float(L) > 0.0 and np.isfinite(L)):
             raise ValueError(f"L must be positive and finite, got {L}")
-        N = int(N)
+        N = operator.index(N)  # a float or a string raises TypeError
         if N < 4:
             raise ValueError(f"N must be >= 4, got {N}")
         if N % 2 != 0:
@@ -194,7 +196,7 @@ class _DftTables(NamedTuple):
     real parts, then the N imaginary parts.
     """
 
-    scale: np.ndarray  # (4, K, 2N): ops = i scale, transposed, each entry twice
+    scale: np.ndarray  # (1, 4, K, 2N), a unit member axis: ops = i scale, transposed, each entry twice
     R: np.ndarray  # (2N, 2N): interleaved j1 pairs -> [Re | Im] over x, of (i inv_x)^T
     Ty: np.ndarray  # (N, 2K): irfft along y, from (j2, Re/Im) rows; j2 >= 1 weighted 2
     F: np.ndarray  # (2K, 2N): [fwd_y^T | fwd_y^T], rfft along y with 1/N of both products
@@ -230,7 +232,7 @@ def _dft_tables(ops: np.ndarray, K: int, keep_rows: np.ndarray) -> _DftTables:
     Rf[0, :, :, 0], Rf[1, :, :, 0], Rf[0, :, :, 1], Rf[1, :, :, 1] = (
         cos * k, sin * k, -sin * k, cos * k)
     return _DftTables(
-        scale=scale, R=R.reshape(2 * N, 2 * N), Ty=Ty.reshape(N, 2 * K),
+        scale=scale[None], R=R.reshape(2 * N, 2 * N), Ty=Ty.reshape(N, 2 * K),
         F=np.concatenate([fwd_y.reshape(2 * K, N)] * 2, axis=1), Rf=Rf.reshape(2 * N, 2 * N))
 
 
@@ -334,60 +336,59 @@ class HalfSpectrum:
 
 
 class AdvectionWorkspace:
-    """The buffers vorticity_advection writes, for one block of w at a time.
+    """The buffers vorticity_advection writes, for one (B, N, K) block of w at a time.
 
     Every call overwrites them, including the array it returns, so threads
-    that step concurrently need one workspace each.  members=None serves
-    one (N, K) array; members=B serves a (B, N, K) block, the leading axis
-    of B trajectories that share the grid, and adds that axis to every
-    buffer.  vel, cols, uv, adv, rows and spec serve the FFT kernel, with
-    the two fields first (u_1, u_2, then the two products), so ops2 and
-    basdevant are the tables with a unit member axis; the columns j2 >= K
-    of cols stay zero.  When the half spectrum has its tables, the buffers
-    ending in _t serve the DFT kernel with the member axis first: the
-    masked columns transposed, (K, N) with j1 last, and each stage's real
-    result, also held in the shape of the product that reads it, so a call
-    makes no views but the transpose of its input.
+    that step concurrently need one workspace each.  members is B, the
+    leading axis of B trajectories that share the grid (1 for a lone
+    trajectory), and every buffer carries that axis.  vel, cols, uv, adv,
+    rows and spec serve the FFT kernel, with the two fields first (u_1,
+    u_2, then the two products), so ops2 and basdevant are the tables with
+    a unit member axis; the columns j2 >= K of cols stay zero.  When the
+    half spectrum has its tables, the buffers ending in _t serve the DFT
+    kernel with the member axis first: the masked columns transposed,
+    (K, N) with j1 last, and each stage's real result, also held in the
+    shape of the product that reads it, so a call makes no views but the
+    transpose of its input.
     """
 
-    def __init__(self, half: HalfSpectrum, members: int | None = None):
+    def __init__(self, half: HalfSpectrum, members: int):
         N, K = half.grid.N, half.K
         M = N // 2 + 1
-        lead = () if members is None else (members,)
-        unit = (2, *(1,) * len(lead), N, K)
-        self.ops2, self.basdevant = half.ops[:2].reshape(unit), half.basdevant.reshape(unit)
-        self.vel = np.empty((2, *lead, N, K), dtype=np.complex128)  # ops2 * w: u_1, u_2
-        self.cols = np.zeros((2, *lead, N, M), dtype=np.complex128)  # after the inverse FFT along x
+        B = members
+        self.ops2, self.basdevant = half.ops[:2, None], half.basdevant[:, None]
+        self.vel = np.empty((2, B, N, K), dtype=np.complex128)  # ops2 * w: u_1, u_2
+        self.cols = np.zeros((2, B, N, M), dtype=np.complex128)  # after the inverse FFT along x
         self.cols_k = self.cols[..., :K]
-        self.uv = np.empty((2, *lead, N, N))  # u_1, u_2 on the grid, x first; squared in place
-        self.adv = np.empty((2, *lead, N, N))  # u_1 u_2 and u_2^2 - u_1^2
-        self.rows = np.empty((2, *lead, N, M), dtype=np.complex128)  # after the forward FFT along y
+        self.uv = np.empty((2, B, N, N))  # u_1, u_2 on the grid, x first; squared in place
+        self.adv = np.empty((2, B, N, N))  # u_1 u_2 and u_2^2 - u_1^2
+        self.rows = np.empty((2, B, N, M), dtype=np.complex128)  # after the forward FFT along y
         self.rows_k = self.rows[..., :K]
-        self.spec = np.empty((2, *lead, N, K), dtype=np.complex128)  # after the forward FFT along x
-        self.out = np.empty((*lead, N, K), dtype=np.complex128)
+        self.spec = np.empty((2, B, N, K), dtype=np.complex128)  # after the forward FFT along x
+        self.out = np.empty((B, N, K), dtype=np.complex128)
         if half.dft is None:
             return
-        self.scaled_t = np.empty((*lead, 4 * K, 2 * N))  # scale * w_t, (re, im) interleaved over j1
-        self.scaled_t_stack = self.scaled_t.reshape(*lead, 4, K, 2 * N)
-        self.w_t = self.scaled_t_stack.view(np.complex128)  # (..., 4, K, N): w_t in each field's rows
-        self.cols_t = np.empty((*lead, 4 * K, 2 * N))  # after the inverse DFT along x: [Re | Im] over x
-        self.cols_t_stack = self.cols_t.reshape(*lead, 4, 2 * K, N)
-        self.phys_t = np.empty((*lead, 4, N, N))  # u_1, u_2, d_x w, d_y w on the grid, (y, x)
+        self.scaled_t = np.empty((B, 4 * K, 2 * N))  # scale * w_t, (re, im) interleaved over j1
+        self.scaled_t_stack = self.scaled_t.reshape(B, 4, K, 2 * N)
+        self.w_t = self.scaled_t_stack.view(np.complex128)  # (B, 4, K, N): w_t in each field's rows
+        self.cols_t = np.empty((B, 4 * K, 2 * N))  # after the inverse DFT along x: [Re | Im] over x
+        self.cols_t_stack = self.cols_t.reshape(B, 4, 2 * K, N)
+        self.phys_t = np.empty((B, 4, N, N))  # u_1, u_2, d_x w, d_y w on the grid, (y, x)
         self.products = (self.phys_t[..., 0:2, :, :], self.phys_t[..., 2:4, :, :])
-        self.adv_t = np.empty((*lead, 2, N, N))  # the two terms of u . grad w
-        self.adv_rows = self.adv_t.reshape(*lead, 2 * N, N)
-        self.rows_t = np.empty((*lead, 2 * K, N))  # after the forward DFT along y: [Re | Im] over x
-        self.rows_t_pairs = self.rows_t.reshape(*lead, K, 2 * N)
-        self.spec_t = np.empty((*lead, K, 2 * N))  # after the forward DFT along x: interleaved over j1
-        self.spec_cols = self.spec_t.view(np.complex128).mT  # (..., N, K), as out
+        self.adv_t = np.empty((B, 2, N, N))  # the two terms of u . grad w
+        self.adv_rows = self.adv_t.reshape(B, 2 * N, N)
+        self.rows_t = np.empty((B, 2 * K, N))  # after the forward DFT along y: [Re | Im] over x
+        self.rows_t_pairs = self.rows_t.reshape(B, K, 2 * N)
+        self.spec_t = np.empty((B, K, 2 * N))  # after the forward DFT along x: interleaved over j1
+        self.spec_cols = self.spec_t.view(np.complex128).mT  # (B, N, K), as out
 
 
 def vorticity_advection(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorkspace) -> np.ndarray:
     """Dealiased curl B(u, u) = (u . grad) w on the K masked columns, for w = curl u.
 
-    w and the result are (N, K) blocks of the half spectrum (HalfSpectrum),
-    or (B, N, K) blocks of B fields with a workspace for B members; each
-    member's result has the bits of its own (N, K) call.
+    w and the result are (B, N, K) blocks of B rows of the half spectrum
+    (HalfSpectrum), with a workspace for B members; each member's result
+    has the bits of its own one-member call.
     Grids with N <= _DFT_MAX_N run irfft2 of the four fields u_1, u_2, d_x w
     and d_y w and rfft2 of u . grad w as four real matrix products with the
     tables of the half spectrum, on the masked columns transposed to (K, N)
@@ -428,8 +429,8 @@ def _advection_fft(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorkspace) 
 def _advection_dft(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorkspace) -> np.ndarray:
     """vorticity_advection as four real matrix products with the tables of half.dft.
 
-    A member axis stacks the products; each member's products have the
-    shapes of an (N, K) call, so its result has the same bits.
+    The member axis stacks the products; each member's products have the
+    shapes of a one-member call, so its result has the same bits.
     """
     t = half.dft
     np.copyto(work.w_t, w[..., None, :, :].mT)  # broadcast to the 4 fields

@@ -586,6 +586,22 @@ class TestIntegrate:
             with pytest.raises(ValueError, match=message):
                 trajectory(row(v0), cfg, **kw)
 
+    # steps 2.5 used to yield the initial states, then raise TypeError at the second level
+    @pytest.mark.parametrize("entry", ["ensemble", "trajectory", "integrate"])
+    @pytest.mark.parametrize("kind", ["deterministic", "ou"])
+    def test_rejects_non_integral_steps_before_any_state(self, grid16, monkeypatch, entry, kind):
+        cfg = noisy_cfg(grid16)
+        v0 = random_divfree_field(grid16, seed=1)
+        path = path_of_type(kind, cfg, 5)
+        built = []
+        monkeypatch.setattr(dynamics, "_EtdStepper", lambda *a: built.append(a))
+        call = {"ensemble": lambda: dynamics.ensemble([row(v0)], cfg, [path], steps=2.5),
+                "trajectory": lambda: trajectory(row(v0), cfg, path, steps=2.5),
+                "integrate": lambda: integrate(v0, cfg, path, steps=2.5)}[entry]
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
+        assert built == []
+
     def test_rejects_non_integral_stride(self, grid16):
         # stride 2.5 used to be truncated to 2, six rows over 10 steps, not floor(10/2.5) + 1
         v0 = random_divfree_field(grid16, seed=1)

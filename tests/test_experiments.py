@@ -565,7 +565,7 @@ class TestRunner:
         work = stepper._work
         kernel = [work.vel, work.cols, work.uv, work.adv, work.rows, work.spec, work.out]
         blocks = [*stepper._rhs, stepper._arg, *stepper._tmp, stepper.w, stepper.w]
-        assert all(b.shape == (N, (N - 1) // 3 + 1) and b.dtype == np.complex128 for b in blocks)
+        assert all(b.shape == (1, N, (N - 1) // 3 + 1) and b.dtype == np.complex128 for b in blocks)
         assert experiments._member_bytes(N) == sum(a.nbytes for a in kernel + blocks) == expected
 
     def test_fft_sub_blocks_are_near_equal_and_within_the_budget(self, monkeypatch):

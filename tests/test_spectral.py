@@ -85,6 +85,16 @@ class TestWaveGrid:
         with pytest.raises(ValueError):
             WaveGrid(L, N)
 
+    # int(N) took 16.9 as 16 and "16" as 16
+    @pytest.mark.parametrize("N", [16.9, 16.0, "16"])
+    def test_rejects_a_non_integral_N(self, N):
+        with pytest.raises(TypeError):
+            WaveGrid(TWO_PI, N)
+
+    def test_numpy_integer_N_is_taken_as_its_int(self):
+        g = WaveGrid(TWO_PI, np.int64(16))
+        assert type(g.N) is int and g == WaveGrid(TWO_PI, 16)
+
     def test_mask_symmetric_under_reflection(self):
         for N in (4, 6, 8, 16, 32):
             g = WaveGrid(TWO_PI, N)
@@ -335,7 +345,7 @@ class TestVorticityAdvection:
         half = HalfSpectrum(g)
         for seed in range(3):
             u = random_divfree_field(g, seed=seed, norm=1.0 + seed)
-            fast = vorticity_advection(half.curl(u), half, AdvectionWorkspace(half))
+            fast = vorticity_advection(half.curl(u)[None], half, AdvectionWorkspace(half, 1))[0]
             ref = half.curl(nonlinear_term(u, u))
             assert fast.shape == (N, half.K) == (N, (N - 1) // 3 + 1)
             assert np.abs(fast - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -347,7 +357,7 @@ class TestVorticityAdvection:
         g = WaveGrid(TWO_PI, N)
         half = HalfSpectrum(g)
         K = half.K
-        work = AdvectionWorkspace(half)
+        work = AdvectionWorkspace(half, 1)
         for seed in range(3):
             w = half.curl(random_divfree_field(g, seed=seed, norm=1.0 + seed))
             vel = np.zeros((2, N, N // 2 + 1), dtype=np.complex128)
@@ -355,15 +365,15 @@ class TestVorticityAdvection:
             u1, u2 = np.fft.irfft2(vel, s=(N, N), axes=(-2, -1), norm="forward")
             P, Q = u1 * u2, u2 * u2 - u1 * u1
             spec = np.fft.rfft2(np.stack([P, Q]), axes=(-2, -1), norm="forward")[:, :, :K]
-            out = spectral._advection_fft(w, half, work)
+            out = spectral._advection_fft(w[None], half, work)
             assert out is work.out
-            # the inverse planes: their product, then their squares in place
-            assert np.array_equal(work.adv, np.stack([P, Q]))
-            assert np.array_equal(work.uv, np.stack([u1 * u1, u2 * u2]))
+            # the inverse planes of the member: their product, then their squares in place
+            assert np.array_equal(work.adv[:, 0], np.stack([P, Q]))
+            assert np.array_equal(work.uv[:, 0], np.stack([u1 * u1, u2 * u2]))
             # the forward stage, read after the kernel weighted it in place
-            assert np.array_equal(work.spec, half.basdevant * spec)
-            assert np.array_equal(out, work.spec[0] + work.spec[1])
-            assert np.array_equal(spectral._advection_fft(w, half, AdvectionWorkspace(half)), out)
+            assert np.array_equal(work.spec[:, 0], half.basdevant * spec)
+            assert np.array_equal(out[0], work.spec[0, 0] + work.spec[1, 0])
+            assert np.array_equal(spectral._advection_fft(w[None], half, AdvectionWorkspace(half, 1)), out)
 
     @pytest.mark.parametrize("N", [16, 24, 32, 48, 64])
     def test_dft_kernel_equals_fft_kernel(self, N, monkeypatch):
@@ -371,14 +381,14 @@ class TestVorticityAdvection:
         monkeypatch.setattr(spectral, "_DFT_MAX_N", 64)
         g = WaveGrid(TWO_PI, N)
         half = HalfSpectrum(g)
-        work = AdvectionWorkspace(half)
+        work = AdvectionWorkspace(half, 1)
         for seed in range(3):
-            w = half.curl(random_divfree_field(g, seed=seed, norm=1.0 + seed))
-            ref = spectral._advection_fft(w, half, AdvectionWorkspace(half))
+            w = half.curl(random_divfree_field(g, seed=seed, norm=1.0 + seed))[None]
+            ref = spectral._advection_fft(w, half, AdvectionWorkspace(half, 1))
             out = spectral._advection_dft(w, half, work)
             assert out is work.out
             assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
-            assert np.abs(out[~half.dealias_mask]).max() == 0.0
+            assert np.abs(out[0][~half.dealias_mask]).max() == 0.0
 
     @pytest.mark.parametrize("N", [16, 32, 48, 64, 96])
     def test_kernel_chosen_by_grid_size(self, N):
@@ -386,9 +396,9 @@ class TestVorticityAdvection:
         half = HalfSpectrum(g)
         assert (half.dft is not None) == (N <= spectral._DFT_MAX_N)
         kernel = spectral._advection_dft if half.dft is not None else spectral._advection_fft
-        w = half.curl(random_divfree_field(g, seed=7, norm=1.5))
-        ref = kernel(w, half, AdvectionWorkspace(half))
-        work = AdvectionWorkspace(half)
+        w = half.curl(random_divfree_field(g, seed=7, norm=1.5))[None]
+        ref = kernel(w, half, AdvectionWorkspace(half, 1))
+        work = AdvectionWorkspace(half, 1)
         assert vorticity_advection(w, half, work) is work.out
         assert np.array_equal(work.out, ref)
 
@@ -398,8 +408,8 @@ class TestVorticityAdvection:
     def test_call_allocates_less_than_a_half_spectrum(self, N, kernel):
         g = WaveGrid(TWO_PI, N)
         half = HalfSpectrum(g)
-        work = AdvectionWorkspace(half)
-        w = half.curl(random_divfree_field(g, seed=3, norm=1.0))
+        work = AdvectionWorkspace(half, 1)
+        w = half.curl(random_divfree_field(g, seed=3, norm=1.0))[None]
         call = getattr(spectral, kernel)
         call(w, half, work)  # the first call may fill numpy's FFT plan cache
         tracemalloc.start()
@@ -418,18 +428,18 @@ class TestVorticityAdvection:
         # for the stepper's argument v + z h with v and h both shears too
         g = WaveGrid(TWO_PI, N)
         half = HalfSpectrum(g)
-        work = AdvectionWorkspace(half)
+        work = AdvectionWorkspace(half, 1)
         v = SpectralField(g, single_mode(g, 0, 0, 1, -0.5j).coeffs + single_mode(g, 0, 0, 3, 0.2 + 0.1j).coeffs)
         hw = half.curl(single_mode(g, 0, 0, 2, 0.3j))
         for z in (0.0, 0.7, -1.3):
-            w = np.add(half.curl(v), np.multiply(z, hw))
+            w = np.add(half.curl(v), np.multiply(z, hw))[None]
             assert np.array_equal(vorticity_advection(w, half, work), np.zeros_like(w))
 
     def test_output_dealiased(self):
         g = WaveGrid(TWO_PI, 24)
         half = HalfSpectrum(g)
-        out = vorticity_advection(half.curl(random_divfree_field(g, seed=4, norm=2.0)), half,
-                                  AdvectionWorkspace(half))
+        out = vorticity_advection(half.curl(random_divfree_field(g, seed=4, norm=2.0))[None], half,
+                                  AdvectionWorkspace(half, 1))[0]
         assert np.abs(out[~half.dealias_mask]).max() == 0.0
 
     @pytest.mark.parametrize("N", [16, 24])
