@@ -23,15 +23,16 @@ and one initial state per member give it B members that share cfg.  Their
 vorticity is one (B, N, K) block, the stepper's only state, so the kernel
 and the ETD update run once per level for all of them, each member with its
 own z_n or dW_n.
-step(state, stepper, n, m) is one call per member-step: the first call of
-step n advances the block and checks it once, and each call emits member
-m's row as a State.  ensemble() takes the members' initial rows, yields
-their states and then one list per step, with a member that blew up frozen
-on its BlowupError while the others go on; it is the only time loop.
-trajectory() is its one-member case, a (1, N, K) block, and integrate()
-records the norms of every stride-th state that yields from an initial
-velocity.  Stacking changes no bit: each member's row equals its own
-one-member trajectory.
+The stepper's advance() takes the block to its next level and checks it
+once; step(state, stepper, m) only emits member m of the current level, as
+a State or, for a member that blew up, its BlowupError.  ensemble() takes
+the members' initial rows, yields their states and then one list per step,
+with a member that blew up frozen on its BlowupError while the others go
+on; its loop is the only time loop, one advance() per level and one step
+call per live member.  trajectory() is its one-member case, a (1, N, K)
+block, and integrate() records the norms of every stride-th state that
+yields from an initial velocity.  Stacking changes no bit: each member's
+row equals its own one-member trajectory.
 
 The stepper runs in half-spectrum vorticity (spectral.HalfSpectrum): it
 carries w = curl u as the contiguous (N, K) block of the K = (N-1)//3 + 1
@@ -44,8 +45,9 @@ inside the mask are zero, and so stay zero on every step, so the state
 never holds them.  E, phi1 and phi2 are diagonal and commute with
 curl, so this is the velocity scheme up to roundoff.  Each stepper owns the
 buffers of its step (the kernel workspace, the etd2 right-hand sides and the
-update temporaries), so a level allocates only the new block; steppers of
-concurrent trajectories share nothing but read-only tables.  A State is
+update temporaries) and tables of its block's shape, so a level allocates
+only the new block; steppers of concurrent trajectories share nothing but
+read-only tables.  A State is
 built from its vorticity row w alone, and every norm a run reports comes
 from it (State.norms); u is rebuilt from w without an FFT on the first
 read, for callers of the public API only.
@@ -260,18 +262,17 @@ class _EtdStepper:
     from WienerPaths (Ito, etd1 drift), neither for None (deterministic).
     The rows of the members' initial states make the (B, N, K) block w,
     B = 1 for a lone trajectory, the only state the stepper advances; their
-    times are the start times t0; level counts the steps it has taken, and
-    step() checks each new level once for the whole block.
-    Precomputes E = exp(-nu k^2 dt) and the dt phi1/phi2 weights as
-    complex128 on the (N, K) masked columns, and the row of h - nu A h from
-    cfg.hw, each table with a unit member axis, (1, N, K).  _advance() takes
-    one drift step of the conjugated system for the whole block, each member
-    with its own z_n; the deterministic and Ito drifts are the case z = 0.
-    etd2 keeps F_{n-1} between levels.  The stepper owns every buffer its
-    step writes: the kernel workspace, two right-hand-side buffers that
-    alternate as F_n and F_{n-1}, and the update temporaries.  _advance()
-    returns the new block as a fresh array, the only one it allocates,
-    because the emitted states hold its rows and are kept by callers.
+    times are the start times t0, and level counts the steps it has taken.
+    Precomputes E = exp(-nu k^2 dt), the dt phi1/phi2 weights and the row of
+    h - nu A h as complex128 tables of the block's shape, and z and dW as
+    complex columns: numpy 2.4 buffers an operand that casts or broadcasts
+    onto a block of several members.  advance() takes one drift step of the
+    conjugated system for the whole block, each member with its own z_n
+    (the deterministic and Ito drifts are the case z = 0); etd2 keeps
+    F_{n-1} between levels.  The stepper owns every buffer its step writes:
+    the kernel workspace, two right-hand-side buffers that alternate as F_n
+    and F_{n-1}, and the update temporaries.  The new block is the one array
+    a level allocates, because the emitted states hold its rows.
     """
 
     def __init__(self, cfg: SimConfig, paths: list, states: list):
@@ -280,43 +281,53 @@ class _EtdStepper:
         self.B = B = len(paths)
         n = 0 if paths[0] is None else min(p.n for p in paths)
         self.z = np.stack([p.z[: n + 1] for p in paths]) if kind is OUPath else None
-        self.dW = np.stack([p.increments[:n] for p in paths]) if kind is WienerPath else None
-        # indexed by level n: the (B, 1, 1) column that scales the block
-        self._z_cols = None if self.z is None else self.z.T[:, :, None, None]
-        self._dW_cols = None if self.dW is None else self.dW.T[:, :, None, None]
-        self._zero = np.zeros((B, 1, 1))
+        dW = np.stack([p.increments[:n] for p in paths]) if kind is WienerPath else None
+        # indexed by level n: the (B, 1, 1) column that scales the block, complex
+        # like the tables it multiplies (the same arithmetic as numpy's cast)
+        self._z_cols, self._dW_cols = (
+            None if a is None else a.T.astype(np.complex128)[:, :, None, None] for a in (self.z, dW))
+        self._zero = np.zeros((B, 1, 1), np.complex128)
         self.half = half = _half_spectrum(cfg.grid)
         dt = cfg.dt
         z = -cfg.nu * dt * half.k2
         phi1, phi2 = _phi1(z), _phi2(z)
-        # complex tables: a real x complex multiply casts, and costs about twice
-        # a complex x complex one; every table has a unit member axis, since an
-        # (N, K) operand broadcast onto a (1, N, K) block doubles a small op's cost
-        self.E, self.dt_phi1, self.dt_phi12, self.dt_phi2 = (
-            a.astype(np.complex128)[None] for a in (np.exp(z), dt * phi1, dt * (phi1 + phi2), dt * phi2))
-        # the Ito solver's drift is first order by construction
-        self.scheme = "etd1" if self.dW is not None else cfg.scheme
-        self.prev_rhs: np.ndarray | None = None
-        self.hw, self._fw = cfg.hw[None], cfg.fw[None]
-        # curl of the combined z-forcing profile h - nu A h of the conjugated right side
-        self._zw = self.hw - cfg.nu * half.k2 * self.hw
-        self._work = spectral.AdvectionWorkspace(half, B)
         block = (B, *cfg.hw.shape)
+        # complex tables: a real x complex multiply casts, and costs about twice
+        # a complex x complex one
+        self.E, self.dt_phi1, self.dt_phi12, self.dt_phi2, self.hw, self._fw, self._zw = (
+            np.repeat(a.astype(np.complex128)[None], B, axis=0) for a in (
+                np.exp(z), dt * phi1, dt * (phi1 + phi2), dt * phi2, cfg.hw, cfg.fw,
+                # curl of the combined z-forcing profile h - nu A h of the conjugated right side
+                cfg.hw - cfg.nu * half.k2 * cfg.hw))
+        # the Ito solver's drift is first order by construction
+        self.scheme = "etd1" if dW is not None else cfg.scheme
+        self.prev_rhs: np.ndarray | None = None
+        self._work = spectral.AdvectionWorkspace(half, B)
         self._rhs = (np.empty(block, np.complex128), np.empty(block, np.complex128))
         self._arg = np.empty(block, np.complex128)
         self._tmp = (np.empty(block, np.complex128), np.empty(block, np.complex128))
         self.w = np.stack([s.w for s in states])
         self.t0 = [s.t for s in states]
-        self.level = 0
+        self.level, self.frozen, self.zs = 0, set(), None
 
-    def _advance(self, w: np.ndarray, n: int) -> np.ndarray:
-        """Step n of every member of the block w, each from its left-endpoint z_n; the new block."""
+    def advance(self) -> None:
+        """Take the block from level n to n + 1, each member from its left-endpoint z_n, and check it.
+
+        The check is one energy over the block, and one per member only when
+        that is not finite.  A member that blew up joins frozen: its rows of
+        the block and of F_n are zeroed at this level and every later one, so
+        the forcing cannot drive it to blow up again.  zs holds the new
+        level's z as Python floats (None without an OU path).
+        """
         # the arithmetic of E w + dt phi1 (f + z zw - curl B(w + z hw)) and its
-        # etd2 form, operation by operation, into the stepper's buffers
+        # etd2 form, operation by operation, into the stepper's buffers; a z
+        # column is first copied over its block, so no operand broadcasts
+        n, w = self.level, self.w
         z = self._zero if self._z_cols is None else self._z_cols[n]
-        rhs = self._rhs[1] if self.prev_rhs is self._rhs[0] else self._rhs[0]
-        np.add(self._fw, np.multiply(z, self._zw, out=rhs), out=rhs)
-        arg = np.add(w, np.multiply(z, self.hw, out=self._arg), out=self._arg)
+        rhs, arg = self._rhs[1] if self.prev_rhs is self._rhs[0] else self._rhs[0], self._arg
+        rhs[...] = arg[...] = z
+        np.add(self._fw, np.multiply(rhs, self._zw, out=rhs), out=rhs)
+        np.add(w, np.multiply(arg, self.hw, out=arg), out=arg)
         rhs -= spectral.vorticity_advection(arg, self.half, self._work)
         t, t2 = self._tmp
         if self.scheme == "etd2" and self.prev_rhs is not None:
@@ -329,8 +340,14 @@ class _EtdStepper:
         if self.scheme == "etd2":
             self.prev_rhs = rhs
         if self._dW_cols is not None:  # the Ito system: + dW_n curl h after the drift
-            out += np.multiply(self._dW_cols[n], self.hw, out=t)
-        return out
+            t[...] = self._dW_cols[n]
+            out += np.multiply(t, self.hw, out=t)
+        self.w, self.level = out, n + 1
+        if not math.isfinite(np.vdot(out, out).real):
+            self.frozen.update(i for i, r in enumerate(out) if not math.isfinite(np.vdot(r, r).real))
+        if self.frozen:
+            out[list(self.frozen)] = rhs[list(self.frozen)] = 0.0
+        self.zs = None if self.z is None else self.z[:, n + 1].tolist()
 
 
 # one read-only HalfSpectrum per grid: each kept State holds it (0.9 MB at N = 128)
@@ -367,41 +384,22 @@ def _check_initial(v0: SpectralField, cfg: SimConfig) -> np.ndarray:
     return _half_spectrum(cfg.grid).curl(v0)
 
 
-def step(state: State, stepper: _EtdStepper, n: int, m: int) -> State:
-    """Step n of member m of the stepper's block, from state at t_n to t_{n+1}.
+def step(state: State, stepper: _EtdStepper, m: int) -> State | BlowupError:
+    """Member m of the stepper's block at its current level: its State, or its BlowupError.
 
-    The first call of step n advances the whole block to level n + 1 and
-    checks it: one energy over the block, and one per member only when that
-    is not finite (the members in blown), and the level's z as Python floats
-    (zs).  Every call emits member m's row as a State at t0_m + (n + 1) dt
-    from the member's start time (the float arithmetic of WienerPath.times),
-    or raises its BlowupError.  state supplies only the deterministic z and
-    the last valid state of a BlowupError.  A step that is neither the
-    block's next level nor its last raises ValueError.  An ensemble member
-    whose row is not finite is frozen: its rows of the block and of F_{n-1}
-    are zeroed, so later levels stay finite.  The conjugated system takes
-    z_n into its forcing and carries z_{n+1}; the Ito system adds dW_n
-    curl h after the etd1 drift; the deterministic system runs the
-    conjugated arithmetic with z = 0.
+    Emits only; _EtdStepper.advance() moves the block.  The State holds
+    member m's row at t0_m + level dt (the float arithmetic of
+    WienerPath.times), with the level's z_m for the conjugated system and
+    state's z for the others.  state is the member's last valid state.  A
+    member that blew up (in the stepper's frozen) gets its BlowupError,
+    returned, not raised.
     """
     st = stepper
-    if n == st.level:
-        st.w, st.level = st._advance(st.w, n), n + 1
-        # one energy for the block; one per member only when that is not finite
-        st.blown = () if math.isfinite(np.vdot(st.w, st.w).real) else {
-            i for i, r in enumerate(st.w) if not math.isfinite(np.vdot(r, r).real)}
-        st.zs = None if st.z is None else st.z[:, n + 1].tolist()
-    elif n != st.level - 1 or n < 0:
-        raise ValueError(f"step {n} is neither the next nor the last level of a block at level {st.level}")
-    w = st.w[m]
-    t = st.t0[m] + (n + 1) * st.cfg.dt
-    if m in st.blown:
-        w[...] = 0.0
-        if st.prev_rhs is not None:
-            st.prev_rhs[m] = 0.0
-        raise BlowupError(f"non-finite coefficients at t={t:.6g}; last valid state at t={state.t:.6g}", state)
+    t = st.t0[m] + st.level * st.cfg.dt
+    if m in st.frozen:
+        return BlowupError(f"non-finite coefficients at t={t:.6g}; last valid state at t={state.t:.6g}", state)
     z = state.z if st.zs is None else st.zs[m]
-    return State(t, w, z, st.half)
+    return State(t, st.w[m], z, st.half)
 
 
 def ensemble(
@@ -420,8 +418,10 @@ def ensemble(
     m of each list is member m's State, or, from the step at which that
     member blew up on, its BlowupError: the member is frozen and the others
     go on with the same bits as alone.  The initial states make the
-    stepper's block, and each member-step is one step(state, stepper, n, m)
-    call.  The arguments are checked on the call, before any state is drawn.
+    stepper's block; each level is one _EtdStepper.advance() and each
+    member-step one step(state, stepper, m) call, none for a member after
+    the level at which it blew up.  The arguments are checked on the call,
+    before any state is drawn.
     """
     paths = [None] * len(w0s) if paths is None else list(paths)
     if not w0s or len(paths) != len(w0s):
@@ -455,18 +455,10 @@ def ensemble(
 
 def _levels(states: list, stepper: _EtdStepper, steps: int) -> Iterator[list]:
     yield states
-    for n in range(steps):
-        states = [_step_member(s, stepper, n, m) for m, s in enumerate(states)]
+    for _ in range(steps):
+        stepper.advance()
+        states = [s if isinstance(s, BlowupError) else step(s, stepper, m) for m, s in enumerate(states)]
         yield states
-
-
-def _step_member(state, stepper: _EtdStepper, n: int, m: int):
-    if isinstance(state, BlowupError):
-        return state
-    try:
-        return step(state, stepper, n, m)
-    except BlowupError as exc:
-        return exc
 
 
 def trajectory(

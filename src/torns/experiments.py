@@ -59,21 +59,24 @@ __all__ = [
     "conjugation_convergence",
 ]
 
-# The kernel workspace and stepper buffers of one FFT-grid sub-block, at most.
+# The kernel workspace, stepper buffers and tables of one FFT-grid sub-block, at most.
 # 8 members of decay-noise at dt = 4e-3 in sub-blocks of W on 2 threads, median
 # us per member-step of 7 rounds (5 at N = 96), 2 cores with 4 MiB L2 each:
 #   N = 64 (0.54 MB a member)  W = 1, 2, 4: 190, 141, 114;  one serial block 176
 #   N = 96 (1.19 MB)           W = 1, 2, 4: 372, 280, 747;  one serial block 452
 #   N = 128 (2.11 MB)          W = 1, 2, 4: 592, 1202, 954; one serial block 726
 # Sub-blocks of 4.2 MB and more lost (the cache as the cause is unverified).
-_SUB_BLOCK_BYTES = 5 * 2**19  # 2.5 MiB
+# Those sizes left out the tables (0.78, 1.73 and 3.08 MB a member with them); this
+# budget keeps their splits: with tables, N = 96 took 324-342 us at W = 1, 228-317 at 2.
+_SUB_BLOCK_BYTES = 7 * 2**19  # 3.5 MiB
 
 
 def _member_bytes(N: int) -> int:
-    """One member's AdvectionWorkspace (5 N K + 4 N (N/2+1) complex, 4 N^2 real) and
-    _EtdStepper buffers (two right sides, arg, two temporaries, old and new block: 7 N K complex)."""
+    """One member's AdvectionWorkspace (5 N K + 4 N (N/2+1) complex, 4 N^2 real, and its
+    ops2 and basdevant tables, 4 N K complex) and _EtdStepper buffers (two right sides,
+    arg, two temporaries, old and new block: 7 N K complex) and tables (7 N K complex)."""
     K, M = (N - 1) // 3 + 1, N // 2 + 1
-    return 16 * (12 * N * K + 4 * N * M) + 32 * N * N
+    return 16 * (23 * N * K + 4 * N * M) + 32 * N * N
 
 
 def _run_ensembles(ensembles: list, threads: int = 1) -> list[dict]:

@@ -196,7 +196,7 @@ class _DftTables(NamedTuple):
     real parts, then the N imaginary parts.
     """
 
-    scale: np.ndarray  # (1, 4, K, 2N), a unit member axis: ops = i scale, transposed, each entry twice
+    scale: np.ndarray  # (4, K, 2N): ops = i scale, transposed, each entry twice
     R: np.ndarray  # (2N, 2N): interleaved j1 pairs -> [Re | Im] over x, of (i inv_x)^T
     Ty: np.ndarray  # (N, 2K): irfft along y, from (j2, Re/Im) rows; j2 >= 1 weighted 2
     F: np.ndarray  # (2K, 2N): [fwd_y^T | fwd_y^T], rfft along y with 1/N of both products
@@ -232,7 +232,7 @@ def _dft_tables(ops: np.ndarray, K: int, keep_rows: np.ndarray) -> _DftTables:
     Rf[0, :, :, 0], Rf[1, :, :, 0], Rf[0, :, :, 1], Rf[1, :, :, 1] = (
         cos * k, sin * k, -sin * k, cos * k)
     return _DftTables(
-        scale=scale[None], R=R.reshape(2 * N, 2 * N), Ty=Ty.reshape(N, 2 * K),
+        scale=scale, R=R.reshape(2 * N, 2 * N), Ty=Ty.reshape(N, 2 * K),
         F=np.concatenate([fwd_y.reshape(2 * K, N)] * 2, axis=1), Rf=Rf.reshape(2 * N, 2 * N))
 
 
@@ -341,22 +341,24 @@ class AdvectionWorkspace:
     Every call overwrites them, including the array it returns, so threads
     that step concurrently need one workspace each.  members is B, the
     leading axis of B trajectories that share the grid (1 for a lone
-    trajectory), and every buffer carries that axis.  vel, cols, uv, adv,
-    rows and spec serve the FFT kernel, with the two fields first (u_1,
-    u_2, then the two products), so ops2 and basdevant are the tables with
-    a unit member axis; the columns j2 >= K of cols stay zero.  When the
-    half spectrum has its tables, the buffers ending in _t serve the DFT
-    kernel with the member axis first: the masked columns transposed,
-    (K, N) with j1 last, and each stage's real result, also held in the
-    shape of the product that reads it, so a call makes no views but the
-    transpose of its input.
+    trajectory), and every buffer carries that axis, as do the tables a
+    kernel multiplies into a block (ops2, basdevant and scale): numpy 2.4
+    buffers an operand that broadcasts over the member axis.  vel, cols,
+    uv, adv, rows and spec serve the FFT kernel, with the two fields first
+    (u_1, u_2, then the two products); the columns j2 >= K of cols stay
+    zero.  When the half spectrum has its tables, the buffers ending in _t
+    serve the DFT kernel with the member axis first: the masked columns
+    transposed, (K, N) with j1 last, and each stage's real result, also
+    held in the shape of the product that reads it, so a call makes no
+    views but the transpose of its input; phys_t holds (u_1, u_2) and
+    (d_x w, d_y w) as two contiguous blocks, the operands of the products.
     """
 
     def __init__(self, half: HalfSpectrum, members: int):
         N, K = half.grid.N, half.K
         M = N // 2 + 1
         B = members
-        self.ops2, self.basdevant = half.ops[:2, None], half.basdevant[:, None]
+        self.ops2, self.basdevant = (np.repeat(a[:, None], B, axis=1) for a in (half.ops[:2], half.basdevant))
         self.vel = np.empty((2, B, N, K), dtype=np.complex128)  # ops2 * w: u_1, u_2
         self.cols = np.zeros((2, B, N, M), dtype=np.complex128)  # after the inverse FFT along x
         self.cols_k = self.cols[..., :K]
@@ -368,13 +370,14 @@ class AdvectionWorkspace:
         self.out = np.empty((B, N, K), dtype=np.complex128)
         if half.dft is None:
             return
+        self.scale = np.repeat(half.dft.scale[None], B, axis=0)  # (B, 4, K, 2N)
         self.scaled_t = np.empty((B, 4 * K, 2 * N))  # scale * w_t, (re, im) interleaved over j1
         self.scaled_t_stack = self.scaled_t.reshape(B, 4, K, 2 * N)
         self.w_t = self.scaled_t_stack.view(np.complex128)  # (B, 4, K, N): w_t in each field's rows
         self.cols_t = np.empty((B, 4 * K, 2 * N))  # after the inverse DFT along x: [Re | Im] over x
-        self.cols_t_stack = self.cols_t.reshape(B, 4, 2 * K, N)
-        self.phys_t = np.empty((B, 4, N, N))  # u_1, u_2, d_x w, d_y w on the grid, (y, x)
-        self.products = (self.phys_t[..., 0:2, :, :], self.phys_t[..., 2:4, :, :])
+        self.cols_t_pairs = self.cols_t.reshape(B, 2, 2, 2 * K, N)
+        self.phys_t = np.empty((2, B, 2, N, N))  # (u_1, u_2) and (d_x w, d_y w) on the grid, (y, x)
+        self.phys_pairs = self.phys_t.transpose(1, 0, 2, 3, 4)  # (B, 2, 2, N, N), as Ty @ cols_t_pairs
         self.adv_t = np.empty((B, 2, N, N))  # the two terms of u . grad w
         self.adv_rows = self.adv_t.reshape(B, 2 * N, N)
         self.rows_t = np.empty((B, 2 * K, N))  # after the forward DFT along y: [Re | Im] over x
@@ -434,10 +437,10 @@ def _advection_dft(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorkspace) 
     """
     t = half.dft
     np.copyto(work.w_t, w[..., None, :, :].mT)  # broadcast to the 4 fields
-    np.multiply(work.scaled_t_stack, t.scale, out=work.scaled_t_stack)
+    np.multiply(work.scaled_t_stack, work.scale, out=work.scaled_t_stack)
     np.matmul(work.scaled_t, t.R, out=work.cols_t)
-    np.matmul(t.Ty, work.cols_t_stack, out=work.phys_t)  # (4, y, x) per member
-    np.multiply(*work.products, out=work.adv_t)
+    np.matmul(t.Ty, work.cols_t_pairs, out=work.phys_pairs)  # (2, 2, y, x) per member
+    np.multiply(work.phys_t[0], work.phys_t[1], out=work.adv_t)
     np.matmul(t.F, work.adv_rows, out=work.rows_t)  # sums the two terms
     np.matmul(work.rows_t_pairs, t.Rf, out=work.spec_t)  # zero for the rows j1 outside the mask
     np.copyto(work.out, work.spec_cols)

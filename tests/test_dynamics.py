@@ -443,15 +443,19 @@ class TestVorticityCore:
         ou = given_z([0.3, 0.2, 0.1], cfg.dt)
         start = state_of(0.0, random_divfree_field(grid16, seed=4, norm=1.0))
         steppers = [_EtdStepper(cfg, [ou], [start]) for _ in range(2)]
-        a, a2 = (step(start, st, 0, 0) for st in steppers)
-        b = step(a, steppers[0], 1, 0)
-        # the state handed in supplies t and z; its field is never read
-        other = state_of(a2.t, random_divfree_field(grid16, seed=5, norm=1.0), a2.z)
-        c = step(other, steppers[1], 1, 0)
+        for st in steppers:
+            st.advance()
+        a, a2 = (step(start, st, 0) for st in steppers)
+        steppers[0].advance()
+        b = step(a, steppers[0], 0)
+        # the stepper supplies t and z; the state handed in is never read on a live member
+        other = state_of(a2.t, random_divfree_field(grid16, seed=5, norm=1.0), -1.0)
+        steppers[1].advance()
+        c = step(other, steppers[1], 0)
         assert (c.t, c.z) == (b.t, b.z) == (2 * cfg.dt, 0.1)
         assert np.array_equal(c.w, b.w)
-        # a second call of the block's last step emits its row again
-        assert np.array_equal(step(a, steppers[0], 1, 0).w, b.w)
+        # a second call at the same level emits its row again
+        assert np.array_equal(step(a, steppers[0], 0).w, b.w)
 
 
 def noisy_cfg(grid, **kw):
@@ -470,14 +474,16 @@ class TestStepperBuffers:
         for start in starts:
             st, state, kept = _EtdStepper(cfg, [ou], [start]), start, []
             for n in range(12):
-                state = step(state, st, n, 0)
+                st.advance()
+                state = step(state, st, 0)
                 kept.append(state.u.coeffs.copy())
             alone.append(kept)
         steppers = [_EtdStepper(cfg, [ou], [start]) for start in starts]
         states, kept = list(starts), [[], []]
         for n in range(12):
             for i in range(2):
-                states[i] = step(states[i], steppers[i], n, 0)
+                steppers[i].advance()
+                states[i] = step(states[i], steppers[i], 0)
                 kept[i].append(states[i])
         # every emitted state still holds its own step, read only now
         for i in range(2):
@@ -518,23 +524,33 @@ class TestStepperBuffers:
     def test_steady_state_step_allocates_little(self):
         import tracemalloc
 
-        # one grid on each kernel: N = 48 runs the DFT tables, N = 64 the FFTs
-        for N in (48, 64):
+        # one grid on each kernel: N = 16 and 48 run the DFT tables, N = 64 the FFTs;
+        # B = 4 meets every table and z column with a block of more than one member
+        for N, B in ((48, 1), (64, 1), (16, 4), (64, 4)):
             g = WaveGrid(TWO_PI, N)
             cfg = noisy_cfg(g)
-            state = state_of(0.0, random_divfree_field(g, seed=4, norm=1.0))
-            st = _EtdStepper(cfg, [given_z(np.full(24, 0.1), cfg.dt)], [state])
-            for n in range(3):  # past the etd2 bootstrap and the first FFT plans
-                state = step(state, st, n, 0)
-            half_array = st.hw.nbytes
+            states = [state_of(0.0, random_divfree_field(g, seed=4 + m, norm=1.0)) for m in range(B)]
+            paths = [given_z(np.linspace(0.1, 0.3 + m, 24), cfg.dt) for m in range(B)]
+            st = _EtdStepper(cfg, paths, states)
+
+            def level():
+                st.advance()
+                states[:] = [step(s, st, m) for m, s in enumerate(states)]
+
+            for _ in range(3):  # past the etd2 bootstrap and the first FFT plans
+                level()
             tracemalloc.start()
             try:
-                for n in range(3, 23):
-                    state = step(state, st, n, 0)
-                peak = tracemalloc.get_traced_memory()[1]
+                peaks = []  # what each level allocates over what it starts with
+                for _ in range(20):
+                    live = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    level()
+                    peaks.append(tracemalloc.get_traced_memory()[1] - live)
             finally:
                 tracemalloc.stop()
-            assert peak < 12 * half_array, N
+            # the new block, the members' States and the level's list
+            assert max(peaks) < st.w.nbytes + 2048, (N, B)
 
 
 class TestIntegrate:
@@ -664,9 +680,15 @@ class TestTrajectory:
     def test_one_step_call_per_member_step(self, grid16, monkeypatch):
         # the benchmark's traced gate counts dynamics.step calls as member-steps;
         # every stepper advances its block once per level, whatever its members
-        calls, steppers = [], []
+        calls, steppers = [], []  # per step call: (level, member, what it returned)
         inner = dynamics.step
-        monkeypatch.setattr(dynamics, "step", lambda *a: calls.append(1) or inner(*a))
+
+        def counted_step(state, stepper, m):
+            out = inner(state, stepper, m)
+            calls.append((stepper.level, m, out))
+            return out
+
+        monkeypatch.setattr(dynamics, "step", counted_step)
 
         class Counted(_EtdStepper):
             def __init__(self, *a):
@@ -674,9 +696,9 @@ class TestTrajectory:
                 steppers.append(self)
                 super().__init__(*a)
 
-            def _advance(self, *a):
+            def advance(self):
                 self.advances += 1
-                return super()._advance(*a)
+                super().advance()
 
         monkeypatch.setattr(dynamics, "_EtdStepper", Counted)
 
@@ -713,6 +735,21 @@ class TestTrajectory:
         family = [row(random_divfree_field(grid16, seed=s, norm=1.0)) for s in (4, 5, 6)]
         assert run(experiments.pullback_solve, cfg, [5 * cfg.dt, 2 * cfg.dt], 3, family) == (
             3 * (5 + 2), [(3, 2), (3, 5)])
+        # a member that blows up, the norm-50 one of test_blowup_freezes_only_its_member (at step 9):
+        # one step call per level up to its blowup, whose call returns its BlowupError, and none after
+        bcfg = basic_cfg(grid16, dt=10.0)
+        v0s = [random_divfree_field(grid16, seed=s, norm=n) for s, n in ((1, 0.05), (1, 50.0), (2, 0.05))]
+        levels = []
+        assert run(lambda: levels.extend(dynamics.ensemble([row(v) for v in v0s], bcfg, steps=14))) == (
+            2 * 14 + 9, [(3, 14)])
+        blown = [(n, out) for n, m, out in calls if m == 1]
+        assert [n for n, _ in blown] == list(range(1, 10))
+        assert all(isinstance(out, State) for _, out in blown[:-1])
+        assert isinstance(blown[-1][1], BlowupError)
+        assert all(level[1] is blown[-1][1] for level in levels[9:])
+        for m in (0, 2):
+            for level, alone in zip(levels, trajectory(row(v0s[m]), bcfg, steps=14), strict=True):
+                assert np.array_equal(level[m].w, alone.w)
 
 
 def member_paths(kind, cfg, n, B):
@@ -766,19 +803,6 @@ class TestEnsemble:
         good = row(random_divfree_field(grid16, seed=4, norm=1.0))
         with pytest.raises(ValueError, match="initial row outside the solver's state space: " + problem):
             dynamics.ensemble([good, bad_row(good, case)], cfg)
-
-    def test_lockstep_is_enforced(self, grid16):
-        cfg = noisy_cfg(grid16)
-        ou = path_of_type("ou", cfg, 4)
-        starts = [state_of(0.0, random_divfree_field(grid16, seed=s, norm=1.0)) for s in (4, 5, 6)]
-        st = _EtdStepper(cfg, [ou] * 3, starts)
-        with pytest.raises(ValueError, match="neither the next nor the last level"):
-            step(starts[0], st, 1, 0)  # skips level 0
-        first = [step(s, st, 0, m) for m, s in enumerate(starts)]
-        second = [step(s, st, 1, m) for m, s in enumerate(first)]
-        with pytest.raises(ValueError, match="neither the next nor the last level"):
-            step(starts[0], st, 0, 0)  # the level before the last
-        assert [s.t for s in second] == [2 * cfg.dt] * 3
 
     def test_members_share_one_system(self, grid16):
         cfg = noisy_cfg(grid16)

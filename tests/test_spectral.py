@@ -402,14 +402,16 @@ class TestVorticityAdvection:
         assert vorticity_advection(w, half, work) is work.out
         assert np.array_equal(work.out, ref)
 
-    # N = 64 and 96 run the FFT kernel; _advection_fft is also timed on a DFT grid
-    @pytest.mark.parametrize("N", [16, 64, 96])
+    # N = 64 and 96 run the FFT kernel; _advection_fft is also timed on a DFT grid;
+    # a block of several members meets each table with more than one member
+    @pytest.mark.parametrize("N, members", [pytest.param(N, B, id=f"{N}" if B == 1 else f"{N}-{B}")
+                                            for N, B in ((16, 1), (16, 4), (16, 24), (64, 1), (64, 4), (96, 1), (96, 4))])
     @pytest.mark.parametrize("kernel", ["vorticity_advection", "_advection_fft"])
-    def test_call_allocates_less_than_a_half_spectrum(self, N, kernel):
+    def test_call_allocates_less_than_a_half_spectrum(self, N, members, kernel):
         g = WaveGrid(TWO_PI, N)
         half = HalfSpectrum(g)
-        work = AdvectionWorkspace(half, 1)
-        w = half.curl(random_divfree_field(g, seed=3, norm=1.0))[None]
+        work = AdvectionWorkspace(half, members)
+        w = np.stack([half.curl(random_divfree_field(g, seed=3 + m, norm=1.0)) for m in range(members)])
         call = getattr(spectral, kernel)
         call(w, half, work)  # the first call may fill numpy's FFT plan cache
         tracemalloc.start()
