@@ -28,11 +28,11 @@ once; step(state, stepper, m) only emits member m of the current level, as
 a State or, for a member that blew up, its BlowupError.  ensemble() takes
 the members' initial rows, yields their states and then one list per step,
 with a member that blew up frozen on its BlowupError while the others go
-on; its loop is the only time loop, one advance() per level and one step
-call per live member.  trajectory() is its one-member case, a (1, N, K)
-block, and integrate() records the norms of every stride-th state that
-yields from an initial velocity.  Stacking changes no bit: each member's
-row equals its own one-member trajectory.
+on; its loop is the only time loop, one advance() per level that has a
+live member and one step call per live member.  trajectory() is its
+one-member case, a (1, N, K) block, and integrate() records the norms of
+every stride-th state that yields from an initial velocity.  Stacking
+changes no bit: each member's row equals its own one-member trajectory.
 
 The stepper runs in half-spectrum vorticity (spectral.HalfSpectrum): it
 carries w = curl u as the contiguous (N, K) block of the K = (N-1)//3 + 1
@@ -47,10 +47,9 @@ curl, so this is the velocity scheme up to roundoff.  Each stepper owns the
 buffers of its step (the kernel workspace, the etd2 right-hand sides and the
 update temporaries) and tables of its block's shape, so a level allocates
 only the new block; steppers of concurrent trajectories share nothing but
-read-only tables.  A State is
-built from its vorticity row w alone, and every norm a run reports comes
-from it (State.norms); u is rebuilt from w without an FFT on the first
-read, for callers of the public API only.
+read-only tables.  A State is built from its vorticity row w alone, and
+every norm a run reports comes from it (State.norms); u is rebuilt from w
+without an FFT on the first read, for callers of the public API only.
 
 State space: w represents exactly the zero-mean, divergence-free velocity
 fields with no modes |j2| >= K, and the two forms of B agree only inside the
@@ -418,10 +417,10 @@ def ensemble(
     m of each list is member m's State, or, from the step at which that
     member blew up on, its BlowupError: the member is frozen and the others
     go on with the same bits as alone.  The initial states make the
-    stepper's block; each level is one _EtdStepper.advance() and each
-    member-step one step(state, stepper, m) call, none for a member after
-    the level at which it blew up.  The arguments are checked on the call,
-    before any state is drawn.
+    stepper's block; each level is one _EtdStepper.advance(), none once
+    every member has blown up, and each member-step one step(state,
+    stepper, m) call, none for a member after the level at which it blew
+    up.  The arguments are checked on the call, before any state is drawn.
     """
     paths = [None] * len(w0s) if paths is None else list(paths)
     if not w0s or len(paths) != len(w0s):
@@ -456,7 +455,8 @@ def ensemble(
 def _levels(states: list, stepper: _EtdStepper, steps: int) -> Iterator[list]:
     yield states
     for _ in range(steps):
-        stepper.advance()
+        if len(stepper.frozen) < stepper.B:  # a block of frozen rows only would pay the kernel for nothing
+            stepper.advance()
         states = [s if isinstance(s, BlowupError) else step(s, stepper, m) for m, s in enumerate(states)]
         yield states
 

@@ -60,23 +60,22 @@ __all__ = [
 ]
 
 # The kernel workspace, stepper buffers and tables of one FFT-grid sub-block, at most.
-# 8 members of decay-noise at dt = 4e-3 in sub-blocks of W on 2 threads, median
-# us per member-step of 7 rounds (5 at N = 96), 2 cores with 4 MiB L2 each:
-#   N = 64 (0.54 MB a member)  W = 1, 2, 4: 190, 141, 114;  one serial block 176
-#   N = 96 (1.19 MB)           W = 1, 2, 4: 372, 280, 747;  one serial block 452
-#   N = 128 (2.11 MB)          W = 1, 2, 4: 592, 1202, 954; one serial block 726
-# Sub-blocks of 4.2 MB and more lost (the cache as the cause is unverified).
-# Those sizes left out the tables (0.78, 1.73 and 3.08 MB a member with them); this
-# budget keeps their splits: with tables, N = 96 took 324-342 us at W = 1, 228-317 at 2.
-_SUB_BLOCK_BYTES = 7 * 2**19  # 3.5 MiB
+# 8 members of decay-noise at dt = 4e-3 in sub-blocks of at most W on 2 threads, median
+# us per member-step of 7 rounds, 2 cores with 4 MiB L2 each (W = 3 splits 8 as 2, 3, 3):
+#   N = 64 (0.69 MB a member)  W = 1, 2, 3, 4: 264, 151, 143, 142
+#   N = 70 (0.83 MB)           W = 2, 3, 4: 218, 183, 172
+#   N = 96 (1.53 MB)           W = 1, 2, 3: 313, 250, 245
+#   N = 100 (1.68 MB)          W = 1, 2: 329, 287
+#   N = 128 (2.73 MB)          W = 1, 2: 490, 1148
+# This budget takes the best W at each (4, 4, 2, 2 and 1); rounds spread by about 25%.
+_SUB_BLOCK_BYTES = 13 * 2**18  # 3.25 MiB
 
 
 def _member_bytes(N: int) -> int:
-    """One member's AdvectionWorkspace (5 N K + 4 N (N/2+1) complex, 4 N^2 real, and its
-    ops2 and basdevant tables, 4 N K complex) and _EtdStepper buffers (two right sides,
-    arg, two temporaries, old and new block: 7 N K complex) and tables (7 N K complex)."""
+    """One member's AdvectionWorkspace (5 N K + 4 N (N/2+1) complex, 4 N^2 real) and _EtdStepper
+    buffers (two right sides, arg, two temporaries, old and new block: 7 N K complex) and tables (7 N K complex)."""
     K, M = (N - 1) // 3 + 1, N // 2 + 1
-    return 16 * (23 * N * K + 4 * N * M) + 32 * N * N
+    return 16 * (19 * N * K + 4 * N * M) + 32 * N * N
 
 
 def _run_ensembles(ensembles: list, threads: int = 1) -> list[dict]:

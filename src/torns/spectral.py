@@ -341,25 +341,25 @@ class AdvectionWorkspace:
     Every call overwrites them, including the array it returns, so threads
     that step concurrently need one workspace each.  members is B, the
     leading axis of B trajectories that share the grid (1 for a lone
-    trajectory), and every buffer carries that axis, as do the tables a
-    kernel multiplies into a block (ops2, basdevant and scale): numpy 2.4
-    buffers an operand that broadcasts over the member axis.  vel, cols,
-    uv, adv, rows and spec serve the FFT kernel, with the two fields first
-    (u_1, u_2, then the two products); the columns j2 >= K of cols stay
-    zero.  When the half spectrum has its tables, the buffers ending in _t
-    serve the DFT kernel with the member axis first: the masked columns
-    transposed, (K, N) with j1 last, and each stage's real result, also
-    held in the shape of the product that reads it, so a call makes no
-    views but the transpose of its input; phys_t holds (u_1, u_2) and
-    (d_x w, d_y w) as two contiguous blocks, the operands of the products.
+    trajectory), and every buffer carries that axis, as does the DFT
+    kernel's scale table: numpy 2.4 buffers an operand that broadcasts over
+    the member axis (the FFT kernel multiplies its tables member by member,
+    within 5% of block-shaped tables at N = 50 to 96).  vel, cols, uv, adv,
+    rows and spec serve the FFT kernel, with the two fields first (u_1, u_2,
+    then the two products); the columns j2 >= K of cols stay zero.  When the
+    half spectrum has its tables, the buffers ending in _t serve the DFT
+    kernel with the member axis first: the masked columns transposed, (K, N)
+    with j1 last, and each stage's real result, also held in the shape of
+    the product that reads it, so a call makes no views but the transpose of
+    its input; phys_t holds (u_1, u_2) and (d_x w, d_y w) as two contiguous
+    blocks, the operands of the products.
     """
 
     def __init__(self, half: HalfSpectrum, members: int):
         N, K = half.grid.N, half.K
         M = N // 2 + 1
         B = members
-        self.ops2, self.basdevant = (np.repeat(a[:, None], B, axis=1) for a in (half.ops[:2], half.basdevant))
-        self.vel = np.empty((2, B, N, K), dtype=np.complex128)  # ops2 * w: u_1, u_2
+        self.vel = np.empty((2, B, N, K), dtype=np.complex128)  # ops[:2] * w: u_1, u_2
         self.cols = np.zeros((2, B, N, M), dtype=np.complex128)  # after the inverse FFT along x
         self.cols_k = self.cols[..., :K]
         self.uv = np.empty((2, B, N, N))  # u_1, u_2 on the grid, x first; squared in place
@@ -413,10 +413,11 @@ def vorticity_advection(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorksp
 def _advection_fft(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorkspace) -> np.ndarray:
     """vorticity_advection in the Basdevant form, numpy's 1-D FFTs out= into the workspace."""
     N = half.grid.N
-    # one multiply per field, none broadcast: a multiply that broadcasts w over both
-    # fields buffers a transient the size of vel below N = 128 (numpy 2.4, tracemalloc)
-    for op, vel in zip(work.ops2, work.vel):
-        np.multiply(op, w, out=vel)
+    # one multiply per field and member, none broadcast: below N = 128 numpy 2.4
+    # buffers an operand broadcast over fields or members (a transient of about vel)
+    for op, vel in zip(half.ops[:2], work.vel):
+        for w_m, vel_m in zip(w, vel):
+            np.multiply(op, w_m, out=vel_m)
     np.fft.ifft(work.vel, n=N, axis=-2, norm="forward", out=work.cols_k)
     u = np.fft.irfft(work.cols, n=N, axis=-1, norm="forward", out=work.uv)
     adv = work.adv
@@ -425,7 +426,8 @@ def _advection_fft(w: np.ndarray, half: HalfSpectrum, work: AdvectionWorkspace) 
     np.subtract(u[1], u[0], out=adv[1])
     np.fft.rfft(adv, n=N, axis=-1, norm="forward", out=work.rows)
     spec = np.fft.fft(work.rows_k, n=N, axis=-2, norm="forward", out=work.spec)
-    np.multiply(work.basdevant, spec, out=spec)
+    for m in range(len(w)):
+        np.multiply(half.basdevant, spec[:, m], out=spec[:, m])
     return np.add(spec[0], spec[1], out=work.out)
 
 

@@ -541,16 +541,19 @@ class TestStepperBuffers:
                 level()
             tracemalloc.start()
             try:
-                peaks = []  # what each level allocates over what it starts with
-                for _ in range(20):
+                live0, peaks = tracemalloc.get_traced_memory()[0], []
+                for _ in range(20):  # what each level allocates over what it starts with
                     live = tracemalloc.get_traced_memory()[0]
                     tracemalloc.reset_peak()
                     level()
                     peaks.append(tracemalloc.get_traced_memory()[1] - live)
+                kept = tracemalloc.get_traced_memory()[0] - live0
             finally:
                 tracemalloc.stop()
             # the new block, the members' States and the level's list
             assert max(peaks) < st.w.nbytes + 2048, (N, B)
+            # and across the levels only the last of them stays: nothing builds up
+            assert kept < 2 * st.w.nbytes, (N, B)
 
 
 class TestIntegrate:
@@ -750,6 +753,10 @@ class TestTrajectory:
         for m in (0, 2):
             for level, alone in zip(levels, trajectory(row(v0s[m]), bcfg, steps=14), strict=True):
                 assert np.array_equal(level[m].w, alone.w)
+        # a block with no live member left is not advanced: alone, the norm-50 member takes 9 levels
+        levels.clear()
+        assert run(lambda: levels.extend(dynamics.ensemble([row(v0s[1])], bcfg, steps=14))) == (9, [(1, 9)])
+        assert len(levels) == 15 and all(level[0] is levels[9][0] for level in levels[9:])
 
 
 def member_paths(kind, cfg, n, B):

@@ -555,16 +555,15 @@ class TestRunner:
             assert pools and all(1 < w <= threads for w in pools)
             assert repr(pooled) == repr(serial)  # bit for bit, NaN entries included
 
-    @pytest.mark.parametrize("N, expected", [(64, 784_384), (96, 1_726_464), (128, 3_082_240)])
+    @pytest.mark.parametrize("N, expected", [(64, 694_272), (96, 1_529_856), (128, 2_729_984)])
     def test_member_bytes_is_a_members_real_allocation(self, N, expected):
-        # the kernel workspace of a one-member stepper and its tables, and the
-        # stepper's two right sides, argument, two temporaries, the old and new
-        # block and its seven tables
+        # the kernel workspace of a one-member stepper, and the stepper's two right
+        # sides, argument, two temporaries, the old and new block and its seven tables
         grid = WaveGrid(TWO_PI, N)
         half = spectral.HalfSpectrum(grid)
         stepper = _EtdStepper(cfg_for(grid), [None], [State(0.0, np.zeros((N, half.K), complex), 0.0, half)])
         work = stepper._work
-        kernel = [work.vel, work.cols, work.uv, work.adv, work.rows, work.spec, work.out, work.ops2, work.basdevant]
+        kernel = [work.vel, work.cols, work.uv, work.adv, work.rows, work.spec, work.out]
         blocks = [*stepper._rhs, stepper._arg, *stepper._tmp, stepper.w, stepper.w, stepper.E, stepper.dt_phi1,
                   stepper.dt_phi12, stepper.dt_phi2, stepper.hw, stepper._fw, stepper._zw]
         assert all(b.shape == (1, N, (N - 1) // 3 + 1) and b.dtype == np.complex128 for b in blocks)
